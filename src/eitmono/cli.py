@@ -25,7 +25,7 @@ from .coefficient import (CoefficientField, CoefficientError, WeightSpec,
 from .geometry import (GeometryError, MeshConformityError, RegionSet,
                        build_domain, pixel_family, triangulate,
                        validate_regions)
-from .monotonicity import bracketing_chain
+from .monotonicity import ProvenanceError, bracketing_chain
 from .ndmap import NDError, NDMatrix, build_basis, nd_extreme, nd_matrix, \
     perturb_symmetric
 from .oracle import disk_nd_eigenvalue
@@ -256,6 +256,9 @@ def cmd_reconstruct(problem, out_dir, args):
         if nd.mesh_hash != problem.mesh.provenance():
             raise ConfigError("measurements_file provenance does not match "
                               "the mesh built from this config")
+        if nd.basis_hash != problem.basis.provenance():
+            raise ConfigError("measurements_file provenance does not match "
+                              "the basis built from this config")
     else:
         nd = _measured_nd(problem, args)
 
@@ -281,6 +284,7 @@ def cmd_reconstruct(problem, out_dir, args):
         "inside_cells": result.inside_count(),
         "indeterminate_cells": len(result.indeterminate),
         "filled_cells": result.filled_cells,
+        "n_cell_errors": len(result.cell_errors),
         "wall_time": time.perf_counter() - t0,
     }
     _write_metrics(out_dir, metrics)
@@ -417,7 +421,7 @@ def main(argv=None):
     try:
         return COMMANDS[args.command](problem, out_dir, args)
     except (ConfigError, CoefficientError, GeometryError,
-            MeshConformityError) as exc:
+            MeshConformityError, ProvenanceError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (fem.SolverError, fem.ConfigurationError, NDError) as exc:

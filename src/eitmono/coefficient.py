@@ -450,19 +450,9 @@ def bracket_coefficients(fld):
     # Merged-extreme geometry re-check: complement of the enlarged D0 must
     # stay connected, else the lower bracket loses solvability.
     mask = low.mesh.triangle_region != "D0"
-    adj = low.mesh.triangle_adjacency()
-    idx = np.where(mask)[0]
-    if len(idx) == 0:
+    if not np.any(mask):
         raise CoefficientError("lower bracket insulates the whole domain")
-    seen = {int(idx[0])}
-    stack = [int(idx[0])]
-    while stack:
-        t = stack.pop()
-        for nb in adj[t]:
-            if mask[nb] and nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    if len(seen) != len(idx):
+    if not low.mesh.triangles_connected(mask):
         raise CoefficientError(
             "merged insulating region disconnects the domain complement")
     return low, up

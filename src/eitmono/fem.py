@@ -13,6 +13,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .geometry import connected_labels
+
 STATUS_FREE = 0
 STATUS_REMOVED = 1
 STATUS_MERGED = 2
@@ -71,34 +73,18 @@ def build_dof_map(mesh, allow_conductor_on_insulator=True):
         flag[vs] = True
     removed = incident_any & ~incident_non_d0
 
-    # Conducting components via union-find over Dinf triangle vertices.
-    parent = np.arange(nv)
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
+    # Conducting components: vertex-connected sets of Dinf triangles,
+    # numbered in the order of their lowest vertex.
     dinf_tris = tris[region == "Dinf"]
-    for i, j, k in dinf_tris:
-        union(i, j)
-        union(j, k)
-    conductor_vertices = np.unique(dinf_tris.ravel()) if len(dinf_tris) else np.array([], dtype=int)
-
-    roots = {}
+    conductor_vertices = np.unique(dinf_tris)
     conductor_of_vertex = -np.ones(nv, dtype=int)
-    for v in conductor_vertices:
-        r = find(v)
-        if r not in roots:
-            roots[r] = len(roots)
-        conductor_of_vertex[v] = roots[r]
-    n_conductors = len(roots)
+    n_conductors = 0
+    if len(conductor_vertices):
+        labels = connected_labels(nv, dinf_tris[:, [0, 1, 1, 2]].reshape(-1, 2))
+        _, first, comp = np.unique(labels[conductor_vertices],
+                                   return_index=True, return_inverse=True)
+        conductor_of_vertex[conductor_vertices] = np.argsort(np.argsort(first))[comp]
+        n_conductors = len(first)
 
     boundary_vertices = np.unique(mesh.boundary_edges.ravel())
     if np.any(conductor_of_vertex[boundary_vertices] >= 0):
@@ -129,33 +115,17 @@ def build_dof_map(mesh, allow_conductor_on_insulator=True):
 def _check_dof_connectivity(mesh, dofmap):
     """All DOFs must be reachable from the measurement arc through
     conducting triangles, otherwise the grounded system is singular."""
-    region = mesh.triangle_region
-    tris = mesh.triangles[region != "D0"]
     n = dofmap.n_dofs
     if n == 0:
         raise ConfigurationError("no degrees of freedom remain")
-    adj = [[] for _ in range(n)]
-    dv = dofmap.dof_of_vertex
-    for i, j, k in tris:
-        d = {dv[i], dv[j], dv[k]} - {-1}
-        d = sorted(d)
-        for a in range(len(d)):
-            for b in range(a + 1, len(d)):
-                adj[d[a]].append(d[b])
-                adj[d[b]].append(d[a])
-    gamma_vertices = np.unique(mesh.gamma_edges().ravel())
-    gamma_dofs = set(dv[gamma_vertices].tolist()) - {-1}
-    if not gamma_dofs:
+    dofs = dofmap.dof_of_vertex[mesh.triangles[mesh.triangle_region != "D0"]]
+    pairs = dofs[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    labels = connected_labels(n, pairs[np.all(pairs >= 0, axis=1)])
+    gamma_dofs = dofmap.dof_of_vertex[np.unique(mesh.gamma_edges())]
+    gamma_dofs = gamma_dofs[gamma_dofs >= 0]
+    if not len(gamma_dofs):
         raise ConfigurationError("measurement arc carries no degrees of freedom")
-    seen = set(gamma_dofs)
-    stack = list(gamma_dofs)
-    while stack:
-        t = stack.pop()
-        for nb in adj[t]:
-            if nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    if len(seen) != n:
+    if not np.all(np.isin(labels, labels[gamma_dofs])):
         raise ConfigurationError(
             "free degrees of freedom are disconnected from the measurement arc")
 
@@ -171,14 +141,17 @@ class StiffnessSystem:
     mesh: object
     field: object
     _factor: object = None
+    _bordered: object = None
 
     @property
     def n(self):
         return self.dofmap.n_dofs
 
     def bordered(self):
-        c = sp.csr_matrix(self.constraint[:, None])
-        return sp.bmat([[self.matrix, c], [c.T, None]], format="csc")
+        if self._bordered is None:
+            c = sp.csr_matrix(self.constraint[:, None])
+            self._bordered = sp.bmat([[self.matrix, c], [c.T, None]], format="csc")
+        return self._bordered
 
     def factor(self):
         if self._factor is None:
@@ -186,16 +159,13 @@ class StiffnessSystem:
         return self._factor
 
 
-def assemble(mesh, fld, dofmap, quad_depth=None):
+def assemble(mesh, fld, dofmap):
     """Assemble the weighted stiffness matrix and the gamma-mean constraint.
 
     Element contributions are sigma-integral times the constant P1 gradient
     products; insulating and conducting triangles are skipped (the latter
     collapse to a single DOF and contribute nothing).
     """
-    if quad_depth is not None and quad_depth != fld.quad_depth:
-        fld.quad_depth = quad_depth
-        fld._element_integrals = None
     sigma_int = fld.element_integrals()
     region = mesh.triangle_region
     active = ~np.isin(region, ("D0", "Dinf"))
@@ -234,16 +204,14 @@ def assemble(mesh, fld, dofmap, quad_depth=None):
 
 def gamma_mass_vector(mesh, dofmap):
     """c_i = integral over gamma of the i-th hat function trace."""
-    c = np.zeros(dofmap.n_dofs)
-    dv = dofmap.dof_of_vertex
-    for i, j in mesh.gamma_edges():
-        if dv[i] < 0 or dv[j] < 0:
-            raise ConfigurationError(
-                "measurement arc touches an insulated vertex")
-        length = float(np.hypot(*(mesh.vertices[j] - mesh.vertices[i])))
-        c[dv[i]] += 0.5 * length
-        c[dv[j]] += 0.5 * length
-    return c
+    edges = mesh.gamma_edges()
+    dofs = dofmap.dof_of_vertex[edges]
+    if np.any(dofs < 0):
+        raise ConfigurationError("measurement arc touches an insulated vertex")
+    d = mesh.vertices[edges[:, 1]] - mesh.vertices[edges[:, 0]]
+    half = 0.5 * np.hypot(d[:, 0], d[:, 1])
+    return np.bincount(dofs.ravel(), weights=np.repeat(half, 2),
+                       minlength=dofmap.n_dofs)
 
 
 # 4-point Gauss-Legendre on [0, 1].
@@ -253,41 +221,45 @@ _GL4_W = np.array([0.17392742256872693, 0.32607257743127307,
                    0.32607257743127307, 0.17392742256872693])
 
 
+def gamma_quadrature(mesh):
+    """4-point Gauss nodes and weights along the measurement-arc edges,
+    four consecutive nodes per edge in edge order."""
+    edges = mesh.gamma_edges()
+    a = mesh.vertices[edges[:, 0]]
+    b = mesh.vertices[edges[:, 1]]
+    lengths = np.hypot(*(b - a).T)
+    pts = (a[:, None, :] + _GL4_X[None, :, None] * (b - a)[:, None, :]).reshape(-1, 2)
+    w = (lengths[:, None] * _GL4_W[None, :]).reshape(-1)
+    return pts, w
+
+
 @dataclass
 class NeumannLoad:
     """Discrete current load: b_i = <f, phi_i> on gamma, projected to the
-    gamma-mean-free space."""
+    gamma-mean-free space.  ``b`` may hold one load per column."""
 
     b: np.ndarray
     density_mean: float
     label: str = ""
 
     def check_mean_free(self, system, tol=1e-12):
-        total = float(np.sum(self.b))
-        scale = max(1.0, float(np.abs(self.b).sum()))
-        return abs(total) <= tol * scale
+        total = np.sum(self.b, axis=0)
+        scale = np.maximum(1.0, np.abs(self.b).sum(axis=0))
+        return bool(np.all(np.abs(total) <= tol * scale))
 
 
 def neumann_load(mesh, dofmap, density, label=""):
     """Build the load vector for a current density given as a callable on
     physical boundary points; the density is mean-projected on gamma."""
-    dv = dofmap.dof_of_vertex
-    b = np.zeros(dofmap.n_dofs)
-    total_f = 0.0
-    total_len = 0.0
-    edges = mesh.gamma_edges()
-    for i, j in edges:
-        pi, pj = mesh.vertices[i], mesh.vertices[j]
-        length = float(np.hypot(*(pj - pi)))
-        pts = pi[None, :] + _GL4_X[:, None] * (pj - pi)[None, :]
-        fvals = np.asarray(density(pts), dtype=float)
-        w = _GL4_W * length
-        b[dv[i]] += float(np.sum(w * fvals * (1.0 - _GL4_X)))
-        b[dv[j]] += float(np.sum(w * fvals * _GL4_X))
-        total_f += float(np.sum(w * fvals))
-        total_len += length
-    mean = total_f / total_len
-    b -= mean * gamma_mass_vector(mesh, dofmap)
+    c = gamma_mass_vector(mesh, dofmap)
+    pts, w = gamma_quadrature(mesh)
+    wf = (w * np.asarray(density(pts), dtype=float)).reshape(-1, 4)
+    ends = np.stack([np.sum(wf * (1.0 - _GL4_X), axis=1),
+                     np.sum(wf * _GL4_X, axis=1)], axis=1)
+    b = np.bincount(dofmap.dof_of_vertex[mesh.gamma_edges()].ravel(),
+                    weights=ends.ravel(), minlength=dofmap.n_dofs)
+    mean = float(np.sum(wf)) / mesh.gamma_length()
+    b -= mean * c
     return NeumannLoad(b=b, density_mean=mean, label=label)
 
 
@@ -302,31 +274,44 @@ class PotentialSolution:
 
 
 def solve_neumann(system, load, rtol=1e-10):
-    """Solve the grounded variational problem for one current load.
+    """Solve the grounded variational problem for one current load, or for
+    a block of loads (one per column of ``load.b``) with one factorization.
 
     The returned representative satisfies the gamma-mean-zero constraint;
-    residuals above rtol*|b| raise SolverError after one refinement pass.
+    a column whose residual exceeds rtol*|b| after one refinement pass
+    raises SolverError.  ``residual`` is the (Frobenius) norm over all
+    columns.
     """
     if not load.check_mean_free(system):
         raise SolverError("load is not gamma-mean-free")
     n = system.n
-    rhs = np.concatenate([load.b, [0.0]])
+    b = load.b.reshape(n, -1)
+    rhs = np.vstack([b, np.zeros((1, b.shape[1]))])
     lu = system.factor()
     x = lu.solve(rhs)
     kmat = system.bordered()
     res = rhs - kmat @ x
     x = x + lu.solve(res)
     res = rhs - kmat @ x
-    bnorm = float(np.linalg.norm(load.b))
-    rnorm = float(np.linalg.norm(res))
-    if bnorm > 0 and rnorm > rtol * bnorm:
-        raise SolverError(f"solver residual {rnorm:.3e} exceeds {rtol:.1e}*|b|")
-    u, lam = x[:n], float(x[n])
-    gmean = float(np.dot(system.constraint, u))
-    gscale = max(1.0, float(np.abs(u).max()) * float(np.sum(system.constraint)))
-    if abs(gmean) > 1e-10 * gscale:
-        raise SolverError(f"gamma mean {gmean:.3e} not zeroed by the multiplier")
-    return PotentialSolution(u=u, multiplier=lam, residual=rnorm)
+    bnorm = np.linalg.norm(b, axis=0)
+    rnorm = np.linalg.norm(res, axis=0)
+    bad = np.flatnonzero((bnorm > 0) & (rnorm > rtol * bnorm))
+    if len(bad):
+        k = bad[0]
+        raise SolverError(f"solver residual {rnorm[k]:.3e} exceeds "
+                          f"{rtol:.1e}*|b| in column {k}")
+    u, lam = x[:n], x[n]
+    gmean = system.constraint @ u
+    gscale = np.maximum(1.0, np.abs(u).max(axis=0) * float(np.sum(system.constraint)))
+    bad = np.flatnonzero(np.abs(gmean) > 1e-10 * gscale)
+    if len(bad):
+        k = bad[0]
+        raise SolverError(f"gamma mean {gmean[k]:.3e} not zeroed by the "
+                          f"multiplier in column {k}")
+    if load.b.ndim == 1:
+        u, lam = u[:, 0], float(lam[0])
+    return PotentialSolution(u=u, multiplier=lam,
+                             residual=float(np.linalg.norm(rnorm)))
 
 
 def energy(system, solution_or_vector, load):

@@ -340,6 +340,27 @@ def _chop_to_length(reg, subsegments, max_len):
 # Mesh
 # ---------------------------------------------------------------------------
 
+def connected_labels(n, pairs):
+    """Connected-component label of each of n graph nodes joined by the
+    index pairs (an array of shape (k, 2))."""
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components
+
+    pairs = np.asarray(pairs, dtype=int).reshape(-1, 2)
+    graph = sp.coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
+                          shape=(n, n))
+    return connected_components(graph, directed=False)[1]
+
+
+def edge_owners(tris):
+    """Every triangle edge as a sorted vertex pair beside its triangle
+    index, in lexicographic edge order: copies of one edge are adjacent."""
+    edges = np.sort(tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    owner = np.repeat(np.arange(len(tris)), 3)
+    order = np.lexsort((edges[:, 1], edges[:, 0]))
+    return edges[order], owner[order]
+
+
 @dataclass
 class Mesh:
     vertices: np.ndarray
@@ -385,25 +406,17 @@ class Mesh:
             angles.append(np.degrees(np.arccos(np.clip(cosang, -1, 1))))
         return float(np.min(angles))
 
-    def edge_triangle_map(self):
-        """Map sorted vertex pair -> list of triangle indices."""
-        emap = {}
-        for ti, (i, j, k) in enumerate(self.triangles):
-            for e in ((i, j), (j, k), (k, i)):
-                key = (min(e), max(e))
-                emap.setdefault(key, []).append(ti)
-        return emap
-
-    def triangle_adjacency(self):
-        """List of neighbor triangle indices per triangle (shared edges)."""
-        emap = self.edge_triangle_map()
-        adj = [[] for _ in range(self.num_triangles)]
-        for tris in emap.values():
-            if len(tris) == 2:
-                a, b = tris
-                adj[a].append(b)
-                adj[b].append(a)
-        return adj
+    def triangles_connected(self, mask):
+        """True when the masked triangles form one set connected through
+        shared edges (False when the mask is empty)."""
+        idx = np.flatnonzero(mask)
+        if len(idx) == 0:
+            return False
+        edges, owner = edge_owners(self.triangles)
+        shared = np.all(edges[1:] == edges[:-1], axis=1)
+        pairs = np.stack([owner[:-1][shared], owner[1:][shared]], axis=1)
+        labels = connected_labels(self.num_triangles, pairs[np.all(mask[pairs], axis=1)])
+        return bool(np.all(labels[idx] == labels[idx[0]]))
 
     def gamma_edges(self):
         return self.boundary_edges[self.boundary_on_gamma]
@@ -437,12 +450,12 @@ class Mesh:
             problems.append("non-positively-oriented or degenerate triangles present")
         if self.min_angle_deg() < min_angle_floor:
             problems.append(f"min angle {self.min_angle_deg():.3f} deg below floor {min_angle_floor}")
-        emap = self.edge_triangle_map()
-        bad = [e for e, tris in emap.items() if len(tris) > 2]
+        _, counts = np.unique(edge_owners(self.triangles)[0], axis=0,
+                              return_counts=True)
+        bad = int(np.sum(counts > 2))
         if bad:
-            problems.append(f"{len(bad)} edges shared by more than two triangles")
-        nbound = sum(1 for tris in emap.values() if len(tris) == 1)
-        if nbound != len(self.boundary_edges):
+            problems.append(f"{bad} edges shared by more than two triangles")
+        if np.sum(counts == 1) != len(self.boundary_edges):
             problems.append("boundary edge bookkeeping inconsistent")
         return problems
 
@@ -663,13 +676,8 @@ def triangulate(domain, regions=None, target_h=0.1, extra_segments=(),
                 f"target_h={target_h} too coarse to resolve region {label}")
 
     # Boundary edges (incident to exactly one triangle) and gamma flags.
-    emap = {}
-    for ti in range(len(tris)):
-        i, j, k = tris[ti]
-        for e in ((i, j), (j, k), (k, i)):
-            key = (min(e), max(e))
-            emap[key] = emap.get(key, 0) + 1
-    bedges = np.array(sorted(e for e, cnt in emap.items() if cnt == 1), dtype=int)
+    edges, counts = np.unique(edge_owners(tris)[0], axis=0, return_counts=True)
+    bedges = edges[counts == 1]
     mid = (verts[bedges[:, 0]] + verts[bedges[:, 1]]) / 2.0
     on_gamma = domain.param_in_gamma(domain.boundary_param(mid))
 
@@ -753,22 +761,8 @@ def validate_regions(domain, regions, coarse_h=None):
         violations.append(f"could not build validation mesh: {exc}")
         return violations
 
-    adj = mesh.triangle_adjacency()
-
     def complement_connected(labels_in_set):
-        mask = ~np.isin(mesh.triangle_region, labels_in_set)
-        idx = np.where(mask)[0]
-        if len(idx) == 0:
-            return False
-        seen = {idx[0]}
-        stack = [idx[0]]
-        while stack:
-            t = stack.pop()
-            for nb in adj[t]:
-                if mask[nb] and nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        return len(seen) == len(idx)
+        return mesh.triangles_connected(~np.isin(mesh.triangle_region, labels_in_set))
 
     if regions.label_polys("D0") and not complement_connected(["D0"]):
         violations.append("complement of D0 not connected")
@@ -794,17 +788,17 @@ def validate_regions(domain, regions, coarse_h=None):
 
 def _union_boundary_segments(mesh):
     """Edges separating labeled triangles from background/outside."""
-    emap = mesh.edge_triangle_map()
+    edges, owner = edge_owners(mesh.triangles)
+    _, first, counts = np.unique(edges, axis=0, return_index=True,
+                                 return_counts=True)
     is_d = mesh.triangle_region != BACKGROUND
-    a_list, b_list = [], []
-    for (i, j), tris in emap.items():
-        flags = [is_d[t] for t in tris]
-        if (len(tris) == 1 and flags[0]) or (len(tris) == 2 and flags[0] != flags[1]):
-            a_list.append(mesh.vertices[i])
-            b_list.append(mesh.vertices[j])
-    if not a_list:
+    d_first = is_d[owner[first]]
+    d_second = is_d[owner[np.minimum(first + 1, len(owner) - 1)]]
+    keep = ((counts == 1) & d_first) | ((counts == 2) & (d_first != d_second))
+    if not np.any(keep):
         return None
-    return np.array(a_list), np.array(b_list)
+    e = edges[first[keep]]
+    return mesh.vertices[e[:, 0]], mesh.vertices[e[:, 1]]
 
 
 def _densify_polygon(poly, per_edge):

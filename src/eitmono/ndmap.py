@@ -55,7 +55,7 @@ class CurrentBasis:
 
     def gram(self, mesh):
         """L2(gamma) Gram matrix on the mesh boundary quadrature."""
-        pts, w = _gamma_quadrature(mesh)
+        pts, w = fem.gamma_quadrature(mesh)
         vals = np.stack([self.density(k)(pts) for k in range(self.m)])
         means = (vals @ w) / float(np.sum(w))
         vals = vals - means[:, None]
@@ -64,31 +64,17 @@ class CurrentBasis:
     def check_mean_free(self, mesh, tol=1e-12):
         """Gamma-mean of every basis density as used (profiles are projected
         to zero mean in the mesh quadrature, matching the load assembly)."""
-        pts, w = _gamma_quadrature(mesh)
+        pts, w = fem.gamma_quadrature(mesh)
+        vals = np.stack([self.density(k)(pts) for k in range(self.m)])
         total = float(np.sum(w))
-        worst = 0.0
-        for k in range(self.m):
-            vals = self.density(k)(pts)
-            projected = vals - float(vals @ w) / total
-            worst = max(worst, abs(float(projected @ w)) / total)
-        return worst <= tol
+        projected = vals - (vals @ w)[:, None] / total
+        return float(np.max(np.abs(projected @ w))) / total <= tol
 
     def provenance(self):
         hasher = hashlib.sha256()
         hasher.update(f"{self.domain.shape}|{self.domain.gamma_span}|"
                       f"{self.domain.disk_segments}|{self.m}|{self.modes}".encode())
         return hasher.hexdigest()[:16]
-
-
-def _gamma_quadrature(mesh):
-    """4-point Gauss nodes and weights along the measurement-arc edges."""
-    edges = mesh.gamma_edges()
-    a = mesh.vertices[edges[:, 0]]
-    b = mesh.vertices[edges[:, 1]]
-    lengths = np.hypot(*(b - a).T)
-    pts = (a[:, None, :] + fem._GL4_X[None, :, None] * (b - a)[:, None, :]).reshape(-1, 2)
-    w = (lengths[:, None] * fem._GL4_W[None, :]).reshape(-1)
-    return pts, w
 
 
 def build_basis(domain, m, mesh=None):
@@ -182,25 +168,21 @@ class NDMatrix:
 
 
 def nd_matrix(mesh, fld, basis, rtol=1e-10, label=""):
-    """ND matrix of a coefficient field: one solve per basis density, then
-    trace pairings against every load vector."""
+    """ND matrix of a coefficient field: one block solve over all basis
+    densities, then the trace pairings B^T U of loads against potentials."""
     dofmap = fem.build_dof_map(fld.mesh)
     system = fem.assemble(fld.mesh, fld, dofmap)
-    loads = []
-    for k in range(basis.m):
-        loads.append(fem.neumann_load(fld.mesh, dofmap, basis.density(k),
-                                      label=f"{label}:{k}"))
-    sols = []
-    for k, load in enumerate(loads):
-        try:
-            sols.append(fem.solve_neumann(system, load, rtol=rtol))
-        except fem.SolverError as exc:
-            raise NDError(f"solve failed for basis index {k}: {exc}") from exc
+    loads = [fem.neumann_load(fld.mesh, dofmap, basis.density(k),
+                              label=f"{label}:{k}") for k in range(basis.m)]
+    block = fem.NeumannLoad(b=np.column_stack([ld.b for ld in loads]),
+                            density_mean=np.array([ld.density_mean for ld in loads]),
+                            label=label)
+    try:
+        sol = fem.solve_neumann(system, block, rtol=rtol)
+    except fem.SolverError as exc:
+        raise NDError(f"solve failed for the basis loads: {exc}") from exc
 
-    raw = np.empty((basis.m, basis.m))
-    for j in range(basis.m):
-        for k in range(basis.m):
-            raw[j, k] = float(loads[j].b @ sols[k].u)
+    raw = block.b.T @ sol.u
     asym = float(np.max(np.abs(raw - raw.T)))
     scale = float(np.max(np.abs(raw))) or 1.0
     sym = 0.5 * (raw + raw.T)
@@ -215,19 +197,22 @@ def painted_field(mesh, paint, gamma0):
     ``paint`` is a sequence of (TestInclusion, label) pairs; later entries
     overwrite earlier ones where they overlap.
     """
-    clear = {lab: BACKGROUND for lab in REGION_LABELS}
-    base = mesh.relabeled(clear)
-    region = base.triangle_region.copy()
     cents = mesh.centroids()
+    masks = []
     for test, label in paint:
         if test is None or len(test.parts) == 0:
             continue
         _check_conformity(mesh, test)
-        region[test.contains(cents)] = label
-    labeled = type(base)(base.vertices, base.triangles, region,
-                         base.boundary_edges, base.boundary_on_gamma,
-                         base.h, base.domain)
-    return CoefficientField(mesh=labeled, gamma0=gamma0)
+        masks.append((test.contains(cents), label))
+    return _background_with(mesh, masks, gamma0)
+
+
+def _background_with(mesh, masks, gamma0):
+    """Background field with each (triangle mask, label) painted in order."""
+    base = mesh.relabeled({lab: BACKGROUND for lab in REGION_LABELS})
+    for mask, label in masks:
+        base.triangle_region[mask] = label
+    return CoefficientField(mesh=base, gamma0=gamma0)
 
 
 def extreme_field(mesh, test, kind, gamma0):
@@ -253,6 +238,45 @@ def _check_conformity(mesh, test, tol=1e-9):
         & np.any(strict_out[mesh.triangles], axis=1)
     if np.any(bad):
         raise NDError("mesh does not conform to the test inclusion polygon")
+
+
+def triangle_cells(mesh, fam):
+    """Scan-grid cell of every triangle as the flat index i*grid_n + j of
+    the cell holding its centroid, -1 outside the window.
+
+    Checks the mesh against the whole grid once: a vertex off the grid
+    lines must lie in the cell of each of its triangles, so no union of
+    cells is straddled (the `_check_conformity` test for every painting).
+    """
+    from .polygons import points_segments_distance
+
+    n = fam.grid_n
+    x0, y0, _, _ = fam.roi
+    w, h = fam.cell_size
+    xs = x0 + np.arange(n + 1) * w
+    ys = y0 + np.arange(n + 1) * h
+
+    def cell_of(points):
+        i = np.searchsorted(xs, points[:, 0], side="right") - 1
+        j = np.searchsorted(ys, points[:, 1], side="right") - 1
+        return np.where((i >= 0) & (i < n) & (j >= 0) & (j < n), i * n + j, -1)
+
+    cells = cell_of(mesh.centroids())
+    seg_a, seg_b = (np.array(s) for s in zip(*fam.grid_segments()))
+    off_grid = points_segments_distance(mesh.vertices, seg_a, seg_b,
+                                        cutoff=1e-8) > 1e-9
+    tv = mesh.triangles
+    if np.any(off_grid[tv] & (cell_of(mesh.vertices)[tv] != cells[:, None])):
+        raise NDError("mesh does not conform to the scan grid")
+    return cells
+
+
+def cell_painted_field(mesh, cells, paint, gamma0):
+    """`painted_field` through a triangle->cell index from `triangle_cells`:
+    ``paint`` is a sequence of (flat cell indices, label) pairs; later
+    entries overwrite earlier ones."""
+    return _background_with(mesh, [(np.isin(cells, ids), label)
+                                   for ids, label in paint], gamma0)
 
 
 def nd_extreme(mesh, test, kind, gamma0, basis, rtol=1e-10):

@@ -29,15 +29,16 @@ result keeps outer-shape semantics.
 
 import concurrent.futures as cf
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import polygons as pg
 from .fem import ConfigurationError
-from .geometry import TestInclusion, pixel_family, validate_inclusion
+from .geometry import (TestInclusion, connected_labels, pixel_family,
+                       validate_inclusion)
 from .monotonicity import MonotonicityVerdict, psd_test
-from .ndmap import nd_matrix, painted_field
+from .ndmap import cell_painted_field, nd_matrix, triangle_cells
 
 DEFAULT_TAU_ABS = 1e-5
 DEFAULT_TAU_REL = 0.5
@@ -59,6 +60,7 @@ class ReconstructionResult:
     tau: float = 0.0
     tau_rel: float = 0.0
     side: str = "both"
+    cell_errors: list = field(default_factory=list)   # (cell, sign, message)
 
     def inside_count(self):
         return int(np.sum(self.inside))
@@ -75,24 +77,18 @@ class ReconstructionResult:
 
 
 def fill_enclosed(outside):
-    """Flood-fill outside cells from the window border; enclosed pockets
-    flip to inside.  Returns (inside_after_fill, n_filled)."""
+    """Outside cells not 4-connected through outside cells to the window
+    border are enclosed pockets and flip to inside.  Returns
+    (inside_after_fill, n_filled)."""
     n = outside.shape[0]
-    reach = np.zeros_like(outside)
-    stack = []
-    for i in range(n):
-        for j in (0, n - 1):
-            for a, b in ((i, j), (j, i)):
-                if outside[a, b] and not reach[a, b]:
-                    reach[a, b] = True
-                    stack.append((a, b))
-    while stack:
-        i, j = stack.pop()
-        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            a, b = i + di, j + dj
-            if 0 <= a < n and 0 <= b < n and outside[a, b] and not reach[a, b]:
-                reach[a, b] = True
-                stack.append((a, b))
+    ids = np.arange(n * n).reshape(n, n)
+    pairs = np.concatenate([np.stack([ids[:-1].ravel(), ids[1:].ravel()], axis=1),
+                            np.stack([ids[:, :-1].ravel(), ids[:, 1:].ravel()], axis=1)])
+    labels = connected_labels(n * n, pairs[outside.ravel()[pairs].all(axis=1)])
+    labels = labels.reshape(n, n)
+    border = np.zeros_like(outside)
+    border[[0, -1], :] = border[:, [0, -1]] = True
+    reach = outside & np.isin(labels, labels[border & outside])
     pockets = outside & ~reach
     return ~(outside & reach), int(np.sum(pockets))
 
@@ -117,11 +113,6 @@ def jaccard_index(a, b):
     return float(inter) / float(union) if union else 1.0
 
 
-def _cells_inclusion(fam, cells, name):
-    return TestInclusion(id=name, parts=tuple(
-        fam.cell_polygon(i, j) for (i, j) in sorted(cells)))
-
-
 def _box_cells(box):
     if box is None:
         return set()
@@ -140,19 +131,23 @@ class _Scanner:
         self.basis = basis
         self.rtol = rtol
         self.scale = nd_gamma.gnorm()
+        self._cells = triangle_cells(mesh, fam)
         self._nd_cache = {}
+
+    def painted(self, zero_cells, inf_cells):
+        """Background field with the cells painted insulating, then
+        conducting (conducting wins where the sets overlap)."""
+        n = self.fam.grid_n
+        paint = [([i * n + j for (i, j) in cells], label)
+                 for cells, label in ((zero_cells, "D0"), (inf_cells, "Dinf"))]
+        return cell_painted_field(self.mesh, self._cells, paint, self.gamma0)
 
     def nd_painted(self, zero_cells, inf_cells):
         key = (frozenset(zero_cells), frozenset(inf_cells))
         if key not in self._nd_cache:
-            paint = []
-            if zero_cells:
-                paint.append((_cells_inclusion(self.fam, zero_cells, "z"), "D0"))
-            if inf_cells:
-                paint.append((_cells_inclusion(self.fam, inf_cells, "e"), "Dinf"))
-            fld = painted_field(self.mesh, paint, self.gamma0)
-            self._nd_cache[key] = nd_matrix(self.mesh, fld, self.basis,
-                                            rtol=self.rtol)
+            self._nd_cache[key] = nd_matrix(self.mesh,
+                                            self.painted(zero_cells, inf_cells),
+                                            self.basis, rtol=self.rtol)
         return self._nd_cache[key]
 
     def cover_margin(self, cells, sign):
@@ -247,7 +242,7 @@ def reconstruct(nd_gamma, domain, mesh, gamma0, basis, grid_n,
     scannable = {}
     for i in range(grid_n):
         for j in range(grid_n):
-            cell = _cells_inclusion(fam, {(i, j)}, f"cell{i}_{j}")
+            cell = TestInclusion(id=f"cell{i}_{j}", parts=(fam.cell_polygon(i, j),))
             bad = validate_inclusion(domain, cell)
             if bad:
                 indeterminate.append((i, j))
@@ -278,10 +273,10 @@ def reconstruct(nd_gamma, domain, mesh, gamma0, basis, grid_n,
         (i, j), sign = args
         neutralizer = upper_cells if sign == "lower" else lower_cells
         try:
-            score, vis, verdict = judge((i, j), sign, neutralizer)
-        except ConfigurationError:
-            return (i, j), sign, np.nan, np.nan, True
-        return (i, j), sign, score, vis, verdict
+            return (i, j), sign, *judge((i, j), sign, neutralizer), None
+        except ConfigurationError as exc:
+            # Unsolvable probe: conservatively inside, but recorded.
+            return (i, j), sign, np.nan, np.nan, True, str(exc)
 
     jobs = [((i, j), "lower") for (i, j) in sorted(lower_cells)]
     jobs += [((i, j), "upper") for (i, j) in sorted(upper_cells)]
@@ -292,7 +287,10 @@ def reconstruct(nd_gamma, domain, mesh, gamma0, basis, grid_n,
         outcomes = [run_cell(job) for job in jobs]
 
     per_cell = {}
-    for (i, j), sign, score, vis, verdict in outcomes:
+    cell_errors = []
+    for (i, j), sign, score, vis, verdict, error in outcomes:
+        if error is not None:
+            cell_errors.append(((i, j), sign, error))
         rec = per_cell.setdefault((i, j), {})
         rec[sign] = (score, vis, verdict)
         if verdict:
@@ -321,7 +319,7 @@ def reconstruct(nd_gamma, domain, mesh, gamma0, basis, grid_n,
         indeterminate=indeterminate, verdicts=verdicts,
         box_lower=box_lower, box_upper=box_upper, jaccard=jac,
         filled_cells=n_filled, wall_time=time.perf_counter() - t_start,
-        tau=tau, tau_rel=tau_rel, side=side)
+        tau=tau, tau_rel=tau_rel, side=side, cell_errors=cell_errors)
 
 
 def rasterize(result, out_prefix):

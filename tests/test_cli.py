@@ -152,3 +152,31 @@ class TestConfigErrors:
         path.write_text("{not json")
         assert main(["forward", "--config", str(path),
                      "--out", str(tmp_path / "o")]) == 2
+
+
+def test_measurements_file_basis_mismatch(tmp_path):
+    fwd = tmp_path / "fwd"
+    cfg = write_config(tmp_path)
+    assert main(["forward", "--config", str(cfg), "--out", str(fwd)]) == 0
+    cfg2 = write_config(tmp_path, name="c2.json", basis={"m": 8},
+                        measurements_file=str(fwd / "nd_gamma.txt"))
+    assert main(["reconstruct", "--config", str(cfg2),
+                 "--out", str(tmp_path / "rec")]) == 2
+
+
+def test_cell_errors_in_metrics(tmp_path, monkeypatch):
+    from eitmono import reconstruction
+    from eitmono.fem import ConfigurationError
+
+    real = reconstruction._Scanner.pixel_score
+
+    def failing(self, cell, sign, neutralizer):
+        if cell == (3, 3):
+            raise ConfigurationError("forced")
+        return real(self, cell, sign, neutralizer)
+
+    monkeypatch.setattr(reconstruction._Scanner, "pixel_score", failing)
+    out = tmp_path / "out"
+    assert main(["reconstruct", "--config", str(write_config(tmp_path)),
+                 "--out", str(out)]) == 0
+    assert read_metrics(out)["n_cell_errors"] == "1"

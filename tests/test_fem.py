@@ -222,3 +222,72 @@ def test_export_potential(disk_mesh, homogeneous_system):
     lines = text.strip().split("\n")
     assert int(lines[0]) == disk_mesh.num_vertices
     assert len(lines) == disk_mesh.num_vertices + 1
+
+
+# Per-edge reference loops (the direct path the vectorized assembly must
+# reproduce).
+_GL4_X = np.array([0.069431844202973712, 0.33000947820757187,
+                   0.66999052179242813, 0.93056815579702629])
+_GL4_W = np.array([0.17392742256872693, 0.32607257743127307,
+                   0.32607257743127307, 0.17392742256872693])
+
+
+def reference_gamma_mass(mesh, dofmap):
+    c = np.zeros(dofmap.n_dofs)
+    dv = dofmap.dof_of_vertex
+    for i, j in mesh.gamma_edges():
+        length = float(np.hypot(*(mesh.vertices[j] - mesh.vertices[i])))
+        c[dv[i]] += 0.5 * length
+        c[dv[j]] += 0.5 * length
+    return c
+
+
+def reference_load(mesh, dofmap, density):
+    dv = dofmap.dof_of_vertex
+    b = np.zeros(dofmap.n_dofs)
+    total_f = total_len = 0.0
+    for i, j in mesh.gamma_edges():
+        pi, pj = mesh.vertices[i], mesh.vertices[j]
+        length = float(np.hypot(*(pj - pi)))
+        fvals = density(pi[None, :] + _GL4_X[:, None] * (pj - pi)[None, :])
+        w = _GL4_W * length
+        b[dv[i]] += float(np.sum(w * fvals * (1.0 - _GL4_X)))
+        b[dv[j]] += float(np.sum(w * fvals * _GL4_X))
+        total_f += float(np.sum(w * fvals))
+        total_len += length
+    return b - total_f / total_len * reference_gamma_mass(mesh, dofmap)
+
+
+@pytest.mark.parametrize("phantom, arc", [("homogeneous", (0.0, 1.0)),
+                                          ("conducting_disk", (0.0, 1.0)),
+                                          ("insulating_disk", (0.1, 0.6))])
+def test_vectorized_loads_match_edge_loop(phantom, arc):
+    from eitmono.ndmap import build_basis
+
+    dom = build_domain("disk", arc)
+    regions, _ = phantoms.build_phantom(phantom)
+    mesh = triangulate(dom, regions, target_h=0.1)
+    dm = fem.build_dof_map(mesh)
+    c = fem.gamma_mass_vector(mesh, dm)
+    ref_c = reference_gamma_mass(mesh, dm)
+    assert np.abs(c - ref_c).max() <= 1e-13 * np.abs(ref_c).max()
+    basis = build_basis(dom, 8, mesh=mesh)
+    for f in [basis.density(k) for k in range(8)] + [cos_theta]:
+        b = fem.neumann_load(mesh, dm, f).b
+        ref = reference_load(mesh, dm, f)
+        assert np.abs(b - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_block_solve_gates_every_column(disk_mesh, homogeneous_system):
+    dm, system = homogeneous_system
+    good = fem.neumann_load(disk_mesh, dm, cos_theta).b
+    block = fem.solve_neumann(system, fem.NeumannLoad(
+        b=np.column_stack([good, 2 * good]), density_mean=np.zeros(2)))
+    single = fem.solve_neumann(system, fem.NeumannLoad(b=good, density_mean=0.0))
+    assert np.allclose(block.u[:, 0], single.u, rtol=0, atol=1e-14)
+    assert np.allclose(block.u[:, 1], 2 * single.u, rtol=0, atol=1e-14)
+    assert system.bordered() is system.bordered()
+    bad = fem.NeumannLoad(b=np.column_stack([good, np.ones(system.n)]),
+                          density_mean=np.zeros(2))
+    with pytest.raises(fem.SolverError):
+        fem.solve_neumann(system, bad)

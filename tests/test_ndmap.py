@@ -193,3 +193,26 @@ def test_provenance_gate(disk, disk_mesh, disk_field, basis8, nd_homogeneous):
     nd_other = nd_matrix(disk_mesh, disk_field, other_basis)
     with pytest.raises(ProvenanceError):
         psd_test(nd_homogeneous, nd_other)
+
+
+def test_block_solve_matches_per_load_solves(disk, family8):
+    from eitmono import fem
+    from eitmono.ndmap import painted_field
+
+    mesh = triangulate(disk, target_h=0.1,
+                       extra_segments=family8.grid_segments())
+    basis = build_basis(disk, 8, mesh=mesh)
+    paint = [(TestInclusion(id="z", parts=(family8.cell_polygon(2, 5),)), "D0"),
+             (TestInclusion(id="e", parts=(family8.cell_polygon(5, 2),
+                                           family8.cell_polygon(5, 3))), "Dinf")]
+    for fld in (CoefficientField(mesh=mesh, gamma0=1.0),
+                painted_field(mesh, paint, 1.0)):
+        nd = nd_matrix(mesh, fld, basis)
+        dm = fem.build_dof_map(fld.mesh)
+        system = fem.assemble(fld.mesh, fld, dm)
+        loads = [fem.neumann_load(fld.mesh, dm, basis.density(k))
+                 for k in range(basis.m)]
+        sols = [fem.solve_neumann(system, ld) for ld in loads]
+        raw = np.array([[lj.b @ sk.u for sk in sols] for lj in loads])
+        ref = 0.5 * (raw + raw.T)
+        assert np.abs(nd.matrix - ref).max() <= 1e-12 * np.abs(ref).max()

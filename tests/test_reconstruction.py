@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from eitmono import phantoms
+from eitmono import phantoms, reconstruction
 from eitmono.coefficient import CoefficientField
-from eitmono.geometry import pixel_family, triangulate
-from eitmono.ndmap import build_basis, nd_matrix
-from eitmono.reconstruction import (ReconstructionResult, fill_enclosed,
-                                    jaccard_index, rasterize, rasterize_truth,
-                                    reconstruct)
+from eitmono.fem import ConfigurationError
+from eitmono.geometry import TestInclusion, pixel_family, triangulate
+from eitmono.ndmap import NDError, build_basis, nd_matrix, painted_field
+from eitmono.reconstruction import (ReconstructionResult, _Scanner,
+                                    fill_enclosed, jaccard_index, rasterize,
+                                    rasterize_truth, reconstruct)
 
 from conftest import build_field
 
@@ -165,3 +166,49 @@ class TestReconstruct:
         with pytest.raises(ValueError):
             reconstruct(nd, disk, mesh, 1.0, basis, 8, family=family8,
                         side="diagonal")
+
+
+class TestCellPainting:
+    @pytest.mark.parametrize("name", phantoms.REGRESSION_PHANTOMS)
+    def test_cell_index_matches_polygon_paint(self, disk, family8, name):
+        regions, _ = phantoms.build_phantom(name)
+        mesh = triangulate(disk, regions, target_h=0.1,
+                           extra_segments=family8.grid_segments())
+        basis = build_basis(disk, 2, mesh=mesh)
+        nd = nd_matrix(mesh, painted_field(mesh, [], 1.0), basis)
+        scanner = _Scanner(nd, mesh, family8, 1.0, basis, 1e-10)
+        rng = np.random.default_rng(sum(map(ord, name)))
+        cells = [(i, j) for i in range(8) for j in range(8)]
+        for _ in range(4):
+            picks = rng.permutation(len(cells))
+            zero = {cells[k] for k in picks[:rng.integers(0, 20)]}
+            # overlapping conducting set: the later paint must win
+            inf = {cells[k] for k in picks[rng.integers(0, 10):rng.integers(10, 30)]}
+            paint = [(TestInclusion(id=lab, parts=tuple(
+                family8.cell_polygon(i, j) for (i, j) in sorted(s))), lab)
+                for s, lab in ((zero, "D0"), (inf, "Dinf")) if s]
+            fast = scanner.painted(zero, inf).mesh.triangle_region
+            direct = painted_field(mesh, paint, 1.0).mesh.triangle_region
+            assert np.array_equal(fast, direct)
+
+    def test_nonconforming_mesh_raises_in_scanner(self, disk, family8):
+        mesh = triangulate(disk, target_h=0.1)
+        basis = build_basis(disk, 4, mesh=mesh)
+        nd = nd_matrix(mesh, CoefficientField(mesh=mesh, gamma0=1.0), basis)
+        with pytest.raises(NDError):
+            reconstruct(nd, disk, mesh, 1.0, basis, 8, family=family8)
+
+
+def test_cell_errors_counted(disk, family8, coarse_recon_setup, monkeypatch):
+    regions, mesh, basis, nd = coarse_recon_setup
+    real = _Scanner.pixel_score
+
+    def failing(self, cell, sign, neutralizer):
+        if cell == (3, 3):
+            raise ConfigurationError("forced")
+        return real(self, cell, sign, neutralizer)
+
+    monkeypatch.setattr(reconstruction._Scanner, "pixel_score", failing)
+    res = reconstruct(nd, disk, mesh, 1.0, basis, 8, family=family8)
+    assert res.cell_errors == [((3, 3), "lower", "forced")]
+    assert res.inside[3, 3]
