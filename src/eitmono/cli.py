@@ -117,8 +117,6 @@ class Problem:
         self.side = _get(cfg, "scan.side", default="both")
         if self.side not in ("both", "lower_only", "upper_only"):
             raise ConfigError("scan.side must be both|lower_only|upper_only")
-        self.directions = tuple(_get(cfg, "scan.directions",
-                                     default=["up", "down", "left", "right"]))
         self.gamma0 = float(self.coeff_spec.get("background", 1.0))
         if self.gamma0 <= 0:
             raise ConfigError("coefficient.background must be positive")
@@ -165,8 +163,7 @@ class Problem:
         extra = []
         self.family = None
         if with_grid:
-            self.family = pixel_family(self.domain, self.grid_n, roi=self.roi,
-                                       directions=self.directions)
+            self.family = pixel_family(self.domain, self.grid_n, roi=self.roi)
             extra = self.family.grid_segments()
         self.mesh = triangulate(self.domain, self.regions,
                                 target_h=self.target_h,
@@ -265,8 +262,7 @@ def cmd_reconstruct(problem, out_dir, args):
     result = reconstruct(nd, problem.domain, problem.mesh, problem.gamma0,
                          problem.basis, problem.grid_n, tau=problem.tau,
                          side=problem.side, family=problem.family,
-                         truth_regions=problem.regions,
-                         max_workers=args.threads, rtol=problem.rtol,
+                         truth_regions=problem.regions, rtol=problem.rtol,
                          tau_rel=problem.tau_rel)
     (out_dir / "nd_gamma.txt").write_text(nd.to_text())
     (out_dir / "verdicts.log").write_text(result.verdict_log())
@@ -334,17 +330,16 @@ def cmd_calibrate(problem, out_dir, args):
     insulating-disk phantom; the table shows which tau separate them."""
     import itertools
 
-    from .reconstruction import _Scanner, _box_cells
-
     t0 = time.perf_counter()
     h_list = _get(problem.cfg, "calibrate.h", default=[0.1, 0.08])
     m_list = _get(problem.cfg, "calibrate.m", default=[8, 16])
     tau_list = _get(problem.cfg, "calibrate.tau", default=[1e-4, 1e-5, 1e-6])
 
     rows = ["h m tau oracle_err worst_in best_out tau_ok"]
+    dom = problem.domain
+    fam = pixel_family(dom, problem.grid_n, roi=problem.roi)
+    cx, cy = fam.cell_centers()
     for h, m in itertools.product(h_list, m_list):
-        dom = problem.domain
-        fam = pixel_family(dom, problem.grid_n, roi=problem.roi)
         regions, spec = phantoms.build_phantom("insulating_disk")
         mesh = triangulate(dom, regions, target_h=h,
                            extra_segments=fam.grid_segments())
@@ -360,12 +355,17 @@ def cmd_calibrate(problem, out_dir, args):
             oracle_err = max(oracle_err, float(np.max(np.abs(pair - lam) / lam)))
 
         nd_g = nd_matrix(mesh, fld, basis, label="gamma")
-        scanner = _Scanner(nd_g, mesh, fam, 1.0, basis, problem.rtol)
-        box = scanner.min_box("lower", min(tau_list))
-        cx, cy = fam.cell_centers()
+        # Lower side only: the neutralizer is empty, so each verdict's
+        # insulating lambda is the plain pixel score inside the minimal box.
+        result = reconstruct(nd_g, dom, mesh, 1.0, basis, problem.grid_n,
+                             tau=min(tau_list), side="lower_only", family=fam,
+                             rtol=problem.rtol)
+        if result.cell_errors:
+            raise fem.ConfigurationError(result.cell_errors[0][2])
         worst_in, best_out = 0.0, -np.inf
-        for (i, j) in sorted(_box_cells(box)):
-            score = scanner.pixel_score((i, j), "lower", set())
+        for verdict in result.verdicts:
+            i, j = map(int, verdict.test_id.removeprefix("cell").split("_"))
+            score = verdict.lambda_min_insulating
             if np.hypot(cx[i], cy[j]) <= 0.3:
                 worst_in = min(worst_in, score)
             else:
@@ -397,7 +397,6 @@ def main(argv=None):
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", required=True)
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--noise-rel", type=float, default=0.0)
     args = parser.parse_args(argv)

@@ -10,6 +10,7 @@ from a background point lattice with an exclusion zone around constraints,
 plus Laplacian smoothing of the free points.
 """
 
+import functools
 import hashlib
 import io
 import math
@@ -827,13 +828,14 @@ class PixelFamily:
     strip keeps the notched remainder's complement connected (the notch
     reaches out of the window), which is what makes the excluded cell
     electrically accessible in the extreme-coefficient test maps.
+
+    Members are built and validated only when read (``whole_window``,
+    ``cell_members``, ``members``); the grid scan paints cells and reads none.
     """
 
     domain: Domain
     grid_n: int
     roi: tuple
-    members: list
-    directions: tuple
 
     @property
     def cell_size(self):
@@ -853,11 +855,35 @@ class PixelFamily:
         cy = y0 + (i + 0.5) * h
         return cx, cy
 
+    def _validated(self, inc):
+        """Flag ``inc`` with the decidable admissibility clauses; inadmissible
+        members are kept so the caller can report indeterminate cells."""
+        bad = validate_inclusion(self.domain, inc)
+        inc.admissible = not bad
+        inc.reason = "; ".join(bad)
+        return inc
+
     def whole_window(self):
-        return next(m for m in self.members if m.id == "all")
+        return self._validated(TestInclusion(id="all",
+                                             parts=(pg.rectangle(*self.roi),)))
 
     def cell_members(self, i, j):
-        return [m for m in self.members if m.excluded_cell == (i, j)]
+        """The window notched at cell (i, j), one member per scan direction."""
+        if not (0 <= i < self.grid_n and 0 <= j < self.grid_n):
+            raise GeometryError(f"cell ({i}, {j}) is outside the {self.grid_n}"
+                                f"x{self.grid_n} grid")
+        return [self._validated(TestInclusion(
+                    id=f"c{i}_{j}_{direction}",
+                    parts=_notched_window(self.roi, self.grid_n, i, j, direction),
+                    excluded_cell=(i, j), direction=direction))
+                for direction in _DIRECTIONS]
+
+    @functools.cached_property
+    def members(self):
+        """Whole window first, then each cell's members, cells in row order."""
+        return [self.whole_window()] + [m for i in range(self.grid_n)
+                                        for j in range(self.grid_n)
+                                        for m in self.cell_members(i, j)]
 
     def grid_segments(self):
         """Constraint segments for mesh conformity: all grid lines."""
@@ -948,40 +974,13 @@ def _dedup_ring(ring):
     return np.array(out, dtype=float)
 
 
-def pixel_family(domain, grid_n, roi=None, directions=_DIRECTIONS):
-    """Build the scanning family for a grid_n x grid_n window.
-
-    Each member is validated against the decidable admissibility clauses;
-    inadmissible members are kept with ``admissible=False`` so the
-    reconstruction driver can report indeterminate cells.
-    """
+def pixel_family(domain, grid_n, roi=None):
+    """The scanning family for a grid_n x grid_n window (``roi`` defaults to
+    ``default_roi``).  No member is built here."""
     if grid_n < 2:
         raise GeometryError("grid_n must be at least 2")
     roi = tuple(roi) if roi is not None else default_roi(domain)
     x0, y0, x1, y1 = roi
     if not (x1 > x0 and y1 > y0):
         raise GeometryError("roi must have positive extent")
-
-    members = []
-    whole = TestInclusion(id="all", parts=(pg.rectangle(x0, y0, x1, y1),))
-    reasons = validate_inclusion(domain, whole)
-    whole.admissible = not reasons
-    whole.reason = "; ".join(reasons)
-    members.append(whole)
-
-    for i in range(grid_n):
-        for j in range(grid_n):
-            for direction in directions:
-                parts = _notched_window(roi, grid_n, i, j, direction)
-                if not parts:
-                    continue  # degenerate: strip covers the whole window
-                inc = TestInclusion(
-                    id=f"c{i}_{j}_{direction}", parts=parts,
-                    excluded_cell=(i, j), direction=direction)
-                bad = validate_inclusion(domain, inc)
-                inc.admissible = not bad
-                inc.reason = "; ".join(bad)
-                members.append(inc)
-
-    return PixelFamily(domain=domain, grid_n=grid_n, roi=roi,
-                       members=members, directions=tuple(directions))
+    return PixelFamily(domain=domain, grid_n=grid_n, roi=roi)

@@ -27,7 +27,6 @@ reported); enclosed pockets of outside cells are filled afterwards so the
 result keeps outer-shape semantics.
 """
 
-import concurrent.futures as cf
 import time
 from dataclasses import dataclass, field
 
@@ -217,7 +216,7 @@ class _Scanner:
 
 def reconstruct(nd_gamma, domain, mesh, gamma0, basis, grid_n,
                 tau=DEFAULT_TAU_ABS, side="both", roi=None, family=None,
-                truth_regions=None, max_workers=1, rtol=1e-10,
+                truth_regions=None, rtol=1e-10,
                 tau_rel=DEFAULT_TAU_REL):
     """Mark each scan cell inside or outside the recovered outer shape.
 
@@ -269,22 +268,17 @@ def reconstruct(nd_gamma, domain, mesh, gamma0, basis, grid_n,
             return score, vis, True       # unresolvable depth: keep inside
         return score, vis, score >= -tau_rel * vis
 
-    def run_cell(args):
-        (i, j), sign = args
+    def run_cell(cell, sign):
         neutralizer = upper_cells if sign == "lower" else lower_cells
         try:
-            return (i, j), sign, *judge((i, j), sign, neutralizer), None
+            return cell, sign, *judge(cell, sign, neutralizer), None
         except ConfigurationError as exc:
             # Unsolvable probe: conservatively inside, but recorded.
-            return (i, j), sign, np.nan, np.nan, True, str(exc)
+            return cell, sign, np.nan, np.nan, True, str(exc)
 
-    jobs = [((i, j), "lower") for (i, j) in sorted(lower_cells)]
-    jobs += [((i, j), "upper") for (i, j) in sorted(upper_cells)]
-    if max_workers > 1:
-        with cf.ThreadPoolExecutor(max_workers=max_workers) as ex:
-            outcomes = list(ex.map(run_cell, jobs))
-    else:
-        outcomes = [run_cell(job) for job in jobs]
+    outcomes = [run_cell(cell, sign)
+                for sign, cells in (("lower", lower_cells), ("upper", upper_cells))
+                for cell in sorted(cells)]
 
     per_cell = {}
     cell_errors = []

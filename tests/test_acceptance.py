@@ -166,8 +166,7 @@ def test_criterion_5_reconstruction(disk_dom, fam8):
         basis = build_basis(disk_dom, 16, mesh=mesh)
         nd = nd_matrix(mesh, fld, basis)
         res = reconstruct(nd, disk_dom, mesh, 1.0, basis, 8, tau=1e-5,
-                          side="both", family=fam8, truth_regions=regions,
-                          max_workers=2)
+                          side="both", family=fam8, truth_regions=regions)
         details.append(f"{name}={res.jaccard:.3f}(floor {floor})")
         ok &= res.jaccard >= floor - 1e-9
         ok &= res.jaccard >= 0.7    # design target
@@ -181,8 +180,7 @@ def test_criterion_5_reconstruction(disk_dom, fam8):
         basis = build_basis(half, m, mesh=mesh)
         nd = nd_matrix(mesh, fld, basis)
         res = reconstruct(nd, half, mesh, 1.0, basis, 8, tau=1e-5,
-                          side="both", family=fam_half, truth_regions=regions,
-                          max_workers=2)
+                          side="both", family=fam_half, truth_regions=regions)
         from eitmono.polygons import point_in_polygon
         cx, cy = fam_half.cell_centers()
         for label, plist in regions.polys.items():
@@ -280,11 +278,10 @@ def test_criterion_10_one_sided_variant(disk_dom, fam8):
     basis = build_basis(disk_dom, 12, mesh=mesh)
     nd = nd_matrix(mesh, fld, basis)
     res_both = reconstruct(nd, disk_dom, mesh, 1.0, basis, 8, tau=1e-5,
-                           side="both", family=fam8, truth_regions=regions,
-                           max_workers=2)
+                           side="both", family=fam8, truth_regions=regions)
     res_lower = reconstruct(nd, disk_dom, mesh, 1.0, basis, 8, tau=1e-5,
                             side="lower_only", family=fam8,
-                            truth_regions=regions, max_workers=2)
+                            truth_regions=regions)
     equal = np.array_equal(res_both.inside, res_lower.inside)
     report("10 one-sided-variant",
            equal and res_both.box_upper is None,

@@ -1,5 +1,10 @@
 import json
+import re
+from pathlib import Path
 
+import pytest
+
+from eitmono import geometry
 from eitmono.cli import main
 from eitmono.ndmap import NDMatrix
 
@@ -56,7 +61,7 @@ class TestReconstruct:
         out2 = tmp_path / "r2"
         for out in (out1, out2):
             code = main(["reconstruct", "--config", str(cfg),
-                         "--out", str(out), "--threads", "2"])
+                         "--out", str(out)])
             assert code == 0
         assert (out1 / "result.csv").read_bytes() == (out2 / "result.csv").read_bytes()
         assert (out1 / "result.pgm").exists()
@@ -180,3 +185,36 @@ def test_cell_errors_in_metrics(tmp_path, monkeypatch):
     assert main(["reconstruct", "--config", str(write_config(tmp_path)),
                  "--out", str(out)]) == 0
     assert read_metrics(out)["n_cell_errors"] == "1"
+
+
+def test_scan_and_chain_build_no_notched_member(tmp_path, monkeypatch):
+    builds = []
+    real = geometry._notched_window
+
+    def counting(*args):
+        builds.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(geometry, "_notched_window", counting)
+    cfg = write_config(tmp_path)
+    assert main(["reconstruct", "--config", str(cfg),
+                 "--out", str(tmp_path / "rec")]) == 0
+    assert main(["chain", "--config", str(cfg),
+                 "--out", str(tmp_path / "chain")]) == 0
+    assert builds == []
+
+
+def test_readme_lists_the_cli_flags(capsys):
+    """README's "Common flags" line names exactly the optional flags of
+    ``eitmono --help``; the required ``--config``/``--out`` are in its usage
+    block."""
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    flags = set(re.findall(r"(--[a-z][a-z-]*)", capsys.readouterr().out))
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    common = re.search(r"^Common flags:(.*?)\n\n", readme,
+                       re.MULTILINE | re.DOTALL).group(1)
+    documented = set(re.findall(r"`(--[a-z][a-z-]*)", common))
+    assert documented == flags - {"--help", "--config", "--out"}
+    usage = readme[readme.index("## CLI"):readme.index("Common flags:")]
+    assert "--config" in usage and "--out" in usage

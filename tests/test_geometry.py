@@ -158,6 +158,23 @@ class TestTriangulate:
         assert relabeled.provenance() == disk_mesh.provenance()
 
 
+def assert_members_on_demand(fam):
+    """``members`` is the whole window, then every cell's members with the
+    cells in row order, equal in every field to members built on request."""
+    n = fam.grid_n
+    on_demand = [fam.whole_window()] + [m for i in range(n) for j in range(n)
+                                        for m in fam.cell_members(i, j)]
+
+    def fields(members):
+        return [(m.id, [p.tolist() for p in m.parts], m.excluded_cell,
+                 m.direction, m.admissible, m.reason) for m in members]
+
+    assert fields(fam.members) == fields(on_demand)
+    assert [m.id for m in fam.members] == ["all"] + [
+        f"c{i}_{j}_{d}" for i in range(n) for j in range(n)
+        for d in ("up", "down", "left", "right")]
+
+
 class TestPixelFamily:
     def test_counts(self, family8):
         cells = family8.grid_n ** 2
@@ -166,6 +183,9 @@ class TestPixelFamily:
         per_cell = [m for m in family8.members if m.excluded_cell is not None]
         assert len(per_cell) == 4 * cells
         assert family8.whole_window().id == "all"
+        assert_members_on_demand(family8)
+        with pytest.raises(GeometryError):
+            family8.cell_members(8, 0)
 
     def test_grid2_square(self, square):
         fam = pixel_family(square, 2)
@@ -189,6 +209,7 @@ class TestPixelFamily:
     def test_boundary_touching_roi_flagged(self, square):
         fam = pixel_family(square, 4, roi=(0.0, 0.0, 1.0, 1.0))
         assert any(not m.admissible for m in fam.members)
+        assert_members_on_demand(fam)
 
     def test_membership(self, family8):
         m = [x for x in family8.cell_members(3, 3) if x.direction == "up"][0]

@@ -112,7 +112,7 @@ class TestReconstruct:
     def test_insulating_disk(self, disk, family8, coarse_recon_setup):
         regions, mesh, basis, nd = coarse_recon_setup
         res = reconstruct(nd, disk, mesh, 1.0, basis, 8, family=family8,
-                          truth_regions=regions, max_workers=2)
+                          truth_regions=regions)
         truth = rasterize_truth(regions, family8)
         # soundness: every detected cell is in the one-ring dilation of truth
         dil = truth.copy()
