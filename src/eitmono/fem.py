@@ -327,30 +327,3 @@ def dirichlet_energy(system, solution):
     """sigma-weighted Dirichlet energy of the solution (A-quadratic form)."""
     u = solution.u
     return float(u @ (system.matrix @ u))
-
-
-def embed_dof_vector(u_src, dofmap_src, dofmap_dst):
-    """Re-express DOF coefficients on another DOF map of the same mesh.
-
-    Valid when the source space is contained in the destination space
-    (destination merges no vertices the source kept distinct with different
-    values, and only destination-removed vertices are dropped).
-    """
-    vertex_vals = dofmap_src.expand(u_src, fill=0.0)
-    out = np.zeros(dofmap_dst.n_dofs)
-    counts = np.zeros(dofmap_dst.n_dofs)
-    for v, d in enumerate(dofmap_dst.dof_of_vertex):
-        if d >= 0:
-            out[d] += vertex_vals[v]
-            counts[d] += 1
-    counts[counts == 0] = 1.0
-    return out / counts
-
-
-def export_potential(mesh, dofmap, solution):
-    """Companion text format for potentials: `nv` then one value per vertex
-    (nan marks removed vertices)."""
-    vals = solution.vertex_values(dofmap)
-    lines = [f"{len(vals)}"]
-    lines += [f"{v:.17g}" for v in vals]
-    return "\n".join(lines) + "\n"

@@ -260,56 +260,67 @@ class _PointRegistry:
 def _arrange_segments(segments, extra_points):
     """Split segments at mutual intersections and at points lying on them.
 
-    Returns (points array, list of index-pair subsegments).
+    Returns (points array, list of index-pair subsegments).  The registry
+    numbers points in a fixed order: the extra points, then per segment its
+    endpoints and the points found on it, ordered by the other segment's
+    index (extra points last); that order is the vertex numbering.
     """
     reg = _PointRegistry()
-    segs = [(np.asarray(a, float), np.asarray(b, float)) for a, b in segments]
-    pts_on = [list() for _ in segs]
-
-    boxes = np.array([[min(a[0], b[0]), min(a[1], b[1]), max(a[0], b[0]), max(a[1], b[1])]
-                      for a, b in segs]) if segs else np.zeros((0, 4))
+    seg_a = np.array([a for a, _ in segments], dtype=float).reshape(-1, 2)
+    seg_b = np.array([b for _, b in segments], dtype=float).reshape(-1, 2)
+    extra = np.array(extra_points, dtype=float).reshape(-1, 2)
+    n = len(seg_a)
     tol = pg.SNAP_TOL
 
-    for i in range(len(segs)):
-        a, b = segs[i]
-        if len(segs) > i + 1:
-            others = np.arange(i + 1, len(segs))
-            ob = boxes[others]
-            mask = ~((ob[:, 0] > boxes[i, 2] + tol) | (ob[:, 2] < boxes[i, 0] - tol)
-                     | (ob[:, 1] > boxes[i, 3] + tol) | (ob[:, 3] < boxes[i, 1] - tol))
-            for j in others[mask]:
-                c, d = segs[j]
-                if pg.segments_properly_intersect(a, b, c, d):
-                    x = pg.segment_intersection_point(a, b, c, d)
-                    pts_on[i].append(x)
-                    pts_on[j].append(x)
-                else:
-                    # T-junctions: an endpoint interior to the other segment.
-                    for q in (c, d):
-                        if pg.segment_point_distance(q, a, b) <= tol \
-                                and np.hypot(*(q - a)) > tol and np.hypot(*(q - b)) > tol:
-                            pts_on[i].append(q)
-                    for q in (a, b):
-                        if pg.segment_point_distance(q, c, d) <= tol \
-                                and np.hypot(*(q - c)) > tol and np.hypot(*(q - d)) > tol:
-                            pts_on[j].append(q)
+    # Candidate pairs i < j with overlapping bounding boxes, in row order.
+    lo = np.minimum(seg_a, seg_b)
+    hi = np.maximum(seg_a, seg_b)
+    first, second = [], []
+    for r0 in range(0, n, 256):
+        rows = np.arange(r0, min(n, r0 + 256))
+        near = ~((lo[None, :, 0] > hi[rows, None, 0] + tol)
+                 | (hi[None, :, 0] < lo[rows, None, 0] - tol)
+                 | (lo[None, :, 1] > hi[rows, None, 1] + tol)
+                 | (hi[None, :, 1] < lo[rows, None, 1] - tol))
+        r, c = np.nonzero(near & (np.arange(n)[None, :] > rows[:, None]))
+        first.append(rows[r])
+        second.append(c)
+    i = np.concatenate(first)
+    j = np.concatenate(second)
+    a, b, c, d = seg_a[i], seg_b[i], seg_a[j], seg_b[j]
 
-    for q in extra_points:
-        q = np.asarray(q, dtype=float)
+    # Points found on a segment, as (segment, other, rank, point): a proper
+    # crossing puts one point on both segments; otherwise an endpoint of
+    # one segment interior to the other is a T-junction.
+    cross = pg.segments_properly_intersect(a, b, c, d)
+    x = pg.segment_intersection_point(a[cross], b[cross], c[cross], d[cross])
+    found = [(i[cross], j[cross], 0, x), (j[cross], i[cross], 0, x)]
+    for q, s0, s1, seg, other, rank in ((c, a, b, i, j, 0), (d, a, b, i, j, 1),
+                                        (a, c, d, j, i, 0), (b, c, d, j, i, 1)):
+        hit = ~cross & pg.touches_segment_interior(q, s0, s1, tol)
+        found.append((seg[hit], other[hit], rank, q[hit]))
+    q_idx, s_idx = np.nonzero(pg.touches_segment_interior(
+        extra[:, None], seg_a[None], seg_b[None], tol))
+    found.append((s_idx, n + q_idx, 0, extra[q_idx]))
+
+    seg = np.concatenate([f[0] for f in found])
+    other = np.concatenate([f[1] for f in found])
+    rank = np.concatenate([np.full(len(f[0]), f[2]) for f in found])
+    order = np.lexsort((rank, other, seg))
+    on = np.concatenate([f[3] for f in found])[order]
+    bounds = np.searchsorted(seg[order], np.arange(n + 1))
+
+    for q in extra:
         reg.add(q)
-        for i, (a, b) in enumerate(segs):
-            if pg.segment_point_distance(q, a, b) <= tol \
-                    and np.hypot(*(q - a)) > tol and np.hypot(*(q - b)) > tol:
-                pts_on[i].append(q)
-
     subsegments = set()
-    for i, (a, b) in enumerate(segs):
+    for k in range(n):
+        a, b = seg_a[k], seg_b[k]
         ia, ib = reg.add(a), reg.add(b)
         cuts = [(0.0, ia), (1.0, ib)]
         ab = b - a
         denom = float(ab @ ab)
-        for x in pts_on[i]:
-            t = float((np.asarray(x) - a) @ ab / denom)
+        for x in on[bounds[k]:bounds[k + 1]]:
+            t = float((x - a) @ ab / denom)
             cuts.append((t, reg.add(x)))
         cuts.sort()
         prev = None
@@ -360,6 +371,23 @@ def edge_owners(tris):
     owner = np.repeat(np.arange(len(tris)), 3)
     order = np.lexsort((edges[:, 1], edges[:, 0]))
     return edges[order], owner[order]
+
+
+def edge_runs(edges):
+    """Start index and copy count of each distinct edge in a lexsorted edge
+    list (the first output of ``edge_owners``)."""
+    start = np.ones(len(edges), dtype=bool)
+    start[1:] = np.any(edges[1:] != edges[:-1], axis=1)
+    first = np.flatnonzero(start)
+    return first, np.diff(np.append(first, len(edges)))
+
+
+def _edge_keys(simplices, n):
+    """Each distinct edge of the simplices as the integer key i*n + j of its
+    sorted vertex pair (i < j < n), in ascending (lexicographic) order."""
+    e = np.sort(simplices[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    keys = np.sort(e[:, 0].astype(np.int64) * n + e[:, 1])
+    return keys[np.append(True, keys[1:] != keys[:-1])]
 
 
 @dataclass
@@ -451,8 +479,7 @@ class Mesh:
             problems.append("non-positively-oriented or degenerate triangles present")
         if self.min_angle_deg() < min_angle_floor:
             problems.append(f"min angle {self.min_angle_deg():.3f} deg below floor {min_angle_floor}")
-        _, counts = np.unique(edge_owners(self.triangles)[0], axis=0,
-                              return_counts=True)
+        _, counts = edge_runs(edge_owners(self.triangles)[0])
         bad = int(np.sum(counts > 2))
         if bad:
             problems.append(f"{bad} edges shared by more than two triangles")
@@ -560,26 +587,25 @@ def triangulate(domain, regions=None, target_h=0.1, extra_segments=(),
     n_fixed = len(pts)
     constraints = set(subsegs)
 
-    def tri_edges(simplices):
-        e = np.concatenate([simplices[:, [0, 1]], simplices[:, [1, 2]],
-                            simplices[:, [2, 0]]])
-        return np.sort(e, axis=1)
+    def recover(arr, constraints):
+        """Delaunay + midpoint insertion until all constraints are edges.
 
-    def recover(points, constraints):
-        """Delaunay + midpoint insertion until all constraints are edges."""
-        points = [p for p in points]
+        The midpoints of missing constraints are numbered in the iteration
+        order of the ``constraints`` set, so the set is updated in place,
+        one missing constraint at a time."""
         for _ in range(60):
-            arr = np.asarray(points)
             dt = Delaunay(arr)
-            edges = tri_edges(dt.simplices)
-            edge_set = set(map(tuple, np.unique(edges, axis=0).tolist()))
-            missing = [e for e in constraints if e not in edge_set]
-            if not missing:
+            n = len(arr)
+            pending = list(constraints)
+            pairs = np.array(pending, dtype=np.int64).reshape(-1, 2)
+            absent = ~np.isin(pairs[:, 0] * n + pairs[:, 1],
+                              _edge_keys(dt.simplices, n), assume_unique=True)
+            if not np.any(absent):
                 return arr, dt, constraints
-            for (i, j) in missing:
-                mid = (arr[i] + arr[j]) / 2.0
-                idx = len(points)
-                points.append(mid)
+            missing = pairs[absent]
+            arr = np.vstack([arr, (arr[missing[:, 0]] + arr[missing[:, 1]]) / 2.0])
+            for k, (i, j) in enumerate(pending[m] for m in np.flatnonzero(absent)):
+                idx = n + k
                 constraints.discard((i, j))
                 constraints.add((min(i, idx), max(i, idx)))
                 constraints.add((min(idx, j), max(idx, j)))
@@ -595,7 +621,7 @@ def triangulate(domain, regions=None, target_h=0.1, extra_segments=(),
     for _ in range(smooth_rounds):
         free_mask = np.concatenate([free_mask,
                                     np.zeros(len(arr) - len(free_mask), dtype=bool)])
-        edges = np.unique(tri_edges(dt.simplices), axis=0)
+        edges = np.column_stack(np.divmod(_edge_keys(dt.simplices, len(arr)), len(arr)))
         neighbor_sum = np.zeros_like(arr)
         neighbor_cnt = np.zeros(len(arr))
         np.add.at(neighbor_sum, edges[:, 0], arr[edges[:, 1]])
@@ -615,7 +641,7 @@ def triangulate(domain, regions=None, target_h=0.1, extra_segments=(),
     # Enforce the maximum-diameter contract: split interior edges that are
     # still longer than target_h (constraint subsegments are already short).
     for _ in range(4):
-        edges = np.unique(tri_edges(dt.simplices), axis=0)
+        edges = np.column_stack(np.divmod(_edge_keys(dt.simplices, len(arr)), len(arr)))
         lengths = np.hypot(*(arr[edges[:, 1]] - arr[edges[:, 0]]).T)
         mids = (arr[edges[:, 0]] + arr[edges[:, 1]]) / 2.0
         long = (lengths > target_h) & pg.points_in_polygon(mids, bp, boundary=False, tol=0.0)
@@ -646,7 +672,7 @@ def triangulate(domain, regions=None, target_h=0.1, extra_segments=(),
     tris = tris[~sliver]
 
     # Drop unreferenced vertices and reindex.
-    used = np.unique(tris)
+    used = np.flatnonzero(np.bincount(tris.ravel(), minlength=len(arr)))
     remap = -np.ones(len(arr), dtype=int)
     remap[used] = np.arange(len(used))
     verts = arr[used]
@@ -677,8 +703,9 @@ def triangulate(domain, regions=None, target_h=0.1, extra_segments=(),
                 f"target_h={target_h} too coarse to resolve region {label}")
 
     # Boundary edges (incident to exactly one triangle) and gamma flags.
-    edges, counts = np.unique(edge_owners(tris)[0], axis=0, return_counts=True)
-    bedges = edges[counts == 1]
+    edges = edge_owners(tris)[0]
+    first, counts = edge_runs(edges)
+    bedges = edges[first[counts == 1]]
     mid = (verts[bedges[:, 0]] + verts[bedges[:, 1]]) / 2.0
     on_gamma = domain.param_in_gamma(domain.boundary_param(mid))
 
@@ -724,16 +751,8 @@ def validate_regions(domain, regions, coarse_h=None):
             lb, pb = all_polys[j]
             if la == lb:
                 continue  # same-label nesting encodes holes
-            for k in range(len(pa)):
-                a, b = pa[k], pa[(k + 1) % len(pa)]
-                for m in range(len(pb)):
-                    c, d = pb[m], pb[(m + 1) % len(pb)]
-                    if pg.segments_properly_intersect(a, b, c, d):
-                        violations.append(f"regions {la} and {lb} overlap (edges cross)")
-                        break
-                else:
-                    continue
-                break
+            if pg.polygons_edges_cross(pa, pb):
+                violations.append(f"regions {la} and {lb} overlap (edges cross)")
     if not violations:
         for i in range(len(all_polys)):
             for j in range(len(all_polys)):
@@ -790,8 +809,7 @@ def validate_regions(domain, regions, coarse_h=None):
 def _union_boundary_segments(mesh):
     """Edges separating labeled triangles from background/outside."""
     edges, owner = edge_owners(mesh.triangles)
-    _, first, counts = np.unique(edges, axis=0, return_index=True,
-                                 return_counts=True)
+    first, counts = edge_runs(edges)
     is_d = mesh.triangle_region != BACKGROUND
     d_first = is_d[owner[first]]
     d_second = is_d[owner[np.minimum(first + 1, len(owner) - 1)]]

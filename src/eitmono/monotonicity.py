@@ -26,13 +26,15 @@ def _require_same_provenance(a, b):
 
 def psd_test(nd_a, nd_b, gram=None, tau=DEFAULT_TAU):
     """Smallest generalized eigenvalue of (A - B, G) and the pass flag
-    lambda_min >= -tau * |B|_G."""
+    lambda_min >= -tau * |B|_G; with ``tau=None`` the flag is None and
+    |B|_G is not computed."""
     _require_same_provenance(nd_a, nd_b)
     g = gram if gram is not None else nd_a.gram
     diff = nd_a.matrix - nd_b.matrix
     lam_min = float(eigh(diff, g, eigvals_only=True)[0])
-    scale = nd_b.gnorm()
-    return lam_min, lam_min >= -tau * scale
+    if tau is None:
+        return lam_min, None
+    return lam_min, lam_min >= -tau * nd_b.gnorm()
 
 
 @dataclass

@@ -6,6 +6,8 @@ matters where documented: counter-clockwise (positive signed area) polygons
 are solid, clockwise polygons act as holes.
 """
 
+import itertools
+
 import numpy as np
 
 # Coordinates closer than this are treated as the same point when snapping
@@ -46,25 +48,38 @@ def points_in_polygon(points, poly, boundary=True, tol=1e-12):
     p = np.asarray(poly, dtype=float)
     a = p
     b = np.roll(p, -1, axis=0)
-
-    x = pts[:, 0][:, None]
-    y = pts[:, 1][:, None]
-    ax, ay = a[:, 0][None, :], a[:, 1][None, :]
-    bx, by = b[:, 0][None, :], b[:, 1][None, :]
-
-    # Standard even-odd ray crossing to the right of each point.
-    cond = (ay > y) != (by > y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xint = ax + (y - ay) * (bx - ax) / (by - ay)
-    crossing = cond & (x < xint)
-    inside = np.sum(crossing, axis=1) % 2 == 1
-
+    inside = _crossing_parity(pts, a, b)
     if tol > 0:
         on_edge = _points_near_edges(pts, a, b, tol)
         inside = np.where(on_edge, boundary, inside)
     if np.isscalar(points[0]) if isinstance(points, (list, tuple)) else (np.asarray(points).ndim == 1):
         return bool(inside[0])
     return inside
+
+
+def _crossing_parity(pts, a, b):
+    """Even-odd count of the edges (a[k], b[k]) crossed by the ray from each
+    point to the right.
+
+    Edge k can only cross the points whose y lies in its half-open slab
+    [min(ay, by), max(ay, by)), which is exactly where (ay > y) != (by > y).
+    With the points sorted by y once, each edge visits its slab only, so the
+    work is O(P log P + crossings) rather than P x E.
+    """
+    order = np.argsort(pts[:, 1])
+    ys = pts[order, 1]
+    lo = np.searchsorted(ys, np.minimum(a[:, 1], b[:, 1]), side="left")
+    hi = np.searchsorted(ys, np.maximum(a[:, 1], b[:, 1]), side="left")
+    counts = hi - lo
+    edge = np.repeat(np.arange(len(a)), counts)
+    rank = np.arange(len(edge)) - np.repeat(np.cumsum(counts) - counts, counts)
+    pt = order[np.repeat(lo, counts) + rank]
+    x, y = pts[pt, 0], pts[pt, 1]
+    ax, ay = a[edge, 0], a[edge, 1]
+    bx, by = b[edge, 0], b[edge, 1]
+    xint = ax + (y - ay) * (bx - ax) / (by - ay)
+    crossed = np.bincount(pt[x < xint], minlength=len(pts))
+    return crossed % 2 == 1
 
 
 def _points_near_edges(pts, a, b, tol):
@@ -97,17 +112,38 @@ def points_in_region(points, polys, tol=1e-12):
     return count % 2 == 1
 
 
+def _dot2(u, v):
+    """Dot products of 2-vectors along the last axis, bit for bit equal to
+    ``u[k] @ v[k]`` per row: the stacked matmul runs the same dot kernel,
+    which may fuse the multiply-add, so ``u0*v0 + u1*v1`` can differ in the
+    last bit."""
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
 def segment_point_distance(p, a, b):
-    """Distance from point p to segment ab."""
+    """Distance from point p to segment ab; elementwise over stacked points
+    and segments (arrays of shape (..., 2))."""
     p = np.asarray(p, dtype=float)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     ab = b - a
-    denom = float(ab @ ab)
-    if denom == 0.0:
-        return float(np.hypot(*(p - a)))
-    t = float(np.clip((p - a) @ ab / denom, 0.0, 1.0))
-    return float(np.hypot(*(p - (a + t * ab))))
+    denom = _dot2(ab, ab)
+    degenerate = denom == 0.0
+    t = np.clip(_dot2(p - a, ab) / np.where(degenerate, 1.0, denom), 0.0, 1.0)
+    t = np.where(degenerate, 0.0, t)
+    gap = p - (a + t[..., None] * ab)
+    d = np.hypot(gap[..., 0], gap[..., 1])
+    return float(d) if d.ndim == 0 else d
+
+
+def touches_segment_interior(q, a, b, tol):
+    """True where point q lies within tol of segment ab but farther than
+    tol from both of its endpoints (elementwise)."""
+    qa = q - a
+    qb = q - b
+    return ((segment_point_distance(q, a, b) <= tol)
+            & (np.hypot(qa[..., 0], qa[..., 1]) > tol)
+            & (np.hypot(qb[..., 0], qb[..., 1]) > tol))
 
 
 def points_segments_distance(pts, seg_a, seg_b, cutoff=None):
@@ -146,46 +182,54 @@ def _points_segments_distance_kd(pts, a, b, cutoff):
     radius = cutoff + float(half.max())
     tree = cKDTree(mid)
     groups = tree.query_ball_point(pts, r=radius)
+    sizes = np.fromiter(map(len, groups), dtype=np.intp, count=len(groups))
+    segs = np.fromiter(itertools.chain.from_iterable(groups), dtype=np.intp,
+                       count=int(sizes.sum()))
+    owner = np.repeat(np.arange(len(pts)), sizes)
     ab = b - a
     ab2 = np.sum(ab * ab, axis=1)
     ab2 = np.where(ab2 == 0, 1.0, ab2)
+    ap = pts[owner] - a[segs]
+    t = np.clip(np.sum(ap * ab[segs], axis=1) / ab2[segs], 0.0, 1.0)
+    closest = a[segs] + t[:, None] * ab[segs]
+    d = np.hypot(*(pts[owner] - closest).T)
     best = np.full(len(pts), cutoff, dtype=float)
-    for i, segs in enumerate(groups):
-        if not segs:
-            continue
-        segs = np.asarray(segs)
-        ap = pts[i] - a[segs]
-        t = np.clip(np.sum(ap * ab[segs], axis=1) / ab2[segs], 0.0, 1.0)
-        closest = a[segs] + t[:, None] * ab[segs]
-        d = np.hypot(*(pts[i] - closest).T)
-        best[i] = min(cutoff, float(d.min()))
+    np.minimum.at(best, owner, d)
     return best
 
 
 def _orient(a, b, c):
-    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+    return ((b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1])
+            - (b[..., 1] - a[..., 1]) * (c[..., 0] - a[..., 0]))
 
 
 def segments_properly_intersect(a, b, c, d, tol=1e-14):
-    """True when open segments ab and cd cross at an interior point."""
+    """True where open segments ab and cd cross at an interior point
+    (elementwise over stacked segments)."""
     o1 = _orient(a, b, c)
     o2 = _orient(a, b, d)
     o3 = _orient(c, d, a)
     o4 = _orient(c, d, b)
-    return (o1 * o2 < -tol) and (o3 * o4 < -tol)
+    return (o1 * o2 < -tol) & (o3 * o4 < -tol)
 
 
 def segment_intersection_point(a, b, c, d):
-    """Intersection point of the lines through ab and cd (assumed non-parallel)."""
+    """Intersection point of the lines through ab and cd (assumed
+    non-parallel); elementwise over stacked segments."""
     a = np.asarray(a, float)
     b = np.asarray(b, float)
     c = np.asarray(c, float)
     d = np.asarray(d, float)
     r = b - a
     s = d - c
-    denom = r[0] * s[1] - r[1] * s[0]
-    t = ((c[0] - a[0]) * s[1] - (c[1] - a[1]) * s[0]) / denom
-    return a + t * r
+    denom = r[..., 0] * s[..., 1] - r[..., 1] * s[..., 0]
+    t = ((c[..., 0] - a[..., 0]) * s[..., 1] - (c[..., 1] - a[..., 1]) * s[..., 0]) / denom
+    return a + t[..., None] * r
+
+
+# Vertex and edge pairs are tested in blocks of this many pairs, which
+# bounds the memory of the all-pairs predicates on large polygons.
+_PAIR_BLOCK = 1 << 16
 
 
 def polygon_is_simple(poly, tol=1e-12):
@@ -194,30 +238,43 @@ def polygon_is_simple(poly, tol=1e-12):
     n = len(p)
     if n < 3:
         return False
-    for i in range(n):
-        for j in range(i + 1, n):
-            if np.hypot(*(p[i] - p[j])) <= tol:
-                return False
-    edges = [(p[i], p[(i + 1) % n]) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            adjacent = (j == i + 1) or (i == 0 and j == n - 1)
-            a, b = edges[i]
-            c, d = edges[j]
-            if adjacent:
-                continue
-            if segments_properly_intersect(a, b, c, d):
-                return False
-            # Degenerate touch: an endpoint of one edge in the interior of the other.
-            for q in (c, d):
-                if segment_point_distance(q, a, b) <= tol:
-                    if np.hypot(*(q - a)) > tol and np.hypot(*(q - b)) > tol:
-                        return False
-            for q in (a, b):
-                if segment_point_distance(q, c, d) <= tol:
-                    if np.hypot(*(q - c)) > tol and np.hypot(*(q - d)) > tol:
-                        return False
+    q = np.roll(p, -1, axis=0)
+    first, second = np.triu_indices(n, 1)
+    for s in range(0, len(first), _PAIR_BLOCK):
+        i, j = first[s:s + _PAIR_BLOCK], second[s:s + _PAIR_BLOCK]
+        gap = p[i] - p[j]
+        if np.any(np.hypot(gap[:, 0], gap[:, 1]) <= tol):
+            return False
+        # Edge k runs from p[k] to q[k]; edges i < j are adjacent when they
+        # share a vertex (j == i + 1, or the closing pair 0 and n - 1).
+        apart = (j != i + 1) & ~((i == 0) & (j == n - 1))
+        i, j = i[apart], j[apart]
+        a, b, c, d = p[i], q[i], p[j], q[j]
+        if np.any(segments_properly_intersect(a, b, c, d)):
+            return False
+        # Degenerate touch: an endpoint of one edge in the interior of the other.
+        if np.any(touches_segment_interior(c, a, b, tol)
+                  | touches_segment_interior(d, a, b, tol)
+                  | touches_segment_interior(a, c, d, tol)
+                  | touches_segment_interior(b, c, d, tol)):
+            return False
     return True
+
+
+def polygons_edges_cross(poly_a, poly_b, tol=1e-14):
+    """True when some edge of poly_a and some edge of poly_b cross at a
+    point interior to both (``segments_properly_intersect`` over all edge
+    pairs)."""
+    pa = np.asarray(poly_a, dtype=float)
+    pb = np.asarray(poly_b, dtype=float)
+    qa = np.roll(pa, -1, axis=0)
+    qb = np.roll(pb, -1, axis=0)
+    rows = max(1, _PAIR_BLOCK // max(len(pb), 1))
+    for s in range(0, len(pa), rows):
+        if np.any(segments_properly_intersect(pa[s:s + rows, None], qa[s:s + rows, None],
+                                              pb[None], qb[None], tol)):
+            return True
+    return False
 
 
 def polygons_interiors_disjoint(poly_a, poly_b, tol=1e-12):
@@ -227,12 +284,8 @@ def polygons_interiors_disjoint(poly_a, poly_b, tol=1e-12):
     """
     pa = np.asarray(poly_a, dtype=float)
     pb = np.asarray(poly_b, dtype=float)
-    for i in range(len(pa)):
-        a, b = pa[i], pa[(i + 1) % len(pa)]
-        for j in range(len(pb)):
-            c, d = pb[j], pb[(j + 1) % len(pb)]
-            if segments_properly_intersect(a, b, c, d):
-                return False
+    if polygons_edges_cross(pa, pb):
+        return False
     # No proper edge crossings: containment decides overlap.
     if point_in_polygon(_interior_probe(pa), pb, boundary=False, tol=tol):
         return False

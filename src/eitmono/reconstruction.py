@@ -153,10 +153,10 @@ class _Scanner:
         """Normalized lambda_min of the sign-targeted cover test."""
         if sign == "lower":
             ndp = self.nd_painted(cells, set())
-            lam, _ = psd_test(ndp, self.nd, tau=1.0)
+            lam, _ = psd_test(ndp, self.nd, tau=None)
         else:
             ndp = self.nd_painted(set(), cells)
-            lam, _ = psd_test(self.nd, ndp, tau=1.0)
+            lam, _ = psd_test(self.nd, ndp, tau=None)
         return lam / self.scale
 
     def min_box(self, sign, tau_abs):
@@ -196,10 +196,10 @@ class _Scanner:
         other = neutralizer - {cell}
         if sign == "lower":
             ndp = self.nd_painted({cell}, other)
-            lam, _ = psd_test(self.nd, ndp, tau=1.0)
+            lam, _ = psd_test(self.nd, ndp, tau=None)
         else:
             ndp = self.nd_painted(other, {cell})
-            lam, _ = psd_test(ndp, self.nd, tau=1.0)
+            lam, _ = psd_test(ndp, self.nd, tau=None)
         return lam / self.scale
 
     def visibility(self, cell, sign, nd_bg):
@@ -207,10 +207,10 @@ class _Scanner:
         measured against the background map."""
         if sign == "lower":
             ndp = self.nd_painted({cell}, set())
-            lam, _ = psd_test(nd_bg, ndp, tau=1.0)
+            lam, _ = psd_test(nd_bg, ndp, tau=None)
         else:
             ndp = self.nd_painted(set(), {cell})
-            lam, _ = psd_test(ndp, nd_bg, tau=1.0)
+            lam, _ = psd_test(ndp, nd_bg, tau=None)
         return abs(lam) / self.scale
 
 

@@ -10,6 +10,36 @@ from eitmono import polygons as pg
 from conftest import build_field
 
 
+# Test-only helpers: re-expressing DOF vectors between the DOF maps of one
+# mesh, and a plain-text dump of vertex potentials.
+
+def embed_dof_vector(u_src, dofmap_src, dofmap_dst):
+    """Re-express DOF coefficients on another DOF map of the same mesh.
+
+    Valid when the source space is contained in the destination space
+    (destination merges no vertices the source kept distinct with different
+    values, and only destination-removed vertices are dropped).
+    """
+    vertex_vals = dofmap_src.expand(u_src, fill=0.0)
+    out = np.zeros(dofmap_dst.n_dofs)
+    counts = np.zeros(dofmap_dst.n_dofs)
+    for v, d in enumerate(dofmap_dst.dof_of_vertex):
+        if d >= 0:
+            out[d] += vertex_vals[v]
+            counts[d] += 1
+    counts[counts == 0] = 1.0
+    return out / counts
+
+
+def export_potential(mesh, dofmap, solution):
+    """Companion text format for potentials: `nv` then one value per vertex
+    (nan marks removed vertices)."""
+    vals = solution.vertex_values(dofmap)
+    lines = [f"{len(vals)}"]
+    lines += [f"{v:.17g}" for v in vals]
+    return "\n".join(lines) + "\n"
+
+
 def cos_theta(p):
     return p[:, 0] / np.hypot(p[:, 0], p[:, 1])
 
@@ -163,7 +193,7 @@ class TestSubspaceNesting:
         dm_plain = fem.build_dof_map(plain_mesh)
         rng = np.random.default_rng(5)
         v = rng.standard_normal(dm_merged.n_dofs)
-        emb = fem.embed_dof_vector(v, dm_merged, dm_plain)
+        emb = embed_dof_vector(v, dm_merged, dm_plain)
         # merged-space vectors have vanishing gradient in the conductor
         tris = mesh.triangles[mesh.triangle_region == "Dinf"]
         vert_vals = dm_plain.expand(emb)
@@ -178,7 +208,7 @@ class TestSubspaceNesting:
         dm_plain = fem.build_dof_map(plain)
         rng = np.random.default_rng(6)
         v = rng.standard_normal(dm_plain.n_dofs)
-        restricted = fem.embed_dof_vector(v, dm_plain, dm_hole)
+        restricted = embed_dof_vector(v, dm_plain, dm_hole)
         assert restricted.shape == (dm_hole.n_dofs,)
         # values agree at every retained vertex
         keep = dm_hole.dof_of_vertex >= 0
@@ -218,7 +248,7 @@ def test_export_potential(disk_mesh, homogeneous_system):
     dm, system = homogeneous_system
     load = fem.neumann_load(disk_mesh, dm, cos_theta)
     sol = fem.solve_neumann(system, load)
-    text = fem.export_potential(disk_mesh, dm, sol)
+    text = export_potential(disk_mesh, dm, sol)
     lines = text.strip().split("\n")
     assert int(lines[0]) == disk_mesh.num_vertices
     assert len(lines) == disk_mesh.num_vertices + 1

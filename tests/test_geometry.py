@@ -1,10 +1,17 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from eitmono import phantoms
 from eitmono import polygons as pg
 from eitmono.geometry import (GeometryError, Mesh, MeshConformityError,
-                              RegionSet, build_domain, pixel_family,
-                              triangulate, validate_regions)
+                              RegionSet, _arrange_segments, build_domain,
+                              pixel_family, triangulate, validate_regions)
+
+from reference_predicates import ref_arrange_segments
 
 
 class TestDomain:
@@ -156,6 +163,61 @@ class TestTriangulate:
     def test_provenance_ignores_labels(self, disk_mesh):
         relabeled = disk_mesh.relabeled({"bg": "bg"})
         assert relabeled.provenance() == disk_mesh.provenance()
+
+
+# sha256 of (vertices, triangles, triangle_region, boundary_edges,
+# boundary_on_gamma) of each regression phantom meshed at h=0.1 with the
+# 8x8 scan grid.  Any mesher change that moves a vertex, renumbers one or
+# changes a label fails here.
+GOLDEN_MESHES = {
+    "insulating_disk": "263e9b87d18137cf2030bf22a9bc1c297aa0ba018bb33d4e92b074bc67dd7b23",
+    "conducting_disk": "924228117c44ac2ceba13b820f5c8f74c15b35df899dc157efe16a12b79d8ed7",
+    "two_blob_mixed": "2231b5e4b6a73631552c26be3a564bdb9659218afa6eb9e3c18ec076066b54f5",
+    "weighted_annulus": "d5954583f3cf721dfeca6de5a80dacbbeb9f182619b5fb9169a232a794f68379",
+    "plain_annulus": "21a8769ec9dc03990fb9919ee0ccc6fedd6914dab84886f55bd6241b501c1e69",
+    "df_minus_square": "a48cc2fbb700ba4f1acefe7e41d5c1fa0e02c6d70e52f50e7020e61b36d36292",
+    "df_plus_disk": "ef2b076ed99d4efad411ec6d5e2f0b18667131ad321e1360abf5630e3dd02ee9",
+    "insulating_pair": "17240913a469859327c65c53b176122a60e77e00db5bb730f162a408743d0ce6",
+    "singular_core": "a200b18dcff68b1462b9fbc6570a8c548217846d14c215947e17df1463bae68a",
+    "off_center_mixed": "436813e382daa91ed1107b54c18ab6037d7a7661ba42f1179612a643c3f0049a",
+    "quarter_blobs": "5629ff880e81556a641387fb7e95ff13f85bc5a72cf2d8323c34cb9adaa228a1",
+}
+
+
+def mesh_fingerprint(mesh):
+    hasher = hashlib.sha256()
+    for a in (mesh.vertices, mesh.triangles.astype(np.int64),
+              mesh.triangle_region, mesh.boundary_edges.astype(np.int64),
+              mesh.boundary_on_gamma):
+        hasher.update(np.ascontiguousarray(a).tobytes())
+    return hasher.hexdigest()
+
+
+@pytest.mark.parametrize("name", phantoms.REGRESSION_PHANTOMS)
+def test_golden_mesh(disk, family8, name):
+    regions, _ = phantoms.build_phantom(name)
+    mesh = triangulate(disk, regions, target_h=0.1,
+                       extra_segments=family8.grid_segments())
+    assert mesh_fingerprint(mesh) == GOLDEN_MESHES[name]
+
+
+# Lattice coordinates make crossings, T-junctions, shared endpoints,
+# collinear overlaps and extra points on segments common.
+lattice = st.integers(-3, 3).map(lambda k: k / 3)
+lattice_point = st.tuples(lattice, lattice)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(lattice_point, lattice_point), min_size=1, max_size=12),
+       st.lists(st.one_of(lattice_point, st.tuples(st.floats(-1, 1), st.floats(-1, 1))),
+                max_size=4))
+def test_arrangement_matches_pairwise_reference(segments, extra):
+    """Same points in the same registry order, and the same subsegments."""
+    segments = [(np.array(a), np.array(b)) for a, b in segments]
+    reg, subsegs = _arrange_segments(segments, extra)
+    ref_reg, ref_subsegs = ref_arrange_segments(segments, extra)
+    assert np.array_equal(reg.array(), ref_reg.array())
+    assert subsegs == ref_subsegs
 
 
 def assert_members_on_demand(fam):

@@ -28,6 +28,15 @@ class TestPsd:
         lam2, ok2 = psd_test(nd_homogeneous, shifted(nd_homogeneous, 1.0))
         assert np.isclose(lam2, -1.0) and not ok2
 
+    def test_no_tau_skips_the_flag(self, nd_homogeneous, monkeypatch):
+        calls = []
+        monkeypatch.setattr(NDMatrix, "gnorm",
+                            lambda self: calls.append(1) or 1.0)
+        lam, ok = psd_test(nd_homogeneous, shifted(nd_homogeneous, 1.0),
+                           tau=None)
+        assert np.isclose(lam, -1.0) and ok is None and not calls
+        assert psd_test(nd_homogeneous, nd_homogeneous)[1] and calls
+
     def test_transitivity(self, disk_mesh, basis8):
         tau = 1e-7
         nds = [nd_matrix(disk_mesh, CoefficientField(mesh=disk_mesh, gamma0=g),

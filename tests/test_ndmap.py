@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from eitmono import phantoms
+from eitmono import fem, phantoms
 from eitmono.coefficient import CoefficientField
 from eitmono.geometry import TestInclusion, triangulate
 from eitmono.monotonicity import psd_test
@@ -51,6 +53,20 @@ class TestNDMatrix:
         nd = nd_homogeneous
         assert np.allclose(nd.matrix, nd.matrix.T)
         assert nd.asymmetry < 1e-7
+
+    def test_asymmetric_solve_raises(self, disk_mesh, disk_field, basis8,
+                                     monkeypatch):
+        real = fem.solve_neumann
+
+        def skewed(system, load, rtol=1e-10):
+            sol = real(system, load, rtol=rtol)
+            u = sol.u.copy()
+            u[:, 1] += 1e-6 * np.abs(u[:, 0]).max() * np.sign(load.b[:, 0])
+            return dataclasses.replace(sol, u=u)
+
+        monkeypatch.setattr(fem, "solve_neumann", skewed)
+        with pytest.raises(NDError, match="asymmetry"):
+            nd_matrix(disk_mesh, disk_field, basis8)
 
     def test_diagonal_matches_inverse_frequency(self, nd_homogeneous):
         eigs = np.sort(nd_homogeneous.generalized_eigenvalues())[::-1]

@@ -1,6 +1,14 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eitmono import polygons as pg
+
+from reference_predicates import (ref_crossing_parity, ref_points_in_polygon,
+                                  ref_points_segments_distance_kd,
+                                  ref_polygon_is_simple,
+                                  ref_segment_point_distance,
+                                  ref_segments_properly_intersect)
 
 
 def test_signed_area_orientation():
@@ -81,3 +89,109 @@ def test_distances():
     direct = pg.points_segments_distance(pts, a, b)
     kd = pg.points_segments_distance(pts, a, b, cutoff=0.2)
     assert np.allclose(np.minimum(direct, 0.2), kd)
+
+
+def test_polygons_edges_cross():
+    a = pg.rectangle(0, 0, 1, 1)
+    assert pg.polygons_edges_cross(a, pg.rectangle(0.5, 0.5, 2.5, 1.5))
+    assert not pg.polygons_edges_cross(a, pg.rectangle(1, 0, 2, 1))
+    assert not pg.polygons_edges_cross(a, pg.rectangle(0.25, 0.25, 0.75, 0.75))
+
+
+# Coordinates on a coarse lattice make repeated vertices, horizontal edges,
+# collinear touches and query points level with a vertex common; free
+# floats cover the generic case.
+lattice = st.integers(-4, 4).map(lambda k: k / 4)
+coord = st.one_of(lattice, st.floats(-1, 1, allow_nan=False, width=64))
+point = st.tuples(coord, coord)
+polygon = st.builds(
+    lambda verts, ccw: np.array(verts if ccw else verts[::-1], dtype=float),
+    st.lists(point, min_size=3, max_size=10), st.booleans())
+fast = settings(max_examples=150, deadline=None)
+
+
+def probes(poly, extra):
+    """Query points: the drawn ones, every vertex, every edge midpoint (on
+    the edge) and points level with every vertex."""
+    b = np.roll(poly, -1, axis=0)
+    level = np.column_stack([poly[:, 0] + 0.125, poly[:, 1]])
+    return np.vstack([np.asarray(extra, dtype=float).reshape(-1, 2), poly,
+                      (poly + b) / 2.0, level])
+
+
+@fast
+@given(polygon, st.lists(point, max_size=20), st.booleans(),
+       st.sampled_from([0.0, 1e-12, 1e-3]))
+def test_points_in_polygon_matches_dense_reference(poly, extra, boundary, tol):
+    pts = probes(poly, extra)
+    got = pg.points_in_polygon(pts, poly, boundary=boundary, tol=tol)
+    assert np.array_equal(got, ref_points_in_polygon(pts, poly, boundary, tol))
+    assert np.array_equal(pg._crossing_parity(pts, poly, np.roll(poly, -1, axis=0)),
+                          ref_crossing_parity(pts, poly, np.roll(poly, -1, axis=0)))
+    single = pg.points_in_polygon(tuple(pts[0]), poly, boundary=boundary, tol=tol)
+    assert single is bool(ref_points_in_polygon(pts[:1], poly, boundary, tol)[0])
+
+
+@fast
+@given(polygon, st.sampled_from([1e-12, 1e-3, 0.1]))
+def test_polygon_is_simple_matches_loop_reference(poly, tol):
+    assert pg.polygon_is_simple(poly, tol) == ref_polygon_is_simple(poly, tol)
+
+
+def test_polygon_is_simple_touching_cases():
+    # a vertex on the interior of a non-adjacent edge, a repeated vertex,
+    # collinear overlap and a flat triangle (every edge pair adjacent), in
+    # both orientations
+    cases = [np.array([[0, 0], [2, 0], [2, 2], [1, 0], [0, 2]], dtype=float),
+             np.array([[0, 0], [1, 0], [1, 1], [0, 0], [-1, 1]], dtype=float),
+             np.array([[0, 0], [3, 0], [2, 0], [1, 1]], dtype=float),
+             np.array([[0, 0], [2, 0], [1, 0]], dtype=float),
+             pg.regular_polygon((0, 0), 0.5, 32)]
+    for poly in cases:
+        for p in (poly, poly[::-1]):
+            assert pg.polygon_is_simple(p) == ref_polygon_is_simple(p)
+    assert pg.polygon_is_simple(cases[-1]) and not pg.polygon_is_simple(cases[0])
+
+
+@fast
+@given(st.lists(st.tuples(point, point, point), min_size=1, max_size=30))
+def test_segment_point_distance_matches_scalar_reference(rows):
+    p, a, b = (np.array(col, dtype=float) for col in zip(*rows))
+    got = pg.segment_point_distance(p, a, b)
+    want = [ref_segment_point_distance(*r) for r in zip(p, a, b)]
+    assert np.array_equal(got, want)
+    assert pg.segment_point_distance(p[0], a[0], b[0]) == want[0]
+    crossed = pg.segments_properly_intersect(p, a, b, np.roll(p, 1, axis=0))
+    assert crossed.tolist() == [bool(ref_segments_properly_intersect(*r))
+                                for r in zip(p, a, b, np.roll(p, 1, axis=0))]
+
+
+@fast
+@given(polygon, polygon)
+def test_polygons_edges_cross_matches_loop_reference(pa, pb):
+    want = any(ref_segments_properly_intersect(pa[k], pa[(k + 1) % len(pa)],
+                                               pb[m], pb[(m + 1) % len(pb)])
+               for k in range(len(pa)) for m in range(len(pb)))
+    assert pg.polygons_edges_cross(pa, pb) == want
+
+
+@fast
+@given(st.lists(point, min_size=1, max_size=40),
+       st.lists(st.tuples(point, point), min_size=1, max_size=20),
+       st.floats(1e-3, 1.0))
+def test_kd_distance_matches_per_point_reference(pts, segs, cutoff):
+    pts = np.array(pts, dtype=float)
+    a = np.array([s[0] for s in segs], dtype=float)
+    b = np.array([s[1] for s in segs], dtype=float)
+    got = pg._points_segments_distance_kd(pts, a, b, cutoff)
+    assert np.array_equal(got, ref_points_segments_distance_kd(pts, a, b, cutoff))
+
+
+def test_kd_path_matches_reference_through_public_call():
+    rng = np.random.default_rng(11)
+    pts = rng.uniform(-1, 1, (600, 2))
+    a = rng.uniform(-1, 1, (90, 2))
+    b = a + 0.1 * rng.standard_normal((90, 2))
+    b[:3] = a[:3]                       # degenerate segments
+    got = pg.points_segments_distance(pts, a, b, cutoff=0.05)
+    assert np.array_equal(got, ref_points_segments_distance_kd(pts, a, b, 0.05))
