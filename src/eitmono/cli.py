@@ -281,6 +281,7 @@ def cmd_reconstruct(problem, out_dir, args):
         "indeterminate_cells": len(result.indeterminate),
         "filled_cells": result.filled_cells,
         "n_cell_errors": len(result.cell_errors),
+        "n_factor": result.n_factor,
         "wall_time": time.perf_counter() - t0,
     }
     _write_metrics(out_dir, metrics)

@@ -176,16 +176,49 @@ class NDMatrix:
                         basis_hash=meta.get("basis", ""))
 
 
+@dataclass(frozen=True)
+class GammaData:
+    """Paint-independent part of every ND map on one (mesh, basis) pair:
+    the basis loads on the measurement-arc vertices (`fem.gamma_loads`),
+    the density means and the Gram matrix (read-only arrays)."""
+
+    vertices: np.ndarray
+    loads: np.ndarray          # (len(vertices), m)
+    means: np.ndarray
+    gram: np.ndarray
+    mesh_hash: str
+    basis_hash: str
+
+
+_GAMMA_DATA = {}
+
+
+def gamma_data(mesh, basis):
+    """`GammaData` of a mesh and a basis, computed once per
+    (mesh.provenance(), basis.provenance()) and shared by every painting."""
+    key = (mesh.provenance(), basis.provenance())
+
+    def build():
+        loads, means = fem.gamma_loads(
+            mesh, [basis.density(k) for k in range(basis.m)])
+        return GammaData(vertices=fem.mesh_terms(mesh).gamma_vertices,
+                         loads=loads, means=means, gram=basis.gram(mesh),
+                         mesh_hash=key[0], basis_hash=key[1])
+
+    return fem.memo(_GAMMA_DATA, key, build)
+
+
 def nd_matrix(mesh, fld, basis, rtol=1e-10, label=""):
     """ND matrix of a coefficient field: one block solve over all basis
-    densities, then the trace pairings B^T U of loads against potentials."""
+    densities, then the trace pairings B^T U of loads against potentials.
+    Only the painting-dependent work runs per call; the loads and the Gram
+    matrix come from `gamma_data`."""
+    gd = gamma_data(mesh, basis)
     dofmap = fem.build_dof_map(fld.mesh)
     system = fem.assemble(fld.mesh, fld, dofmap)
-    loads = [fem.neumann_load(fld.mesh, dofmap, basis.density(k),
-                              label=f"{label}:{k}") for k in range(basis.m)]
-    block = fem.NeumannLoad(b=np.column_stack([ld.b for ld in loads]),
-                            density_mean=np.array([ld.density_mean for ld in loads]),
-                            label=label)
+    b = np.zeros((dofmap.n_dofs, basis.m))
+    b[dofmap.dof_of_vertex[gd.vertices]] = gd.loads
+    block = fem.NeumannLoad(b=b, density_mean=gd.means, label=label)
     try:
         sol = fem.solve_neumann(system, block, rtol=rtol)
     except fem.SolverError as exc:
@@ -197,9 +230,9 @@ def nd_matrix(mesh, fld, basis, rtol=1e-10, label=""):
     if asym > MAX_ASYMMETRY:
         raise NDError(f"ND matrix asymmetry {asym:.3e} exceeds {MAX_ASYMMETRY:.0e}")
     sym = 0.5 * (raw + raw.T)
-    return NDMatrix(matrix=sym, gram=basis.gram(mesh), asymmetry=asym,
-                    field_hash=fld.provenance(), mesh_hash=mesh.provenance(),
-                    basis_hash=basis.provenance(), label=label)
+    return NDMatrix(matrix=sym, gram=gd.gram.copy(), asymmetry=asym,
+                    field_hash=fld.provenance(), mesh_hash=gd.mesh_hash,
+                    basis_hash=gd.basis_hash, label=label)
 
 
 def painted_field(mesh, paint, gamma0):

@@ -60,6 +60,7 @@ class ReconstructionResult:
     tau_rel: float = 0.0
     side: str = "both"
     cell_errors: list = field(default_factory=list)   # (cell, sign, message)
+    n_factor: int = 0             # ND maps the scan factored
 
     def inside_count(self):
         return int(np.sum(self.inside))
@@ -313,7 +314,8 @@ def reconstruct(nd_gamma, domain, mesh, gamma0, basis, grid_n,
         indeterminate=indeterminate, verdicts=verdicts,
         box_lower=box_lower, box_upper=box_upper, jaccard=jac,
         filled_cells=n_filled, wall_time=time.perf_counter() - t_start,
-        tau=tau, tau_rel=tau_rel, side=side, cell_errors=cell_errors)
+        tau=tau, tau_rel=tau_rel, side=side, cell_errors=cell_errors,
+        n_factor=len(scanner._nd_cache))
 
 
 def rasterize(result, out_prefix):

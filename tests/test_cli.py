@@ -187,6 +187,24 @@ def test_cell_errors_in_metrics(tmp_path, monkeypatch):
     assert read_metrics(out)["n_cell_errors"] == "1"
 
 
+def test_n_factor_in_metrics(tmp_path, monkeypatch):
+    # the scan's factorizations, not the measured map's
+    from eitmono import fem
+
+    calls = []
+    real = fem.StiffnessSystem.factor
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(fem.StiffnessSystem, "factor", counting)
+    out = tmp_path / "out"
+    assert main(["reconstruct", "--config", str(write_config(tmp_path)),
+                 "--out", str(out)]) == 0
+    assert int(read_metrics(out)["n_factor"]) == len(calls) - 1 > 0
+
+
 def test_scan_and_chain_build_no_notched_member(tmp_path, monkeypatch):
     builds = []
     real = geometry._notched_window

@@ -7,9 +7,9 @@ from eitmono import fem, phantoms
 from eitmono.coefficient import CoefficientField
 from eitmono.geometry import TestInclusion, triangulate
 from eitmono.monotonicity import psd_test
-from eitmono.ndmap import (BasisResolutionWarning, NDError, NDMatrix,
-                           build_basis, nd_extreme, nd_matrix,
-                           perturb_symmetric)
+from eitmono.ndmap import (BasisResolutionWarning, CurrentBasis, NDError,
+                           NDMatrix, build_basis, gamma_data, nd_extreme,
+                           nd_matrix, painted_field, perturb_symmetric)
 from eitmono.oracle import disk_nd_eigenvalue
 from eitmono import polygons as pg
 
@@ -232,3 +232,123 @@ def test_block_solve_matches_per_load_solves(disk, family8):
         raw = np.array([[lj.b @ sk.u for sk in sols] for lj in loads])
         ref = 0.5 * (raw + raw.T)
         assert np.abs(nd.matrix - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.fixture(scope="module")
+def grid_mesh(disk, family8):
+    return triangulate(disk, target_h=0.1,
+                       extra_segments=family8.grid_segments())
+
+
+def cells(family, ids, name):
+    return TestInclusion(id=name, parts=tuple(family.cell_polygon(i, j)
+                                              for i, j in ids))
+
+
+def test_shared_loads_match_per_call_loads(grid_mesh, family8, monkeypatch):
+    # the cached loads scattered through a painted DOF map equal the
+    # per-call neumann_load bit for bit, where DOFs are removed and merged
+    mesh = grid_mesh
+    basis = build_basis(family8.domain, 8, mesh=mesh)
+    zero = (cells(family8, [(2, 5), (2, 6)], "z"), "D0")
+    inf = (cells(family8, [(5, 2), (5, 3)], "e"), "Dinf")
+    captured = []
+    real = fem.solve_neumann
+
+    def capture(system, load, rtol=1e-10):
+        captured.append((system, load))
+        return real(system, load, rtol=rtol)
+
+    monkeypatch.setattr(fem, "solve_neumann", capture)
+    for removes, merges in ((False, False), (True, False), (False, True),
+                            (True, True)):
+        fld = painted_field(mesh, [zero] * removes + [inf] * merges, 1.0)
+        nd_matrix(mesh, fld, basis)
+        system, block = captured[-1]
+        dm = system.dofmap
+        status = set(dm.vertex_status.tolist())
+        assert (fem.STATUS_REMOVED in status) == removes
+        assert (fem.STATUS_MERGED in status) == merges
+        ref = [fem.neumann_load(fld.mesh, dm, basis.density(k))
+               for k in range(basis.m)]
+        assert np.array_equal(block.b, np.column_stack([ld.b for ld in ref]))
+        assert np.array_equal(block.density_mean,
+                              [ld.density_mean for ld in ref])
+        assert np.array_equal(system.constraint,
+                              fem.gamma_mass_vector(fld.mesh, dm))
+
+
+def test_gamma_data_once_per_mesh_and_basis(disk, grid_mesh, family8,
+                                            monkeypatch):
+    mesh = grid_mesh
+    b8, b16 = (build_basis(disk, m, mesh=mesh) for m in (8, 16))
+    other = triangulate(disk, target_h=0.12)
+    refs = {m: b.gram(mesh) for m, b in ((8, b8), (16, b16))}
+    ref_other = b16.gram(other)
+    gram_calls = []
+    real_gram = CurrentBasis.gram
+
+    def counting(self, msh):
+        gram_calls.append(self.m)
+        return real_gram(self, msh)
+
+    monkeypatch.setattr(CurrentBasis, "gram", counting)
+    gd8 = gamma_data(mesh, b8)
+    # a relabeled mesh (every painting) reuses the entry
+    painted = painted_field(mesh, [(cells(family8, [(3, 3)], "c"), "D0")], 1.0)
+    assert gamma_data(painted.mesh, b8) is gd8
+    assert np.array_equal(gd8.gram, refs[8])
+    # a second basis on the same mesh gets its own loads and Gram
+    calls_before = len(gram_calls)
+    gd16 = gamma_data(mesh, b16)
+    assert gram_calls[calls_before:] == [16]
+    assert gd16.loads.shape == (len(gd8.vertices), 16)
+    assert np.array_equal(gd16.loads[:, :8], gd8.loads)
+    assert np.array_equal(gd16.gram, refs[16])
+    for fld in (CoefficientField(mesh=mesh, gamma0=1.0), painted):
+        nd = nd_matrix(mesh, fld, b16)
+        assert np.array_equal(nd.gram, refs[16])
+    assert gram_calls[calls_before:] == [16]
+    # a second mesh gets its own loads and Gram
+    gd_other = gamma_data(other, b16)
+    assert gram_calls[calls_before:] == [16, 16]
+    assert np.array_equal(gd_other.gram, ref_other)
+    assert gd_other is not gd16
+    assert gd_other.mesh_hash == other.provenance() != gd16.mesh_hash
+
+
+def test_nd_maps_share_no_mutable_state(disk_mesh, disk_field, basis8):
+    first = nd_matrix(disk_mesh, disk_field, basis8)
+    first.gram[0, 0] += 1.0
+    second = nd_matrix(disk_mesh, disk_field, basis8)
+    assert np.array_equal(second.gram, basis8.gram(disk_mesh))
+    gd = gamma_data(disk_mesh, basis8)
+    terms = fem.mesh_terms(disk_mesh)
+    for arr in (gd.vertices, gd.loads, gd.means, gd.gram, terms.dots,
+                terms.four_a2, terms.gamma_mass):
+        assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        gd.loads[0, 0] = 0.0
+
+
+@pytest.fixture(scope="module")
+def off_center_dfplus_mesh(disk):
+    from eitmono.geometry import RegionSet
+    regions = RegionSet(polys={"DFplus": [pg.regular_polygon((0.3, 0.2), 0.3, 32)]})
+    return triangulate(disk, regions, target_h=0.05)
+
+
+@pytest.mark.parametrize("contrast", [1e3, 1e5])
+def test_high_contrast_residual_limit(disk, off_center_dfplus_mesh, contrast):
+    # the refined residual floors near 7e-15 * contrast relative to |b|
+    # (the roundoff of forming r = b - K x), so at the default rtol 1e-10 a
+    # 1e3 contrast passes and a 1e5 contrast is refused, not accepted loosely
+    mesh = off_center_dfplus_mesh
+    basis = build_basis(disk, 16, mesh=mesh)
+    fld = CoefficientField(mesh=mesh, gamma0=1.0,
+                           finite_values={"DFplus": contrast}).validate()
+    if contrast < 1e4:
+        assert nd_matrix(mesh, fld, basis).asymmetry < 1e-12
+    else:
+        with pytest.raises(NDError, match="solver residual"):
+            nd_matrix(mesh, fld, basis)

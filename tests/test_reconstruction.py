@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
-from eitmono import phantoms, reconstruction
+from eitmono import fem, phantoms, reconstruction
 from eitmono.coefficient import CoefficientField
 from eitmono.fem import ConfigurationError
 from eitmono.geometry import TestInclusion, pixel_family, triangulate
@@ -212,3 +213,67 @@ def test_cell_errors_counted(disk, family8, coarse_recon_setup, monkeypatch):
     res = reconstruct(nd, disk, mesh, 1.0, basis, 8, family=family8)
     assert res.cell_errors == [((3, 3), "lower", "forced")]
     assert res.inside[3, 3]
+
+
+def test_n_factor_counts_factorizations(disk, family8, coarse_recon_setup,
+                                        monkeypatch):
+    regions, mesh, basis, nd = coarse_recon_setup
+    calls = []
+    real = fem.StiffnessSystem.factor
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(fem.StiffnessSystem, "factor", counting)
+    res = reconstruct(nd, disk, mesh, 1.0, basis, 8, family=family8)
+    assert res.n_factor == len(calls) > 0
+
+
+def default_splu_factor(self):
+    """SuperLU's default unsymmetric factorization: the oracle for the
+    symmetric-mode one."""
+    if self._factor is None:
+        self._factor = spla.splu(self.bordered())
+    return self._factor
+
+
+@pytest.mark.parametrize("name", phantoms.REGRESSION_PHANTOMS)
+def test_symmetric_factorization_matches_default_splu(disk, family8, name,
+                                                      monkeypatch):
+    regions, spec = phantoms.build_phantom(name)
+    mesh = triangulate(disk, regions, target_h=0.1,
+                       extra_segments=family8.grid_segments())
+    fld = build_field(mesh, spec)
+    basis = build_basis(disk, 8, mesh=mesh)
+    maps = []
+    real_nd = reconstruction.nd_matrix
+    real_solve = fem.solve_neumann
+
+    def recording(*args, **kwargs):
+        out = real_nd(*args, **kwargs)
+        maps.append(out.matrix)
+        return out
+
+    def checked(system, load, rtol=1e-10):
+        sol = real_solve(system, load, rtol=rtol)
+        x = np.vstack([sol.u, sol.multiplier[None, :]])
+        rhs = np.vstack([load.b, np.zeros((1, load.b.shape[1]))])
+        res = np.linalg.norm(rhs - system.bordered() @ x, axis=0)
+        assert np.all(res <= rtol * np.linalg.norm(load.b, axis=0))
+        return sol
+
+    monkeypatch.setattr(reconstruction, "nd_matrix", recording)
+    monkeypatch.setattr(fem, "solve_neumann", checked)
+    runs = []
+    for factor in (fem.StiffnessSystem.factor, default_splu_factor):
+        monkeypatch.setattr(fem.StiffnessSystem, "factor", factor)
+        maps.clear()
+        nd = nd_matrix(mesh, fld, basis)
+        res = reconstruct(nd, disk, mesh, fld.gamma0, basis, 8, family=family8)
+        runs.append((nd.matrix, list(maps), res.verdict_log(), res.csv_text()))
+    (nd_sym, maps_sym, log_sym, csv_sym), (nd_ref, maps_ref, log_ref, csv_ref) = runs
+    assert log_sym == log_ref and csv_sym == csv_ref
+    assert len(maps_sym) == len(maps_ref)
+    for got, ref in zip([nd_sym] + maps_sym, [nd_ref] + maps_ref):
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
