@@ -111,7 +111,8 @@ class Problem:
         self.grid_n = int(_get(cfg, "scan.grid_n", default=8))
         if self.grid_n < 2:
             raise ConfigError("scan.grid_n must be >= 2")
-        self.roi = _get(cfg, "scan.roi")
+        self.family = pixel_family(self.domain, self.grid_n,
+                                   roi=_get(cfg, "scan.roi"))
         self.tau = float(_get(cfg, "scan.tau", default=1e-5))
         self.tau_rel = float(_get(cfg, "scan.tau_rel", default=0.5))
         self.side = _get(cfg, "scan.side", default="both")
@@ -160,11 +161,7 @@ class Problem:
 
     def build_mesh(self, with_grid=True):
         self.declare_weight_features()
-        extra = []
-        self.family = None
-        if with_grid:
-            self.family = pixel_family(self.domain, self.grid_n, roi=self.roi)
-            extra = self.family.grid_segments()
+        extra = self.family.grid_segments() if with_grid else []
         self.mesh = triangulate(self.domain, self.regions,
                                 target_h=self.target_h,
                                 extra_segments=extra,
@@ -202,7 +199,7 @@ def _snapshot(cfg, out_dir):
 def _measured_nd(problem, args):
     """L(gamma) on the problem mesh, optionally noise-perturbed."""
     nd = nd_matrix(problem.mesh, problem.field, problem.basis,
-                   rtol=problem.rtol, label="gamma")
+                   rtol=problem.rtol)
     if args.noise_rel > 0:
         nd = perturb_symmetric(nd, args.noise_rel, args.seed)
     return nd
@@ -299,10 +296,8 @@ def cmd_chain(problem, out_dir, args):
     if low is problem.field:
         nd_low = nd_up = nd
     else:
-        nd_low = nd_matrix(problem.mesh, low, problem.basis,
-                           rtol=problem.rtol, label="gamma_low")
-        nd_up = nd_matrix(problem.mesh, up, problem.basis,
-                          rtol=problem.rtol, label="gamma_up")
+        nd_low = nd_matrix(problem.mesh, low, problem.basis, rtol=problem.rtol)
+        nd_up = nd_matrix(problem.mesh, up, problem.basis, rtol=problem.rtol)
 
     window = problem.family.whole_window()
     nd0 = nd_extreme(problem.mesh, window, "insulating", problem.gamma0,
@@ -338,7 +333,7 @@ def cmd_calibrate(problem, out_dir, args):
 
     rows = ["h m tau oracle_err worst_in best_out tau_ok"]
     dom = problem.domain
-    fam = pixel_family(dom, problem.grid_n, roi=problem.roi)
+    fam = problem.family
     cx, cy = fam.cell_centers()
     for h, m in itertools.product(h_list, m_list):
         regions, spec = phantoms.build_phantom("insulating_disk")
@@ -347,7 +342,7 @@ def cmd_calibrate(problem, out_dir, args):
         fld = CoefficientField(mesh=mesh, gamma0=1.0).validate()
         basis = build_basis(dom, m, mesh=mesh)
         bg_field = CoefficientField(mesh=mesh.relabeled({"D0": "bg"}), gamma0=1.0)
-        nd_bg = nd_matrix(mesh, bg_field, basis, label="bg")
+        nd_bg = nd_matrix(mesh, bg_field, basis)
         eigs = np.sort(nd_bg.generalized_eigenvalues())[::-1]
         oracle_err = 0.0
         for n in range(1, m // 2 + 1):
@@ -355,7 +350,7 @@ def cmd_calibrate(problem, out_dir, args):
             pair = eigs[2 * n - 2:2 * n]
             oracle_err = max(oracle_err, float(np.max(np.abs(pair - lam) / lam)))
 
-        nd_g = nd_matrix(mesh, fld, basis, label="gamma")
+        nd_g = nd_matrix(mesh, fld, basis)
         # Lower side only: the neutralizer is empty, so each verdict's
         # insulating lambda is the plain pixel score inside the minimal box.
         result = reconstruct(nd_g, dom, mesh, 1.0, basis, problem.grid_n,
@@ -413,7 +408,9 @@ def main(argv=None):
 
     try:
         problem = Problem(cfg)
-    except (ConfigError, CoefficientError, GeometryError) as exc:
+    except (ValueError, TypeError, KeyError, IndexError) as exc:
+        # ConfigError, CoefficientError and GeometryError are ValueErrors;
+        # the others come from malformed values in the config.
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

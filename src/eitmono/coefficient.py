@@ -266,9 +266,6 @@ class CoefficientField:
             return v, mask
         raise CoefficientError(f"per-triangle values for {label} have wrong length")
 
-    def labels_present(self):
-        return sorted(set(self.mesh.triangle_region.tolist()) - {BACKGROUND})
-
     def weight_for(self, label):
         if label not in self.weights:
             raise CoefficientError(f"no weight assigned to {label}")

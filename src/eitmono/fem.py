@@ -50,7 +50,7 @@ class DofMap:
         return out
 
 
-def build_dof_map(mesh, allow_conductor_on_insulator=True):
+def build_dof_map(mesh):
     """DOF map from the mesh labels.
 
     Vertices strictly inside D0 (every incident triangle insulating) are
@@ -147,8 +147,6 @@ class StiffnessSystem:
     kmat: sp.csc_matrix
     constraint: np.ndarray
     dofmap: DofMap
-    mesh: object
-    field: object
     _factor: object = None
 
     @property
@@ -263,8 +261,7 @@ def assemble(mesh, fld, dofmap):
 
     constraint = np.zeros(n)
     constraint[gamma_dofs] = terms.gamma_mass
-    return StiffnessSystem(kmat=kmat, constraint=constraint, dofmap=dofmap,
-                           mesh=mesh, field=fld)
+    return StiffnessSystem(kmat=kmat, constraint=constraint, dofmap=dofmap)
 
 
 def gamma_mass_vector(mesh, dofmap):
@@ -305,15 +302,9 @@ class NeumannLoad:
 
     b: np.ndarray
     density_mean: float
-    label: str = ""
-
-    def check_mean_free(self, system, tol=1e-12):
-        total = np.sum(self.b, axis=0)
-        scale = np.maximum(1.0, np.abs(self.b).sum(axis=0))
-        return bool(np.all(np.abs(total) <= tol * scale))
 
 
-def neumann_load(mesh, dofmap, density, label=""):
+def neumann_load(mesh, dofmap, density):
     """Build the load vector for a current density given as a callable on
     physical boundary points; the density is mean-projected on gamma.
     ND maps take their loads from `gamma_loads`; this per-call path is the
@@ -327,7 +318,7 @@ def neumann_load(mesh, dofmap, density, label=""):
                     weights=ends.ravel(), minlength=dofmap.n_dofs)
     mean = float(np.sum(wf)) / mesh.gamma_length()
     b -= mean * c
-    return NeumannLoad(b=b, density_mean=mean, label=label)
+    return NeumannLoad(b=b, density_mean=mean)
 
 
 def gamma_loads(mesh, densities):
@@ -361,9 +352,6 @@ class PotentialSolution:
     multiplier: float
     residual: float
 
-    def vertex_values(self, dofmap, fill=np.nan):
-        return dofmap.expand(self.u, fill=fill)
-
 
 def solve_neumann(system, load, rtol=1e-10):
     """Solve the grounded variational problem for one current load, or for
@@ -374,7 +362,9 @@ def solve_neumann(system, load, rtol=1e-10):
     raises SolverError.  ``residual`` is the (Frobenius) norm over all
     columns.
     """
-    if not load.check_mean_free(system):
+    total = np.sum(load.b, axis=0)
+    scale = np.maximum(1.0, np.abs(load.b).sum(axis=0))
+    if not np.all(np.abs(total) <= 1e-12 * scale):
         raise SolverError("load is not gamma-mean-free")
     n = system.n
     b = load.b.reshape(n, -1)
@@ -413,9 +403,3 @@ def energy(system, solution_or_vector, load):
     if v.shape != (system.n,):
         raise SolverError("energy: coefficient vector has wrong dimension")
     return float(v @ (system.matrix @ v) - 2.0 * float(load.b @ v))
-
-
-def dirichlet_energy(system, solution):
-    """sigma-weighted Dirichlet energy of the solution (A-quadratic form)."""
-    u = solution.u
-    return float(u @ (system.matrix @ u))

@@ -57,8 +57,6 @@ class Domain:
         t0, t1 = self.gamma_span
         if not (t0 < t1 <= t0 + 1.0):
             raise GeometryError("gamma_span must satisfy t0 < t1 <= t0 + 1")
-        if t1 - t0 <= 0.0:
-            raise GeometryError("measurement arc has zero length")
 
     @property
     def boundary_polygon(self):
@@ -169,17 +167,6 @@ class RegionSet:
             return np.zeros(len(pts), dtype=bool)
         return pg.points_in_region(pts, plist, tol=0.0)
 
-    def with_relabeled(self, mapping):
-        """New RegionSet with labels moved per ``mapping`` (label -> label)."""
-        out = {}
-        for label in REGION_LABELS:
-            tgt = mapping.get(label, label)
-            out.setdefault(tgt, [])
-            out[tgt] = out.get(tgt, []) + [p.copy() for p in self.label_polys(label)]
-        return RegionSet(polys={k: v for k, v in out.items() if v},
-                         singular_points=list(self.singular_points),
-                         singular_segments=list(self.singular_segments))
-
 
 @dataclass
 class TestInclusion:
@@ -187,8 +174,7 @@ class TestInclusion:
 
     ``parts`` lists one or more disjoint simple polygons whose union is the
     test set (a directional notch can split the remainder of the scan window
-    into two rectangles).  ``polygon`` is the first part, kept for the common
-    single-polygon case.
+    into two rectangles).
     """
 
     __test__ = False          # bare data, despite the pytest-like name
@@ -200,10 +186,6 @@ class TestInclusion:
     admissible: bool = True
     reason: str = ""
 
-    @property
-    def polygon(self):
-        return self.parts[0]
-
     def contains(self, points):
         pts = np.atleast_2d(points)
         inside = np.zeros(len(pts), dtype=bool)
@@ -212,7 +194,7 @@ class TestInclusion:
         return inside
 
 
-def validate_inclusion(domain, inclusion, min_boundary_distance=1e-9):
+def validate_inclusion(domain, inclusion):
     """Check the admissibility clauses of a test inclusion that are decidable
     on polygons: simple parts, inside the domain, positive distance from the
     outer boundary."""
@@ -226,7 +208,7 @@ def validate_inclusion(domain, inclusion, min_boundary_distance=1e-9):
         if not pg.points_in_polygon(verts, bp, boundary=True).all():
             reasons.append(f"{inclusion.id} extends outside the domain")
         d = pg.points_segments_distance(verts, bp, np.roll(bp, -1, axis=0))
-        if d.min() < min_boundary_distance:
+        if d.min() < 1e-9:
             reasons.append(f"{inclusion.id} touches the domain boundary")
     return reasons
 
@@ -418,10 +400,6 @@ class Mesh:
         return 0.5 * ((b[:, 0] - a[:, 0]) * (d[:, 1] - a[:, 1])
                       - (d[:, 0] - a[:, 0]) * (b[:, 1] - a[:, 1]))
 
-    def region_area(self, label):
-        mask = self.triangle_region == label
-        return float(np.sum(self.triangle_areas()[mask]))
-
     def centroids(self):
         return self.triangle_coords().mean(axis=1)
 
@@ -532,7 +510,7 @@ class Mesh:
 # ---------------------------------------------------------------------------
 
 def triangulate(domain, regions=None, target_h=0.1, extra_segments=(),
-                extra_points=(), min_angle_deg=0.05, smooth_rounds=2):
+                extra_points=(), min_angle_deg=0.05):
     """Conforming triangulation of the domain resolving all region polygons.
 
     Region boundaries, declared singular features, and any extra constraint
@@ -613,12 +591,12 @@ def triangulate(domain, regions=None, target_h=0.1, extra_segments=(),
 
     arr, dt, constraints = recover(points, set(constraints))
 
-    # Laplacian smoothing of the lattice points only; constraint vertices
-    # (original and midpoint-inserted) stay fixed.
+    # Two rounds of Laplacian smoothing of the lattice points only;
+    # constraint vertices (original and midpoint-inserted) stay fixed.
     free_mask = np.zeros(len(arr), dtype=bool)
     free_mask[n_fixed:n_fixed + len(gpts)] = True
 
-    for _ in range(smooth_rounds):
+    for _ in range(2):
         free_mask = np.concatenate([free_mask,
                                     np.zeros(len(arr) - len(free_mask), dtype=bool)])
         edges = np.column_stack(np.divmod(_edge_keys(dt.simplices, len(arr)), len(arr)))
@@ -725,7 +703,7 @@ def triangulate(domain, regions=None, target_h=0.1, extra_segments=(),
 # Region validation
 # ---------------------------------------------------------------------------
 
-def validate_regions(domain, regions, coarse_h=None):
+def validate_regions(domain, regions):
     """Check the decidable region-set invariants; returns violation strings.
 
     Raises GeometryError on self-intersecting input polygons.  Connectivity
@@ -773,8 +751,7 @@ def validate_regions(domain, regions, coarse_h=None):
         return violations
 
     # Connectivity and containment clauses on a coarse conforming mesh.
-    if coarse_h is None:
-        coarse_h = 0.25 if domain.shape == "disk" else 0.125
+    coarse_h = 0.25 if domain.shape == "disk" else 0.125
     try:
         mesh = triangulate(domain, regions, target_h=coarse_h, min_angle_deg=0.2)
     except MeshConformityError as exc:

@@ -24,14 +24,13 @@ def _require_same_provenance(a, b):
             f"(mesh {a.mesh_hash}/{b.mesh_hash}, basis {a.basis_hash}/{b.basis_hash})")
 
 
-def psd_test(nd_a, nd_b, gram=None, tau=DEFAULT_TAU):
+def psd_test(nd_a, nd_b, tau=DEFAULT_TAU):
     """Smallest generalized eigenvalue of (A - B, G) and the pass flag
     lambda_min >= -tau * |B|_G; with ``tau=None`` the flag is None and
     |B|_G is not computed."""
     _require_same_provenance(nd_a, nd_b)
-    g = gram if gram is not None else nd_a.gram
     diff = nd_a.matrix - nd_b.matrix
-    lam_min = float(eigh(diff, g, eigvals_only=True)[0])
+    lam_min = float(eigh(diff, nd_a.gram, eigvals_only=True)[0])
     if tau is None:
         return lam_min, None
     return lam_min, lam_min >= -tau * nd_b.gnorm()
@@ -114,23 +113,14 @@ class ChainReport:
 
 
 def bracketing_chain(nd_gamma, nd_gamma_low, nd_gamma_up, nd0_c, ndinf_c,
-                     gram=None, tau=DEFAULT_TAU):
+                     tau=DEFAULT_TAU):
     """Evaluate the four-link chain with a shared tolerance scaled by the
-    data map's Gram-geometry norm."""
-    for other in (nd_gamma_low, nd_gamma_up, nd0_c, ndinf_c):
-        _require_same_provenance(nd_gamma, other)
-    g = gram if gram is not None else nd_gamma.gram
+    data map's Gram-geometry norm.  Each link checks provenance, so the five
+    maps must share one mesh and basis."""
     scale = nd_gamma.gnorm()
-
-    def link(a, b):
-        diff = a.matrix - b.matrix
-        lam = float(eigh(diff, g, eigvals_only=True)[0])
-        return lam, lam >= -tau * scale
-
-    links = [link(nd0_c, nd_gamma_low),
-             link(nd_gamma_low, nd_gamma),
-             link(nd_gamma, nd_gamma_up),
-             link(nd_gamma_up, ndinf_c)]
-    return ChainReport(lambda_mins=tuple(l for l, _ in links),
-                       passes=tuple(p for _, p in links),
+    lams = tuple(psd_test(a, b, tau=None)[0]
+                 for a, b in ((nd0_c, nd_gamma_low), (nd_gamma_low, nd_gamma),
+                              (nd_gamma, nd_gamma_up), (nd_gamma_up, ndinf_c)))
+    return ChainReport(lambda_mins=lams,
+                       passes=tuple(lam >= -tau * scale for lam in lams),
                        tau=tau, scale=scale)

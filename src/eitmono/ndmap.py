@@ -70,15 +70,6 @@ class CurrentBasis:
         vals = vals - means[:, None]
         return (vals * w[None, :]) @ vals.T
 
-    def check_mean_free(self, mesh, tol=1e-12):
-        """Gamma-mean of every basis density as used (profiles are projected
-        to zero mean in the mesh quadrature, matching the load assembly)."""
-        pts, w = fem.gamma_quadrature(mesh)
-        vals = np.stack([self.density(k)(pts) for k in range(self.m)])
-        total = float(np.sum(w))
-        projected = vals - (vals @ w)[:, None] / total
-        return float(np.max(np.abs(projected @ w))) / total <= tol
-
     def provenance(self):
         hasher = hashlib.sha256()
         hasher.update(f"{self.domain.shape}|{self.domain.gamma_span}|"
@@ -128,7 +119,6 @@ class NDMatrix:
     field_hash: str
     mesh_hash: str
     basis_hash: str
-    label: str = ""
 
     @property
     def m(self):
@@ -136,9 +126,7 @@ class NDMatrix:
 
     def gnorm(self):
         """Operator norm in the Gram geometry (max |generalized eigenvalue|)."""
-        from scipy.linalg import eigh
-        vals = eigh(self.matrix, self.gram, eigvals_only=True)
-        return float(np.max(np.abs(vals)))
+        return float(np.max(np.abs(self.generalized_eigenvalues())))
 
     def generalized_eigenvalues(self):
         from scipy.linalg import eigh
@@ -208,7 +196,7 @@ def gamma_data(mesh, basis):
     return fem.memo(_GAMMA_DATA, key, build)
 
 
-def nd_matrix(mesh, fld, basis, rtol=1e-10, label=""):
+def nd_matrix(mesh, fld, basis, rtol=1e-10):
     """ND matrix of a coefficient field: one block solve over all basis
     densities, then the trace pairings B^T U of loads against potentials.
     Only the painting-dependent work runs per call; the loads and the Gram
@@ -218,7 +206,7 @@ def nd_matrix(mesh, fld, basis, rtol=1e-10, label=""):
     system = fem.assemble(fld.mesh, fld, dofmap)
     b = np.zeros((dofmap.n_dofs, basis.m))
     b[dofmap.dof_of_vertex[gd.vertices]] = gd.loads
-    block = fem.NeumannLoad(b=b, density_mean=gd.means, label=label)
+    block = fem.NeumannLoad(b=b, density_mean=gd.means)
     try:
         sol = fem.solve_neumann(system, block, rtol=rtol)
     except fem.SolverError as exc:
@@ -232,7 +220,7 @@ def nd_matrix(mesh, fld, basis, rtol=1e-10, label=""):
     sym = 0.5 * (raw + raw.T)
     return NDMatrix(matrix=sym, gram=gd.gram.copy(), asymmetry=asym,
                     field_hash=fld.provenance(), mesh_hash=gd.mesh_hash,
-                    basis_hash=gd.basis_hash, label=label)
+                    basis_hash=gd.basis_hash)
 
 
 def painted_field(mesh, paint, gamma0):
@@ -257,14 +245,6 @@ def _background_with(mesh, masks, gamma0):
     for mask, label in masks:
         base.triangle_region[mask] = label
     return CoefficientField(mesh=base, gamma0=gamma0)
-
-
-def extreme_field(mesh, test, kind, gamma0):
-    """Background field with the test inclusion painted as an extreme label."""
-    if kind not in ("insulating", "conducting"):
-        raise NDError(f"unknown extreme kind {kind!r}")
-    target = "D0" if kind == "insulating" else "Dinf"
-    return painted_field(mesh, [(test, target)], gamma0)
 
 
 def _check_conformity(mesh, test, tol=1e-9):
@@ -326,9 +306,11 @@ def cell_painted_field(mesh, cells, paint, gamma0):
 def nd_extreme(mesh, test, kind, gamma0, basis, rtol=1e-10):
     """ND matrix with coefficient 0 (insulating) or infinity (conducting) on
     the test inclusion and the constant background outside."""
-    fld = extreme_field(mesh, test, kind, gamma0)
-    tid = test.id if test is not None else "empty"
-    return nd_matrix(mesh, fld, basis, rtol=rtol, label=f"{kind}:{tid}")
+    if kind not in ("insulating", "conducting"):
+        raise NDError(f"unknown extreme kind {kind!r}")
+    target = "D0" if kind == "insulating" else "Dinf"
+    fld = painted_field(mesh, [(test, target)], gamma0)
+    return nd_matrix(mesh, fld, basis, rtol=rtol)
 
 
 def perturb_symmetric(nd, rel_magnitude, seed):
@@ -342,5 +324,4 @@ def perturb_symmetric(nd, rel_magnitude, seed):
     noise *= rel_magnitude * np.linalg.norm(nd.matrix) / np.linalg.norm(noise)
     return NDMatrix(matrix=nd.matrix + noise, gram=nd.gram,
                     asymmetry=nd.asymmetry, field_hash=nd.field_hash + "+noise",
-                    mesh_hash=nd.mesh_hash, basis_hash=nd.basis_hash,
-                    label=nd.label + "+noise")
+                    mesh_hash=nd.mesh_hash, basis_hash=nd.basis_hash)

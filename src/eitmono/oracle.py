@@ -139,4 +139,4 @@ def brute_force_nd(mesh, fld, basis, max_vertices=2000):
 
     return NDMatrix(matrix=lmat, gram=basis.gram(mesh), asymmetry=0.0,
                     field_hash=fld.provenance(), mesh_hash=mesh.provenance(),
-                    basis_hash=basis.provenance(), label="brute")
+                    basis_hash=basis.provenance())

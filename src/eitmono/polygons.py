@@ -32,12 +32,6 @@ def ensure_ccw(poly):
     return p if signed_area(p) >= 0 else p[::-1].copy()
 
 
-def polygon_edges(poly):
-    """Edges as an array of shape (n, 2, 2)."""
-    p = np.asarray(poly, dtype=float)
-    return np.stack([p, np.roll(p, -1, axis=0)], axis=1)
-
-
 def points_in_polygon(points, poly, boundary=True, tol=1e-12):
     """Crossing-number membership test for an array of points.
 
@@ -277,23 +271,6 @@ def polygons_edges_cross(poly_a, poly_b, tol=1e-14):
     return False
 
 
-def polygons_interiors_disjoint(poly_a, poly_b, tol=1e-12):
-    """True when the open interiors of two simple polygons do not overlap.
-
-    Touching along edges or at vertices is allowed.
-    """
-    pa = np.asarray(poly_a, dtype=float)
-    pb = np.asarray(poly_b, dtype=float)
-    if polygons_edges_cross(pa, pb):
-        return False
-    # No proper edge crossings: containment decides overlap.
-    if point_in_polygon(_interior_probe(pa), pb, boundary=False, tol=tol):
-        return False
-    if point_in_polygon(_interior_probe(pb), pa, boundary=False, tol=tol):
-        return False
-    return True
-
-
 def _interior_probe(poly):
     """A point strictly inside a simple polygon (ear-based probe)."""
     p = ensure_ccw(poly)
@@ -320,10 +297,3 @@ def regular_polygon(center, radius, n, phase=0.0):
 def rectangle(x0, y0, x1, y1):
     """CCW rectangle polygon."""
     return np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]], dtype=float)
-
-
-def polygon_perimeter_points(poly):
-    """Cumulative arclength of polygon vertices, including the closing edge."""
-    p = np.asarray(poly, dtype=float)
-    seg = np.hypot(*(np.roll(p, -1, axis=0) - p).T)
-    return np.concatenate([[0.0], np.cumsum(seg)])

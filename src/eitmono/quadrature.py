@@ -36,10 +36,6 @@ _RULES = {
 }
 
 
-def rule_points(name):
-    return _RULES[name]
-
-
 def triangle_area(tri):
     (x1, y1), (x2, y2), (x3, y3) = tri
     return 0.5 * abs((x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1))

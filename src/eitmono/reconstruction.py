@@ -150,15 +150,25 @@ class _Scanner:
                                             self.basis, rtol=self.rtol)
         return self._nd_cache[key]
 
+    def paint(self, sign, own, other):
+        """ND map with ``own`` painted with the sign's extreme label
+        (insulating for lower, conducting for upper) and ``other`` with the
+        opposite one."""
+        if sign == "lower":
+            return self.nd_painted(own, other)
+        return self.nd_painted(other, own)
+
+    def below(self, sign, a, b):
+        """lambda_min of a - b for the lower sign and of b - a for the upper
+        one, normalized by the data map's Gram norm."""
+        if sign != "lower":
+            a, b = b, a
+        lam, _ = psd_test(a, b, tau=None)
+        return lam / self.scale
+
     def cover_margin(self, cells, sign):
         """Normalized lambda_min of the sign-targeted cover test."""
-        if sign == "lower":
-            ndp = self.nd_painted(cells, set())
-            lam, _ = psd_test(ndp, self.nd, tau=None)
-        else:
-            ndp = self.nd_painted(set(), cells)
-            lam, _ = psd_test(self.nd, ndp, tau=None)
-        return lam / self.scale
+        return self.below(sign, self.paint(sign, cells, set()), self.nd)
 
     def min_box(self, sign, tau_abs):
         """Minimal passing bounding box for one sign (None when the empty
@@ -194,29 +204,17 @@ class _Scanner:
     def pixel_score(self, cell, sign, neutralizer):
         """Exact-order pixel score with the opposite-sign support dominated
         by the neutralizer cells."""
-        other = neutralizer - {cell}
-        if sign == "lower":
-            ndp = self.nd_painted({cell}, other)
-            lam, _ = psd_test(self.nd, ndp, tau=None)
-        else:
-            ndp = self.nd_painted(other, {cell})
-            lam, _ = psd_test(ndp, self.nd, tau=None)
-        return lam / self.scale
+        return self.below(sign, self.nd,
+                          self.paint(sign, {cell}, neutralizer - {cell}))
 
     def visibility(self, cell, sign, nd_bg):
         """Magnitude of a full foreign cell's effect at this location,
         measured against the background map."""
-        if sign == "lower":
-            ndp = self.nd_painted({cell}, set())
-            lam, _ = psd_test(nd_bg, ndp, tau=None)
-        else:
-            ndp = self.nd_painted(set(), {cell})
-            lam, _ = psd_test(ndp, nd_bg, tau=None)
-        return abs(lam) / self.scale
+        return abs(self.below(sign, nd_bg, self.paint(sign, {cell}, set())))
 
 
 def reconstruct(nd_gamma, domain, mesh, gamma0, basis, grid_n,
-                tau=DEFAULT_TAU_ABS, side="both", roi=None, family=None,
+                tau=DEFAULT_TAU_ABS, side="both", family=None,
                 truth_regions=None, rtol=1e-10,
                 tau_rel=DEFAULT_TAU_REL):
     """Mark each scan cell inside or outside the recovered outer shape.
@@ -229,7 +227,7 @@ def reconstruct(nd_gamma, domain, mesh, gamma0, basis, grid_n,
     if side not in ("both", "lower_only", "upper_only"):
         raise ValueError(f"unknown side {side!r}")
     t_start = time.perf_counter()
-    fam = family if family is not None else pixel_family(domain, grid_n, roi=roi)
+    fam = family if family is not None else pixel_family(domain, grid_n)
     if fam.grid_n != grid_n:
         raise ValueError("family grid does not match grid_n")
 

@@ -46,3 +46,9 @@ def build_field(mesh, spec):
     weights = {k: v for k, v in spec.items() if k in ("Ddeg", "Dsing")}
     return CoefficientField(mesh=mesh, gamma0=spec.get("background", 1.0),
                             finite_values=finite, weights=weights).validate()
+
+
+def dirichlet_energy(system, solution):
+    """sigma-weighted Dirichlet energy of the solution (A-quadratic form)."""
+    u = solution.u
+    return float(u @ (system.matrix @ u))

@@ -158,6 +158,23 @@ class TestConfigErrors:
         assert main(["forward", "--config", str(path),
                      "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("overrides", [
+        {"basis": {"m": "x"}},
+        {"domain": {"shape": "disk", "gamma_arc": [0.5]}},
+        {"phantom": None,
+         "regions": {"Ddeg": [[[-0.2, -0.2], [0.2, -0.2], [0.2, 0.2],
+                               [-0.2, 0.2]]]},
+         "coefficient": {"Ddeg": {"kind": "radial_power",
+                                  "center": [0.0, 0.0]}}},
+        {"scan": {"grid_n": 8, "roi": [0, 0, 1]}},
+    ], ids=["non_integer_m", "short_gamma_arc", "weight_without_exponent",
+            "short_roi"])
+    def test_malformed_value(self, tmp_path, capsys, overrides):
+        cfg = write_config(tmp_path, **overrides)
+        assert main(["reconstruct", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "config error:" in capsys.readouterr().err
+
 
 def test_measurements_file_basis_mismatch(tmp_path):
     fwd = tmp_path / "fwd"

@@ -14,6 +14,11 @@ from eitmono.geometry import (GeometryError, Mesh, MeshConformityError,
 from reference_predicates import ref_arrange_segments
 
 
+def region_area(mesh, label):
+    mask = mesh.triangle_region == label
+    return float(np.sum(mesh.triangle_areas()[mask]))
+
+
 class TestDomain:
     def test_full_circle(self):
         dom = build_domain("disk", (0.0, 1.0))
@@ -107,12 +112,12 @@ class TestTriangulate:
         regions = RegionSet(polys={"D0": [pg.rectangle(0.4, 0.4, 0.6, 0.6)]})
         mesh = triangulate(square, regions, target_h=0.06)
         assert abs(mesh.triangle_areas().sum() - 1.0) < 1e-10
-        assert abs(mesh.region_area("D0") - 0.04) < 1e-10 * 0.04 + 1e-14
+        assert abs(region_area(mesh, "D0") - 0.04) < 1e-10 * 0.04 + 1e-14
 
     def test_disk_region_matches_polygon_area(self, disk):
         poly = pg.regular_polygon((0.1, -0.2), 0.25, 48)
         mesh = triangulate(disk, RegionSet(polys={"Dinf": [poly]}), target_h=0.08)
-        assert np.isclose(mesh.region_area("Dinf"), pg.polygon_area(poly),
+        assert np.isclose(region_area(mesh, "Dinf"), pg.polygon_area(poly),
                           rtol=1e-10)
 
     def test_target_h_enforced(self, disk_mesh):

@@ -162,6 +162,15 @@ class TestBracketingChain:
         report = bracketing_chain(nd, nd_up, nd_low, nd0, ndinf, tau=1e-4)
         assert not report.all_pass
 
+    @pytest.mark.parametrize("slot", range(5))
+    def test_map_from_another_mesh_rejected(self, disk, chain_setup, slot):
+        coarse = triangulate(disk, target_h=0.2)
+        maps = list(chain_setup)
+        maps[slot] = nd_matrix(coarse, CoefficientField(mesh=coarse, gamma0=1.0),
+                               build_basis(disk, 8, mesh=coarse))
+        with pytest.raises(ProvenanceError):
+            bracketing_chain(*maps, tau=1e-4)
+
     def test_degenerate_links_exactly_zero(self, disk, family8):
         regions, spec = phantoms.build_phantom("plain_annulus")
         mesh = triangulate(disk, regions, target_h=0.1,
