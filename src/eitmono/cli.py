@@ -51,6 +51,15 @@ def _get(cfg, path, default=None, required=False):
     return node
 
 
+def _value(cfg, path, convert, default=None):
+    """Config entry ``path`` (``default`` when absent) through ``convert``;
+    a malformed value raises ConfigError naming the entry."""
+    try:
+        return convert(_get(cfg, path, default))
+    except (ValueError, TypeError, KeyError, IndexError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def _weight_from_spec(spec):
     if isinstance(spec, dict) and spec.get("kind") == "product":
         parts = [_weight_from_spec(s) for s in spec["factors"]]
@@ -80,8 +89,9 @@ class Problem:
     def __init__(self, cfg):
         self.cfg = cfg
         shape = _get(cfg, "domain.shape", required=True)
-        arc = _get(cfg, "domain.gamma_arc", default=[0.0, 1.0])
-        segments = int(_get(cfg, "domain.disk_segments", default=256))
+        arc = _value(cfg, "domain.gamma_arc", lambda a: (float(a[0]), float(a[1])),
+                     default=[0.0, 1.0])
+        segments = _value(cfg, "domain.disk_segments", int, default=256)
         try:
             self.domain = build_domain(shape, arc, disk_segments=segments)
         except GeometryError as exc:
@@ -101,20 +111,20 @@ class Problem:
         if violations:
             raise ConfigError("regions invalid: " + "; ".join(violations))
 
-        self.target_h = float(_get(cfg, "mesh.target_h", default=0.06))
-        self.min_angle = float(_get(cfg, "mesh.min_angle_deg", default=0.05))
-        self.quad_depth = int(_get(cfg, "solver.quad_depth", default=12))
-        self.rtol = float(_get(cfg, "solver.rtol", default=1e-10))
-        self.m = int(_get(cfg, "basis.m", default=8))
+        self.target_h = _value(cfg, "mesh.target_h", float, default=0.06)
+        self.min_angle = _value(cfg, "mesh.min_angle_deg", float, default=0.05)
+        self.quad_depth = _value(cfg, "solver.quad_depth", int, default=12)
+        self.rtol = _value(cfg, "solver.rtol", float, default=1e-10)
+        self.m = _value(cfg, "basis.m", int, default=8)
         if self.m < 1:
             raise ConfigError("basis.m must be >= 1")
-        self.grid_n = int(_get(cfg, "scan.grid_n", default=8))
+        self.grid_n = _value(cfg, "scan.grid_n", int, default=8)
         if self.grid_n < 2:
             raise ConfigError("scan.grid_n must be >= 2")
-        self.family = pixel_family(self.domain, self.grid_n,
-                                   roi=_get(cfg, "scan.roi"))
-        self.tau = float(_get(cfg, "scan.tau", default=1e-5))
-        self.tau_rel = float(_get(cfg, "scan.tau_rel", default=0.5))
+        self.family = _value(cfg, "scan.roi", lambda roi: pixel_family(
+            self.domain, self.grid_n, roi=roi))
+        self.tau = _value(cfg, "scan.tau", float, default=1e-5)
+        self.tau_rel = _value(cfg, "scan.tau_rel", float, default=0.5)
         self.side = _get(cfg, "scan.side", default="both")
         if self.side not in ("both", "lower_only", "upper_only"):
             raise ConfigError("scan.side must be both|lower_only|upper_only")
@@ -123,12 +133,13 @@ class Problem:
             raise ConfigError("coefficient.background must be positive")
 
     def _regions_from_cfg(self, cfg):
-        raw = _get(cfg, "regions", default={})
-        polys = {lab: [np.asarray(p, dtype=float) for p in plist]
-                 for lab, plist in raw.items()}
-        spts = [tuple(p) for p in _get(cfg, "coefficient.singular_points", default=[])]
-        ssegs = [np.asarray(s, float) for s in
-                 _get(cfg, "coefficient.singular_segments", default=[])]
+        polys = _value(cfg, "regions", lambda raw: {
+            lab: [np.asarray(p, dtype=float) for p in plist]
+            for lab, plist in raw.items()}, default={})
+        spts = _value(cfg, "coefficient.singular_points",
+                      lambda pts: [tuple(p) for p in pts], default=[])
+        ssegs = _value(cfg, "coefficient.singular_segments",
+                       lambda segs: [np.asarray(s, float) for s in segs], default=[])
         try:
             regions = RegionSet(polys=polys, singular_points=spts,
                                 singular_segments=ssegs)
@@ -137,15 +148,13 @@ class Problem:
         return regions
 
     def _coeff_from_cfg(self, cfg):
-        spec = {"background": float(_get(cfg, "coefficient.background", default=1.0))}
-        for lab in ("DFminus", "DFplus"):
-            v = _get(cfg, f"coefficient.{lab}")
-            if v is not None:
-                spec[lab] = float(v)
-        for lab in ("Ddeg", "Dsing"):
-            w = _get(cfg, f"coefficient.{lab}")
-            if w is not None:
-                spec[lab] = _weight_from_spec(w)
+        spec = {"background": _value(cfg, "coefficient.background", float,
+                                     default=1.0)}
+        for lab, convert in (("DFminus", float), ("DFplus", float),
+                             ("Ddeg", _weight_from_spec),
+                             ("Dsing", _weight_from_spec)):
+            if _get(cfg, f"coefficient.{lab}") is not None:
+                spec[lab] = _value(cfg, f"coefficient.{lab}", convert)
         return spec
 
     def declare_weight_features(self):
@@ -246,7 +255,10 @@ def cmd_reconstruct(problem, out_dir, args):
 
     nd_file = _get(problem.cfg, "measurements_file")
     if nd_file:
-        nd = NDMatrix.from_text(Path(nd_file).read_text())
+        try:
+            nd = NDMatrix.from_text(Path(nd_file).read_text())
+        except (OSError, ValueError, IndexError) as exc:
+            raise ConfigError(f"measurements_file: {exc}") from exc
         if nd.mesh_hash != problem.mesh.provenance():
             raise ConfigError("measurements_file provenance does not match "
                               "the mesh built from this config")

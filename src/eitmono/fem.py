@@ -42,6 +42,23 @@ class DofMap:
     n_dofs: int
     n_conductors: int
 
+    @classmethod
+    def numbered(cls, removed, conductor_of_vertex, n_conductors):
+        """DOF map of the removed vertices and conductors: free vertices
+        numbered in vertex order, then one DOF per conductor."""
+        merged = conductor_of_vertex >= 0
+        status = np.full(len(removed), STATUS_FREE, dtype=np.int8)
+        status[removed] = STATUS_REMOVED
+        status[merged] = STATUS_MERGED
+        plain = status == STATUS_FREE
+        n_plain = int(plain.sum())
+        dof_of_vertex = -np.ones(len(removed), dtype=int)
+        dof_of_vertex[plain] = np.arange(n_plain)
+        dof_of_vertex[merged] = n_plain + conductor_of_vertex[merged]
+        return cls(vertex_status=status, dof_of_vertex=dof_of_vertex,
+                   conductor_of_vertex=conductor_of_vertex,
+                   n_dofs=n_plain + n_conductors, n_conductors=n_conductors)
+
     def expand(self, u_dof, fill=0.0):
         """Per-vertex values from DOF coefficients (removed vertices filled)."""
         out = np.full(len(self.dof_of_vertex), fill, dtype=float)
@@ -90,24 +107,8 @@ def build_dof_map(mesh):
     if np.any(conductor_of_vertex[boundary_vertices] >= 0):
         raise ConfigurationError(
             "a perfectly conducting component touches the domain boundary")
-    if len(conductor_vertices) and np.any(removed[conductor_vertices]):
-        raise ConfigurationError("conductor vertex marked for removal")
 
-    status = np.full(nv, STATUS_FREE, dtype=np.int8)
-    status[removed] = STATUS_REMOVED
-    status[conductor_of_vertex >= 0] = STATUS_MERGED
-
-    dof_of_vertex = -np.ones(nv, dtype=int)
-    plain = (status == STATUS_FREE)
-    dof_of_vertex[plain] = np.arange(int(plain.sum()))
-    n_plain = int(plain.sum())
-    merged = conductor_of_vertex >= 0
-    dof_of_vertex[merged] = n_plain + conductor_of_vertex[merged]
-    n_dofs = n_plain + n_conductors
-
-    dofmap = DofMap(vertex_status=status, dof_of_vertex=dof_of_vertex,
-                    conductor_of_vertex=conductor_of_vertex,
-                    n_dofs=n_dofs, n_conductors=n_conductors)
+    dofmap = DofMap.numbered(removed, conductor_of_vertex, n_conductors)
     _check_dof_connectivity(mesh, dofmap)
     return dofmap
 

@@ -198,19 +198,32 @@ def validate_inclusion(domain, inclusion):
     """Check the admissibility clauses of a test inclusion that are decidable
     on polygons: simple parts, inside the domain, positive distance from the
     outer boundary."""
-    reasons = []
+    return [reason.format(inclusion.id)
+            for reasons in part_faults(domain, inclusion.parts) for reason in reasons]
+
+
+def part_faults(domain, parts):
+    """The clauses of `validate_inclusion` that each polygon part fails, as
+    reason templates with ``{}`` for the inclusion id.  The distinct vertices
+    of all simple parts go through one inside test and one distance call."""
     bp = domain.boundary_polygon
-    for part in inclusion.parts:
-        if not pg.polygon_is_simple(part):
-            reasons.append(f"part of {inclusion.id} is not a simple polygon")
+    parts = [np.asarray(part, dtype=float) for part in parts]
+    simple = [pg.polygon_is_simple(part) for part in parts]
+    verts, back = np.unique(np.concatenate(
+        [np.empty((0, 2))] + [p for p, ok in zip(parts, simple) if ok]),
+        axis=0, return_inverse=True)
+    inside = pg.points_in_polygon(verts, bp, boundary=True)[back]
+    near = (pg.points_segments_distance(verts, bp, np.roll(bp, -1, axis=0)) < 1e-9)[back]
+    faults, at = [], 0
+    for part, ok in zip(parts, simple):
+        if not ok:
+            faults.append(["part of {} is not a simple polygon"])
             continue
-        verts = np.asarray(part, dtype=float)
-        if not pg.points_in_polygon(verts, bp, boundary=True).all():
-            reasons.append(f"{inclusion.id} extends outside the domain")
-        d = pg.points_segments_distance(verts, bp, np.roll(bp, -1, axis=0))
-        if d.min() < 1e-9:
-            reasons.append(f"{inclusion.id} touches the domain boundary")
-    return reasons
+        k = slice(at, at + len(part))
+        at += len(part)
+        faults.append(["{} extends outside the domain"] * (not inside[k].all())
+                      + ["{} touches the domain boundary"] * bool(near[k].any()))
+    return faults
 
 
 # ---------------------------------------------------------------------------

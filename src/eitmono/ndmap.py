@@ -13,10 +13,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import fem
-from .coefficient import CoefficientField
-from .geometry import BACKGROUND, REGION_LABELS
+from .coefficient import CoefficientField, homogeneous_field
+from .fem import ConfigurationError
+from .geometry import BACKGROUND, REGION_LABELS, connected_labels
 
 
 class BasisResolutionWarning(UserWarning):
@@ -167,9 +169,11 @@ class NDMatrix:
 @dataclass(frozen=True)
 class GammaData:
     """Paint-independent part of every ND map on one (mesh, basis) pair:
-    the basis loads on the measurement-arc vertices (`fem.gamma_loads`),
-    the density means and the Gram matrix (read-only arrays)."""
+    the mesh's `fem.MeshTerms`, the basis loads on the measurement-arc
+    vertices (`fem.gamma_loads`), the density means and the Gram matrix
+    (read-only arrays)."""
 
+    terms: fem.MeshTerms
     vertices: np.ndarray
     loads: np.ndarray          # (len(vertices), m)
     means: np.ndarray
@@ -189,7 +193,8 @@ def gamma_data(mesh, basis):
     def build():
         loads, means = fem.gamma_loads(
             mesh, [basis.density(k) for k in range(basis.m)])
-        return GammaData(vertices=fem.mesh_terms(mesh).gamma_vertices,
+        terms = fem.mesh_terms(mesh)
+        return GammaData(terms=terms, vertices=terms.gamma_vertices,
                          loads=loads, means=means, gram=basis.gram(mesh),
                          mesh_hash=key[0], basis_hash=key[1])
 
@@ -204,8 +209,15 @@ def nd_matrix(mesh, fld, basis, rtol=1e-10):
     gd = gamma_data(mesh, basis)
     dofmap = fem.build_dof_map(fld.mesh)
     system = fem.assemble(fld.mesh, fld, dofmap)
-    b = np.zeros((dofmap.n_dofs, basis.m))
-    b[dofmap.dof_of_vertex[gd.vertices]] = gd.loads
+    return _solve_and_pair(system, gd, fld.provenance(), rtol)
+
+
+def _solve_and_pair(system, gd, field_hash, rtol):
+    """Solve a grounded system for the basis loads of `gd` and pair the
+    potentials with the loads, under the residual, gamma-mean and
+    `MAX_ASYMMETRY` gates."""
+    b = np.zeros((system.n, gd.loads.shape[1]))
+    b[system.dofmap.dof_of_vertex[gd.vertices]] = gd.loads
     block = fem.NeumannLoad(b=b, density_mean=gd.means)
     try:
         sol = fem.solve_neumann(system, block, rtol=rtol)
@@ -219,7 +231,7 @@ def nd_matrix(mesh, fld, basis, rtol=1e-10):
         raise NDError(f"ND matrix asymmetry {asym:.3e} exceeds {MAX_ASYMMETRY:.0e}")
     sym = 0.5 * (raw + raw.T)
     return NDMatrix(matrix=sym, gram=gd.gram.copy(), asymmetry=asym,
-                    field_hash=fld.provenance(), mesh_hash=gd.mesh_hash,
+                    field_hash=field_hash, mesh_hash=gd.mesh_hash,
                     basis_hash=gd.basis_hash)
 
 
@@ -230,20 +242,12 @@ def painted_field(mesh, paint, gamma0):
     overwrite earlier ones where they overlap.
     """
     cents = mesh.centroids()
-    masks = []
+    base = mesh.relabeled({lab: BACKGROUND for lab in REGION_LABELS})
     for test, label in paint:
         if test is None or len(test.parts) == 0:
             continue
         _check_conformity(mesh, test)
-        masks.append((test.contains(cents), label))
-    return _background_with(mesh, masks, gamma0)
-
-
-def _background_with(mesh, masks, gamma0):
-    """Background field with each (triangle mask, label) painted in order."""
-    base = mesh.relabeled({lab: BACKGROUND for lab in REGION_LABELS})
-    for mask, label in masks:
-        base.triangle_region[mask] = label
+        base.triangle_region[test.contains(cents)] = label
     return CoefficientField(mesh=base, gamma0=gamma0)
 
 
@@ -264,43 +268,206 @@ def _check_conformity(mesh, test, tol=1e-9):
         raise NDError("mesh does not conform to the test inclusion polygon")
 
 
-def triangle_cells(mesh, fam):
-    """Scan-grid cell of every triangle as the flat index i*grid_n + j of
-    the cell holding its centroid, -1 outside the window.
+# Label of each paint code; a painting gives every triangle one code.
+PAINT_LABELS = np.array([BACKGROUND, "D0", "Dinf"])
+PAINT_BG, PAINT_D0, PAINT_DINF = range(3)
 
-    Checks the mesh against the whole grid once: a vertex off the grid
-    lines must lie in the cell of each of its triangles, so no union of
-    cells is straddled (the `_check_conformity` test for every painting).
+
+class PaintTemplate:
+    """Paint-independent part of every scan map on one (mesh, family,
+    basis), so that painting grid cells with the extreme labels is index
+    arithmetic.  `nd_matrix` on `painted_field` (through `fem.build_dof_map`
+    and `fem.assemble`) stays the direct path it is tested against.
+
+    Graph nodes are the vertex-connected pieces of each cell's triangles and
+    of the triangles outside the window; two nodes are linked when they
+    share a mesh vertex.  All triangles of a node carry one label, so a
+    painting's removed vertices, conductors and connectivity to gamma
+    follow from about grid_n**2 + 1 nodes.  The stiffness entries of all
+    triangles sit in a vertex-space CSC pattern (columns, then rows, in
+    vertex order) with the slot of each element triplet.
     """
-    from .polygons import points_segments_distance
 
-    n = fam.grid_n
-    x0, y0, _, _ = fam.roi
-    w, h = fam.cell_size
-    xs = x0 + np.arange(n + 1) * w
-    ys = y0 + np.arange(n + 1) * h
+    def __init__(self, mesh, fam, gamma0, basis):
+        from .polygons import points_segments_distance
 
-    def cell_of(points):
-        i = np.searchsorted(xs, points[:, 0], side="right") - 1
-        j = np.searchsorted(ys, points[:, 1], side="right") - 1
-        return np.where((i >= 0) & (i < n) & (j >= 0) & (j < n), i * n + j, -1)
+        self.gd = gamma_data(mesh, basis)
+        terms = self.gd.terms
+        tris = mesh.triangles
+        nv = self.nv = mesh.num_vertices
 
-    cells = cell_of(mesh.centroids())
-    seg_a, seg_b = (np.array(s) for s in zip(*fam.grid_segments()))
-    off_grid = points_segments_distance(mesh.vertices, seg_a, seg_b,
-                                        cutoff=1e-8) > 1e-9
-    tv = mesh.triangles
-    if np.any(off_grid[tv] & (cell_of(mesh.vertices)[tv] != cells[:, None])):
-        raise NDError("mesh does not conform to the scan grid")
-    return cells
+        # Cell i*grid_n + j holding each triangle's centroid, grid_n**2
+        # outside the window.  A vertex off the grid lines must lie in the
+        # cell of each of its triangles, so no union of cells is straddled.
+        n = fam.grid_n
+        x0, y0, _, _ = fam.roi
+        xs = x0 + np.arange(n + 1) * fam.cell_size[0]
+        ys = y0 + np.arange(n + 1) * fam.cell_size[1]
 
+        def cell_of(points):
+            i = np.searchsorted(xs, points[:, 0], side="right") - 1
+            j = np.searchsorted(ys, points[:, 1], side="right") - 1
+            return np.where((i >= 0) & (i < n) & (j >= 0) & (j < n), i * n + j, n * n)
 
-def cell_painted_field(mesh, cells, paint, gamma0):
-    """`painted_field` through a triangle->cell index from `triangle_cells`:
-    ``paint`` is a sequence of (flat cell indices, label) pairs; later
-    entries overwrite earlier ones."""
-    return _background_with(mesh, [(np.isin(cells, ids), label)
-                                   for ids, label in paint], gamma0)
+        self.cell = cell_of(mesh.centroids())
+        seg_a, seg_b = (np.array(s) for s in zip(*fam.grid_segments()))
+        off_grid = points_segments_distance(mesh.vertices, seg_a, seg_b,
+                                            cutoff=1e-8) > 1e-9
+        if np.any(off_grid[tris] & (cell_of(mesh.vertices)[tris] != self.cell[:, None])):
+            raise NDError("mesh does not conform to the scan grid")
+        self.n_cells = n * n
+
+        # Nodes: triangles are joined when they share a vertex and a cell.
+        corner_v = tris.ravel()
+        corner_c = np.repeat(self.cell, 3)
+        order = np.lexsort((corner_c, corner_v))
+        tri = order // 3
+        same = (np.diff(corner_v[order]) == 0) & (np.diff(corner_c[order]) == 0)
+        pieces = connected_labels(len(tris), np.stack([tri[:-1][same], tri[1:][same]], axis=1))
+        _, self.node_tri, node = np.unique(pieces, return_index=True, return_inverse=True)
+        n_nodes = len(self.node_tri)
+
+        # Node-vertex incidence in vertex order; every pair of nodes at one
+        # vertex is linked.
+        inc = np.unique(corner_v.astype(np.int64) * n_nodes + np.repeat(node, 3))
+        self.inc_vertex, self.inc_node = np.divmod(inc, n_nodes)
+        links = [np.empty((0, 2), dtype=np.int64)]
+        for d in range(1, len(inc)):
+            shared = self.inc_vertex[d:] == self.inc_vertex[:-d]
+            if not shared.any():
+                break
+            links.append(np.stack([self.inc_node[:-d][shared],
+                                   self.inc_node[d:][shared]], axis=1))
+        self.links = np.unique(np.concatenate(links), axis=0)
+        _, first = np.unique(self.inc_node, return_index=True)
+        self.lowest = self.inc_vertex[first]
+
+        def touches(vertices):
+            flag = np.zeros(nv, dtype=bool)
+            flag[vertices] = True
+            return np.bincount(self.inc_node, weights=flag[self.inc_vertex],
+                               minlength=n_nodes) > 0
+
+        self.on_boundary = touches(mesh.boundary_edges)
+        self.on_gamma = touches(terms.gamma_vertices)
+
+        # Element triplets (row vertex a, column vertex b of each triangle,
+        # as `fem.assemble` computes them) by slot and triangle: a triangle
+        # puts one triplet in each of its slots, so a product with the
+        # active-triangle indicator sums each slot in triangle order.
+        rows = np.repeat(tris, 3, axis=1).ravel()
+        cols = np.tile(tris, (1, 3)).ravel()
+        slots, slot_of = np.unique(cols.astype(np.int64) * nv + rows,
+                                   return_inverse=True)
+        self.slot_col, self.slot_row = np.divmod(slots, nv)
+        coef = homogeneous_field(mesh, gamma0).element_integrals()
+        self.finite = np.isfinite(coef)
+        ke = coef[:, None, None] * terms.dots / terms.four_a2[:, None, None]
+        # Rows n_slots + k count the triangles of slot k.
+        owner = np.repeat(np.arange(len(tris)), 9)
+        self.triplets = sp.csr_matrix(
+            (np.concatenate([ke.ravel(), np.ones(len(owner))]),
+             (np.concatenate([slot_of, len(slots) + slot_of]), np.tile(owner, 2))),
+            shape=(2 * len(slots), len(tris)))
+
+    def codes(self, zero, inf):
+        """Paint code of every triangle with the flat cells ``zero`` painted
+        D0, then ``inf`` painted Dinf (Dinf wins where they overlap)."""
+        code = np.full(self.n_cells + 1, PAINT_BG, dtype=np.int8)
+        code[list(zero)] = PAINT_D0
+        code[list(inf)] = PAINT_DINF
+        return code[self.cell]
+
+    def system(self, codes):
+        """`fem.StiffnessSystem` of a painting: the DOF map and the bordered
+        matrix of `fem.build_dof_map` and `fem.assemble`, which raise the
+        same errors."""
+        terms = self.gd.terms
+        label = codes[self.node_tri]
+        live = label != PAINT_D0
+        removed = np.bincount(self.inc_vertex[live[self.inc_node]],
+                              minlength=self.nv) == 0
+        # Components of the live nodes' links (as nodes 0..N-1) and of the
+        # Dinf nodes' links (as nodes N..2N-1), labelled in one call.
+        nn = len(label)
+        comp = connected_labels(2 * nn, np.concatenate([
+            self.links[np.all(live[self.links], axis=1)],
+            nn + self.links[np.all(label[self.links] == PAINT_DINF, axis=1)]]))
+
+        # Conductors: linked Dinf nodes, numbered by their lowest vertex.
+        dinf = np.flatnonzero(label == PAINT_DINF)
+        conductor = -np.ones(nn, dtype=int)
+        n_conductors = 0
+        if len(dinf):
+            if np.any(self.on_boundary[dinf]):
+                raise ConfigurationError(
+                    "a perfectly conducting component touches the domain boundary")
+            part = comp[nn + dinf]
+            low = np.full(2 * nn, self.nv)
+            np.minimum.at(low, part, self.lowest[dinf])
+            lows, conductor[dinf] = np.unique(low[part], return_inverse=True)
+            n_conductors = len(lows)
+        conductor_of_vertex = -np.ones(self.nv, dtype=int)
+        merged = conductor[self.inc_node] >= 0
+        conductor_of_vertex[self.inc_vertex[merged]] = conductor[self.inc_node[merged]]
+        dofmap = fem.DofMap.numbered(removed, conductor_of_vertex, n_conductors)
+
+        # Every node that keeps DOFs must reach a node on gamma.
+        if dofmap.n_dofs == 0:
+            raise ConfigurationError("no degrees of freedom remain")
+        if not np.any(live & self.on_gamma):
+            raise ConfigurationError("measurement arc carries no degrees of freedom")
+        reach = np.zeros(2 * nn, dtype=bool)
+        reach[comp[:nn][live & self.on_gamma]] = True
+        if not np.all(reach[comp[:nn][live]]):
+            raise ConfigurationError(
+                "free degrees of freedom are disconnected from the measurement arc")
+        active = codes == PAINT_BG
+        if not np.all(self.finite[active]):
+            raise fem.SolverError("nonfinite element integral in assembly")
+        if np.any(removed[terms.gamma_vertices]):
+            raise ConfigurationError("measurement arc touches an insulated vertex")
+
+        # Sum the active triplets per slot.  Slots between free DOFs are
+        # already in CSC order; those with a conductor DOF are merged and
+        # sorted, and go after the free rows of their column with the border
+        # row and column.
+        sums = self.triplets @ active.astype(float)
+        present = np.flatnonzero(sums[len(self.slot_row):])
+        vals = sums[present]
+        dv = dofmap.dof_of_vertex
+        n = dofmap.n_dofs
+        r, c = dv[self.slot_row[present]], dv[self.slot_col[present]]
+        free = np.maximum(r, c) < n - dofmap.n_conductors
+        cond = ~free
+        keys, at = np.unique(c[cond] * (n + 1) + r[cond], return_inverse=True)
+        gamma_dofs = dv[terms.gamma_vertices]
+        extra = np.concatenate([keys, gamma_dofs * (n + 1) + n, n * (n + 1) + gamma_dofs])
+        order = np.argsort(extra)
+        extra_vals = np.concatenate([np.bincount(at, weights=vals[cond], minlength=len(keys)),
+                                     terms.gamma_mass, terms.gamma_mass])[order]
+        extra_col, extra_row = np.divmod(extra[order], n + 1)
+        count = np.bincount(c[free], minlength=n + 1)
+        at = np.cumsum(count)[extra_col] + np.arange(len(extra))
+        indptr = np.zeros(n + 2, dtype=np.int32)
+        np.cumsum(count + np.bincount(extra_col, minlength=n + 1), out=indptr[1:])
+        keep = np.ones(indptr[-1], dtype=bool)
+        keep[at] = False
+        data = np.empty(len(keep))
+        data[keep], data[at] = vals[free], extra_vals
+        rows = np.empty(len(keep), dtype=np.int32)
+        rows[keep], rows[at] = r[free], extra_row
+        kmat = sp.csc_matrix((data, rows, indptr), shape=(n + 1, n + 1))
+        constraint = np.zeros(n)
+        constraint[gamma_dofs] = terms.gamma_mass
+        return fem.StiffnessSystem(kmat=kmat, constraint=constraint, dofmap=dofmap)
+
+    def nd_map(self, zero, inf, rtol):
+        """ND matrix with the flat cells ``zero`` painted D0 and ``inf``
+        painted Dinf: `nd_matrix` of the same `painted_field`, tagged with
+        the mesh hash plus "+scan" in place of a field hash."""
+        return _solve_and_pair(self.system(self.codes(zero, inf)), self.gd,
+                               self.gd.mesh_hash + "+scan", rtol)
 
 
 def nd_extreme(mesh, test, kind, gamma0, basis, rtol=1e-10):

@@ -246,11 +246,11 @@ def polygon_is_simple(poly, tol=1e-12):
         a, b, c, d = p[i], q[i], p[j], q[j]
         if np.any(segments_properly_intersect(a, b, c, d)):
             return False
-        # Degenerate touch: an endpoint of one edge in the interior of the other.
-        if np.any(touches_segment_interior(c, a, b, tol)
-                  | touches_segment_interior(d, a, b, tol)
-                  | touches_segment_interior(a, c, d, tol)
-                  | touches_segment_interior(b, c, d, tol)):
+        # Degenerate touch: an endpoint of one edge in the interior of the
+        # other (the four endpoint-edge cases stacked into one call).
+        if np.any(touches_segment_interior(np.concatenate([c, d, a, b]),
+                                           np.concatenate([a, a, c, c]),
+                                           np.concatenate([b, b, d, d]), tol)):
             return False
     return True
 

@@ -34,10 +34,9 @@ import numpy as np
 
 from . import polygons as pg
 from .fem import ConfigurationError
-from .geometry import (TestInclusion, connected_labels, pixel_family,
-                       validate_inclusion)
+from .geometry import connected_labels, part_faults, pixel_family
 from .monotonicity import MonotonicityVerdict, psd_test
-from .ndmap import cell_painted_field, nd_matrix, triangle_cells
+from .ndmap import PaintTemplate
 
 DEFAULT_TAU_ABS = 1e-5
 DEFAULT_TAU_REL = 0.5
@@ -125,29 +124,21 @@ class _Scanner:
 
     def __init__(self, nd_gamma, mesh, fam, gamma0, basis, rtol):
         self.nd = nd_gamma
-        self.mesh = mesh
         self.fam = fam
-        self.gamma0 = gamma0
-        self.basis = basis
         self.rtol = rtol
         self.scale = nd_gamma.gnorm()
-        self._cells = triangle_cells(mesh, fam)
+        self.template = PaintTemplate(mesh, fam, gamma0, basis)
         self._nd_cache = {}
 
-    def painted(self, zero_cells, inf_cells):
-        """Background field with the cells painted insulating, then
-        conducting (conducting wins where the sets overlap)."""
-        n = self.fam.grid_n
-        paint = [([i * n + j for (i, j) in cells], label)
-                 for cells, label in ((zero_cells, "D0"), (inf_cells, "Dinf"))]
-        return cell_painted_field(self.mesh, self._cells, paint, self.gamma0)
-
     def nd_painted(self, zero_cells, inf_cells):
+        """ND map with the cells painted insulating, then conducting
+        (conducting wins where the sets overlap)."""
         key = (frozenset(zero_cells), frozenset(inf_cells))
         if key not in self._nd_cache:
-            self._nd_cache[key] = nd_matrix(self.mesh,
-                                            self.painted(zero_cells, inf_cells),
-                                            self.basis, rtol=self.rtol)
+            n = self.fam.grid_n
+            self._nd_cache[key] = self.template.nd_map(
+                [i * n + j for i, j in zero_cells],
+                [i * n + j for i, j in inf_cells], self.rtol)
         return self._nd_cache[key]
 
     def paint(self, sign, own, other):
@@ -236,24 +227,18 @@ def reconstruct(nd_gamma, domain, mesh, gamma0, basis, grid_n,
 
     # Indeterminate cells: no admissible pixel position (e.g. the cell is
     # not compactly inside the domain).  Conservatively inside.
-    indeterminate = []
-    scannable = {}
-    for i in range(grid_n):
-        for j in range(grid_n):
-            cell = TestInclusion(id=f"cell{i}_{j}", parts=(fam.cell_polygon(i, j),))
-            bad = validate_inclusion(domain, cell)
-            if bad:
-                indeterminate.append((i, j))
-            else:
-                scannable[(i, j)] = cell
+    cells = [(i, j) for i in range(grid_n) for j in range(grid_n)]
+    faults = part_faults(domain, [fam.cell_polygon(i, j) for i, j in cells])
+    indeterminate = [cell for cell, fault in zip(cells, faults) if fault]
+    scannable = set(cells) - set(indeterminate)
 
     box_lower = box_upper = None
     if side in ("both", "lower_only"):
         box_lower = scanner.min_box("lower", tau)
     if side in ("both", "upper_only"):
         box_upper = scanner.min_box("upper", tau)
-    lower_cells = _box_cells(box_lower) & set(scannable)
-    upper_cells = _box_cells(box_upper) & set(scannable)
+    lower_cells = _box_cells(box_lower) & scannable
+    upper_cells = _box_cells(box_upper) & scannable
 
     verdicts = []
     inside = np.zeros((grid_n, grid_n), dtype=bool)

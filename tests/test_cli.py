@@ -158,22 +158,24 @@ class TestConfigErrors:
         assert main(["forward", "--config", str(path),
                      "--out", str(tmp_path / "o")]) == 2
 
-    @pytest.mark.parametrize("overrides", [
-        {"basis": {"m": "x"}},
-        {"domain": {"shape": "disk", "gamma_arc": [0.5]}},
-        {"phantom": None,
-         "regions": {"Ddeg": [[[-0.2, -0.2], [0.2, -0.2], [0.2, 0.2],
-                               [-0.2, 0.2]]]},
-         "coefficient": {"Ddeg": {"kind": "radial_power",
-                                  "center": [0.0, 0.0]}}},
-        {"scan": {"grid_n": 8, "roi": [0, 0, 1]}},
+    @pytest.mark.parametrize("overrides, entry", [
+        ({"basis": {"m": "x"}}, "basis.m"),
+        ({"domain": {"shape": "disk", "gamma_arc": [0.5]}}, "domain.gamma_arc"),
+        ({"phantom": None,
+          "regions": {"Ddeg": [[[-0.2, -0.2], [0.2, -0.2], [0.2, 0.2],
+                                [-0.2, 0.2]]]},
+          "coefficient": {"Ddeg": {"kind": "radial_power",
+                                   "center": [0.0, 0.0]}}}, "coefficient.Ddeg"),
+        ({"scan": {"grid_n": 8, "roi": [0, 0, 1]}}, "scan.roi"),
     ], ids=["non_integer_m", "short_gamma_arc", "weight_without_exponent",
             "short_roi"])
-    def test_malformed_value(self, tmp_path, capsys, overrides):
+    def test_malformed_value(self, tmp_path, capsys, overrides, entry):
         cfg = write_config(tmp_path, **overrides)
         assert main(["reconstruct", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 2
-        assert "config error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error:" in err
+        assert f"config error: {entry}: " in err
 
 
 def test_measurements_file_basis_mismatch(tmp_path):
@@ -184,6 +186,18 @@ def test_measurements_file_basis_mismatch(tmp_path):
                         measurements_file=str(fwd / "nd_gamma.txt"))
     assert main(["reconstruct", "--config", str(cfg2),
                  "--out", str(tmp_path / "rec")]) == 2
+
+
+@pytest.mark.parametrize("content", [None, "16 garbage\n1 2 3\n"],
+                         ids=["missing", "malformed"])
+def test_bad_measurements_file(tmp_path, capsys, content):
+    nd_file = tmp_path / "nd_gamma.txt"
+    if content is not None:
+        nd_file.write_text(content)
+    cfg = write_config(tmp_path, measurements_file=str(nd_file))
+    assert main(["reconstruct", "--config", str(cfg),
+                 "--out", str(tmp_path / "rec")]) == 2
+    assert "config error: measurements_file: " in capsys.readouterr().err
 
 
 def test_cell_errors_in_metrics(tmp_path, monkeypatch):
@@ -237,6 +251,45 @@ def test_scan_and_chain_build_no_notched_member(tmp_path, monkeypatch):
     assert main(["chain", "--config", str(cfg),
                  "--out", str(tmp_path / "chain")]) == 0
     assert builds == []
+
+
+def test_scan_maps_skip_the_direct_path(tmp_path, monkeypatch):
+    """Scan maps come from the paint template: during `reconstruct` no DOF
+    map or assembly runs, no field is hashed and the mesh is hashed once."""
+    from eitmono import cli, fem
+    from eitmono.coefficient import CoefficientField
+
+    calls = {}
+    scanning = []
+
+    def counting(name, real):
+        def wrapped(*args, **kwargs):
+            if scanning:
+                calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+        return wrapped
+
+    for owner, name in ((fem, "build_dof_map"), (fem, "assemble"),
+                        (CoefficientField, "provenance"),
+                        (geometry.Mesh, "provenance")):
+        monkeypatch.setattr(owner, name, counting(
+            f"{owner.__name__}.{name}", getattr(owner, name)))
+    real_reconstruct = cli.reconstruct
+
+    def reconstruct(*args, **kwargs):
+        scanning.append(True)
+        try:
+            return real_reconstruct(*args, **kwargs)
+        finally:
+            scanning.pop()
+
+    monkeypatch.setattr(cli, "reconstruct", reconstruct)
+    out = tmp_path / "rec"
+    assert main(["reconstruct", "--config", str(write_config(tmp_path)),
+                 "--out", str(out)]) == 0
+    assert int(read_metrics(out)["n_factor"]) > 0
+    assert calls.get("Mesh.provenance", 0) <= 1
+    assert {k: v for k, v in calls.items() if k != "Mesh.provenance"} == {}
 
 
 def test_readme_lists_the_cli_flags(capsys):

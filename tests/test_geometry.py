@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from eitmono import phantoms
 from eitmono import polygons as pg
 from eitmono.geometry import (GeometryError, Mesh, MeshConformityError,
-                              RegionSet, _arrange_segments, build_domain,
-                              pixel_family, triangulate, validate_regions)
+                              RegionSet, TestInclusion, _arrange_segments,
+                              build_domain, part_faults, pixel_family,
+                              triangulate, validate_inclusion, validate_regions)
 
 from reference_predicates import ref_arrange_segments
 
@@ -240,6 +241,22 @@ def assert_members_on_demand(fam):
     assert [m.id for m in fam.members] == ["all"] + [
         f"c{i}_{j}_{d}" for i in range(n) for j in range(n)
         for d in ("up", "down", "left", "right")]
+
+
+def test_validate_inclusion_reasons_per_part(square):
+    # parts: admissible, not simple (a bowtie), crossing the boundary,
+    # touching it from inside, outside with a vertex on it
+    parts = (pg.rectangle(0.2, 0.2, 0.4, 0.4),
+             np.array([[0.1, 0.1], [0.3, 0.3], [0.3, 0.1], [0.1, 0.3]]),
+             pg.rectangle(0.5, 0.5, 1.2, 0.7),
+             pg.rectangle(0.0, 0.5, 0.2, 0.7),
+             pg.rectangle(-0.5, -0.5, 0.0, 0.0))
+    assert validate_inclusion(square, TestInclusion(id="T", parts=parts)) == [
+        "part of T is not a simple polygon", "T extends outside the domain",
+        "T touches the domain boundary", "T extends outside the domain",
+        "T touches the domain boundary"]
+    assert [bool(f) for f in part_faults(square, parts)] == [False] + [True] * 4
+    assert part_faults(square, ()) == []
 
 
 class TestPixelFamily:

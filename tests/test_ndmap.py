@@ -1,15 +1,19 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from eitmono import fem, phantoms
 from eitmono.coefficient import CoefficientField
 from eitmono.geometry import TestInclusion, triangulate
 from eitmono.monotonicity import psd_test
 from eitmono.ndmap import (BasisResolutionWarning, CurrentBasis, NDError,
-                           NDMatrix, build_basis, gamma_data, nd_extreme,
-                           nd_matrix, painted_field, perturb_symmetric)
+                           NDMatrix, PaintTemplate, build_basis, gamma_data,
+                           nd_extreme, nd_matrix, painted_field,
+                           perturb_symmetric)
 from eitmono.oracle import disk_nd_eigenvalue
 from eitmono import polygons as pg
 
@@ -364,3 +368,78 @@ def test_high_contrast_residual_limit(disk, off_center_dfplus_mesh, contrast):
     else:
         with pytest.raises(NDError, match="solver residual"):
             nd_matrix(mesh, fld, basis)
+
+
+# -- paint template properties ------------------------------------------------
+
+# Cell labelings as rank per flat cell: 0 = D0, 1 = background, 2 = Dinf
+# (absent cells are background).  The scan window holds 8 x 8 cells.
+labelings = st.dictionaries(st.integers(0, 63), st.sampled_from([0, 2]),
+                            max_size=12)
+
+
+@pytest.fixture(scope="module")
+def template(grid_mesh, family8):
+    basis = build_basis(family8.domain, 8, mesh=grid_mesh)
+    return PaintTemplate(grid_mesh, family8, 1.0, basis), basis
+
+
+def painted_cells(ranks):
+    return ([c for c, r in ranks.items() if r == 0],
+            [c for c, r in ranks.items() if r == 2])
+
+
+def template_map(tpl, ranks):
+    """Template map of a labeling; labelings that leave part of the domain
+    cut off from gamma are rejected (both paths raise, tested below)."""
+    try:
+        return tpl.nd_map(*painted_cells(ranks), 1e-10)
+    except fem.ConfigurationError:
+        assume(False)
+
+
+@settings(max_examples=15, deadline=None)
+@given(labelings, labelings)
+def test_ordered_labelings_give_loewner_ordered_maps(template, lower, raise_by):
+    # pointwise D0 <= background <= Dinf, so the ND maps are ordered the
+    # other way: the lower labeling's map dominates
+    tpl, _ = template
+    upper = {c: max(lower.get(c, 1), raise_by.get(c, 1))
+             for c in set(lower) | set(raise_by)}
+    nd_low, nd_up = template_map(tpl, lower), template_map(tpl, upper)
+    lam, _ = psd_test(nd_low, nd_up, tau=None)
+    assert lam >= -1e-12 * nd_low.gnorm()
+
+
+@settings(max_examples=15, deadline=None)
+@given(labelings)
+def test_template_map_matches_direct_path(template, family8, grid_mesh, ranks):
+    tpl, basis = template
+    nd = template_map(tpl, ranks)
+    zero, inf = painted_cells(ranks)
+    paint = [(cells(family8, [divmod(c, 8) for c in ids], lab), lab)
+             for ids, lab in ((zero, "D0"), (inf, "Dinf")) if ids]
+    ref = nd_matrix(grid_mesh, painted_field(grid_mesh, paint, 1.0), basis)
+    assert np.abs(nd.matrix - ref.matrix).max() <= 1e-12 * np.abs(ref.matrix).max()
+    assert (nd.field_hash, nd.mesh_hash, nd.basis_hash) == \
+        (ref.mesh_hash + "+scan", ref.mesh_hash, ref.basis_hash)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.sampled_from([1, 2]), labelings)
+def test_enclosed_pocket_raises_like_direct_path(template, family8, grid_mesh,
+                                                 i, j, centre, others):
+    # a ring of D0 cells around a background or conducting cell cuts it off
+    # from gamma; other paint may add further faults, raised in the same order
+    tpl, _ = template
+    ranks = dict(others)
+    ranks.update({(i + di) * 8 + j + dj: 0
+                  for di in (-1, 0, 1) for dj in (-1, 0, 1)})
+    ranks[i * 8 + j] = centre
+    zero, inf = painted_cells(ranks)
+    paint = [(cells(family8, [divmod(c, 8) for c in ids], lab), lab)
+             for ids, lab in ((zero, "D0"), (inf, "Dinf")) if ids]
+    with pytest.raises(fem.ConfigurationError) as direct:
+        fem.build_dof_map(painted_field(grid_mesh, paint, 1.0).mesh)
+    with pytest.raises(fem.ConfigurationError, match=re.escape(str(direct.value))):
+        tpl.system(tpl.codes(zero, inf))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -6,7 +8,8 @@ from eitmono import fem, phantoms, reconstruction
 from eitmono.coefficient import CoefficientField
 from eitmono.fem import ConfigurationError
 from eitmono.geometry import TestInclusion, pixel_family, triangulate
-from eitmono.ndmap import NDError, build_basis, nd_matrix, painted_field
+from eitmono.ndmap import (PAINT_LABELS, NDError, PaintTemplate, build_basis,
+                           nd_matrix, painted_field)
 from eitmono.reconstruction import (ReconstructionResult, _Scanner,
                                     fill_enclosed, jaccard_index, rasterize,
                                     rasterize_truth, reconstruct)
@@ -169,15 +172,41 @@ class TestReconstruct:
                         side="diagonal")
 
 
+def assert_same_system(got, ref):
+    """Template system against the direct one: the same DOF map and CSC
+    pattern, the same constraint, and entries within 1.2e-15*max|K| where
+    no conductor DOF is involved.  A conductor entry sums up to a few
+    hundred element triplets in another order on each path; on the
+    regression phantoms each path is up to 2.2e-15*max|K| from the exactly
+    rounded sum (math.fsum), so the bound there is 4e-15*max|K|."""
+    for name in ("vertex_status", "dof_of_vertex", "conductor_of_vertex"):
+        assert np.array_equal(getattr(got.dofmap, name),
+                              getattr(ref.dofmap, name)), name
+    assert got.dofmap.n_conductors == ref.dofmap.n_conductors
+    assert np.array_equal(got.constraint, ref.constraint)
+    a, b = got.kmat, ref.kmat
+    assert a.shape == b.shape
+    assert np.array_equal(a.indptr, b.indptr)
+    assert np.array_equal(a.indices, b.indices)
+    n_free = ref.n - ref.dofmap.n_conductors
+    cols = np.repeat(np.arange(b.shape[1]), np.diff(b.indptr))
+    conductor = (np.maximum(b.indices, cols) >= n_free) \
+        & (np.maximum(b.indices, cols) < ref.n)
+    bound = np.where(conductor, 4e-15, 1.2e-15) * np.abs(b.data).max()
+    assert np.all(np.abs(a.data - b.data) <= bound)
+
+
 class TestCellPainting:
     @pytest.mark.parametrize("name", phantoms.REGRESSION_PHANTOMS)
     def test_cell_index_matches_polygon_paint(self, disk, family8, name):
+        """The paint template gives the labels, DOF map and bordered matrix
+        of `painted_field` through `fem.build_dof_map` and `fem.assemble`,
+        or raises their error, on random overlapping paints."""
         regions, _ = phantoms.build_phantom(name)
         mesh = triangulate(disk, regions, target_h=0.1,
                            extra_segments=family8.grid_segments())
-        basis = build_basis(disk, 2, mesh=mesh)
-        nd = nd_matrix(mesh, painted_field(mesh, [], 1.0), basis)
-        scanner = _Scanner(nd, mesh, family8, 1.0, basis, 1e-10)
+        template = PaintTemplate(mesh, family8, 1.0,
+                                 build_basis(disk, 2, mesh=mesh))
         rng = np.random.default_rng(sum(map(ord, name)))
         cells = [(i, j) for i in range(8) for j in range(8)]
         for _ in range(4):
@@ -188,9 +217,18 @@ class TestCellPainting:
             paint = [(TestInclusion(id=lab, parts=tuple(
                 family8.cell_polygon(i, j) for (i, j) in sorted(s))), lab)
                 for s, lab in ((zero, "D0"), (inf, "Dinf")) if s]
-            fast = scanner.painted(zero, inf).mesh.triangle_region
-            direct = painted_field(mesh, paint, 1.0).mesh.triangle_region
-            assert np.array_equal(fast, direct)
+            fld = painted_field(mesh, paint, 1.0)
+            codes = template.codes([i * 8 + j for i, j in zero],
+                                   [i * 8 + j for i, j in inf])
+            assert np.array_equal(PAINT_LABELS[codes], fld.mesh.triangle_region)
+            try:
+                dofmap = fem.build_dof_map(fld.mesh)
+            except ConfigurationError as exc:
+                with pytest.raises(ConfigurationError, match=re.escape(str(exc))):
+                    template.system(codes)
+                continue
+            assert_same_system(template.system(codes),
+                               fem.assemble(fld.mesh, fld, dofmap))
 
     def test_nonconforming_mesh_raises_in_scanner(self, disk, family8):
         mesh = triangulate(disk, target_h=0.1)
@@ -247,7 +285,7 @@ def test_symmetric_factorization_matches_default_splu(disk, family8, name,
     fld = build_field(mesh, spec)
     basis = build_basis(disk, 8, mesh=mesh)
     maps = []
-    real_nd = reconstruction.nd_matrix
+    real_nd = PaintTemplate.nd_map
     real_solve = fem.solve_neumann
 
     def recording(*args, **kwargs):
@@ -263,7 +301,7 @@ def test_symmetric_factorization_matches_default_splu(disk, family8, name,
         assert np.all(res <= rtol * np.linalg.norm(load.b, axis=0))
         return sol
 
-    monkeypatch.setattr(reconstruction, "nd_matrix", recording)
+    monkeypatch.setattr(PaintTemplate, "nd_map", recording)
     monkeypatch.setattr(fem, "solve_neumann", checked)
     runs = []
     for factor in (fem.StiffnessSystem.factor, default_splu_factor):
@@ -271,6 +309,7 @@ def test_symmetric_factorization_matches_default_splu(disk, family8, name,
         maps.clear()
         nd = nd_matrix(mesh, fld, basis)
         res = reconstruct(nd, disk, mesh, fld.gamma0, basis, 8, family=family8)
+        assert len(maps) == res.n_factor > 0
         runs.append((nd.matrix, list(maps), res.verdict_log(), res.csv_text()))
     (nd_sym, maps_sym, log_sym, csv_sym), (nd_ref, maps_ref, log_ref, csv_ref) = runs
     assert log_sym == log_ref and csv_sym == csv_ref
