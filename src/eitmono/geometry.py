@@ -13,6 +13,7 @@ plus Laplacian smoothing of the free points.
 import functools
 import hashlib
 import io
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -523,7 +524,7 @@ class Mesh:
 # ---------------------------------------------------------------------------
 
 def triangulate(domain, regions=None, target_h=0.1, extra_segments=(),
-                extra_points=(), min_angle_deg=0.05):
+                min_angle_deg=0.05):
     """Conforming triangulation of the domain resolving all region polygons.
 
     Region boundaries, declared singular features, and any extra constraint
@@ -547,7 +548,6 @@ def triangulate(domain, regions=None, target_h=0.1, extra_segments=(),
         segments.append((np.asarray(seg[0], float), np.asarray(seg[1], float)))
 
     pins = [np.asarray(p, dtype=float) for p in regions.singular_points]
-    pins += [np.asarray(p, dtype=float) for p in extra_points]
     # Measurement-arc endpoints must be mesh vertices so gamma is resolved.
     t0, t1 = domain.gamma_span
     if domain.gamma_fraction < 1.0:
@@ -717,12 +717,12 @@ def triangulate(domain, regions=None, target_h=0.1, extra_segments=(),
 # ---------------------------------------------------------------------------
 
 def validate_regions(domain, regions):
-    """Check the decidable region-set invariants; returns violation strings.
+    """Check the region-set invariants decidable on the polygons alone:
+    simple polygons inside the domain that do not overlap across labels;
+    returns violation strings.  The clauses that need a conforming mesh are
+    `mesh_region_faults`.
 
-    Raises GeometryError on self-intersecting input polygons.  Connectivity
-    clauses are decided on a coarse conforming triangulation (exact on the
-    polygon arrangement); compact containment is checked by sampled distance
-    from the weighted-region boundaries to the boundary of the labeled union.
+    Raises GeometryError on self-intersecting input polygons.
     """
     violations = []
     all_polys = regions.all_polys()
@@ -735,56 +735,47 @@ def validate_regions(domain, regions):
         if not pg.points_in_polygon(poly, bp, boundary=True).all():
             violations.append(f"{label} polygon extends outside the domain")
 
-    # Pairwise interior disjointness between different labels (parity-aware).
-    for i in range(len(all_polys)):
-        for j in range(i + 1, len(all_polys)):
-            la, pa = all_polys[i]
-            lb, pb = all_polys[j]
-            if la == lb:
-                continue  # same-label nesting encodes holes
-            if pg.polygons_edges_cross(pa, pb):
-                violations.append(f"regions {la} and {lb} overlap (edges cross)")
+    # Pairwise interior disjointness between different labels (parity-aware;
+    # same-label nesting encodes holes).
+    for (la, pa), (lb, pb) in itertools.combinations(all_polys, 2):
+        if la != lb and pg.polygons_edges_cross(pa, pb):
+            violations.append(f"regions {la} and {lb} overlap (edges cross)")
     if not violations:
-        for i in range(len(all_polys)):
-            for j in range(len(all_polys)):
-                if i == j:
-                    continue
-                la, pa = all_polys[i]
-                lb, pb = all_polys[j]
-                if la == lb:
-                    continue
-                probe = pg._interior_probe(pa)
-                if regions.membership(probe[None, :], la)[0] and \
-                        regions.membership(probe[None, :], lb)[0]:
-                    violations.append(f"regions {la} and {lb} overlap")
+        for (la, pa), (lb, _) in itertools.permutations(all_polys, 2):
+            if la == lb:
+                continue
+            probe = pg._interior_probe(pa)[None, :]
+            if regions.membership(probe, la)[0] and regions.membership(probe, lb)[0]:
+                violations.append(f"regions {la} and {lb} overlap")
+    return violations
 
-    if regions.is_empty():
-        return violations
-    if violations:
-        return violations
 
-    # Connectivity and containment clauses on a coarse conforming mesh.
-    coarse_h = 0.25 if domain.shape == "disk" else 0.125
-    try:
-        mesh = triangulate(domain, regions, target_h=coarse_h, min_angle_deg=0.2)
-    except MeshConformityError as exc:
-        violations.append(f"could not build validation mesh: {exc}")
-        return violations
+def mesh_region_faults(mesh, regions):
+    """Check the region-set invariants decided on a mesh that conforms to
+    the regions (exact on any such mesh); returns violation strings.
 
-    def complement_connected(labels_in_set):
-        return mesh.triangles_connected(~np.isin(mesh.triangle_region, labels_in_set))
-
-    if regions.label_polys("D0") and not complement_connected(["D0"]):
+    The complements of D0 and of D0+Ddeg+Dsing must be connected, and the
+    weighted regions compactly contained in the interior of the labeled
+    union: sampled points of their boundaries must stay clear of the edges
+    between labeled and unlabeled area.
+    """
+    violations = []
+    if regions.label_polys("D0") and not mesh.triangles_connected(
+            mesh.triangle_region != "D0"):
         violations.append("complement of D0 not connected")
-    merged = [lab for lab in ("D0", "Ddeg", "Dsing") if regions.label_polys(lab)]
-    if merged and not complement_connected(["D0", "Ddeg", "Dsing"]):
+    weighted = [lab for lab in ("Ddeg", "Dsing") if regions.label_polys(lab)]
+    if not weighted:
+        # The merged complement is then the complement of D0.
+        if violations:
+            violations.append("complement of D0+Ddeg+Dsing not connected")
+        return violations
+    merged = np.isin(mesh.triangle_region, ["D0", "Ddeg", "Dsing"])
+    if not mesh.triangles_connected(~merged):
         violations.append("complement of D0+Ddeg+Dsing not connected")
 
-    # Compact containment of the weighted regions in the interior of the
-    # labeled union: sampled boundary points must stay clear of non-D area.
     d_boundary = _union_boundary_segments(mesh)
     if d_boundary is not None:
-        for label in ("Ddeg", "Dsing"):
+        for label in weighted:
             for poly in regions.label_polys(label):
                 samples = _densify_polygon(poly, 16)
                 dist = pg.points_segments_distance(samples, d_boundary[0], d_boundary[1])
@@ -792,7 +783,6 @@ def validate_regions(domain, regions):
                     violations.append(
                         f"{label} not compactly contained in the labeled union interior")
                     break
-
     return violations
 
 
@@ -812,12 +802,8 @@ def _union_boundary_segments(mesh):
 
 def _densify_polygon(poly, per_edge):
     p = np.asarray(poly, dtype=float)
-    out = []
-    for i in range(len(p)):
-        a, b = p[i], p[(i + 1) % len(p)]
-        for t in np.linspace(0.0, 1.0, per_edge, endpoint=False):
-            out.append(a + t * (b - a))
-    return np.array(out)
+    t = np.linspace(0.0, 1.0, per_edge, endpoint=False)[None, :, None]
+    return (p[:, None] + t * (np.roll(p, -1, axis=0) - p)[:, None]).reshape(-1, 2)
 
 
 # ---------------------------------------------------------------------------

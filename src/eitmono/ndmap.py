@@ -205,8 +205,11 @@ def nd_matrix(mesh, fld, basis, rtol=1e-10):
     """ND matrix of a coefficient field: one block solve over all basis
     densities, then the trace pairings B^T U of loads against potentials.
     Only the painting-dependent work runs per call; the loads and the Gram
-    matrix come from `gamma_data`."""
+    matrix come from `gamma_data`.  Raises NDError when the field lives on
+    a mesh of another geometry."""
     gd = gamma_data(mesh, basis)
+    if fld.mesh.provenance() != gd.mesh_hash:
+        raise NDError("coefficient field is not on the given mesh")
     dofmap = fem.build_dof_map(fld.mesh)
     system = fem.assemble(fld.mesh, fld, dofmap)
     return _solve_and_pair(system, gd, fld.provenance(), rtol)

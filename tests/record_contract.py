@@ -8,7 +8,9 @@ to change:
 For every phantom of ``phantoms.REGRESSION_PHANTOMS`` it runs the
 ``reconstruct`` and ``chain`` commands at h=0.1, m=8, grid 8 and writes the
 raster, the parsed verdicts and the chain links to
-``tests/contract_refs.json``.  The test itself never writes this file.
+``tests/contract_refs.json``.  Under the key ``calibrate`` it adds the lines
+of ``calibration.txt`` from a small ``calibrate`` sweep on insulating_disk.
+The test itself never writes this file.
 """
 
 import json
@@ -27,6 +29,16 @@ def contract_config(name):
     return {"domain": {"shape": "disk"}, "phantom": name,
             "mesh": {"target_h": 0.1}, "basis": {"m": 8},
             "scan": {"grid_n": 8}}
+
+
+CALIBRATE_CONFIG = {
+    "domain": {"shape": "disk", "gamma_arc": [0.0, 1.0]},
+    "phantom": "insulating_disk",
+    "mesh": {"target_h": 0.12},
+    "basis": {"m": 6},
+    "scan": {"grid_n": 8, "tau": 1e-5, "tau_rel": 0.5},
+    "calibrate": {"h": [0.12], "m": [6], "tau": [1e-4, 1e-6]},
+}
 
 
 def _lam(text):
@@ -61,12 +73,26 @@ def run_phantom(name, work):
             "verdicts": verdicts, "chain": chain}
 
 
+def run_calibrate(work, cfg=CALIBRATE_CONFIG):
+    """The lines of ``calibration.txt`` written by ``calibrate`` on cfg."""
+    work = Path(work)
+    cfg_path = work / "calibrate.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = work / "calibrate"
+    code = cli.main(["calibrate", "--config", str(cfg_path), "--out", str(out)])
+    if code != cli.EXIT_OK:
+        raise RuntimeError(f"calibrate exited {code}")
+    return (out / "calibration.txt").read_text().splitlines()
+
+
 def main():
     refs = {}
     with tempfile.TemporaryDirectory() as work:
         for name in phantoms.REGRESSION_PHANTOMS:
             refs[name] = run_phantom(name, work)
             print(f"{name} recorded", flush=True)
+        refs["calibrate"] = run_calibrate(work)
+        print("calibrate recorded", flush=True)
     REFS.write_text(json.dumps(refs, indent=1, sort_keys=True) + "\n")
     print(f"wrote {REFS}")
 

@@ -46,6 +46,14 @@ class TestForward:
         assert float(metrics["oracle_max_rel_err"]) < 0.02
         assert (out / "config_snapshot.json").exists()
 
+    def test_single_mode_forward(self, tmp_path):
+        # no eigenvalue pair to compare with the disk reference
+        cfg = write_config(tmp_path, phantom="homogeneous", scan=None,
+                           basis={"m": 1})
+        out = tmp_path / "out"
+        assert main(["forward", "--config", str(cfg), "--out", str(out)]) == 0
+        assert "oracle_max_rel_err" not in read_metrics(out)
+
     def test_mesh_artifact(self, tmp_path):
         cfg = write_config(tmp_path, phantom="homogeneous", scan=None,
                            artifacts={"mesh": True})
@@ -120,6 +128,19 @@ class TestCalibrate:
         assert lines[0].startswith("h m tau")
         assert len(lines) == 3
 
+    def test_table_follows_the_configured_regions(self, tmp_path):
+        sweep = {"h": [0.12], "m": [6], "tau": [1e-5]}
+        rows = {}
+        for name in ("insulating_disk", "df_minus_square"):
+            cfg = write_config(tmp_path, name=f"{name}.json", phantom=name,
+                               calibrate=sweep)
+            out = tmp_path / name
+            assert main(["calibrate", "--config", str(cfg), "--out", str(out)]) == 0
+            rows[name] = (out / "calibration.txt").read_text().split("\n")[1]
+        assert rows["insulating_disk"].startswith("0.12 6 1e-05 ")
+        assert rows["df_minus_square"].startswith("0.12 6 1e-05 ")
+        assert rows["insulating_disk"] != rows["df_minus_square"]
+
 
 class TestConfigErrors:
     def test_missing_domain(self, tmp_path):
@@ -151,6 +172,25 @@ class TestConfigErrors:
         })
         assert main(["forward", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("regions, coefficient, reason", [
+        ({"D0": [[[0.5, 0.0], [0.0, 0.5], [-0.5, 0.0], [0.0, -0.5]],
+                 [[0.3, 0.0], [0.0, -0.3], [-0.3, 0.0], [0.0, 0.3]]]},
+         {}, "complement of D0 not connected"),
+        ({"DFminus": [[[-0.4, -0.4], [0.4, -0.4], [0.4, 0.4], [-0.4, 0.4]],
+                      [[0.1, -0.2], [0.1, 0.2], [0.4, 0.2], [0.4, -0.2]]],
+          "Ddeg": [[[0.1, -0.2], [0.4, -0.2], [0.4, 0.2], [0.1, 0.2]]]},
+         {"DFminus": 0.5, "Ddeg": {"kind": "constant", "value": 0.5}},
+         "Ddeg not compactly contained"),
+    ], ids=["d0_annulus", "ddeg_touching_union_boundary"])
+    def test_mesh_clause_rejected(self, tmp_path, capsys, regions,
+                                  coefficient, reason):
+        cfg = write_config(tmp_path, phantom=None, regions=regions,
+                           coefficient=coefficient)
+        assert main(["reconstruct", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error: regions invalid: " in err and reason in err
 
     def test_bad_json(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -290,6 +330,28 @@ def test_scan_maps_skip_the_direct_path(tmp_path, monkeypatch):
     assert int(read_metrics(out)["n_factor"]) > 0
     assert calls.get("Mesh.provenance", 0) <= 1
     assert {k: v for k, v in calls.items() if k != "Mesh.provenance"} == {}
+
+
+@pytest.mark.parametrize("command", ["forward", "reconstruct", "chain",
+                                     "calibrate"])
+def test_one_mesh_per_command(tmp_path, monkeypatch, command):
+    # calibrate meshes once per (h, m) point of its sweep
+    from eitmono import cli
+
+    calls = []
+    real = geometry.triangulate
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("target_h"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "triangulate", counting)
+    monkeypatch.setattr(cli, "triangulate", counting)
+    cfg = write_config(tmp_path, calibrate={"h": [0.12], "m": [6],
+                                            "tau": [1e-5]})
+    assert main([command, "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert calls == [0.12]
 
 
 def test_readme_lists_the_cli_flags(capsys):

@@ -3,7 +3,8 @@ regression phantom at h=0.1, m=8, grid 8, against references recorded by
 ``tests/record_contract.py``.
 
 Rasters and pass flags must match exactly; lambdas within the benchmark's
-tolerance, 1e-5 relative plus 1e-8.
+tolerance, 1e-5 relative plus 1e-8.  The ``calibrate`` table of the
+insulating_disk sweep must match line for line, as exact strings.
 """
 
 import json
@@ -11,7 +12,7 @@ import json
 import pytest
 
 from eitmono import phantoms
-from record_contract import REFS, run_phantom
+from record_contract import REFS, run_calibrate, run_phantom
 
 REL_TOL = 1e-5
 ABS_TOL = 1e-8
@@ -38,3 +39,7 @@ def test_contract(tmp_path, name):
         [(n, ok) for n, _, ok in ref["chain"]]
     for (link, lam, _), (_, r_lam, _) in zip(got["chain"], ref["chain"]):
         assert close(lam, r_lam), (link, lam, r_lam)
+
+
+def test_calibrate_table(tmp_path):
+    assert run_calibrate(tmp_path) == CONTRACT["calibrate"]

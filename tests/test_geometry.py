@@ -9,8 +9,9 @@ from eitmono import phantoms
 from eitmono import polygons as pg
 from eitmono.geometry import (GeometryError, Mesh, MeshConformityError,
                               RegionSet, TestInclusion, _arrange_segments,
-                              build_domain, part_faults, pixel_family,
-                              triangulate, validate_inclusion, validate_regions)
+                              build_domain, mesh_region_faults, part_faults,
+                              pixel_family, triangulate, validate_inclusion,
+                              validate_regions)
 
 from reference_predicates import ref_arrange_segments
 
@@ -62,8 +63,11 @@ class TestValidateRegions:
         outer = pg.regular_polygon((0, 0), 0.5, 32)
         inner = pg.regular_polygon((0, 0), 0.3, 32)[::-1].copy()
         regions = RegionSet(polys={"D0": [outer, inner]})
-        violations = validate_regions(disk, regions)
-        assert any("complement of D0 not connected" in v for v in violations)
+        assert validate_regions(disk, regions) == []
+        mesh = triangulate(disk, regions, target_h=0.15)
+        assert mesh_region_faults(mesh, regions) == [
+            "complement of D0 not connected",
+            "complement of D0+Ddeg+Dsing not connected"]
 
     def test_weighted_region_touching_union_boundary(self, disk):
         # Ddeg flush with the outer boundary of the labeled union
@@ -71,8 +75,10 @@ class TestValidateRegions:
         ddeg = pg.rectangle(0.1, -0.2, 0.4, 0.2)   # shares x=0.4 edge
         regions = RegionSet(polys={"DFminus": [df, ddeg[::-1].copy()],
                                    "Ddeg": [ddeg]})
-        violations = validate_regions(disk, regions)
-        assert any("not compactly contained" in v for v in violations)
+        assert validate_regions(disk, regions) == []
+        mesh = triangulate(disk, regions, target_h=0.15)
+        assert mesh_region_faults(mesh, regions) == [
+            "Ddeg not compactly contained in the labeled union interior"]
 
     def test_self_intersecting_raises(self, disk):
         bowtie = np.array([[0, 0], [0.3, 0.3], [0.3, 0], [0, 0.3]])

@@ -443,3 +443,24 @@ def test_enclosed_pocket_raises_like_direct_path(template, family8, grid_mesh,
         fem.build_dof_map(painted_field(grid_mesh, paint, 1.0).mesh)
     with pytest.raises(fem.ConfigurationError, match=re.escape(str(direct.value))):
         tpl.system(tpl.codes(zero, inf))
+
+
+def test_field_on_another_mesh_rejected(disk, family8):
+    # the map would be solved on the field's mesh but stamped with the
+    # given mesh's hash: a field on another mesh, or on a rotated copy of
+    # the given one, raises instead
+    meshes = {name: triangulate(disk, phantoms.build_phantom(name)[0],
+                                target_h=0.12,
+                                extra_segments=family8.grid_segments())
+              for name in ("insulating_disk", "two_blob_mixed")}
+    mesh = meshes["insulating_disk"]
+    basis = build_basis(disk, 6, mesh=mesh)
+    quarter_turn = np.array([[0.0, -1.0], [1.0, 0.0]])
+    rotated = dataclasses.replace(mesh, vertices=mesh.vertices @ quarter_turn.T)
+    for other in (meshes["two_blob_mixed"], rotated):
+        with pytest.raises(NDError, match="not on the given mesh"):
+            nd_matrix(mesh, CoefficientField(mesh=other, gamma0=1.0), basis)
+    # a relabeled copy is the same geometry
+    relabeled = mesh.relabeled({"D0": "bg"})
+    nd = nd_matrix(mesh, CoefficientField(mesh=relabeled, gamma0=1.0), basis)
+    assert nd.mesh_hash == mesh.provenance()

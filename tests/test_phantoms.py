@@ -1,13 +1,17 @@
 import pytest
 
 from eitmono import phantoms
-from eitmono.geometry import validate_regions
+from eitmono.geometry import mesh_region_faults, triangulate, validate_regions
 
 
-def test_catalog_entries_valid(disk):
+def test_catalog_entries_valid(disk, family8):
+    # the polygon clauses, then the mesh clauses on a mesh with the scan grid
     for name in phantoms.CATALOG:
         regions, spec = phantoms.build_phantom(name)
         assert validate_regions(disk, regions) == [], name
+        mesh = triangulate(disk, regions, target_h=0.12,
+                           extra_segments=family8.grid_segments())
+        assert mesh_region_faults(mesh, regions) == [], name
         assert spec.get("background", 1.0) > 0
 
 
