@@ -62,6 +62,14 @@ def _value(cfg, path, convert, default=None):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+def _numbers(values):
+    """A non-empty list of JSON numbers, as given."""
+    if not (isinstance(values, list) and values and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in values)):
+        raise TypeError(f"expected a non-empty list of numbers, got {values!r}")
+    return values
+
+
 def _weight_from_spec(spec):
     if isinstance(spec, dict) and spec.get("kind") == "product":
         parts = [_weight_from_spec(s) for s in spec["factors"]]
@@ -195,7 +203,7 @@ class Problem:
         return self.field
 
     def build_basis(self):
-        self.basis = build_basis(self.domain, self.m, mesh=self.mesh)
+        self.basis = build_basis(self.mesh, self.m)
         return self.basis
 
 
@@ -213,8 +221,7 @@ def _snapshot(cfg, out_dir):
 
 def _measured_nd(problem, args):
     """L(gamma) on the problem mesh, optionally noise-perturbed."""
-    nd = nd_matrix(problem.mesh, problem.field, problem.basis,
-                   rtol=problem.rtol)
+    nd = nd_matrix(problem.field, problem.basis, rtol=problem.rtol)
     if args.noise_rel > 0:
         nd = perturb_symmetric(nd, args.noise_rel, args.seed)
     return nd
@@ -269,10 +276,11 @@ def cmd_reconstruct(problem, out_dir, args):
     problem.build_field()
     problem.build_basis()
 
-    nd_file = _get(problem.cfg, "measurements_file")
+    nd_file = _value(problem.cfg, "measurements_file",
+                     lambda f: Path(f) if f else None)
     if nd_file:
         try:
-            nd = NDMatrix.from_text(Path(nd_file).read_text())
+            nd = NDMatrix.from_text(nd_file.read_text())
         except (OSError, ValueError, IndexError) as exc:
             raise ConfigError(f"measurements_file: {exc}") from exc
         if nd.mesh_hash != problem.mesh.provenance():
@@ -284,9 +292,8 @@ def cmd_reconstruct(problem, out_dir, args):
     else:
         nd = _measured_nd(problem, args)
 
-    result = reconstruct(nd, problem.domain, problem.mesh, problem.gamma0,
-                         problem.basis, problem.grid_n, tau=problem.tau,
-                         side=problem.side, family=problem.family,
+    result = reconstruct(nd, problem.mesh, problem.family, problem.gamma0,
+                         problem.basis, tau=problem.tau, side=problem.side,
                          truth_regions=problem.regions, rtol=problem.rtol,
                          tau_rel=problem.tau_rel)
     (out_dir / "nd_gamma.txt").write_text(nd.to_text())
@@ -324,8 +331,8 @@ def cmd_chain(problem, out_dir, args):
     if low is problem.field:
         nd_low = nd_up = nd
     else:
-        nd_low = nd_matrix(problem.mesh, low, problem.basis, rtol=problem.rtol)
-        nd_up = nd_matrix(problem.mesh, up, problem.basis, rtol=problem.rtol)
+        nd_low = nd_matrix(low, problem.basis, rtol=problem.rtol)
+        nd_up = nd_matrix(up, problem.basis, rtol=problem.rtol)
 
     window = problem.family.whole_window()
     nd0 = nd_extreme(problem.mesh, window, "insulating", problem.gamma0,
@@ -354,9 +361,10 @@ def cmd_calibrate(problem, out_dir, args):
     margins of the cells inside and outside the true regions; the table
     shows which tau separate them."""
     t0 = time.perf_counter()
-    h_list = _get(problem.cfg, "calibrate.h", default=[0.1, 0.08])
-    m_list = _get(problem.cfg, "calibrate.m", default=[8, 16])
-    tau_list = _get(problem.cfg, "calibrate.tau", default=[1e-4, 1e-5, 1e-6])
+    h_list = _value(problem.cfg, "calibrate.h", _numbers, default=[0.1, 0.08])
+    m_list = _value(problem.cfg, "calibrate.m", _numbers, default=[8, 16])
+    tau_list = _value(problem.cfg, "calibrate.tau", _numbers,
+                      default=[1e-4, 1e-5, 1e-6])
 
     rows = ["h m tau oracle_err worst_in best_out tau_ok"]
     for h, m in itertools.product(h_list, m_list):
@@ -367,17 +375,16 @@ def cmd_calibrate(problem, out_dir, args):
         sub.build_mesh(with_grid=True)
         sub.build_field()
         sub.build_basis()
-        nd_bg = nd_matrix(sub.mesh, homogeneous_field(sub.mesh, sub.gamma0),
-                          sub.basis, rtol=sub.rtol)
+        nd_bg = nd_matrix(homogeneous_field(sub.mesh, sub.gamma0), sub.basis,
+                          rtol=sub.rtol)
         oracle_err = _oracle_error(
             sub, np.sort(nd_bg.generalized_eigenvalues())[::-1])
-        nd_g = nd_matrix(sub.mesh, sub.field, sub.basis, rtol=sub.rtol)
+        nd_g = nd_matrix(sub.field, sub.basis, rtol=sub.rtol)
 
         # Lower side only: the neutralizer is empty, so each verdict's
         # insulating lambda is the plain pixel score inside the minimal box.
-        result = reconstruct(nd_g, sub.domain, sub.mesh, sub.gamma0, sub.basis,
-                             sub.grid_n, tau=min(tau_list), side="lower_only",
-                             family=sub.family, rtol=sub.rtol)
+        result = reconstruct(nd_g, sub.mesh, sub.family, sub.gamma0, sub.basis,
+                             tau=min(tau_list), side="lower_only", rtol=sub.rtol)
         if result.cell_errors:
             raise fem.ConfigurationError(result.cell_errors[0][2])
         truth = rasterize_truth(sub.regions, sub.family)

@@ -222,14 +222,15 @@ def mesh_terms(mesh):
     return memo(_MESH_TERMS, mesh.provenance(), build)
 
 
-def assemble(mesh, fld, dofmap):
-    """Assemble the weighted stiffness matrix bordered by the gamma-mean
-    constraint, in one COO->CSC pass.
+def assemble(fld, dofmap):
+    """Assemble the weighted stiffness matrix of a field on its mesh,
+    bordered by the gamma-mean constraint, in one COO->CSC pass.
 
     Element contributions are sigma-integral times the constant P1 gradient
     products; insulating and conducting triangles are skipped (the latter
     collapse to a single DOF and contribute nothing).
     """
+    mesh = fld.mesh
     sigma_int = fld.element_integrals()
     region = mesh.triangle_region
     active = ~np.isin(region, ("D0", "Dinf"))
@@ -302,7 +303,6 @@ class NeumannLoad:
     gamma-mean-free space.  ``b`` may hold one load per column."""
 
     b: np.ndarray
-    density_mean: float
 
 
 def neumann_load(mesh, dofmap, density):
@@ -319,12 +319,12 @@ def neumann_load(mesh, dofmap, density):
                     weights=ends.ravel(), minlength=dofmap.n_dofs)
     mean = float(np.sum(wf)) / mesh.gamma_length()
     b -= mean * c
-    return NeumannLoad(b=b, density_mean=mean)
+    return NeumannLoad(b=b)
 
 
 def gamma_loads(mesh, densities):
     """Mean-projected loads of each density on the measurement-arc vertices
-    of `mesh_terms` (one column per density) and the density means.
+    of `mesh_terms`, one column per density.
 
     Same arithmetic as `neumann_load`, accumulated per vertex instead of per
     DOF: gamma vertices are never removed or merged, so scattering a column
@@ -335,16 +335,15 @@ def gamma_loads(mesh, densities):
     pts, w = gamma_quadrature(mesh)
     gamma_length = mesh.gamma_length()
     loads = np.empty((len(terms.gamma_vertices), len(densities)))
-    means = np.empty(len(densities))
     for k, density in enumerate(densities):
         wf = (w * np.asarray(density(pts), dtype=float)).reshape(-1, 4)
         ends = np.stack([np.sum(wf * (1.0 - _GL4_X), axis=1),
                          np.sum(wf * _GL4_X, axis=1)], axis=1)
         b = np.bincount(edges.ravel(), weights=ends.ravel(),
                         minlength=mesh.num_vertices)[terms.gamma_vertices]
-        means[k] = float(np.sum(wf)) / gamma_length
-        loads[:, k] = b - means[k] * terms.gamma_mass
-    return loads, means
+        mean = float(np.sum(wf)) / gamma_length
+        loads[:, k] = b - mean * terms.gamma_mass
+    return loads
 
 
 @dataclass

@@ -45,7 +45,6 @@ class MonotonicityVerdict:
     lambda_min_conducting: float
     pass_insulating: bool
     pass_conducting: bool
-    side: str = "both"
 
     @property
     def pass_both(self):
@@ -85,8 +84,7 @@ def theorem_test(nd_gamma, test, mesh, gamma0, basis, tau=DEFAULT_TAU,
         test_id=test.id if test is not None else "empty",
         lambda_min_insulating=float(lam_ins),
         lambda_min_conducting=float(lam_cond),
-        pass_insulating=bool(ok_ins), pass_conducting=bool(ok_cond),
-        side=side)
+        pass_insulating=bool(ok_ins), pass_conducting=bool(ok_cond))
 
 
 @dataclass
@@ -98,7 +96,6 @@ class ChainReport:
 
     lambda_mins: tuple
     passes: tuple
-    tau: float
     scale: float
 
     @property
@@ -123,4 +120,4 @@ def bracketing_chain(nd_gamma, nd_gamma_low, nd_gamma_up, nd0_c, ndinf_c,
                               (nd_gamma, nd_gamma_up), (nd_gamma_up, ndinf_c)))
     return ChainReport(lambda_mins=lams,
                        passes=tuple(lam >= -tau * scale for lam in lams),
-                       tau=tau, scale=scale)
+                       scale=scale)

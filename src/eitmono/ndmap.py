@@ -43,8 +43,11 @@ class CurrentBasis:
     """Mean-free trigonometric current densities on the measurement arc."""
 
     domain: object
-    m: int
     modes: tuple          # sequence of ("sin"|"cos", frequency)
+
+    @property
+    def m(self):
+        return len(self.modes)
 
     @property
     def max_frequency(self):
@@ -79,11 +82,12 @@ class CurrentBasis:
         return hasher.hexdigest()[:16]
 
 
-def build_basis(domain, m, mesh=None):
-    """Trigonometric basis of size m with frequencies 1..ceil(m/2).
+def build_basis(mesh, m):
+    """Trigonometric basis of size m with frequencies 1..ceil(m/2) on the
+    measurement arc of the mesh's domain.
 
-    Warns when the boundary discretization falls below eight edges per
-    period of the highest frequency.
+    Warns when the mesh has fewer than eight edges on gamma per period of
+    the highest frequency.
     """
     if m < 1:
         raise NDError("basis size m must be >= 1")
@@ -94,15 +98,10 @@ def build_basis(domain, m, mesh=None):
         if len(modes) < m:
             modes.append(("cos", freq))
         freq += 1
-    basis = CurrentBasis(domain=domain, m=m, modes=tuple(modes))
+    basis = CurrentBasis(domain=mesh.domain, modes=tuple(modes))
 
-    if mesh is not None:
-        n_edges = int(np.sum(mesh.boundary_on_gamma))
-    elif domain.shape == "disk":
-        n_edges = int(domain.disk_segments * domain.gamma_fraction)
-    else:
-        n_edges = None
-    if n_edges is not None and n_edges < 8 * basis.max_frequency:
+    n_edges = int(np.sum(mesh.boundary_on_gamma))
+    if n_edges < 8 * basis.max_frequency:
         warnings.warn(
             f"basis frequency {basis.max_frequency} underresolved: "
             f"{n_edges} boundary edges on gamma (< 8 per period)",
@@ -170,13 +169,11 @@ class NDMatrix:
 class GammaData:
     """Paint-independent part of every ND map on one (mesh, basis) pair:
     the mesh's `fem.MeshTerms`, the basis loads on the measurement-arc
-    vertices (`fem.gamma_loads`), the density means and the Gram matrix
-    (read-only arrays)."""
+    vertices (`fem.gamma_loads`) and the Gram matrix (read-only arrays)."""
 
     terms: fem.MeshTerms
     vertices: np.ndarray
     loads: np.ndarray          # (len(vertices), m)
-    means: np.ndarray
     gram: np.ndarray
     mesh_hash: str
     basis_hash: str
@@ -191,27 +188,22 @@ def gamma_data(mesh, basis):
     key = (mesh.provenance(), basis.provenance())
 
     def build():
-        loads, means = fem.gamma_loads(
-            mesh, [basis.density(k) for k in range(basis.m)])
+        loads = fem.gamma_loads(mesh, [basis.density(k) for k in range(basis.m)])
         terms = fem.mesh_terms(mesh)
         return GammaData(terms=terms, vertices=terms.gamma_vertices,
-                         loads=loads, means=means, gram=basis.gram(mesh),
+                         loads=loads, gram=basis.gram(mesh),
                          mesh_hash=key[0], basis_hash=key[1])
 
     return fem.memo(_GAMMA_DATA, key, build)
 
 
-def nd_matrix(mesh, fld, basis, rtol=1e-10):
-    """ND matrix of a coefficient field: one block solve over all basis
-    densities, then the trace pairings B^T U of loads against potentials.
-    Only the painting-dependent work runs per call; the loads and the Gram
-    matrix come from `gamma_data`.  Raises NDError when the field lives on
-    a mesh of another geometry."""
-    gd = gamma_data(mesh, basis)
-    if fld.mesh.provenance() != gd.mesh_hash:
-        raise NDError("coefficient field is not on the given mesh")
-    dofmap = fem.build_dof_map(fld.mesh)
-    system = fem.assemble(fld.mesh, fld, dofmap)
+def nd_matrix(fld, basis, rtol=1e-10):
+    """ND matrix of a coefficient field on its mesh: one block solve over
+    all basis densities, then the trace pairings B^T U of loads against
+    potentials.  Only the painting-dependent work runs per call; the loads
+    and the Gram matrix come from `gamma_data`."""
+    gd = gamma_data(fld.mesh, basis)
+    system = fem.assemble(fld, fem.build_dof_map(fld.mesh))
     return _solve_and_pair(system, gd, fld.provenance(), rtol)
 
 
@@ -221,7 +213,7 @@ def _solve_and_pair(system, gd, field_hash, rtol):
     `MAX_ASYMMETRY` gates."""
     b = np.zeros((system.n, gd.loads.shape[1]))
     b[system.dofmap.dof_of_vertex[gd.vertices]] = gd.loads
-    block = fem.NeumannLoad(b=b, density_mean=gd.means)
+    block = fem.NeumannLoad(b=b)
     try:
         sol = fem.solve_neumann(system, block, rtol=rtol)
     except fem.SolverError as exc:
@@ -480,7 +472,7 @@ def nd_extreme(mesh, test, kind, gamma0, basis, rtol=1e-10):
         raise NDError(f"unknown extreme kind {kind!r}")
     target = "D0" if kind == "insulating" else "Dinf"
     fld = painted_field(mesh, [(test, target)], gamma0)
-    return nd_matrix(mesh, fld, basis, rtol=rtol)
+    return nd_matrix(fld, basis, rtol=rtol)
 
 
 def perturb_symmetric(nd, rel_magnitude, seed):
@@ -492,6 +484,6 @@ def perturb_symmetric(nd, rel_magnitude, seed):
     s = rng.standard_normal(nd.matrix.shape)
     noise = 0.5 * (s + s.T)
     noise *= rel_magnitude * np.linalg.norm(nd.matrix) / np.linalg.norm(noise)
-    return NDMatrix(matrix=nd.matrix + noise, gram=nd.gram,
+    return NDMatrix(matrix=nd.matrix + noise, gram=nd.gram.copy(),
                     asymmetry=nd.asymmetry, field_hash=nd.field_hash + "+noise",
                     mesh_hash=nd.mesh_hash, basis_hash=nd.basis_hash)

@@ -55,19 +55,21 @@ _GL8_X = 0.5 * (_GL8_X + 1.0)
 _GL8_W = 0.5 * _GL8_W
 
 
-def brute_force_nd(mesh, fld, basis, max_vertices=2000):
-    """Reference ND matrix through an independent dense pipeline.
+def brute_force_nd(fld, basis, max_vertices=2000):
+    """Reference ND matrix of a field on its mesh through an independent
+    dense pipeline.
 
     Guarded to small meshes; raises ValueError beyond ``max_vertices``.
     """
+    mesh = fld.mesh
     if mesh.num_vertices > max_vertices:
         raise ValueError(
             f"brute-force path guarded to {max_vertices} vertices "
             f"(mesh has {mesh.num_vertices})")
 
-    dofmap = fem.build_dof_map(fld.mesh)
+    dofmap = fem.build_dof_map(mesh)
     n = dofmap.n_dofs
-    region = fld.mesh.triangle_region
+    region = mesh.triangle_region
     sigma_int = fld.element_integrals()
 
     # Dense assembly with per-triangle barycentric gradients obtained by

@@ -27,14 +27,13 @@ reported); enclosed pockets of outside cells are filled afterwards so the
 result keeps outer-shape semantics.
 """
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import polygons as pg
 from .fem import ConfigurationError
-from .geometry import connected_labels, part_faults, pixel_family
+from .geometry import connected_labels, part_faults
 from .monotonicity import MonotonicityVerdict, psd_test
 from .ndmap import PaintTemplate
 
@@ -46,7 +45,6 @@ VISIBILITY_FLOOR = 1e-9
 @dataclass
 class ReconstructionResult:
     grid_n: int
-    roi: tuple
     inside: np.ndarray            # (grid_n, grid_n) bool, indexed [ix, iy]
     indeterminate: list
     verdicts: list
@@ -54,10 +52,6 @@ class ReconstructionResult:
     box_upper: tuple = None
     jaccard: float = None
     filled_cells: int = 0
-    wall_time: float = 0.0
-    tau: float = 0.0
-    tau_rel: float = 0.0
-    side: str = "both"
     cell_errors: list = field(default_factory=list)   # (cell, sign, message)
     n_factor: int = 0             # ND maps the scan factored
 
@@ -204,11 +198,11 @@ class _Scanner:
         return abs(self.below(sign, nd_bg, self.paint(sign, {cell}, set())))
 
 
-def reconstruct(nd_gamma, domain, mesh, gamma0, basis, grid_n,
-                tau=DEFAULT_TAU_ABS, side="both", family=None,
-                truth_regions=None, rtol=1e-10,
-                tau_rel=DEFAULT_TAU_REL):
-    """Mark each scan cell inside or outside the recovered outer shape.
+def reconstruct(nd_gamma, mesh, family, gamma0, basis,
+                tau=DEFAULT_TAU_ABS, side="both", truth_regions=None,
+                rtol=1e-10, tau_rel=DEFAULT_TAU_REL):
+    """Mark each cell of the pixel family's grid inside or outside the
+    recovered outer shape.
 
     ``tau`` gates the absolute cover tests (relative to the data map's Gram
     norm); ``tau_rel`` is the per-cell fraction of that cell's own
@@ -217,18 +211,15 @@ def reconstruct(nd_gamma, domain, mesh, gamma0, basis, grid_n,
     """
     if side not in ("both", "lower_only", "upper_only"):
         raise ValueError(f"unknown side {side!r}")
-    t_start = time.perf_counter()
-    fam = family if family is not None else pixel_family(domain, grid_n)
-    if fam.grid_n != grid_n:
-        raise ValueError("family grid does not match grid_n")
-
-    scanner = _Scanner(nd_gamma, mesh, fam, gamma0, basis, rtol)
+    grid_n = family.grid_n
+    scanner = _Scanner(nd_gamma, mesh, family, gamma0, basis, rtol)
     nd_bg = scanner.nd_painted(set(), set())
 
     # Indeterminate cells: no admissible pixel position (e.g. the cell is
     # not compactly inside the domain).  Conservatively inside.
     cells = [(i, j) for i in range(grid_n) for j in range(grid_n)]
-    faults = part_faults(domain, [fam.cell_polygon(i, j) for i, j in cells])
+    faults = part_faults(family.domain,
+                         [family.cell_polygon(i, j) for i, j in cells])
     indeterminate = [cell for cell, fault in zip(cells, faults) if fault]
     scannable = set(cells) - set(indeterminate)
 
@@ -282,22 +273,20 @@ def reconstruct(nd_gamma, domain, mesh, gamma0, basis, grid_n,
             lambda_min_insulating=float(lo[0]),
             lambda_min_conducting=float(hi[0]),
             pass_insulating=bool(lo[2]),
-            pass_conducting=bool(hi[2]),
-            side=side))
+            pass_conducting=bool(hi[2])))
 
     inside, n_filled = fill_enclosed(~inside)
 
     jac = None
     if truth_regions is not None:
-        truth = rasterize_truth(truth_regions, fam)
+        truth = rasterize_truth(truth_regions, family)
         jac = jaccard_index(inside, truth)
 
     return ReconstructionResult(
-        grid_n=grid_n, roi=fam.roi, inside=inside,
+        grid_n=grid_n, inside=inside,
         indeterminate=indeterminate, verdicts=verdicts,
         box_lower=box_lower, box_upper=box_upper, jaccard=jac,
-        filled_cells=n_filled, wall_time=time.perf_counter() - t_start,
-        tau=tau, tau_rel=tau_rel, side=side, cell_errors=cell_errors,
+        filled_cells=n_filled, cell_errors=cell_errors,
         n_factor=len(scanner._nd_cache))
 
 

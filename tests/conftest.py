@@ -26,13 +26,13 @@ def disk_field(disk_mesh):
 
 
 @pytest.fixture(scope="session")
-def basis8(disk, disk_mesh):
-    return build_basis(disk, 8, mesh=disk_mesh)
+def basis8(disk_mesh):
+    return build_basis(disk_mesh, 8)
 
 
 @pytest.fixture(scope="session")
-def nd_homogeneous(disk_mesh, disk_field, basis8):
-    return nd_matrix(disk_mesh, disk_field, basis8)
+def nd_homogeneous(disk_field, basis8):
+    return nd_matrix(disk_field, basis8)
 
 
 @pytest.fixture(scope="session")

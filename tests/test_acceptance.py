@@ -51,8 +51,8 @@ def test_criterion_1_forward_oracle(disk_dom):
     t0 = time.perf_counter()
     mesh = triangulate(disk_dom, target_h=0.02)
     fld = CoefficientField(mesh=mesh, gamma0=1.0)
-    basis = build_basis(disk_dom, 16, mesh=mesh)
-    nd = nd_matrix(mesh, fld, basis)
+    basis = build_basis(mesh, 16)
+    nd = nd_matrix(fld, basis)
     eigs = np.sort(nd.generalized_eigenvalues())[::-1]
     worst = 0.0
     for n in range(1, 7):
@@ -77,8 +77,8 @@ def test_criterion_2_extreme_inclusions(disk_dom):
         regions, _ = phantoms.concentric_disk(0.5, kind, 128)
         mesh = triangulate(disk_dom, regions, target_h=0.02)
         fld = build_field(mesh, {"background": 1.0})
-        basis = build_basis(disk_dom, 16, mesh=mesh)
-        nd = nd_matrix(mesh, fld, basis)
+        basis = build_basis(mesh, 16)
+        nd = nd_matrix(fld, basis)
         eigs = np.sort(nd.generalized_eigenvalues())[::-1]
         for n in range(1, 5):
             lam = disk_nd_eigenvalue(n, 0.5, kappa)
@@ -92,11 +92,11 @@ def test_criterion_2_extreme_inclusions(disk_dom):
 def test_criterion_3_bracketing_chain(disk_dom, fam8):
     regions, mesh, fld = phantom_field(disk_dom, "weighted_annulus", 0.07,
                                        fam8.grid_segments())
-    basis = build_basis(disk_dom, 16, mesh=mesh)
-    nd = nd_matrix(mesh, fld, basis)
+    basis = build_basis(mesh, 16)
+    nd = nd_matrix(fld, basis)
     low, up = bracket_coefficients(fld)
-    nd_low = nd_matrix(mesh, low, basis)
-    nd_up = nd_matrix(mesh, up, basis)
+    nd_low = nd_matrix(low, basis)
+    nd_up = nd_matrix(up, basis)
     window = fam8.whole_window()
     nd0 = nd_extreme(mesh, window, "insulating", 1.0, basis)
     ndinf = nd_extreme(mesh, window, "conducting", 1.0, basis)
@@ -104,8 +104,8 @@ def test_criterion_3_bracketing_chain(disk_dom, fam8):
 
     regions2, mesh2, fld2 = phantom_field(disk_dom, "plain_annulus", 0.07,
                                           fam8.grid_segments())
-    basis2 = build_basis(disk_dom, 16, mesh=mesh2)
-    nd2 = nd_matrix(mesh2, fld2, basis2)
+    basis2 = build_basis(mesh2, 16)
+    nd2 = nd_matrix(fld2, basis2)
     low2, up2 = bracket_coefficients(fld2)
     nd02 = nd_extreme(mesh2, window, "insulating", 1.0, basis2)
     ndinf2 = nd_extreme(mesh2, window, "conducting", 1.0, basis2)
@@ -125,8 +125,8 @@ def test_criterion_4_containment_direction(disk_dom, fam8):
     for name in phantoms.REGRESSION_PHANTOMS:
         regions, mesh, fld = phantom_field(disk_dom, name, 0.09,
                                            fam8.grid_segments())
-        basis = build_basis(disk_dom, 10, mesh=mesh)
-        nd = nd_matrix(mesh, fld, basis)
+        basis = build_basis(mesh, 10)
+        nd = nd_matrix(fld, basis)
         side = "lower_only" if phantoms.negative_only(name) else "both"
 
         # scanned members that contain the phantom: the whole window plus
@@ -163,10 +163,10 @@ def test_criterion_5_reconstruction(disk_dom, fam8):
     for name, floor in FROZEN_BASELINES.items():
         regions, mesh, fld = phantom_field(disk_dom, name, 0.08,
                                            fam8.grid_segments())
-        basis = build_basis(disk_dom, 16, mesh=mesh)
-        nd = nd_matrix(mesh, fld, basis)
-        res = reconstruct(nd, disk_dom, mesh, 1.0, basis, 8, tau=1e-5,
-                          side="both", family=fam8, truth_regions=regions)
+        basis = build_basis(mesh, 16)
+        nd = nd_matrix(fld, basis)
+        res = reconstruct(nd, mesh, fam8, 1.0, basis, tau=1e-5,
+                          side="both", truth_regions=regions)
         details.append(f"{name}={res.jaccard:.3f}(floor {floor})")
         ok &= res.jaccard >= floor - 1e-9
         ok &= res.jaccard >= 0.7    # design target
@@ -177,10 +177,10 @@ def test_criterion_5_reconstruction(disk_dom, fam8):
     for name, m in (("insulating_disk", 16), ("two_blob_mixed", 24)):
         regions, mesh, fld = phantom_field(half, name, 0.08,
                                            fam_half.grid_segments())
-        basis = build_basis(half, m, mesh=mesh)
-        nd = nd_matrix(mesh, fld, basis)
-        res = reconstruct(nd, half, mesh, 1.0, basis, 8, tau=1e-5,
-                          side="both", family=fam_half, truth_regions=regions)
+        basis = build_basis(mesh, m)
+        nd = nd_matrix(fld, basis)
+        res = reconstruct(nd, mesh, fam_half, 1.0, basis, tau=1e-5,
+                          side="both", truth_regions=regions)
         from eitmono.polygons import point_in_polygon
         cx, cy = fam_half.cell_centers()
         for label, plist in regions.polys.items():
@@ -199,9 +199,9 @@ def test_criterion_6_two_path_equivalence(disk_dom):
                  "weighted_annulus", "two_blob_mixed"):
         regions, mesh, fld = phantom_field(disk_dom, name, 0.1)
         assert mesh.num_vertices <= 2000
-        basis = build_basis(disk_dom, 8, mesh=mesh)
-        nd = nd_matrix(mesh, fld, basis)
-        brute = brute_force_nd(mesh, fld, basis)
+        basis = build_basis(mesh, 8)
+        nd = nd_matrix(fld, basis)
+        brute = brute_force_nd(fld, basis)
         rel = float(np.linalg.norm(brute.matrix - nd.matrix)
                     / np.linalg.norm(nd.matrix))
         worst = max(worst, rel)
@@ -216,13 +216,13 @@ def test_criterion_7_discrete_monotonicity(disk_dom):
     p2 = pg.regular_polygon((0.3, 0.0), 0.22, 24)
     regions = RegionSet(polys={"DFminus": [p1], "DFplus": [p2]})
     mesh = triangulate(disk_dom, regions, target_h=0.12)
-    basis = build_basis(disk_dom, 6, mesh=mesh)
+    basis = build_basis(mesh, 6)
     rng = np.random.default_rng(2024)
     worst = np.inf
     for _ in range(25):
         f1, f2 = ordered_field_pair(mesh, rng)
-        nd1 = nd_matrix(mesh, f1, basis)
-        nd2 = nd_matrix(mesh, f2, basis)
+        nd1 = nd_matrix(f1, basis)
+        nd2 = nd_matrix(f2, basis)
         lam, ok = psd_test(nd1, nd2, tau=1e-7)
         worst = min(worst, lam / nd2.gnorm())
         if not ok:
@@ -250,8 +250,8 @@ def test_criterion_9_energy_identities(disk_dom):
     for name in ("homogeneous", "insulating_disk", "weighted_annulus"):
         regions, mesh, fld = phantom_field(disk_dom, name, 0.1)
         dofmap = fem.build_dof_map(fld.mesh)
-        system = fem.assemble(fld.mesh, fld, dofmap)
-        basis = build_basis(disk_dom, 6, mesh=mesh)
+        system = fem.assemble(fld, dofmap)
+        basis = build_basis(mesh, 6)
         for k in range(basis.m):
             load = fem.neumann_load(fld.mesh, dofmap, basis.density(k))
             sol = fem.solve_neumann(system, load)
@@ -275,13 +275,12 @@ def test_criterion_10_one_sided_variant(disk_dom, fam8):
     regions, mesh, fld = phantom_field(disk_dom, "insulating_pair", 0.09,
                                        fam8.grid_segments())
     assert phantoms.negative_only("insulating_pair")
-    basis = build_basis(disk_dom, 12, mesh=mesh)
-    nd = nd_matrix(mesh, fld, basis)
-    res_both = reconstruct(nd, disk_dom, mesh, 1.0, basis, 8, tau=1e-5,
-                           side="both", family=fam8, truth_regions=regions)
-    res_lower = reconstruct(nd, disk_dom, mesh, 1.0, basis, 8, tau=1e-5,
-                            side="lower_only", family=fam8,
-                            truth_regions=regions)
+    basis = build_basis(mesh, 12)
+    nd = nd_matrix(fld, basis)
+    res_both = reconstruct(nd, mesh, fam8, 1.0, basis, tau=1e-5,
+                           side="both", truth_regions=regions)
+    res_lower = reconstruct(nd, mesh, fam8, 1.0, basis, tau=1e-5,
+                            side="lower_only", truth_regions=regions)
     equal = np.array_equal(res_both.inside, res_lower.inside)
     report("10 one-sided-variant",
            equal and res_both.box_upper is None,

@@ -198,20 +198,27 @@ class TestConfigErrors:
         assert main(["forward", "--config", str(path),
                      "--out", str(tmp_path / "o")]) == 2
 
-    @pytest.mark.parametrize("overrides, entry", [
-        ({"basis": {"m": "x"}}, "basis.m"),
-        ({"domain": {"shape": "disk", "gamma_arc": [0.5]}}, "domain.gamma_arc"),
-        ({"phantom": None,
+    @pytest.mark.parametrize("command, overrides, entry", [
+        ("reconstruct", {"basis": {"m": "x"}}, "basis.m"),
+        ("reconstruct", {"domain": {"shape": "disk", "gamma_arc": [0.5]}},
+         "domain.gamma_arc"),
+        ("reconstruct",
+         {"phantom": None,
           "regions": {"Ddeg": [[[-0.2, -0.2], [0.2, -0.2], [0.2, 0.2],
                                 [-0.2, 0.2]]]},
           "coefficient": {"Ddeg": {"kind": "radial_power",
                                    "center": [0.0, 0.0]}}}, "coefficient.Ddeg"),
-        ({"scan": {"grid_n": 8, "roi": [0, 0, 1]}}, "scan.roi"),
+        ("reconstruct", {"scan": {"grid_n": 8, "roi": [0, 0, 1]}}, "scan.roi"),
+        ("calibrate", {"calibrate": {"h": 0.12}}, "calibrate.h"),
+        ("calibrate", {"calibrate": {"m": [6, "8"]}}, "calibrate.m"),
+        ("calibrate", {"calibrate": {"tau": ["1e-5"]}}, "calibrate.tau"),
+        ("reconstruct", {"measurements_file": 5}, "measurements_file"),
     ], ids=["non_integer_m", "short_gamma_arc", "weight_without_exponent",
-            "short_roi"])
-    def test_malformed_value(self, tmp_path, capsys, overrides, entry):
+            "short_roi", "scalar_calibrate_h", "string_calibrate_m",
+            "string_calibrate_tau", "numeric_measurements_file"])
+    def test_malformed_value(self, tmp_path, capsys, command, overrides, entry):
         cfg = write_config(tmp_path, **overrides)
-        assert main(["reconstruct", "--config", str(cfg),
+        assert main([command, "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "config error:" in err

@@ -47,7 +47,7 @@ def cos_theta(p):
 @pytest.fixture(scope="module")
 def homogeneous_system(disk_mesh, disk_field):
     dofmap = fem.build_dof_map(disk_mesh)
-    system = fem.assemble(disk_mesh, disk_field, dofmap)
+    system = fem.assemble(disk_field, dofmap)
     return dofmap, system
 
 
@@ -114,19 +114,19 @@ class TestAssembly:
 
     def test_scaling_linearity(self, disk_mesh):
         dm = fem.build_dof_map(disk_mesh)
-        a1 = fem.assemble(disk_mesh, CoefficientField(mesh=disk_mesh, gamma0=1.0), dm)
-        a2 = fem.assemble(disk_mesh, CoefficientField(mesh=disk_mesh, gamma0=2.0), dm)
+        a1 = fem.assemble(CoefficientField(mesh=disk_mesh, gamma0=1.0), dm)
+        a2 = fem.assemble(CoefficientField(mesh=disk_mesh, gamma0=2.0), dm)
         diff = abs(a2.matrix - 2.0 * a1.matrix).max()
         assert diff < 1e-14 * abs(a1.matrix).max()
 
     def test_grounded_kernel(self, disk):
         mesh = triangulate(disk, target_h=0.25)
         dm = fem.build_dof_map(mesh)
-        sys1 = fem.assemble(mesh, CoefficientField(mesh=mesh, gamma0=1.0), dm)
+        sys1 = fem.assemble(CoefficientField(mesh=mesh, gamma0=1.0), dm)
         vals = np.linalg.eigvalsh(sys1.matrix.toarray())
         assert abs(vals[0]) < 1e-12          # constants
         assert vals[1] > 1e-6                # discrete Poincare gap
-        sys2 = fem.assemble(mesh, CoefficientField(mesh=mesh, gamma0=3.0), dm)
+        sys2 = fem.assemble(CoefficientField(mesh=mesh, gamma0=3.0), dm)
         vals2 = np.linalg.eigvalsh(sys2.matrix.toarray())
         assert vals2[1] > vals[1]            # monotone under sigma scaling
 
@@ -172,7 +172,7 @@ class TestSolve:
         load = fem.neumann_load(disk_mesh, dm, cos_theta)
         sol = fem.solve_neumann(system, load)
         assert abs(float(system.constraint @ sol.u)) < 1e-10
-        bad = fem.NeumannLoad(b=np.ones(system.n), density_mean=0.0)
+        bad = fem.NeumannLoad(b=np.ones(system.n))
         with pytest.raises(fem.SolverError):
             fem.solve_neumann(system, bad)
 
@@ -226,7 +226,7 @@ def test_trace_convergence_rate():
         mesh = triangulate(dom, target_h=h)
         fld = CoefficientField(mesh=mesh, gamma0=1.0)
         dm = fem.build_dof_map(mesh)
-        system = fem.assemble(mesh, fld, dm)
+        system = fem.assemble(fld, dm)
         load = fem.neumann_load(mesh, dm, cos_theta)
         sol = fem.solve_neumann(system, load)
         uv = dm.expand(sol.u, fill=np.nan)
@@ -301,7 +301,7 @@ def test_vectorized_loads_match_edge_loop(phantom, arc):
     c = fem.gamma_mass_vector(mesh, dm)
     ref_c = reference_gamma_mass(mesh, dm)
     assert np.abs(c - ref_c).max() <= 1e-13 * np.abs(ref_c).max()
-    basis = build_basis(dom, 8, mesh=mesh)
+    basis = build_basis(mesh, 8)
     for f in [basis.density(k) for k in range(8)] + [cos_theta]:
         b = fem.neumann_load(mesh, dm, f).b
         ref = reference_load(mesh, dm, f)
@@ -312,12 +312,11 @@ def test_block_solve_gates_every_column(disk_mesh, homogeneous_system):
     dm, system = homogeneous_system
     good = fem.neumann_load(disk_mesh, dm, cos_theta).b
     block = fem.solve_neumann(system, fem.NeumannLoad(
-        b=np.column_stack([good, 2 * good]), density_mean=np.zeros(2)))
-    single = fem.solve_neumann(system, fem.NeumannLoad(b=good, density_mean=0.0))
+        b=np.column_stack([good, 2 * good])))
+    single = fem.solve_neumann(system, fem.NeumannLoad(b=good))
     assert np.allclose(block.u[:, 0], single.u, rtol=0, atol=1e-14)
     assert np.allclose(block.u[:, 1], 2 * single.u, rtol=0, atol=1e-14)
     assert system.bordered() is system.bordered()
-    bad = fem.NeumannLoad(b=np.column_stack([good, np.ones(system.n)]),
-                          density_mean=np.zeros(2))
+    bad = fem.NeumannLoad(b=np.column_stack([good, np.ones(system.n)]))
     with pytest.raises(fem.SolverError):
         fem.solve_neumann(system, bad)

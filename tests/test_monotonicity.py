@@ -39,7 +39,7 @@ class TestPsd:
 
     def test_transitivity(self, disk_mesh, basis8):
         tau = 1e-7
-        nds = [nd_matrix(disk_mesh, CoefficientField(mesh=disk_mesh, gamma0=g),
+        nds = [nd_matrix(CoefficientField(mesh=disk_mesh, gamma0=g),
                          basis8) for g in (0.5, 1.0, 2.0)]
         _, ab = psd_test(nds[0], nds[1], tau=tau)
         _, bc = psd_test(nds[1], nds[2], tau=tau)
@@ -49,8 +49,8 @@ class TestPsd:
     def test_provenance_mismatch(self, disk, disk_mesh, disk_field, basis8,
                                  nd_homogeneous):
         coarse = triangulate(disk, target_h=0.2)
-        basis_c = build_basis(disk, 8, mesh=coarse)
-        nd_c = nd_matrix(coarse, CoefficientField(mesh=coarse, gamma0=1.0), basis_c)
+        basis_c = build_basis(coarse, 8)
+        nd_c = nd_matrix(CoefficientField(mesh=coarse, gamma0=1.0), basis_c)
         with pytest.raises(ProvenanceError):
             psd_test(nd_homogeneous, nd_c)
 
@@ -61,8 +61,8 @@ def disk_phantom_setup(disk, family8):
     mesh = triangulate(disk, regions, target_h=0.1,
                        extra_segments=family8.grid_segments())
     fld = build_field(mesh, spec)
-    basis = build_basis(disk, 8, mesh=mesh)
-    nd = nd_matrix(mesh, fld, basis)
+    basis = build_basis(mesh, 8)
+    nd = nd_matrix(fld, basis)
     return mesh, basis, nd
 
 
@@ -78,8 +78,8 @@ class TestTheoremTest:
     def test_background_passes_everywhere(self, disk, family8):
         mesh = triangulate(disk, target_h=0.12,
                            extra_segments=family8.grid_segments())
-        basis = build_basis(disk, 6, mesh=mesh)
-        nd = nd_matrix(mesh, CoefficientField(mesh=mesh, gamma0=1.0), basis)
+        basis = build_basis(mesh, 6)
+        nd = nd_matrix(CoefficientField(mesh=mesh, gamma0=1.0), basis)
         for member in family8.cell_members(0, 0):
             v = theorem_test(nd, member, mesh, 1.0, basis, tau=1e-6)
             assert v.pass_both
@@ -116,7 +116,7 @@ class TestTheoremTest:
         # growing the test set can only help both inequalities
         mesh = triangulate(disk, target_h=0.12,
                            extra_segments=family8.grid_segments())
-        basis = build_basis(disk, 6, mesh=mesh)
+        basis = build_basis(mesh, 6)
         small = TestInclusion(id="s", parts=(family8.cell_polygon(3, 3),))
         big = TestInclusion(id="b", parts=(family8.cell_polygon(3, 3),
                                            family8.cell_polygon(4, 3),
@@ -138,11 +138,11 @@ def chain_setup(disk, family8):
     mesh = triangulate(disk, regions, target_h=0.09,
                        extra_segments=family8.grid_segments())
     fld = build_field(mesh, spec)
-    basis = build_basis(disk, 8, mesh=mesh)
-    nd = nd_matrix(mesh, fld, basis)
+    basis = build_basis(mesh, 8)
+    nd = nd_matrix(fld, basis)
     low, up = bracket_coefficients(fld)
-    nd_low = nd_matrix(mesh, low, basis)
-    nd_up = nd_matrix(mesh, up, basis)
+    nd_low = nd_matrix(low, basis)
+    nd_up = nd_matrix(up, basis)
     window = family8.whole_window()
     nd0 = nd_extreme(mesh, window, "insulating", 1.0, basis)
     ndinf = nd_extreme(mesh, window, "conducting", 1.0, basis)
@@ -166,8 +166,8 @@ class TestBracketingChain:
     def test_map_from_another_mesh_rejected(self, disk, chain_setup, slot):
         coarse = triangulate(disk, target_h=0.2)
         maps = list(chain_setup)
-        maps[slot] = nd_matrix(coarse, CoefficientField(mesh=coarse, gamma0=1.0),
-                               build_basis(disk, 8, mesh=coarse))
+        maps[slot] = nd_matrix(CoefficientField(mesh=coarse, gamma0=1.0),
+                               build_basis(coarse, 8))
         with pytest.raises(ProvenanceError):
             bracketing_chain(*maps, tau=1e-4)
 
@@ -176,8 +176,8 @@ class TestBracketingChain:
         mesh = triangulate(disk, regions, target_h=0.1,
                            extra_segments=family8.grid_segments())
         fld = build_field(mesh, spec)
-        basis = build_basis(disk, 8, mesh=mesh)
-        nd = nd_matrix(mesh, fld, basis)
+        basis = build_basis(mesh, 8)
+        nd = nd_matrix(fld, basis)
         low, up = bracket_coefficients(fld)
         assert low is fld and up is fld
         window = family8.whole_window()

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from eitmono import fem, phantoms
 from eitmono.coefficient import CoefficientField
-from eitmono.geometry import TestInclusion, triangulate
+from eitmono.geometry import TestInclusion, build_domain, triangulate
 from eitmono.monotonicity import psd_test
 from eitmono.ndmap import (BasisResolutionWarning, CurrentBasis, NDError,
                            NDMatrix, PaintTemplate, build_basis, gamma_data,
@@ -50,18 +50,19 @@ class TestBasis:
         assert np.abs(off).max() < 1e-6
         assert np.all(np.linalg.eigvalsh(g) > 0)
 
-    def test_half_arc_single_mode(self, disk_mesh):
-        dom = type(disk_mesh.domain)(shape="disk", gamma_span=(0.0, 0.5))
-        basis = build_basis(dom, 1)
+    def test_half_arc_single_mode(self):
+        half_arc_mesh = triangulate(build_domain("disk", (0.0, 0.5)), target_h=0.2)
+        basis = build_basis(half_arc_mesh, 1)
         assert basis.modes == (("sin", 1),)
 
-    def test_nyquist_warning(self, disk):
+    def test_nyquist_warning(self, disk_mesh):
+        # 256 edges on gamma, below 8 per period of frequency 40
         with pytest.warns(BasisResolutionWarning):
-            build_basis(disk, 80)
+            build_basis(disk_mesh, 80)
 
-    def test_m_guard(self, disk):
+    def test_m_guard(self, disk_mesh):
         with pytest.raises(NDError):
-            build_basis(disk, 0)
+            build_basis(disk_mesh, 0)
 
 
 class TestNDMatrix:
@@ -70,8 +71,7 @@ class TestNDMatrix:
         assert np.allclose(nd.matrix, nd.matrix.T)
         assert nd.asymmetry < 1e-7
 
-    def test_asymmetric_solve_raises(self, disk_mesh, disk_field, basis8,
-                                     monkeypatch):
+    def test_asymmetric_solve_raises(self, disk_field, basis8, monkeypatch):
         real = fem.solve_neumann
 
         def skewed(system, load, rtol=1e-10):
@@ -82,7 +82,7 @@ class TestNDMatrix:
 
         monkeypatch.setattr(fem, "solve_neumann", skewed)
         with pytest.raises(NDError, match="asymmetry"):
-            nd_matrix(disk_mesh, disk_field, basis8)
+            nd_matrix(disk_field, basis8)
 
     def test_diagonal_matches_inverse_frequency(self, nd_homogeneous):
         eigs = np.sort(nd_homogeneous.generalized_eigenvalues())[::-1]
@@ -92,7 +92,7 @@ class TestNDMatrix:
 
     def test_background_scaling(self, disk_mesh, basis8, nd_homogeneous):
         fld = CoefficientField(mesh=disk_mesh, gamma0=2.5)
-        nd = nd_matrix(disk_mesh, fld, basis8)
+        nd = nd_matrix(fld, basis8)
         assert np.allclose(nd.matrix, nd_homogeneous.matrix / 2.5, rtol=1e-9)
 
     def test_quadratic_form_identity(self, disk_mesh, disk_field, basis8):
@@ -100,8 +100,8 @@ class TestNDMatrix:
         # corresponding solve
         from eitmono import fem
         dm = fem.build_dof_map(disk_mesh)
-        system = fem.assemble(disk_mesh, disk_field, dm)
-        nd = nd_matrix(disk_mesh, disk_field, basis8)
+        system = fem.assemble(disk_field, dm)
+        nd = nd_matrix(disk_field, basis8)
         for k in (0, 3):
             load = fem.neumann_load(disk_mesh, dm, basis8.density(k))
             sol = fem.solve_neumann(system, load)
@@ -133,7 +133,7 @@ class TestExtremeMaps:
     def test_concentric_eigenvalues(self, disk):
         regions, _ = phantoms.concentric_disk(0.5, "D0", 96)
         mesh = triangulate(disk, regions, target_h=0.06)
-        basis = build_basis(disk, 8, mesh=mesh)
+        basis = build_basis(mesh, 8)
         circle = TestInclusion(id="rho", parts=(pg.regular_polygon((0, 0), 0.5, 96),))
         nd0 = nd_extreme(mesh, circle, "insulating", 1.0, basis)
         ndinf = nd_extreme(mesh, circle, "conducting", 1.0, basis)
@@ -154,8 +154,8 @@ class TestExtremeMaps:
         mesh = triangulate(disk, target_h=0.1,
                            extra_segments=family8.grid_segments())
         fld = CoefficientField(mesh=mesh, gamma0=1.0)
-        basis = build_basis(disk, 8, mesh=mesh)
-        nd_bg = nd_matrix(mesh, fld, basis)
+        basis = build_basis(mesh, 8)
+        nd_bg = nd_matrix(fld, basis)
         for member in (family8.whole_window(),
                        TestInclusion(id="c", parts=(family8.cell_polygon(3, 3),))):
             nd0 = nd_extreme(mesh, member, "insulating", 1.0, basis)
@@ -191,12 +191,12 @@ class TestCoefficientMonotonicity:
         p2 = pg.regular_polygon((0.3, 0.0), 0.22, 24)
         regions = RegionSet(polys={"DFminus": [p1], "DFplus": [p2]})
         mesh = triangulate(disk, regions, target_h=0.12)
-        basis = build_basis(disk, 6, mesh=mesh)
+        basis = build_basis(mesh, 6)
         rng = np.random.default_rng(17)
         for _ in range(5):
             f1, f2 = ordered_field_pair(mesh, rng)
-            nd_small = nd_matrix(mesh, f1, basis)
-            nd_big = nd_matrix(mesh, f2, basis)
+            nd_small = nd_matrix(f1, basis)
+            nd_big = nd_matrix(f2, basis)
             lam, ok = psd_test(nd_small, nd_big, tau=1e-7)
             assert ok, lam
 
@@ -208,21 +208,21 @@ class TestCoefficientMonotonicity:
         p2 = pg.regular_polygon((0.28, -0.15), 0.15, 24)
         regions = RegionSet(polys={"D0": [p1], "Dinf": [p2]})
         mesh = triangulate(disk, regions, target_h=0.12)
-        basis = build_basis(disk, 6, mesh=mesh)
+        basis = build_basis(mesh, 6)
         f_small = CoefficientField(mesh=mesh.relabeled({"Dinf": "DFplus"}),
                                    gamma0=1.0, finite_values={"DFplus": 2.0})
         f_big = CoefficientField(mesh=mesh.relabeled({"D0": "DFminus"}),
                                  gamma0=1.0, finite_values={"DFminus": 0.5})
-        nd_small = nd_matrix(mesh, f_small.validate(), basis)
-        nd_big = nd_matrix(mesh, f_big.validate(), basis)
+        nd_small = nd_matrix(f_small.validate(), basis)
+        nd_big = nd_matrix(f_big.validate(), basis)
         lam, ok = psd_test(nd_small, nd_big, tau=1e-7)
         assert ok, lam
 
 
-def test_provenance_gate(disk, disk_mesh, disk_field, basis8, nd_homogeneous):
+def test_provenance_gate(disk_mesh, disk_field, basis8, nd_homogeneous):
     from eitmono.monotonicity import ProvenanceError
-    other_basis = build_basis(disk, 6, mesh=disk_mesh)
-    nd_other = nd_matrix(disk_mesh, disk_field, other_basis)
+    other_basis = build_basis(disk_mesh, 6)
+    nd_other = nd_matrix(disk_field, other_basis)
     with pytest.raises(ProvenanceError):
         psd_test(nd_homogeneous, nd_other)
 
@@ -233,15 +233,15 @@ def test_block_solve_matches_per_load_solves(disk, family8):
 
     mesh = triangulate(disk, target_h=0.1,
                        extra_segments=family8.grid_segments())
-    basis = build_basis(disk, 8, mesh=mesh)
+    basis = build_basis(mesh, 8)
     paint = [(TestInclusion(id="z", parts=(family8.cell_polygon(2, 5),)), "D0"),
              (TestInclusion(id="e", parts=(family8.cell_polygon(5, 2),
                                            family8.cell_polygon(5, 3))), "Dinf")]
     for fld in (CoefficientField(mesh=mesh, gamma0=1.0),
                 painted_field(mesh, paint, 1.0)):
-        nd = nd_matrix(mesh, fld, basis)
+        nd = nd_matrix(fld, basis)
         dm = fem.build_dof_map(fld.mesh)
-        system = fem.assemble(fld.mesh, fld, dm)
+        system = fem.assemble(fld, dm)
         loads = [fem.neumann_load(fld.mesh, dm, basis.density(k))
                  for k in range(basis.m)]
         sols = [fem.solve_neumann(system, ld) for ld in loads]
@@ -265,7 +265,7 @@ def test_shared_loads_match_per_call_loads(grid_mesh, family8, monkeypatch):
     # the cached loads scattered through a painted DOF map equal the
     # per-call neumann_load bit for bit, where DOFs are removed and merged
     mesh = grid_mesh
-    basis = build_basis(family8.domain, 8, mesh=mesh)
+    basis = build_basis(mesh, 8)
     zero = (cells(family8, [(2, 5), (2, 6)], "z"), "D0")
     inf = (cells(family8, [(5, 2), (5, 3)], "e"), "Dinf")
     captured = []
@@ -279,7 +279,7 @@ def test_shared_loads_match_per_call_loads(grid_mesh, family8, monkeypatch):
     for removes, merges in ((False, False), (True, False), (False, True),
                             (True, True)):
         fld = painted_field(mesh, [zero] * removes + [inf] * merges, 1.0)
-        nd_matrix(mesh, fld, basis)
+        nd_matrix(fld, basis)
         system, block = captured[-1]
         dm = system.dofmap
         status = set(dm.vertex_status.tolist())
@@ -288,8 +288,6 @@ def test_shared_loads_match_per_call_loads(grid_mesh, family8, monkeypatch):
         ref = [fem.neumann_load(fld.mesh, dm, basis.density(k))
                for k in range(basis.m)]
         assert np.array_equal(block.b, np.column_stack([ld.b for ld in ref]))
-        assert np.array_equal(block.density_mean,
-                              [ld.density_mean for ld in ref])
         assert np.array_equal(system.constraint,
                               fem.gamma_mass_vector(fld.mesh, dm))
 
@@ -297,7 +295,7 @@ def test_shared_loads_match_per_call_loads(grid_mesh, family8, monkeypatch):
 def test_gamma_data_once_per_mesh_and_basis(disk, grid_mesh, family8,
                                             monkeypatch):
     mesh = grid_mesh
-    b8, b16 = (build_basis(disk, m, mesh=mesh) for m in (8, 16))
+    b8, b16 = (build_basis(mesh, m) for m in (8, 16))
     other = triangulate(disk, target_h=0.12)
     refs = {m: b.gram(mesh) for m, b in ((8, b8), (16, b16))}
     ref_other = b16.gram(other)
@@ -322,7 +320,7 @@ def test_gamma_data_once_per_mesh_and_basis(disk, grid_mesh, family8,
     assert np.array_equal(gd16.loads[:, :8], gd8.loads)
     assert np.array_equal(gd16.gram, refs[16])
     for fld in (CoefficientField(mesh=mesh, gamma0=1.0), painted):
-        nd = nd_matrix(mesh, fld, b16)
+        nd = nd_matrix(fld, b16)
         assert np.array_equal(nd.gram, refs[16])
     assert gram_calls[calls_before:] == [16]
     # a second mesh gets its own loads and Gram
@@ -334,13 +332,16 @@ def test_gamma_data_once_per_mesh_and_basis(disk, grid_mesh, family8,
 
 
 def test_nd_maps_share_no_mutable_state(disk_mesh, disk_field, basis8):
-    first = nd_matrix(disk_mesh, disk_field, basis8)
+    first = nd_matrix(disk_field, basis8)
     first.gram[0, 0] += 1.0
-    second = nd_matrix(disk_mesh, disk_field, basis8)
+    second = nd_matrix(disk_field, basis8)
+    assert np.array_equal(second.gram, basis8.gram(disk_mesh))
+    noisy = perturb_symmetric(second, 1e-3, seed=0)
+    noisy.gram[0, 0] += 1.0
     assert np.array_equal(second.gram, basis8.gram(disk_mesh))
     gd = gamma_data(disk_mesh, basis8)
     terms = fem.mesh_terms(disk_mesh)
-    for arr in (gd.vertices, gd.loads, gd.means, gd.gram, terms.dots,
+    for arr in (gd.vertices, gd.loads, gd.gram, terms.dots,
                 terms.four_a2, terms.gamma_mass):
         assert not arr.flags.writeable
     with pytest.raises(ValueError):
@@ -355,19 +356,19 @@ def off_center_dfplus_mesh(disk):
 
 
 @pytest.mark.parametrize("contrast", [1e3, 1e5])
-def test_high_contrast_residual_limit(disk, off_center_dfplus_mesh, contrast):
+def test_high_contrast_residual_limit(off_center_dfplus_mesh, contrast):
     # the refined residual floors near 7e-15 * contrast relative to |b|
     # (the roundoff of forming r = b - K x), so at the default rtol 1e-10 a
     # 1e3 contrast passes and a 1e5 contrast is refused, not accepted loosely
     mesh = off_center_dfplus_mesh
-    basis = build_basis(disk, 16, mesh=mesh)
+    basis = build_basis(mesh, 16)
     fld = CoefficientField(mesh=mesh, gamma0=1.0,
                            finite_values={"DFplus": contrast}).validate()
     if contrast < 1e4:
-        assert nd_matrix(mesh, fld, basis).asymmetry < 1e-12
+        assert nd_matrix(fld, basis).asymmetry < 1e-12
     else:
         with pytest.raises(NDError, match="solver residual"):
-            nd_matrix(mesh, fld, basis)
+            nd_matrix(fld, basis)
 
 
 # -- paint template properties ------------------------------------------------
@@ -380,7 +381,7 @@ labelings = st.dictionaries(st.integers(0, 63), st.sampled_from([0, 2]),
 
 @pytest.fixture(scope="module")
 def template(grid_mesh, family8):
-    basis = build_basis(family8.domain, 8, mesh=grid_mesh)
+    basis = build_basis(grid_mesh, 8)
     return PaintTemplate(grid_mesh, family8, 1.0, basis), basis
 
 
@@ -409,6 +410,10 @@ def test_ordered_labelings_give_loewner_ordered_maps(template, lower, raise_by):
     nd_low, nd_up = template_map(tpl, lower), template_map(tpl, upper)
     lam, _ = psd_test(nd_low, nd_up, tau=None)
     assert lam >= -1e-12 * nd_low.gnorm()
+    # each map is exactly symmetric and positive definite in the Gram geometry
+    for nd in (nd_low, nd_up):
+        assert np.array_equal(nd.matrix, nd.matrix.T)
+        assert nd.generalized_eigenvalues()[0] > 0
 
 
 @settings(max_examples=15, deadline=None)
@@ -419,7 +424,7 @@ def test_template_map_matches_direct_path(template, family8, grid_mesh, ranks):
     zero, inf = painted_cells(ranks)
     paint = [(cells(family8, [divmod(c, 8) for c in ids], lab), lab)
              for ids, lab in ((zero, "D0"), (inf, "Dinf")) if ids]
-    ref = nd_matrix(grid_mesh, painted_field(grid_mesh, paint, 1.0), basis)
+    ref = nd_matrix(painted_field(grid_mesh, paint, 1.0), basis)
     assert np.abs(nd.matrix - ref.matrix).max() <= 1e-12 * np.abs(ref.matrix).max()
     assert (nd.field_hash, nd.mesh_hash, nd.basis_hash) == \
         (ref.mesh_hash + "+scan", ref.mesh_hash, ref.basis_hash)
@@ -445,22 +450,14 @@ def test_enclosed_pocket_raises_like_direct_path(template, family8, grid_mesh,
         tpl.system(tpl.codes(zero, inf))
 
 
-def test_field_on_another_mesh_rejected(disk, family8):
-    # the map would be solved on the field's mesh but stamped with the
-    # given mesh's hash: a field on another mesh, or on a rotated copy of
-    # the given one, raises instead
-    meshes = {name: triangulate(disk, phantoms.build_phantom(name)[0],
-                                target_h=0.12,
-                                extra_segments=family8.grid_segments())
-              for name in ("insulating_disk", "two_blob_mixed")}
-    mesh = meshes["insulating_disk"]
-    basis = build_basis(disk, 6, mesh=mesh)
-    quarter_turn = np.array([[0.0, -1.0], [1.0, 0.0]])
-    rotated = dataclasses.replace(mesh, vertices=mesh.vertices @ quarter_turn.T)
-    for other in (meshes["two_blob_mixed"], rotated):
-        with pytest.raises(NDError, match="not on the given mesh"):
-            nd_matrix(mesh, CoefficientField(mesh=other, gamma0=1.0), basis)
-    # a relabeled copy is the same geometry
+def test_map_carries_the_mesh_hash_of_its_field(disk, family8):
+    # a map is solved on its field's mesh and stamped with that mesh's hash;
+    # a relabeled copy and a painting keep the geometry, so the hash stays
+    mesh = triangulate(disk, phantoms.build_phantom("insulating_disk")[0],
+                       target_h=0.12, extra_segments=family8.grid_segments())
+    basis = build_basis(mesh, 6)
     relabeled = mesh.relabeled({"D0": "bg"})
-    nd = nd_matrix(mesh, CoefficientField(mesh=relabeled, gamma0=1.0), basis)
+    nd = nd_matrix(CoefficientField(mesh=relabeled, gamma0=1.0), basis)
     assert nd.mesh_hash == mesh.provenance()
+    painted = painted_field(mesh, [(cells(family8, [(3, 3)], "c"), "D0")], 1.0)
+    assert nd_matrix(painted, basis).mesh_hash == mesh.provenance()

@@ -52,15 +52,14 @@ class TestDiskEigenvalue:
 
 
 class TestBruteForce:
-    def test_homogeneous_two_paths(self, disk_mesh, disk_field, basis8,
-                                   nd_homogeneous):
-        brute = brute_force_nd(disk_mesh, disk_field, basis8)
+    def test_homogeneous_two_paths(self, disk_field, basis8, nd_homogeneous):
+        brute = brute_force_nd(disk_field, basis8)
         rel = np.linalg.norm(brute.matrix - nd_homogeneous.matrix) \
             / np.linalg.norm(nd_homogeneous.matrix)
         assert rel < 1e-8
 
-    def test_brute_matches_oracle_diagonal(self, disk_mesh, disk_field, basis8):
-        brute = brute_force_nd(disk_mesh, disk_field, basis8)
+    def test_brute_matches_oracle_diagonal(self, disk_field, basis8):
+        brute = brute_force_nd(disk_field, basis8)
         eigs = np.sort(brute.generalized_eigenvalues())[::-1]
         for n in (1, 2):
             assert abs(eigs[2 * n - 2] - 1.0 / n) * n < 0.02
@@ -69,9 +68,9 @@ class TestBruteForce:
         regions, spec = phantoms.build_phantom("weighted_annulus")
         mesh = triangulate(disk, regions, target_h=0.1)
         fld = build_field(mesh, spec)
-        basis = build_basis(disk, 8, mesh=mesh)
-        nd = nd_matrix(mesh, fld, basis)
-        brute = brute_force_nd(mesh, fld, basis)
+        basis = build_basis(mesh, 8)
+        nd = nd_matrix(fld, basis)
+        brute = brute_force_nd(fld, basis)
         rel = np.linalg.norm(brute.matrix - nd.matrix) / np.linalg.norm(nd.matrix)
         assert rel < 1e-6
 
@@ -79,15 +78,15 @@ class TestBruteForce:
         regions, spec = phantoms.build_phantom("two_blob_mixed")
         mesh = triangulate(disk, regions, target_h=0.1)
         fld = build_field(mesh, spec)
-        basis = build_basis(disk, 8, mesh=mesh)
-        nd = nd_matrix(mesh, fld, basis)
-        brute = brute_force_nd(mesh, fld, basis)
+        basis = build_basis(mesh, 8)
+        nd = nd_matrix(fld, basis)
+        brute = brute_force_nd(fld, basis)
         rel = np.linalg.norm(brute.matrix - nd.matrix) / np.linalg.norm(nd.matrix)
         assert rel < 1e-6
 
     def test_size_guard(self, disk):
         mesh = triangulate(disk, target_h=0.05)
         fld = build_field(mesh, {"background": 1.0})
-        basis = build_basis(disk, 4, mesh=mesh)
+        basis = build_basis(mesh, 4)
         with pytest.raises(ValueError):
-            brute_force_nd(mesh, fld, basis, max_vertices=2000)
+            brute_force_nd(fld, basis, max_vertices=2000)

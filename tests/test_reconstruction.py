@@ -19,8 +19,8 @@ from conftest import build_field
 
 def make_result(inside):
     inside = np.asarray(inside, dtype=bool)
-    return ReconstructionResult(grid_n=inside.shape[0], roi=(0, 0, 1, 1),
-                                inside=inside, indeterminate=[], verdicts=[])
+    return ReconstructionResult(grid_n=inside.shape[0], inside=inside,
+                                indeterminate=[], verdicts=[])
 
 
 class TestFill:
@@ -98,8 +98,8 @@ def coarse_recon_setup(disk, family8):
     mesh = triangulate(disk, regions, target_h=0.11,
                        extra_segments=family8.grid_segments())
     fld = build_field(mesh, spec)
-    basis = build_basis(disk, 12, mesh=mesh)
-    nd = nd_matrix(mesh, fld, basis)
+    basis = build_basis(mesh, 12)
+    nd = nd_matrix(fld, basis)
     return regions, mesh, basis, nd
 
 
@@ -107,16 +107,15 @@ class TestReconstruct:
     def test_background_all_outside(self, disk, family8):
         mesh = triangulate(disk, target_h=0.12,
                            extra_segments=family8.grid_segments())
-        basis = build_basis(disk, 6, mesh=mesh)
-        nd = nd_matrix(mesh, CoefficientField(mesh=mesh, gamma0=1.0), basis)
-        res = reconstruct(nd, disk, mesh, 1.0, basis, 8, family=family8)
+        basis = build_basis(mesh, 6)
+        nd = nd_matrix(CoefficientField(mesh=mesh, gamma0=1.0), basis)
+        res = reconstruct(nd, mesh, family8, 1.0, basis)
         assert res.inside_count() == 0
         assert res.box_lower is None and res.box_upper is None
 
-    def test_insulating_disk(self, disk, family8, coarse_recon_setup):
+    def test_insulating_disk(self, family8, coarse_recon_setup):
         regions, mesh, basis, nd = coarse_recon_setup
-        res = reconstruct(nd, disk, mesh, 1.0, basis, 8, family=family8,
-                          truth_regions=regions)
+        res = reconstruct(nd, mesh, family8, 1.0, basis, truth_regions=regions)
         truth = rasterize_truth(regions, family8)
         # soundness: every detected cell is in the one-ring dilation of truth
         dil = truth.copy()
@@ -131,19 +130,16 @@ class TestReconstruct:
         assert res.inside[3, 3] and res.inside[4, 4]
         assert res.jaccard >= 0.6
 
-    def test_side_equality_on_negative_phantom(self, disk, family8,
-                                               coarse_recon_setup):
+    def test_side_equality_on_negative_phantom(self, family8, coarse_recon_setup):
         regions, mesh, basis, nd = coarse_recon_setup
-        both = reconstruct(nd, disk, mesh, 1.0, basis, 8, family=family8,
-                           side="both")
-        lower = reconstruct(nd, disk, mesh, 1.0, basis, 8, family=family8,
-                            side="lower_only")
+        both = reconstruct(nd, mesh, family8, 1.0, basis, side="both")
+        lower = reconstruct(nd, mesh, family8, 1.0, basis, side="lower_only")
         assert np.array_equal(both.inside, lower.inside)
         assert both.box_upper is None
 
-    def test_verdict_log(self, disk, family8, coarse_recon_setup):
+    def test_verdict_log(self, family8, coarse_recon_setup):
         regions, mesh, basis, nd = coarse_recon_setup
-        res = reconstruct(nd, disk, mesh, 1.0, basis, 8, family=family8)
+        res = reconstruct(nd, mesh, family8, 1.0, basis)
         log = res.verdict_log()
         assert len(log.strip().split("\n")) == len(res.verdicts)
         for line in log.strip().split("\n"):
@@ -156,20 +152,19 @@ class TestReconstruct:
         fam = pixel_family(square, 4, roi=(0.0, 0.0, 1.0, 1.0))
         mesh = triangulate(square, target_h=0.12,
                            extra_segments=fam.grid_segments())
-        basis = build_basis(square, 4, mesh=mesh)
-        nd = nd_matrix(mesh, CoefficientField(mesh=mesh, gamma0=1.0), basis)
-        res = reconstruct(nd, square, mesh, 1.0, basis, 4, family=fam)
+        basis = build_basis(mesh, 4)
+        nd = nd_matrix(CoefficientField(mesh=mesh, gamma0=1.0), basis)
+        res = reconstruct(nd, mesh, fam, 1.0, basis)
         boundary_ring = [(i, j) for i in range(4) for j in range(4)
                          if i in (0, 3) or j in (0, 3)]
         for cell in boundary_ring:
             assert cell in res.indeterminate
             assert res.inside[cell]
 
-    def test_bad_side_rejected(self, disk, family8, coarse_recon_setup):
+    def test_bad_side_rejected(self, family8, coarse_recon_setup):
         regions, mesh, basis, nd = coarse_recon_setup
         with pytest.raises(ValueError):
-            reconstruct(nd, disk, mesh, 1.0, basis, 8, family=family8,
-                        side="diagonal")
+            reconstruct(nd, mesh, family8, 1.0, basis, side="diagonal")
 
 
 def assert_same_system(got, ref):
@@ -206,7 +201,7 @@ class TestCellPainting:
         mesh = triangulate(disk, regions, target_h=0.1,
                            extra_segments=family8.grid_segments())
         template = PaintTemplate(mesh, family8, 1.0,
-                                 build_basis(disk, 2, mesh=mesh))
+                                 build_basis(mesh, 2))
         rng = np.random.default_rng(sum(map(ord, name)))
         cells = [(i, j) for i in range(8) for j in range(8)]
         for _ in range(4):
@@ -228,17 +223,17 @@ class TestCellPainting:
                     template.system(codes)
                 continue
             assert_same_system(template.system(codes),
-                               fem.assemble(fld.mesh, fld, dofmap))
+                               fem.assemble(fld, dofmap))
 
     def test_nonconforming_mesh_raises_in_scanner(self, disk, family8):
         mesh = triangulate(disk, target_h=0.1)
-        basis = build_basis(disk, 4, mesh=mesh)
-        nd = nd_matrix(mesh, CoefficientField(mesh=mesh, gamma0=1.0), basis)
+        basis = build_basis(mesh, 4)
+        nd = nd_matrix(CoefficientField(mesh=mesh, gamma0=1.0), basis)
         with pytest.raises(NDError):
-            reconstruct(nd, disk, mesh, 1.0, basis, 8, family=family8)
+            reconstruct(nd, mesh, family8, 1.0, basis)
 
 
-def test_cell_errors_counted(disk, family8, coarse_recon_setup, monkeypatch):
+def test_cell_errors_counted(family8, coarse_recon_setup, monkeypatch):
     regions, mesh, basis, nd = coarse_recon_setup
     real = _Scanner.pixel_score
 
@@ -248,13 +243,12 @@ def test_cell_errors_counted(disk, family8, coarse_recon_setup, monkeypatch):
         return real(self, cell, sign, neutralizer)
 
     monkeypatch.setattr(reconstruction._Scanner, "pixel_score", failing)
-    res = reconstruct(nd, disk, mesh, 1.0, basis, 8, family=family8)
+    res = reconstruct(nd, mesh, family8, 1.0, basis)
     assert res.cell_errors == [((3, 3), "lower", "forced")]
     assert res.inside[3, 3]
 
 
-def test_n_factor_counts_factorizations(disk, family8, coarse_recon_setup,
-                                        monkeypatch):
+def test_n_factor_counts_factorizations(family8, coarse_recon_setup, monkeypatch):
     regions, mesh, basis, nd = coarse_recon_setup
     calls = []
     real = fem.StiffnessSystem.factor
@@ -264,7 +258,7 @@ def test_n_factor_counts_factorizations(disk, family8, coarse_recon_setup,
         return real(self)
 
     monkeypatch.setattr(fem.StiffnessSystem, "factor", counting)
-    res = reconstruct(nd, disk, mesh, 1.0, basis, 8, family=family8)
+    res = reconstruct(nd, mesh, family8, 1.0, basis)
     assert res.n_factor == len(calls) > 0
 
 
@@ -283,7 +277,7 @@ def test_symmetric_factorization_matches_default_splu(disk, family8, name,
     mesh = triangulate(disk, regions, target_h=0.1,
                        extra_segments=family8.grid_segments())
     fld = build_field(mesh, spec)
-    basis = build_basis(disk, 8, mesh=mesh)
+    basis = build_basis(mesh, 8)
     maps = []
     real_nd = PaintTemplate.nd_map
     real_solve = fem.solve_neumann
@@ -307,8 +301,8 @@ def test_symmetric_factorization_matches_default_splu(disk, family8, name,
     for factor in (fem.StiffnessSystem.factor, default_splu_factor):
         monkeypatch.setattr(fem.StiffnessSystem, "factor", factor)
         maps.clear()
-        nd = nd_matrix(mesh, fld, basis)
-        res = reconstruct(nd, disk, mesh, fld.gamma0, basis, 8, family=family8)
+        nd = nd_matrix(fld, basis)
+        res = reconstruct(nd, mesh, family8, fld.gamma0, basis)
         assert len(maps) == res.n_factor > 0
         runs.append((nd.matrix, list(maps), res.verdict_log(), res.csv_text()))
     (nd_sym, maps_sym, log_sym, csv_sym), (nd_ref, maps_ref, log_ref, csv_ref) = runs
