@@ -62,6 +62,14 @@ def _value(cfg, path, convert, default=None):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+def _integer(value):
+    """An integral config value as int; a fractional number raises instead
+    of being truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _numbers(values):
     """A non-empty list of JSON numbers, as given."""
     if not (isinstance(values, list) and values and all(
@@ -102,7 +110,7 @@ class Problem:
         shape = _get(cfg, "domain.shape", required=True)
         arc = _value(cfg, "domain.gamma_arc", lambda a: (float(a[0]), float(a[1])),
                      default=[0.0, 1.0])
-        segments = _value(cfg, "domain.disk_segments", int, default=256)
+        segments = _value(cfg, "domain.disk_segments", _integer, default=256)
         try:
             self.domain = build_domain(shape, arc, disk_segments=segments)
         except GeometryError as exc:
@@ -124,12 +132,12 @@ class Problem:
 
         self.target_h = _value(cfg, "mesh.target_h", float, default=0.06)
         self.min_angle = _value(cfg, "mesh.min_angle_deg", float, default=0.05)
-        self.quad_depth = _value(cfg, "solver.quad_depth", int, default=12)
+        self.quad_depth = _value(cfg, "solver.quad_depth", _integer, default=12)
         self.rtol = _value(cfg, "solver.rtol", float, default=1e-10)
-        self.m = _value(cfg, "basis.m", int, default=8)
+        self.m = _value(cfg, "basis.m", _integer, default=8)
         if self.m < 1:
             raise ConfigError("basis.m must be >= 1")
-        self.grid_n = _value(cfg, "scan.grid_n", int, default=8)
+        self.grid_n = _value(cfg, "scan.grid_n", _integer, default=8)
         if self.grid_n < 2:
             raise ConfigError("scan.grid_n must be >= 2")
         self.family = _value(cfg, "scan.roi", lambda roi: pixel_family(

@@ -354,9 +354,13 @@ def connected_labels(n, pairs):
     import scipy.sparse as sp
     from scipy.sparse.csgraph import connected_components
 
-    pairs = np.asarray(pairs, dtype=int).reshape(-1, 2)
-    graph = sp.coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
-                          shape=(n, n))
+    # CSR built directly: a COO input costs csgraph a conversion, about
+    # as long as the traversal itself on the scan's node graphs.
+    pairs = np.asarray(pairs, dtype=np.int32).reshape(-1, 2)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(pairs[:, 0], minlength=n), out=indptr[1:])
+    heads = pairs[np.argsort(pairs[:, 0], kind="stable"), 1]
+    graph = sp.csr_matrix((np.ones(len(pairs)), heads, indptr), shape=(n, n))
     return connected_components(graph, directed=False)[1]
 
 

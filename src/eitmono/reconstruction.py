@@ -157,7 +157,17 @@ class _Scanner:
 
     def min_box(self, sign, tau_abs):
         """Minimal passing bounding box for one sign (None when the empty
-        cover already passes, meaning no visible support of that sign)."""
+        cover already passes, meaning no visible support of that sign).
+
+        The box shrinks greedily by one cell off one side at a time, sides
+        in the order x0, x1, y0, y1, pass after pass.  A side whose trial
+        fails is dropped: the box only shrinks, so the side's next trial
+        would paint a subset of the failed one, whose margin Loewner
+        monotonicity bounds from above.  Dropping it hides no error either:
+        a one-label sub-rectangle of a painting that solved touches the
+        domain boundary only where that painting does, and leaves a larger
+        complement to reach gamma.
+        """
         if self.cover_margin(set(), sign) >= -tau_abs:
             return None
         n = self.fam.grid_n
@@ -166,24 +176,16 @@ class _Scanner:
             # Perturbation not coverable inside the window: keep the full
             # window; the pixel phase will still grade the cells.
             return tuple(box)
-        moved = True
-        while moved:
-            moved = False
-            for side in range(4):
+        sides = [0, 1, 2, 3]
+        while sides:
+            for side in list(sides):
                 trial = box.copy()
-                if side == 0:
-                    trial[0] += 1
-                elif side == 1:
-                    trial[1] -= 1
-                elif side == 2:
-                    trial[2] += 1
+                trial[side] += 1 if side in (0, 2) else -1
+                if trial[0] > trial[1] or trial[2] > trial[3] or \
+                        self.cover_margin(_box_cells(tuple(trial)), sign) < -tau_abs:
+                    sides.remove(side)
                 else:
-                    trial[3] -= 1
-                if trial[0] > trial[1] or trial[2] > trial[3]:
-                    continue
-                if self.cover_margin(_box_cells(tuple(trial)), sign) >= -tau_abs:
                     box = trial
-                    moved = True
         return tuple(box)
 
     def pixel_score(self, cell, sign, neutralizer):

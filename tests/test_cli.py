@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from eitmono import geometry
-from eitmono.cli import main
+from eitmono.cli import Problem, main
 from eitmono.ndmap import NDMatrix
 
 
@@ -213,9 +213,12 @@ class TestConfigErrors:
         ("calibrate", {"calibrate": {"m": [6, "8"]}}, "calibrate.m"),
         ("calibrate", {"calibrate": {"tau": ["1e-5"]}}, "calibrate.tau"),
         ("reconstruct", {"measurements_file": 5}, "measurements_file"),
+        ("reconstruct", {"basis": {"m": 8.7}}, "basis.m"),
+        ("reconstruct", {"scan": {"grid_n": 7.9}}, "scan.grid_n"),
     ], ids=["non_integer_m", "short_gamma_arc", "weight_without_exponent",
             "short_roi", "scalar_calibrate_h", "string_calibrate_m",
-            "string_calibrate_tau", "numeric_measurements_file"])
+            "string_calibrate_tau", "numeric_measurements_file",
+            "fractional_m", "fractional_grid_n"])
     def test_malformed_value(self, tmp_path, capsys, command, overrides, entry):
         cfg = write_config(tmp_path, **overrides)
         assert main([command, "--config", str(cfg),
@@ -223,6 +226,14 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert "config error:" in err
         assert f"config error: {entry}: " in err
+
+    def test_integral_values_keep_their_meaning(self):
+        problem = Problem({"domain": {"shape": "disk", "disk_segments": 64.0},
+                           "phantom": "homogeneous", "basis": {"m": "8"},
+                           "scan": {"grid_n": 7.0}, "solver": {"quad_depth": 12}})
+        assert (problem.m, problem.grid_n, problem.quad_depth) == (8, 7, 12)
+        assert all(type(v) is int for v in (problem.m, problem.grid_n,
+                                            problem.quad_depth))
 
 
 def test_measurements_file_basis_mismatch(tmp_path):

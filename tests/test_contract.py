@@ -2,8 +2,8 @@
 regression phantom at h=0.1, m=8, grid 8, against references recorded by
 ``tests/record_contract.py``.
 
-Rasters and pass flags must match exactly; lambdas within the benchmark's
-tolerance, 1e-5 relative plus 1e-8.  The ``calibrate`` table of the
+Rasters, pass flags and the scan's map count must match exactly; lambdas
+within the benchmark's tolerance, 1e-5 relative plus 1e-8.  The ``calibrate`` table of the
 insulating_disk sweep must match line for line, as exact strings.
 """
 
@@ -30,6 +30,7 @@ def test_contract(tmp_path, name):
     ref = CONTRACT[name]
     got = run_phantom(name, tmp_path)
     assert got["raster"] == ref["raster"]
+    assert got["n_factor"] == ref["n_factor"]
     assert sorted(got["verdicts"]) == sorted(ref["verdicts"])
     for cell, (lo, hi, p_lo, p_hi) in got["verdicts"].items():
         r_lo, r_hi, r_plo, r_phi = ref["verdicts"][cell]

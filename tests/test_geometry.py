@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eitmono import phantoms
+from eitmono import phantoms, reconstruction
 from eitmono import polygons as pg
 from eitmono.geometry import (GeometryError, Mesh, MeshConformityError,
                               RegionSet, TestInclusion, _arrange_segments,
-                              build_domain, mesh_region_faults, part_faults,
+                              build_domain, connected_labels,
+                              mesh_region_faults, part_faults,
                               pixel_family, triangulate, validate_inclusion,
                               validate_regions)
 
@@ -309,3 +310,45 @@ class TestPixelFamily:
         far_corner = np.array([[x0 + 0.5 * w, y0 + 0.5 * h]])
         assert not m.contains(inside_cell)[0]
         assert m.contains(far_corner)[0]
+
+
+def coo_connected_labels(n, pairs):
+    """`connected_labels` as csgraph labels a COO graph: the reference for
+    the directly built CSR."""
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components
+
+    pairs = np.asarray(pairs, dtype=int).reshape(-1, 2)
+    graph = sp.coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
+                          shape=(n, n))
+    return connected_components(graph, directed=False)[1]
+
+
+random_graphs = st.integers(1, 40).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                         max_size=80)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_graphs)
+def test_connected_labels_matches_coo_reference(graph):
+    n, pairs = graph
+    np.testing.assert_array_equal(connected_labels(n, pairs),
+                                  coo_connected_labels(n, pairs))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_connected_labels_on_fill_enclosed_grids(monkeypatch, seed):
+    calls = []
+
+    def checked(n, pairs):
+        got = connected_labels(n, pairs)
+        np.testing.assert_array_equal(got, coo_connected_labels(n, pairs))
+        calls.append(n)
+        return got
+
+    monkeypatch.setattr(reconstruction, "connected_labels", checked)
+    rng = np.random.default_rng(seed)
+    for n in (2, 5, 8, 16):
+        reconstruction.fill_enclosed(rng.random((n, n)) < 0.6)
+    assert calls == [4, 25, 64, 256]

@@ -355,20 +355,50 @@ def off_center_dfplus_mesh(disk):
     return triangulate(disk, regions, target_h=0.05)
 
 
-@pytest.mark.parametrize("contrast", [1e3, 1e5])
-def test_high_contrast_residual_limit(off_center_dfplus_mesh, contrast):
+class CountingLU:
+    """A SuperLU factor that counts its solves."""
+
+    def __init__(self, lu):
+        self.lu = lu
+        self.solves = 0
+
+    def solve(self, rhs):
+        self.solves += 1
+        return self.lu.solve(rhs)
+
+
+@pytest.fixture
+def factors(monkeypatch):
+    """Every factor handed out by `fem.StiffnessSystem.factor`, counting
+    its solves."""
+    made = []
+    real = fem.StiffnessSystem.factor
+
+    def counting(self):
+        made.append(CountingLU(real(self)))
+        return made[-1]
+
+    monkeypatch.setattr(fem.StiffnessSystem, "factor", counting)
+    return made
+
+
+@pytest.mark.parametrize("contrast", [1e3, 1e4, 1e5])
+def test_high_contrast_residual_limit(off_center_dfplus_mesh, factors, contrast):
     # the refined residual floors near 7e-15 * contrast relative to |b|
     # (the roundoff of forming r = b - K x), so at the default rtol 1e-10 a
-    # 1e3 contrast passes and a 1e5 contrast is refused, not accepted loosely
+    # 1e4 contrast passes and a 1e5 contrast is refused, not accepted
+    # loosely; the refinement solve runs only when the first residual
+    # misses the gate, which a 1e4 contrast does
     mesh = off_center_dfplus_mesh
     basis = build_basis(mesh, 16)
     fld = CoefficientField(mesh=mesh, gamma0=1.0,
                            finite_values={"DFplus": contrast}).validate()
-    if contrast < 1e4:
+    if contrast < 1e5:
         assert nd_matrix(fld, basis).asymmetry < 1e-12
     else:
         with pytest.raises(NDError, match="solver residual"):
             nd_matrix(fld, basis)
+    assert [f.solves for f in factors] == [1 if contrast < 1e4 else 2]
 
 
 # -- paint template properties ------------------------------------------------
@@ -383,6 +413,12 @@ labelings = st.dictionaries(st.integers(0, 63), st.sampled_from([0, 2]),
 def template(grid_mesh, family8):
     basis = build_basis(grid_mesh, 8)
     return PaintTemplate(grid_mesh, family8, 1.0, basis), basis
+
+
+def test_scan_map_solves_once(template, factors):
+    tpl, _ = template
+    tpl.nd_map([9, 10], [45], 1e-10)
+    assert [f.solves for f in factors] == [1]
 
 
 def painted_cells(ranks):

@@ -10,9 +10,10 @@ from eitmono.fem import ConfigurationError
 from eitmono.geometry import TestInclusion, pixel_family, triangulate
 from eitmono.ndmap import (PAINT_LABELS, NDError, PaintTemplate, build_basis,
                            nd_matrix, painted_field)
-from eitmono.reconstruction import (ReconstructionResult, _Scanner,
-                                    fill_enclosed, jaccard_index, rasterize,
-                                    rasterize_truth, reconstruct)
+from eitmono.reconstruction import (DEFAULT_TAU_ABS, ReconstructionResult,
+                                    _box_cells, _Scanner, fill_enclosed,
+                                    jaccard_index, rasterize, rasterize_truth,
+                                    reconstruct)
 
 from conftest import build_field
 
@@ -260,6 +261,54 @@ def test_n_factor_counts_factorizations(family8, coarse_recon_setup, monkeypatch
     monkeypatch.setattr(fem.StiffnessSystem, "factor", counting)
     res = reconstruct(nd, mesh, family8, 1.0, basis)
     assert res.n_factor == len(calls) > 0
+
+
+def exhaustive_min_box(scanner, sign, tau_abs):
+    """The greedy shrink that retries every side on every pass until none
+    moves: the oracle for `_Scanner.min_box`, which drops failed sides."""
+    if scanner.cover_margin(set(), sign) >= -tau_abs:
+        return None
+    n = scanner.fam.grid_n
+    box = [0, n - 1, 0, n - 1]
+    if scanner.cover_margin(_box_cells(tuple(box)), sign) < -tau_abs:
+        return tuple(box)
+    moved = True
+    while moved:
+        moved = False
+        for side in range(4):
+            trial = box.copy()
+            trial[side] += 1 if side in (0, 2) else -1
+            if trial[0] > trial[1] or trial[2] > trial[3]:
+                continue
+            if scanner.cover_margin(_box_cells(tuple(trial)), sign) >= -tau_abs:
+                box = trial
+                moved = True
+    return tuple(box)
+
+
+@pytest.mark.parametrize("name", phantoms.REGRESSION_PHANTOMS)
+def test_min_box_skips_only_failing_trials(disk, family8, name):
+    regions, spec = phantoms.build_phantom(name)
+    mesh = triangulate(disk, regions, target_h=0.1,
+                       extra_segments=family8.grid_segments())
+    fld = build_field(mesh, spec)
+    basis = build_basis(mesh, 8)
+    scanner = _Scanner(nd_matrix(fld, basis), mesh, family8, fld.gamma0,
+                       basis, 1e-10)
+    margins = {}
+    real = scanner.cover_margin
+
+    def recording(cells, sign):
+        margins[frozenset(cells), sign] = real(cells, sign)
+        return margins[frozenset(cells), sign]
+
+    scanner.cover_margin = recording
+    for sign in ("lower", "upper"):
+        box = scanner.min_box(sign, DEFAULT_TAU_ABS)
+        pruned = set(margins)
+        assert exhaustive_min_box(scanner, sign, DEFAULT_TAU_ABS) == box
+        skipped = set(margins) - pruned
+        assert all(margins[key] < -DEFAULT_TAU_ABS for key in skipped)
 
 
 def default_splu_factor(self):
