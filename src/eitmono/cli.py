@@ -230,9 +230,10 @@ def _snapshot(cfg, out_dir):
 def _measured_nd(problem, args):
     """L(gamma) on the problem mesh, optionally noise-perturbed."""
     nd = nd_matrix(problem.field, problem.basis, rtol=problem.rtol)
-    if args.noise_rel > 0:
-        nd = perturb_symmetric(nd, args.noise_rel, args.seed)
-    return nd
+    try:
+        return perturb_symmetric(nd, args.noise_rel, args.seed)
+    except ValueError as exc:
+        raise ConfigError(f"--noise-rel: {exc}") from exc
 
 
 def _oracle_error(problem, eigs):
@@ -322,6 +323,7 @@ def cmd_reconstruct(problem, out_dir, args):
         "filled_cells": result.filled_cells,
         "n_cell_errors": len(result.cell_errors),
         "n_factor": result.n_factor,
+        "lu_nnz": result.lu_nnz,
         "wall_time": time.perf_counter() - t0,
     }
     _write_metrics(out_dir, metrics)

@@ -134,20 +134,25 @@ def _check_dof_connectivity(mesh, dofmap):
 # The bordered matrix is symmetric, so SuperLU factors it in symmetric mode
 # on a minimum-degree ordering of A^T + A: about a third of the L+U fill of
 # the default column ordering (41.9k against 143.8k nonzeros on a 1.6k-DOF
-# scan system).  The diagonal pivot is kept when it is at least this fraction
-# of the column maximum; 0, 0.01 and 0.1 gave the same fill and residuals on
-# the scan, chain and fine forward systems and up to 1e6 contrast.
+# scan system).  A direct system gets its own MMD ordering, the oracle; a scan
+# system comes `ordered` in its paint template's shared order (the background
+# painting's MMD order) and is not reordered.  The diagonal pivot is kept when
+# it is at least this fraction of the column maximum; 0, 0.01 and 0.1 gave the
+# same fill and residuals on the scan, chain and fine forward systems and up
+# to 1e6 contrast.
 DIAG_PIVOT_THRESH = 0.1
 
 
 @dataclass
 class StiffnessSystem:
     """Grounded stiffness system: the symmetric PSD stiffness matrix over
-    the free DOFs bordered by the mean-on-gamma constraint row and column."""
+    the free DOFs bordered by the mean-on-gamma constraint row and column.
+    ``ordered`` marks DOFs already numbered in a fill-reducing order."""
 
     kmat: sp.csc_matrix
     constraint: np.ndarray
     dofmap: DofMap
+    ordered: bool = False
     _factor: object = None
 
     @property
@@ -162,11 +167,17 @@ class StiffnessSystem:
     def bordered(self):
         return self.kmat
 
+    @property
+    def lu(self):
+        """The SuperLU factorization once `factor` has run, else None."""
+        return self._factor
+
     def factor(self):
         if self._factor is None:
-            self._factor = spla.splu(self.kmat, permc_spec="MMD_AT_PLUS_A",
-                                     diag_pivot_thresh=DIAG_PIVOT_THRESH,
-                                     options=dict(SymmetricMode=True))
+            self._factor = spla.splu(
+                self.kmat, permc_spec="NATURAL" if self.ordered else "MMD_AT_PLUS_A",
+                diag_pivot_thresh=DIAG_PIVOT_THRESH,
+                options=dict(SymmetricMode=True))
         return self._factor
 
 
@@ -300,9 +311,20 @@ def gamma_quadrature(mesh):
 @dataclass
 class NeumannLoad:
     """Discrete current load: b_i = <f, phi_i> on gamma, projected to the
-    gamma-mean-free space.  ``b`` may hold one load per column."""
+    gamma-mean-free space.  ``b`` may hold one load per column; ``norm``
+    holds their column norms once `mean_free_norms` has checked them."""
 
     b: np.ndarray
+    norm: np.ndarray = None
+
+
+def mean_free_norms(b):
+    """Column norms of a load block, which must be gamma-mean-free."""
+    b = b.reshape(len(b), -1)
+    scale = np.maximum(1.0, np.abs(b).sum(axis=0))
+    if not np.all(np.abs(np.sum(b, axis=0)) <= 1e-12 * scale):
+        raise SolverError("load is not gamma-mean-free")
+    return np.linalg.norm(b, axis=0)
 
 
 def neumann_load(mesh, dofmap, density):
@@ -361,18 +383,15 @@ def solve_neumann(system, load, rtol=1e-10):
     The residual of every column is gated at rtol*|b|.  When a column
     misses the gate after the direct solve, one refinement pass runs on the
     whole block, and a column that still misses it raises SolverError.
-    ``residual`` is the (Frobenius) norm over all columns.
+    ``residual`` is the (Frobenius) norm over all columns.  A load without
+    ``norm`` is checked here.
     """
-    total = np.sum(load.b, axis=0)
-    scale = np.maximum(1.0, np.abs(load.b).sum(axis=0))
-    if not np.all(np.abs(total) <= 1e-12 * scale):
-        raise SolverError("load is not gamma-mean-free")
+    bnorm = mean_free_norms(load.b) if load.norm is None else load.norm
     n = system.n
     b = load.b.reshape(n, -1)
     rhs = np.vstack([b, np.zeros((1, b.shape[1]))])
     lu = system.factor()
     kmat = system.bordered()
-    bnorm = np.linalg.norm(b, axis=0)
 
     def misses(res):
         rnorm = np.linalg.norm(res, axis=0)

@@ -169,11 +169,13 @@ class NDMatrix:
 class GammaData:
     """Paint-independent part of every ND map on one (mesh, basis) pair:
     the mesh's `fem.MeshTerms`, the basis loads on the measurement-arc
-    vertices (`fem.gamma_loads`) and the Gram matrix (read-only arrays)."""
+    vertices (`fem.gamma_loads`) with their column norms, checked
+    mean-free once here, and the Gram matrix (read-only arrays)."""
 
     terms: fem.MeshTerms
     vertices: np.ndarray
     loads: np.ndarray          # (len(vertices), m)
+    load_norms: np.ndarray
     gram: np.ndarray
     mesh_hash: str
     basis_hash: str
@@ -191,7 +193,8 @@ def gamma_data(mesh, basis):
         loads = fem.gamma_loads(mesh, [basis.density(k) for k in range(basis.m)])
         terms = fem.mesh_terms(mesh)
         return GammaData(terms=terms, vertices=terms.gamma_vertices,
-                         loads=loads, gram=basis.gram(mesh),
+                         loads=loads, load_norms=fem.mean_free_norms(loads),
+                         gram=basis.gram(mesh),
                          mesh_hash=key[0], basis_hash=key[1])
 
     return fem.memo(_GAMMA_DATA, key, build)
@@ -213,7 +216,7 @@ def _solve_and_pair(system, gd, field_hash, rtol):
     `MAX_ASYMMETRY` gates."""
     b = np.zeros((system.n, gd.loads.shape[1]))
     b[system.dofmap.dof_of_vertex[gd.vertices]] = gd.loads
-    block = fem.NeumannLoad(b=b)
+    block = fem.NeumannLoad(b=b, norm=gd.load_norms)
     try:
         sol = fem.solve_neumann(system, block, rtol=rtol)
     except fem.SolverError as exc:
@@ -280,7 +283,10 @@ class PaintTemplate:
     painting's removed vertices, conductors and connectivity to gamma
     follow from about grid_n**2 + 1 nodes.  The stiffness entries of all
     triangles sit in a vertex-space CSC pattern (columns, then rows, in
-    vertex order) with the slot of each element triplet.
+    vertex rank) with the slot of each element triplet.  Ranks start in
+    vertex order; the background map's MMD order then ranks the vertices of
+    every later painting, whose free DOFs, then conductors, then border row
+    are factored in that order.  ``lu_nnz`` sums the L+U nonzeros solved.
     """
 
     def __init__(self, mesh, fam, gamma0, basis):
@@ -290,6 +296,8 @@ class PaintTemplate:
         terms = self.gd.terms
         tris = mesh.triangles
         nv = self.nv = mesh.num_vertices
+        self.by_rank = None
+        self.lu_nnz = 0
 
         # Cell i*grid_n + j holding each triangle's centroid, grid_n**2
         # outside the window.  A vertex off the grid lines must lie in the
@@ -406,6 +414,9 @@ class PaintTemplate:
         merged = conductor[self.inc_node] >= 0
         conductor_of_vertex[self.inc_vertex[merged]] = conductor[self.inc_node[merged]]
         dofmap = fem.DofMap.numbered(removed, conductor_of_vertex, n_conductors)
+        if self.by_rank is not None:
+            free = self.by_rank[dofmap.vertex_status[self.by_rank] == fem.STATUS_FREE]
+            dofmap.dof_of_vertex[free] = np.arange(len(free))
 
         # Every node that keeps DOFs must reach a node on gamma.
         if dofmap.n_dofs == 0:
@@ -424,9 +435,9 @@ class PaintTemplate:
             raise ConfigurationError("measurement arc touches an insulated vertex")
 
         # Sum the active triplets per slot.  Slots between free DOFs are
-        # already in CSC order; those with a conductor DOF are merged and
-        # sorted, and go after the free rows of their column with the border
-        # row and column.
+        # already in CSC order, as slots and free DOFs both follow the ranks;
+        # those with a conductor DOF are merged and sorted, and go after the
+        # free rows of their column with the border row and column.
         sums = self.triplets @ active.astype(float)
         present = np.flatnonzero(sums[len(self.slot_row):])
         vals = sums[present]
@@ -455,14 +466,25 @@ class PaintTemplate:
         kmat = sp.csc_matrix((data, rows, indptr), shape=(n + 1, n + 1))
         constraint = np.zeros(n)
         constraint[gamma_dofs] = terms.gamma_mass
-        return fem.StiffnessSystem(kmat=kmat, constraint=constraint, dofmap=dofmap)
+        return fem.StiffnessSystem(kmat=kmat, constraint=constraint, dofmap=dofmap,
+                                   ordered=self.by_rank is not None)
 
     def nd_map(self, zero, inf, rtol):
         """ND matrix with the flat cells ``zero`` painted D0 and ``inf``
         painted Dinf: `nd_matrix` of the same `painted_field`, tagged with
-        the mesh hash plus "+scan" in place of a field hash."""
-        return _solve_and_pair(self.system(self.codes(zero, inf)), self.gd,
-                               self.gd.mesh_hash + "+scan", rtol)
+        the mesh hash plus "+scan" in place of a field hash.  The first
+        background map sets the template's order."""
+        codes = self.codes(zero, inf)
+        system = self.system(codes)
+        nd = _solve_and_pair(system, self.gd, self.gd.mesh_hash + "+scan", rtol)
+        self.lu_nnz += system.lu.nnz
+        if self.by_rank is None and not codes.any():
+            rank = system.lu.perm_c[:self.nv]   # position of each vertex's column
+            self.by_rank = np.argsort(rank)
+            order = np.lexsort((rank[self.slot_row], rank[self.slot_col]))
+            self.slot_col, self.slot_row = self.slot_col[order], self.slot_row[order]
+            self.triplets = self.triplets[np.concatenate([order, len(order) + order])]
+        return nd
 
 
 def nd_extreme(mesh, test, kind, gamma0, basis, rtol=1e-10):
@@ -478,7 +500,9 @@ def nd_extreme(mesh, test, kind, gamma0, basis, rtol=1e-10):
 def perturb_symmetric(nd, rel_magnitude, seed):
     """Additive symmetric noise scaled by the Frobenius norm (measurement
     noise model for robustness experiments)."""
-    if rel_magnitude <= 0:
+    if not np.isfinite(rel_magnitude) or rel_magnitude < 0:
+        raise ValueError(f"noise level must be finite and >= 0, got {rel_magnitude}")
+    if rel_magnitude == 0:
         return nd
     rng = np.random.default_rng(seed)
     s = rng.standard_normal(nd.matrix.shape)

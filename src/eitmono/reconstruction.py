@@ -54,6 +54,7 @@ class ReconstructionResult:
     filled_cells: int = 0
     cell_errors: list = field(default_factory=list)   # (cell, sign, message)
     n_factor: int = 0             # ND maps the scan factored
+    lu_nnz: int = 0               # L+U nonzeros summed over those factorizations
 
     def inside_count(self):
         return int(np.sum(self.inside))
@@ -289,7 +290,7 @@ def reconstruct(nd_gamma, mesh, family, gamma0, basis,
         indeterminate=indeterminate, verdicts=verdicts,
         box_lower=box_lower, box_upper=box_upper, jaccard=jac,
         filled_cells=n_filled, cell_errors=cell_errors,
-        n_factor=len(scanner._nd_cache))
+        n_factor=len(scanner._nd_cache), lu_nnz=scanner.template.lu_nnz)
 
 
 def rasterize(result, out_prefix):

@@ -227,6 +227,13 @@ class TestConfigErrors:
         assert "config error:" in err
         assert f"config error: {entry}: " in err
 
+    @pytest.mark.parametrize("level", ["inf", "nan", "-0.1"])
+    def test_bad_noise_level(self, tmp_path, capsys, level):
+        cfg = write_config(tmp_path)
+        assert main(["reconstruct", "--config", str(cfg), "--out",
+                     str(tmp_path / "o"), "--noise-rel", level]) == 2
+        assert "config error: --noise-rel: " in capsys.readouterr().err
+
     def test_integral_values_keep_their_meaning(self):
         problem = Problem({"domain": {"shape": "disk", "disk_segments": 64.0},
                            "phantom": "homogeneous", "basis": {"m": "8"},

@@ -123,6 +123,12 @@ class TestNDMatrix:
         rel = np.linalg.norm(noisy.matrix - nd_homogeneous.matrix) \
             / np.linalg.norm(nd_homogeneous.matrix)
         assert np.isclose(rel, 0.01, rtol=1e-12)
+        assert perturb_symmetric(nd_homogeneous, 0.0, seed=42) is nd_homogeneous
+
+    @pytest.mark.parametrize("level", [np.inf, np.nan, -0.1])
+    def test_perturb_rejects_bad_level(self, nd_homogeneous, level):
+        with pytest.raises(ValueError, match="noise level"):
+            perturb_symmetric(nd_homogeneous, level, seed=42)
 
 
 class TestExtremeMaps:

@@ -2,9 +2,10 @@ import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from eitmono import fem, phantoms, reconstruction
+from eitmono import fem, ndmap, phantoms, reconstruction
 from eitmono.coefficient import CoefficientField
 from eitmono.fem import ConfigurationError
 from eitmono.geometry import TestInclusion, pixel_family, triangulate
@@ -169,22 +170,39 @@ class TestReconstruct:
 
 
 def assert_same_system(got, ref):
-    """Template system against the direct one: the same DOF map and CSC
-    pattern, the same constraint, and entries within 1.2e-15*max|K| where
-    no conductor DOF is involved.  A conductor entry sums up to a few
-    hundred element triplets in another order on each path; on the
-    regression phantoms each path is up to 2.2e-15*max|K| from the exactly
-    rounded sum (math.fsum), so the bound there is 4e-15*max|K|."""
-    for name in ("vertex_status", "dof_of_vertex", "conductor_of_vertex"):
+    """Template system against the direct one.  The template numbers its
+    free DOFs in its own order, so its DOFs are relabelled through the two
+    DOF maps onto the direct numbering (conductors and the border row keep
+    theirs).  Then: the same vertex statuses, conductors and constraint, the
+    same CSC pattern, and entries within 1.2e-15*max|K| where no conductor
+    DOF is involved.  A conductor entry sums up to a few hundred element
+    triplets in another order on each path; on the regression phantoms each
+    path is up to 2.2e-15*max|K| from the exactly rounded sum (math.fsum),
+    so the bound there is 4e-15*max|K|."""
+    for name in ("vertex_status", "conductor_of_vertex"):
         assert np.array_equal(getattr(got.dofmap, name),
                               getattr(ref.dofmap, name)), name
     assert got.dofmap.n_conductors == ref.dofmap.n_conductors
-    assert np.array_equal(got.constraint, ref.constraint)
-    a, b = got.kmat, ref.kmat
+    assert got.n == ref.n
+    has = ref.dofmap.dof_of_vertex >= 0
+    assert np.array_equal(got.dofmap.dof_of_vertex >= 0, has)
+    to_ref = np.full(got.n + 1, ref.n)
+    to_ref[got.dofmap.dof_of_vertex[has]] = ref.dofmap.dof_of_vertex[has]
+    assert np.array_equal(to_ref[got.dofmap.dof_of_vertex[has]],
+                          ref.dofmap.dof_of_vertex[has])
+    assert np.array_equal(np.sort(to_ref), np.arange(ref.n + 1))
+    n_free = ref.n - ref.dofmap.n_conductors
+    assert np.array_equal(to_ref[n_free:], np.arange(n_free, ref.n + 1))
+    assert np.array_equal(got.constraint, ref.constraint[to_ref[:-1]])
+    coo = got.kmat.tocoo()
+    a = sp.csc_matrix((coo.data, (to_ref[coo.row], to_ref[coo.col])),
+                      shape=got.kmat.shape)
+    a.sort_indices()
+    assert a.nnz == got.kmat.nnz
+    b = ref.kmat
     assert a.shape == b.shape
     assert np.array_equal(a.indptr, b.indptr)
     assert np.array_equal(a.indices, b.indices)
-    n_free = ref.n - ref.dofmap.n_conductors
     cols = np.repeat(np.arange(b.shape[1]), np.diff(b.indptr))
     conductor = (np.maximum(b.indices, cols) >= n_free) \
         & (np.maximum(b.indices, cols) < ref.n)
@@ -203,6 +221,8 @@ class TestCellPainting:
                            extra_segments=family8.grid_segments())
         template = PaintTemplate(mesh, family8, 1.0,
                                  build_basis(mesh, 2))
+        # the background map sets the shared order every painting uses
+        template.nd_map([], [], 1e-10)
         rng = np.random.default_rng(sum(map(ord, name)))
         cells = [(i, j) for i in range(8) for j in range(8)]
         for _ in range(4):
@@ -223,8 +243,9 @@ class TestCellPainting:
                 with pytest.raises(ConfigurationError, match=re.escape(str(exc))):
                     template.system(codes)
                 continue
-            assert_same_system(template.system(codes),
-                               fem.assemble(fld, dofmap))
+            system = template.system(codes)
+            assert system.ordered
+            assert_same_system(system, fem.assemble(fld, dofmap))
 
     def test_nonconforming_mesh_raises_in_scanner(self, disk, family8):
         mesh = triangulate(disk, target_h=0.1)
@@ -359,3 +380,84 @@ def test_symmetric_factorization_matches_default_splu(disk, family8, name,
     assert len(maps_sym) == len(maps_ref)
     for got, ref in zip([nd_sym] + maps_sym, [nd_ref] + maps_ref):
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def scan_systems(disk, family8, name, h, m):
+    """(system, gamma data, map) of every scan map of one phantom, in the
+    order the scan solved them."""
+    regions, spec = phantoms.build_phantom(name)
+    mesh = triangulate(disk, regions, target_h=h,
+                       extra_segments=family8.grid_segments())
+    fld = build_field(mesh, spec)
+    basis = build_basis(mesh, m)
+    nd = nd_matrix(fld, basis)
+    solved = []
+    real = ndmap._solve_and_pair
+
+    def recording(system, gd, field_hash, rtol):
+        out = real(system, gd, field_hash, rtol)
+        solved.append((system, gd, out))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ndmap, "_solve_and_pair", recording)
+        res = reconstruct(nd, mesh, family8, fld.gamma0, basis)
+    assert len(solved) == res.n_factor > 1
+    assert res.lu_nnz == sum(system.lu.nnz for system, _, _ in solved)
+    # the background map comes first and sets the order of all the others
+    assert [system.ordered for system, _, _ in solved] \
+        == [False] + [True] * (len(solved) - 1)
+    return solved
+
+
+@pytest.fixture(scope="module")
+def regression_scans(disk, family8):
+    return {name: scan_systems(disk, family8, name, 0.1, 8)
+            for name in phantoms.REGRESSION_PHANTOMS}
+
+
+def mmd_factor(kmat):
+    return spla.splu(kmat, permc_spec="MMD_AT_PLUS_A",
+                     diag_pivot_thresh=fem.DIAG_PIVOT_THRESH,
+                     options=dict(SymmetricMode=True))
+
+
+def fill_ratios(solved):
+    """L+U nonzeros of each scan map on the template's shared order over
+    those of MMD_AT_PLUS_A on the same matrix.  MMD's result depends on the
+    numbering it starts from, so it starts from the direct path's: free
+    DOFs in vertex order, then the conductors and the border row."""
+    got, ref = [], []
+    for system, _, _ in solved[1:]:
+        dofmap = system.dofmap
+        free = np.flatnonzero(dofmap.vertex_status == fem.STATUS_FREE)
+        direct = np.arange(system.n + 1)
+        direct[:len(free)] = dofmap.dof_of_vertex[free]
+        got.append(system.lu.nnz)
+        ref.append(mmd_factor(system.kmat[direct][:, direct].tocsc()).nnz)
+    return np.array(got), np.array(ref)
+
+
+def test_shared_order_fill_near_mmd(disk, family8, regression_scans):
+    # the background's MMD order serves every painting: its fill stays
+    # within 1.10x MMD's summed over a scan and 1.30x on any one map
+    # (measured: at most 1.074x and 1.216x)
+    scans = list(regression_scans.values())
+    scans.append(scan_systems(disk, family8, "two_blob_mixed", 0.08, 16))
+    for solved in scans:
+        got, ref = fill_ratios(solved)
+        assert got.sum() <= 1.10 * ref.sum()
+        assert np.all(got <= 1.30 * ref)
+
+
+def test_shared_order_maps_match_mmd_factorization(regression_scans):
+    # every scan map solved on the shared order against the same system
+    # factored on its own MMD order
+    for solved in regression_scans.values():
+        for system, gd, nd in solved[1:]:
+            mmd = fem.StiffnessSystem(kmat=system.kmat,
+                                      constraint=system.constraint,
+                                      dofmap=system.dofmap)
+            ref = ndmap._solve_and_pair(mmd, gd, nd.field_hash, 1e-10)
+            assert np.abs(nd.matrix - ref.matrix).max() \
+                <= 1e-12 * np.abs(ref.matrix).max()
