@@ -227,13 +227,17 @@ def _snapshot(cfg, out_dir):
         fh.write("\n")
 
 
-def _measured_nd(problem, args):
-    """L(gamma) on the problem mesh, optionally noise-perturbed."""
-    nd = nd_matrix(problem.field, problem.basis, rtol=problem.rtol)
+def _with_noise(nd, args):
+    """``nd`` perturbed at the ``--noise-rel`` level (unchanged at 0)."""
     try:
         return perturb_symmetric(nd, args.noise_rel, args.seed)
     except ValueError as exc:
         raise ConfigError(f"--noise-rel: {exc}") from exc
+
+
+def _measured_nd(problem, args):
+    """L(gamma) on the problem mesh, optionally noise-perturbed."""
+    return _with_noise(nd_matrix(problem.field, problem.basis, rtol=problem.rtol), args)
 
 
 def _oracle_error(problem, eigs):
@@ -298,6 +302,7 @@ def cmd_reconstruct(problem, out_dir, args):
         if nd.basis_hash != problem.basis.provenance():
             raise ConfigError("measurements_file provenance does not match "
                               "the basis built from this config")
+        nd = _with_noise(nd, args)
     else:
         nd = _measured_nd(problem, args)
 
@@ -323,6 +328,7 @@ def cmd_reconstruct(problem, out_dir, args):
         "filled_cells": result.filled_cells,
         "n_cell_errors": len(result.cell_errors),
         "n_factor": result.n_factor,
+        "n_update": result.n_update,
         "lu_nnz": result.lu_nnz,
         "wall_time": time.perf_counter() - t0,
     }

@@ -7,7 +7,7 @@ degree of freedom each, and the pure-Neumann kernel is grounded with a
 Lagrange multiplier enforcing a zero mean on the measurement arc.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -171,6 +171,10 @@ class StiffnessSystem:
     def lu(self):
         """The SuperLU factorization once `factor` has run, else None."""
         return self._factor
+
+    def unfactored(self):
+        """The same system without its factorization; `factor` rebuilds it."""
+        return replace(self, _factor=None)
 
     def factor(self):
         if self._factor is None:
@@ -375,6 +379,22 @@ class PotentialSolution:
     residual: float
 
 
+def residual_misses(rnorm, bnorm, rtol):
+    """Columns whose residual norm misses the gate rtol*|b|."""
+    return np.flatnonzero((bnorm > 0) & (rnorm > rtol * bnorm))
+
+
+def check_gamma_mean(constraint, u):
+    """Every column of the potentials ``u`` must have a zero gamma mean."""
+    gmean = constraint @ u
+    gscale = np.maximum(1.0, np.abs(u).max(axis=0) * float(np.sum(constraint)))
+    bad = np.flatnonzero(np.abs(gmean) > 1e-10 * gscale)
+    if len(bad):
+        k = bad[0]
+        raise SolverError(f"gamma mean {gmean[k]:.3e} not zeroed by the "
+                          f"multiplier in column {k}")
+
+
 def solve_neumann(system, load, rtol=1e-10):
     """Solve the grounded variational problem for one current load, or for
     a block of loads (one per column of ``load.b``) with one factorization.
@@ -392,29 +412,20 @@ def solve_neumann(system, load, rtol=1e-10):
     rhs = np.vstack([b, np.zeros((1, b.shape[1]))])
     lu = system.factor()
     kmat = system.bordered()
-
-    def misses(res):
-        rnorm = np.linalg.norm(res, axis=0)
-        return rnorm, np.flatnonzero((bnorm > 0) & (rnorm > rtol * bnorm))
-
     x = lu.solve(rhs)
     res = rhs - kmat @ x
-    rnorm, bad = misses(res)
+    rnorm = np.linalg.norm(res, axis=0)
+    bad = residual_misses(rnorm, bnorm, rtol)
     if len(bad):
         x = x + lu.solve(res)
-        rnorm, bad = misses(rhs - kmat @ x)
+        rnorm = np.linalg.norm(rhs - kmat @ x, axis=0)
+        bad = residual_misses(rnorm, bnorm, rtol)
     if len(bad):
         k = bad[0]
         raise SolverError(f"solver residual {rnorm[k]:.3e} exceeds "
                           f"{rtol:.1e}*|b| in column {k}")
     u, lam = x[:n], x[n]
-    gmean = system.constraint @ u
-    gscale = np.maximum(1.0, np.abs(u).max(axis=0) * float(np.sum(system.constraint)))
-    bad = np.flatnonzero(np.abs(gmean) > 1e-10 * gscale)
-    if len(bad):
-        k = bad[0]
-        raise SolverError(f"gamma mean {gmean[k]:.3e} not zeroed by the "
-                          f"multiplier in column {k}")
+    check_gamma_mean(system.constraint, u)
     if load.b.ndim == 1:
         u, lam = u[:, 0], float(lam[0])
     return PotentialSolution(u=u, multiplier=lam,

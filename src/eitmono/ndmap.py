@@ -29,6 +29,16 @@ class NDError(RuntimeError):
     pass
 
 
+class CutOffError(ConfigurationError):
+    """Part of a painting keeps DOFs but cannot reach the measurement arc;
+    ``cells`` are the flat cells of that part (grid_n**2 for the outside
+    of the window)."""
+
+    def __init__(self, message, cells):
+        super().__init__(message)
+        self.cells = cells
+
+
 # Bound on the relative asymmetry max|R - R^T| / max|R| of the raw pairing
 # R = B^T U.  The solves are exact up to roundoff, so R is symmetric to a
 # few ulps: the worst value is 6.4e-15 over the test suite and 1.1e-14 over
@@ -210,19 +220,28 @@ def nd_matrix(fld, basis, rtol=1e-10):
     return _solve_and_pair(system, gd, fld.provenance(), rtol)
 
 
-def _solve_and_pair(system, gd, field_hash, rtol):
-    """Solve a grounded system for the basis loads of `gd` and pair the
-    potentials with the loads, under the residual, gamma-mean and
-    `MAX_ASYMMETRY` gates."""
-    b = np.zeros((system.n, gd.loads.shape[1]))
-    b[system.dofmap.dof_of_vertex[gd.vertices]] = gd.loads
-    block = fem.NeumannLoad(b=b, norm=gd.load_norms)
+def _loads(dofmap, gd):
+    """The basis loads of `gd` on the DOFs of a map, one column each."""
+    b = np.zeros((dofmap.n_dofs, gd.loads.shape[1]))
+    b[dofmap.dof_of_vertex[gd.vertices]] = gd.loads
+    return b
+
+
+def _solve(system, gd, rtol):
+    """Loads and `fem.PotentialSolution` of a grounded system for the basis
+    loads of `gd`, under the residual and gamma-mean gates."""
+    b = _loads(system.dofmap, gd)
     try:
-        sol = fem.solve_neumann(system, block, rtol=rtol)
+        sol = fem.solve_neumann(system, fem.NeumannLoad(b=b, norm=gd.load_norms),
+                                rtol=rtol)
     except fem.SolverError as exc:
         raise NDError(f"solve failed for the basis loads: {exc}") from exc
+    return b, sol
 
-    raw = block.b.T @ sol.u
+
+def _pair(b, u, gd, field_hash):
+    """ND matrix of the trace pairings b^T u under the `MAX_ASYMMETRY` gate."""
+    raw = b.T @ u
     scale = float(np.max(np.abs(raw))) or 1.0
     asym = float(np.max(np.abs(raw - raw.T))) / scale
     if asym > MAX_ASYMMETRY:
@@ -231,6 +250,14 @@ def _solve_and_pair(system, gd, field_hash, rtol):
     return NDMatrix(matrix=sym, gram=gd.gram.copy(), asymmetry=asym,
                     field_hash=field_hash, mesh_hash=gd.mesh_hash,
                     basis_hash=gd.basis_hash)
+
+
+def _solve_and_pair(system, gd, field_hash, rtol):
+    """Solve a grounded system for the basis loads of `gd` and pair the
+    potentials with the loads, under the residual, gamma-mean and
+    `MAX_ASYMMETRY` gates."""
+    b, sol = _solve(system, gd, rtol)
+    return _pair(b, sol.u, gd, field_hash)
 
 
 def painted_field(mesh, paint, gamma0):
@@ -271,6 +298,21 @@ PAINT_LABELS = np.array([BACKGROUND, "D0", "Dinf"])
 PAINT_BG, PAINT_D0, PAINT_DINF = range(3)
 
 
+@dataclass
+class PaintedMap:
+    """A scan map: the ND matrix of a painting with the paint code of each
+    cell (the last entry stands for the triangles outside the window).  A
+    factored map also keeps its system, loads ``b`` and potentials with
+    multipliers ``x`` (n + 1, m): a base that `PaintTemplate.solve` can
+    update by one cell.  An updated map keeps none of them."""
+
+    nd: NDMatrix
+    cells: np.ndarray
+    system: fem.StiffnessSystem = None
+    b: np.ndarray = None
+    x: np.ndarray = None
+
+
 class PaintTemplate:
     """Paint-independent part of every scan map on one (mesh, family,
     basis), so that painting grid cells with the extreme labels is index
@@ -287,6 +329,11 @@ class PaintTemplate:
     vertex order; the background map's MMD order then ranks the vertices of
     every later painting, whose free DOFs, then conductors, then border row
     are factored in that order.  ``lu_nnz`` sums the L+U nonzeros solved.
+
+    A painting that is a factored base plus one background cell is solved
+    as an exact rank-k update of the base's factorization (`update`), k at
+    most the DOFs of the cell's closure; `solve` factors every other
+    painting.
     """
 
     def __init__(self, mesh, fam, gamma0, basis):
@@ -294,10 +341,11 @@ class PaintTemplate:
 
         self.gd = gamma_data(mesh, basis)
         terms = self.gd.terms
-        tris = mesh.triangles
+        tris = self.tris = mesh.triangles
         nv = self.nv = mesh.num_vertices
         self.by_rank = None
         self.lu_nnz = 0
+        self._closures = {}
 
         # Cell i*grid_n + j holding each triangle's centroid, grid_n**2
         # outside the window.  A vertex off the grid lines must lie in the
@@ -328,6 +376,7 @@ class PaintTemplate:
         same = (np.diff(corner_v[order]) == 0) & (np.diff(corner_c[order]) == 0)
         pieces = connected_labels(len(tris), np.stack([tri[:-1][same], tri[1:][same]], axis=1))
         _, self.node_tri, node = np.unique(pieces, return_index=True, return_inverse=True)
+        self.node_cell = self.cell[self.node_tri]
         n_nodes = len(self.node_tri)
 
         # Node-vertex incidence in vertex order; every pair of nodes at one
@@ -365,7 +414,7 @@ class PaintTemplate:
         self.slot_col, self.slot_row = np.divmod(slots, nv)
         coef = homogeneous_field(mesh, gamma0).element_integrals()
         self.finite = np.isfinite(coef)
-        ke = coef[:, None, None] * terms.dots / terms.four_a2[:, None, None]
+        ke = self.ke = coef[:, None, None] * terms.dots / terms.four_a2[:, None, None]
         # Rows n_slots + k count the triangles of slot k.
         owner = np.repeat(np.arange(len(tris)), 9)
         self.triplets = sp.csr_matrix(
@@ -373,18 +422,29 @@ class PaintTemplate:
              (np.concatenate([slot_of, len(slots) + slot_of]), np.tile(owner, 2))),
             shape=(2 * len(slots), len(tris)))
 
-    def codes(self, zero, inf):
-        """Paint code of every triangle with the flat cells ``zero`` painted
-        D0, then ``inf`` painted Dinf (Dinf wins where they overlap)."""
+    def cell_codes(self, zero, inf):
+        """Paint code of every cell, and of the outside of the window last,
+        with the flat cells ``zero`` painted D0, then ``inf`` painted Dinf
+        (Dinf wins where they overlap)."""
         code = np.full(self.n_cells + 1, PAINT_BG, dtype=np.int8)
         code[list(zero)] = PAINT_D0
         code[list(inf)] = PAINT_DINF
-        return code[self.cell]
+        return code
+
+    def codes(self, zero, inf):
+        """Paint code of every triangle (see `cell_codes`)."""
+        return self.cell_codes(zero, inf)[self.cell]
 
     def system(self, codes):
         """`fem.StiffnessSystem` of a painting: the DOF map and the bordered
         matrix of `fem.build_dof_map` and `fem.assemble`, which raise the
         same errors."""
+        return self.assemble(codes, self.dof_map(codes))
+
+    def dof_map(self, codes):
+        """`fem.DofMap` of a painting from the node graph, numbered in the
+        template's order, after every check of `fem.build_dof_map` and
+        `fem.assemble`, with their errors in their order."""
         terms = self.gd.terms
         label = codes[self.node_tri]
         live = label != PAINT_D0
@@ -425,15 +485,21 @@ class PaintTemplate:
             raise ConfigurationError("measurement arc carries no degrees of freedom")
         reach = np.zeros(2 * nn, dtype=bool)
         reach[comp[:nn][live & self.on_gamma]] = True
-        if not np.all(reach[comp[:nn][live]]):
-            raise ConfigurationError(
-                "free degrees of freedom are disconnected from the measurement arc")
-        active = codes == PAINT_BG
-        if not np.all(self.finite[active]):
+        cut_off = live & ~reach[comp[:nn]]
+        if np.any(cut_off):
+            raise CutOffError(
+                "free degrees of freedom are disconnected from the measurement arc",
+                np.unique(self.node_cell[cut_off]))
+        if not np.all(self.finite[codes == PAINT_BG]):
             raise fem.SolverError("nonfinite element integral in assembly")
         if np.any(removed[terms.gamma_vertices]):
             raise ConfigurationError("measurement arc touches an insulated vertex")
+        return dofmap
 
+    def assemble(self, codes, dofmap):
+        """Bordered `fem.StiffnessSystem` of a painting on its `dof_map`."""
+        terms = self.gd.terms
+        active = codes == PAINT_BG
         # Sum the active triplets per slot.  Slots between free DOFs are
         # already in CSC order, as slots and free DOFs both follow the ranks;
         # those with a conductor DOF are merged and sorted, and go after the
@@ -474,9 +540,34 @@ class PaintTemplate:
         painted Dinf: `nd_matrix` of the same `painted_field`, tagged with
         the mesh hash plus "+scan" in place of a field hash.  The first
         background map sets the template's order."""
-        codes = self.codes(zero, inf)
-        system = self.system(codes)
-        nd = _solve_and_pair(system, self.gd, self.gd.mesh_hash + "+scan", rtol)
+        return self.solve(zero, inf, rtol).nd
+
+    def solve(self, zero, inf, rtol, bases=()):
+        """`PaintedMap` of the painting of `nd_map`.  When the painting is
+        one of the factored ``bases`` plus one cell that is background
+        there, the map is updated on that base (`update`) under the gates
+        of a factored map: the residual at rtol*|b| against the updated
+        system, the gamma mean and `MAX_ASYMMETRY`.  An update that misses
+        the residual gate, and every other painting, is factored."""
+        cells = self.cell_codes(zero, inf)
+        codes = cells[self.cell]
+        dofmap = self.dof_map(codes)
+        field_hash = self.gd.mesh_hash + "+scan"
+        for base in bases:
+            changed = np.flatnonzero(cells != base.cells)
+            if len(changed) == 1 and base.cells[changed[0]] == PAINT_BG:
+                x, residual = self.update(base, changed[0], cells[changed[0]])
+                if not len(fem.residual_misses(residual(x), self.gd.load_norms, rtol)):
+                    u = x[:base.system.n]
+                    try:
+                        fem.check_gamma_mean(base.system.constraint, u)
+                    except fem.SolverError as exc:
+                        raise NDError(f"solve failed for the basis loads: {exc}") from exc
+                    return PaintedMap(nd=_pair(base.b, u, self.gd, field_hash), cells=cells)
+                break
+        system = self.assemble(codes, dofmap)
+        b, sol = _solve(system, self.gd, rtol)
+        nd = _pair(b, sol.u, self.gd, field_hash)
         self.lu_nnz += system.lu.nnz
         if self.by_rank is None and not codes.any():
             rank = system.lu.perm_c[:self.nv]   # position of each vertex's column
@@ -484,7 +575,88 @@ class PaintTemplate:
             order = np.lexsort((rank[self.slot_row], rank[self.slot_col]))
             self.slot_col, self.slot_row = self.slot_col[order], self.slot_row[order]
             self.triplets = self.triplets[np.concatenate([order, len(order) + order])]
-        return nd
+        return PaintedMap(nd=nd, cells=cells, system=system, b=b,
+                          x=np.vstack([sol.u, sol.multiplier]))
+
+    def closure(self, cell):
+        """Vertices of a cell's triangles and the sum of their element
+        matrices on those vertices."""
+        if cell not in self._closures:
+            mine = self.cell == cell
+            verts, local = np.unique(self.tris[mine], return_inverse=True)
+            local = local.reshape(-1, 3)
+            kc = np.zeros((len(verts), len(verts)))
+            np.add.at(kc, (local[:, :, None], local[:, None, :]), self.ke[mine])
+            self._closures[cell] = verts, kc
+        return self._closures[cell]
+
+    def update(self, base, cell, code):
+        """Potentials and multipliers of ``base`` with the background cell
+        ``cell`` painted ``code``, on the base's factorization, and the
+        function giving the residual norms of such a block against the
+        painting's system.
+
+        Let K be the cell's element matrix on its closure.  The closure
+        vertices I whose active triangles in the base are all the cell's
+        have rows of K alone, so the change condenses onto the base DOFs R
+        of the other closure vertices (a base conductor among them): a
+        k-column solve W = A0^-1 E_R, k = |R|, gives it exactly.
+
+        Insulating: the cell's triangles and I leave the system.  A0^-1
+        away from I inverts A0's Schur complement S0 there, and the new
+        matrix is S0 - E_R S E_R^T with S = K_RR - K_RI K_II^-1 K_IR, so
+        x = x0 - W (I - S W_R)^-1 (-S) x0_R (Sherman-Morrison-Woodbury in
+        capacitance form; S is singular and never inverted) and x_I = 0.
+        Conducting: equality constraints C^T x = 0 tie R together, the
+        cell's energy vanishes on them and the constant extends to I, so
+        x = x0 - A0^-1 C (C^T A0^-1 C)^-1 C^T x0."""
+        verts, kc = self.closure(cell)
+        elsewhere = (base.cells[self.node_cell] != PAINT_D0) & (self.node_cell != cell)
+        alone = np.bincount(self.inc_vertex, weights=elsewhere[self.inc_node],
+                            minlength=self.nv)[verts] == 0
+        dv = base.system.dofmap.dof_of_vertex
+        inner = dv[verts[alone]]
+        rim, local = np.unique(dv[verts[~alone]], return_inverse=True)
+        n, k = base.system.n, len(rim)
+        kmat, x0 = base.system.kmat, base.x
+        if base.system.lu is None:    # a base kept without its factorization
+            self.lu_nnz += base.system.factor().nnz
+        lu = base.system.lu
+        onto = np.zeros((len(local), k))
+        onto[np.arange(len(local)), local] = 1.0
+        k_rr = onto.T @ kc[np.ix_(~alone, ~alone)] @ onto
+        if code == PAINT_D0:
+            k_ri = onto.T @ kc[np.ix_(~alone, alone)]
+            s = k_rr - k_ri @ np.linalg.solve(kc[np.ix_(alone, alone)], k_ri.T)
+            e = np.zeros((n + 1, k))
+            e[rim, np.arange(k)] = 1.0
+            w = lu.solve(e)
+            x = x0 - w @ np.linalg.solve(np.eye(k) - s @ w[rim], -s @ x0[rim])
+            x[inner] = 0.0
+
+            def residual(x):
+                r = -(kmat @ x)
+                r[:n] += base.b
+                r[rim] += k_rr @ x[rim]
+                r[inner] = 0.0
+                return np.linalg.norm(r, axis=0)
+        else:
+            c = np.zeros((n + 1, k - 1))
+            c[rim[0]] = 1.0
+            c[rim[1:], np.arange(k - 1)] = -1.0
+            w = lu.solve(c) if k > 1 else c
+            x = x0 - w @ np.linalg.solve(c[rim].T @ w[rim], c[rim].T @ x0[rim])
+            merged = np.concatenate([rim, inner])
+
+            def residual(x):
+                # the residual of the merged DOF sums the rows it merges
+                r = -(kmat @ x)
+                r[:n] += base.b
+                total = r[merged].sum(axis=0)
+                r[merged] = 0.0
+                r[rim[0]] = total
+                return np.linalg.norm(r, axis=0)
+        return x, residual
 
 
 def nd_extreme(mesh, test, kind, gamma0, basis, rtol=1e-10):

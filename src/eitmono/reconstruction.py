@@ -27,7 +27,7 @@ reported); enclosed pockets of outside cells are filled afterwards so the
 result keeps outer-shape semantics.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from . import polygons as pg
 from .fem import ConfigurationError
 from .geometry import connected_labels, part_faults
 from .monotonicity import MonotonicityVerdict, psd_test
-from .ndmap import PaintTemplate
+from .ndmap import CutOffError, PaintTemplate
 
 DEFAULT_TAU_ABS = 1e-5
 DEFAULT_TAU_REL = 0.5
@@ -54,7 +54,8 @@ class ReconstructionResult:
     filled_cells: int = 0
     cell_errors: list = field(default_factory=list)   # (cell, sign, message)
     n_factor: int = 0             # ND maps the scan factored
-    lu_nnz: int = 0               # L+U nonzeros summed over those factorizations
+    n_update: int = 0             # ND maps updated on a retained base factorization
+    lu_nnz: int = 0               # L+U nonzeros summed over the factorizations
 
     def inside_count(self):
         return int(np.sum(self.inside))
@@ -115,7 +116,16 @@ def _box_cells(box):
 
 
 class _Scanner:
-    """Shared state for one reconstruction run."""
+    """Shared state for one reconstruction run.
+
+    ``bases`` holds the factored maps that pixel-phase maps update by one
+    cell: the background map and each sign's final cover box.  A base
+    keeps its system and potentials but not its factorization, which its
+    first update rebuilds.  A SuperLU factor keeps its whole work memory
+    (about 8.9 MB for a 1.7k-DOF scan system), so one held through
+    `min_box` or beside another base would raise the peak memory of a
+    scan.  ``last`` is the map the latest request factored, without its
+    factorization, and None when that map was cached or updated."""
 
     def __init__(self, nd_gamma, mesh, fam, gamma0, basis, rtol):
         self.nd = nd_gamma
@@ -124,17 +134,36 @@ class _Scanner:
         self.scale = nd_gamma.gnorm()
         self.template = PaintTemplate(mesh, fam, gamma0, basis)
         self._nd_cache = {}
+        self.bases = {}
+        self.last = None
+        self.n_update = 0
 
     def nd_painted(self, zero_cells, inf_cells):
         """ND map with the cells painted insulating, then conducting
         (conducting wins where the sets overlap)."""
         key = (frozenset(zero_cells), frozenset(inf_cells))
+        self.last = None
         if key not in self._nd_cache:
             n = self.fam.grid_n
-            self._nd_cache[key] = self.template.nd_map(
+            painted = self.template.solve(
                 [i * n + j for i, j in zero_cells],
-                [i * n + j for i, j in inf_cells], self.rtol)
+                [i * n + j for i, j in inf_cells], self.rtol,
+                list(self.bases.values()))
+            self._nd_cache[key] = painted.nd
+            if painted.system is None:
+                self.n_update += 1
+            else:
+                self.last = replace(painted, system=painted.system.unfactored())
         return self._nd_cache[key]
+
+    def retain(self, role):
+        """Keep the map just factored as the base of ``role``, releasing the
+        role's previous base (a role stays empty when that map was not
+        factored)."""
+        self.bases.pop(role, None)
+        if self.last is not None:
+            self.bases[role] = self.last
+        self.last = None
 
     def paint(self, sign, own, other):
         """ND map with ``own`` painted with the sign's extreme label
@@ -173,7 +202,9 @@ class _Scanner:
             return None
         n = self.fam.grid_n
         box = [0, n - 1, 0, n - 1]
-        if self.cover_margin(_box_cells(tuple(box)), sign) < -tau_abs:
+        covered = self.cover_margin(_box_cells(tuple(box)), sign) >= -tau_abs
+        self.retain(sign)
+        if not covered:
             # Perturbation not coverable inside the window: keep the full
             # window; the pixel phase will still grade the cells.
             return tuple(box)
@@ -185,15 +216,25 @@ class _Scanner:
                 if trial[0] > trial[1] or trial[2] > trial[3] or \
                         self.cover_margin(_box_cells(tuple(trial)), sign) < -tau_abs:
                     sides.remove(side)
+                    self.last = None
                 else:
                     box = trial
+                    self.retain(sign)
         return tuple(box)
 
     def pixel_score(self, cell, sign, neutralizer):
         """Exact-order pixel score with the opposite-sign support dominated
-        by the neutralizer cells."""
-        return self.below(sign, self.nd,
-                          self.paint(sign, {cell}, neutralizer - {cell}))
+        by the neutralizer cells.  A probe cell that the neutralizer's
+        insulating paint cuts off from gamma raises `enclosed_by_neutralizer`."""
+        try:
+            probe = self.paint(sign, {cell}, neutralizer - {cell})
+        except CutOffError as exc:
+            if cell[0] * self.fam.grid_n + cell[1] not in exc.cells:
+                raise
+            raise ConfigurationError(
+                f"enclosed_by_neutralizer: cell {cell} is cut off from the "
+                f"measurement arc by the insulating neutralizer") from exc
+        return self.below(sign, self.nd, probe)
 
     def visibility(self, cell, sign, nd_bg):
         """Magnitude of a full foreign cell's effect at this location,
@@ -217,6 +258,7 @@ def reconstruct(nd_gamma, mesh, family, gamma0, basis,
     grid_n = family.grid_n
     scanner = _Scanner(nd_gamma, mesh, family, gamma0, basis, rtol)
     nd_bg = scanner.nd_painted(set(), set())
+    scanner.retain("background")
 
     # Indeterminate cells: no admissible pixel position (e.g. the cell is
     # not compactly inside the domain).  Conservatively inside.
@@ -239,24 +281,33 @@ def reconstruct(nd_gamma, mesh, family, gamma0, basis,
     for (i, j) in indeterminate:
         inside[i, j] = True
 
-    def judge(cell, sign, neutralizer):
-        score = scanner.pixel_score(cell, sign, neutralizer)
-        vis = scanner.visibility(cell, sign, nd_bg)
-        if vis < VISIBILITY_FLOOR:
-            return score, vis, True       # unresolvable depth: keep inside
-        return score, vis, score >= -tau_rel * vis
-
-    def run_cell(cell, sign):
-        neutralizer = upper_cells if sign == "lower" else lower_cells
+    def attempt(measure, cell, sign, *args):
         try:
-            return cell, sign, *judge(cell, sign, neutralizer), None
+            return measure(cell, sign, *args), None
         except ConfigurationError as exc:
             # Unsolvable probe: conservatively inside, but recorded.
-            return cell, sign, np.nan, np.nan, True, str(exc)
+            return np.nan, str(exc)
 
-    outcomes = [run_cell(cell, sign)
-                for sign, cells in (("lower", lower_cells), ("upper", upper_cells))
-                for cell in sorted(cells)]
+    # The scores sign by sign, each on the other sign's box, then the
+    # visibilities on the background map: the maps that update one base
+    # follow each other, and the base is released after them.
+    scored = []
+    for sign, own, other, neutralizer in (("lower", lower_cells, "upper", upper_cells),
+                                          ("upper", upper_cells, "lower", lower_cells)):
+        scored += [(cell, sign, *attempt(scanner.pixel_score, cell, sign, neutralizer))
+                   for cell in sorted(own)]
+        scanner.bases.pop(other, None)
+    outcomes = []
+    for cell, sign, score, error in scored:
+        if error is None:
+            vis, error = attempt(scanner.visibility, cell, sign, nd_bg)
+        if error is not None:
+            outcomes.append((cell, sign, np.nan, np.nan, True, error))
+        elif vis < VISIBILITY_FLOOR:
+            # unresolvable depth: keep inside
+            outcomes.append((cell, sign, score, vis, True, None))
+        else:
+            outcomes.append((cell, sign, score, vis, score >= -tau_rel * vis, None))
 
     per_cell = {}
     cell_errors = []
@@ -290,7 +341,8 @@ def reconstruct(nd_gamma, mesh, family, gamma0, basis,
         indeterminate=indeterminate, verdicts=verdicts,
         box_lower=box_lower, box_upper=box_upper, jaccard=jac,
         filled_cells=n_filled, cell_errors=cell_errors,
-        n_factor=len(scanner._nd_cache), lu_nnz=scanner.template.lu_nnz)
+        n_factor=len(scanner._nd_cache) - scanner.n_update,
+        n_update=scanner.n_update, lu_nnz=scanner.template.lu_nnz)
 
 
 def rasterize(result, out_prefix):

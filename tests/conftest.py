@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from eitmono import (CoefficientField, build_basis, build_domain,
@@ -52,3 +53,11 @@ def dirichlet_energy(system, solution):
     """sigma-weighted Dirichlet energy of the solution (A-quadratic form)."""
     u = solution.u
     return float(u @ (system.matrix @ u))
+
+
+def gram_distance(nd, ref):
+    """Distance of two ND maps in the Gram geometry relative to ``ref``:
+    max |lambda(nd - ref, G)| / ||ref||_G."""
+    from scipy.linalg import eigh
+    diff = eigh(nd.matrix - ref.matrix, ref.gram, eigvals_only=True)
+    return float(np.max(np.abs(diff))) / ref.gnorm()

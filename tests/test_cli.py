@@ -2,6 +2,7 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from eitmono import geometry
@@ -76,6 +77,7 @@ class TestReconstruct:
         assert (out1 / "verdicts.log").exists()
         metrics = read_metrics(out1)
         assert float(metrics["jaccard"]) > 0.5
+        assert int(metrics["n_update"]) > 0
         grid = (out1 / "result.csv").read_text().strip().split("\n")
         assert len(grid) == 8 and len(grid[0].split(",")) == 8
 
@@ -88,6 +90,23 @@ class TestReconstruct:
         out = tmp_path / "rec"
         assert main(["reconstruct", "--config", str(cfg2), "--out", str(out)]) == 0
         assert float(read_metrics(out)["jaccard"]) > 0.5
+
+    def test_measurements_file_takes_the_noise_level(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        fwd = tmp_path / "fwd"
+        assert main(["forward", "--config", str(cfg), "--out", str(fwd)]) == 0
+        cfg2 = write_config(tmp_path, name="c2.json",
+                            measurements_file=str(fwd / "nd_gamma.txt"))
+        out = tmp_path / "rec"
+        assert main(["reconstruct", "--config", str(cfg2), "--out", str(out),
+                     "--noise-rel", "0.5"]) == 0
+        given = NDMatrix.from_text((fwd / "nd_gamma.txt").read_text())
+        used = NDMatrix.from_text((out / "nd_gamma.txt").read_text())
+        assert used.field_hash == given.field_hash + "+noise"
+        assert not np.allclose(used.matrix, given.matrix)
+        assert main(["reconstruct", "--config", str(cfg2), "--out",
+                     str(tmp_path / "o"), "--noise-rel", "nan"]) == 2
+        assert "config error: --noise-rel: " in capsys.readouterr().err
 
     def test_noise_option_runs(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -284,7 +303,8 @@ def test_cell_errors_in_metrics(tmp_path, monkeypatch):
 
 
 def test_n_factor_in_metrics(tmp_path, monkeypatch):
-    # the scan's factorizations, not the measured map's
+    # the maps the scan factored, not the measured map; a base factored
+    # again for its first update is still one map
     from eitmono import fem
 
     calls = []
@@ -298,7 +318,9 @@ def test_n_factor_in_metrics(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert main(["reconstruct", "--config", str(write_config(tmp_path)),
                  "--out", str(out)]) == 0
-    assert int(read_metrics(out)["n_factor"]) == len(calls) - 1 > 0
+    metrics = read_metrics(out)
+    assert int(metrics["n_factor"]) == len({id(s.kmat) for s in calls}) - 1 > 0
+    assert int(metrics["n_update"]) > 0
 
 
 def test_scan_and_chain_build_no_notched_member(tmp_path, monkeypatch):

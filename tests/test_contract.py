@@ -2,9 +2,10 @@
 regression phantom at h=0.1, m=8, grid 8, against references recorded by
 ``tests/record_contract.py``.
 
-Rasters, pass flags and the scan's map count must match exactly; lambdas
-within the benchmark's tolerance, 1e-5 relative plus 1e-8.  The ``calibrate`` table of the
-insulating_disk sweep must match line for line, as exact strings.
+Rasters, pass flags and the scan's counts of factored and updated maps
+must match exactly; lambdas within the benchmark's tolerance, 1e-5
+relative plus 1e-8.  The ``calibrate`` table of the insulating_disk sweep
+must match line for line, as exact strings.
 """
 
 import json
@@ -17,6 +18,12 @@ from record_contract import REFS, run_calibrate, run_phantom
 REL_TOL = 1e-5
 ABS_TOL = 1e-8
 CONTRACT = json.loads(REFS.read_text())
+# Maps per scan when every map was factored: a map is now factored or
+# updated on a retained base, never dropped or added.
+N_MAPS = {"conducting_disk": 30, "df_minus_square": 24, "df_plus_disk": 25,
+          "insulating_disk": 30, "insulating_pair": 36, "off_center_mixed": 89,
+          "plain_annulus": 30, "quarter_blobs": 49, "singular_core": 30,
+          "two_blob_mixed": 51, "weighted_annulus": 30}
 
 
 def close(x, ref):
@@ -30,7 +37,8 @@ def test_contract(tmp_path, name):
     ref = CONTRACT[name]
     got = run_phantom(name, tmp_path)
     assert got["raster"] == ref["raster"]
-    assert got["n_factor"] == ref["n_factor"]
+    assert (got["n_factor"], got["n_update"]) == (ref["n_factor"], ref["n_update"])
+    assert got["n_factor"] + got["n_update"] == N_MAPS[name]
     assert sorted(got["verdicts"]) == sorted(ref["verdicts"])
     for cell, (lo, hi, p_lo, p_hi) in got["verdicts"].items():
         r_lo, r_hi, r_plo, r_phi = ref["verdicts"][cell]

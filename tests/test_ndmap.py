@@ -17,7 +17,7 @@ from eitmono.ndmap import (BasisResolutionWarning, CurrentBasis, NDError,
 from eitmono.oracle import disk_nd_eigenvalue
 from eitmono import polygons as pg
 
-from conftest import dirichlet_energy
+from conftest import dirichlet_energy, gram_distance
 
 
 def basis_mean_free(basis, mesh, tol):
@@ -490,6 +490,48 @@ def test_enclosed_pocket_raises_like_direct_path(template, family8, grid_mesh,
         fem.build_dof_map(painted_field(grid_mesh, paint, 1.0).mesh)
     with pytest.raises(fem.ConfigurationError, match=re.escape(str(direct.value))):
         tpl.system(tpl.codes(zero, inf))
+
+
+@settings(max_examples=20, deadline=None)
+@given(labelings, st.integers(0, 63), st.sampled_from([0, 2]))
+def test_one_cell_update_matches_direct_path(template, base_ranks, cell, rank):
+    # a base labeling plus one cell painted D0 or Dinf is updated on the
+    # base's factorization when that cell is background in the base, and
+    # is within 1e-10 of the direct template map in the Gram geometry; a
+    # painting the direct path rejects raises the same error
+    tpl, _ = template
+    try:
+        base = tpl.solve(*painted_cells(base_ranks), 1e-10)
+    except fem.ConfigurationError:
+        assume(False)
+    ranks = dict(base_ranks)
+    ranks[cell] = rank
+    zero, inf = painted_cells(ranks)
+    try:
+        ref = tpl.nd_map(zero, inf, 1e-10)
+    except fem.ConfigurationError as exc:
+        with pytest.raises(fem.ConfigurationError, match=re.escape(str(exc))):
+            tpl.solve(zero, inf, 1e-10, [base])
+        return
+    got = tpl.solve(zero, inf, 1e-10, [base])
+    assert (got.system is None) == (cell not in base_ranks)
+    assert gram_distance(got.nd, ref) <= 1e-10
+
+
+def test_only_one_background_cell_off_a_base_is_updated(template):
+    tpl, _ = template
+    base = tpl.solve([], [27], 1e-10)
+    assert base.system is not None
+    assert tpl.solve([9], [27], 1e-10, [base]).system is None
+    assert tpl.solve([], [27, 45], 1e-10, [base]).system is None
+    # two new cells, or a cell the base paints, go direct
+    assert tpl.solve([9, 10], [27], 1e-10, [base]).system is not None
+    assert tpl.solve([27], [], 1e-10, [base]).system is not None
+    # a base whose factorization was dropped is factored again to update it
+    kept = dataclasses.replace(base, system=base.system.unfactored())
+    nnz = tpl.lu_nnz
+    assert tpl.solve([9], [27], 1e-10, [kept]).system is None
+    assert tpl.lu_nnz == nnz + kept.system.lu.nnz
 
 
 def test_map_carries_the_mesh_hash_of_its_field(disk, family8):

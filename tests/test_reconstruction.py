@@ -1,4 +1,6 @@
+import gc
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from eitmono.reconstruction import (DEFAULT_TAU_ABS, ReconstructionResult,
                                     jaccard_index, rasterize, rasterize_truth,
                                     reconstruct)
 
-from conftest import build_field
+from conftest import build_field, gram_distance
 
 
 def make_result(inside):
@@ -281,7 +283,12 @@ def test_n_factor_counts_factorizations(family8, coarse_recon_setup, monkeypatch
 
     monkeypatch.setattr(fem.StiffnessSystem, "factor", counting)
     res = reconstruct(nd, mesh, family8, 1.0, basis)
-    assert res.n_factor == len(calls) > 0
+    # every map the scan factored is factored once; the background map is
+    # kept as a base without its factorization, which its first update
+    # rebuilds (this phantom paints one sign, so no box is a base)
+    matrices = [id(system.kmat) for system in calls]
+    assert res.n_factor == len(set(matrices)) > 0
+    assert len(matrices) == res.n_factor + 1
 
 
 def exhaustive_min_box(scanner, sign, tau_abs):
@@ -349,12 +356,12 @@ def test_symmetric_factorization_matches_default_splu(disk, family8, name,
     fld = build_field(mesh, spec)
     basis = build_basis(mesh, 8)
     maps = []
-    real_nd = PaintTemplate.nd_map
+    real_paint = PaintTemplate.solve
     real_solve = fem.solve_neumann
 
     def recording(*args, **kwargs):
-        out = real_nd(*args, **kwargs)
-        maps.append(out.matrix)
+        out = real_paint(*args, **kwargs)
+        maps.append(out.nd.matrix)
         return out
 
     def checked(system, load, rtol=1e-10):
@@ -365,7 +372,7 @@ def test_symmetric_factorization_matches_default_splu(disk, family8, name,
         assert np.all(res <= rtol * np.linalg.norm(load.b, axis=0))
         return sol
 
-    monkeypatch.setattr(PaintTemplate, "nd_map", recording)
+    monkeypatch.setattr(PaintTemplate, "solve", recording)
     monkeypatch.setattr(fem, "solve_neumann", checked)
     runs = []
     for factor in (fem.StiffnessSystem.factor, default_splu_factor):
@@ -373,7 +380,7 @@ def test_symmetric_factorization_matches_default_splu(disk, family8, name,
         maps.clear()
         nd = nd_matrix(fld, basis)
         res = reconstruct(nd, mesh, family8, fld.gamma0, basis)
-        assert len(maps) == res.n_factor > 0
+        assert len(maps) == res.n_factor + res.n_update > res.n_factor > 0
         runs.append((nd.matrix, list(maps), res.verdict_log(), res.csv_text()))
     (nd_sym, maps_sym, log_sym, csv_sym), (nd_ref, maps_ref, log_ref, csv_ref) = runs
     assert log_sym == log_ref and csv_sym == csv_ref
@@ -382,37 +389,56 @@ def test_symmetric_factorization_matches_default_splu(disk, family8, name,
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-def scan_systems(disk, family8, name, h, m):
-    """(system, gamma data, map) of every scan map of one phantom, in the
-    order the scan solved them."""
+def scan_maps(disk, family8, name, h, m):
+    """`reconstruct` on one phantom, and every scan map as (template, flat
+    D0 cells, flat Dinf cells, `PaintedMap`) in the order the scan solved
+    them."""
     regions, spec = phantoms.build_phantom(name)
     mesh = triangulate(disk, regions, target_h=h,
                        extra_segments=family8.grid_segments())
     fld = build_field(mesh, spec)
     basis = build_basis(mesh, m)
     nd = nd_matrix(fld, basis)
-    solved = []
-    real = ndmap._solve_and_pair
+    maps, factored = [], []
+    real_solve, real_factor = PaintTemplate.solve, fem.StiffnessSystem.factor
 
-    def recording(system, gd, field_hash, rtol):
-        out = real(system, gd, field_hash, rtol)
-        solved.append((system, gd, out))
+    def recording(self, zero, inf, rtol, bases=()):
+        out = real_solve(self, zero, inf, rtol, bases)
+        maps.append((self, list(zero), list(inf), out))
         return out
 
+    def counting(self):
+        new = self.lu is None
+        lu = real_factor(self)
+        if new:
+            factored.append((id(self.kmat), lu.nnz))
+        return lu
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ndmap, "_solve_and_pair", recording)
+        mp.setattr(PaintTemplate, "solve", recording)
+        mp.setattr(fem.StiffnessSystem, "factor", counting)
         res = reconstruct(nd, mesh, family8, fld.gamma0, basis)
+    solved = [p for *_, p in maps if p.system is not None]
+    assert len(maps) == res.n_factor + res.n_update
     assert len(solved) == res.n_factor > 1
-    assert res.lu_nnz == sum(system.lu.nnz for system, _, _ in solved)
+    # a base is factored again for its first update: the background and
+    # the two boxes at most
+    assert len({key for key, _ in factored}) == res.n_factor
+    assert len(factored) <= res.n_factor + 3
+    assert res.lu_nnz == sum(nnz for _, nnz in factored)
     # the background map comes first and sets the order of all the others
-    assert [system.ordered for system, _, _ in solved] \
-        == [False] + [True] * (len(solved) - 1)
-    return solved
+    assert [p.system.ordered for p in solved] == [False] + [True] * (len(solved) - 1)
+    return res, maps
+
+
+def factored_maps(maps):
+    """(system, gamma data, map) of every scan map that was factored."""
+    return [(p.system, tpl.gd, p.nd) for tpl, _, _, p in maps if p.system is not None]
 
 
 @pytest.fixture(scope="module")
 def regression_scans(disk, family8):
-    return {name: scan_systems(disk, family8, name, 0.1, 8)
+    return {name: scan_maps(disk, family8, name, 0.1, 8)
             for name in phantoms.REGRESSION_PHANTOMS}
 
 
@@ -422,13 +448,17 @@ def mmd_factor(kmat):
                      options=dict(SymmetricMode=True))
 
 
-def fill_ratios(solved):
-    """L+U nonzeros of each scan map on the template's shared order over
-    those of MMD_AT_PLUS_A on the same matrix.  MMD's result depends on the
-    numbering it starts from, so it starts from the direct path's: free
-    DOFs in vertex order, then the conductors and the border row."""
+def fill_ratios(maps):
+    """L+U nonzeros of each scan painting after the background on the
+    template's shared order over those of MMD_AT_PLUS_A on the same matrix:
+    as the scan factored it, or factored here when the scan updated the map.
+    MMD's result depends on the numbering it starts from, so it starts from
+    the direct path's: free DOFs in vertex order, then the conductors and
+    the border row."""
     got, ref = [], []
-    for system, _, _ in solved[1:]:
+    for tpl, zero, inf, p in maps[1:]:
+        system = tpl.system(tpl.codes(zero, inf)) if p.system is None else p.system
+        system.factor()
         dofmap = system.dofmap
         free = np.flatnonzero(dofmap.vertex_status == fem.STATUS_FREE)
         direct = np.arange(system.n + 1)
@@ -442,10 +472,10 @@ def test_shared_order_fill_near_mmd(disk, family8, regression_scans):
     # the background's MMD order serves every painting: its fill stays
     # within 1.10x MMD's summed over a scan and 1.30x on any one map
     # (measured: at most 1.074x and 1.216x)
-    scans = list(regression_scans.values())
-    scans.append(scan_systems(disk, family8, "two_blob_mixed", 0.08, 16))
-    for solved in scans:
-        got, ref = fill_ratios(solved)
+    scans = [maps for _, maps in regression_scans.values()]
+    scans.append(scan_maps(disk, family8, "two_blob_mixed", 0.08, 16)[1])
+    for maps in scans:
+        got, ref = fill_ratios(maps)
         assert got.sum() <= 1.10 * ref.sum()
         assert np.all(got <= 1.30 * ref)
 
@@ -453,11 +483,95 @@ def test_shared_order_fill_near_mmd(disk, family8, regression_scans):
 def test_shared_order_maps_match_mmd_factorization(regression_scans):
     # every scan map solved on the shared order against the same system
     # factored on its own MMD order
-    for solved in regression_scans.values():
-        for system, gd, nd in solved[1:]:
+    for _, maps in regression_scans.values():
+        for system, gd, nd in factored_maps(maps)[1:]:
             mmd = fem.StiffnessSystem(kmat=system.kmat,
                                       constraint=system.constraint,
                                       dofmap=system.dofmap)
             ref = ndmap._solve_and_pair(mmd, gd, nd.field_hash, 1e-10)
             assert np.abs(nd.matrix - ref.matrix).max() \
                 <= 1e-12 * np.abs(ref.matrix).max()
+
+
+def test_updated_maps_match_direct_path(regression_scans):
+    # every pixel-phase map the scan updated on a base against the direct
+    # template map of the same painting (measured: at most 3.4e-15 here,
+    # 1.0e-14 at h=0.08, m=16)
+    for res, maps in regression_scans.values():
+        updated = [(tpl, zero, inf, p) for tpl, zero, inf, p in maps if p.system is None]
+        assert len(updated) == res.n_update > 0
+        for tpl, zero, inf, p in updated:
+            assert gram_distance(p.nd, tpl.nd_map(zero, inf, 1e-10)) <= 1e-10
+
+
+def test_probes_inside_the_opposite_box(regression_scans):
+    # on off_center_mixed the lower box (2,5,1,6) encloses the upper box: a
+    # lower probe inside the upper box paints D0 where its base, the upper
+    # box, is Dinf, so it is factored; an upper probe's Dinf cell that the
+    # lower box's D0 paint cuts off from gamma is named and kept inside
+    res, maps = regression_scans["off_center_mixed"]
+    upper = {i * 8 + j for i, j in _box_cells(res.box_upper)}
+    assert upper and upper <= {i * 8 + j for i, j in _box_cells(res.box_lower)}
+    probes = [p for _, zero, inf, p in maps
+              if len(zero) == 1 and zero[0] in upper and set(inf) == upper - set(zero)]
+    assert len(probes) == len(upper)
+    assert all(p.system is not None for p in probes)
+    assert len(res.cell_errors) == 8
+    for (i, j), sign, message in res.cell_errors:
+        assert (sign, i * 8 + j in upper) == ("upper", True)
+        assert message.startswith(f"enclosed_by_neutralizer: cell ({i}, {j}) ")
+        assert res.inside[i, j]
+
+
+@pytest.fixture(scope="module")
+def mixed_setup(disk, family8):
+    regions, spec = phantoms.build_phantom("two_blob_mixed")
+    mesh = triangulate(disk, regions, target_h=0.1,
+                       extra_segments=family8.grid_segments())
+    fld = build_field(mesh, spec)
+    basis = build_basis(mesh, 8)
+    return nd_matrix(fld, basis), mesh, basis
+
+
+def test_bases_held_and_released(family8, mixed_setup, monkeypatch):
+    nd, mesh, basis = mixed_setup
+    held, seen = [], []
+    real = PaintTemplate.solve
+
+    def watching(self, zero, inf, rtol, bases=()):
+        held.append((len(bases), sum(b.system.lu is not None for b in bases)))
+        seen.extend(weakref.ref(b.system) for b in bases)
+        return real(self, zero, inf, rtol, bases)
+
+    monkeypatch.setattr(PaintTemplate, "solve", watching)
+    res = reconstruct(nd, mesh, family8, 1.0, basis)
+    assert res.n_update > 0
+    # the background and both boxes; one of them factored at a time
+    assert max(n for n, _ in held) == 3
+    assert max(f for _, f in held) == 1
+    gc.collect()
+    assert seen and all(ref() is None for ref in seen)
+
+
+def test_update_missing_the_residual_gate_is_factored(family8, mixed_setup,
+                                                      monkeypatch):
+    nd, mesh, basis = mixed_setup
+    ref = reconstruct(nd, mesh, family8, 1.0, basis)
+    real = PaintTemplate.update
+
+    def perturbed(self, base, cell, code):
+        x, residual = real(self, base, cell, code)
+        return x * (1.0 + 1e-6), residual
+
+    monkeypatch.setattr(PaintTemplate, "update", perturbed)
+    res = reconstruct(nd, mesh, family8, 1.0, basis)
+    assert ref.n_update > 0 and res.n_update == 0
+    assert res.n_factor == ref.n_factor + ref.n_update
+    assert res.csv_text() == ref.csv_text()
+    for got, want in zip(res.verdicts, ref.verdicts):
+        assert (got.test_id, got.pass_insulating, got.pass_conducting) == \
+            (want.test_id, want.pass_insulating, want.pass_conducting)
+        for lam, lam_ref in ((got.lambda_min_insulating, want.lambda_min_insulating),
+                             (got.lambda_min_conducting, want.lambda_min_conducting)):
+            assert np.isnan(lam) == np.isnan(lam_ref)
+            assert np.isnan(lam) or abs(lam - lam_ref) <= 1e-9 * abs(lam_ref)
