@@ -364,13 +364,23 @@ def connected_labels(n, pairs):
     return connected_components(graph, directed=False)[1]
 
 
+def _corner_edge_keys(simplices, n):
+    """The integer key i*n + j (i < j < n) of each simplex edge (k, k+1 mod
+    3) in simplex order: one key per edge copy, unsorted."""
+    s = simplices.astype(np.int64, copy=False)
+    t = s[:, [1, 2, 0]]
+    return (np.minimum(s, t) * n + np.maximum(s, t)).ravel()
+
+
 def edge_owners(tris):
     """Every triangle edge as a sorted vertex pair beside its triangle
-    index, in lexicographic edge order: copies of one edge are adjacent."""
-    edges = np.sort(tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-    owner = np.repeat(np.arange(len(tris)), 3)
-    order = np.lexsort((edges[:, 1], edges[:, 0]))
-    return edges[order], owner[order]
+    index, in lexicographic edge order: copies of one edge are adjacent,
+    in triangle order."""
+    n = int(tris.max()) + 1 if len(tris) else 1
+    keys = _corner_edge_keys(tris, n)
+    order = np.argsort(keys, kind="stable")
+    edges = np.column_stack(np.divmod(keys[order], n)).astype(tris.dtype, copy=False)
+    return edges, order // 3
 
 
 def edge_runs(edges):
@@ -382,11 +392,22 @@ def edge_runs(edges):
     return first, np.diff(np.append(first, len(edges)))
 
 
+def _connected_through_edges(table, mask):
+    """`Mesh.triangles_connected` on the mesh's `edge_owners` table."""
+    idx = np.flatnonzero(mask)
+    if len(idx) == 0:
+        return False
+    edges, owner = table
+    shared = np.all(edges[1:] == edges[:-1], axis=1)
+    pairs = np.stack([owner[:-1][shared], owner[1:][shared]], axis=1)
+    labels = connected_labels(len(mask), pairs[np.all(mask[pairs], axis=1)])
+    return bool(np.all(labels[idx] == labels[idx[0]]))
+
+
 def _edge_keys(simplices, n):
     """Each distinct edge of the simplices as the integer key i*n + j of its
     sorted vertex pair (i < j < n), in ascending (lexicographic) order."""
-    e = np.sort(simplices[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-    keys = np.sort(e[:, 0].astype(np.int64) * n + e[:, 1])
+    keys = np.sort(_corner_edge_keys(simplices, n))
     return keys[np.append(True, keys[1:] != keys[:-1])]
 
 
@@ -434,14 +455,7 @@ class Mesh:
     def triangles_connected(self, mask):
         """True when the masked triangles form one set connected through
         shared edges (False when the mask is empty)."""
-        idx = np.flatnonzero(mask)
-        if len(idx) == 0:
-            return False
-        edges, owner = edge_owners(self.triangles)
-        shared = np.all(edges[1:] == edges[:-1], axis=1)
-        pairs = np.stack([owner[:-1][shared], owner[1:][shared]], axis=1)
-        labels = connected_labels(self.num_triangles, pairs[np.all(mask[pairs], axis=1)])
-        return bool(np.all(labels[idx] == labels[idx[0]]))
+        return _connected_through_edges(edge_owners(self.triangles), mask)
 
     def gamma_edges(self):
         return self.boundary_edges[self.boundary_on_gamma]
@@ -583,7 +597,9 @@ def triangulate(domain, regions=None, target_h=0.1, extra_segments=(),
     constraints = set(subsegs)
 
     def recover(arr, constraints):
-        """Delaunay + midpoint insertion until all constraints are edges.
+        """Delaunay + midpoint insertion until all constraints are edges;
+        returns the points, the triangulation, the constraints and the
+        triangulation's `_edge_keys`.
 
         The midpoints of missing constraints are numbered in the iteration
         order of the ``constraints`` set, so the set is updated in place,
@@ -591,12 +607,14 @@ def triangulate(domain, regions=None, target_h=0.1, extra_segments=(),
         for _ in range(60):
             dt = Delaunay(arr)
             n = len(arr)
+            keys = _edge_keys(dt.simplices, n)
             pending = list(constraints)
             pairs = np.array(pending, dtype=np.int64).reshape(-1, 2)
-            absent = ~np.isin(pairs[:, 0] * n + pairs[:, 1],
-                              _edge_keys(dt.simplices, n), assume_unique=True)
+            wanted = pairs[:, 0] * n + pairs[:, 1]
+            at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+            absent = keys[at] != wanted
             if not np.any(absent):
-                return arr, dt, constraints
+                return arr, dt, constraints, keys
             missing = pairs[absent]
             arr = np.vstack([arr, (arr[missing[:, 0]] + arr[missing[:, 1]]) / 2.0])
             for k, (i, j) in enumerate(pending[m] for m in np.flatnonzero(absent)):
@@ -606,47 +624,48 @@ def triangulate(domain, regions=None, target_h=0.1, extra_segments=(),
                 constraints.add((min(idx, j), max(idx, j)))
         raise MeshConformityError("failed to recover constraint segments")
 
-    arr, dt, constraints = recover(points, set(constraints))
+    arr, dt, constraints, keys = recover(points, set(constraints))
 
     # Two rounds of Laplacian smoothing of the lattice points only;
     # constraint vertices (original and midpoint-inserted) stay fixed.
+    # Each vertex sums its neighbours over the edges in key order, first
+    # where it is the edge's first endpoint, then where it is the second:
+    # the meshes the golden tests pin depend on that addition order.
     free_mask = np.zeros(len(arr), dtype=bool)
     free_mask[n_fixed:n_fixed + len(gpts)] = True
 
     for _ in range(2):
-        free_mask = np.concatenate([free_mask,
-                                    np.zeros(len(arr) - len(free_mask), dtype=bool)])
-        edges = np.column_stack(np.divmod(_edge_keys(dt.simplices, len(arr)), len(arr)))
-        neighbor_sum = np.zeros_like(arr)
-        neighbor_cnt = np.zeros(len(arr))
-        np.add.at(neighbor_sum, edges[:, 0], arr[edges[:, 1]])
-        np.add.at(neighbor_sum, edges[:, 1], arr[edges[:, 0]])
-        np.add.at(neighbor_cnt, edges[:, 0], 1)
-        np.add.at(neighbor_cnt, edges[:, 1], 1)
+        n = len(arr)
+        free_mask = np.concatenate([free_mask, np.zeros(n - len(free_mask), dtype=bool)])
+        i, j = np.divmod(keys, n)
+        ends, other = np.concatenate([i, j]), np.concatenate([j, i])
+        neighbor_cnt = np.bincount(ends, minlength=n)
+        neighbor_sum = np.column_stack([np.bincount(ends, weights=arr[other, c], minlength=n)
+                                        for c in (0, 1)])
         valid = free_mask & (neighbor_cnt > 0)
-        proposed = arr.copy()
-        proposed[valid] = neighbor_sum[valid] / neighbor_cnt[valid][:, None]
-        keep = pg.points_in_polygon(proposed[valid], bp, boundary=False, tol=0.0)
-        dseg = pg.points_segments_distance(proposed[valid], seg_a, seg_b, cutoff=0.35 * spacing)
+        proposed = neighbor_sum[valid] / neighbor_cnt[valid][:, None]
+        keep = pg.points_in_polygon(proposed, bp, boundary=False, tol=0.0)
+        dseg = pg.points_segments_distance(proposed, seg_a, seg_b, cutoff=0.35 * spacing)
         keep &= dseg > 0.3 * spacing
-        idxs = np.where(valid)[0]
-        arr[idxs[keep]] = proposed[valid][keep]
-        arr, dt, constraints = recover(arr, constraints)
+        idxs = np.flatnonzero(valid)
+        arr[idxs[keep]] = proposed[keep]
+        arr, dt, constraints, keys = recover(arr, constraints)
 
     # Enforce the maximum-diameter contract: split interior edges that are
     # still longer than target_h (constraint subsegments are already short).
     for _ in range(4):
-        edges = np.column_stack(np.divmod(_edge_keys(dt.simplices, len(arr)), len(arr)))
-        lengths = np.hypot(*(arr[edges[:, 1]] - arr[edges[:, 0]]).T)
-        mids = (arr[edges[:, 0]] + arr[edges[:, 1]]) / 2.0
-        long = (lengths > target_h) & pg.points_in_polygon(mids, bp, boundary=False, tol=0.0)
-        if np.any(long):
-            dmid = pg.points_segments_distance(mids[long], seg_a, seg_b, cutoff=0.25 * spacing)
-            long[np.where(long)[0][dmid <= 0.2 * spacing]] = False
-        if not np.any(long):
+        i, j = np.divmod(keys, len(arr))
+        lengths = np.hypot(*(arr[j] - arr[i]).T)
+        long = lengths > target_h
+        mids = (arr[i[long]] + arr[j[long]]) / 2.0
+        mids = mids[pg.points_in_polygon(mids, bp, boundary=False, tol=0.0)]
+        if len(mids):
+            dmid = pg.points_segments_distance(mids, seg_a, seg_b, cutoff=0.25 * spacing)
+            mids = mids[dmid > 0.2 * spacing]
+        if not len(mids):
             break
-        arr = np.vstack([arr, mids[long]])
-        arr, dt, constraints = recover(arr, constraints)
+        arr = np.vstack([arr, mids])
+        arr, dt, constraints, keys = recover(arr, constraints)
 
     # Keep triangles whose centroid is inside the domain polygon.
     simplices = dt.simplices
@@ -698,9 +717,11 @@ def triangulate(domain, regions=None, target_h=0.1, extra_segments=(),
                 f"target_h={target_h} too coarse to resolve region {label}")
 
     # Boundary edges (incident to exactly one triangle) and gamma flags.
-    edges = edge_owners(tris)[0]
-    first, counts = edge_runs(edges)
-    bedges = edges[first[counts == 1]]
+    keys = np.sort(_corner_edge_keys(tris, len(verts)))
+    single = np.ones(len(keys), dtype=bool)
+    single[1:] = keys[1:] != keys[:-1]
+    single[:-1] &= keys[:-1] != keys[1:]
+    bedges = np.column_stack(np.divmod(keys[single], len(verts)))
     mid = (verts[bedges[:, 0]] + verts[bedges[:, 1]]) / 2.0
     on_gamma = domain.param_in_gamma(domain.boundary_param(mid))
 
@@ -761,23 +782,27 @@ def mesh_region_faults(mesh, regions):
     The complements of D0 and of D0+Ddeg+Dsing must be connected, and the
     weighted regions compactly contained in the interior of the labeled
     union: sampled points of their boundaries must stay clear of the edges
-    between labeled and unlabeled area.
+    between labeled and unlabeled area.  The mesh's edge table is built
+    once per call, and only when a clause reads it.
     """
     violations = []
-    if regions.label_polys("D0") and not mesh.triangles_connected(
-            mesh.triangle_region != "D0"):
-        violations.append("complement of D0 not connected")
     weighted = [lab for lab in ("Ddeg", "Dsing") if regions.label_polys(lab)]
+    if not (weighted or regions.label_polys("D0")):
+        return violations
+    table = edge_owners(mesh.triangles)
+    if regions.label_polys("D0") and not _connected_through_edges(
+            table, mesh.triangle_region != "D0"):
+        violations.append("complement of D0 not connected")
     if not weighted:
         # The merged complement is then the complement of D0.
         if violations:
             violations.append("complement of D0+Ddeg+Dsing not connected")
         return violations
     merged = np.isin(mesh.triangle_region, ["D0", "Ddeg", "Dsing"])
-    if not mesh.triangles_connected(~merged):
+    if not _connected_through_edges(table, ~merged):
         violations.append("complement of D0+Ddeg+Dsing not connected")
 
-    d_boundary = _union_boundary_segments(mesh)
+    d_boundary = _union_boundary_segments(mesh, table)
     if d_boundary is not None:
         for label in weighted:
             for poly in regions.label_polys(label):
@@ -790,9 +815,10 @@ def mesh_region_faults(mesh, regions):
     return violations
 
 
-def _union_boundary_segments(mesh):
-    """Edges separating labeled triangles from background/outside."""
-    edges, owner = edge_owners(mesh.triangles)
+def _union_boundary_segments(mesh, table):
+    """Edges separating labeled triangles from background/outside, from the
+    mesh's `edge_owners` table."""
+    edges, owner = table
     first, counts = edge_runs(edges)
     is_d = mesh.triangle_region != BACKGROUND
     d_first = is_d[owner[first]]

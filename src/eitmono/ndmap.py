@@ -569,14 +569,21 @@ class PaintTemplate:
         b, sol = _solve(system, self.gd, rtol)
         nd = _pair(b, sol.u, self.gd, field_hash)
         self.lu_nnz += system.lu.nnz
+        x = np.vstack([sol.u, sol.multiplier])
         if self.by_rank is None and not codes.any():
             rank = system.lu.perm_c[:self.nv]   # position of each vertex's column
             self.by_rank = np.argsort(rank)
             order = np.lexsort((rank[self.slot_row], rank[self.slot_col]))
             self.slot_col, self.slot_row = self.slot_col[order], self.slot_row[order]
             self.triplets = self.triplets[np.concatenate([order, len(order) + order])]
-        return PaintedMap(nd=nd, cells=cells, system=system, b=b,
-                          x=np.vstack([sol.u, sol.multiplier]))
+            # The background map is kept in the order it sets, so that a
+            # base refactored for an update reuses that order: the scan
+            # runs MMD once.
+            shared = self.dof_map(codes)
+            moved = np.arange(system.n + 1)
+            moved[shared.dof_of_vertex] = dofmap.dof_of_vertex
+            system, b, x = self.assemble(codes, shared), b[moved[:-1]], x[moved]
+        return PaintedMap(nd=nd, cells=cells, system=system, b=b, x=x)
 
     def closure(self, cell):
         """Vertices of a cell's triangles and the sum of their element

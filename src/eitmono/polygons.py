@@ -6,8 +6,6 @@ matters where documented: counter-clockwise (positive signed area) polygons
 are solid, clockwise polygons act as holes.
 """
 
-import itertools
-
 import numpy as np
 
 # Coordinates closer than this are treated as the same point when snapping
@@ -169,17 +167,18 @@ def points_segments_distance(pts, seg_a, seg_b, cutoff=None):
 
 
 def _points_segments_distance_kd(pts, a, b, cutoff):
+    """`points_segments_distance` with a cutoff over the candidate pairs of
+    a KD-tree search: every segment within ``cutoff`` of a point has its
+    midpoint within ``cutoff`` plus the largest half-length, and the minimum
+    over any superset of those candidates is the same."""
     from scipy.spatial import cKDTree
 
     mid = (a + b) / 2.0
     half = 0.5 * np.hypot(*(b - a).T)
     radius = cutoff + float(half.max())
-    tree = cKDTree(mid)
-    groups = tree.query_ball_point(pts, r=radius)
-    sizes = np.fromiter(map(len, groups), dtype=np.intp, count=len(groups))
-    segs = np.fromiter(itertools.chain.from_iterable(groups), dtype=np.intp,
-                       count=int(sizes.sum()))
-    owner = np.repeat(np.arange(len(pts)), sizes)
+    pairs = cKDTree(pts).sparse_distance_matrix(cKDTree(mid), radius,
+                                                output_type="ndarray")
+    owner, segs = pairs["i"], pairs["j"]
     ab = b - a
     ab2 = np.sum(ab * ab, axis=1)
     ab2 = np.where(ab2 == 0, 1.0, ab2)

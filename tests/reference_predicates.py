@@ -1,6 +1,9 @@
-"""Reference implementations: the direct loops that the vectorized mesher
-predicates replaced.  The fast paths in ``eitmono.polygons`` and
-``eitmono.geometry`` must reproduce them bit for bit."""
+"""Reference implementations: the direct loops and sorts that the
+vectorized mesher predicates replaced.  The fast paths in
+``eitmono.polygons`` and ``eitmono.geometry`` must reproduce them bit for
+bit."""
+
+import itertools
 
 import numpy as np
 
@@ -107,6 +110,46 @@ def ref_points_segments_distance_kd(pts, a, b, cutoff):
         d = np.hypot(*(pts[i] - closest).T)
         best[i] = min(cutoff, float(d.min()))
     return best
+
+
+def ref_ball_point_distance_kd(pts, a, b, cutoff):
+    """The KD path with its candidate pairs from per-point
+    ``query_ball_point`` lists, flattened."""
+    from scipy.spatial import cKDTree
+
+    mid = (a + b) / 2.0
+    half = 0.5 * np.hypot(*(b - a).T)
+    radius = cutoff + float(half.max())
+    groups = cKDTree(mid).query_ball_point(pts, r=radius)
+    sizes = np.fromiter(map(len, groups), dtype=np.intp, count=len(groups))
+    segs = np.fromiter(itertools.chain.from_iterable(groups), dtype=np.intp,
+                       count=int(sizes.sum()))
+    owner = np.repeat(np.arange(len(pts)), sizes)
+    ab = b - a
+    ab2 = np.sum(ab * ab, axis=1)
+    ab2 = np.where(ab2 == 0, 1.0, ab2)
+    ap = pts[owner] - a[segs]
+    t = np.clip(np.sum(ap * ab[segs], axis=1) / ab2[segs], 0.0, 1.0)
+    closest = a[segs] + t[:, None] * ab[segs]
+    d = np.hypot(*(pts[owner] - closest).T)
+    best = np.full(len(pts), cutoff, dtype=float)
+    np.minimum.at(best, owner, d)
+    return best
+
+
+def ref_edge_keys(simplices, n):
+    """Distinct edge keys i*n + j from per-row sorted vertex pairs."""
+    e = np.sort(simplices[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    keys = np.sort(e[:, 0].astype(np.int64) * n + e[:, 1])
+    return keys[np.append(True, keys[1:] != keys[:-1])]
+
+
+def ref_edge_owners(tris):
+    """Sorted edge pairs and their triangles in `np.lexsort` order."""
+    edges = np.sort(tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    owner = np.repeat(np.arange(len(tris)), 3)
+    order = np.lexsort((edges[:, 1], edges[:, 0]))
+    return edges[order], owner[order]
 
 
 def ref_arrange_segments(segments, extra_points):

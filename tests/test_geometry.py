@@ -5,16 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eitmono import phantoms, reconstruction
+from eitmono import geometry, phantoms, reconstruction
 from eitmono import polygons as pg
 from eitmono.geometry import (GeometryError, Mesh, MeshConformityError,
                               RegionSet, TestInclusion, _arrange_segments,
-                              build_domain, connected_labels,
-                              mesh_region_faults, part_faults,
+                              _edge_keys, build_domain, connected_labels,
+                              edge_owners, mesh_region_faults, part_faults,
                               pixel_family, triangulate, validate_inclusion,
                               validate_regions)
 
-from reference_predicates import ref_arrange_segments
+from reference_predicates import (ref_arrange_segments, ref_edge_keys,
+                                  ref_edge_owners)
 
 
 def region_area(mesh, label):
@@ -212,6 +213,99 @@ def test_golden_mesh(disk, family8, name):
     mesh = triangulate(disk, regions, target_h=0.1,
                        extra_segments=family8.grid_segments())
     assert mesh_fingerprint(mesh) == GOLDEN_MESHES[name]
+
+
+def full_fingerprint(mesh):
+    """`mesh_fingerprint` that also covers the dtypes, the shapes and h."""
+    hasher = hashlib.sha256(mesh_fingerprint(mesh).encode())
+    for a in (mesh.vertices, mesh.triangles, mesh.triangle_region,
+              mesh.boundary_edges, mesh.boundary_on_gamma):
+        hasher.update(repr((a.dtype.str, a.shape)).encode())
+    hasher.update(repr(mesh.h).encode())
+    return hasher.hexdigest()
+
+
+def workload_config(name):
+    """The config of a benchmark workload's mesh with its geometry unturned:
+    the `scan_mixed` scan, a `forward_fine` forward run on the insulating or
+    conducting r=0.5 disk, and the `chain_weighted` chain."""
+    base = {"domain": {"shape": "disk", "gamma_arc": [0.0, 1.0]},
+            "coefficient": {"background": 1.0}}
+    if name == "scan_mixed":
+        regions, _ = phantoms.build_phantom("two_blob_mixed")
+        cfg = dict(base, mesh={"target_h": 0.08}, scan={"grid_n": 8})
+    elif name.startswith("forward_fine"):
+        regions, _ = phantoms.concentric_disk(0.5, name.split("_")[-1], 128)
+        cfg = dict(base, mesh={"target_h": 0.02})
+    else:
+        regions, _ = phantoms.build_phantom("weighted_annulus")
+        weight = {"kind": "radial_power", "center": [0.0, 0.0],
+                  "exponent": 0.5, "amplitude": 1.0 / 0.28 ** 0.5}
+        cfg = dict(base, mesh={"target_h": 0.07}, scan={"grid_n": 8},
+                   coefficient={"background": 1.0, "DFminus": 0.5, "Ddeg": weight,
+                                "singular_points": [[0.0, 0.0]]})
+    cfg["regions"] = {lab: [p.tolist() for p in polys]
+                      for lab, polys in regions.polys.items()}
+    return cfg
+
+
+# `full_fingerprint` of the meshes that the CLI builds for the benchmark
+# workloads at seed 0, recorded before the mesher's bookkeeping was cut.
+GOLDEN_WORKLOAD_MESHES = {
+    "scan_mixed": "2febf932a0d6d70464e2bd496e3ce0074d6fa53a93ebff1605cab32bf395fb83",
+    "forward_fine_D0": "43a26cb27341618edeafcb55f33195f008d846a90379c58860d4e0cd22071369",
+    "forward_fine_Dinf": "c1ccfbee15273f016fe79c9674e4b818d8a375315876547869df798e79156161",
+    "chain_weighted": "82e5940a2fdddcd5a6a9c5d757795757e6691cbf79295fe9cf726f25d81ddde9",
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_WORKLOAD_MESHES)
+def test_golden_workload_mesh(name):
+    from eitmono.cli import Problem
+
+    cfg = workload_config(name)
+    mesh = Problem(cfg).build_mesh(with_grid="scan" in cfg)
+    assert full_fingerprint(mesh) == GOLDEN_WORKLOAD_MESHES[name]
+
+
+def test_one_edge_key_pass_per_delaunay_build(monkeypatch, disk, family8):
+    builds, passes = [], []
+
+    def counted(log, real):
+        def wrapper(*args):
+            log.append(1)
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(geometry, "Delaunay", counted(builds, geometry.Delaunay))
+    monkeypatch.setattr(geometry, "_edge_keys", counted(passes, geometry._edge_keys))
+    regions, _ = phantoms.build_phantom("two_blob_mixed")
+    mesh = triangulate(disk, regions, target_h=0.1,
+                       extra_segments=family8.grid_segments())
+    assert mesh_fingerprint(mesh) == GOLDEN_MESHES["two_blob_mixed"]
+    assert len(builds) >= 4
+    assert len(passes) == len(builds)
+
+
+# Few vertices, so that triangles share edges and repeat them; a repeated
+# corner makes a degenerate edge (i, i).
+triangle_arrays = st.integers(1, 7).flatmap(lambda n: st.tuples(
+    st.lists(st.tuples(*[st.integers(0, n - 1)] * 3), min_size=1, max_size=30),
+    st.sampled_from([np.int32, np.int64])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(triangle_arrays)
+def test_edge_keys_and_owners_match_sort_references(drawn):
+    rows, dtype = drawn
+    tris = np.array(rows, dtype=dtype)
+    n = int(tris.max()) + 1
+    for extra in (0, 5):
+        got, want = _edge_keys(tris, n + extra), ref_edge_keys(tris, n + extra)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    for got, want in zip(edge_owners(tris), ref_edge_owners(tris)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
 
 
 # Lattice coordinates make crossings, T-junctions, shared endpoints,

@@ -4,7 +4,8 @@ from hypothesis import strategies as st
 
 from eitmono import polygons as pg
 
-from reference_predicates import (ref_crossing_parity, ref_points_in_polygon,
+from reference_predicates import (ref_ball_point_distance_kd,
+                                  ref_crossing_parity, ref_points_in_polygon,
                                   ref_points_segments_distance_kd,
                                   ref_polygon_is_simple,
                                   ref_segment_point_distance,
@@ -212,3 +213,31 @@ def test_kd_path_matches_reference_through_public_call():
     b[:3] = a[:3]                       # degenerate segments
     got = pg.points_segments_distance(pts, a, b, cutoff=0.05)
     assert np.array_equal(got, ref_points_segments_distance_kd(pts, a, b, 0.05))
+
+
+def at_the_radii(a, b, cutoff):
+    """Points exactly ``cutoff`` from each segment endpoint along the axes
+    (from an axis-parallel segment, exactly ``cutoff`` from the segment),
+    and points the KD search radius from each midpoint along the axes."""
+    mid = (a + b) / 2.0
+    radius = cutoff + float(np.max(0.5 * np.hypot(*(b - a).T)))
+    axes = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    return np.concatenate([(c[:, None] + r * axes[None]).reshape(-1, 2)
+                           for c, r in ((a, cutoff), (b, cutoff), (mid, radius))])
+
+
+@fast
+@given(st.lists(st.tuples(st.tuples(lattice, lattice), st.tuples(lattice, lattice)),
+                min_size=1, max_size=12),
+       st.lists(point, max_size=20), st.sampled_from([0.125, 0.25, 0.5, 0.3]))
+def test_kd_pairs_match_ball_point_reference_at_the_radii(segs, extra, cutoff):
+    # the candidate pairs as one array against the per-point candidate
+    # lists, with points exactly at the cutoff and at the search radius
+    a = np.array([s[0] for s in segs], dtype=float)
+    b = np.array([s[1] for s in segs], dtype=float)
+    pts = np.concatenate([at_the_radii(a, b, cutoff),
+                          np.array(extra, dtype=float).reshape(-1, 2)])
+    got = pg._points_segments_distance_kd(pts, a, b, cutoff)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, ref_ball_point_distance_kd(pts, a, b, cutoff))
+    assert np.array_equal(got, ref_points_segments_distance_kd(pts, a, b, cutoff))
