@@ -7,8 +7,7 @@ from .coefficient import (A2Estimate, CoefficientField, SingularNodeError,
                           estimate_a2_constant, eval_coefficient,
                           homogeneous_field)
 from .fem import (DofMap, NeumannLoad, PotentialSolution, StiffnessSystem,
-                  assemble, build_dof_map, energy, neumann_load,
-                  solve_neumann)
+                  energy, solve_neumann)
 from .geometry import (Domain, Mesh, PixelFamily, RegionSet, TestInclusion,
                        build_domain, pixel_family, triangulate,
                        validate_regions)

@@ -23,15 +23,15 @@ import numpy as np
 
 from . import fem, phantoms
 from .coefficient import (CoefficientField, CoefficientError, WeightSpec,
-                          bracket_coefficients, homogeneous_field)
+                          bracket_coefficients)
 from .geometry import (GeometryError, MeshConformityError, RegionSet,
                        build_domain, mesh_region_faults, pixel_family,
                        triangulate, validate_regions)
 from .monotonicity import ProvenanceError, bracketing_chain
-from .ndmap import NDError, NDMatrix, build_basis, nd_extreme, nd_matrix, \
-    perturb_symmetric
+from .ndmap import NDError, NDMatrix, build_basis, nd_matrix, perturb_symmetric
 from .oracle import disk_nd_eigenvalue
-from .reconstruction import rasterize, rasterize_truth, reconstruct
+from .reconstruction import (grid_template, rasterize, rasterize_truth,
+                             reconstruct)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -350,11 +350,12 @@ def cmd_chain(problem, out_dir, args):
         nd_low = nd_matrix(low, problem.basis, rtol=problem.rtol)
         nd_up = nd_matrix(up, problem.basis, rtol=problem.rtol)
 
-    window = problem.family.whole_window()
-    nd0 = nd_extreme(problem.mesh, window, "insulating", problem.gamma0,
-                     problem.basis, rtol=problem.rtol)
-    ndinf = nd_extreme(problem.mesh, window, "conducting", problem.gamma0,
-                       problem.basis, rtol=problem.rtol)
+    # The whole window painted insulating, then conducting: every grid cell.
+    template = grid_template(problem.mesh, problem.family, problem.gamma0,
+                             problem.basis)
+    window = range(problem.grid_n ** 2)
+    nd0 = template.nd_map(window, [], problem.rtol)
+    ndinf = template.nd_map([], window, problem.rtol)
     report = bracketing_chain(nd, nd_low, nd_up, nd0, ndinf, tau=problem.tau)
 
     (out_dir / "chain.txt").write_text("\n".join(report.log_lines()) + "\n")
@@ -391,10 +392,6 @@ def cmd_calibrate(problem, out_dir, args):
         sub.build_mesh(with_grid=True)
         sub.build_field()
         sub.build_basis()
-        nd_bg = nd_matrix(homogeneous_field(sub.mesh, sub.gamma0), sub.basis,
-                          rtol=sub.rtol)
-        oracle_err = _oracle_error(
-            sub, np.sort(nd_bg.generalized_eigenvalues())[::-1])
         nd_g = nd_matrix(sub.field, sub.basis, rtol=sub.rtol)
 
         # Lower side only: the neutralizer is empty, so each verdict's
@@ -403,6 +400,8 @@ def cmd_calibrate(problem, out_dir, args):
                              tau=min(tau_list), side="lower_only", rtol=sub.rtol)
         if result.cell_errors:
             raise fem.ConfigurationError(result.cell_errors[0][2])
+        oracle_err = _oracle_error(
+            sub, np.sort(result.nd_background.generalized_eigenvalues())[::-1])
         truth = rasterize_truth(sub.regions, sub.family)
         worst_in, best_out = 0.0, -np.inf
         for verdict in result.verdicts:

@@ -13,8 +13,6 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .geometry import connected_labels
-
 STATUS_FREE = 0
 STATUS_REMOVED = 1
 STATUS_MERGED = 2
@@ -67,79 +65,15 @@ class DofMap:
         return out
 
 
-def build_dof_map(mesh):
-    """DOF map from the mesh labels.
-
-    Vertices strictly inside D0 (every incident triangle insulating) are
-    removed; each vertex-connected component of Dinf triangles collapses to
-    one DOF.  A conducting component touching the outer boundary is
-    rejected (the floating-conductor model needs the conductor strictly
-    inside).  Contact between a conductor and an insulating region is
-    tolerated: the discrete system stays well posed, and the upper
-    bracketing field produces exactly this contact.
-    """
-    nv = mesh.num_vertices
-    region = mesh.triangle_region
-    tris = mesh.triangles
-
-    incident_non_d0 = np.zeros(nv, dtype=bool)
-    incident_any = np.zeros(nv, dtype=bool)
-    for lab_mask, flag in ((region != "D0", incident_non_d0),
-                           (np.ones(len(tris), dtype=bool), incident_any)):
-        vs = tris[lab_mask].ravel()
-        flag[vs] = True
-    removed = incident_any & ~incident_non_d0
-
-    # Conducting components: vertex-connected sets of Dinf triangles,
-    # numbered in the order of their lowest vertex.
-    dinf_tris = tris[region == "Dinf"]
-    conductor_vertices = np.unique(dinf_tris)
-    conductor_of_vertex = -np.ones(nv, dtype=int)
-    n_conductors = 0
-    if len(conductor_vertices):
-        labels = connected_labels(nv, dinf_tris[:, [0, 1, 1, 2]].reshape(-1, 2))
-        _, first, comp = np.unique(labels[conductor_vertices],
-                                   return_index=True, return_inverse=True)
-        conductor_of_vertex[conductor_vertices] = np.argsort(np.argsort(first))[comp]
-        n_conductors = len(first)
-
-    boundary_vertices = np.unique(mesh.boundary_edges.ravel())
-    if np.any(conductor_of_vertex[boundary_vertices] >= 0):
-        raise ConfigurationError(
-            "a perfectly conducting component touches the domain boundary")
-
-    dofmap = DofMap.numbered(removed, conductor_of_vertex, n_conductors)
-    _check_dof_connectivity(mesh, dofmap)
-    return dofmap
-
-
-def _check_dof_connectivity(mesh, dofmap):
-    """All DOFs must be reachable from the measurement arc through
-    conducting triangles, otherwise the grounded system is singular."""
-    n = dofmap.n_dofs
-    if n == 0:
-        raise ConfigurationError("no degrees of freedom remain")
-    dofs = dofmap.dof_of_vertex[mesh.triangles[mesh.triangle_region != "D0"]]
-    pairs = dofs[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-    labels = connected_labels(n, pairs[np.all(pairs >= 0, axis=1)])
-    gamma_dofs = dofmap.dof_of_vertex[np.unique(mesh.gamma_edges())]
-    gamma_dofs = gamma_dofs[gamma_dofs >= 0]
-    if not len(gamma_dofs):
-        raise ConfigurationError("measurement arc carries no degrees of freedom")
-    if not np.all(np.isin(labels, labels[gamma_dofs])):
-        raise ConfigurationError(
-            "free degrees of freedom are disconnected from the measurement arc")
-
-
 # The bordered matrix is symmetric, so SuperLU factors it in symmetric mode
 # on a minimum-degree ordering of A^T + A: about a third of the L+U fill of
 # the default column ordering (41.9k against 143.8k nonzeros on a 1.6k-DOF
-# scan system).  A direct system gets its own MMD ordering, the oracle; a scan
-# system comes `ordered` in its paint template's shared order (the background
-# painting's MMD order) and is not reordered.  The diagonal pivot is kept when
-# it is at least this fraction of the column maximum; 0, 0.01 and 0.1 gave the
-# same fill and residuals on the scan, chain and fine forward systems and up
-# to 1e6 contrast.
+# scan system).  A system solved once (every `nd_matrix`) gets its own MMD
+# ordering; a scan system comes `ordered` in its paint template's shared order
+# (the background painting's MMD order) and is not reordered.  The diagonal
+# pivot is kept when it is at least this fraction of the column maximum; 0,
+# 0.01 and 0.1 gave the same fill and residuals on the scan, chain and fine
+# forward systems and up to 1e6 contrast.
 DIAG_PIVOT_THRESH = 0.1
 
 
@@ -237,62 +171,6 @@ def mesh_terms(mesh):
     return memo(_MESH_TERMS, mesh.provenance(), build)
 
 
-def assemble(fld, dofmap):
-    """Assemble the weighted stiffness matrix of a field on its mesh,
-    bordered by the gamma-mean constraint, in one COO->CSC pass.
-
-    Element contributions are sigma-integral times the constant P1 gradient
-    products; insulating and conducting triangles are skipped (the latter
-    collapse to a single DOF and contribute nothing).
-    """
-    mesh = fld.mesh
-    sigma_int = fld.element_integrals()
-    region = mesh.triangle_region
-    active = ~np.isin(region, ("D0", "Dinf"))
-
-    coef = sigma_int[active]
-    if np.any(~np.isfinite(coef)):
-        raise SolverError("nonfinite element integral in assembly")
-
-    terms = mesh_terms(mesh)
-    # K_ij = (integral of sigma) * (e_i . e_j) / (4 A^2)
-    ke = coef[:, None, None] * terms.dots[active] \
-        / terms.four_a2[active][:, None, None]
-
-    dv = dofmap.dof_of_vertex
-    dofs = dv[mesh.triangles[active]]
-    if np.any(dofs < 0):
-        raise SolverError("active triangle references a removed vertex")
-    gamma_dofs = dv[terms.gamma_vertices]
-    if np.any(gamma_dofs < 0):
-        raise ConfigurationError("measurement arc touches an insulated vertex")
-
-    n = dofmap.n_dofs
-    border = np.full(len(gamma_dofs), n)
-    rows = np.concatenate([np.repeat(dofs, 3, axis=1).reshape(-1),
-                           gamma_dofs, border])
-    cols = np.concatenate([np.tile(dofs, (1, 3)).reshape(-1),
-                           border, gamma_dofs])
-    vals = np.concatenate([ke.reshape(-1), terms.gamma_mass, terms.gamma_mass])
-    kmat = sp.coo_matrix((vals, (rows, cols)), shape=(n + 1, n + 1)).tocsc()
-
-    constraint = np.zeros(n)
-    constraint[gamma_dofs] = terms.gamma_mass
-    return StiffnessSystem(kmat=kmat, constraint=constraint, dofmap=dofmap)
-
-
-def gamma_mass_vector(mesh, dofmap):
-    """c_i = integral over gamma of the i-th hat function trace."""
-    edges = mesh.gamma_edges()
-    dofs = dofmap.dof_of_vertex[edges]
-    if np.any(dofs < 0):
-        raise ConfigurationError("measurement arc touches an insulated vertex")
-    d = mesh.vertices[edges[:, 1]] - mesh.vertices[edges[:, 0]]
-    half = 0.5 * np.hypot(d[:, 0], d[:, 1])
-    return np.bincount(dofs.ravel(), weights=np.repeat(half, 2),
-                       minlength=dofmap.n_dofs)
-
-
 # 4-point Gauss-Legendre on [0, 1].
 _GL4_X = np.array([0.069431844202973712, 0.33000947820757187,
                    0.66999052179242813, 0.93056815579702629])
@@ -331,30 +209,14 @@ def mean_free_norms(b):
     return np.linalg.norm(b, axis=0)
 
 
-def neumann_load(mesh, dofmap, density):
-    """Build the load vector for a current density given as a callable on
-    physical boundary points; the density is mean-projected on gamma.
-    ND maps take their loads from `gamma_loads`; this per-call path is the
-    reference the tests hold them to."""
-    c = gamma_mass_vector(mesh, dofmap)
-    pts, w = gamma_quadrature(mesh)
-    wf = (w * np.asarray(density(pts), dtype=float)).reshape(-1, 4)
-    ends = np.stack([np.sum(wf * (1.0 - _GL4_X), axis=1),
-                     np.sum(wf * _GL4_X, axis=1)], axis=1)
-    b = np.bincount(dofmap.dof_of_vertex[mesh.gamma_edges()].ravel(),
-                    weights=ends.ravel(), minlength=dofmap.n_dofs)
-    mean = float(np.sum(wf)) / mesh.gamma_length()
-    b -= mean * c
-    return NeumannLoad(b=b)
-
-
 def gamma_loads(mesh, densities):
     """Mean-projected loads of each density on the measurement-arc vertices
     of `mesh_terms`, one column per density.
 
-    Same arithmetic as `neumann_load`, accumulated per vertex instead of per
-    DOF: gamma vertices are never removed or merged, so scattering a column
-    through a DOF map gives that map's `neumann_load` bit for bit.
+    Same arithmetic as the per-DOF loads of the tests' reference path,
+    accumulated per vertex: gamma vertices are never removed or merged, so
+    scattering a column through a DOF map gives that map's load bit for
+    bit.
     """
     terms = mesh_terms(mesh)
     edges = mesh.gamma_edges()
@@ -402,7 +264,11 @@ def solve_neumann(system, load, rtol=1e-10):
     The returned representative satisfies the gamma-mean-zero constraint.
     The residual of every column is gated at rtol*|b|.  When a column
     misses the gate after the direct solve, one refinement pass runs on the
-    whole block, and a column that still misses it raises SolverError.
+    whole block, and a column that still misses it raises SolverError.  The
+    pass corrects by a residual formed in extended precision: formed in
+    double, the residual of a high-contrast system is mostly the roundoff
+    of K x, and a correction by it degrades the solve (the ND asymmetry of
+    a 1e4 contrast rose from 3e-16 before the pass to 1e-13..2e-12 after).
     ``residual`` is the (Frobenius) norm over all columns.  A load without
     ``norm`` is checked here.
     """
@@ -417,7 +283,9 @@ def solve_neumann(system, load, rtol=1e-10):
     rnorm = np.linalg.norm(res, axis=0)
     bad = residual_misses(rnorm, bnorm, rtol)
     if len(bad):
-        x = x + lu.solve(res)
+        wide = np.longdouble
+        x = x + lu.solve((rhs.astype(wide) - kmat.astype(wide) @ x.astype(wide))
+                         .astype(float))
         rnorm = np.linalg.norm(rhs - kmat @ x, axis=0)
         bad = residual_misses(rnorm, bnorm, rtol)
     if len(bad):

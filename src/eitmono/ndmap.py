@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import fem
-from .coefficient import CoefficientField, homogeneous_field
+from .coefficient import CoefficientField
 from .fem import ConfigurationError
 from .geometry import BACKGROUND, REGION_LABELS, connected_labels
 
@@ -215,9 +215,19 @@ def nd_matrix(fld, basis, rtol=1e-10):
     all basis densities, then the trace pairings B^T U of loads against
     potentials.  Only the painting-dependent work runs per call; the loads
     and the Gram matrix come from `gamma_data`."""
-    gd = gamma_data(fld.mesh, basis)
-    system = fem.assemble(fld, fem.build_dof_map(fld.mesh))
-    return _solve_and_pair(system, gd, fld.provenance(), rtol)
+    return _solve_and_pair(field_system(fld, basis), gamma_data(fld.mesh, basis),
+                           fld.provenance(), rtol)
+
+
+def field_system(fld, basis):
+    """`fem.StiffnessSystem` of a field, numbered in vertex order: the one
+    painting of a `PaintTemplate` whose parts are the field's label classes
+    (D0, Dinf and every other label).  The element integrals, nan on D0 and
+    Dinf triangles, are zeroed there so that no slot sum meets a nan."""
+    region = fld.mesh.triangle_region
+    codes = (region == "D0") * PAINT_D0 + (region == "Dinf") * PAINT_DINF
+    integrals = np.where(codes == PAINT_BG, fld.element_integrals(), 0.0)
+    return PaintTemplate(fld.mesh, codes, 3, integrals, basis).system(codes)
 
 
 def _loads(dofmap, gd):
@@ -301,10 +311,11 @@ PAINT_BG, PAINT_D0, PAINT_DINF = range(3)
 @dataclass
 class PaintedMap:
     """A scan map: the ND matrix of a painting with the paint code of each
-    cell (the last entry stands for the triangles outside the window).  A
-    factored map also keeps its system, loads ``b`` and potentials with
-    multipliers ``x`` (n + 1, m): a base that `PaintTemplate.solve` can
-    update by one cell.  An updated map keeps none of them."""
+    part (for a scan, the last cell stands for the triangles outside the
+    window).  A factored map also keeps its system, loads ``b`` and
+    potentials with multipliers ``x`` (n + 1, m): a base that
+    `PaintTemplate.solve` can update by one cell.  An updated map keeps
+    none of them."""
 
     nd: NDMatrix
     cells: np.ndarray
@@ -314,31 +325,31 @@ class PaintedMap:
 
 
 class PaintTemplate:
-    """Paint-independent part of every scan map on one (mesh, family,
-    basis), so that painting grid cells with the extreme labels is index
-    arithmetic.  `nd_matrix` on `painted_field` (through `fem.build_dof_map`
-    and `fem.assemble`) stays the direct path it is tested against.
+    """Paint-independent part of every map on one mesh, partition of its
+    triangles (the part of each, 0 <= part < n_parts), set of element
+    integrals and basis, so that painting parts with the extreme labels is
+    index arithmetic.  Every ND map is solved here: a scan paints the grid
+    cells of `reconstruction.grid_cells`, and `nd_matrix` the label classes
+    of its field.
 
-    Graph nodes are the vertex-connected pieces of each cell's triangles and
-    of the triangles outside the window; two nodes are linked when they
-    share a mesh vertex.  All triangles of a node carry one label, so a
-    painting's removed vertices, conductors and connectivity to gamma
-    follow from about grid_n**2 + 1 nodes.  The stiffness entries of all
-    triangles sit in a vertex-space CSC pattern (columns, then rows, in
-    vertex rank) with the slot of each element triplet.  Ranks start in
+    Graph nodes are the vertex-connected pieces of each part's triangles;
+    two nodes are linked when they share a mesh vertex.  All triangles of a
+    node carry one label, so a painting's removed vertices, conductors and
+    connectivity to gamma follow from the node graph.  The stiffness
+    entries of all triangles, each triangle's element integral times its
+    P1 gradient products, sit in a vertex-space CSC pattern (columns, then
+    rows, in vertex rank).  Ranks start in
     vertex order; the background map's MMD order then ranks the vertices of
     every later painting, whose free DOFs, then conductors, then border row
     are factored in that order.  ``lu_nnz`` sums the L+U nonzeros solved.
 
-    A painting that is a factored base plus one background cell is solved
+    A painting that is a factored base plus one background part is solved
     as an exact rank-k update of the base's factorization (`update`), k at
-    most the DOFs of the cell's closure; `solve` factors every other
+    most the DOFs of the part's closure; `solve` factors every other
     painting.
     """
 
-    def __init__(self, mesh, fam, gamma0, basis):
-        from .polygons import points_segments_distance
-
+    def __init__(self, mesh, part, n_parts, integrals, basis):
         self.gd = gamma_data(mesh, basis)
         terms = self.gd.terms
         tris = self.tris = mesh.triangles
@@ -346,37 +357,18 @@ class PaintTemplate:
         self.by_rank = None
         self.lu_nnz = 0
         self._closures = {}
+        self.part = part
+        self.n_parts = n_parts
 
-        # Cell i*grid_n + j holding each triangle's centroid, grid_n**2
-        # outside the window.  A vertex off the grid lines must lie in the
-        # cell of each of its triangles, so no union of cells is straddled.
-        n = fam.grid_n
-        x0, y0, _, _ = fam.roi
-        xs = x0 + np.arange(n + 1) * fam.cell_size[0]
-        ys = y0 + np.arange(n + 1) * fam.cell_size[1]
-
-        def cell_of(points):
-            i = np.searchsorted(xs, points[:, 0], side="right") - 1
-            j = np.searchsorted(ys, points[:, 1], side="right") - 1
-            return np.where((i >= 0) & (i < n) & (j >= 0) & (j < n), i * n + j, n * n)
-
-        self.cell = cell_of(mesh.centroids())
-        seg_a, seg_b = (np.array(s) for s in zip(*fam.grid_segments()))
-        off_grid = points_segments_distance(mesh.vertices, seg_a, seg_b,
-                                            cutoff=1e-8) > 1e-9
-        if np.any(off_grid[tris] & (cell_of(mesh.vertices)[tris] != self.cell[:, None])):
-            raise NDError("mesh does not conform to the scan grid")
-        self.n_cells = n * n
-
-        # Nodes: triangles are joined when they share a vertex and a cell.
+        # Nodes: triangles are joined when they share a vertex and a part.
         corner_v = tris.ravel()
-        corner_c = np.repeat(self.cell, 3)
+        corner_c = np.repeat(part, 3)
         order = np.lexsort((corner_c, corner_v))
         tri = order // 3
         same = (np.diff(corner_v[order]) == 0) & (np.diff(corner_c[order]) == 0)
         pieces = connected_labels(len(tris), np.stack([tri[:-1][same], tri[1:][same]], axis=1))
         _, self.node_tri, node = np.unique(pieces, return_index=True, return_inverse=True)
-        self.node_cell = self.cell[self.node_tri]
+        self.node_part = part[self.node_tri]
         n_nodes = len(self.node_tri)
 
         # Node-vertex incidence in vertex order; every pair of nodes at one
@@ -403,48 +395,55 @@ class PaintTemplate:
         self.on_boundary = touches(mesh.boundary_edges)
         self.on_gamma = touches(terms.gamma_vertices)
 
-        # Element triplets (row vertex a, column vertex b of each triangle,
-        # as `fem.assemble` computes them) by slot and triangle: a triangle
-        # puts one triplet in each of its slots, so a product with the
-        # active-triangle indicator sums each slot in triangle order.
-        rows = np.repeat(tris, 3, axis=1).ravel()
-        cols = np.tile(tris, (1, 3)).ravel()
-        slots, slot_of = np.unique(cols.astype(np.int64) * nv + rows,
-                                   return_inverse=True)
-        self.slot_col, self.slot_row = np.divmod(slots, nv)
-        coef = homogeneous_field(mesh, gamma0).element_integrals()
-        self.finite = np.isfinite(coef)
-        ke = self.ke = coef[:, None, None] * terms.dots / terms.four_a2[:, None, None]
-        # Rows n_slots + k count the triangles of slot k.
-        owner = np.repeat(np.arange(len(tris)), 9)
+        # Element triplets by slot (rows) and triangle (columns).  A slot is
+        # one (column vertex b, row vertex a) entry of the vertex-space
+        # matrix; triplet 9t + 3i + j puts row vertex tris[t, i] and column
+        # vertex tris[t, j] in one.  The triplets of a slot stay in triangle
+        # order, so a product with the active-triangle indicator sums each
+        # slot in that order; rows n_slots + k count the triangles of slot k.
+        keys = (np.tile(tris, (1, 3)).astype(np.int64) * nv
+                + np.repeat(tris, 3, axis=1)).ravel()
+        by_slot = np.argsort(keys, kind="stable").astype(np.int32)
+        keys = keys[by_slot]
+        starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+        self.slot_col, self.slot_row = np.divmod(keys[starts], nv)
+        self.finite = np.isfinite(integrals)
+        ke = self.ke = integrals[:, None, None] * terms.dots / terms.four_a2[:, None, None]
+        owner = by_slot // 9
         self.triplets = sp.csr_matrix(
-            (np.concatenate([ke.ravel(), np.ones(len(owner))]),
-             (np.concatenate([slot_of, len(slots) + slot_of]), np.tile(owner, 2))),
-            shape=(2 * len(slots), len(tris)))
+            (np.concatenate([ke.ravel()[by_slot], np.ones(len(keys))]),
+             np.concatenate([owner, owner]),
+             np.concatenate([starts, len(keys) + starts, [2 * len(keys)]]).astype(np.int32)),
+            shape=(2 * len(starts), len(tris)))
 
     def cell_codes(self, zero, inf):
-        """Paint code of every cell, and of the outside of the window last,
-        with the flat cells ``zero`` painted D0, then ``inf`` painted Dinf
-        (Dinf wins where they overlap)."""
-        code = np.full(self.n_cells + 1, PAINT_BG, dtype=np.int8)
+        """Paint code of every part, with the parts ``zero`` painted D0,
+        then ``inf`` painted Dinf (Dinf wins where they overlap)."""
+        code = np.full(self.n_parts, PAINT_BG, dtype=np.int8)
         code[list(zero)] = PAINT_D0
         code[list(inf)] = PAINT_DINF
         return code
 
     def codes(self, zero, inf):
         """Paint code of every triangle (see `cell_codes`)."""
-        return self.cell_codes(zero, inf)[self.cell]
+        return self.cell_codes(zero, inf)[self.part]
 
     def system(self, codes):
-        """`fem.StiffnessSystem` of a painting: the DOF map and the bordered
-        matrix of `fem.build_dof_map` and `fem.assemble`, which raise the
-        same errors."""
+        """`fem.StiffnessSystem` of a painting (a paint code per triangle,
+        one per part): its `dof_map` and the bordered matrix on it."""
         return self.assemble(codes, self.dof_map(codes))
 
     def dof_map(self, codes):
         """`fem.DofMap` of a painting from the node graph, numbered in the
-        template's order, after every check of `fem.build_dof_map` and
-        `fem.assemble`, with their errors in their order."""
+        template's order, after every check that the grounded system is
+        well posed.  Vertices that only D0 triangles touch are removed, and
+        each vertex-connected set of Dinf triangles collapses to one DOF; a
+        conductor on the domain boundary, a painting without DOFs or
+        without DOFs on gamma, a part cut off from gamma, a nonfinite
+        active integral and an insulated gamma vertex raise, in this order.
+        Contact between a conductor and an insulating region is tolerated:
+        the discrete system stays well posed, and the upper bracketing field
+        produces exactly this contact."""
         terms = self.gd.terms
         label = codes[self.node_tri]
         live = label != PAINT_D0
@@ -489,7 +488,7 @@ class PaintTemplate:
         if np.any(cut_off):
             raise CutOffError(
                 "free degrees of freedom are disconnected from the measurement arc",
-                np.unique(self.node_cell[cut_off]))
+                np.unique(self.node_part[cut_off]))
         if not np.all(self.finite[codes == PAINT_BG]):
             raise fem.SolverError("nonfinite element integral in assembly")
         if np.any(removed[terms.gamma_vertices]):
@@ -536,10 +535,9 @@ class PaintTemplate:
                                    ordered=self.by_rank is not None)
 
     def nd_map(self, zero, inf, rtol):
-        """ND matrix with the flat cells ``zero`` painted D0 and ``inf``
-        painted Dinf: `nd_matrix` of the same `painted_field`, tagged with
-        the mesh hash plus "+scan" in place of a field hash.  The first
-        background map sets the template's order."""
+        """ND matrix with the parts ``zero`` painted D0 and ``inf`` painted
+        Dinf, tagged with the mesh hash plus "+scan" in place of a field
+        hash.  The first background map sets the template's order."""
         return self.solve(zero, inf, rtol).nd
 
     def solve(self, zero, inf, rtol, bases=()):
@@ -550,7 +548,7 @@ class PaintTemplate:
         system, the gamma mean and `MAX_ASYMMETRY`.  An update that misses
         the residual gate, and every other painting, is factored."""
         cells = self.cell_codes(zero, inf)
-        codes = cells[self.cell]
+        codes = cells[self.part]
         dofmap = self.dof_map(codes)
         field_hash = self.gd.mesh_hash + "+scan"
         for base in bases:
@@ -589,7 +587,7 @@ class PaintTemplate:
         """Vertices of a cell's triangles and the sum of their element
         matrices on those vertices."""
         if cell not in self._closures:
-            mine = self.cell == cell
+            mine = self.part == cell
             verts, local = np.unique(self.tris[mine], return_inverse=True)
             local = local.reshape(-1, 3)
             kc = np.zeros((len(verts), len(verts)))
@@ -618,7 +616,7 @@ class PaintTemplate:
         cell's energy vanishes on them and the constant extends to I, so
         x = x0 - A0^-1 C (C^T A0^-1 C)^-1 C^T x0."""
         verts, kc = self.closure(cell)
-        elsewhere = (base.cells[self.node_cell] != PAINT_D0) & (self.node_cell != cell)
+        elsewhere = (base.cells[self.node_part] != PAINT_D0) & (self.node_part != cell)
         alone = np.bincount(self.inc_vertex, weights=elsewhere[self.inc_node],
                             minlength=self.nv)[verts] == 0
         dv = base.system.dofmap.dof_of_vertex

@@ -13,17 +13,17 @@ the voltage-to-current ratio
 with mu = 1 for an insulating inclusion (kappa = 0) and mu = -1 for a
 perfectly conducting one (kappa = infinite).
 
-The brute-force ND path recomputes the matrix with dense assembly, a dense
-bordered solve, and entries evaluated through the interior Dirichlet energy
-instead of boundary traces.
+The brute-force ND path takes the DOF map of `ndmap.field_system` and
+recomputes the matrix with dense assembly, its own gamma mass and loads, a
+dense bordered solve, and entries evaluated through the interior Dirichlet
+energy instead of boundary traces.
 """
 
 import math
 
 import numpy as np
 
-from . import fem
-from .ndmap import NDMatrix
+from .ndmap import NDMatrix, field_system
 
 
 def disk_nd_eigenvalue(n, rho, kappa, gamma0_const=1.0):
@@ -67,7 +67,7 @@ def brute_force_nd(fld, basis, max_vertices=2000):
             f"brute-force path guarded to {max_vertices} vertices "
             f"(mesh has {mesh.num_vertices})")
 
-    dofmap = fem.build_dof_map(mesh)
+    dofmap = field_system(fld, basis).dofmap
     n = dofmap.n_dofs
     region = mesh.triangle_region
     sigma_int = fld.element_integrals()
@@ -93,7 +93,12 @@ def brute_force_nd(fld, basis, max_vertices=2000):
             for q in range(3):
                 a[idx[p], idx[q]] += local[p, q]
 
-    c = fem.gamma_mass_vector(mesh, dofmap)
+    # c_i = integral over gamma of the i-th hat function trace.
+    c = np.zeros(n)
+    for i, j in mesh.gamma_edges():
+        half = 0.5 * float(np.hypot(*(mesh.vertices[j] - mesh.vertices[i])))
+        c[dv[i]] += half
+        c[dv[j]] += half
     k = np.zeros((n + 1, n + 1))
     k[:n, :n] = a
     k[:n, n] = c

@@ -32,10 +32,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import polygons as pg
+from .coefficient import homogeneous_field
 from .fem import ConfigurationError
 from .geometry import connected_labels, part_faults
 from .monotonicity import MonotonicityVerdict, psd_test
-from .ndmap import CutOffError, PaintTemplate
+from .ndmap import CutOffError, NDError, PaintTemplate
 
 DEFAULT_TAU_ABS = 1e-5
 DEFAULT_TAU_REL = 0.5
@@ -56,6 +57,7 @@ class ReconstructionResult:
     n_factor: int = 0             # ND maps the scan factored
     n_update: int = 0             # ND maps updated on a retained base factorization
     lu_nnz: int = 0               # L+U nonzeros summed over the factorizations
+    nd_background: object = None  # the background map the scan solved
 
     def inside_count(self):
         return int(np.sum(self.inside))
@@ -108,6 +110,38 @@ def jaccard_index(a, b):
     return float(inter) / float(union) if union else 1.0
 
 
+def grid_cells(mesh, fam):
+    """Cell i*grid_n + j of the pixel family's grid holding each triangle's
+    centroid, grid_n**2 outside the window.  A vertex off the grid lines
+    must lie in the cell of each of its triangles, so no union of cells is
+    straddled; NDError otherwise."""
+    n = fam.grid_n
+    x0, y0, _, _ = fam.roi
+    xs = x0 + np.arange(n + 1) * fam.cell_size[0]
+    ys = y0 + np.arange(n + 1) * fam.cell_size[1]
+
+    def cell_of(points):
+        i = np.searchsorted(xs, points[:, 0], side="right") - 1
+        j = np.searchsorted(ys, points[:, 1], side="right") - 1
+        return np.where((i >= 0) & (i < n) & (j >= 0) & (j < n), i * n + j, n * n)
+
+    cell = cell_of(mesh.centroids())
+    seg_a, seg_b = (np.array(s) for s in zip(*fam.grid_segments()))
+    off_grid = pg.points_segments_distance(mesh.vertices, seg_a, seg_b,
+                                           cutoff=1e-8) > 1e-9
+    tris = mesh.triangles
+    if np.any(off_grid[tris] & (cell_of(mesh.vertices)[tris] != cell[:, None])):
+        raise NDError("mesh does not conform to the scan grid")
+    return cell
+
+
+def grid_template(mesh, fam, gamma0, basis):
+    """`PaintTemplate` whose parts are the grid cells of `grid_cells`, on
+    the constant background ``gamma0``: its paintings are the scan maps."""
+    return PaintTemplate(mesh, grid_cells(mesh, fam), fam.grid_n ** 2 + 1,
+                         homogeneous_field(mesh, gamma0).element_integrals(), basis)
+
+
 def _box_cells(box):
     if box is None:
         return set()
@@ -132,7 +166,7 @@ class _Scanner:
         self.fam = fam
         self.rtol = rtol
         self.scale = nd_gamma.gnorm()
-        self.template = PaintTemplate(mesh, fam, gamma0, basis)
+        self.template = grid_template(mesh, fam, gamma0, basis)
         self._nd_cache = {}
         self.bases = {}
         self.last = None
@@ -342,7 +376,8 @@ def reconstruct(nd_gamma, mesh, family, gamma0, basis,
         box_lower=box_lower, box_upper=box_upper, jaccard=jac,
         filled_cells=n_filled, cell_errors=cell_errors,
         n_factor=len(scanner._nd_cache) - scanner.n_update,
-        n_update=scanner.n_update, lu_nnz=scanner.template.lu_nnz)
+        n_update=scanner.n_update, lu_nnz=scanner.template.lu_nnz,
+        nd_background=nd_bg)
 
 
 def rasterize(result, out_prefix):

