@@ -22,13 +22,13 @@ from pathlib import Path
 import numpy as np
 
 from . import fem, phantoms
-from .coefficient import (CoefficientField, CoefficientError, WeightSpec,
-                          bracket_coefficients)
+from .coefficient import CoefficientField, CoefficientError, WeightSpec
 from .geometry import (GeometryError, MeshConformityError, RegionSet,
                        build_domain, mesh_region_faults, pixel_family,
                        triangulate, validate_regions)
 from .monotonicity import ProvenanceError, bracketing_chain
-from .ndmap import NDError, NDMatrix, build_basis, nd_matrix, perturb_symmetric
+from .ndmap import (NDError, NDMatrix, bracketed_maps, build_basis, nd_matrix,
+                    perturb_symmetric)
 from .oracle import disk_nd_eigenvalue
 from .reconstruction import (grid_template, rasterize, rasterize_truth,
                              reconstruct)
@@ -341,14 +341,10 @@ def cmd_chain(problem, out_dir, args):
     problem.build_mesh(with_grid=True)
     problem.build_field()
     problem.build_basis()
-    nd = _measured_nd(problem, args)
-
-    low, up = bracket_coefficients(problem.field)
-    if low is problem.field:
-        nd_low = nd_up = nd
-    else:
-        nd_low = nd_matrix(low, problem.basis, rtol=problem.rtol)
-        nd_up = nd_matrix(up, problem.basis, rtol=problem.rtol)
+    # The brackets are noise-free maps, the field's own when none differs.
+    maps, lu_nnz = bracketed_maps(problem.field, problem.basis, rtol=problem.rtol)
+    nd = _with_noise(maps[0], args)
+    nd_low, nd_up = maps[1:] or maps * 2
 
     # The whole window painted insulating, then conducting: every grid cell.
     template = grid_template(problem.mesh, problem.family, problem.gamma0,
@@ -363,6 +359,8 @@ def cmd_chain(problem, out_dir, args):
         "all_pass": int(report.all_pass),
         "tau": problem.tau,
         "scale": report.scale,
+        "n_factor": len(maps) + 2,   # the window maps are factored too
+        "lu_nnz": lu_nnz + template.lu_nnz,
         "wall_time": time.perf_counter() - t0,
     }
     for name, lam in zip(("link1", "link2", "link3", "link4"),

@@ -153,33 +153,31 @@ class WeightSpec:
                 out.append(np.asarray(f.polyline, dtype=float))
         return out
 
-    def vertex_exponent(self, point):
-        """Total homogeneity degree of the weight around a point (sum over
-        factors whose singular set passes through it)."""
-        p = np.asarray(point, dtype=float)
-        total = 0.0
+    def vertex_exponents(self, points):
+        """Total homogeneity degree of the weight around each of an (n, 2)
+        array of points (sum over factors whose singular set passes within
+        `_FEATURE_TOL` of it)."""
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        total = np.zeros(len(pts))
         for f in self.factors:
-            if f.kind == "radial_power":
-                if np.hypot(*(p - np.asarray(f.center))) <= _FEATURE_TOL:
-                    total += f.exponent
-            elif f.kind == "surface_power":
-                if float(self._feature_distance(f, p[None, :])[0]) <= _FEATURE_TOL:
-                    total += f.exponent
+            if f.kind != "constant":
+                total += np.where(self._feature_distance(f, pts) <= _FEATURE_TOL,
+                                  f.exponent, 0.0)
         return total
 
-    def edge_exponent(self, a, b):
-        """Exponent of the factor whose polyline carries the segment ab, or
-        None when the segment is not on a singular surface."""
-        mid = (np.asarray(a, float) + np.asarray(b, float)) / 2.0
-        total, hit = 0.0, False
+    def edge_exponents(self, a, b):
+        """Summed exponent of the factors whose polyline carries each segment
+        ab (both ends and the midpoint within `_FEATURE_TOL`), nan where the
+        segment is not on a singular surface."""
+        a, b = np.atleast_2d(np.asarray(a, float)), np.atleast_2d(np.asarray(b, float))
+        total, hit = np.zeros(len(a)), np.zeros(len(a), dtype=bool)
         for f in self.factors:
-            if f.kind != "surface_power" or f.exponent == 0.0:
-                continue
-            d = self._feature_distance(f, np.array([a, b, mid], dtype=float))
-            if np.all(d <= _FEATURE_TOL):
-                total += f.exponent
-                hit = True
-        return total if hit else None
+            if f.kind == "surface_power" and f.exponent != 0.0:
+                d = self._feature_distance(f, np.concatenate([a, b, (a + b) / 2.0]))
+                on = np.all(d.reshape(3, -1) <= _FEATURE_TOL, axis=0)
+                total += np.where(on, f.exponent, 0.0)
+                hit |= on
+        return np.where(hit, total, np.nan)
 
     def describe(self):
         parts = []
@@ -193,31 +191,31 @@ class WeightSpec:
         return "*".join(parts) + (f"|clip{self.clip}" if self.clip else "")
 
 
-def graded_triangle_integral(func, tri, weight, depth=12, splits=2,
-                             exponent_sign=1.0):
-    """Integrate ``func`` over a triangle, grading toward any singular
-    feature of ``weight`` that touches the triangle.
-
-    Dispatch: an edge lying on a singular polyline gets strip grading; a
-    vertex on a singular point/polyline gets ring grading; otherwise a plain
-    order-5 rule with uniform splits.  ``func`` need not equal the weight:
-    the A2 machinery integrates 1/w with the same grading geometry, passing
+def graded_triangle_integrals(func, tris, weight, depth=12, splits=2,
+                              exponent_sign=1.0):
+    """Integrals of ``func`` over an (n, 3, 2) array of triangles, each
+    graded toward any singular feature of ``weight`` that touches it: strip
+    grading toward its first edge on a singular polyline, else ring grading
+    toward its first vertex on a singular point or polyline.  The others
+    share one plain order-5 rule with uniform splits; no value depends on
+    the other triangles.  ``func`` need not equal the weight: the A2
+    machinery integrates 1/w with the same grading geometry, passing
     ``exponent_sign=-1`` so the series tails match the actual integrand.
     """
-    tri = np.asarray(tri, dtype=float)
-
-    for e in range(3):
-        a, b = tri[(e + 1) % 3], tri[(e + 2) % 3]
-        s = weight.edge_exponent(a, b)
-        if s is not None:
-            return quad.integrate_edge_graded(func, tri, e, exponent_sign * s,
-                                              depth=depth, splits=splits)
-    for v in range(3):
-        s = weight.vertex_exponent(tri[v])
-        if s != 0.0:
-            return quad.integrate_vertex_graded(func, tri, v, exponent_sign * s,
-                                                depth=depth, splits=splits)
-    return quad.integrate(func, tri[None, :, :], rule="order5", splits=splits)
+    tris = np.asarray(tris, dtype=float).reshape(-1, 3, 2)
+    edge = weight.edge_exponents(tris[:, [1, 2, 0]].reshape(-1, 2),
+                                 tris[:, [2, 0, 1]].reshape(-1, 2)).reshape(-1, 3)
+    vertex = weight.vertex_exponents(tris.reshape(-1, 2)).reshape(-1, 3)
+    on_edge, on_vertex = ~np.isnan(edge), vertex != 0.0
+    graded = on_edge.any(axis=1) | on_vertex.any(axis=1)
+    out = np.empty(len(tris))
+    out[~graded] = quad.integrate_each(func, tris[~graded], splits=splits)
+    for t in np.flatnonzero(graded):
+        e, v = np.argmax(on_edge[t]), np.argmax(on_vertex[t])
+        rule, i, s = (quad.integrate_edge_graded, e, edge[t, e]) if on_edge[t, e] \
+            else (quad.integrate_vertex_graded, v, vertex[t, v])
+        out[t] = rule(func, tris[t], i, exponent_sign * s, depth=depth, splits=splits)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -377,14 +375,14 @@ class CoefficientField:
             if not np.any(mask):
                 continue
             w = self.weight_for(label)
-            for t in np.where(mask)[0]:
-                tri = mesh.triangle_coords(t)
-                val = graded_triangle_integral(w.eval, tri, w, depth=self.quad_depth)
-                if not np.isfinite(val):
-                    raise CoefficientError(
-                        f"nonfinite element integral on triangle {t} ({label}); "
-                        "undeclared singularity?")
-                out[t] = val
+            tris = np.flatnonzero(mask)
+            out[tris] = graded_triangle_integrals(w.eval, mesh.triangle_coords(tris), w,
+                                                  depth=self.quad_depth)
+            bad = tris[~np.isfinite(out[tris])]
+            if len(bad):
+                raise CoefficientError(
+                    f"nonfinite element integral on triangle {bad[0]} ({label}); "
+                    "undeclared singularity?")
         self._element_integrals = out
         return out
 
@@ -486,18 +484,11 @@ def _ball_average_pair(weight, center, radius, n_boundary=96, depth=10):
             apex = p
             break
     fan = quad.fan_triangles(apex, ring)
-
-    def w_inv(pts):
-        return 1.0 / weight.eval(pts)
-
-    area = int_w = int_winv = 0.0
-    for tri in fan:
-        int_w += graded_triangle_integral(weight.eval, tri, weight,
-                                          depth=depth, splits=1)
-        int_winv += graded_triangle_integral(w_inv, tri, weight, depth=depth,
-                                             splits=1, exponent_sign=-1.0)
-        area += quad.triangle_area(tri)
-    return int_w / area, int_winv / area
+    area = sum(quad.triangle_area(tri) for tri in fan)
+    int_w = graded_triangle_integrals(weight.eval, fan, weight, depth=depth, splits=1)
+    int_winv = graded_triangle_integrals(lambda pts: 1.0 / weight.eval(pts), fan, weight,
+                                         depth=depth, splits=1, exponent_sign=-1.0)
+    return int_w.sum() / area, int_winv.sum() / area
 
 
 def estimate_a2_constant(weight, domain, n_balls=512, n_quad=96, seed=2468,

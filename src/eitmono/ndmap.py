@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import fem
-from .coefficient import CoefficientField
+from .coefficient import WEIGHT_LABELS, CoefficientField, bracket_coefficients
 from .fem import ConfigurationError
 from .geometry import BACKGROUND, REGION_LABELS, connected_labels
 
@@ -210,6 +210,11 @@ def gamma_data(mesh, basis):
     return fem.memo(_GAMMA_DATA, key, build)
 
 
+# Label of each paint code; a painting gives every triangle one code.
+PAINT_LABELS = np.array([BACKGROUND, "D0", "Dinf"])
+PAINT_BG, PAINT_D0, PAINT_DINF = range(3)
+
+
 def nd_matrix(fld, basis, rtol=1e-10):
     """ND matrix of a coefficient field on its mesh: one block solve over
     all basis densities, then the trace pairings B^T U of loads against
@@ -219,15 +224,50 @@ def nd_matrix(fld, basis, rtol=1e-10):
                            fld.provenance(), rtol)
 
 
-def field_system(fld, basis):
-    """`fem.StiffnessSystem` of a field, numbered in vertex order: the one
-    painting of a `PaintTemplate` whose parts are the field's label classes
-    (D0, Dinf and every other label).  The element integrals, nan on D0 and
-    Dinf triangles, are zeroed there so that no slot sum meets a nan."""
+def field_template(fld, basis):
+    """`PaintTemplate` whose parts are the label classes of a field: every
+    other label, D0, Dinf, and Ddeg with Dsing.  The element integrals, nan
+    on D0 and Dinf, are zeroed there so that no slot sum meets a nan."""
     region = fld.mesh.triangle_region
-    codes = (region == "D0") * PAINT_D0 + (region == "Dinf") * PAINT_DINF
-    integrals = np.where(codes == PAINT_BG, fld.element_integrals(), 0.0)
-    return PaintTemplate(fld.mesh, codes, 3, integrals, basis).system(codes)
+    part = np.select([region == "D0", region == "Dinf", np.isin(region, WEIGHT_LABELS)],
+                     [1, 2, 3])
+    integrals = np.where(np.isin(part, (1, 2)), 0.0, fld.element_integrals())
+    return PaintTemplate(fld.mesh, part, 4, integrals, basis)
+
+
+def field_painting(template, weighted=PAINT_BG):
+    """`fem.StiffnessSystem`, numbered in vertex order, of the painting of a
+    `field_template` with its field's labels and Ddeg and Dsing painted
+    ``weighted``: the field itself, or its lower (PAINT_D0) or upper
+    (PAINT_DINF) bracket of `coefficient.bracket_coefficients`."""
+    return template.system(np.array([PAINT_BG, PAINT_D0, PAINT_DINF, weighted])[template.part])
+
+
+def field_system(fld, basis):
+    """`fem.StiffnessSystem` of a field: its `field_painting`."""
+    return field_painting(field_template(fld, basis))
+
+
+def bracketed_maps(fld, basis, rtol=1e-10):
+    """`nd_matrix` of a field and, when it has weighted labels, of its
+    brackets (checked by `coefficient.bracket_coefficients` once the
+    field's painting is assembled), and the L+U nonzeros of their
+    factorizations.  All are paintings of one `field_template`, assembled
+    before the first is factored so that the template is released first."""
+    template = field_template(fld, basis)
+    painted = [(fld, field_painting(template))]
+    low, up = bracket_coefficients(fld)
+    if low is not fld:
+        painted += [(low, field_painting(template, PAINT_D0)),
+                    (up, field_painting(template, PAINT_DINF))]
+    gd = template.gd
+    del template
+    maps, lu_nnz = [], 0
+    while painted:   # each system and its factorization go once solved
+        f, system = painted.pop(0)
+        maps.append(_solve_and_pair(system, gd, f.provenance(), rtol))
+        lu_nnz += system.lu.nnz
+    return maps, lu_nnz
 
 
 def _loads(dofmap, gd):
@@ -303,11 +343,6 @@ def _check_conformity(mesh, test, tol=1e-9):
         raise NDError("mesh does not conform to the test inclusion polygon")
 
 
-# Label of each paint code; a painting gives every triangle one code.
-PAINT_LABELS = np.array([BACKGROUND, "D0", "Dinf"])
-PAINT_BG, PAINT_D0, PAINT_DINF = range(3)
-
-
 @dataclass
 class PaintedMap:
     """A scan map: the ND matrix of a painting with the paint code of each
@@ -329,8 +364,7 @@ class PaintTemplate:
     triangles (the part of each, 0 <= part < n_parts), set of element
     integrals and basis, so that painting parts with the extreme labels is
     index arithmetic.  Every ND map is solved here: a scan paints the grid
-    cells of `reconstruction.grid_cells`, and `nd_matrix` the label classes
-    of its field.
+    cells of `reconstruction.grid_cells`, the others a `field_template`.
 
     Graph nodes are the vertex-connected pieces of each part's triangles;
     two nodes are linked when they share a mesh vertex.  All triangles of a

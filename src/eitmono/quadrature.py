@@ -78,6 +78,19 @@ def integrate(f, tris, rule="order5", splits=0):
     return float(np.dot(np.asarray(f(pts), dtype=float), w))
 
 
+def integrate_each(f, tris, rule="order5", splits=0):
+    """Integral of f over each of an array of triangles, f evaluated once on
+    all nodes; each sum runs as `integrate` runs it on that triangle alone.
+    The split children come as (child_splits, ..., child_1, triangle), the
+    transpose of one triangle's order."""
+    tris = np.asarray(tris, dtype=float).reshape(-1, 3, 2)
+    pts, w = quad_nodes(tris, rule=rule, splits=splits)
+    n, children, nodes = len(tris), 4 ** splits, len(_RULES[rule][1])
+    vals, w = (np.ascontiguousarray(np.reshape(x, (children, n, nodes)).swapaxes(0, 1))
+               .reshape(n, children * nodes) for x in (np.asarray(f(pts), dtype=float), w))
+    return np.array([np.dot(v, wt) for v, wt in zip(vals, w)])
+
+
 def _ring_triangles(tri, vidx, k):
     """Two triangles tiling the k-th dyadic ring toward vertex `vidx`."""
     v = tri[vidx]

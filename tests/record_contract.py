@@ -7,8 +7,9 @@ to change:
 
 For every phantom of ``phantoms.REGRESSION_PHANTOMS`` it runs the
 ``reconstruct`` and ``chain`` commands at h=0.1, m=8, grid 8 and writes the
-raster, the parsed verdicts, the chain links and the scan's counts of
-factored and updated maps to ``tests/contract_refs.json``.  Under the key ``calibrate`` it adds the lines
+raster, the parsed verdicts, the chain links, the scan's counts of
+factored and updated maps and the chain's count of factored maps to
+``tests/contract_refs.json``.  Under the key ``calibrate`` it adds the lines
 of ``calibration.txt`` from a small ``calibrate`` sweep on insulating_disk.
 The test itself never writes this file.
 """
@@ -50,8 +51,9 @@ def _lam(text):
 def run_phantom(name, work):
     """Contract outputs of one phantom: raster rows, verdicts as
     cell -> [lambda_lower, lambda_upper, pass_lower, pass_upper], the chain
-    links as [name, lambda, pass], and the scan's counts ``n_factor`` and
-    ``n_update`` from ``metrics.txt``."""
+    links as [name, lambda, pass], the scan's counts ``n_factor`` and
+    ``n_update`` and the chain's ``n_factor`` (as ``chain_n_factor``) from
+    their ``metrics.txt``."""
     work = Path(work)
     cfg_path = work / f"{name}.json"
     cfg_path.write_text(json.dumps(contract_config(name)))
@@ -70,12 +72,14 @@ def run_phantom(name, work):
     for line in (outs["chain"] / "chain.txt").read_text().splitlines():
         link, lam, ok = line.split()
         chain.append([link, _lam(lam), int(ok)])
-    metrics = dict(line.split(" ", 1) for line in
-                   (outs["reconstruct"] / "metrics.txt").read_text().splitlines())
+    metrics, chain_metrics = (
+        dict(line.split(" ", 1) for line in (outs[c] / "metrics.txt").read_text().splitlines())
+        for c in ("reconstruct", "chain"))
     return {"raster": (outs["reconstruct"] / "result.csv").read_text().split(),
             "verdicts": verdicts, "chain": chain,
             "n_factor": int(metrics["n_factor"]),
-            "n_update": int(metrics["n_update"])}
+            "n_update": int(metrics["n_update"]),
+            "chain_n_factor": int(chain_metrics["n_factor"])}
 
 
 def run_calibrate(work, cfg=CALIBRATE_CONFIG):

@@ -136,6 +136,54 @@ class TestChain:
         assert main(["chain", "--config", str(cfg), "--out", str(out)]) == 0
         assert read_metrics(out)["all_pass"] == "1"
 
+    def test_noise_shows_without_weighted_regions(self, tmp_path):
+        # the brackets are noise-free maps: with no weighted region they are
+        # the unperturbed data map, so the noise shows in the middle links
+        cfg = write_config(tmp_path, mesh={"target_h": 0.1}, basis={"m": 8})
+        clean, noisy = tmp_path / "clean", tmp_path / "noisy"
+        assert main(["chain", "--config", str(cfg), "--out", str(clean)]) == 0
+        assert main(["chain", "--config", str(cfg), "--out", str(noisy),
+                     "--noise-rel", "1e-2"]) == 0
+        links = [(out / "chain.txt").read_text().split("\n") for out in (clean, noisy)]
+        assert links[0][1] == "lower_over_data 0.000000e+00 1"
+        assert float(links[1][1].split()[1]) != 0.0
+        assert float(links[1][2].split()[1]) != 0.0
+        # the outer links compare the noise-free maps alone
+        assert links[0][0] == links[1][0] and links[0][3] == links[1][3]
+
+    @pytest.mark.parametrize("phantom,n_maps", [("insulating_disk", 3),
+                                                ("weighted_annulus", 5)])
+    def test_factorizations_in_metrics(self, tmp_path, monkeypatch, phantom, n_maps):
+        # n_factor counts the factored maps (the data map, its brackets when
+        # a region is weighted, the two window maps) and lu_nnz their L+U
+        # nonzeros; the brackets share one template with the data map
+        from eitmono import fem, ndmap
+
+        factored, templates = [], []
+        real_factor, real_init = fem.StiffnessSystem.factor, ndmap.PaintTemplate.__init__
+
+        def factor(self):
+            fresh = self._factor is None
+            lu = real_factor(self)
+            if fresh:
+                factored.append(lu.nnz)
+            return lu
+
+        def init(self, *args):
+            templates.append(args[2])
+            real_init(self, *args)
+
+        monkeypatch.setattr(fem.StiffnessSystem, "factor", factor)
+        monkeypatch.setattr(ndmap.PaintTemplate, "__init__", init)
+        cfg = write_config(tmp_path, phantom=phantom, mesh={"target_h": 0.1},
+                           basis={"m": 8})
+        out = tmp_path / "chain"
+        assert main(["chain", "--config", str(cfg), "--out", str(out)]) == 0
+        metrics = read_metrics(out)
+        assert int(metrics["n_factor"]) == len(factored) == n_maps
+        assert int(metrics["lu_nnz"]) == sum(factored)
+        assert templates == [4, 65]    # the field's label classes, the grid cells
+
 
 class TestCalibrate:
     def test_table_written(self, tmp_path):

@@ -2,16 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from eitmono import polygons as pg
-from eitmono.coefficient import (CoefficientError, CoefficientField,
+from eitmono import quadrature as quad
+from eitmono.cli import Problem
+from eitmono.coefficient import (_FEATURE_TOL, CoefficientError, CoefficientField,
                                  SingularNodeError, WeightSpec,
                                  bracket_coefficients, estimate_a2_constant,
-                                 eval_coefficient, graded_triangle_integral)
+                                 eval_coefficient, graded_triangle_integrals)
 from eitmono.geometry import RegionSet, triangulate
 from eitmono import phantoms
 
 from conftest import build_field
+from record_contract import contract_config
 
 
 class TestWeightSpec:
@@ -57,10 +62,9 @@ class TestWeightSpec:
             WeightSpec.surface_power([(0, 0), (1, 0)], 0.5))
         assert len(w.singular_points()) == 1
         assert len(w.singular_segments()) == 1
-        assert np.isclose(w.vertex_exponent((0.1, 0.2)), -0.5)
-        assert np.isclose(w.vertex_exponent((0.5, 0.0)), 0.5)
-        assert np.isclose(w.edge_exponent((0.2, 0.0), (0.6, 0.0)), 0.5)
-        assert w.edge_exponent((0.2, 0.1), (0.6, 0.1)) is None
+        assert np.allclose(w.vertex_exponents([(0.1, 0.2), (0.5, 0.0)]), [-0.5, 0.5])
+        assert np.isclose(w.edge_exponents((0.2, 0.0), (0.6, 0.0))[0], 0.5)
+        assert np.isnan(w.edge_exponents((0.2, 0.1), (0.6, 0.1))[0])
 
 
 class TestEvalCoefficient:
@@ -171,14 +175,132 @@ class TestA2Estimate:
             estimate_a2_constant(WeightSpec.constant(1.0), disk, n_balls=0)
 
 
+# Weights with a radial factor at CENTER, a surface factor on POLYLINE or
+# both, and triangles that are free, have a vertex at CENTER, have a vertex
+# on POLYLINE or have an edge on it; a feature vertex is moved by an offset
+# within, at or beyond the feature tolerance.
+CENTER = (0.1, -0.05)
+POLYLINE = ((-0.4, -0.2), (0.0, 0.1), (0.5, 0.15))
+coords = st.floats(-0.6, 0.6)
+offsets = st.sampled_from([0.0, 0.4 * _FEATURE_TOL, -0.7 * _FEATURE_TOL,
+                           _FEATURE_TOL, 2 * _FEATURE_TOL])
+
+
+@st.composite
+def weights(draw):
+    radial = WeightSpec.radial_power(CENTER, draw(st.floats(-1.9, 1.9)),
+                                     amplitude=draw(st.floats(0.5, 2.0)))
+    surface = WeightSpec.surface_power(POLYLINE, draw(st.floats(-0.9, 0.9)))
+    return draw(st.sampled_from([radial, surface, WeightSpec.product(radial, surface)]))
+
+
+@st.composite
+def triangles(draw):
+    kind = draw(st.sampled_from(["free", "vertex", "on_line", "edge"]))
+    p = np.array([[draw(coords), draw(coords)] for _ in range(3)])
+    if kind == "vertex":
+        p[0] = np.array(CENTER) + draw(offsets)
+    elif kind != "free":
+        k = draw(st.integers(0, len(POLYLINE) - 2))
+        a, b = np.array(POLYLINE[k]), np.array(POLYLINE[k + 1])
+        t0, t1 = draw(st.floats(0.0, 0.45)), draw(st.floats(0.55, 1.0))
+        p[0] = a + t0 * (b - a) + draw(offsets)
+        if kind == "edge":
+            p[1] = a + t1 * (b - a)
+    assume(quad.triangle_area(p) > 1e-3)
+    return p[draw(st.permutations(range(3)))]
+
+
+def scalar_dispatch(func, tri, w, depth, splits, sign):
+    """The per-triangle dispatch the batched integrals replaced, kept as
+    their reference: the first edge on a singular polyline, else the first
+    vertex on a singular feature, else `quad.integrate` on the triangle."""
+    def near(f, pts):
+        return np.all(w._feature_distance(f, np.array(pts)) <= _FEATURE_TOL)
+
+    for e in range(3):
+        a, b = tri[(e + 1) % 3], tri[(e + 2) % 3]
+        hits = [f.exponent for f in w.factors if f.kind == "surface_power"
+                and f.exponent != 0.0 and near(f, [a, b, (a + b) / 2.0])]
+        if hits:
+            return quad.integrate_edge_graded(func, tri, e, sign * sum(hits, 0.0),
+                                              depth=depth, splits=splits)
+    for v in range(3):
+        s = sum((f.exponent for f in w.factors
+                 if f.kind != "constant" and near(f, [tri[v]])), 0.0)
+        if s != 0.0:
+            return quad.integrate_vertex_graded(func, tri, v, sign * s,
+                                                depth=depth, splits=splits)
+    return quad.integrate(func, tri[None], rule="order5", splits=splits)
+
+
 class TestElementIntegrals:
+    @settings(max_examples=80, deadline=None)
+    @given(w=weights(), tris=st.lists(triangles(), min_size=1, max_size=6),
+           splits=st.integers(0, 2), inverse=st.booleans())
+    @example(w=WeightSpec.radial_power(CENTER, -1.5),
+             tris=[np.array([CENTER, (0.3, 0.0), (0.0, 0.3)]),
+                   np.array([(0.2, 0.3), (0.4, 0.3), (0.3, 0.5)])],
+             splits=2, inverse=False)
+    def test_batched_integrals_match_one_triangle_calls(self, w, tris, splits, inverse):
+        # each triangle's integral is the same bit for bit whatever else is
+        # in the batch, and as the scalar dispatch gives it, for w and for
+        # 1/w with the matched series tails
+        func = (lambda pts: 1.0 / w.eval(pts)) if inverse else w.eval
+        sign = -1.0 if inverse else 1.0
+        got = graded_triangle_integrals(func, np.array(tris), w, depth=4,
+                                        splits=splits, exponent_sign=sign)
+        one = [graded_triangle_integrals(func, tri[None], w, depth=4, splits=splits,
+                                         exponent_sign=sign)[0] for tri in tris]
+        ref = [scalar_dispatch(func, tri, w, 4, splits, sign) for tri in tris]
+        assert got.tobytes() == np.array(one).tobytes() == np.array(ref).tobytes()
+
+    @pytest.mark.parametrize("name", [
+        name for name in phantoms.REGRESSION_PHANTOMS + ("surface_weighted_blob",)
+        if {"Ddeg", "Dsing"} & set(phantoms.build_phantom(name)[1])])
+    def test_batched_integrals_on_weighted_phantoms(self, name):
+        # the element integrals of every weighted label, batched per label,
+        # against one-triangle calls and the scalar dispatch (h=0.1, grid 8
+        # as in the contract)
+        problem = Problem(contract_config(name))
+        problem.build_mesh()
+        fld = problem.build_field()
+        got = fld.element_integrals()
+        for label, w in fld.weights.items():
+            tris = np.flatnonzero(fld.mesh.triangle_region == label)
+            coords = fld.mesh.triangle_coords(tris)
+            one = [graded_triangle_integrals(w.eval, tri[None], w,
+                                             depth=fld.quad_depth)[0] for tri in coords]
+            ref = [scalar_dispatch(w.eval, tri, w, fld.quad_depth, 2, 1.0) for tri in coords]
+            assert len(tris)
+            assert got[tris].tobytes() == np.array(one).tobytes() == np.array(ref).tobytes()
+
+    def test_nonfinite_integral_names_the_first_bad_triangle(self, disk, monkeypatch):
+        from eitmono import coefficient
+
+        regions, spec = phantoms.build_phantom("weighted_annulus")
+        fld = build_field(triangulate(disk, regions, target_h=0.12), spec)
+        ddeg = np.flatnonzero(fld.mesh.triangle_region == "Ddeg")
+        real = coefficient.graded_triangle_integrals
+
+        def poisoned(*args, **kwargs):
+            out = real(*args, **kwargs)
+            out[[4, 9]] = np.inf
+            return out
+
+        monkeypatch.setattr(coefficient, "graded_triangle_integrals", poisoned)
+        with pytest.raises(CoefficientError,
+                           match=f"^nonfinite element integral on triangle {ddeg[4]} "
+                                 r"\(Ddeg\); undeclared singularity\?$"):
+            fld.element_integrals()
+
     def test_weighted_element_convergence(self, disk):
         # element integral over a triangle at the singular vertex converges
         # in the grading depth (relative change under 1e-6 from 12 to 16)
         w = WeightSpec.radial_power((0.0, 0.0), -1.5)
         tri = np.array([[0.0, 0.0], [0.08, 0.0], [0.0, 0.08]])
-        v12 = graded_triangle_integral(w.eval, tri, w, depth=12)
-        v16 = graded_triangle_integral(w.eval, tri, w, depth=16)
+        v12 = graded_triangle_integrals(w.eval, tri[None], w, depth=12)[0]
+        v16 = graded_triangle_integrals(w.eval, tri[None], w, depth=16)[0]
         assert abs(v12 - v16) / abs(v16) < 1e-6
 
     def test_field_element_integrals(self, disk):

@@ -2,8 +2,8 @@
 regression phantom at h=0.1, m=8, grid 8, against references recorded by
 ``tests/record_contract.py``.
 
-Rasters, pass flags and the scan's counts of factored and updated maps
-must match exactly; lambdas within the benchmark's tolerance, 1e-5
+Rasters, pass flags, the scan's counts of factored and updated maps and
+the chain's count of factored maps must match exactly; lambdas within the benchmark's tolerance, 1e-5
 relative plus 1e-8.  The ``calibrate`` table of the insulating_disk sweep
 must match line for line, as exact strings.
 """
@@ -39,6 +39,9 @@ def test_contract(tmp_path, name):
     assert got["raster"] == ref["raster"]
     assert (got["n_factor"], got["n_update"]) == (ref["n_factor"], ref["n_update"])
     assert got["n_factor"] + got["n_update"] == N_MAPS[name]
+    # the data map, its two brackets when a region is weighted, the window maps
+    weighted = {"Ddeg", "Dsing"} & set(phantoms.build_phantom(name)[1])
+    assert got["chain_n_factor"] == ref["chain_n_factor"] == (5 if weighted else 3)
     assert sorted(got["verdicts"]) == sorted(ref["verdicts"])
     for cell, (lo, hi, p_lo, p_hi) in got["verdicts"].items():
         r_lo, r_hi, r_plo, r_phi = ref["verdicts"][cell]

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eitmono import phantoms
 from eitmono.coefficient import CoefficientField, bracket_coefficients
 from eitmono.geometry import TestInclusion, triangulate
 from eitmono.monotonicity import (ProvenanceError, bracketing_chain, psd_test,
                                   theorem_test)
-from eitmono.ndmap import NDMatrix, build_basis, nd_extreme, nd_matrix
+from eitmono.ndmap import (NDMatrix, build_basis, nd_extreme, nd_matrix,
+                           perturb_symmetric)
 
 from conftest import build_field
 
@@ -36,6 +39,30 @@ class TestPsd:
                            tau=None)
         assert np.isclose(lam, -1.0) and ok is None and not calls
         assert psd_test(nd_homogeneous, nd_homogeneous)[1] and calls
+
+    @settings(max_examples=40, deadline=None)
+    @given(entries=st.lists(st.floats(-1.0, 1.0), min_size=64, max_size=64),
+           scale=st.floats(0.1, 10.0), noise=st.floats(1e-3, 0.3),
+           seed=st.integers(0, 2 ** 16))
+    def test_change_of_current_basis(self, nd_homogeneous, entries, scale, noise, seed):
+        # lambda and |B|_G are those of (L - L', G) when both maps and the
+        # Gram matrix take an invertible change of basis A (A^T L A, A^T G A);
+        # A = scale * (I + E) with |E|_2 <= 1/2 has condition number <= 3
+        e = np.array(entries).reshape(8, 8)
+        a = scale * (np.eye(8) + 0.5 * e / max(np.linalg.norm(e, 2), 1.0))
+        other = perturb_symmetric(nd_homogeneous, noise, seed)
+
+        def moved(nd):
+            return NDMatrix(matrix=a.T @ nd.matrix @ a, gram=a.T @ nd.gram @ a,
+                            asymmetry=0.0, field_hash=nd.field_hash,
+                            mesh_hash=nd.mesh_hash, basis_hash=nd.basis_hash)
+
+        tol = 1e-12 * nd_homogeneous.gnorm()   # measured: at most 6.1e-16
+        for x, y in ((other, nd_homogeneous), (nd_homogeneous, other)):
+            lam, moved_lam = (psd_test(p, q, tau=None)[0] for p, q in
+                              ((x, y), (moved(x), moved(y))))
+            assert abs(moved_lam - lam) <= tol
+            assert abs(moved(y).gnorm() - y.gnorm()) <= tol
 
     def test_transitivity(self, disk_mesh, basis8):
         tau = 1e-7

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from eitmono.coefficient import (CoefficientField, WeightSpec,
 from eitmono.geometry import TestInclusion, build_domain, triangulate
 from eitmono.monotonicity import psd_test
 from eitmono.ndmap import (BasisResolutionWarning, CurrentBasis, NDError,
-                           NDMatrix, build_basis, field_system, gamma_data,
+                           NDMatrix, PaintTemplate, bracketed_maps, build_basis,
+                           field_system, gamma_data,
                            nd_extreme, nd_matrix, painted_field,
                            perturb_symmetric)
 from eitmono.oracle import disk_nd_eigenvalue
@@ -642,3 +644,36 @@ def test_command_maps_match_reference_path(name):
     for nd, f in maps:
         ref = reference_fem.reference_nd(f, basis).matrix
         assert np.abs(nd.matrix - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("name", ["weighted_annulus", "singular_core", "insulating_disk"])
+def test_bracketed_maps_match_nd_matrix(name, monkeypatch):
+    # the data map and its brackets, painted on one field template, are the
+    # nd_matrix of each field bit for bit; the template is released before
+    # the first factorization
+    from record_contract import contract_config
+
+    problem = Problem(contract_config(name))
+    problem.build_mesh()
+    fld, basis = problem.build_field(), problem.build_basis()
+    low, up = bracket_coefficients(fld)
+    refs = [nd_matrix(f, basis) for f in {id(f): f for f in (fld, low, up)}.values()]
+    templates, alive = [], []
+    real_init, real_factor = PaintTemplate.__init__, fem.StiffnessSystem.factor
+
+    def init(self, *args):
+        templates.append(weakref.ref(self))
+        real_init(self, *args)
+
+    def factor(self):
+        alive.append(any(t() is not None for t in templates))
+        return real_factor(self)
+
+    monkeypatch.setattr(PaintTemplate, "__init__", init)
+    monkeypatch.setattr(fem.StiffnessSystem, "factor", factor)
+    maps, lu_nnz = bracketed_maps(fld, basis)
+    assert len(templates) == 1 and alive == [False] * len(refs) and lu_nnz > 0
+    assert len(maps) == len(refs) == (3 if low is not fld else 1)
+    for nd, ref in zip(maps, refs):
+        assert nd.matrix.tobytes() == ref.matrix.tobytes()
+        assert (nd.field_hash, nd.asymmetry) == (ref.field_hash, ref.asymmetry)

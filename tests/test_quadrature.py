@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eitmono import quadrature as quad
 
@@ -27,6 +29,20 @@ def test_splits_preserve_integral():
     v0 = quad.integrate(f, REF[None, :, :], splits=3)
     v1 = quad.integrate(f, REF[None, :, :], splits=4)
     assert np.isclose(v0, v1, rtol=1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tris=st.lists(st.lists(st.tuples(st.floats(-2, 2), st.floats(-2, 2)),
+                              min_size=3, max_size=3), min_size=0, max_size=7),
+       splits=st.integers(0, 3), rule=st.sampled_from(["order1", "order2", "order5"]))
+def test_integrate_each_matches_integrate(tris, splits, rule):
+    # one batch over all triangles gives each triangle's `integrate` value
+    # bit for bit
+    f = lambda p: np.cos(3 * p[:, 0]) * np.exp(p[:, 1]) + p[:, 0] * p[:, 1]
+    tris = np.array(tris, dtype=float).reshape(-1, 3, 2)
+    got = quad.integrate_each(f, tris, rule=rule, splits=splits)
+    one = [quad.integrate(f, tri[None], rule=rule, splits=splits) for tri in tris]
+    assert got.shape == (len(tris),) and got.tobytes() == np.array(one).tobytes()
 
 
 def polar_vertex_oracle(tri, s, n=400):

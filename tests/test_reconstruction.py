@@ -567,3 +567,33 @@ def test_update_missing_the_residual_gate_is_factored(family8, mixed_setup,
                              (got.lambda_min_conducting, want.lambda_min_conducting)):
             assert np.isnan(lam) == np.isnan(lam_ref)
             assert np.isnan(lam) or abs(lam - lam_ref) <= 1e-9 * abs(lam_ref)
+
+
+@pytest.mark.parametrize("name", ["two_blob_mixed", "insulating_disk"])
+def test_quarter_turn_rotates_the_raster(tmp_path, name):
+    # a phantom turned by t quarter turns about the origin gives the raster
+    # turned by t quarter turns: the disk, its scan window and grid are
+    # invariant, and the cell (i, j) turns into (n - 1 - j, i)
+    import json
+
+    from eitmono import cli
+    from record_contract import contract_config
+
+    regions, _ = phantoms.build_phantom(name)
+    quarter = np.array([[0.0, 1.0], [-1.0, 0.0]])    # (x, y) -> (-y, x)
+    rasters = []
+    for turns in range(4):
+        turn = np.linalg.matrix_power(quarter, turns)
+        cfg = dict(contract_config(name), regions={
+            lab: [(np.asarray(p) @ turn).tolist() for p in regions.label_polys(lab)]
+            for lab in ("D0", "Dinf") if regions.label_polys(lab)})
+        del cfg["phantom"]
+        path = tmp_path / f"turn{turns}.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / f"out{turns}"
+        assert cli.main(["reconstruct", "--config", str(path), "--out", str(out)]) == 0
+        rows = (out / "result.csv").read_text().split()
+        rasters.append(np.array([[int(v) for v in row.split(",")] for row in rows]).T)
+    assert rasters[0].any()
+    for turns in range(1, 4):
+        assert np.array_equal(rasters[turns], np.rot90(rasters[0], turns))
