@@ -13,7 +13,7 @@ from .geometry import (Domain, Mesh, PixelFamily, RegionSet, TestInclusion,
                        validate_regions)
 from .monotonicity import (ChainReport, MonotonicityVerdict,
                            bracketing_chain, psd_test, theorem_test)
-from .ndmap import CurrentBasis, NDMatrix, build_basis, nd_extreme, nd_matrix
+from .ndmap import CurrentBasis, NDMatrix, build_basis, nd_matrix
 from .oracle import brute_force_nd, disk_nd_eigenvalue
 from .reconstruction import ReconstructionResult, rasterize, reconstruct
 

@@ -43,8 +43,13 @@ class ConfigError(ValueError):
 
 
 def _get(cfg, path, default=None, required=False):
+    """Config entry ``path`` (dotted keys), ``default`` when absent; a
+    section on the path that is present but not an object raises."""
     node = cfg
-    for key in path.split("."):
+    keys = path.split(".")
+    for depth, key in enumerate(keys):
+        if depth and not isinstance(node, dict):
+            raise ConfigError(f"{'.'.join(keys[:depth])}: expected an object")
         if not isinstance(node, dict) or key not in node:
             if required:
                 raise ConfigError(f"missing config entry '{path}'")
@@ -56,8 +61,9 @@ def _get(cfg, path, default=None, required=False):
 def _value(cfg, path, convert, default=None):
     """Config entry ``path`` (``default`` when absent) through ``convert``;
     a malformed value raises ConfigError naming the entry."""
+    value = _get(cfg, path, default)
     try:
-        return convert(_get(cfg, path, default))
+        return convert(value)
     except (ValueError, TypeError, KeyError, IndexError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 

@@ -169,62 +169,33 @@ class RegionSet:
         return pg.points_in_region(pts, plist, tol=0.0)
 
 
+# Diagonal offsets that move a point within 1e-12 of a grid line or corner
+# into each cell beside it.
+_NUDGES = 1e-12 * np.array([[-1, -1], [-1, 1], [1, -1], [1, 1]])
+
+
 @dataclass
 class TestInclusion:
-    """A test set from the scanning family.
-
-    ``parts`` lists one or more disjoint simple polygons whose union is the
-    test set (a directional notch can split the remainder of the scan window
-    into two rectangles).
-    """
+    """A test set from the scanning family: the closed union of the grid
+    cells ``cells`` (a frozenset of (i, j)) of ``family``."""
 
     __test__ = False          # bare data, despite the pytest-like name
 
     id: str
-    parts: tuple
+    cells: frozenset
+    family: "PixelFamily" = field(repr=False, compare=False)
     excluded_cell: tuple = None
     direction: str = None
     admissible: bool = True
     reason: str = ""
 
     def contains(self, points):
+        """Points in the closed union of the cells: a point on a grid line,
+        or within 1e-12 of one, counts for every cell beside it."""
         pts = np.atleast_2d(points)
-        inside = np.zeros(len(pts), dtype=bool)
-        for p in self.parts:
-            inside |= pg.points_in_polygon(pts, p, boundary=True)
-        return inside
-
-
-def validate_inclusion(domain, inclusion):
-    """Check the admissibility clauses of a test inclusion that are decidable
-    on polygons: simple parts, inside the domain, positive distance from the
-    outer boundary."""
-    return [reason.format(inclusion.id)
-            for reasons in part_faults(domain, inclusion.parts) for reason in reasons]
-
-
-def part_faults(domain, parts):
-    """The clauses of `validate_inclusion` that each polygon part fails, as
-    reason templates with ``{}`` for the inclusion id.  The distinct vertices
-    of all simple parts go through one inside test and one distance call."""
-    bp = domain.boundary_polygon
-    parts = [np.asarray(part, dtype=float) for part in parts]
-    simple = [pg.polygon_is_simple(part) for part in parts]
-    verts, back = np.unique(np.concatenate(
-        [np.empty((0, 2))] + [p for p, ok in zip(parts, simple) if ok]),
-        axis=0, return_inverse=True)
-    inside = pg.points_in_polygon(verts, bp, boundary=True)[back]
-    near = (pg.points_segments_distance(verts, bp, np.roll(bp, -1, axis=0)) < 1e-9)[back]
-    faults, at = [], 0
-    for part, ok in zip(parts, simple):
-        if not ok:
-            faults.append(["part of {} is not a simple polygon"])
-            continue
-        k = slice(at, at + len(part))
-        at += len(part)
-        faults.append(["{} extends outside the domain"] * (not inside[k].all())
-                      + ["{} touches the domain boundary"] * bool(near[k].any()))
-    return faults
+        member = np.zeros(self.family.grid_n ** 2 + 1, dtype=bool)
+        member[self.family.flat(self.cells)] = True
+        return np.any([member[self.family.cell_of(pts + d)] for d in _NUDGES], axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -841,6 +812,7 @@ def _densify_polygon(poly, per_edge):
 # ---------------------------------------------------------------------------
 
 _DIRECTIONS = ("up", "down", "left", "right")
+_CLAUSES = ("{} extends outside the domain", "{} touches the domain boundary")
 
 
 @dataclass
@@ -851,10 +823,12 @@ class PixelFamily:
     minus the straight strip of cells from that cell to the window edge.  A
     strip keeps the notched remainder's complement connected (the notch
     reaches out of the window), which is what makes the excluded cell
-    electrically accessible in the extreme-coefficient test maps.
+    electrically accessible in the extreme-coefficient test maps.  A member
+    is a set of grid cells, admissible when none of its cells has a
+    `cell_faults` clause.
 
-    Members are built and validated only when read (``whole_window``,
-    ``cell_members``, ``members``); the grid scan paints cells and reads none.
+    Members are built only when read (``whole_window``, ``cell_members``,
+    ``members``); the grid scan paints cells and reads none.
     """
 
     domain: Domain
@@ -866,10 +840,12 @@ class PixelFamily:
         x0, y0, x1, y1 = self.roi
         return ((x1 - x0) / self.grid_n, (y1 - y0) / self.grid_n)
 
-    def cell_polygon(self, i, j):
+    def grid_lines(self):
+        """The x and the y coordinates of the grid lines, low edge first."""
         x0, y0, _, _ = self.roi
         w, h = self.cell_size
-        return pg.rectangle(x0 + i * w, y0 + j * h, x0 + (i + 1) * w, y0 + (j + 1) * h)
+        k = np.arange(self.grid_n + 1)
+        return x0 + k * w, y0 + k * h
 
     def cell_centers(self):
         x0, y0, _, _ = self.roi
@@ -879,27 +855,65 @@ class PixelFamily:
         cy = y0 + (i + 0.5) * h
         return cx, cy
 
-    def _validated(self, inc):
-        """Flag ``inc`` with the decidable admissibility clauses; inadmissible
-        members are kept so the caller can report indeterminate cells."""
-        bad = validate_inclusion(self.domain, inc)
-        inc.admissible = not bad
-        inc.reason = "; ".join(bad)
-        return inc
+    def flat(self, cells):
+        """Flat index i*grid_n + j of each cell (i, j)."""
+        return [i * self.grid_n + j for i, j in cells]
+
+    def cell_of(self, points):
+        """Flat index of the cell holding each point, grid_n**2 outside the
+        window; a point on a grid line goes to the cell above or right of it."""
+        n = self.grid_n
+        xs, ys = self.grid_lines()
+        i = np.searchsorted(xs, points[:, 0], side="right") - 1
+        j = np.searchsorted(ys, points[:, 1], side="right") - 1
+        return np.where((i >= 0) & (i < n) & (j >= 0) & (j < n), i * n + j, n * n)
+
+    @functools.cached_property
+    def cell_faults(self):
+        """The admissibility clauses of each cell that fails one, as reason
+        templates with ``{}`` for a member id, cells in row order: a cell
+        extends outside the domain when a corner does, and touches the
+        domain boundary when a corner is within 1e-9 of it."""
+        bp = self.domain.boundary_polygon
+        nodes = np.stack(np.meshgrid(*self.grid_lines(), indexing="ij"), axis=-1)
+        nodes = nodes.reshape(-1, 2)
+        inside = pg.points_in_polygon(nodes, bp, boundary=True)
+        near = pg.points_segments_distance(nodes, bp, np.roll(bp, -1, axis=0)) < 1e-9
+        faults = {}
+        for i, j in itertools.product(range(self.grid_n), repeat=2):
+            corners = [(i + di) * (self.grid_n + 1) + j + dj
+                       for di in (0, 1) for dj in (0, 1)]
+            failed = (not inside[corners].all(), near[corners].any())
+            if any(failed):
+                faults[(i, j)] = tuple(c for c, bad in zip(_CLAUSES, failed) if bad)
+        return faults
+
+    def _member(self, id, cells, excluded_cell=None, direction=None):
+        """The member of the cell set ``cells``, flagged with every clause
+        that any of its cells fails."""
+        cells = frozenset(cells)
+        failed = {c for cell in cells for c in self.cell_faults.get(cell, ())}
+        reasons = [c.format(id) for c in _CLAUSES if c in failed]
+        return TestInclusion(id=id, cells=cells, family=self,
+                             excluded_cell=excluded_cell, direction=direction,
+                             admissible=not reasons, reason="; ".join(reasons))
 
     def whole_window(self):
-        return self._validated(TestInclusion(id="all",
-                                             parts=(pg.rectangle(*self.roi),)))
+        return self._member("all", itertools.product(range(self.grid_n), repeat=2))
 
     def cell_members(self, i, j):
-        """The window notched at cell (i, j), one member per scan direction."""
-        if not (0 <= i < self.grid_n and 0 <= j < self.grid_n):
-            raise GeometryError(f"cell ({i}, {j}) is outside the {self.grid_n}"
-                                f"x{self.grid_n} grid")
-        return [self._validated(TestInclusion(
-                    id=f"c{i}_{j}_{direction}",
-                    parts=_notched_window(self.roi, self.grid_n, i, j, direction),
-                    excluded_cell=(i, j), direction=direction))
+        """The window notched at cell (i, j), one member per scan direction:
+        the window minus the cells from (i, j) to its edge that way."""
+        n = self.grid_n
+        if not (0 <= i < n and 0 <= j < n):
+            raise GeometryError(f"cell ({i}, {j}) is outside the {n}x{n} grid")
+        strips = {"up": {(i, k) for k in range(j, n)},
+                  "down": {(i, k) for k in range(j + 1)},
+                  "left": {(k, j) for k in range(i + 1)},
+                  "right": {(k, j) for k in range(i, n)}}
+        window = set(itertools.product(range(n), repeat=2))
+        return [self._member(f"c{i}_{j}_{direction}", window - strips[direction],
+                             excluded_cell=(i, j), direction=direction)
                 for direction in _DIRECTIONS]
 
     @functools.cached_property
@@ -912,90 +926,15 @@ class PixelFamily:
     def grid_segments(self):
         """Constraint segments for mesh conformity: all grid lines."""
         x0, y0, x1, y1 = self.roi
-        w, h = self.cell_size
-        segs = []
-        for i in range(self.grid_n + 1):
-            x = x0 + i * w
-            segs.append((np.array([x, y0]), np.array([x, y1])))
-        for j in range(self.grid_n + 1):
-            y = y0 + j * h
-            segs.append((np.array([x0, y]), np.array([x1, y])))
-        return segs
+        xs, ys = self.grid_lines()
+        return ([(np.array([x, y0]), np.array([x, y1])) for x in xs]
+                + [(np.array([x0, y]), np.array([x1, y])) for y in ys])
 
 
 def default_roi(domain):
     if domain.shape == "disk":
         return (-0.65, -0.65, 0.65, 0.65)
     return (0.1, 0.1, 0.9, 0.9)
-
-
-def _canonical_notch(u0, v0, u1, v1, s0, s1, t0):
-    """Window [u0,u1]x[v0,v1] minus the strip [s0,s1]x[t0,v1] (notch opens
-    toward +v).  Returns a list of rings in (u, v) coordinates."""
-    eps = 1e-12
-    if t0 <= v0 + eps:
-        # Full-height strip: zero, one, or two rectangles remain.
-        parts = []
-        if s0 > u0 + eps:
-            parts.append([(u0, v0), (s0, v0), (s0, v1), (u0, v1)])
-        if s1 < u1 - eps:
-            parts.append([(s1, v0), (u1, v0), (u1, v1), (s1, v1)])
-        return parts
-    at_left = s0 <= u0 + eps
-    at_right = s1 >= u1 - eps
-    if at_left and at_right:
-        return [[(u0, v0), (u1, v0), (u1, t0), (u0, t0)]]
-    if at_left:
-        return [[(u0, v0), (u1, v0), (u1, v1), (s1, v1), (s1, t0), (u0, t0)]]
-    if at_right:
-        return [[(u0, v0), (u1, v0), (u1, t0), (s0, t0), (s0, v1), (u0, v1)]]
-    return [[(u0, v0), (u1, v0), (u1, v1), (s1, v1), (s1, t0),
-             (s0, t0), (s0, v1), (u0, v1)]]
-
-
-def _notched_window(roi, grid_n, i, j, direction):
-    """Window minus the strip of cells from (i, j) to the window edge.
-
-    Returns a tuple of disjoint rectilinear polygons (two parts when an
-    interior full-height/width strip splits the window).
-    """
-    x0, y0, x1, y1 = roi
-    w = (x1 - x0) / grid_n
-    h = (y1 - y0) / grid_n
-    cx0, cx1 = x0 + i * w, x0 + (i + 1) * w
-    cy0, cy1 = y0 + j * h, y0 + (j + 1) * h
-
-    # Map each direction onto the canonical +v notch and back.
-    if direction == "up":
-        rings = _canonical_notch(x0, y0, x1, y1, cx0, cx1, cy0)
-        back = lambda u, v: (u, v)
-    elif direction == "down":
-        rings = _canonical_notch(x0, y0, x1, y1, cx0, cx1, y0 + y1 - cy1)
-        back = lambda u, v: (u, y0 + y1 - v)
-    elif direction == "right":
-        rings = _canonical_notch(y0, x0, y1, x1, cy0, cy1, cx0)
-        back = lambda u, v: (v, u)
-    elif direction == "left":
-        rings = _canonical_notch(y0, x0, y1, x1, cy0, cy1, x0 + x1 - cx1)
-        back = lambda u, v: (x0 + x1 - v, u)
-    else:
-        raise GeometryError(f"unknown scan direction {direction!r}")
-
-    parts = []
-    for ring in rings:
-        poly = np.array([back(u, v) for u, v in ring], dtype=float)
-        parts.append(pg.ensure_ccw(_dedup_ring(poly)))
-    return tuple(parts)
-
-
-def _dedup_ring(ring):
-    out = []
-    for p in ring:
-        if not out or np.hypot(out[-1][0] - p[0], out[-1][1] - p[1]) > 1e-12:
-            out.append(p)
-    if len(out) > 1 and np.hypot(out[0][0] - out[-1][0], out[0][1] - out[-1][1]) <= 1e-12:
-        out.pop()
-    return np.array(out, dtype=float)
 
 
 def pixel_family(domain, grid_n, roi=None):

@@ -56,32 +56,29 @@ class MonotonicityVerdict:
                 f"{int(self.pass_insulating)} {int(self.pass_conducting)}")
 
 
-def theorem_test(nd_gamma, test, mesh, gamma0, basis, tau=DEFAULT_TAU,
-                 side="both", rtol=1e-10):
-    """Run the inclusion test for one test set.
+def theorem_test(nd_gamma, member, template, tau=DEFAULT_TAU, side="both",
+                 rtol=1e-10):
+    """Run the inclusion test for one family member on a
+    `reconstruction.grid_template` of its family: the member's cells painted
+    insulating, then conducting.
 
     side selects which operator inequalities are checked: ``lower_only``
     checks only the insulating map against the data (the right test when no
     part of the perturbation exceeds the background), ``upper_only`` only
     the conducting one, ``both`` checks the two-sided sandwich.
     """
-    from .ndmap import nd_extreme
-
     if side not in ("both", "lower_only", "upper_only"):
         raise ValueError(f"unknown side {side!r}")
 
-    lam_ins = np.nan
-    lam_cond = np.nan
-    ok_ins = True
-    ok_cond = True
+    cells = member.family.flat(member.cells)
+    lam_ins = lam_cond = np.nan
+    ok_ins = ok_cond = True
     if side in ("both", "lower_only"):
-        nd0 = nd_extreme(mesh, test, "insulating", gamma0, basis, rtol=rtol)
-        lam_ins, ok_ins = psd_test(nd0, nd_gamma, tau=tau)
+        lam_ins, ok_ins = psd_test(template.nd_map(cells, [], rtol), nd_gamma, tau=tau)
     if side in ("both", "upper_only"):
-        ndi = nd_extreme(mesh, test, "conducting", gamma0, basis, rtol=rtol)
-        lam_cond, ok_cond = psd_test(nd_gamma, ndi, tau=tau)
+        lam_cond, ok_cond = psd_test(nd_gamma, template.nd_map([], cells, rtol), tau=tau)
     return MonotonicityVerdict(
-        test_id=test.id if test is not None else "empty",
+        test_id=member.id,
         lambda_min_insulating=float(lam_ins),
         lambda_min_conducting=float(lam_cond),
         pass_insulating=bool(ok_ins), pass_conducting=bool(ok_cond))

@@ -16,9 +16,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import fem
-from .coefficient import WEIGHT_LABELS, CoefficientField, bracket_coefficients
+from .coefficient import WEIGHT_LABELS, bracket_coefficients
 from .fem import ConfigurationError
-from .geometry import BACKGROUND, REGION_LABELS, connected_labels
+from .geometry import BACKGROUND, connected_labels
 
 
 class BasisResolutionWarning(UserWarning):
@@ -308,39 +308,6 @@ def _solve_and_pair(system, gd, field_hash, rtol):
     `MAX_ASYMMETRY` gates."""
     b, sol = _solve(system, gd, rtol)
     return _pair(b, sol.u, gd, field_hash)
-
-
-def painted_field(mesh, paint, gamma0):
-    """Background field with test inclusions painted onto extreme labels.
-
-    ``paint`` is a sequence of (TestInclusion, label) pairs; later entries
-    overwrite earlier ones where they overlap.
-    """
-    cents = mesh.centroids()
-    base = mesh.relabeled({lab: BACKGROUND for lab in REGION_LABELS})
-    for test, label in paint:
-        if test is None or len(test.parts) == 0:
-            continue
-        _check_conformity(mesh, test)
-        base.triangle_region[test.contains(cents)] = label
-    return CoefficientField(mesh=base, gamma0=gamma0)
-
-
-def _check_conformity(mesh, test, tol=1e-9):
-    """No triangle may straddle the test boundary: a triangle with vertices
-    strictly inside and strictly outside betrays a non-conforming mesh."""
-    from .polygons import points_segments_distance
-
-    inside = test.contains(mesh.vertices)
-    seg_a = np.vstack([part for part in test.parts])
-    seg_b = np.vstack([np.roll(part, -1, axis=0) for part in test.parts])
-    d = points_segments_distance(mesh.vertices, seg_a, seg_b, cutoff=10 * tol)
-    strict_in = inside & (d > tol)
-    strict_out = ~inside & (d > tol)
-    bad = np.any(strict_in[mesh.triangles], axis=1) \
-        & np.any(strict_out[mesh.triangles], axis=1)
-    if np.any(bad):
-        raise NDError("mesh does not conform to the test inclusion polygon")
 
 
 @dataclass
@@ -696,16 +663,6 @@ class PaintTemplate:
                 r[rim[0]] = total
                 return np.linalg.norm(r, axis=0)
         return x, residual
-
-
-def nd_extreme(mesh, test, kind, gamma0, basis, rtol=1e-10):
-    """ND matrix with coefficient 0 (insulating) or infinity (conducting) on
-    the test inclusion and the constant background outside."""
-    if kind not in ("insulating", "conducting"):
-        raise NDError(f"unknown extreme kind {kind!r}")
-    target = "D0" if kind == "insulating" else "Dinf"
-    fld = painted_field(mesh, [(test, target)], gamma0)
-    return nd_matrix(fld, basis, rtol=rtol)
 
 
 def perturb_symmetric(nd, rel_magnitude, seed):

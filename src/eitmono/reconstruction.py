@@ -34,7 +34,7 @@ import numpy as np
 from . import polygons as pg
 from .coefficient import homogeneous_field
 from .fem import ConfigurationError
-from .geometry import connected_labels, part_faults
+from .geometry import connected_labels
 from .monotonicity import MonotonicityVerdict, psd_test
 from .ndmap import CutOffError, NDError, PaintTemplate
 
@@ -111,26 +111,16 @@ def jaccard_index(a, b):
 
 
 def grid_cells(mesh, fam):
-    """Cell i*grid_n + j of the pixel family's grid holding each triangle's
-    centroid, grid_n**2 outside the window.  A vertex off the grid lines
-    must lie in the cell of each of its triangles, so no union of cells is
-    straddled; NDError otherwise."""
-    n = fam.grid_n
-    x0, y0, _, _ = fam.roi
-    xs = x0 + np.arange(n + 1) * fam.cell_size[0]
-    ys = y0 + np.arange(n + 1) * fam.cell_size[1]
-
-    def cell_of(points):
-        i = np.searchsorted(xs, points[:, 0], side="right") - 1
-        j = np.searchsorted(ys, points[:, 1], side="right") - 1
-        return np.where((i >= 0) & (i < n) & (j >= 0) & (j < n), i * n + j, n * n)
-
-    cell = cell_of(mesh.centroids())
+    """Cell of the pixel family's grid (`PixelFamily.cell_of`) holding each
+    triangle's centroid.  A vertex off the grid lines must lie in the cell
+    of each of its triangles, so no union of cells is straddled; NDError
+    otherwise."""
+    cell = fam.cell_of(mesh.centroids())
     seg_a, seg_b = (np.array(s) for s in zip(*fam.grid_segments()))
     off_grid = pg.points_segments_distance(mesh.vertices, seg_a, seg_b,
                                            cutoff=1e-8) > 1e-9
     tris = mesh.triangles
-    if np.any(off_grid[tris] & (cell_of(mesh.vertices)[tris] != cell[:, None])):
+    if np.any(off_grid[tris] & (fam.cell_of(mesh.vertices)[tris] != cell[:, None])):
         raise NDError("mesh does not conform to the scan grid")
     return cell
 
@@ -178,11 +168,9 @@ class _Scanner:
         key = (frozenset(zero_cells), frozenset(inf_cells))
         self.last = None
         if key not in self._nd_cache:
-            n = self.fam.grid_n
-            painted = self.template.solve(
-                [i * n + j for i, j in zero_cells],
-                [i * n + j for i, j in inf_cells], self.rtol,
-                list(self.bases.values()))
+            painted = self.template.solve(self.fam.flat(zero_cells),
+                                          self.fam.flat(inf_cells), self.rtol,
+                                          list(self.bases.values()))
             self._nd_cache[key] = painted.nd
             if painted.system is None:
                 self.n_update += 1
@@ -263,7 +251,7 @@ class _Scanner:
         try:
             probe = self.paint(sign, {cell}, neutralizer - {cell})
         except CutOffError as exc:
-            if cell[0] * self.fam.grid_n + cell[1] not in exc.cells:
+            if self.fam.flat([cell])[0] not in exc.cells:
                 raise
             raise ConfigurationError(
                 f"enclosed_by_neutralizer: cell {cell} is cut off from the "
@@ -296,19 +284,15 @@ def reconstruct(nd_gamma, mesh, family, gamma0, basis,
 
     # Indeterminate cells: no admissible pixel position (e.g. the cell is
     # not compactly inside the domain).  Conservatively inside.
-    cells = [(i, j) for i in range(grid_n) for j in range(grid_n)]
-    faults = part_faults(family.domain,
-                         [family.cell_polygon(i, j) for i, j in cells])
-    indeterminate = [cell for cell, fault in zip(cells, faults) if fault]
-    scannable = set(cells) - set(indeterminate)
+    indeterminate = list(family.cell_faults)
 
     box_lower = box_upper = None
     if side in ("both", "lower_only"):
         box_lower = scanner.min_box("lower", tau)
     if side in ("both", "upper_only"):
         box_upper = scanner.min_box("upper", tau)
-    lower_cells = _box_cells(box_lower) & scannable
-    upper_cells = _box_cells(box_upper) & scannable
+    lower_cells = _box_cells(box_lower) - set(indeterminate)
+    upper_cells = _box_cells(box_upper) - set(indeterminate)
 
     verdicts = []
     inside = np.zeros((grid_n, grid_n), dtype=bool)

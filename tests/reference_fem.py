@@ -5,16 +5,75 @@ through which every ND map is solved) is tested against.
 `build_dof_map` numbers the DOFs of a labeled mesh in vertex order and
 `assemble` sums the element triplets of every active triangle in one
 COO->CSC pass; both raise the errors of the template, in its order.
+`painted_field` paints polygons onto the extreme labels by point-in-polygon,
+so `nd_extreme` is the direct-path map that a template painting of the same
+grid cells is checked against.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
+from eitmono import polygons as pg
+from eitmono.coefficient import CoefficientField
 from eitmono.fem import (_GL4_X, ConfigurationError, DofMap, NeumannLoad,
                          SolverError, StiffnessSystem, gamma_quadrature,
                          mesh_terms, solve_neumann)
-from eitmono.geometry import connected_labels
-from eitmono.ndmap import NDMatrix
+from eitmono.geometry import BACKGROUND, REGION_LABELS, connected_labels
+from eitmono.ndmap import NDError, NDMatrix, nd_matrix
+
+
+def cell_parts(family, cells):
+    """The grid cells (i, j) of a pixel family as rectangles, row order."""
+    x0, y0, _, _ = family.roi
+    w, h = family.cell_size
+    return tuple(pg.rectangle(x0 + i * w, y0 + j * h, x0 + (i + 1) * w, y0 + (j + 1) * h)
+                 for i, j in sorted(cells))
+
+
+def painted_field(mesh, paint, gamma0):
+    """Background field with polygon sets painted onto extreme labels.
+
+    ``paint`` is a sequence of (parts, label) pairs, ``parts`` a sequence of
+    polygons whose closed union is painted; later entries overwrite earlier
+    ones where they overlap.
+    """
+    cents = mesh.centroids()
+    base = mesh.relabeled({lab: BACKGROUND for lab in REGION_LABELS})
+    for parts, label in paint:
+        if not parts:
+            continue
+        _check_conformity(mesh, parts)
+        base.triangle_region[_contains(parts, cents)] = label
+    return CoefficientField(mesh=base, gamma0=gamma0)
+
+
+def _contains(parts, points):
+    return np.any([pg.points_in_polygon(points, p, boundary=True) for p in parts], axis=0)
+
+
+def _check_conformity(mesh, parts, tol=1e-9):
+    """No triangle may straddle the boundary of the painted set: a triangle
+    with vertices strictly inside and strictly outside betrays a
+    non-conforming mesh."""
+    inside = _contains(parts, mesh.vertices)
+    seg_a = np.vstack(parts)
+    seg_b = np.vstack([np.roll(part, -1, axis=0) for part in parts])
+    d = pg.points_segments_distance(mesh.vertices, seg_a, seg_b, cutoff=10 * tol)
+    strict_in = inside & (d > tol)
+    strict_out = ~inside & (d > tol)
+    bad = np.any(strict_in[mesh.triangles], axis=1) \
+        & np.any(strict_out[mesh.triangles], axis=1)
+    if np.any(bad):
+        raise NDError("mesh does not conform to the test inclusion polygon")
+
+
+def nd_extreme(mesh, parts, kind, gamma0, basis, rtol=1e-10):
+    """ND matrix with coefficient 0 (insulating) or infinity (conducting) on
+    the union of the polygons ``parts`` and the constant background outside."""
+    if kind not in ("insulating", "conducting"):
+        raise NDError(f"unknown extreme kind {kind!r}")
+    target = "D0" if kind == "insulating" else "Dinf"
+    return nd_matrix(painted_field(mesh, [(parts, target)], gamma0), basis, rtol=rtol)
 
 
 def build_dof_map(mesh):

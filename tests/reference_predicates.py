@@ -18,7 +18,9 @@ def ref_crossing_parity(pts, a, b):
     ax, ay = a[:, 0][None, :], a[:, 1][None, :]
     bx, by = b[:, 0][None, :], b[:, 1][None, :]
     cond = (ay > y) != (by > y)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # Off the edge's slab (cond False) the quotient is never used, and a
+    # near-horizontal edge may overflow it there.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         xint = ax + (y - ay) * (bx - ax) / (by - ay)
     crossing = cond & (x < xint)
     return np.sum(crossing, axis=1) % 2 == 1

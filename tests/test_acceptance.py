@@ -16,14 +16,15 @@ from eitmono import fem, phantoms
 from eitmono.coefficient import CoefficientField, bracket_coefficients
 from eitmono.geometry import build_domain, pixel_family, triangulate
 from eitmono.monotonicity import bracketing_chain, psd_test, theorem_test
-from eitmono.ndmap import build_basis, nd_extreme, nd_matrix
+from eitmono.ndmap import build_basis, nd_matrix
 from eitmono.oracle import brute_force_nd, disk_nd_eigenvalue
 from eitmono.quadrature import integrate_vertex_graded
-from eitmono.reconstruction import reconstruct
+from eitmono.reconstruction import grid_template, reconstruct
 from eitmono.coefficient import WeightSpec
 
 from conftest import build_field, dirichlet_energy
 import reference_fem
+from test_monotonicity import window_maps
 from test_ndmap import ordered_field_pair
 
 
@@ -98,9 +99,7 @@ def test_criterion_3_bracketing_chain(disk_dom, fam8):
     low, up = bracket_coefficients(fld)
     nd_low = nd_matrix(low, basis)
     nd_up = nd_matrix(up, basis)
-    window = fam8.whole_window()
-    nd0 = nd_extreme(mesh, window, "insulating", 1.0, basis)
-    ndinf = nd_extreme(mesh, window, "conducting", 1.0, basis)
+    nd0, ndinf = window_maps(mesh, fam8, basis)
     rep = bracketing_chain(nd, nd_low, nd_up, nd0, ndinf, tau=1e-4)
 
     regions2, mesh2, fld2 = phantom_field(disk_dom, "plain_annulus", 0.07,
@@ -108,8 +107,7 @@ def test_criterion_3_bracketing_chain(disk_dom, fam8):
     basis2 = build_basis(mesh2, 16)
     nd2 = nd_matrix(fld2, basis2)
     low2, up2 = bracket_coefficients(fld2)
-    nd02 = nd_extreme(mesh2, window, "insulating", 1.0, basis2)
-    ndinf2 = nd_extreme(mesh2, window, "conducting", 1.0, basis2)
+    nd02, ndinf2 = window_maps(mesh2, fam8, basis2)
     rep2 = bracketing_chain(nd2, nd2, nd2, nd02, ndinf2, tau=1e-4)
 
     degenerate_zero = rep2.lambda_mins[1] == 0.0 and rep2.lambda_mins[2] == 0.0
@@ -120,31 +118,33 @@ def test_criterion_3_bracketing_chain(disk_dom, fam8):
            f"{rep2.lambda_mins[2]:+g}")
 
 
+def criterion_4_setup(disk_dom, fam8, name):
+    """Data map, mesh, basis, scan side and tested members of a phantom for
+    criterion 4: the whole window plus up to four admissible directional
+    complements whose excluded strip avoids the phantom."""
+    regions, mesh, fld = phantom_field(disk_dom, name, 0.09, fam8.grid_segments())
+    basis = build_basis(mesh, 10)
+    side = "lower_only" if phantoms.negative_only(name) else "both"
+    samples = np.vstack([np.asarray(p) for _, p in regions.all_polys()])
+    members = [fam8.whole_window()]
+    for m in fam8.members:
+        if m.excluded_cell is None or not m.admissible:
+            continue
+        if not m.contains(samples).all():
+            continue
+        members.append(m)
+        if len(members) >= 5:
+            break
+    return nd_matrix(fld, basis), mesh, basis, side, members
+
+
 def test_criterion_4_containment_direction(disk_dom, fam8):
     failures = []
-    window = fam8.whole_window()
     for name in phantoms.REGRESSION_PHANTOMS:
-        regions, mesh, fld = phantom_field(disk_dom, name, 0.09,
-                                           fam8.grid_segments())
-        basis = build_basis(mesh, 10)
-        nd = nd_matrix(fld, basis)
-        side = "lower_only" if phantoms.negative_only(name) else "both"
-
-        # scanned members that contain the phantom: the whole window plus
-        # directional complements whose excluded strip avoids it
-        samples = np.vstack([np.asarray(p) for _, p in regions.all_polys()])
-        members = [window]
-        for m in fam8.members:
-            if m.excluded_cell is None or not m.admissible:
-                continue
-            if not m.contains(samples).all():
-                continue
-            members.append(m)
-            if len(members) >= 5:
-                break
+        nd, mesh, basis, side, members = criterion_4_setup(disk_dom, fam8, name)
+        template = grid_template(mesh, fam8, 1.0, basis)
         for member in members:
-            verdict = theorem_test(nd, member, mesh, 1.0, basis,
-                                   tau=1e-4, side=side)
+            verdict = theorem_test(nd, member, template, tau=1e-4, side=side)
             ok = verdict.pass_insulating if side == "lower_only" \
                 else verdict.pass_both
             if not ok:
@@ -152,6 +152,26 @@ def test_criterion_4_containment_direction(disk_dom, fam8):
     report("4 containment-direction", not failures,
            f"{len(phantoms.REGRESSION_PHANTOMS)} phantoms x up-to-5 members"
            + (f"; failures: {failures}" if failures else ""))
+
+
+@pytest.mark.parametrize("name", ["insulating_disk", "conducting_disk", "two_blob_mixed"])
+def test_criterion_4_template_matches_direct_path(disk_dom, fam8, name):
+    # theorem_test's template paintings of criterion 4's members give the
+    # lambdas of the point-in-polygon paintings of the same cells within
+    # 1e-12*|L|_G, and the same pass flags
+    nd, mesh, basis, side, members = criterion_4_setup(disk_dom, fam8, name)
+    template = grid_template(mesh, fam8, 1.0, basis)
+    tol = 1e-12 * nd.gnorm()
+    for member in members:
+        got = theorem_test(nd, member, template, tau=1e-4, side="both")
+        parts = reference_fem.cell_parts(fam8, member.cells)
+        lam_ins, ok_ins = psd_test(reference_fem.nd_extreme(
+            mesh, parts, "insulating", 1.0, basis), nd, tau=1e-4)
+        lam_cond, ok_cond = psd_test(nd, reference_fem.nd_extreme(
+            mesh, parts, "conducting", 1.0, basis), tau=1e-4)
+        assert abs(got.lambda_min_insulating - lam_ins) <= tol, member.id
+        assert abs(got.lambda_min_conducting - lam_cond) <= tol, member.id
+        assert (got.pass_insulating, got.pass_conducting) == (ok_ins, ok_cond)
 
 
 FROZEN_BASELINES = {"insulating_disk": 0.75, "conducting_disk": 0.75,

@@ -313,6 +313,15 @@ class TestConfigErrors:
         assert "config error:" in err
         assert f"config error: {entry}: " in err
 
+    @pytest.mark.parametrize("command", ["forward", "calibrate"])
+    def test_section_that_is_not_an_object(self, tmp_path, capsys, command):
+        # a present section of another type is an error, not the defaults
+        cfg = write_config(tmp_path, mesh=5)
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: mesh: expected an object"]
+
     @pytest.mark.parametrize("level", ["inf", "nan", "-0.1"])
     def test_bad_noise_level(self, tmp_path, capsys, level):
         cfg = write_config(tmp_path)
@@ -393,13 +402,14 @@ def test_n_factor_in_metrics(tmp_path, monkeypatch):
 
 def test_scan_and_chain_build_no_notched_member(tmp_path, monkeypatch):
     builds = []
-    real = geometry._notched_window
+    for name in ("whole_window", "cell_members"):
+        real = getattr(geometry.PixelFamily, name)
 
-    def counting(*args):
-        builds.append(args)
-        return real(*args)
+        def counting(*args, real=real):
+            builds.append(args)
+            return real(*args)
 
-    monkeypatch.setattr(geometry, "_notched_window", counting)
+        monkeypatch.setattr(geometry.PixelFamily, name, counting)
     cfg = write_config(tmp_path)
     assert main(["reconstruct", "--config", str(cfg),
                  "--out", str(tmp_path / "rec")]) == 0

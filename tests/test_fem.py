@@ -3,8 +3,7 @@ import pytest
 
 from eitmono import fem, phantoms
 from eitmono.coefficient import CoefficientField
-from eitmono.geometry import TestInclusion, build_domain, triangulate
-from eitmono.ndmap import painted_field
+from eitmono.geometry import build_domain, triangulate
 from eitmono import polygons as pg
 
 from conftest import build_field, dirichlet_energy
@@ -92,9 +91,8 @@ class TestDofMap:
         mesh = triangulate(disk, target_h=0.1,
                            extra_segments=family8.grid_segments())
         ring = {(i, j) for i in range(2, 6) for j in range(2, 6)} - {(3, 3)}
-        inc = TestInclusion(id="ring", parts=tuple(
-            family8.cell_polygon(i, j) for (i, j) in sorted(ring)))
-        fld = painted_field(mesh, [(inc, "D0")], 1.0)
+        fld = reference_fem.painted_field(
+            mesh, [(reference_fem.cell_parts(family8, ring), "D0")], 1.0)
         with pytest.raises(fem.ConfigurationError):
             reference_fem.build_dof_map(fld.mesh)
 

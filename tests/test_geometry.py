@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 from eitmono import geometry, phantoms, reconstruction
 from eitmono import polygons as pg
 from eitmono.geometry import (GeometryError, Mesh, MeshConformityError,
-                              RegionSet, TestInclusion, _arrange_segments,
-                              _edge_keys, build_domain, connected_labels,
-                              edge_owners, mesh_region_faults, part_faults,
-                              pixel_family, triangulate, validate_inclusion,
+                              RegionSet, _arrange_segments, _edge_keys,
+                              build_domain, connected_labels, edge_owners,
+                              mesh_region_faults, pixel_family, triangulate,
                               validate_regions)
 
 from reference_predicates import (ref_arrange_segments, ref_edge_keys,
@@ -335,8 +334,8 @@ def assert_members_on_demand(fam):
                                         for m in fam.cell_members(i, j)]
 
     def fields(members):
-        return [(m.id, [p.tolist() for p in m.parts], m.excluded_cell,
-                 m.direction, m.admissible, m.reason) for m in members]
+        return [(m.id, m.cells, m.excluded_cell, m.direction, m.admissible,
+                 m.reason) for m in members]
 
     assert fields(fam.members) == fields(on_demand)
     assert [m.id for m in fam.members] == ["all"] + [
@@ -344,20 +343,20 @@ def assert_members_on_demand(fam):
         for d in ("up", "down", "left", "right")]
 
 
-def test_validate_inclusion_reasons_per_part(square):
-    # parts: admissible, not simple (a bowtie), crossing the boundary,
-    # touching it from inside, outside with a vertex on it
-    parts = (pg.rectangle(0.2, 0.2, 0.4, 0.4),
-             np.array([[0.1, 0.1], [0.3, 0.3], [0.3, 0.1], [0.1, 0.3]]),
-             pg.rectangle(0.5, 0.5, 1.2, 0.7),
-             pg.rectangle(0.0, 0.5, 0.2, 0.7),
-             pg.rectangle(-0.5, -0.5, 0.0, 0.0))
-    assert validate_inclusion(square, TestInclusion(id="T", parts=parts)) == [
-        "part of T is not a simple polygon", "T extends outside the domain",
-        "T touches the domain boundary", "T extends outside the domain",
-        "T touches the domain boundary"]
-    assert [bool(f) for f in part_faults(square, parts)] == [False] + [True] * 4
-    assert part_faults(square, ()) == []
+def test_member_reason_lists_every_failed_clause(square):
+    # cells: (0, 0) crosses y = 0 and has a corner on x = 0, (1, 0) only
+    # crosses y = 0, (0, 1) only has corners on x = 0, (1, 1) is admissible
+    fam = pixel_family(square, 2, roi=(0.0, -0.2, 0.4, 0.6))
+    outside, touches = "{} extends outside the domain", "{} touches the domain boundary"
+    assert fam.cell_faults == {(0, 0): (outside, touches), (1, 0): (outside,),
+                               (0, 1): (touches,)}
+    reasons = {m.id: m.reason for m in fam.members}
+    for both in ("all", "c1_0_up", "c0_0_down"):
+        assert reasons[both] == (f"{both} extends outside the domain; "
+                                 f"{both} touches the domain boundary")
+    assert reasons["c0_0_up"] == "c0_0_up extends outside the domain"
+    assert reasons["c0_0_right"] == "c0_0_right touches the domain boundary"
+    assert not any(m.admissible for m in fam.members)
 
 
 class TestPixelFamily:
@@ -378,14 +377,16 @@ class TestPixelFamily:
         assert fam.cell_size == (0.4, 0.4)
 
     def test_members_admissible_and_simple(self, family8):
-        for m in family8.members:
+        window = family8.whole_window().cells
+        assert len(window) == 64
+        for m in family8.members[1:]:
             assert m.admissible, m.reason
-            for part in m.parts:
-                assert pg.polygon_is_simple(part)
+            assert m.cells < window and m.excluded_cell not in m.cells
 
     def test_full_span_members_split(self, family8):
+        # a full-height strip leaves two column blocks, columns 0-2 and 4-7
         m = [x for x in family8.cell_members(3, 0) if x.direction == "up"][0]
-        assert len(m.parts) == 2
+        assert m.cells == {(i, j) for i in range(8) if i != 3 for j in range(8)}
 
     def test_small_grid_rejected(self, disk):
         with pytest.raises(GeometryError):
@@ -404,6 +405,33 @@ class TestPixelFamily:
         far_corner = np.array([[x0 + 0.5 * w, y0 + 0.5 * h]])
         assert not m.contains(inside_cell)[0]
         assert m.contains(far_corner)[0]
+
+
+@pytest.mark.parametrize("shape, roi", [
+    ("disk", None), ("disk", (-2 ** -0.5, -2 ** -0.5, 2 ** -0.5, 2 ** -0.5)),
+    ("square", None), ("square", (0.0, 0.0, 1.0, 1.0))])
+def test_members_are_closed_cell_unions(shape, roi):
+    # on the default and a boundary-touching window, grid 2-12: a member is
+    # admissible exactly when none of its cells is indeterminate for the
+    # scan (`cell_faults`, the cells `reconstruct` abstains on), and
+    # `contains` is the closed union of its cells, grid lines included
+    dom = build_domain(shape)
+    for n in range(2, 13):
+        fam = pixel_family(dom, n, roi=roi)
+        xs, ys = fam.grid_lines()
+        mx, my = (xs[:-1] + xs[1:]) / 2, (ys[:-1] + ys[1:]) / 2
+        # grid nodes, midpoints of the grid-line pieces, and cell centres
+        px, py = np.concatenate([np.stack(np.meshgrid(u, v, indexing="ij")).reshape(2, -1)
+                                 for u, v in ((xs, ys), (mx, ys), (xs, my), (mx, my))],
+                                axis=1)[:, :, None]
+        i, j = np.divmod(np.arange(n * n), n)
+        in_cell = ((xs[i] <= px) & (px <= xs[i + 1]) & (ys[j] <= py) & (py <= ys[j + 1]))
+        for m in fam.members:
+            assert m.admissible == m.cells.isdisjoint(fam.cell_faults)
+            cells = np.zeros(n * n)
+            cells[fam.flat(m.cells)] = 1.0
+            assert np.array_equal(m.contains(np.column_stack([px, py])),
+                                  in_cell @ cells > 0), m.id
 
 
 def coo_connected_labels(n, pairs):

@@ -8,8 +8,8 @@ from eitmono.coefficient import CoefficientField, bracket_coefficients
 from eitmono.geometry import TestInclusion, triangulate
 from eitmono.monotonicity import (ProvenanceError, bracketing_chain, psd_test,
                                   theorem_test)
-from eitmono.ndmap import (NDMatrix, build_basis, nd_extreme, nd_matrix,
-                           perturb_symmetric)
+from eitmono.ndmap import NDMatrix, build_basis, nd_matrix, perturb_symmetric
+from eitmono.reconstruction import grid_template
 
 from conftest import build_field
 
@@ -90,13 +90,13 @@ def disk_phantom_setup(disk, family8):
     fld = build_field(mesh, spec)
     basis = build_basis(mesh, 8)
     nd = nd_matrix(fld, basis)
-    return mesh, basis, nd
+    return grid_template(mesh, family8, 1.0, basis), nd
 
 
 class TestTheoremTest:
     def test_pass_for_containing_window(self, disk_phantom_setup, family8):
-        mesh, basis, nd = disk_phantom_setup
-        verdict = theorem_test(nd, family8.whole_window(), mesh, 1.0, basis,
+        template, nd = disk_phantom_setup
+        verdict = theorem_test(nd, family8.whole_window(), template,
                                tau=1e-4, side="both")
         assert verdict.pass_both
         assert verdict.lambda_min_insulating > -1e-4
@@ -107,33 +107,32 @@ class TestTheoremTest:
                            extra_segments=family8.grid_segments())
         basis = build_basis(mesh, 6)
         nd = nd_matrix(CoefficientField(mesh=mesh, gamma0=1.0), basis)
+        template = grid_template(mesh, family8, 1.0, basis)
         for member in family8.cell_members(0, 0):
-            v = theorem_test(nd, member, mesh, 1.0, basis, tau=1e-6)
+            v = theorem_test(nd, member, template, tau=1e-6)
             assert v.pass_both
 
     def test_insulating_side_fails_when_test_set_misses_d(
             self, disk_phantom_setup, family8):
         # a small test set far from covering the inclusion cannot dominate
         # the data on the insulating side
-        mesh, basis, nd = disk_phantom_setup
-        cell = TestInclusion(id="far", parts=(family8.cell_polygon(0, 0),))
-        verdict = theorem_test(nd, cell, mesh, 1.0, basis, tau=1e-4)
+        template, nd = disk_phantom_setup
+        cell = TestInclusion(id="far", cells=frozenset({(0, 0)}), family=family8)
+        verdict = theorem_test(nd, cell, template, tau=1e-4)
         assert not verdict.pass_insulating
         assert verdict.pass_conducting   # data stays above the conducting map
 
     def test_side_variants(self, disk_phantom_setup, family8):
-        mesh, basis, nd = disk_phantom_setup
-        v = theorem_test(nd, family8.whole_window(), mesh, 1.0, basis,
-                         side="lower_only")
+        template, nd = disk_phantom_setup
+        v = theorem_test(nd, family8.whole_window(), template, side="lower_only")
         assert np.isnan(v.lambda_min_conducting)
         assert v.pass_conducting and v.pass_both == v.pass_insulating
         with pytest.raises(ValueError):
-            theorem_test(nd, family8.whole_window(), mesh, 1.0, basis,
-                         side="sideways")
+            theorem_test(nd, family8.whole_window(), template, side="sideways")
 
     def test_log_line_format(self, disk_phantom_setup, family8):
-        mesh, basis, nd = disk_phantom_setup
-        v = theorem_test(nd, family8.whole_window(), mesh, 1.0, basis)
+        template, nd = disk_phantom_setup
+        v = theorem_test(nd, family8.whole_window(), template)
         parts = v.log_line().split()
         assert parts[0] == "all"
         float(parts[1]), float(parts[2])
@@ -143,20 +142,26 @@ class TestTheoremTest:
         # growing the test set can only help both inequalities
         mesh = triangulate(disk, target_h=0.12,
                            extra_segments=family8.grid_segments())
-        basis = build_basis(mesh, 6)
-        small = TestInclusion(id="s", parts=(family8.cell_polygon(3, 3),))
-        big = TestInclusion(id="b", parts=(family8.cell_polygon(3, 3),
-                                           family8.cell_polygon(4, 3),
-                                           family8.cell_polygon(3, 4)))
+        template = grid_template(mesh, family8, 1.0, build_basis(mesh, 6))
+        small = family8.flat([(3, 3)])
+        big = family8.flat([(3, 3), (4, 3), (3, 4)])
         tau = 1e-7
-        nd0s = nd_extreme(mesh, small, "insulating", 1.0, basis)
-        nd0b = nd_extreme(mesh, big, "insulating", 1.0, basis)
+        nd0s = template.nd_map(small, [], 1e-10)
+        nd0b = template.nd_map(big, [], 1e-10)
         lam, ok = psd_test(nd0b, nd0s, tau=tau)
         assert ok
-        ndis = nd_extreme(mesh, small, "conducting", 1.0, basis)
-        ndib = nd_extreme(mesh, big, "conducting", 1.0, basis)
+        ndis = template.nd_map([], small, 1e-10)
+        ndib = template.nd_map([], big, 1e-10)
         lam2, ok2 = psd_test(ndis, ndib, tau=tau)
         assert ok2
+
+
+def window_maps(mesh, family, basis):
+    """The whole window painted insulating, then conducting, on a grid
+    template of the mesh, as `chain` paints it."""
+    template = grid_template(mesh, family, 1.0, basis)
+    every = range(family.grid_n ** 2)
+    return template.nd_map(every, [], 1e-10), template.nd_map([], every, 1e-10)
 
 
 @pytest.fixture(scope="module")
@@ -170,9 +175,7 @@ def chain_setup(disk, family8):
     low, up = bracket_coefficients(fld)
     nd_low = nd_matrix(low, basis)
     nd_up = nd_matrix(up, basis)
-    window = family8.whole_window()
-    nd0 = nd_extreme(mesh, window, "insulating", 1.0, basis)
-    ndinf = nd_extreme(mesh, window, "conducting", 1.0, basis)
+    nd0, ndinf = window_maps(mesh, family8, basis)
     return nd, nd_low, nd_up, nd0, ndinf
 
 
@@ -207,9 +210,7 @@ class TestBracketingChain:
         nd = nd_matrix(fld, basis)
         low, up = bracket_coefficients(fld)
         assert low is fld and up is fld
-        window = family8.whole_window()
-        nd0 = nd_extreme(mesh, window, "insulating", 1.0, basis)
-        ndinf = nd_extreme(mesh, window, "conducting", 1.0, basis)
+        nd0, ndinf = window_maps(mesh, family8, basis)
         report = bracketing_chain(nd, nd, nd, nd0, ndinf, tau=1e-4)
         assert report.lambda_mins[1] == 0.0
         assert report.lambda_mins[2] == 0.0

@@ -11,12 +11,11 @@ from eitmono import fem, phantoms
 from eitmono.cli import Problem
 from eitmono.coefficient import (CoefficientField, WeightSpec,
                                  bracket_coefficients, homogeneous_field)
-from eitmono.geometry import TestInclusion, build_domain, triangulate
+from eitmono.geometry import build_domain, triangulate
 from eitmono.monotonicity import psd_test
 from eitmono.ndmap import (BasisResolutionWarning, CurrentBasis, NDError,
                            NDMatrix, PaintTemplate, bracketed_maps, build_basis,
-                           field_system, gamma_data,
-                           nd_extreme, nd_matrix, painted_field,
+                           field_system, gamma_data, nd_matrix,
                            perturb_symmetric)
 from eitmono.oracle import disk_nd_eigenvalue
 from eitmono.reconstruction import grid_template
@@ -24,6 +23,7 @@ from eitmono import polygons as pg
 
 from conftest import dirichlet_energy, gram_distance
 import reference_fem
+from reference_fem import cell_parts, nd_extreme, painted_field
 
 
 def basis_mean_free(basis, mesh, tol):
@@ -146,7 +146,7 @@ class TestExtremeMaps:
         regions, _ = phantoms.concentric_disk(0.5, "D0", 96)
         mesh = triangulate(disk, regions, target_h=0.06)
         basis = build_basis(mesh, 8)
-        circle = TestInclusion(id="rho", parts=(pg.regular_polygon((0, 0), 0.5, 96),))
+        circle = (pg.regular_polygon((0, 0), 0.5, 96),)
         nd0 = nd_extreme(mesh, circle, "insulating", 1.0, basis)
         ndinf = nd_extreme(mesh, circle, "conducting", 1.0, basis)
         e0 = np.sort(nd0.generalized_eigenvalues())[::-1]
@@ -158,7 +158,7 @@ class TestExtremeMaps:
             assert abs(ei[2 * n - 2] - lami) / lami < 0.01
 
     def test_nonconforming_mesh_rejected(self, disk_mesh, basis8):
-        blob = TestInclusion(id="x", parts=(pg.regular_polygon((0.2, 0.1), 0.17, 12),))
+        blob = (pg.regular_polygon((0.2, 0.1), 0.17, 12),)
         with pytest.raises(NDError):
             nd_extreme(disk_mesh, blob, "insulating", 1.0, basis8)
 
@@ -168,10 +168,10 @@ class TestExtremeMaps:
         fld = CoefficientField(mesh=mesh, gamma0=1.0)
         basis = build_basis(mesh, 8)
         nd_bg = nd_matrix(fld, basis)
-        for member in (family8.whole_window(),
-                       TestInclusion(id="c", parts=(family8.cell_polygon(3, 3),))):
-            nd0 = nd_extreme(mesh, member, "insulating", 1.0, basis)
-            ndi = nd_extreme(mesh, member, "conducting", 1.0, basis)
+        for member in (family8.whole_window().cells, {(3, 3)}):
+            parts = cell_parts(family8, member)
+            nd0 = nd_extreme(mesh, parts, "insulating", 1.0, basis)
+            ndi = nd_extreme(mesh, parts, "conducting", 1.0, basis)
             lam1, ok1 = psd_test(nd0, nd_bg, tau=1e-7)
             lam2, ok2 = psd_test(nd_bg, ndi, tau=1e-7)
             assert ok1 and ok2
@@ -241,14 +241,12 @@ def test_provenance_gate(disk_mesh, disk_field, basis8, nd_homogeneous):
 
 def test_block_solve_matches_per_load_solves(disk, family8):
     from eitmono import fem
-    from eitmono.ndmap import painted_field
 
     mesh = triangulate(disk, target_h=0.1,
                        extra_segments=family8.grid_segments())
     basis = build_basis(mesh, 8)
-    paint = [(TestInclusion(id="z", parts=(family8.cell_polygon(2, 5),)), "D0"),
-             (TestInclusion(id="e", parts=(family8.cell_polygon(5, 2),
-                                           family8.cell_polygon(5, 3))), "Dinf")]
+    paint = [(cell_parts(family8, [(2, 5)]), "D0"),
+             (cell_parts(family8, [(5, 2), (5, 3)]), "Dinf")]
     for fld in (CoefficientField(mesh=mesh, gamma0=1.0),
                 painted_field(mesh, paint, 1.0)):
         nd = nd_matrix(fld, basis)
@@ -268,18 +266,13 @@ def grid_mesh(disk, family8):
                        extra_segments=family8.grid_segments())
 
 
-def cells(family, ids, name):
-    return TestInclusion(id=name, parts=tuple(family.cell_polygon(i, j)
-                                              for i, j in ids))
-
-
 def test_shared_loads_match_per_call_loads(grid_mesh, family8, monkeypatch):
     # the cached loads scattered through a painted DOF map equal the
     # per-call neumann_load bit for bit, where DOFs are removed and merged
     mesh = grid_mesh
     basis = build_basis(mesh, 8)
-    zero = (cells(family8, [(2, 5), (2, 6)], "z"), "D0")
-    inf = (cells(family8, [(5, 2), (5, 3)], "e"), "Dinf")
+    zero = (cell_parts(family8, [(2, 5), (2, 6)]), "D0")
+    inf = (cell_parts(family8, [(5, 2), (5, 3)]), "Dinf")
     captured = []
     real = fem.solve_neumann
 
@@ -321,7 +314,7 @@ def test_gamma_data_once_per_mesh_and_basis(disk, grid_mesh, family8,
     monkeypatch.setattr(CurrentBasis, "gram", counting)
     gd8 = gamma_data(mesh, b8)
     # a relabeled mesh (every painting) reuses the entry
-    painted = painted_field(mesh, [(cells(family8, [(3, 3)], "c"), "D0")], 1.0)
+    painted = painted_field(mesh, [(cell_parts(family8, [(3, 3)]), "D0")], 1.0)
     assert gamma_data(painted.mesh, b8) is gd8
     assert np.array_equal(gd8.gram, refs[8])
     # a second basis on the same mesh gets its own loads and Gram
@@ -470,7 +463,7 @@ def test_template_map_matches_direct_path(template, family8, grid_mesh, ranks):
     tpl, basis = template
     nd = template_map(tpl, ranks)
     zero, inf = painted_cells(ranks)
-    paint = [(cells(family8, [divmod(c, 8) for c in ids], lab), lab)
+    paint = [(cell_parts(family8, [divmod(c, 8) for c in ids]), lab)
              for ids, lab in ((zero, "D0"), (inf, "Dinf")) if ids]
     ref = nd_matrix(painted_field(grid_mesh, paint, 1.0), basis)
     assert np.abs(nd.matrix - ref.matrix).max() <= 1e-12 * np.abs(ref.matrix).max()
@@ -490,7 +483,7 @@ def test_enclosed_pocket_raises_like_direct_path(template, family8, grid_mesh,
                   for di in (-1, 0, 1) for dj in (-1, 0, 1)})
     ranks[i * 8 + j] = centre
     zero, inf = painted_cells(ranks)
-    paint = [(cells(family8, [divmod(c, 8) for c in ids], lab), lab)
+    paint = [(cell_parts(family8, [divmod(c, 8) for c in ids]), lab)
              for ids, lab in ((zero, "D0"), (inf, "Dinf")) if ids]
     with pytest.raises(fem.ConfigurationError) as direct:
         reference_fem.build_dof_map(painted_field(grid_mesh, paint, 1.0).mesh)
@@ -549,7 +542,7 @@ def test_map_carries_the_mesh_hash_of_its_field(disk, family8):
     relabeled = mesh.relabeled({"D0": "bg"})
     nd = nd_matrix(CoefficientField(mesh=relabeled, gamma0=1.0), basis)
     assert nd.mesh_hash == mesh.provenance()
-    painted = painted_field(mesh, [(cells(family8, [(3, 3)], "c"), "D0")], 1.0)
+    painted = painted_field(mesh, [(cell_parts(family8, [(3, 3)]), "D0")], 1.0)
     assert nd_matrix(painted, basis).mesh_hash == mesh.provenance()
 
 
@@ -624,22 +617,23 @@ def test_field_system_matches_reference_path(coarse_disk, seeds, bands, ringed):
 @pytest.mark.parametrize("name", phantoms.REGRESSION_PHANTOMS)
 def test_command_maps_match_reference_path(name):
     # the maps of forward (and calibrate's measured map), chain (brackets
-    # and window maps), calibrate's background and nd_extreme are within
+    # and window maps, which are also theorem_test's), calibrate's
+    # background and the nd_matrix of the painted window are within
     # 1e-12*max|L| of the reference path's maps of the same fields
     from record_contract import contract_config
 
     problem = Problem(contract_config(name))
     mesh, fld, basis = problem.build_mesh(), problem.build_field(), problem.build_basis()
-    gamma0, window = problem.gamma0, problem.family.whole_window()
+    gamma0, family = problem.gamma0, problem.family
+    window = cell_parts(family, family.whole_window().cells)
     every = range(problem.grid_n ** 2)
     low, up = bracket_coefficients(fld)
-    template = grid_template(mesh, problem.family, gamma0, basis)
+    template = grid_template(mesh, family, gamma0, basis)
     maps = [(nd_matrix(f, basis), f) for f in ({id(f): f for f in (fld, low, up)}.values())]
-    for kind, label, paint in (("insulating", "D0", (every, [])),
-                               ("conducting", "Dinf", ([], every))):
+    for label, paint in (("D0", (every, [])), ("Dinf", ([], every))):
         painted = painted_field(mesh, [(window, label)], gamma0)
         maps += [(template.nd_map(*paint, 1e-10), painted),
-                 (nd_extreme(mesh, window, kind, gamma0, basis), painted)]
+                 (nd_matrix(painted, basis), painted)]
     maps.append((template.nd_map([], [], 1e-10), homogeneous_field(mesh, gamma0)))
     for nd, f in maps:
         ref = reference_fem.reference_nd(f, basis).matrix

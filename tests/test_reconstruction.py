@@ -9,9 +9,9 @@ import scipy.sparse.linalg as spla
 from eitmono import fem, ndmap, phantoms, reconstruction
 from eitmono.coefficient import CoefficientField
 from eitmono.fem import ConfigurationError
-from eitmono.geometry import TestInclusion, pixel_family, triangulate
+from eitmono.geometry import pixel_family, triangulate
 from eitmono.ndmap import (PAINT_LABELS, NDError, PaintTemplate, build_basis,
-                           nd_matrix, painted_field)
+                           nd_matrix)
 from eitmono.reconstruction import (DEFAULT_TAU_ABS, ReconstructionResult,
                                     _box_cells, _Scanner, fill_enclosed,
                                     grid_template, jaccard_index, rasterize,
@@ -161,8 +161,8 @@ class TestReconstruct:
         res = reconstruct(nd, mesh, fam, 1.0, basis)
         boundary_ring = [(i, j) for i in range(4) for j in range(4)
                          if i in (0, 3) or j in (0, 3)]
+        assert res.indeterminate == list(fam.cell_faults) == boundary_ring
         for cell in boundary_ring:
-            assert cell in res.indeterminate
             assert res.inside[cell]
 
     def test_bad_side_rejected(self, family8, coarse_recon_setup):
@@ -175,7 +175,7 @@ class TestCellPainting:
     @pytest.mark.parametrize("name", phantoms.REGRESSION_PHANTOMS)
     def test_cell_index_matches_polygon_paint(self, disk, family8, name):
         """The grid template gives the labels, DOF map and bordered matrix
-        of `painted_field` through the reference path's `build_dof_map` and
+        of `reference_fem.painted_field` through the reference path's `build_dof_map` and
         `assemble`, or raises their error, on random overlapping paints."""
         regions, _ = phantoms.build_phantom(name)
         mesh = triangulate(disk, regions, target_h=0.1,
@@ -190,10 +190,9 @@ class TestCellPainting:
             zero = {cells[k] for k in picks[:rng.integers(0, 20)]}
             # overlapping conducting set: the later paint must win
             inf = {cells[k] for k in picks[rng.integers(0, 10):rng.integers(10, 30)]}
-            paint = [(TestInclusion(id=lab, parts=tuple(
-                family8.cell_polygon(i, j) for (i, j) in sorted(s))), lab)
-                for s, lab in ((zero, "D0"), (inf, "Dinf")) if s]
-            fld = painted_field(mesh, paint, 1.0)
+            paint = [(reference_fem.cell_parts(family8, s), lab)
+                     for s, lab in ((zero, "D0"), (inf, "Dinf")) if s]
+            fld = reference_fem.painted_field(mesh, paint, 1.0)
             codes = template.codes([i * 8 + j for i, j in zero],
                                    [i * 8 + j for i, j in inf])
             assert np.array_equal(PAINT_LABELS[codes], fld.mesh.triangle_region)
