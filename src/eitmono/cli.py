@@ -64,7 +64,7 @@ def _value(cfg, path, convert, default=None):
     value = _get(cfg, path, default)
     try:
         return convert(value)
-    except (ValueError, TypeError, KeyError, IndexError) as exc:
+    except (ValueError, TypeError, KeyError, IndexError, AttributeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 

@@ -1,7 +1,7 @@
 """Piecewise conductivity fields over labeled mesh regions.
 
 A field assigns: the positive background on unlabeled triangles, symbolic 0
-on D0, symbolic infinity on Dinf, bounded per-triangle values on DFminus and
+on D0, symbolic infinity on Dinf, a bounded constant on each of DFminus and
 DFplus, and power-law weight formulas on Ddeg and Dsing.  The extreme labels
 never become floating-point values; they change the discrete function space
 in the solver instead.
@@ -191,16 +191,13 @@ class WeightSpec:
         return "*".join(parts) + (f"|clip{self.clip}" if self.clip else "")
 
 
-def graded_triangle_integrals(func, tris, weight, depth=12, splits=2,
-                              exponent_sign=1.0):
+def graded_triangle_integrals(func, tris, weight, depth=12, splits=2):
     """Integrals of ``func`` over an (n, 3, 2) array of triangles, each
     graded toward any singular feature of ``weight`` that touches it: strip
     grading toward its first edge on a singular polyline, else ring grading
     toward its first vertex on a singular point or polyline.  The others
     share one plain order-5 rule with uniform splits; no value depends on
-    the other triangles.  ``func`` need not equal the weight: the A2
-    machinery integrates 1/w with the same grading geometry, passing
-    ``exponent_sign=-1`` so the series tails match the actual integrand.
+    the other triangles.
     """
     tris = np.asarray(tris, dtype=float).reshape(-1, 3, 2)
     edge = weight.edge_exponents(tris[:, [1, 2, 0]].reshape(-1, 2),
@@ -214,7 +211,7 @@ def graded_triangle_integrals(func, tris, weight, depth=12, splits=2,
         e, v = np.argmax(on_edge[t]), np.argmax(on_vertex[t])
         rule, i, s = (quad.integrate_edge_graded, e, edge[t, e]) if on_edge[t, e] \
             else (quad.integrate_vertex_graded, v, vertex[t, v])
-        out[t] = rule(func, tris[t], i, exponent_sign * s, depth=depth, splits=splits)
+        out[t] = rule(func, tris[t], i, s, depth=depth, splits=splits)
     return out
 
 
@@ -227,7 +224,7 @@ class CoefficientField:
     """Conductivity assignment over the labeled triangles of a mesh."""
 
     mesh: object
-    gamma0: object = 1.0
+    gamma0: float = 1.0
     finite_values: dict = field(default_factory=dict)
     weights: dict = field(default_factory=dict)
     quad_depth: int = 12
@@ -244,62 +241,12 @@ class CoefficientField:
     # -- basic queries ------------------------------------------------------
 
     def gamma0_per_triangle(self):
-        g = self.gamma0
-        if np.isscalar(g):
-            return np.full(self.mesh.num_triangles, float(g))
-        g = np.asarray(g, dtype=float)
-        if g.shape != (self.mesh.num_triangles,):
-            raise CoefficientError("per-triangle gamma0 has wrong length")
-        return g
-
-    def finite_per_triangle(self, label):
-        v = self.finite_values[label]
-        mask = self.mesh.triangle_region == label
-        if np.isscalar(v):
-            return np.full(int(mask.sum()), float(v)), mask
-        v = np.asarray(v, dtype=float)
-        if v.shape == (self.mesh.num_triangles,):
-            return v[mask], mask
-        if v.shape == (int(mask.sum()),):
-            return v, mask
-        raise CoefficientError(f"per-triangle values for {label} have wrong length")
+        return np.full(self.mesh.num_triangles, float(self.gamma0))
 
     def weight_for(self, label):
         if label not in self.weights:
             raise CoefficientError(f"no weight assigned to {label}")
         return self.weights[label]
-
-    # -- evaluation ----------------------------------------------------------
-
-    def eval(self, points, label):
-        """Coefficient value at points known to lie in triangles labeled
-        ``label``: 0 on D0, inf on Dinf, weight formula on Ddeg/Dsing,
-        assigned finite value elsewhere (background value for 'bg')."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if label == "D0":
-            return np.zeros(len(pts))
-        if label == "Dinf":
-            return np.full(len(pts), np.inf)
-        if label in WEIGHT_LABELS:
-            return self.weight_for(label).eval(pts)
-        if label in FINITE_LABELS:
-            v = self.finite_values.get(label)
-            if v is None:
-                raise CoefficientError(f"no values assigned to {label}")
-            if np.isscalar(v):
-                return np.full(len(pts), float(v))
-            # Per-triangle data needs a triangle lookup; nearest centroid.
-            mask = self.mesh.triangle_region == label
-            cents = self.mesh.centroids()[mask]
-            vals, _ = self.finite_per_triangle(label)
-            idx = np.argmin(np.sum((pts[:, None, :] - cents[None, :, :]) ** 2, axis=2), axis=1)
-            return vals[idx]
-        if label == BACKGROUND:
-            g = self.gamma0
-            if np.isscalar(g):
-                return np.full(len(pts), float(g))
-            raise CoefficientError("per-triangle background needs a triangle index")
-        raise CoefficientError(f"unknown label {label!r}")
 
     # -- validation ----------------------------------------------------------
 
@@ -307,8 +254,8 @@ class CoefficientField:
         """Enforce the sign conventions and boundedness clauses at quadrature
         nodes; raises CoefficientError naming the violated clause."""
         problems = []
-        g0 = self.gamma0_per_triangle()
-        if np.any(~np.isfinite(g0)) or np.any(g0 <= 0):
+        g0 = float(self.gamma0)
+        if not (g0 > 0 and math.isfinite(g0)):
             problems.append("background gamma0 must be finite positive")
 
         for label in FINITE_LABELS:
@@ -317,13 +264,12 @@ class CoefficientField:
             if label not in self.finite_values:
                 problems.append(f"{label} triangles present but no values assigned")
                 continue
-            vals, mask = self.finite_per_triangle(label)
-            if np.any(vals <= 0) or np.any(~np.isfinite(vals)):
+            v = float(self.finite_values[label])
+            if not (v > 0 and math.isfinite(v)):
                 problems.append(f"{label} values must be bounded away from 0 and inf")
-            g = g0[mask]
-            if label == "DFminus" and np.any(vals > g + 1e-12):
+            if label == "DFminus" and v > g0 + 1e-12:
                 problems.append("DFminus values exceed the background")
-            if label == "DFplus" and np.any(vals < g - 1e-12):
+            if label == "DFplus" and v < g0 - 1e-12:
                 problems.append("DFplus values fall below the background")
 
         for label in WEIGHT_LABELS:
@@ -339,12 +285,11 @@ class CoefficientField:
             # declared singular segment.
             pts, _ = quad.quad_nodes(tris, rule="order5", splits=0)
             vals = w.eval(pts)
-            gref = np.repeat(g0[mask], len(pts) // int(mask.sum()))
             if np.any(vals <= 0):
                 problems.append(f"{label} weight not strictly positive at quadrature nodes")
-            if label == "Ddeg" and np.any(vals > gref + 1e-12):
+            if label == "Ddeg" and np.any(vals > g0 + 1e-12):
                 problems.append("Ddeg weight exceeds the background at quadrature nodes")
-            if label == "Dsing" and np.any(vals < gref - 1e-12):
+            if label == "Dsing" and np.any(vals < g0 - 1e-12):
                 problems.append("Dsing weight falls below the background at quadrature nodes")
 
         if problems:
@@ -360,16 +305,15 @@ class CoefficientField:
             return self._element_integrals
         mesh = self.mesh
         areas = mesh.triangle_areas()
-        g0 = self.gamma0_per_triangle()
-        out = g0 * areas  # background default
+        out = float(self.gamma0) * areas  # background default
         region = mesh.triangle_region
 
         for label in EXTREME_LABELS:
             out[region == label] = np.nan
         for label in FINITE_LABELS:
-            if label in self.finite_values and np.any(region == label):
-                vals, mask = self.finite_per_triangle(label)
-                out[mask] = vals * areas[mask]
+            mask = region == label
+            if label in self.finite_values and np.any(mask):
+                out[mask] = float(self.finite_values[label]) * areas[mask]
         for label in WEIGHT_LABELS:
             mask = region == label
             if not np.any(mask):
@@ -406,9 +350,7 @@ class CoefficientField:
         hasher.update(np.round(g, 12).tobytes())
         for label in sorted(self.finite_values):
             hasher.update(label.encode())
-            v = self.finite_values[label]
-            arr = np.atleast_1d(np.asarray(v, dtype=float))
-            hasher.update(np.round(arr, 12).tobytes())
+            hasher.update(np.round([float(self.finite_values[label])], 12).tobytes())
         for label in sorted(self.weights):
             hasher.update(label.encode())
             hasher.update(self.weights[label].describe().encode())
@@ -419,11 +361,6 @@ def homogeneous_field(mesh, gamma0=1.0):
     """Background-only field (all labels ignored if present)."""
     return CoefficientField(mesh=mesh.relabeled(
         {lab: BACKGROUND for lab in REGION_LABELS}), gamma0=gamma0)
-
-
-def eval_coefficient(field, point, region_label):
-    """Coefficient value at a point lying in a triangle with the given label."""
-    return float(field.eval(np.asarray(point, dtype=float)[None, :], region_label)[0])
 
 
 def bracket_coefficients(fld):
@@ -451,98 +388,3 @@ def bracket_coefficients(fld):
         raise CoefficientError(
             "merged insulating region disconnects the domain complement")
     return low, up
-
-
-# ---------------------------------------------------------------------------
-# A2 constant estimation
-# ---------------------------------------------------------------------------
-
-@dataclass
-class A2Estimate:
-    constant_estimate: float
-    centers: np.ndarray
-    radii: np.ndarray
-    products: np.ndarray
-
-
-def _ball_average_pair(weight, center, radius, n_boundary=96, depth=10):
-    """Averages of w and 1/w over a polygonal ball.
-
-    Both integrands use the same grading geometry (apex at a singular point
-    when one lies inside the ball), with series tails matched to their own
-    local exponents.  The normalizing area uses the same dissection, keeping
-    the averages mutually consistent.
-    """
-    from .polygons import regular_polygon
-
-    center = np.asarray(center, dtype=float)
-    ring = regular_polygon(center, radius, n_boundary)
-
-    apex = center
-    for p in weight.singular_points():
-        if np.hypot(*(p - center)) < radius * (1 - 1e-9):
-            apex = p
-            break
-    fan = quad.fan_triangles(apex, ring)
-    area = sum(quad.triangle_area(tri) for tri in fan)
-    int_w = graded_triangle_integrals(weight.eval, fan, weight, depth=depth, splits=1)
-    int_winv = graded_triangle_integrals(lambda pts: 1.0 / weight.eval(pts), fan, weight,
-                                         depth=depth, splits=1, exponent_sign=-1.0)
-    return int_w.sum() / area, int_winv.sum() / area
-
-
-def estimate_a2_constant(weight, domain, n_balls=512, n_quad=96, seed=2468,
-                         depth=10):
-    """Sampled lower estimate of the A2 constant of a weight on the domain.
-
-    The ball family combines a deterministic sweep of balls centered on the
-    declared singular features with a seeded random family of balls fully
-    inside the domain; the estimate is the max of the per-ball products and
-    is monotone nondecreasing in ``n_balls``.
-    """
-    if n_balls < 1:
-        raise CoefficientError("n_balls must be >= 1")
-    rng = np.random.default_rng(seed)
-    centers, radii = [], []
-
-    anchors = list(weight.singular_points())
-    for seg in weight.singular_segments():
-        for t in np.linspace(0.15, 0.85, 3):
-            for i in range(len(seg) - 1):
-                anchors.append(seg[i] + t * (seg[i + 1] - seg[i]))
-    for p in anchors:
-        dmax = float(domain.signed_distance_to_boundary(p[None, :])[0])
-        if dmax <= 0:
-            continue
-        for r in np.geomspace(1e-3, 0.9 * dmax, 6):
-            centers.append(np.asarray(p, dtype=float))
-            radii.append(float(r))
-
-    bp = domain.boundary_polygon
-    lo, hi = bp.min(axis=0), bp.max(axis=0)
-    tries = 0
-    while len(centers) < n_balls + len(anchors) * 6 and tries < 100 * n_balls:
-        tries += 1
-        c = lo + rng.random(2) * (hi - lo)
-        d = float(domain.signed_distance_to_boundary(c[None, :])[0])
-        if d <= 1e-3:
-            continue
-        r = float(rng.uniform(1e-3, 0.95 * d))
-        centers.append(c)
-        radii.append(r)
-        if len(radii) - len(anchors) * 6 >= n_balls:
-            break
-
-    products = []
-    for c, r in zip(centers, radii):
-        try:
-            avg_w, avg_winv = _ball_average_pair(weight, c, r,
-                                                 n_boundary=n_quad, depth=depth)
-        except SingularNodeError:
-            continue
-        products.append(avg_w * avg_winv)
-
-    products = np.array(products)
-    return A2Estimate(constant_estimate=float(products.max()),
-                      centers=np.array(centers), radii=np.array(radii),
-                      products=products)

@@ -57,13 +57,6 @@ class DofMap:
                    conductor_of_vertex=conductor_of_vertex,
                    n_dofs=n_plain + n_conductors, n_conductors=n_conductors)
 
-    def expand(self, u_dof, fill=0.0):
-        """Per-vertex values from DOF coefficients (removed vertices filled)."""
-        out = np.full(len(self.dof_of_vertex), fill, dtype=float)
-        has = self.dof_of_vertex >= 0
-        out[has] = u_dof[self.dof_of_vertex[has]]
-        return out
-
 
 # The bordered matrix is symmetric, so SuperLU factors it in symmetric mode
 # on a minimum-degree ordering of A^T + A: about a third of the L+U fill of
@@ -299,11 +292,3 @@ def solve_neumann(system, load, rtol=1e-10):
     return PotentialSolution(u=u, multiplier=lam,
                              residual=float(np.linalg.norm(rnorm)))
 
-
-def energy(system, solution_or_vector, load):
-    """Quadratic energy J(v) = v^T A v - 2 b^T v for a DOF vector."""
-    v = solution_or_vector.u if isinstance(solution_or_vector, PotentialSolution) \
-        else np.asarray(solution_or_vector, dtype=float)
-    if v.shape != (system.n,):
-        raise SolverError("energy: coefficient vector has wrong dimension")
-    return float(v @ (system.matrix @ v) - 2.0 * float(load.b @ v))

@@ -110,14 +110,6 @@ class Domain:
         t0, t1 = self.gamma_span
         return np.mod(np.asarray(t, dtype=float) - t0, 1.0) < (t1 - t0) + 1e-12
 
-    def signed_distance_to_boundary(self, points):
-        """Distance to the boundary polygon, positive inside."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        poly = self.boundary_polygon
-        d = pg.points_segments_distance(pts, poly, np.roll(poly, -1, axis=0))
-        inside = pg.points_in_polygon(pts, poly, boundary=True)
-        return np.where(inside, d, -d)
-
 
 def build_domain(shape, gamma_arc=(0.0, 1.0), disk_segments=256):
     """Construct a Domain; gamma_arc is (t0, t1) in the normalized boundary

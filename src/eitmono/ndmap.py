@@ -425,10 +425,6 @@ class PaintTemplate:
         code[list(inf)] = PAINT_DINF
         return code
 
-    def codes(self, zero, inf):
-        """Paint code of every triangle (see `cell_codes`)."""
-        return self.cell_codes(zero, inf)[self.part]
-
     def system(self, codes):
         """`fem.StiffnessSystem` of a painting (a paint code per triangle,
         one per part): its `dof_map` and the bordered matrix on it."""

@@ -44,8 +44,6 @@ def points_in_polygon(points, poly, boundary=True, tol=1e-12):
     if tol > 0:
         on_edge = _points_near_edges(pts, a, b, tol)
         inside = np.where(on_edge, boundary, inside)
-    if np.isscalar(points[0]) if isinstance(points, (list, tuple)) else (np.asarray(points).ndim == 1):
-        return bool(inside[0])
     return inside
 
 

@@ -168,10 +168,3 @@ def integrate_edge_graded(f, tri, eidx, exponent, depth=12, rule="order5",
                          - eta_d ** (2 + s) / ((2 + s) * height))
     return total + tail
 
-
-def fan_triangles(apex, boundary):
-    """Triangles fanning from an apex over a closed polyline boundary."""
-    apex = np.asarray(apex, dtype=float)
-    bd = np.asarray(boundary, dtype=float)
-    nxt = np.roll(bd, -1, axis=0)
-    return np.stack([np.broadcast_to(apex, bd.shape), bd, nxt], axis=1)

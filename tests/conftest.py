@@ -3,6 +3,7 @@ import pytest
 
 from eitmono import (CoefficientField, build_basis, build_domain,
                      homogeneous_field, nd_matrix, triangulate)
+from eitmono.fem import PotentialSolution, SolverError
 from eitmono.geometry import pixel_family
 
 
@@ -53,6 +54,23 @@ def dirichlet_energy(system, solution):
     """sigma-weighted Dirichlet energy of the solution (A-quadratic form)."""
     u = solution.u
     return float(u @ (system.matrix @ u))
+
+
+def energy(system, solution_or_vector, load):
+    """Quadratic energy J(v) = v^T A v - 2 b^T v for a DOF vector."""
+    v = solution_or_vector.u if isinstance(solution_or_vector, PotentialSolution) \
+        else np.asarray(solution_or_vector, dtype=float)
+    if v.shape != (system.n,):
+        raise SolverError("energy: coefficient vector has wrong dimension")
+    return float(v @ (system.matrix @ v) - 2.0 * float(load.b @ v))
+
+
+def expand(dofmap, u_dof, fill=0.0):
+    """Per-vertex values from DOF coefficients (removed vertices filled)."""
+    out = np.full(len(dofmap.dof_of_vertex), fill, dtype=float)
+    has = dofmap.dof_of_vertex >= 0
+    out[has] = u_dof[dofmap.dof_of_vertex[has]]
+    return out
 
 
 def gram_distance(nd, ref):

@@ -17,12 +17,12 @@ from eitmono.coefficient import CoefficientField, bracket_coefficients
 from eitmono.geometry import build_domain, pixel_family, triangulate
 from eitmono.monotonicity import bracketing_chain, psd_test, theorem_test
 from eitmono.ndmap import build_basis, nd_matrix
-from eitmono.oracle import brute_force_nd, disk_nd_eigenvalue
+from eitmono.oracle import disk_nd_eigenvalue
 from eitmono.quadrature import integrate_vertex_graded
 from eitmono.reconstruction import grid_template, reconstruct
 from eitmono.coefficient import WeightSpec
 
-from conftest import build_field, dirichlet_energy
+from conftest import build_field, dirichlet_energy, energy
 import reference_fem
 from test_monotonicity import window_maps
 from test_ndmap import ordered_field_pair
@@ -222,7 +222,7 @@ def test_criterion_6_two_path_equivalence(disk_dom):
         assert mesh.num_vertices <= 2000
         basis = build_basis(mesh, 8)
         nd = nd_matrix(fld, basis)
-        brute = brute_force_nd(fld, basis)
+        brute = reference_fem.brute_force_nd(fld, basis)
         rel = float(np.linalg.norm(brute.matrix - nd.matrix)
                     / np.linalg.norm(nd.matrix))
         worst = max(worst, rel)
@@ -280,11 +280,11 @@ def test_criterion_9_energy_identities(disk_dom):
             identity_err = abs(dirichlet_energy(system, sol) - pairing) \
                 / abs(pairing)
             worst_identity = max(worst_identity, identity_err)
-            j0 = fem.energy(system, sol, load)
+            j0 = energy(system, sol, load)
             for _ in range(100 // basis.m + 1):
                 wvec = rng.standard_normal(system.n)
                 t = rng.choice([0.1, -0.1, 1.0, -1.0])
-                gap = fem.energy(system, sol.u + t * wvec, load) - j0
+                gap = energy(system, sol.u + t * wvec, load) - j0
                 worst_minimiser = min(worst_minimiser, gap / abs(j0))
     report("9 energy-identities",
            worst_identity < 1e-8 and worst_minimiser > -1e-9,

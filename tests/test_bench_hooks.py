@@ -1,0 +1,49 @@
+"""The benchmark's tracer still installs on the program and reads its
+counters.  `perfbench/spans.py` patches public functions and named methods
+of every layer and reads attributes of their results; the suite never runs
+the benchmark, so a removed or renamed hook would otherwise only show in a
+traced bench run."""
+
+import importlib
+import json
+import sys
+from pathlib import Path
+
+from eitmono import cli
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_spans():
+    """`perfbench/spans.py` as a module, leaving `perfbench/` unwritten."""
+    sys.path.insert(0, str(PERFBENCH))
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        return importlib.import_module("spans")
+    finally:
+        sys.dont_write_bytecode = dont_write
+        sys.path.remove(str(PERFBENCH))
+
+
+def test_traced_reconstruct_and_chain(tmp_path):
+    spans = load_spans()
+    runs = {"reconstruct": "two_blob_mixed", "chain": "weighted_annulus"}
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for command, phantom in runs.items():
+            cfg = tmp_path / f"{command}.json"
+            cfg.write_text(json.dumps({
+                "domain": {"shape": "disk"}, "phantom": phantom,
+                "mesh": {"target_h": 0.15}, "basis": {"m": 4},
+                "scan": {"grid_n": 4}}))
+            tracer.op = command
+            assert cli.main([command, "--config", str(cfg),
+                             "--out", str(tmp_path / command)]) == 0
+    finally:
+        tracer.uninstall()
+    for command in runs:
+        metrics = spans.op_metrics(tracer, command)
+        assert metrics["fem.factorizations"] > 0, command
+        assert metrics["geometry.family_members"] == 4 * 4 ** 2 + 1, command

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -10,8 +8,7 @@ from eitmono import quadrature as quad
 from eitmono.cli import Problem
 from eitmono.coefficient import (_FEATURE_TOL, CoefficientError, CoefficientField,
                                  SingularNodeError, WeightSpec,
-                                 bracket_coefficients, estimate_a2_constant,
-                                 eval_coefficient, graded_triangle_integrals)
+                                 bracket_coefficients, graded_triangle_integrals)
 from eitmono.geometry import RegionSet, triangulate
 from eitmono import phantoms
 
@@ -65,19 +62,6 @@ class TestWeightSpec:
         assert np.allclose(w.vertex_exponents([(0.1, 0.2), (0.5, 0.0)]), [-0.5, 0.5])
         assert np.isclose(w.edge_exponents((0.2, 0.0), (0.6, 0.0))[0], 0.5)
         assert np.isnan(w.edge_exponents((0.2, 0.1), (0.6, 0.1))[0])
-
-
-class TestEvalCoefficient:
-    def test_labels(self, disk_mesh):
-        fld = CoefficientField(mesh=disk_mesh, gamma0=1.0)
-        assert eval_coefficient(fld, (0.1, 0.1), "bg") == 1.0
-        assert eval_coefficient(fld, (0.1, 0.1), "D0") == 0.0
-        assert math.isinf(eval_coefficient(fld, (0.1, 0.1), "Dinf"))
-
-    def test_weight_label(self, disk_mesh):
-        w = WeightSpec.radial_power((0.0, 0.0), 1.0)
-        fld = CoefficientField(mesh=disk_mesh, gamma0=1.0, weights={"Ddeg": w})
-        assert np.isclose(eval_coefficient(fld, (0.5, 0.0), "Ddeg"), 0.5)
 
 
 class TestValidation:
@@ -140,41 +124,6 @@ class TestBracketing:
             bracket_coefficients(fld)
 
 
-class TestA2Estimate:
-    def test_constant_weight(self, disk):
-        est = estimate_a2_constant(WeightSpec.constant(4.2), disk, n_balls=6)
-        assert np.isclose(est.constant_estimate, 1.0, atol=1e-9)
-
-    def test_zero_exponent(self, disk):
-        est = estimate_a2_constant(WeightSpec.radial_power((0, 0), 0.0),
-                                   disk, n_balls=6)
-        assert np.isclose(est.constant_estimate, 1.0, atol=1e-9)
-
-    def test_radial_products_match_closed_form(self, disk):
-        # ball centered at the singularity: product = 4 / (4 - s^2),
-        # independent of the radius
-        from eitmono.coefficient import _ball_average_pair
-        for s in (0.5, 1.0, -1.0):
-            w = WeightSpec.radial_power((0.0, 0.0), s)
-            for radius in (0.15, 0.4):
-                aw, awi = _ball_average_pair(w, (0.0, 0.0), radius,
-                                             n_boundary=128, depth=12)
-                assert np.isclose(aw, 2 * radius ** s / (2 + s), rtol=1e-3)
-                assert np.isclose(aw * awi, 4.0 / (4.0 - s * s), rtol=1e-4)
-
-    def test_estimate_bounds_and_monotonicity(self, disk):
-        w = WeightSpec.radial_power((0.0, 0.0), 1.0)
-        small = estimate_a2_constant(w, disk, n_balls=6, seed=11)
-        big = estimate_a2_constant(w, disk, n_balls=18, seed=11)
-        assert np.all(small.products >= 1.0 - 1e-12)
-        assert big.constant_estimate >= small.constant_estimate - 1e-12
-        assert big.constant_estimate >= 4.0 / 3.0 - 1e-3
-
-    def test_n_balls_guard(self, disk):
-        with pytest.raises(CoefficientError):
-            estimate_a2_constant(WeightSpec.constant(1.0), disk, n_balls=0)
-
-
 # Weights with a radial factor at CENTER, a surface factor on POLYLINE or
 # both, and triangles that are free, have a vertex at CENTER, have a vertex
 # on POLYLINE or have an edge on it; a feature vertex is moved by an offset
@@ -211,7 +160,7 @@ def triangles(draw):
     return p[draw(st.permutations(range(3)))]
 
 
-def scalar_dispatch(func, tri, w, depth, splits, sign):
+def scalar_dispatch(func, tri, w, depth, splits):
     """The per-triangle dispatch the batched integrals replaced, kept as
     their reference: the first edge on a singular polyline, else the first
     vertex on a singular feature, else `quad.integrate` on the triangle."""
@@ -223,13 +172,13 @@ def scalar_dispatch(func, tri, w, depth, splits, sign):
         hits = [f.exponent for f in w.factors if f.kind == "surface_power"
                 and f.exponent != 0.0 and near(f, [a, b, (a + b) / 2.0])]
         if hits:
-            return quad.integrate_edge_graded(func, tri, e, sign * sum(hits, 0.0),
+            return quad.integrate_edge_graded(func, tri, e, sum(hits, 0.0),
                                               depth=depth, splits=splits)
     for v in range(3):
         s = sum((f.exponent for f in w.factors
                  if f.kind != "constant" and near(f, [tri[v]])), 0.0)
         if s != 0.0:
-            return quad.integrate_vertex_graded(func, tri, v, sign * s,
+            return quad.integrate_vertex_graded(func, tri, v, s,
                                                 depth=depth, splits=splits)
     return quad.integrate(func, tri[None], rule="order5", splits=splits)
 
@@ -237,22 +186,19 @@ def scalar_dispatch(func, tri, w, depth, splits, sign):
 class TestElementIntegrals:
     @settings(max_examples=80, deadline=None)
     @given(w=weights(), tris=st.lists(triangles(), min_size=1, max_size=6),
-           splits=st.integers(0, 2), inverse=st.booleans())
+           splits=st.integers(0, 2))
     @example(w=WeightSpec.radial_power(CENTER, -1.5),
              tris=[np.array([CENTER, (0.3, 0.0), (0.0, 0.3)]),
                    np.array([(0.2, 0.3), (0.4, 0.3), (0.3, 0.5)])],
-             splits=2, inverse=False)
-    def test_batched_integrals_match_one_triangle_calls(self, w, tris, splits, inverse):
+             splits=2)
+    def test_batched_integrals_match_one_triangle_calls(self, w, tris, splits):
         # each triangle's integral is the same bit for bit whatever else is
-        # in the batch, and as the scalar dispatch gives it, for w and for
-        # 1/w with the matched series tails
-        func = (lambda pts: 1.0 / w.eval(pts)) if inverse else w.eval
-        sign = -1.0 if inverse else 1.0
-        got = graded_triangle_integrals(func, np.array(tris), w, depth=4,
-                                        splits=splits, exponent_sign=sign)
-        one = [graded_triangle_integrals(func, tri[None], w, depth=4, splits=splits,
-                                         exponent_sign=sign)[0] for tri in tris]
-        ref = [scalar_dispatch(func, tri, w, 4, splits, sign) for tri in tris]
+        # in the batch, and as the scalar dispatch gives it
+        got = graded_triangle_integrals(w.eval, np.array(tris), w, depth=4,
+                                        splits=splits)
+        one = [graded_triangle_integrals(w.eval, tri[None], w, depth=4,
+                                         splits=splits)[0] for tri in tris]
+        ref = [scalar_dispatch(w.eval, tri, w, 4, splits) for tri in tris]
         assert got.tobytes() == np.array(one).tobytes() == np.array(ref).tobytes()
 
     @pytest.mark.parametrize("name", [
@@ -271,7 +217,7 @@ class TestElementIntegrals:
             coords = fld.mesh.triangle_coords(tris)
             one = [graded_triangle_integrals(w.eval, tri[None], w,
                                              depth=fld.quad_depth)[0] for tri in coords]
-            ref = [scalar_dispatch(w.eval, tri, w, fld.quad_depth, 2, 1.0) for tri in coords]
+            ref = [scalar_dispatch(w.eval, tri, w, fld.quad_depth, 2) for tri in coords]
             assert len(tris)
             assert got[tris].tobytes() == np.array(one).tobytes() == np.array(ref).tobytes()
 

@@ -488,7 +488,7 @@ def test_enclosed_pocket_raises_like_direct_path(template, family8, grid_mesh,
     with pytest.raises(fem.ConfigurationError) as direct:
         reference_fem.build_dof_map(painted_field(grid_mesh, paint, 1.0).mesh)
     with pytest.raises(fem.ConfigurationError, match=re.escape(str(direct.value))):
-        tpl.system(tpl.codes(zero, inf))
+        tpl.system(tpl.cell_codes(zero, inf)[tpl.part])
 
 
 @settings(max_examples=20, deadline=None)

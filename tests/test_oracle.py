@@ -6,9 +6,10 @@ import pytest
 from eitmono import phantoms
 from eitmono.geometry import triangulate
 from eitmono.ndmap import build_basis, nd_matrix
-from eitmono.oracle import brute_force_nd, disk_nd_eigenvalue
+from eitmono.oracle import disk_nd_eigenvalue
 
 from conftest import build_field
+from reference_fem import brute_force_nd
 
 
 class TestDiskEigenvalue:

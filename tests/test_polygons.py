@@ -146,7 +146,7 @@ def test_points_in_polygon_matches_dense_reference(poly, extra, boundary, tol):
     assert np.array_equal(got, ref_points_in_polygon(pts, poly, boundary, tol))
     assert np.array_equal(pg._crossing_parity(pts, poly, np.roll(poly, -1, axis=0)),
                           ref_crossing_parity(pts, poly, np.roll(poly, -1, axis=0)))
-    single = pg.points_in_polygon(tuple(pts[0]), poly, boundary=boundary, tol=tol)
+    single = pg.point_in_polygon(tuple(pts[0]), poly, boundary=boundary, tol=tol)
     assert single is bool(ref_points_in_polygon(pts[:1], poly, boundary, tol)[0])
 
 

@@ -101,10 +101,3 @@ def test_graded_exponent_bounds():
     with pytest.raises(ValueError):
         quad.integrate_edge_graded(f, REF, 0, -1.0)
 
-
-def test_fan_triangles_cover_polygon():
-    from eitmono.polygons import polygon_area, regular_polygon
-    ring = regular_polygon((0.2, 0.1), 0.5, 32)
-    fan = quad.fan_triangles((0.2, 0.1), ring)
-    total = sum(quad.triangle_area(t) for t in fan)
-    assert np.isclose(total, polygon_area(ring), rtol=1e-12)

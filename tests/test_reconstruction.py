@@ -193,8 +193,8 @@ class TestCellPainting:
             paint = [(reference_fem.cell_parts(family8, s), lab)
                      for s, lab in ((zero, "D0"), (inf, "Dinf")) if s]
             fld = reference_fem.painted_field(mesh, paint, 1.0)
-            codes = template.codes([i * 8 + j for i, j in zero],
-                                   [i * 8 + j for i, j in inf])
+            codes = template.cell_codes([i * 8 + j for i, j in zero],
+                                        [i * 8 + j for i, j in inf])[template.part]
             assert np.array_equal(PAINT_LABELS[codes], fld.mesh.triangle_region)
             try:
                 dofmap = reference_fem.build_dof_map(fld.mesh)
@@ -443,7 +443,8 @@ def fill_ratios(maps):
     the border row."""
     got, ref = [], []
     for tpl, zero, inf, p in maps[1:]:
-        system = tpl.system(tpl.codes(zero, inf)) if p.system is None else p.system
+        system = tpl.system(tpl.cell_codes(zero, inf)[tpl.part]) if p.system is None \
+            else p.system
         system.factor()
         dofmap = system.dofmap
         free = np.flatnonzero(dofmap.vertex_status == fem.STATUS_FREE)
