@@ -15,6 +15,7 @@ import argparse
 import copy
 import itertools
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -74,6 +75,20 @@ def _integer(value):
     if isinstance(value, float) and not value.is_integer():
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
+
+
+def _positive(value):
+    """A finite number > 0."""
+    if not 0 < float(value) < math.inf:
+        raise ValueError(f"expected a finite number > 0, got {value!r}")
+    return float(value)
+
+
+def _nonnegative(value):
+    """A finite number >= 0."""
+    if not 0 <= float(value) < math.inf:
+        raise ValueError(f"expected a finite number >= 0, got {value!r}")
+    return float(value)
 
 
 def _numbers(values):
@@ -136,9 +151,11 @@ class Problem:
         if violations:
             raise ConfigError("regions invalid: " + "; ".join(violations))
 
-        self.target_h = _value(cfg, "mesh.target_h", float, default=0.06)
+        self.target_h = _value(cfg, "mesh.target_h", _positive, default=0.06)
         self.min_angle = _value(cfg, "mesh.min_angle_deg", float, default=0.05)
         self.quad_depth = _value(cfg, "solver.quad_depth", _integer, default=12)
+        if self.quad_depth < 1:
+            raise ConfigError("solver.quad_depth must be >= 1")
         self.rtol = _value(cfg, "solver.rtol", float, default=1e-10)
         self.m = _value(cfg, "basis.m", _integer, default=8)
         if self.m < 1:
@@ -148,8 +165,8 @@ class Problem:
             raise ConfigError("scan.grid_n must be >= 2")
         self.family = _value(cfg, "scan.roi", lambda roi: pixel_family(
             self.domain, self.grid_n, roi=roi))
-        self.tau = _value(cfg, "scan.tau", float, default=1e-5)
-        self.tau_rel = _value(cfg, "scan.tau_rel", float, default=0.5)
+        self.tau = _value(cfg, "scan.tau", _nonnegative, default=1e-5)
+        self.tau_rel = _value(cfg, "scan.tau_rel", _nonnegative, default=0.5)
         self.side = _get(cfg, "scan.side", default="both")
         if self.side not in ("both", "lower_only", "upper_only"):
             raise ConfigError("scan.side must be both|lower_only|upper_only")

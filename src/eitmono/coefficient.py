@@ -45,8 +45,11 @@ class WeightFactor:
 class WeightSpec:
     """Product of power-law factors with an optional clip window.
 
-    Exponent ranges follow the planar admissible class: radial exponents in
-    (-2, 2), surface exponents in (-1, 1).  The clip, when set, bounds values
+    Each factor's exponent lies in its planar A2 range: radial in (-2, 2),
+    surface in (-1, 1).  That does not make a product A2: where singular
+    sets meet, the exponents add, and `graded_triangle_integrals` rejects a
+    mesh corner whose total leaves (-2, 2) or a mesh edge on a singular
+    surface whose total leaves (-1, 1).  The clip, when set, bounds values
     away from the declared singular behaviour (it is applied to the evaluated
     product, so configurations should keep it inactive near features).
     """
@@ -102,9 +105,6 @@ class WeightSpec:
         return WeightSpec(factors=factors, clip=clip)
 
     # -- evaluation --------------------------------------------------------
-
-    def __call__(self, points):
-        return self.eval(points)
 
     def eval(self, points):
         """Evaluate the weight at an (n, 2) array of points."""
@@ -191,28 +191,31 @@ class WeightSpec:
         return "*".join(parts) + (f"|clip{self.clip}" if self.clip else "")
 
 
-def graded_triangle_integrals(func, tris, weight, depth=12, splits=2):
-    """Integrals of ``func`` over an (n, 3, 2) array of triangles, each
-    graded toward any singular feature of ``weight`` that touches it: strip
-    grading toward its first edge on a singular polyline, else ring grading
-    toward its first vertex on a singular point or polyline.  The others
-    share one plain order-5 rule with uniform splits; no value depends on
-    the other triangles.
+def graded_triangle_integrals(tris, weight, depth=12):
+    """Integrals of ``weight`` over each of an (n, 3, 2) array of triangles:
+    the weight evaluated once on the nodes of `quadrature.element_rule`,
+    graded toward the singular features that touch each triangle, and summed
+    per triangle; no value depends on the other triangles.
+
+    Raises CoefficientError where w or 1/w is not locally integrable: at a
+    corner whose total exponent leaves (-2, 2), or on an edge whose total
+    surface exponent leaves (-1, 1).
     """
     tris = np.asarray(tris, dtype=float).reshape(-1, 3, 2)
-    edge = weight.edge_exponents(tris[:, [1, 2, 0]].reshape(-1, 2),
-                                 tris[:, [2, 0, 1]].reshape(-1, 2)).reshape(-1, 3)
+    ends = np.stack([tris[:, [1, 2, 0]], tris[:, [2, 0, 1]]], axis=2)
     vertex = weight.vertex_exponents(tris.reshape(-1, 2)).reshape(-1, 3)
-    on_edge, on_vertex = ~np.isnan(edge), vertex != 0.0
-    graded = on_edge.any(axis=1) | on_vertex.any(axis=1)
-    out = np.empty(len(tris))
-    out[~graded] = quad.integrate_each(func, tris[~graded], splits=splits)
-    for t in np.flatnonzero(graded):
-        e, v = np.argmax(on_edge[t]), np.argmax(on_vertex[t])
-        rule, i, s = (quad.integrate_edge_graded, e, edge[t, e]) if on_edge[t, e] \
-            else (quad.integrate_vertex_graded, v, vertex[t, v])
-        out[t] = rule(func, tris[t], i, s, depth=depth, splits=splits)
-    return out
+    edge = weight.edge_exponents(ends[:, :, 0].reshape(-1, 2),
+                                 ends[:, :, 1].reshape(-1, 2)).reshape(-1, 3)
+    for totals, at, bound, what in ((vertex, tris, 2, "corner"), (edge, ends, 1, "edge")):
+        bad = np.argwhere(np.abs(totals) >= bound)
+        if len(bad):
+            t, k = bad[0]
+            raise CoefficientError(
+                f"weight exponents sum to {totals[t, k]:g} at {what} "
+                f"{np.round(at[t, k], 6).tolist()}, outside (-{bound}, {bound}): "
+                "w or 1/w is not locally integrable")
+    pts, w, owner = quad.element_rule(tris, vertex, edge, depth)
+    return np.bincount(owner, weight.eval(pts) * w, minlength=len(tris))
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +286,7 @@ class CoefficientField:
             tris = self.mesh.triangle_coords(np.where(mask)[0])
             # Interior-node rule: edge midpoints could sit exactly on a
             # declared singular segment.
-            pts, _ = quad.quad_nodes(tris, rule="order5", splits=0)
+            pts, _ = quad.quad_nodes(tris)
             vals = w.eval(pts)
             if np.any(vals <= 0):
                 problems.append(f"{label} weight not strictly positive at quadrature nodes")
@@ -320,7 +323,7 @@ class CoefficientField:
                 continue
             w = self.weight_for(label)
             tris = np.flatnonzero(mask)
-            out[tris] = graded_triangle_integrals(w.eval, mesh.triangle_coords(tris), w,
+            out[tris] = graded_triangle_integrals(mesh.triangle_coords(tris), w,
                                                   depth=self.quad_depth)
             bad = tris[~np.isfinite(out[tris])]
             if len(bad):

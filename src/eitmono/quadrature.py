@@ -1,44 +1,35 @@
-"""Triangle quadrature, including dyadically graded rules for power-law
-integrands.
+"""Triangle quadrature: the element integrals of a power-law weight as one
+linear rule.
 
-The graded rules target integrands behaving like dist(x, F)^s near a feature
-F (a point or a segment) located on the triangle boundary.  Grading subdivides
-the triangle geometrically toward the feature and closes the series with a
-tail term that is exact for integrands homogeneous around the feature, which
-is what makes deep grading converge instead of stalling on the truncated
-innermost cell.
+Every element integral of a weight is a fixed linear functional of its
+values, so `element_rule` gives the nodes, weights and owning triangle of
+all triangles at once.  A triangle touching a singular feature F of the
+weight (f ~ dist(x, F)^s near F) is subdivided geometrically toward F, and
+the series is closed with a tail term that is exact for integrands
+homogeneous around F, which is what makes deep grading converge instead of
+stalling on the truncated innermost cell.
 """
 
 import numpy as np
 
 _SQRT15 = np.sqrt(15.0)
 
-# Area-normalized barycentric rules: (points (k,3), weights (k,)), sum(w)=1.
-_RULES = {
-    # degree-1, centroid
-    "order1": (np.array([[1 / 3, 1 / 3, 1 / 3]]), np.array([1.0])),
-    # degree-2, edge midpoints
-    "order2": (np.array([[0.5, 0.5, 0.0],
-                         [0.0, 0.5, 0.5],
-                         [0.5, 0.0, 0.5]]), np.full(3, 1 / 3)),
-    # degree-5, 7 points (Strang-Fix)
-    "order5": (np.array(
-        [[1 / 3, 1 / 3, 1 / 3],
-         [(9 - 2 * _SQRT15) / 21, (6 + _SQRT15) / 21, (6 + _SQRT15) / 21],
-         [(6 + _SQRT15) / 21, (9 - 2 * _SQRT15) / 21, (6 + _SQRT15) / 21],
-         [(6 + _SQRT15) / 21, (6 + _SQRT15) / 21, (9 - 2 * _SQRT15) / 21],
-         [(9 + 2 * _SQRT15) / 21, (6 - _SQRT15) / 21, (6 - _SQRT15) / 21],
-         [(6 - _SQRT15) / 21, (9 + 2 * _SQRT15) / 21, (6 - _SQRT15) / 21],
-         [(6 - _SQRT15) / 21, (6 - _SQRT15) / 21, (9 + 2 * _SQRT15) / 21]]),
-        np.array([9 / 40,
-                  (155 + _SQRT15) / 1200, (155 + _SQRT15) / 1200, (155 + _SQRT15) / 1200,
-                  (155 - _SQRT15) / 1200, (155 - _SQRT15) / 1200, (155 - _SQRT15) / 1200])),
-}
+# Degree-5, 7 points (Strang-Fix): barycentric points and area-normalized
+# weights, sum 1.
+_BARY = np.array(
+    [[1 / 3, 1 / 3, 1 / 3],
+     [(9 - 2 * _SQRT15) / 21, (6 + _SQRT15) / 21, (6 + _SQRT15) / 21],
+     [(6 + _SQRT15) / 21, (9 - 2 * _SQRT15) / 21, (6 + _SQRT15) / 21],
+     [(6 + _SQRT15) / 21, (6 + _SQRT15) / 21, (9 - 2 * _SQRT15) / 21],
+     [(9 + 2 * _SQRT15) / 21, (6 - _SQRT15) / 21, (6 - _SQRT15) / 21],
+     [(6 - _SQRT15) / 21, (9 + 2 * _SQRT15) / 21, (6 - _SQRT15) / 21],
+     [(6 - _SQRT15) / 21, (6 - _SQRT15) / 21, (9 + 2 * _SQRT15) / 21]])
+_WEIGHTS = np.array([9 / 40,
+                     (155 + _SQRT15) / 1200, (155 + _SQRT15) / 1200, (155 + _SQRT15) / 1200,
+                     (155 - _SQRT15) / 1200, (155 - _SQRT15) / 1200, (155 - _SQRT15) / 1200])
 
-
-def triangle_area(tri):
-    (x1, y1), (x2, y2), (x3, y3) = tri
-    return 0.5 * abs((x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1))
+# Uniform 4-way refinements of every plain triangle and every band.
+_SPLITS = 2
 
 
 def _split_triangles(tris, levels):
@@ -56,115 +47,76 @@ def _split_triangles(tris, levels):
     return out
 
 
-def quad_nodes(tris, rule="order5", splits=0):
-    """Physical quadrature nodes and weights for one or more triangles.
-
-    Returns (points (N,2), weights (N,)) with weights summing to the total
-    area of the input triangles.
-    """
-    tris = _split_triangles(tris, splits)
-    bary, w = _RULES[rule]
-    pts = np.einsum("kj,njd->nkd", bary, tris).reshape(-1, 2)
+def quad_nodes(tris):
+    """Order-5 nodes and weights of one or more triangles: (points (7n, 2),
+    weights (7n,)), rows 7i to 7i+6 on triangle i, weights summing to its
+    area."""
+    tris = np.asarray(tris, dtype=float).reshape(-1, 3, 2)
+    pts = np.einsum("kj,njd->nkd", _BARY, tris).reshape(-1, 2)
     a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
     areas = 0.5 * np.abs((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
                          - (c[:, 0] - a[:, 0]) * (b[:, 1] - a[:, 1]))
-    weights = (areas[:, None] * w[None, :]).reshape(-1)
-    return pts, weights
+    return pts, (areas[:, None] * _WEIGHTS[None, :]).reshape(-1)
 
 
-def integrate(f, tris, rule="order5", splits=0):
-    """Integral of f over the union of triangles with a smooth-integrand rule."""
-    pts, w = quad_nodes(tris, rule=rule, splits=splits)
-    return float(np.dot(np.asarray(f(pts), dtype=float), w))
+def element_rule(tris, vertex, edge, depth):
+    """Nodes, weights and owning triangle of the element integrals of an
+    (n, 3, 2) array of triangles: the integral of f over triangle i is
+    ``np.bincount(owner, f(points) * weights)[i]``.
 
-
-def integrate_each(f, tris, rule="order5", splits=0):
-    """Integral of f over each of an array of triangles, f evaluated once on
-    all nodes; each sum runs as `integrate` runs it on that triangle alone.
-    The split children come as (child_splits, ..., child_1, triangle), the
-    transpose of one triangle's order."""
-    tris = np.asarray(tris, dtype=float).reshape(-1, 3, 2)
-    pts, w = quad_nodes(tris, rule=rule, splits=splits)
-    n, children, nodes = len(tris), 4 ** splits, len(_RULES[rule][1])
-    vals, w = (np.ascontiguousarray(np.reshape(x, (children, n, nodes)).swapaxes(0, 1))
-               .reshape(n, children * nodes) for x in (np.asarray(f(pts), dtype=float), w))
-    return np.array([np.dot(v, wt) for v, wt in zip(vals, w)])
-
-
-def _ring_triangles(tri, vidx, k):
-    """Two triangles tiling the k-th dyadic ring toward vertex `vidx`."""
-    v = tri[vidx]
-    a = tri[(vidx + 1) % 3]
-    b = tri[(vidx + 2) % 3]
-    sa_o, sb_o = v + (a - v) * 2.0 ** (-k), v + (b - v) * 2.0 ** (-k)
-    sa_i, sb_i = v + (a - v) * 2.0 ** (-k - 1), v + (b - v) * 2.0 ** (-k - 1)
-    return np.array([[sa_i, sa_o, sb_o], [sa_i, sb_o, sb_i]])
-
-
-def integrate_vertex_graded(f, tri, vidx, exponent, depth=12, rule="order5",
-                            splits=1):
-    """Integral of f over a triangle when f ~ dist(x, v)^exponent at vertex v.
-
-    Dyadic rings shrink toward the vertex; the innermost similar triangle is
-    summed with the geometric-series tail, exact when f is homogeneous of the
-    given degree around v.  Requires exponent > -2 for integrability.
+    ``vertex`` (n, 3) is the homogeneity degree of f at each corner (0 off
+    every feature) and ``edge`` (n, 3) its degree on the edge opposite each
+    corner (nan off every singular surface).  A triangle with a singular
+    edge is cut into ``depth`` >= 1 strips toward its first one, plus one
+    probe node for the innermost strip; else one with a singular corner
+    into ``depth`` rings toward its first one, the last ring weighted by
+    the geometric-series tail; the others take the plain rule.  Each
+    triangle's nodes come in the same order whatever else is in the batch.
     """
-    if exponent <= -2.0:
-        raise ValueError("vertex exponent must exceed -2 for an integrable singularity")
-    tri = np.asarray(tri, dtype=float)
-    total = 0.0
-    last_ring = 0.0
-    for k in range(depth):
-        last_ring = integrate(f, _ring_triangles(tri, vidx, k), rule=rule, splits=splits)
-        total += last_ring
-    q = 2.0 ** (-(2.0 + exponent))
-    total += last_ring * q / (1.0 - q)
-    return total
+    on_edge, on_vertex = ~np.isnan(edge), vertex != 0.0
+    touched = on_edge.any(axis=1) | on_vertex.any(axis=1)
+    graded, plain = np.flatnonzero(touched), np.flatnonzero(~touched)
+    strip = on_edge[graded].any(axis=1)
+    i = np.where(strip, np.argmax(on_edge[graded], axis=1),
+                 np.argmax(on_vertex[graded], axis=1))
+    s = np.where(strip, edge[graded, i], vertex[graded, i])
+    # Feature corner first: a ring's apex, or the corner opposite a strip's edge.
+    f, p, q = np.moveaxis(tris[graded[:, None], (i[:, None] + np.arange(3)) % 3], 1, 0)
 
+    # Band k lies between t = 2^-(k+1) and 2^-k on two rays: from the apex
+    # toward p and q for rings, from p and q toward the apex for strips.
+    t = 2.0 ** -np.arange(depth + 2.0)[None, :, None]
+    sel = strip[:, None]
+    a0, b0 = np.where(sel, p, f), np.where(sel, q, f)
+    a1, b1 = np.where(sel, f, p), np.where(sel, f, q)
+    ray_a = a0[:, None] + (a1 - a0)[:, None] * t
+    ray_b = b0[:, None] + (b1 - b0)[:, None] * t
+    lo_a, hi_a = ray_a[:, 1:depth + 1], ray_a[:, :depth]
+    lo_b, hi_b = ray_b[:, 1:depth + 1], ray_b[:, :depth]
+    bands = np.stack([np.stack([lo_a, hi_a, hi_b], axis=2),
+                      np.stack([lo_a, hi_b, lo_b], axis=2)], axis=2)
+    # Around a corner of degree s each ring is r = 2^-(2+s) times the one
+    # outside it, so the last ring and all inside it sum to it times 1/(1-r).
+    scale = np.ones((len(graded), depth, 2))
+    scale[~strip, -1] = 1.0 / (1.0 - 2.0 ** -(2.0 + s[~strip, None]))
 
-def integrate_edge_graded(f, tri, eidx, exponent, depth=12, rule="order5",
-                          splits=1):
-    """Integral of f over a triangle when f ~ dist(x, E)^exponent at edge E.
+    sub = np.concatenate([tris[plain], bands.reshape(-1, 3, 2)])
+    sub_owner = np.concatenate([plain, np.repeat(graded, 2 * depth)])
+    sub_scale = np.concatenate([np.ones(len(plain)), scale.reshape(-1)])
+    pts, w = quad_nodes(_split_triangles(sub, _SPLITS))
+    nodes = len(_WEIGHTS)
+    owner = np.repeat(np.tile(sub_owner, 4 ** _SPLITS), nodes)
+    w = w * np.repeat(np.tile(sub_scale, 4 ** _SPLITS), nodes)
 
-    ``eidx`` is the index of the vertex opposite the singular edge.  Strips
-    parallel to the edge shrink dyadically; the innermost strip is integrated
-    with the closed form for c*eta^s times an affine cross-section width,
-    with c calibrated at the deepest computed strip.  Requires exponent > -1.
-    """
-    if exponent <= -1.0:
-        raise ValueError("edge exponent must exceed -1 for an integrable singularity")
-    tri = np.asarray(tri, dtype=float)
-    c = tri[eidx]
-    a = tri[(eidx + 1) % 3]
-    b = tri[(eidx + 2) % 3]
-
-    # eta: fraction of the height above edge (a,b); cross-section endpoints.
-    def section(t):
-        return a + t * (c - a), b + t * (c - b)
-
-    edge = b - a
-    elen = float(np.hypot(*edge))
-    height = 2.0 * triangle_area(tri) / elen
-
-    total = 0.0
-    for k in range(depth):
-        t_hi, t_lo = 2.0 ** (-k), 2.0 ** (-k - 1)
-        a_hi, b_hi = section(t_hi)
-        a_lo, b_lo = section(t_lo)
-        strip = np.array([[a_lo, b_lo, b_hi], [a_lo, b_hi, a_hi]])
-        total += integrate(f, strip, rule=rule, splits=splits)
-
-    # Innermost trapezoid {0 <= eta <= eta_d}: model f = c_w * eta^s with the
-    # affine width w(eta) = elen * (1 - eta/height).
-    t_d = 2.0 ** (-depth)
-    eta_d = t_d * height
-    probe_t = t_d / 2.0
-    pa, pb = section(probe_t)
-    probe = (pa + pb) / 2.0
-    eta_probe = probe_t * height
-    c_w = float(np.asarray(f(probe[None, :]), dtype=float)[0]) / eta_probe ** exponent
-    s = exponent
-    tail = c_w * elen * (eta_d ** (1 + s) / (1 + s)
-                         - eta_d ** (2 + s) / ((2 + s) * height))
-    return total + tail
-
+    # Below the last strip, f = c * eta^s over the affine width
+    # elen * (1 - eta/height) integrates in closed form; c is f at the probe
+    # node halfway through, so the tail is f(probe) times a fixed weight.
+    p, q, f, s = p[strip], q[strip], f[strip], s[strip]
+    elen = np.hypot(*(q - p).T)
+    height = np.abs((q - p)[:, 0] * (f - p)[:, 1] - (f - p)[:, 0] * (q - p)[:, 1]) / elen
+    probe = (ray_a[strip, depth + 1] + ray_b[strip, depth + 1]) / 2.0
+    eta_d = 2.0 ** -depth * height
+    tail = elen * (eta_d ** (1 + s) / (1 + s) - eta_d ** (2 + s) / ((2 + s) * height)) \
+        / (eta_d / 2.0) ** s
+    return (np.concatenate([pts, probe]), np.concatenate([w, tail]),
+            np.concatenate([owner, graded[strip]]))

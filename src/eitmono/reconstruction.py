@@ -32,7 +32,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import polygons as pg
-from .coefficient import homogeneous_field
 from .fem import ConfigurationError
 from .geometry import connected_labels
 from .monotonicity import MonotonicityVerdict, psd_test
@@ -129,7 +128,7 @@ def grid_template(mesh, fam, gamma0, basis):
     """`PaintTemplate` whose parts are the grid cells of `grid_cells`, on
     the constant background ``gamma0``: its paintings are the scan maps."""
     return PaintTemplate(mesh, grid_cells(mesh, fam), fam.grid_n ** 2 + 1,
-                         homogeneous_field(mesh, gamma0).element_integrals(), basis)
+                         gamma0 * mesh.triangle_areas(), basis)
 
 
 def _box_cells(box):

@@ -13,14 +13,13 @@ import numpy as np
 import pytest
 
 from eitmono import fem, phantoms
-from eitmono.coefficient import CoefficientField, bracket_coefficients
+from eitmono.coefficient import (CoefficientField, WeightSpec, bracket_coefficients,
+                                 graded_triangle_integrals)
 from eitmono.geometry import build_domain, pixel_family, triangulate
 from eitmono.monotonicity import bracketing_chain, psd_test, theorem_test
 from eitmono.ndmap import build_basis, nd_matrix
 from eitmono.oracle import disk_nd_eigenvalue
-from eitmono.quadrature import integrate_vertex_graded
 from eitmono.reconstruction import grid_template, reconstruct
-from eitmono.coefficient import WeightSpec
 
 from conftest import build_field, dirichlet_energy, energy
 import reference_fem
@@ -257,8 +256,8 @@ def test_criterion_8_weighted_quadrature_convergence():
     tri = np.array([[0.0, 0.0], [0.07, 0.0], [0.0, 0.07]])
     for s in (-1.5, -0.5, 0.5, 1.5):
         w = WeightSpec.radial_power((0.0, 0.0), s)
-        v12 = integrate_vertex_graded(w.eval, tri, 0, s, depth=12, splits=2)
-        v16 = integrate_vertex_graded(w.eval, tri, 0, s, depth=16, splits=2)
+        v12 = graded_triangle_integrals(tri[None], w, depth=12)[0]
+        v16 = graded_triangle_integrals(tri[None], w, depth=16)[0]
         worst = max(worst, abs(v12 - v16) / abs(v16))
     report("8 weighted-quadrature", worst < 1e-6,
            f"max relative change depth 12 vs 16: {worst:.2e} < 1e-6")

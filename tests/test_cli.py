@@ -318,6 +318,52 @@ class TestConfigErrors:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"config error: {entry}: ")
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("mesh", "target_h", 0.0), ("mesh", "target_h", float("nan")),
+        ("mesh", "target_h", -0.1), ("mesh", "target_h", float("inf")),
+        ("scan", "tau", float("nan")), ("scan", "tau", -1.0),
+        ("scan", "tau", float("inf")), ("scan", "tau_rel", -1.0),
+        ("scan", "tau_rel", float("nan")),
+    ], ids=["target_h_0", "target_h_nan", "target_h_negative", "target_h_inf",
+            "tau_nan", "tau_negative", "tau_inf", "tau_rel_negative", "tau_rel_nan"])
+    def test_out_of_range_value(self, tmp_path, capsys, section, key, value):
+        # target_h must be finite and > 0, tau and tau_rel finite and >= 0
+        cfg = write_config(tmp_path, **{section: {key: value}})
+        assert main(["reconstruct", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: {section}.{key}: ")
+
+    def test_quad_depth_below_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, phantom="surface_weighted_blob",
+                           solver={"quad_depth": 0})
+        assert main(["forward", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: solver.quad_depth must be >= 1"]
+
+    @pytest.mark.parametrize("factors, where", [
+        ([{"kind": "radial_power", "center": [0.0, 0.0], "exponent": -1.5},
+          {"kind": "surface_power", "segment": [[-0.1, 0.0], [0.1, 0.0]], "exponent": -0.9}],
+         "sum to -2.4 at corner"),
+        ([{"kind": "surface_power", "segment": [[-0.1, 0.0], [0.1, 0.0]], "exponent": -0.6}] * 2,
+         "sum to -1.2 at edge"),
+    ], ids=["point_on_surface", "two_surfaces_on_one_segment"])
+    def test_weight_product_outside_a2(self, tmp_path, capsys, factors, where):
+        # each factor is in range, but the exponents add where their
+        # singular sets meet: 1/w is not locally integrable there
+        square = lambda r: [[-r, -r], [r, -r], [r, r], [-r, r]]
+        cfg = write_config(tmp_path, phantom=None,
+                           regions={"Dsing": [square(0.15)],
+                                    "DFplus": [square(0.3), square(0.15)[::-1]]},
+                           coefficient={"background": 1.0, "DFplus": 2.5,
+                                        "Dsing": {"kind": "product", "factors": factors}})
+        assert main(["forward", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: weight exponents " + where)
+        assert err[0].endswith("w or 1/w is not locally integrable")
+
     @pytest.mark.parametrize("command", ["forward", "calibrate"])
     def test_section_that_is_not_an_object(self, tmp_path, capsys, command):
         # a present section of another type is an error, not the defaults

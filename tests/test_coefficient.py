@@ -4,7 +4,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from eitmono import polygons as pg
-from eitmono import quadrature as quad
 from eitmono.cli import Problem
 from eitmono.coefficient import (_FEATURE_TOL, CoefficientError, CoefficientField,
                                  SingularNodeError, WeightSpec,
@@ -14,6 +13,7 @@ from eitmono import phantoms
 
 from conftest import build_field
 from record_contract import contract_config
+from reference_quadrature import scalar_dispatch, triangle_area
 
 
 class TestWeightSpec:
@@ -156,70 +156,48 @@ def triangles(draw):
         p[0] = a + t0 * (b - a) + draw(offsets)
         if kind == "edge":
             p[1] = a + t1 * (b - a)
-    assume(quad.triangle_area(p) > 1e-3)
+    assume(triangle_area(p) > 1e-3)
     return p[draw(st.permutations(range(3)))]
-
-
-def scalar_dispatch(func, tri, w, depth, splits):
-    """The per-triangle dispatch the batched integrals replaced, kept as
-    their reference: the first edge on a singular polyline, else the first
-    vertex on a singular feature, else `quad.integrate` on the triangle."""
-    def near(f, pts):
-        return np.all(w._feature_distance(f, np.array(pts)) <= _FEATURE_TOL)
-
-    for e in range(3):
-        a, b = tri[(e + 1) % 3], tri[(e + 2) % 3]
-        hits = [f.exponent for f in w.factors if f.kind == "surface_power"
-                and f.exponent != 0.0 and near(f, [a, b, (a + b) / 2.0])]
-        if hits:
-            return quad.integrate_edge_graded(func, tri, e, sum(hits, 0.0),
-                                              depth=depth, splits=splits)
-    for v in range(3):
-        s = sum((f.exponent for f in w.factors
-                 if f.kind != "constant" and near(f, [tri[v]])), 0.0)
-        if s != 0.0:
-            return quad.integrate_vertex_graded(func, tri, v, s,
-                                                depth=depth, splits=splits)
-    return quad.integrate(func, tri[None], rule="order5", splits=splits)
 
 
 class TestElementIntegrals:
     @settings(max_examples=80, deadline=None)
-    @given(w=weights(), tris=st.lists(triangles(), min_size=1, max_size=6),
-           splits=st.integers(0, 2))
+    @given(w=weights(), tris=st.lists(triangles(), min_size=1, max_size=6))
     @example(w=WeightSpec.radial_power(CENTER, -1.5),
              tris=[np.array([CENTER, (0.3, 0.0), (0.0, 0.3)]),
-                   np.array([(0.2, 0.3), (0.4, 0.3), (0.3, 0.5)])],
-             splits=2)
-    def test_batched_integrals_match_one_triangle_calls(self, w, tris, splits):
+                   np.array([(0.2, 0.3), (0.4, 0.3), (0.3, 0.5)])])
+    def test_batched_integrals_match_one_triangle_calls(self, w, tris):
         # each triangle's integral is the same bit for bit whatever else is
-        # in the batch, and as the scalar dispatch gives it
-        got = graded_triangle_integrals(w.eval, np.array(tris), w, depth=4,
-                                        splits=splits)
-        one = [graded_triangle_integrals(w.eval, tri[None], w, depth=4,
-                                         splits=splits)[0] for tri in tris]
-        ref = [scalar_dispatch(w.eval, tri, w, 4, splits) for tri in tris]
-        assert got.tobytes() == np.array(one).tobytes() == np.array(ref).tobytes()
+        # in the batch, and within 1e-12 of the per-triangle reference
+        got = graded_triangle_integrals(np.array(tris), w, depth=4)
+        one = [graded_triangle_integrals(tri[None], w, depth=4)[0] for tri in tris]
+        ref = [scalar_dispatch(tri, w, depth=4) for tri in tris]
+        assert got.tobytes() == np.array(one).tobytes()
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("name", [
         name for name in phantoms.REGRESSION_PHANTOMS + ("surface_weighted_blob",)
         if {"Ddeg", "Dsing"} & set(phantoms.build_phantom(name)[1])])
     def test_batched_integrals_on_weighted_phantoms(self, name):
         # the element integrals of every weighted label, batched per label,
-        # against one-triangle calls and the scalar dispatch (h=0.1, grid 8
-        # as in the contract)
-        problem = Problem(contract_config(name))
-        problem.build_mesh()
-        fld = problem.build_field()
-        got = fld.element_integrals()
-        for label, w in fld.weights.items():
-            tris = np.flatnonzero(fld.mesh.triangle_region == label)
-            coords = fld.mesh.triangle_coords(tris)
-            one = [graded_triangle_integrals(w.eval, tri[None], w,
-                                             depth=fld.quad_depth)[0] for tri in coords]
-            ref = [scalar_dispatch(w.eval, tri, w, fld.quad_depth, 2) for tri in coords]
-            assert len(tris)
-            assert got[tris].tobytes() == np.array(one).tobytes() == np.array(ref).tobytes()
+        # against one-triangle calls and the per-triangle reference (grid 8
+        # as in the contract, at its h=0.1 and at h=0.07)
+        for h in (0.1, 0.07):
+            cfg = contract_config(name)
+            cfg["mesh"]["target_h"] = h
+            problem = Problem(cfg)
+            problem.build_mesh()
+            fld = problem.build_field()
+            got = fld.element_integrals()
+            for label, w in fld.weights.items():
+                tris = np.flatnonzero(fld.mesh.triangle_region == label)
+                coords = fld.mesh.triangle_coords(tris)
+                one = [graded_triangle_integrals(tri[None], w, depth=fld.quad_depth)[0]
+                       for tri in coords]
+                ref = [scalar_dispatch(tri, w, depth=fld.quad_depth) for tri in coords]
+                assert len(tris)
+                assert got[tris].tobytes() == np.array(one).tobytes()
+                np.testing.assert_allclose(got[tris], ref, rtol=1e-12, atol=0)
 
     def test_nonfinite_integral_names_the_first_bad_triangle(self, disk, monkeypatch):
         from eitmono import coefficient
@@ -245,8 +223,8 @@ class TestElementIntegrals:
         # in the grading depth (relative change under 1e-6 from 12 to 16)
         w = WeightSpec.radial_power((0.0, 0.0), -1.5)
         tri = np.array([[0.0, 0.0], [0.08, 0.0], [0.0, 0.08]])
-        v12 = graded_triangle_integrals(w.eval, tri[None], w, depth=12)[0]
-        v16 = graded_triangle_integrals(w.eval, tri[None], w, depth=16)[0]
+        v12 = graded_triangle_integrals(tri[None], w, depth=12)[0]
+        v16 = graded_triangle_integrals(tri[None], w, depth=16)[0]
         assert abs(v12 - v16) / abs(v16) < 1e-6
 
     def test_field_element_integrals(self, disk):

@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+import reference_quadrature as ref
 from eitmono import quadrature as quad
+from eitmono.coefficient import CoefficientError, WeightSpec, graded_triangle_integrals
 
 REF = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -15,34 +15,31 @@ def monomial_integral(a, b):
     return math.factorial(a) * math.factorial(b) / math.factorial(a + b + 2)
 
 
-@pytest.mark.parametrize("rule,degree", [("order1", 1), ("order2", 2), ("order5", 5)])
-def test_rules_exact_to_degree(rule, degree):
-    for a in range(degree + 1):
-        for b in range(degree + 1 - a):
-            got = quad.integrate(lambda p: p[:, 0] ** a * p[:, 1] ** b,
-                                 REF[None, :, :], rule=rule)
-            assert np.isclose(got, monomial_integral(a, b), rtol=1e-13, atol=1e-15)
+def rule_integral(f, tri, vertex=(0.0, 0.0, 0.0), edge=(np.nan,) * 3, depth=12):
+    """Integral of f over one triangle by the element rule, the weight of
+    degree ``vertex`` at its corners and ``edge`` on its opposite edges."""
+    pts, w, owner = quad.element_rule(np.asarray(tri, float)[None], np.array([vertex]),
+                                      np.array([edge]), depth)
+    assert np.all(owner == 0)
+    return np.bincount(owner, f(pts) * w)[0]
+
+
+def test_order5_exact_to_degree_5():
+    # the 7-point rule alone and the plain element rule (its 16 split
+    # children) integrate every monomial up to degree 5 exactly
+    for a in range(6):
+        for b in range(6 - a):
+            f = lambda p: p[:, 0] ** a * p[:, 1] ** b
+            pts, w = quad.quad_nodes(REF)
+            for got in (np.dot(f(pts), w), rule_integral(f, REF)):
+                assert np.isclose(got, monomial_integral(a, b), rtol=1e-13, atol=1e-15)
 
 
 def test_splits_preserve_integral():
     f = lambda p: np.cos(3 * p[:, 0]) * np.exp(p[:, 1])
-    v0 = quad.integrate(f, REF[None, :, :], splits=3)
-    v1 = quad.integrate(f, REF[None, :, :], splits=4)
+    v0 = rule_integral(f, REF)
+    v1 = ref.integrate(f, REF[None, :, :], splits=4)
     assert np.isclose(v0, v1, rtol=1e-10)
-
-
-@settings(max_examples=60, deadline=None)
-@given(tris=st.lists(st.lists(st.tuples(st.floats(-2, 2), st.floats(-2, 2)),
-                              min_size=3, max_size=3), min_size=0, max_size=7),
-       splits=st.integers(0, 3), rule=st.sampled_from(["order1", "order2", "order5"]))
-def test_integrate_each_matches_integrate(tris, splits, rule):
-    # one batch over all triangles gives each triangle's `integrate` value
-    # bit for bit
-    f = lambda p: np.cos(3 * p[:, 0]) * np.exp(p[:, 1]) + p[:, 0] * p[:, 1]
-    tris = np.array(tris, dtype=float).reshape(-1, 3, 2)
-    got = quad.integrate_each(f, tris, rule=rule, splits=splits)
-    one = [quad.integrate(f, tri[None], rule=rule, splits=splits) for tri in tris]
-    assert got.shape == (len(tris),) and got.tobytes() == np.array(one).tobytes()
 
 
 def polar_vertex_oracle(tri, s, n=400):
@@ -66,7 +63,7 @@ def polar_vertex_oracle(tri, s, n=400):
 def test_vertex_graded_matches_polar_oracle(s):
     f = lambda p: np.hypot(p[:, 0], p[:, 1]) ** s
     oracle = polar_vertex_oracle(REF, s)
-    got = quad.integrate_vertex_graded(f, REF, 0, s, depth=12, splits=2)
+    got = rule_integral(f, REF, vertex=(s, 0.0, 0.0))
     assert np.isclose(got, oracle, rtol=5e-6)
 
 
@@ -74,8 +71,8 @@ def test_vertex_graded_matches_polar_oracle(s):
 def test_vertex_graded_depth_stable(s):
     # depth refinement must be a Cauchy sequence: 12 vs 16 below 1e-6
     f = lambda p: np.hypot(p[:, 0], p[:, 1]) ** s
-    v12 = quad.integrate_vertex_graded(f, REF, 0, s, depth=12)
-    v16 = quad.integrate_vertex_graded(f, REF, 0, s, depth=16)
+    v12 = rule_integral(f, REF, vertex=(s, 0.0, 0.0), depth=12)
+    v16 = rule_integral(f, REF, vertex=(s, 0.0, 0.0), depth=16)
     assert abs(v12 - v16) / abs(v16) < 1e-6
 
 
@@ -86,18 +83,21 @@ def test_edge_graded_matches_closed_form(s):
     tri = np.array([[0.3, 0.8], [0.0, 0.0], [1.0, 0.0]])
     h = 0.8
     exact = h ** (1 + s) * (1.0 / (1 + s) - 1.0 / (2 + s))
-    got = quad.integrate_edge_graded(lambda p: p[:, 1] ** s, tri, 0, s,
-                                     depth=12, splits=2)
+    edge = (s, np.nan, np.nan)
+    got = rule_integral(lambda p: p[:, 1] ** s, tri, edge=edge, depth=12)
     assert np.isclose(got, exact, rtol=1e-6)
-    g16 = quad.integrate_edge_graded(lambda p: p[:, 1] ** s, tri, 0, s,
-                                     depth=16, splits=2)
+    g16 = rule_integral(lambda p: p[:, 1] ** s, tri, edge=edge, depth=16)
     assert abs(got - g16) / abs(g16) < 1e-6
 
 
 def test_graded_exponent_bounds():
-    f = lambda p: np.ones(len(p))
-    with pytest.raises(ValueError):
-        quad.integrate_vertex_graded(f, REF, 0, -2.0)
-    with pytest.raises(ValueError):
-        quad.integrate_edge_graded(f, REF, 0, -1.0)
-
+    # a corner's total exponent must lie in (-2, 2), a singular edge's in
+    # (-1, 1): beyond them w or 1/w is not locally integrable
+    radial = lambda s: WeightSpec.radial_power((0, 0), s)
+    surface = lambda s: WeightSpec.surface_power([(0, 0), (1, 0)], s)
+    for factors in ([radial(-1.0)] * 2, [radial(1.0)] * 2, [radial(-1.5), surface(-0.9)],
+                    [surface(-0.5)] * 2, [surface(0.5)] * 2):
+        with pytest.raises(CoefficientError, match="not locally integrable"):
+            graded_triangle_integrals(REF[None], WeightSpec.product(*factors))
+    for factors in ([radial(-0.99)] * 2, [radial(-1.0), surface(-0.99)], [surface(0.45)] * 2):
+        assert np.isfinite(graded_triangle_integrals(REF[None], WeightSpec.product(*factors)))

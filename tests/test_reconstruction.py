@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from eitmono import fem, ndmap, phantoms, reconstruction
-from eitmono.coefficient import CoefficientField
+from eitmono.coefficient import CoefficientField, homogeneous_field
 from eitmono.fem import ConfigurationError
 from eitmono.geometry import pixel_family, triangulate
 from eitmono.ndmap import (PAINT_LABELS, NDError, PaintTemplate, build_basis,
@@ -206,6 +206,18 @@ class TestCellPainting:
             assert system.ordered
             reference_fem.assert_same_system(system,
                                              reference_fem.assemble(fld, dofmap))
+
+    def test_grid_template_integrals_are_the_background_field(self, disk, family8):
+        # gamma0 times the areas: bytes-identical to the element integrals
+        # of the background-only field on the labeled mesh
+        regions, _ = phantoms.build_phantom("weighted_annulus")
+        mesh = triangulate(disk, regions, target_h=0.12,
+                           extra_segments=family8.grid_segments())
+        basis = build_basis(mesh, 2)
+        template = grid_template(mesh, family8, 2.5, basis)
+        ref = PaintTemplate(mesh, template.part, template.n_parts,
+                            homogeneous_field(mesh, 2.5).element_integrals(), basis)
+        assert template.ke.tobytes() == ref.ke.tobytes()
 
     def test_nonconforming_mesh_raises_in_scanner(self, disk, family8):
         mesh = triangulate(disk, target_h=0.1)
