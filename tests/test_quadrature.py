@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference_quadrature as ref
 from eitmono import quadrature as quad
@@ -40,6 +42,39 @@ def test_splits_preserve_integral():
     v0 = rule_integral(f, REF)
     v1 = ref.integrate(f, REF[None, :, :], splits=4)
     assert np.isclose(v0, v1, rtol=1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tris=st.lists(st.lists(st.tuples(st.floats(-2, 2), st.floats(-2, 2)),
+                              min_size=3, max_size=3), min_size=0, max_size=7),
+       labels=st.lists(st.tuples(st.sampled_from(["plain", "vertex", "edge"]),
+                                 st.integers(0, 2), st.sampled_from([-1.5, -0.5, 0.5])),
+                       min_size=7, max_size=7),
+       depth=st.integers(1, 6))
+def test_integrate_each_matches_integrate(tris, labels, depth):
+    # one batch over all triangles gives each triangle's one-triangle value
+    # bit for bit; the plain ones match the reference rule split twice
+    f = lambda p: np.cos(3 * p[:, 0]) * np.exp(p[:, 1]) + p[:, 0] * p[:, 1]
+    tris = np.array(tris, dtype=float).reshape(-1, 3, 2)
+    n = len(tris)
+    vertex, edge = np.zeros((n, 3)), np.full((n, 3), np.nan)
+    for i, (kind, k, s) in enumerate(labels[:n]):
+        # a singular feature only on a triangle of positive area
+        if ref.triangle_area(tris[i]) > 1e-2:
+            if kind == "vertex":
+                vertex[i, k] = s
+            elif kind == "edge":
+                edge[i, k] = s
+    pts, w, owner = quad.element_rule(tris, vertex, edge, depth)
+    got = np.bincount(owner, f(pts) * w, minlength=n)
+    one = []
+    for i in range(n):
+        pts, w, owner = quad.element_rule(tris[i:i + 1], vertex[i:i + 1], edge[i:i + 1], depth)
+        one.append(np.bincount(owner, f(pts) * w, minlength=1)[0])
+    assert got.shape == (n,) and got.tobytes() == np.array(one).tobytes()
+    for i in np.flatnonzero((vertex == 0.0).all(axis=1) & np.isnan(edge).all(axis=1)):
+        assert np.isclose(got[i], ref.integrate(f, tris[i:i + 1], splits=2),
+                          rtol=1e-12, atol=1e-13)
 
 
 def polar_vertex_oracle(tri, s, n=400):
