@@ -152,11 +152,11 @@ class Problem:
             raise ConfigError("regions invalid: " + "; ".join(violations))
 
         self.target_h = _value(cfg, "mesh.target_h", _positive, default=0.06)
-        self.min_angle = _value(cfg, "mesh.min_angle_deg", float, default=0.05)
+        self.min_angle = _value(cfg, "mesh.min_angle_deg", _nonnegative, default=0.05)
         self.quad_depth = _value(cfg, "solver.quad_depth", _integer, default=12)
         if self.quad_depth < 1:
             raise ConfigError("solver.quad_depth must be >= 1")
-        self.rtol = _value(cfg, "solver.rtol", float, default=1e-10)
+        self.rtol = _value(cfg, "solver.rtol", _positive, default=1e-10)
         self.m = _value(cfg, "basis.m", _integer, default=8)
         if self.m < 1:
             raise ConfigError("basis.m must be >= 1")

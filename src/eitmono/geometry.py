@@ -25,10 +25,6 @@ from . import polygons as pg
 REGION_LABELS = ("D0", "Dinf", "Ddeg", "Dsing", "DFminus", "DFplus")
 BACKGROUND = "bg"
 
-# Labels where the coefficient falls below / rises above the background.
-NEGATIVE_LABELS = ("D0", "Ddeg", "DFminus")
-POSITIVE_LABELS = ("Dinf", "Dsing", "DFplus")
-
 
 class GeometryError(ValueError):
     pass
@@ -58,6 +54,9 @@ class Domain:
         t0, t1 = self.gamma_span
         if not (t0 < t1 <= t0 + 1.0):
             raise GeometryError("gamma_span must satisfy t0 < t1 <= t0 + 1")
+        segments = self.disk_segments
+        if not (isinstance(segments, (int, np.integer)) and segments >= 3):
+            raise GeometryError(f"disk_segments must be an integer >= 3, got {segments!r}")
 
     @property
     def boundary_polygon(self):

@@ -338,11 +338,12 @@ class PaintTemplate:
     node carry one label, so a painting's removed vertices, conductors and
     connectivity to gamma follow from the node graph.  The stiffness
     entries of all triangles, each triangle's element integral times its
-    P1 gradient products, sit in a vertex-space CSC pattern (columns, then
-    rows, in vertex rank).  Ranks start in
-    vertex order; the background map's MMD order then ranks the vertices of
-    every later painting, whose free DOFs, then conductors, then border row
-    are factored in that order.  ``lu_nnz`` sums the L+U nonzeros solved.
+    P1 gradient products, are grouped by slot, one (row vertex, column
+    vertex) pair, so that one product with the active triangles sums every
+    slot.  The DOF order is `dof_map`'s alone: vertex order, until the
+    background map's MMD order ranks the vertices of every later painting,
+    whose free DOFs, then conductors, then border row are factored in that
+    order.  ``lu_nnz`` sums the L+U nonzeros solved.
 
     A painting that is a factored base plus one background part is solved
     as an exact rank-k update of the base's factorization (`update`), k at
@@ -376,14 +377,10 @@ class PaintTemplate:
         # vertex is linked.
         inc = np.unique(corner_v.astype(np.int64) * n_nodes + np.repeat(node, 3))
         self.inc_vertex, self.inc_node = np.divmod(inc, n_nodes)
-        links = [np.empty((0, 2), dtype=np.int64)]
-        for d in range(1, len(inc)):
-            shared = self.inc_vertex[d:] == self.inc_vertex[:-d]
-            if not shared.any():
-                break
-            links.append(np.stack([self.inc_node[:-d][shared],
-                                   self.inc_node[d:][shared]], axis=1))
-        self.links = np.unique(np.concatenate(links), axis=0)
+        m = sp.csr_matrix((np.ones(len(inc)), (self.inc_node, self.inc_vertex)),
+                          shape=(n_nodes, nv))
+        shared = sp.triu(m @ m.T, 1, format="coo")
+        self.links = np.stack([shared.row, shared.col], axis=1)
         _, first = np.unique(self.inc_node, return_index=True)
         self.lowest = self.inc_vertex[first]
 
@@ -493,39 +490,22 @@ class PaintTemplate:
         return dofmap
 
     def assemble(self, codes, dofmap):
-        """Bordered `fem.StiffnessSystem` of a painting on its `dof_map`."""
+        """Bordered `fem.StiffnessSystem` of a painting on its `dof_map`:
+        the present slot sums at their DOFs and the gamma masses in the
+        border row and column, converted to CSC in one step, which sums the
+        slots that meet at a conductor DOF."""
         terms = self.gd.terms
-        active = codes == PAINT_BG
-        # Sum the active triplets per slot.  Slots between free DOFs are
-        # already in CSC order, as slots and free DOFs both follow the ranks;
-        # those with a conductor DOF are merged and sorted, and go after the
-        # free rows of their column with the border row and column.
-        sums = self.triplets @ active.astype(float)
+        sums = self.triplets @ (codes == PAINT_BG).astype(float)
         present = np.flatnonzero(sums[len(self.slot_row):])
-        vals = sums[present]
         dv = dofmap.dof_of_vertex
         n = dofmap.n_dofs
-        r, c = dv[self.slot_row[present]], dv[self.slot_col[present]]
-        free = np.maximum(r, c) < n - dofmap.n_conductors
-        cond = ~free
-        keys, at = np.unique(c[cond] * (n + 1) + r[cond], return_inverse=True)
         gamma_dofs = dv[terms.gamma_vertices]
-        extra = np.concatenate([keys, gamma_dofs * (n + 1) + n, n * (n + 1) + gamma_dofs])
-        order = np.argsort(extra)
-        extra_vals = np.concatenate([np.bincount(at, weights=vals[cond], minlength=len(keys)),
-                                     terms.gamma_mass, terms.gamma_mass])[order]
-        extra_col, extra_row = np.divmod(extra[order], n + 1)
-        count = np.bincount(c[free], minlength=n + 1)
-        at = np.cumsum(count)[extra_col] + np.arange(len(extra))
-        indptr = np.zeros(n + 2, dtype=np.int32)
-        np.cumsum(count + np.bincount(extra_col, minlength=n + 1), out=indptr[1:])
-        keep = np.ones(indptr[-1], dtype=bool)
-        keep[at] = False
-        data = np.empty(len(keep))
-        data[keep], data[at] = vals[free], extra_vals
-        rows = np.empty(len(keep), dtype=np.int32)
-        rows[keep], rows[at] = r[free], extra_row
-        kmat = sp.csc_matrix((data, rows, indptr), shape=(n + 1, n + 1))
+        border = np.full(len(gamma_dofs), n)
+        kmat = sp.csc_matrix(
+            (np.concatenate([sums[present], terms.gamma_mass, terms.gamma_mass]),
+             (np.concatenate([dv[self.slot_row[present]], gamma_dofs, border]),
+              np.concatenate([dv[self.slot_col[present]], border, gamma_dofs]))),
+            shape=(n + 1, n + 1))
         constraint = np.zeros(n)
         constraint[gamma_dofs] = terms.gamma_mass
         return fem.StiffnessSystem(kmat=kmat, constraint=constraint, dofmap=dofmap,
@@ -568,9 +548,6 @@ class PaintTemplate:
         if self.by_rank is None and not codes.any():
             rank = system.lu.perm_c[:self.nv]   # position of each vertex's column
             self.by_rank = np.argsort(rank)
-            order = np.lexsort((rank[self.slot_row], rank[self.slot_col]))
-            self.slot_col, self.slot_row = self.slot_col[order], self.slot_row[order]
-            self.triplets = self.triplets[np.concatenate([order, len(order) + order])]
             # The background map is kept in the order it sets, so that a
             # base refactored for an update reuses that order: the scan
             # runs MMD once.

@@ -293,7 +293,6 @@ def reconstruct(nd_gamma, mesh, family, gamma0, basis,
     lower_cells = _box_cells(box_lower) - set(indeterminate)
     upper_cells = _box_cells(box_upper) - set(indeterminate)
 
-    verdicts = []
     inside = np.zeros((grid_n, grid_n), dtype=bool)
     for (i, j) in indeterminate:
         inside[i, j] = True
@@ -314,37 +313,30 @@ def reconstruct(nd_gamma, mesh, family, gamma0, basis,
         scored += [(cell, sign, *attempt(scanner.pixel_score, cell, sign, neutralizer))
                    for cell in sorted(own)]
         scanner.bases.pop(other, None)
-    outcomes = []
+    per_cell = {}
+    cell_errors = []
     for cell, sign, score, error in scored:
         if error is None:
             vis, error = attempt(scanner.visibility, cell, sign, nd_bg)
         if error is not None:
-            outcomes.append((cell, sign, np.nan, np.nan, True, error))
-        elif vis < VISIBILITY_FLOOR:
-            # unresolvable depth: keep inside
-            outcomes.append((cell, sign, score, vis, True, None))
+            cell_errors.append((cell, sign, error))
+            score, verdict = np.nan, True
         else:
-            outcomes.append((cell, sign, score, vis, score >= -tau_rel * vis, None))
+            # below the visibility floor the depth is unresolvable: inside
+            verdict = vis < VISIBILITY_FLOOR or score >= -tau_rel * vis
+        per_cell.setdefault(cell, {})[sign] = (score, verdict)
+        inside[cell] |= verdict
 
-    per_cell = {}
-    cell_errors = []
-    for (i, j), sign, score, vis, verdict, error in outcomes:
-        if error is not None:
-            cell_errors.append(((i, j), sign, error))
-        rec = per_cell.setdefault((i, j), {})
-        rec[sign] = (score, vis, verdict)
-        if verdict:
-            inside[i, j] = True
-
+    verdicts = []
     for (i, j), rec in sorted(per_cell.items()):
-        lo = rec.get("lower", (np.nan, np.nan, False))
-        hi = rec.get("upper", (np.nan, np.nan, False))
+        lo = rec.get("lower", (np.nan, False))
+        hi = rec.get("upper", (np.nan, False))
         verdicts.append(MonotonicityVerdict(
             test_id=f"cell{i}_{j}",
             lambda_min_insulating=float(lo[0]),
             lambda_min_conducting=float(hi[0]),
-            pass_insulating=bool(lo[2]),
-            pass_conducting=bool(hi[2])))
+            pass_insulating=bool(lo[1]),
+            pass_conducting=bool(hi[1])))
 
     inside, n_filled = fill_enclosed(~inside)
 

@@ -26,9 +26,10 @@ def load_spans():
         sys.path.remove(str(PERFBENCH))
 
 
-def test_traced_reconstruct_and_chain(tmp_path):
+def test_traced_commands(tmp_path):
     spans = load_spans()
-    runs = {"reconstruct": "two_blob_mixed", "chain": "weighted_annulus"}
+    runs = {"reconstruct": "two_blob_mixed", "chain": "weighted_annulus",
+            "forward": "conducting_disk"}
     tracer = spans.Tracer()
     tracer.install()
     try:
@@ -47,3 +48,7 @@ def test_traced_reconstruct_and_chain(tmp_path):
         metrics = spans.op_metrics(tracer, command)
         assert metrics["fem.factorizations"] > 0, command
         assert metrics["geometry.family_members"] == 4 * 4 ** 2 + 1, command
+    forward = spans.op_metrics(tracer, "forward")
+    assert forward["ndmap.nd_matrix_calls"] == 1
+    assert forward["fem.factorizations"] == 1
+    assert forward["ndmap.max_asymmetry"] > 0

@@ -323,16 +323,29 @@ class TestConfigErrors:
         ("mesh", "target_h", -0.1), ("mesh", "target_h", float("inf")),
         ("scan", "tau", float("nan")), ("scan", "tau", -1.0),
         ("scan", "tau", float("inf")), ("scan", "tau_rel", -1.0),
-        ("scan", "tau_rel", float("nan")),
+        ("scan", "tau_rel", float("nan")), ("solver", "rtol", float("nan")),
+        ("solver", "rtol", -1.0), ("solver", "rtol", 0.0),
+        ("mesh", "min_angle_deg", float("nan")), ("mesh", "min_angle_deg", -5.0),
     ], ids=["target_h_0", "target_h_nan", "target_h_negative", "target_h_inf",
-            "tau_nan", "tau_negative", "tau_inf", "tau_rel_negative", "tau_rel_nan"])
+            "tau_nan", "tau_negative", "tau_inf", "tau_rel_negative", "tau_rel_nan",
+            "rtol_nan", "rtol_negative", "rtol_0", "min_angle_nan",
+            "min_angle_negative"])
     def test_out_of_range_value(self, tmp_path, capsys, section, key, value):
-        # target_h must be finite and > 0, tau and tau_rel finite and >= 0
+        # target_h and rtol must be finite and > 0, tau, tau_rel and
+        # min_angle_deg finite and >= 0
         cfg = write_config(tmp_path, **{section: {key: value}})
         assert main(["reconstruct", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"config error: {section}.{key}: ")
+
+    @pytest.mark.parametrize("segments", [0, 2, -4])
+    def test_too_few_disk_segments(self, tmp_path, capsys, segments):
+        cfg = write_config(tmp_path, domain={"shape": "disk", "disk_segments": segments})
+        assert main(["forward", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: domain: disk_segments must be an integer >= 3, got {segments}"]
 
     def test_quad_depth_below_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path, phantom="surface_weighted_blob",
@@ -363,6 +376,25 @@ class TestConfigErrors:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error: weight exponents " + where)
         assert err[0].endswith("w or 1/w is not locally integrable")
+
+    def test_weight_the_element_rule_cannot_grade(self, tmp_path, capsys):
+        # a point singularity at the end of a singular edge: grading toward
+        # the edge alone misses the point's share of the exponent
+        square = lambda r: [[-r, -r], [r, -r], [r, r], [-r, r]]
+        factors = [{"kind": "radial_power", "center": [0.0, 0.0], "exponent": -1.0},
+                   {"kind": "surface_power", "segment": [[0.0, 0.0], [0.1, 0.0]],
+                    "exponent": -0.5}]
+        cfg = write_config(tmp_path, phantom=None,
+                           regions={"Dsing": [square(0.15)],
+                                    "DFplus": [square(0.3), square(0.15)[::-1]]},
+                           coefficient={"background": 1.0, "DFplus": 2.5,
+                                        "Dsing": {"kind": "product", "factors": factors}})
+        assert main(["forward", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: weight exponent -1.5 at corner [0.0, 0.0] at an end of a "
+            "singular edge of exponent -0.5 of a triangle: the element rule grades "
+            "a triangle toward one feature only"]
 
     @pytest.mark.parametrize("command", ["forward", "calibrate"])
     def test_section_that_is_not_an_object(self, tmp_path, capsys, command):

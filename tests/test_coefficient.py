@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -217,6 +219,25 @@ class TestElementIntegrals:
                            match=f"^nonfinite element integral on triangle {ddeg[4]} "
                                  r"\(Ddeg\); undeclared singularity\?$"):
             fld.element_integrals()
+
+    @pytest.mark.parametrize("factors, where", [
+        ([WeightSpec.surface_power([(1, 0), (0, 0), (0, 1)], -0.5)],
+         "-0.5 at corner [0.0, 0.0] where two singular edges meet"),
+        ([WeightSpec.surface_power([(1, 0), (0, 1)], -0.5),
+          WeightSpec.radial_power((0, 0), -1.0)],
+         "-1 at corner [0.0, 0.0] opposite a singular edge"),
+        ([WeightSpec.radial_power((0, 0), -1.0),
+          WeightSpec.surface_power([(0, 0), (1, 0)], -0.5)],
+         "-1.5 at corner [0.0, 0.0] at an end of a singular edge of exponent -0.5"),
+        ([WeightSpec.radial_power((0, 0), -1.0), WeightSpec.radial_power((1, 0), 0.5)],
+         "0.5 at corner [1.0, 0.0] at a second singular corner"),
+    ], ids=["two_edges", "apex", "edge_end", "two_corners"])
+    def test_features_the_element_rule_cannot_grade(self, factors, where):
+        # the rule grades a triangle toward one edge or one corner; it would
+        # miss the other feature's share of the exponent
+        tri = np.array([[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]])
+        with pytest.raises(CoefficientError, match=re.escape(f"weight exponent {where} ")):
+            graded_triangle_integrals(tri, WeightSpec.product(*factors))
 
     def test_weighted_element_convergence(self, disk):
         # element integral over a triangle at the singular vertex converges
