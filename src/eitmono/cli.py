@@ -176,8 +176,7 @@ class Problem:
 
     def _regions_from_cfg(self, cfg):
         polys = _value(cfg, "regions", lambda raw: {
-            lab: [np.asarray(p, dtype=float) for p in plist]
-            for lab, plist in raw.items()}, default={})
+            lab: list(plist) for lab, plist in raw.items()}, default={})
         spts = _value(cfg, "coefficient.singular_points",
                       lambda pts: [tuple(p) for p in pts], default=[])
         ssegs = _value(cfg, "coefficient.singular_segments",

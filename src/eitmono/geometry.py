@@ -14,7 +14,6 @@ import functools
 import hashlib
 import io
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -136,7 +135,7 @@ class RegionSet:
         for label, plist in self.polys.items():
             if label not in REGION_LABELS:
                 raise GeometryError(f"unknown region label {label!r}")
-            clean[label] = [np.asarray(p, dtype=float) for p in plist]
+            clean[label] = [_polygon_array(label, i, p) for i, p in enumerate(plist)]
         self.polys = clean
 
     def label_polys(self, label):
@@ -158,6 +157,24 @@ class RegionSet:
         if not plist:
             return np.zeros(len(pts), dtype=bool)
         return pg.points_in_region(pts, plist, tol=0.0)
+
+
+def _polygon_array(label, i, poly):
+    """Polygon ``i`` of ``label`` as a float array, which must be finite
+    and of shape (k, 2) with k >= 3."""
+    try:
+        p = np.asarray(poly, dtype=float)
+    except (ValueError, TypeError):
+        got = "a ragged or non-numeric array"
+    else:
+        if p.ndim != 2 or p.shape[1] != 2 or len(p) < 3:
+            got = f"shape {p.shape}"
+        elif not np.all(np.isfinite(p)):
+            got = "a non-finite vertex"
+        else:
+            return p
+    raise GeometryError(f"{label} polygon {i} must be a finite (k, 2) array "
+                        f"with k >= 3, got {got}")
 
 
 # Diagonal offsets that move a point within 1e-12 of a grid line or corner
@@ -193,26 +210,38 @@ class TestInclusion:
 # PSLG arrangement
 # ---------------------------------------------------------------------------
 
-def _snap_key(p, tol=pg.SNAP_TOL):
-    return (round(p[0] / tol) * tol, round(p[1] / tol) * tol)
+def _register(points, known=None):
+    """Snap points to the SNAP_TOL lattice and number the distinct ones in
+    order of first occurrence, after the already-registered points
+    ``known`` (distinct lattice points, which keep their numbers).
 
-
-class _PointRegistry:
-    def __init__(self):
-        self.points = []
-        self.index = {}
-
-    def add(self, p):
-        key = _snap_key(p)
-        idx = self.index.get(key)
-        if idx is None:
-            idx = len(self.points)
-            self.points.append(np.array([key[0], key[1]], dtype=float))
-            self.index[key] = idx
-        return idx
-
-    def array(self):
-        return np.array(self.points, dtype=float)
+    Returns the registry (the lattice points, in number order) and the
+    number of each point.  The lattice keys are integers, so a coordinate
+    that rounds to -0.0 is the same point as 0.0 and is stored as 0.0.
+    """
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
+    # The int64 keys hold coordinates below 2**62 lattice steps.
+    if not np.all(np.abs(points) < 2.0 ** 62 * pg.SNAP_TOL):
+        raise GeometryError("mesh constraint points must be finite and within "
+                            f"{2.0 ** 62 * pg.SNAP_TOL:.3g} of the origin")
+    if known is not None:
+        points = np.concatenate([known, points])
+    keys = np.round(points / pg.SNAP_TOL).astype(np.int64)
+    low = keys.min(axis=0)
+    span = keys.max(axis=0) - low + 1
+    if int(span[0]) * int(span[1]) < 2 ** 63:
+        flat = (keys[:, 0] - low[0]) * span[1] + (keys[:, 1] - low[1])
+        _, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
+    else:
+        _, first, inverse = np.unique(keys, axis=0, return_index=True,
+                                      return_inverse=True)
+    # np.unique numbers the keys in sorted order; renumber by first row.
+    rank = np.argsort(first)
+    number = np.empty(len(first), dtype=np.int64)
+    number[rank] = np.arange(len(first))
+    ids = number[inverse.ravel()]
+    registry = keys[first[rank]] * pg.SNAP_TOL
+    return registry, ids if known is None else ids[len(known):]
 
 
 def _arrange_segments(segments, extra_points):
@@ -223,7 +252,6 @@ def _arrange_segments(segments, extra_points):
     endpoints and the points found on it, ordered by the other segment's
     index (extra points last); that order is the vertex numbering.
     """
-    reg = _PointRegistry()
     seg_a = np.array([a for a, _ in segments], dtype=float).reshape(-1, 2)
     seg_b = np.array([b for _, b in segments], dtype=float).reshape(-1, 2)
     extra = np.array(extra_points, dtype=float).reshape(-1, 2)
@@ -265,45 +293,65 @@ def _arrange_segments(segments, extra_points):
     other = np.concatenate([f[1] for f in found])
     rank = np.concatenate([np.full(len(f[0]), f[2]) for f in found])
     order = np.lexsort((rank, other, seg))
+    seg = seg[order]
     on = np.concatenate([f[3] for f in found])[order]
-    bounds = np.searchsorted(seg[order], np.arange(n + 1))
+    bounds = np.searchsorted(seg, np.arange(n + 1))
 
-    for q in extra:
-        reg.add(q)
-    subsegments = set()
-    for k in range(n):
-        a, b = seg_a[k], seg_b[k]
-        ia, ib = reg.add(a), reg.add(b)
-        cuts = [(0.0, ia), (1.0, ib)]
-        ab = b - a
-        denom = float(ab @ ab)
-        for x in on[bounds[k]:bounds[k + 1]]:
-            t = float((x - a) @ ab / denom)
-            cuts.append((t, reg.add(x)))
-        cuts.sort()
-        prev = None
-        for _, idx in cuts:
-            if prev is not None and idx != prev:
-                subsegments.add((min(prev, idx), max(prev, idx)))
-            prev = idx
-    return reg, sorted(subsegments)
+    # Register the extra points, then per segment its endpoints and the
+    # points found on it: found point m of segment s sits at m + 2(s + 1).
+    seq = np.empty((n * 2 + len(on), 2))
+    at_a = np.arange(n) * 2 + bounds[:-1]
+    at_on = np.arange(len(on)) + 2 * (seg + 1)
+    seq[at_a] = seg_a
+    seq[at_a + 1] = seg_b
+    seq[at_on] = on
+    reg, ids = _register(np.concatenate([extra, seq]))
+    ids = ids[len(extra):]
+
+    # Cuts of each segment ordered by (t, number): its endpoints at t = 0
+    # and 1, and each found point at its parameter along the segment.
+    ab = seg_b - seg_a
+    t = pg._dot2(on - seg_a[seg], ab[seg]) / pg._dot2(ab, ab)[seg]
+    cut_seg = np.concatenate([np.arange(n), np.arange(n), seg])
+    cut_t = np.concatenate([np.zeros(n), np.ones(n), t])
+    cut_id = np.concatenate([ids[at_a], ids[at_a + 1], ids[at_on]])
+    order = np.lexsort((cut_id, cut_t, cut_seg))
+    cut_seg, cut_id = cut_seg[order], cut_id[order]
+    step = (cut_seg[1:] == cut_seg[:-1]) & (cut_id[1:] != cut_id[:-1])
+    lo = np.minimum(cut_id[:-1], cut_id[1:])[step]
+    hi = np.maximum(cut_id[:-1], cut_id[1:])[step]
+    keys = np.unique(lo * len(reg) + hi)
+    return reg, list(zip(*(v.tolist() for v in np.divmod(keys, len(reg)))))
 
 
 def _chop_to_length(reg, subsegments, max_len):
-    """Split subsegments into pieces no longer than max_len."""
-    out = []
-    pts = reg.array()
-    for i, j in subsegments:
-        a, b = pts[i], pts[j]
-        length = float(np.hypot(*(b - a)))
-        parts = max(1, int(math.ceil(length / max_len)))
-        prev = i
-        for k in range(1, parts):
-            idx = reg.add(a + (b - a) * (k / parts))
-            out.append((min(prev, idx), max(prev, idx)))
-            prev = idx
-        out.append((min(prev, j), max(prev, j)))
-    return out
+    """Split subsegments into pieces no longer than max_len.
+
+    Returns the registry grown by the chop points and the pieces, each
+    subsegment's in order from its first end; a chop point that snaps onto
+    its neighbour leaves a degenerate piece (i, i)."""
+    if not subsegments:
+        return reg, []
+    ends = np.array(subsegments, dtype=np.int64)
+    a, b = reg[ends[:, 0]], reg[ends[:, 1]]
+    parts = np.maximum(1, np.ceil(np.hypot(*(b - a).T) / max_len)).astype(np.int64)
+    # The chop points, k / parts of the way along for k = 1 .. parts - 1,
+    # are registered in output order.
+    owner = np.repeat(np.arange(len(parts)), parts - 1)
+    k = np.arange(len(owner)) - (np.cumsum(parts - 1) - (parts - 1))[owner] + 1
+    reg, ids = _register(a[owner] + (b[owner] - a[owner]) * (k / parts[owner])[:, None],
+                         known=reg)
+    # Each subsegment's chain: first end, chop points, second end.
+    start = np.cumsum(parts + 1) - (parts + 1)
+    chain = np.empty(int(np.sum(parts + 1)), dtype=np.int64)
+    chain[start] = ends[:, 0]
+    chain[start + parts] = ends[:, 1]
+    chain[start[owner] + k] = ids
+    link = np.ones(len(chain) - 1, dtype=bool)
+    link[(start + parts)[:-1]] = False
+    lo = np.minimum(chain[:-1], chain[1:])[link]
+    hi = np.maximum(chain[:-1], chain[1:])[link]
+    return reg, list(zip(lo.tolist(), hi.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -534,12 +582,10 @@ def triangulate(domain, regions=None, target_h=0.1, extra_segments=(),
         pins.append(domain.boundary_point(t0))
         pins.append(domain.boundary_point(t1))
 
-    reg, subsegs = _arrange_segments(segments, pins)
-    subsegs = _chop_to_length(reg, subsegs, spacing)
-
-    pts = reg.array()
-    seg_a = np.array([pts[i] for i, _ in subsegs])
-    seg_b = np.array([pts[j] for _, j in subsegs])
+    pts, subsegs = _arrange_segments(segments, pins)
+    pts, subsegs = _chop_to_length(pts, subsegs, spacing)
+    ends = np.array(subsegs)
+    seg_a, seg_b = pts[ends[:, 0]], pts[ends[:, 1]]
 
     # Background lattice clipped to the domain with an exclusion zone
     # around constraints (prevents slivers along segments).
@@ -713,13 +759,18 @@ def validate_regions(domain, regions):
     """
     violations = []
     all_polys = regions.all_polys()
+    if not all_polys:
+        return violations
     for label, poly in all_polys:
         if not pg.polygon_is_simple(poly):
             raise GeometryError(f"self-intersecting polygon in {label}")
 
-    bp = domain.boundary_polygon
-    for label, poly in all_polys:
-        if not pg.points_in_polygon(poly, bp, boundary=True).all():
+    labels, polys = zip(*all_polys)
+    inside = pg.points_in_polygon(np.concatenate(polys), domain.boundary_polygon,
+                                  boundary=True)
+    offsets = np.cumsum([0] + [len(p) for p in polys[:-1]])
+    for label, contained in zip(labels, np.logical_and.reduceat(inside, offsets)):
+        if not contained:
             violations.append(f"{label} polygon extends outside the domain")
 
     # Pairwise interior disjointness between different labels (parity-aware;
@@ -728,11 +779,13 @@ def validate_regions(domain, regions):
         if la != lb and pg.polygons_edges_cross(pa, pb):
             violations.append(f"regions {la} and {lb} overlap (edges cross)")
     if not violations:
-        for (la, pa), (lb, _) in itertools.permutations(all_polys, 2):
-            if la == lb:
-                continue
-            probe = pg._interior_probe(pa)[None, :]
-            if regions.membership(probe, la)[0] and regions.membership(probe, lb)[0]:
+        # Polygon a overlaps label lb when its interior probe lies in both
+        # its own label's region and lb's.
+        probes = np.array([pg._interior_probe(p) for p in polys])
+        member = {label: regions.membership(probes, label) for label in set(labels)}
+        for a, b in itertools.permutations(range(len(polys)), 2):
+            la, lb = labels[a], labels[b]
+            if la != lb and member[la][a] and member[lb][a]:
                 violations.append(f"regions {la} and {lb} overlap")
     return violations
 
@@ -769,7 +822,10 @@ def mesh_region_faults(mesh, regions):
         for label in weighted:
             for poly in regions.label_polys(label):
                 samples = _densify_polygon(poly, 16)
-                dist = pg.points_segments_distance(samples, d_boundary[0], d_boundary[1])
+                # Only a distance under the cutoff decides, and the KD
+                # path measures every segment within it.
+                dist = pg.points_segments_distance(samples, d_boundary[0], d_boundary[1],
+                                                   cutoff=1e-9)
                 if dist.min() < 1e-9:
                     violations.append(
                         f"{label} not compactly contained in the labeled union interior")

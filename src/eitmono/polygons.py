@@ -47,23 +47,30 @@ def points_in_polygon(points, poly, boundary=True, tol=1e-12):
     return inside
 
 
+def _slab_pairs(pts, lo, hi, closed=False):
+    """Each edge k beside each point whose y lies in its slab [lo[k],
+    hi[k]) (closed: [lo[k], hi[k]]), as index arrays (edge, point).
+
+    With the points sorted by y once, each edge visits its slab only, so
+    the work is O(P log P + pairs) rather than P x E.
+    """
+    order = np.argsort(pts[:, 1])
+    ys = pts[order, 1]
+    first = np.searchsorted(ys, lo, side="left")
+    counts = np.searchsorted(ys, hi, side="right" if closed else "left") - first
+    edge = np.repeat(np.arange(len(lo)), counts)
+    rank = np.arange(len(edge)) - np.repeat(np.cumsum(counts) - counts, counts)
+    return edge, order[np.repeat(first, counts) + rank]
+
+
 def _crossing_parity(pts, a, b):
     """Even-odd count of the edges (a[k], b[k]) crossed by the ray from each
     point to the right.
 
     Edge k can only cross the points whose y lies in its half-open slab
     [min(ay, by), max(ay, by)), which is exactly where (ay > y) != (by > y).
-    With the points sorted by y once, each edge visits its slab only, so the
-    work is O(P log P + crossings) rather than P x E.
     """
-    order = np.argsort(pts[:, 1])
-    ys = pts[order, 1]
-    lo = np.searchsorted(ys, np.minimum(a[:, 1], b[:, 1]), side="left")
-    hi = np.searchsorted(ys, np.maximum(a[:, 1], b[:, 1]), side="left")
-    counts = hi - lo
-    edge = np.repeat(np.arange(len(a)), counts)
-    rank = np.arange(len(edge)) - np.repeat(np.cumsum(counts) - counts, counts)
-    pt = order[np.repeat(lo, counts) + rank]
+    edge, pt = _slab_pairs(pts, np.minimum(a[:, 1], b[:, 1]), np.maximum(a[:, 1], b[:, 1]))
     x, y = pts[pt, 0], pts[pt, 1]
     ax, ay = a[edge, 0], a[edge, 1]
     bx, by = b[edge, 0], b[edge, 1]
@@ -73,15 +80,25 @@ def _crossing_parity(pts, a, b):
 
 
 def _points_near_edges(pts, a, b, tol):
-    """True per point when within tol of any edge (a[i], b[i])."""
+    """True per point when within tol of any edge (a[i], b[i]).
+
+    Only the points whose y is within 2 tol (plus the roundoff of the
+    closest point) of an edge's y range can be within tol of it, so each
+    edge is measured against its widened slab only."""
+    ay, by = a[:, 1], b[:, 1]
+    pad = 2 * tol + 4 * np.finfo(float).eps * (np.abs(ay) + np.abs(by))
+    edge, pt = _slab_pairs(pts, np.minimum(ay, by) - pad, np.maximum(ay, by) + pad,
+                           closed=True)
     ab = b - a
     ab2 = np.sum(ab * ab, axis=1)
     ab2 = np.where(ab2 == 0, 1.0, ab2)
-    ap = pts[:, None, :] - a[None, :, :]
-    t = np.clip(np.sum(ap * ab[None, :, :], axis=2) / ab2[None, :], 0.0, 1.0)
-    closest = a[None, :, :] + t[:, :, None] * ab[None, :, :]
-    d2 = np.sum((pts[:, None, :] - closest) ** 2, axis=2)
-    return np.any(d2 <= tol * tol, axis=1)
+    ap = pts[pt] - a[edge]
+    t = np.clip(np.sum(ap * ab[edge], axis=1) / ab2[edge], 0.0, 1.0)
+    closest = a[edge] + t[:, None] * ab[edge]
+    d2 = np.sum((pts[pt] - closest) ** 2, axis=1)
+    near = np.zeros(len(pts), dtype=bool)
+    near[pt[d2 <= tol * tol]] = True
+    return near
 
 
 def point_in_polygon(point, poly, boundary=True, tol=1e-12):
@@ -128,12 +145,22 @@ def segment_point_distance(p, a, b):
 
 def touches_segment_interior(q, a, b, tol):
     """True where point q lies within tol of segment ab but farther than
-    tol from both of its endpoints (elementwise)."""
+    tol from both of its endpoints (elementwise).
+
+    Only a q within 2 tol (plus the roundoff of the closest point) of the
+    segment's bounding box can be within tol of it, so the distances are
+    measured for those alone."""
+    q, a, b = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (q, a, b)))
+    pad = 2 * tol + 4 * np.finfo(float).eps * (np.abs(a) + np.abs(b))
+    near = np.all((q >= np.minimum(a, b) - pad) & (q <= np.maximum(a, b) + pad), axis=-1)
+    q, a, b = q[near], a[near], b[near]
     qa = q - a
     qb = q - b
-    return ((segment_point_distance(q, a, b) <= tol)
-            & (np.hypot(qa[..., 0], qa[..., 1]) > tol)
-            & (np.hypot(qb[..., 0], qb[..., 1]) > tol))
+    touch = np.zeros(near.shape, dtype=bool)
+    touch[near] = ((segment_point_distance(q, a, b) <= tol)
+                   & (np.hypot(qa[..., 0], qa[..., 1]) > tol)
+                   & (np.hypot(qb[..., 0], qb[..., 1]) > tol))
+    return touch
 
 
 def points_segments_distance(pts, seg_a, seg_b, cutoff=None):

@@ -4,11 +4,11 @@ vectorized mesher predicates replaced.  The fast paths in
 bit."""
 
 import itertools
+import math
 
 import numpy as np
 
 from eitmono import polygons as pg
-from eitmono.geometry import _PointRegistry
 
 
 def ref_crossing_parity(pts, a, b):
@@ -26,13 +26,25 @@ def ref_crossing_parity(pts, a, b):
     return np.sum(crossing, axis=1) % 2 == 1
 
 
+def ref_points_near_edges(pts, a, b, tol):
+    """Dense distance test: every point against every edge."""
+    ab = b - a
+    ab2 = np.sum(ab * ab, axis=1)
+    ab2 = np.where(ab2 == 0, 1.0, ab2)
+    ap = pts[:, None, :] - a[None, :, :]
+    t = np.clip(np.sum(ap * ab[None, :, :], axis=2) / ab2[None, :], 0.0, 1.0)
+    closest = a[None, :, :] + t[:, :, None] * ab[None, :, :]
+    d2 = np.sum((pts[:, None, :] - closest) ** 2, axis=2)
+    return np.any(d2 <= tol * tol, axis=1)
+
+
 def ref_points_in_polygon(pts, poly, boundary=True, tol=1e-12):
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     a = np.asarray(poly, dtype=float)
     b = np.roll(a, -1, axis=0)
     inside = ref_crossing_parity(pts, a, b)
     if tol > 0:
-        on_edge = pg._points_near_edges(pts, a, b, tol)
+        on_edge = ref_points_near_edges(pts, a, b, tol)
         inside = np.where(on_edge, boundary, inside)
     return inside
 
@@ -154,9 +166,49 @@ def ref_edge_owners(tris):
     return edges[order], owner[order]
 
 
+class RefPointRegistry:
+    """Arrangement points keyed by their coordinates rounded to the
+    SNAP_TOL lattice, numbered in order of first addition."""
+
+    def __init__(self):
+        self.points = []
+        self.index = {}
+
+    def add(self, p):
+        tol = pg.SNAP_TOL
+        key = (round(p[0] / tol) * tol, round(p[1] / tol) * tol)
+        idx = self.index.get(key)
+        if idx is None:
+            idx = len(self.points)
+            self.points.append(np.array([key[0], key[1]], dtype=float))
+            self.index[key] = idx
+        return idx
+
+    def array(self):
+        return np.array(self.points, dtype=float)
+
+
+def ref_chop_to_length(reg, subsegments, max_len):
+    """Split subsegments into pieces no longer than max_len, one chop point
+    at a time."""
+    out = []
+    pts = reg.array()
+    for i, j in subsegments:
+        a, b = pts[i], pts[j]
+        length = float(np.hypot(*(b - a)))
+        parts = max(1, int(math.ceil(length / max_len)))
+        prev = i
+        for k in range(1, parts):
+            idx = reg.add(a + (b - a) * (k / parts))
+            out.append((min(prev, idx), max(prev, idx)))
+            prev = idx
+        out.append((min(prev, j), max(prev, j)))
+    return out
+
+
 def ref_arrange_segments(segments, extra_points):
     """Pair-by-pair segment arrangement with scalar predicates."""
-    reg = _PointRegistry()
+    reg = RefPointRegistry()
     segs = [(np.asarray(a, float), np.asarray(b, float)) for a, b in segments]
     pts_on = [list() for _ in segs]
     boxes = np.array([[min(a[0], b[0]), min(a[1], b[1]), max(a[0], b[0]), max(a[1], b[1])]
@@ -205,3 +257,39 @@ def ref_arrange_segments(segments, extra_points):
                 subsegments.add((min(prev, idx), max(prev, idx)))
             prev = idx
     return reg, sorted(subsegments)
+
+
+def ref_polygons_edges_cross(pa, pb):
+    """Some edge of pa and some edge of pb cross properly, pair by pair."""
+    return any(ref_segments_properly_intersect(pa[k], pa[(k + 1) % len(pa)],
+                                               pb[m], pb[(m + 1) % len(pb)])
+               for k in range(len(pa)) for m in range(len(pb)))
+
+
+def ref_validate_regions(domain, regions):
+    """`validate_regions` polygon by polygon and pair by pair: one interior
+    probe per ordered pair of polygons with different labels."""
+    from eitmono.geometry import GeometryError
+
+    violations = []
+    all_polys = regions.all_polys()
+    for label, poly in all_polys:
+        if not ref_polygon_is_simple(poly):
+            raise GeometryError(f"self-intersecting polygon in {label}")
+
+    bp = domain.boundary_polygon
+    for label, poly in all_polys:
+        if not ref_points_in_polygon(poly, bp, boundary=True).all():
+            violations.append(f"{label} polygon extends outside the domain")
+
+    for (la, pa), (lb, pb) in itertools.combinations(all_polys, 2):
+        if la != lb and ref_polygons_edges_cross(pa, pb):
+            violations.append(f"regions {la} and {lb} overlap (edges cross)")
+    if not violations:
+        for (la, pa), (lb, _) in itertools.permutations(all_polys, 2):
+            if la == lb:
+                continue
+            probe = pg._interior_probe(pa)[None, :]
+            if regions.membership(probe, la)[0] and regions.membership(probe, lb)[0]:
+                violations.append(f"regions {la} and {lb} overlap")
+    return violations

@@ -278,6 +278,26 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert "config error: regions invalid: " in err and reason in err
 
+    @pytest.mark.parametrize("polygon, got", [
+        ([[0, 0, 0], [0.1, 0, 0], [0, 0.1, 0]], "shape (3, 3)"),
+        ([[0, 0, 1]], "shape (1, 3)"),
+        ([[0, 0], [0.1, 0]], "shape (2, 2)"),
+        ([], "shape (0,)"),
+        ([[0, 0], [0.1, 0], [0, float("nan")]], "a non-finite vertex"),
+        ([[0, 0], [float("inf"), 0], [0, 0.1]], "a non-finite vertex"),
+        ([[0, 0], [0.1], [0, 0.1]], "a ragged or non-numeric array"),
+    ], ids=["three_columns", "one_row", "two_vertices", "empty", "nan_vertex",
+            "inf_vertex", "ragged"])
+    def test_malformed_polygon(self, tmp_path, capsys, polygon, got):
+        square = [[-0.2, -0.2], [0.2, -0.2], [0.2, 0.2], [-0.2, 0.2]]
+        cfg = write_config(tmp_path, phantom=None,
+                           regions={"Dinf": [square], "D0": [square, polygon]})
+        assert main(["forward", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: regions: D0 polygon 1 must be a finite (k, 2) array "
+            f"with k >= 3, got {got}"]
+
     def test_bad_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

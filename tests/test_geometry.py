@@ -2,19 +2,21 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eitmono import geometry, phantoms, reconstruction
 from eitmono import polygons as pg
 from eitmono.geometry import (GeometryError, Mesh, MeshConformityError,
-                              RegionSet, _arrange_segments, _edge_keys,
+                              RegionSet, _arrange_segments, _chop_to_length,
+                              _edge_keys,
                               build_domain, connected_labels, edge_owners,
                               mesh_region_faults, pixel_family, triangulate,
                               validate_regions)
 
-from reference_predicates import (ref_arrange_segments, ref_edge_keys,
-                                  ref_edge_owners)
+from reference_predicates import (RefPointRegistry, ref_arrange_segments,
+                                  ref_chop_to_length, ref_edge_keys,
+                                  ref_edge_owners, ref_validate_regions)
 
 
 def region_area(mesh, label):
@@ -107,6 +109,100 @@ class TestValidateRegions:
         v_both = [v for v in validate_regions(disk, both) if "overlap" in v]
         v_fewer = [v for v in validate_regions(disk, fewer) if "overlap" in v]
         assert len(v_fewer) <= len(v_both)
+
+
+# Lattice polygons in and beyond the unit disk and the unit square:
+# rectangles (solid, or holes when clockwise) nest, cross and share edges
+# across and within labels; free triangles and quadrilaterals add slanted
+# edges, repeated vertices and bowties.
+def lattice_polys(offset):
+    eighth = st.integers(-6, 5).map(lambda k: offset + k / 8)
+    size = st.integers(1, 4).map(lambda k: k / 8)
+    rect = st.builds(lambda x, y, w, h: pg.rectangle(x, y, x + w, y + h),
+                     eighth, eighth, size, size)
+    free = st.lists(st.tuples(eighth, eighth), min_size=3, max_size=4).map(np.array)
+    oriented = st.builds(lambda p, ccw: p if ccw else p[::-1].copy(),
+                         st.one_of(rect, rect, rect, free), st.booleans())
+    return st.lists(st.tuples(st.sampled_from(["D0", "Dinf", "Ddeg", "DFminus"]),
+                              oriented), min_size=1, max_size=5)
+
+
+domains_and_polys = st.sampled_from([("disk", 0.0), ("square", 0.5)]).flatmap(
+    lambda d: st.tuples(st.just(d[0]), lattice_polys(d[1])))
+ring = pg.rectangle(-0.5, -0.5, 0.5, 0.5)
+core = pg.rectangle(-0.25, -0.25, 0.25, 0.25)
+
+
+@settings(max_examples=200, deadline=None)
+@given(domains_and_polys)
+@example(("disk", [("DFminus", ring), ("D0", core)]))
+@example(("disk", [("DFminus", ring), ("DFminus", core[::-1].copy()), ("D0", core)]))
+@example(("disk", [("DFminus", ring), ("DFminus", core[::-1].copy()),
+                   ("Ddeg", pg.rectangle(0.3, -0.1, 0.45, 0.1))]))
+def test_validate_regions_matches_pairwise_reference(drawn):
+    """The same violations in the same order, or the same error; the
+    examples nest one label in another, put a polygon in a same-label hole
+    (clean) and in the ring around that hole (overlap)."""
+    shape, labeled = drawn
+    polys = {}
+    for label, poly in labeled:
+        polys.setdefault(label, []).append(poly)
+    domain, regions = build_domain(shape), RegionSet(polys=polys)
+    try:
+        want = ref_validate_regions(domain, regions)
+    except GeometryError as exc:
+        with pytest.raises(GeometryError) as got:
+            validate_regions(domain, regions)
+        assert str(got.value) == str(exc)
+    else:
+        assert validate_regions(domain, regions) == want
+
+
+def test_one_interior_probe_per_polygon(monkeypatch, disk):
+    probed = []
+
+    def counted(poly):
+        probed.append(1)
+        return real(poly)
+
+    real = pg._interior_probe
+    monkeypatch.setattr(pg, "_interior_probe", counted)
+    regions, _ = phantoms.build_phantom("weighted_annulus")
+    assert validate_regions(disk, regions) == []
+    assert len(regions.all_polys()) == 5 and len(probed) == 5
+
+
+@pytest.mark.parametrize("gap", [0.0, 5e-10, 2e-9])
+def test_fault_check_cutoff_matches_dense_distance(monkeypatch, disk, gap):
+    # a Ddeg boundary sample `gap` inside the labeled-union boundary of the
+    # weighted annulus mesh: the KD path with the 1e-9 cutoff and the dense
+    # distance give the same faults
+    regions, _ = phantoms.build_phantom("weighted_annulus")
+    mesh = triangulate(disk, regions, target_h=0.07)
+    a, b = geometry._union_boundary_segments(mesh, edge_owners(mesh.triangles))
+    mid = (a[0] + b[0]) / 2.0
+    inward = -mid / np.hypot(*mid)
+    poly = pg.regular_polygon((0.0, 0.0), 0.2, 48)
+    poly[0] = mid + gap * inward
+    probe = RegionSet(polys={"Ddeg": [poly]})
+
+    kd_calls = []
+    real_kd = pg._points_segments_distance_kd
+
+    def counted_kd(*args):
+        kd_calls.append(1)
+        return real_kd(*args)
+
+    monkeypatch.setattr(pg, "_points_segments_distance_kd", counted_kd)
+    got = mesh_region_faults(mesh, probe)
+    assert len(kd_calls) == 1
+    real = pg.points_segments_distance
+    monkeypatch.setattr(pg, "points_segments_distance",
+                        lambda pts, seg_a, seg_b, cutoff=None: real(pts, seg_a, seg_b))
+    dense = mesh_region_faults(mesh, probe)
+    assert len(kd_calls) == 1
+    fault = ["Ddeg not compactly contained in the labeled union interior"]
+    assert got == dense == (fault if gap < 1e-9 else [])
 
 
 class TestTriangulate:
@@ -316,14 +412,67 @@ lattice_point = st.tuples(lattice, lattice)
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.tuples(lattice_point, lattice_point), min_size=1, max_size=12),
        st.lists(st.one_of(lattice_point, st.tuples(st.floats(-1, 1), st.floats(-1, 1))),
-                max_size=4))
-def test_arrangement_matches_pairwise_reference(segments, extra):
-    """Same points in the same registry order, and the same subsegments."""
+                max_size=4),
+       st.sampled_from([1 / 3, 0.25, 0.1, 2 / 3, 3.0]))
+@example(segments=[((-1.0, 1 / 3), (1 / 3, 1 / 3))], extra=[(-4e-10, 2 / 3)],
+         max_len=1 / 3)
+def test_arrangement_matches_pairwise_reference(segments, extra, max_len):
+    """Same points in the same registry order and the same subsegments,
+    then the same chop points and pieces, in order: lattice lengths put
+    chop points on existing vertices, and the example registers x = -4e-10
+    and chops (-1, 1/3)-(1/3, 1/3) at x = -2.5e-10, both of which round
+    to -0.0."""
     segments = [(np.array(a), np.array(b)) for a, b in segments]
-    reg, subsegs = _arrange_segments(segments, extra)
+    pts, subsegs = _arrange_segments(segments, extra)
     ref_reg, ref_subsegs = ref_arrange_segments(segments, extra)
-    assert np.array_equal(reg.array(), ref_reg.array())
+    assert np.array_equal(pts, ref_reg.array())
     assert subsegs == ref_subsegs
+    pts, pieces = _chop_to_length(pts, subsegs, max_len)
+    ref_pieces = ref_chop_to_length(ref_reg, ref_subsegs, max_len)
+    assert np.array_equal(pts, ref_reg.array()) and not np.any(np.signbit(pts) & (pts == 0))
+    assert pieces == ref_pieces
+
+
+# Registry points on a lattice a few SNAP_TOL apart: chop points snap onto
+# their neighbours and onto each other, leaving degenerate pieces (i, i).
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=2,
+                max_size=8, unique=True),
+       st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), min_size=1, max_size=8),
+       st.sampled_from([0.7e-9, 1e-9, 1.5e-9, 2.5e-9]))
+def test_chop_to_length_matches_loop_reference(lattice_points, pairs, max_len):
+    ref_reg = RefPointRegistry()
+    for p in lattice_points:
+        ref_reg.add(np.array(p) * pg.SNAP_TOL)
+    n = len(lattice_points)
+    subsegs = sorted({(min(i % n, j % n), max(i % n, j % n)) for i, j in pairs})
+    pts, pieces = _chop_to_length(ref_reg.array(), subsegs, max_len)
+    ref_pieces = ref_chop_to_length(ref_reg, subsegs, max_len)
+    assert np.array_equal(pts, ref_reg.array())
+    assert pieces == ref_pieces
+
+
+def test_register_wide_points_matches_reference():
+    # keys spanning more than 2**63 lattice cells in all take the
+    # row-wise path; repeats, snapped neighbours and -0.0 included
+    rng = np.random.default_rng(3)
+    pts = rng.uniform(-5, 5, (40, 2))
+    pts = np.concatenate([pts, pts[::3] + 3e-10, [[-1e-10, 4.0], [0.0, 4.0]],
+                          [[-5e5, 5e5], [5e5, -5e5]]])
+    for points in (pts, pts[:40] / 10):
+        ref = RefPointRegistry()
+        want = [ref.add(p) for p in points]
+        reg, ids = geometry._register(points)
+        assert ids.tolist() == want and np.array_equal(reg, ref.array())
+        assert not np.any(np.signbit(reg) & (reg == 0))
+
+
+@pytest.mark.parametrize("pin", [(float("nan"), 0.0), (float("inf"), 0.0), (0.0, 1e10)])
+def test_unregistrable_pin_rejected(disk, pin):
+    # a lattice key would wrap around int64: the mesher stops with an error
+    regions = RegionSet(singular_points=[pin])
+    with pytest.raises(GeometryError, match="mesh constraint points must be finite"):
+        triangulate(disk, regions, target_h=0.2)
 
 
 def assert_members_on_demand(fam):

@@ -8,6 +8,7 @@ from reference_predicates import (ref_ball_point_distance_kd,
                                   ref_crossing_parity, ref_points_in_polygon,
                                   ref_points_segments_distance_kd,
                                   ref_polygon_is_simple,
+                                  ref_polygons_edges_cross,
                                   ref_segment_point_distance,
                                   ref_segments_properly_intersect)
 
@@ -130,11 +131,14 @@ fast = settings(max_examples=150, deadline=None)
 
 def probes(poly, extra):
     """Query points: the drawn ones, every vertex, every edge midpoint (on
-    the edge) and points level with every vertex."""
+    the edge), points level with every vertex, and points 1e-3 and 2e-3
+    above and below every vertex (at and beyond a 1e-3 tolerance, where
+    the near-edge test's slabs end)."""
     b = np.roll(poly, -1, axis=0)
     level = np.column_stack([poly[:, 0] + 0.125, poly[:, 1]])
+    shifted = [poly + [0.0, dy] for dy in (1e-3, -1e-3, 2e-3, -2e-3)]
     return np.vstack([np.asarray(extra, dtype=float).reshape(-1, 2), poly,
-                      (poly + b) / 2.0, level])
+                      (poly + b) / 2.0, level] + shifted)
 
 
 @fast
@@ -165,10 +169,17 @@ def test_polygon_is_simple_touching_cases():
              np.array([[0, 0], [3, 0], [2, 0], [1, 1]], dtype=float),
              np.array([[0, 0], [2, 0], [1, 0]], dtype=float),
              pg.regular_polygon((0, 0), 0.5, 32)]
+    # a vertex 0.5, 0.9, 1.5 and 2.5 thousandths off the interior of an
+    # axis-parallel edge, so outside its flat bounding box: within a 1e-3
+    # tolerance for the first two only
+    cases += [np.array([[0, 0], [2, 0], [2, 2], [1, off], [0, 2]])
+              for off in (5e-4, 9e-4, 1.5e-3, 2.5e-3)]
     for poly in cases:
         for p in (poly, poly[::-1]):
-            assert pg.polygon_is_simple(p) == ref_polygon_is_simple(p)
-    assert pg.polygon_is_simple(cases[-1]) and not pg.polygon_is_simple(cases[0])
+            for tol in (1e-12, 1e-3):
+                assert pg.polygon_is_simple(p, tol) == ref_polygon_is_simple(p, tol)
+    assert pg.polygon_is_simple(cases[4]) and not pg.polygon_is_simple(cases[0])
+    assert [pg.polygon_is_simple(p, 1e-3) for p in cases[5:]] == [False, False, True, True]
 
 
 @fast
@@ -187,10 +198,7 @@ def test_segment_point_distance_matches_scalar_reference(rows):
 @fast
 @given(polygon, polygon)
 def test_polygons_edges_cross_matches_loop_reference(pa, pb):
-    want = any(ref_segments_properly_intersect(pa[k], pa[(k + 1) % len(pa)],
-                                               pb[m], pb[(m + 1) % len(pb)])
-               for k in range(len(pa)) for m in range(len(pb)))
-    assert pg.polygons_edges_cross(pa, pb) == want
+    assert pg.polygons_edges_cross(pa, pb) == ref_polygons_edges_cross(pa, pb)
 
 
 @fast
