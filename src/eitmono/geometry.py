@@ -227,14 +227,7 @@ def _register(points, known=None):
     if known is not None:
         points = np.concatenate([known, points])
     keys = np.round(points / pg.SNAP_TOL).astype(np.int64)
-    low = keys.min(axis=0)
-    span = keys.max(axis=0) - low + 1
-    if int(span[0]) * int(span[1]) < 2 ** 63:
-        flat = (keys[:, 0] - low[0]) * span[1] + (keys[:, 1] - low[1])
-        _, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
-    else:
-        _, first, inverse = np.unique(keys, axis=0, return_index=True,
-                                      return_inverse=True)
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
     # np.unique numbers the keys in sorted order; renumber by first row.
     rank = np.argsort(first)
     number = np.empty(len(first), dtype=np.int64)

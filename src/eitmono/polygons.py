@@ -145,22 +145,12 @@ def segment_point_distance(p, a, b):
 
 def touches_segment_interior(q, a, b, tol):
     """True where point q lies within tol of segment ab but farther than
-    tol from both of its endpoints (elementwise).
-
-    Only a q within 2 tol (plus the roundoff of the closest point) of the
-    segment's bounding box can be within tol of it, so the distances are
-    measured for those alone."""
-    q, a, b = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (q, a, b)))
-    pad = 2 * tol + 4 * np.finfo(float).eps * (np.abs(a) + np.abs(b))
-    near = np.all((q >= np.minimum(a, b) - pad) & (q <= np.maximum(a, b) + pad), axis=-1)
-    q, a, b = q[near], a[near], b[near]
+    tol from both of its endpoints (elementwise)."""
     qa = q - a
     qb = q - b
-    touch = np.zeros(near.shape, dtype=bool)
-    touch[near] = ((segment_point_distance(q, a, b) <= tol)
-                   & (np.hypot(qa[..., 0], qa[..., 1]) > tol)
-                   & (np.hypot(qb[..., 0], qb[..., 1]) > tol))
-    return touch
+    return ((segment_point_distance(q, a, b) <= tol)
+            & (np.hypot(qa[..., 0], qa[..., 1]) > tol)
+            & (np.hypot(qb[..., 0], qb[..., 1]) > tol))
 
 
 def points_segments_distance(pts, seg_a, seg_b, cutoff=None):

@@ -453,8 +453,8 @@ def test_chop_to_length_matches_loop_reference(lattice_points, pairs, max_len):
 
 
 def test_register_wide_points_matches_reference():
-    # keys spanning more than 2**63 lattice cells in all take the
-    # row-wise path; repeats, snapped neighbours and -0.0 included
+    # keys spanning more than 2**63 lattice cells in all, and narrow ones;
+    # repeats, snapped neighbours and -0.0 included
     rng = np.random.default_rng(3)
     pts = rng.uniform(-5, 5, (40, 2))
     pts = np.concatenate([pts, pts[::3] + 3e-10, [[-1e-10, 4.0], [0.0, 4.0]],

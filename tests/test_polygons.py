@@ -170,8 +170,7 @@ def test_polygon_is_simple_touching_cases():
              np.array([[0, 0], [2, 0], [1, 0]], dtype=float),
              pg.regular_polygon((0, 0), 0.5, 32)]
     # a vertex 0.5, 0.9, 1.5 and 2.5 thousandths off the interior of an
-    # axis-parallel edge, so outside its flat bounding box: within a 1e-3
-    # tolerance for the first two only
+    # axis-parallel edge: within a 1e-3 tolerance for the first two only
     cases += [np.array([[0, 0], [2, 0], [2, 2], [1, off], [0, 2]])
               for off in (5e-4, 9e-4, 1.5e-3, 2.5e-3)]
     for poly in cases:
