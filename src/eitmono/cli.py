@@ -84,6 +84,22 @@ def _positive(value):
     return float(value)
 
 
+def _finite_point(value):
+    """A point (x, y) of finite numbers, as a tuple."""
+    p = np.asarray(value, dtype=float)
+    if p.shape != (2,) or not np.all(np.isfinite(p)):
+        raise ValueError(f"expected a finite point (x, y), got {value!r}")
+    return tuple(p.tolist())
+
+
+def _finite_polyline(value):
+    """A finite (k, 2) array of polyline vertices, k >= 2."""
+    p = np.asarray(value, dtype=float)
+    if p.ndim != 2 or p.shape[1] != 2 or len(p) < 2 or not np.all(np.isfinite(p)):
+        raise ValueError(f"expected a finite (k, 2) polyline with k >= 2, got {value!r}")
+    return p
+
+
 def _nonnegative(value):
     """A finite number >= 0."""
     if not 0 <= float(value) < math.inf:
@@ -178,9 +194,9 @@ class Problem:
         polys = _value(cfg, "regions", lambda raw: {
             lab: list(plist) for lab, plist in raw.items()}, default={})
         spts = _value(cfg, "coefficient.singular_points",
-                      lambda pts: [tuple(p) for p in pts], default=[])
+                      lambda pts: [_finite_point(p) for p in pts], default=[])
         ssegs = _value(cfg, "coefficient.singular_segments",
-                       lambda segs: [np.asarray(s, float) for s in segs], default=[])
+                       lambda segs: [_finite_polyline(s) for s in segs], default=[])
         try:
             regions = RegionSet(polys=polys, singular_points=spts,
                                 singular_segments=ssegs)
@@ -351,6 +367,7 @@ def cmd_reconstruct(problem, out_dir, args):
         "n_cell_errors": len(result.cell_errors),
         "n_factor": result.n_factor,
         "n_update": result.n_update,
+        "n_implied": result.n_implied,
         "lu_nnz": result.lu_nnz,
         "wall_time": time.perf_counter() - t0,
     }

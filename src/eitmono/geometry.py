@@ -766,20 +766,25 @@ def validate_regions(domain, regions):
         if not contained:
             violations.append(f"{label} polygon extends outside the domain")
 
+    def report(pairs, clause):
+        # each unordered label pair once, at its first occurrence
+        seen = set()
+        for la, lb in pairs:
+            if frozenset((la, lb)) not in seen:
+                seen.add(frozenset((la, lb)))
+                violations.append(f"regions {la} and {lb} overlap{clause}")
+
     # Pairwise interior disjointness between different labels (parity-aware;
     # same-label nesting encodes holes).
-    for (la, pa), (lb, pb) in itertools.combinations(all_polys, 2):
-        if la != lb and pg.polygons_edges_cross(pa, pb):
-            violations.append(f"regions {la} and {lb} overlap (edges cross)")
+    report(((la, lb) for (la, pa), (lb, pb) in itertools.combinations(all_polys, 2)
+            if la != lb and pg.polygons_edges_cross(pa, pb)), " (edges cross)")
     if not violations:
         # Polygon a overlaps label lb when its interior probe lies in both
         # its own label's region and lb's.
         probes = np.array([pg._interior_probe(p) for p in polys])
         member = {label: regions.membership(probes, label) for label in set(labels)}
-        for a, b in itertools.permutations(range(len(polys)), 2):
-            la, lb = labels[a], labels[b]
-            if la != lb and member[la][a] and member[lb][a]:
-                violations.append(f"regions {la} and {lb} overlap")
+        report(((la, lb) for a, la in enumerate(labels) for lb in dict.fromkeys(labels)
+                if la != lb and member[la][a] and member[lb][a]), "")
     return violations
 
 

@@ -55,6 +55,7 @@ class ReconstructionResult:
     cell_errors: list = field(default_factory=list)   # (cell, sign, message)
     n_factor: int = 0             # ND maps the scan factored
     n_update: int = 0             # ND maps updated on a retained base factorization
+    n_implied: int = 0            # cover trials decided from a solved box, unsolved
     lu_nnz: int = 0               # L+U nonzeros summed over the factorizations
     nd_background: object = None  # the background map the scan solved
 
@@ -138,6 +139,49 @@ def _box_cells(box):
     return {(i, j) for i in range(x0, x1 + 1) for j in range(y0, y1 + 1)}
 
 
+def _contains(outer, inner):
+    """Whether the box ``outer`` (x0, x1, y0, y1) contains ``inner``."""
+    return outer[0] <= inner[0] and inner[1] <= outer[1] and \
+        outer[2] <= inner[2] and inner[3] <= outer[3]
+
+
+class _CoverRecord:
+    """Verdicts of the cover boxes solved in one `min_box` call, and the
+    verdicts they imply.  For the lower sign, insulating paint on more
+    cells gives a larger map (the discrete Dirichlet principle); for the
+    upper sign, conducting paint on more cells gives a smaller one.  So a
+    box containing a solved passing box passes, a box inside a solved
+    failing box fails, and only a box with neither is solved, by
+    ``solve(box)``; ``solved`` maps each solved box to its verdict."""
+
+    def __init__(self, solve):
+        self.solve = solve
+        self.solved = {}
+
+    def passes(self, box):
+        for other, ok in self.solved.items():
+            if _contains(box, other) if ok else _contains(other, box):
+                return ok
+        self.solved[box] = self.solve(box)
+        return self.solved[box]
+
+    def probe(self, box, sides):
+        """Binary search for the largest k such that ``box`` with every
+        side in ``sides`` moved in by k passes; it only adds solved boxes."""
+        inward = [(1 if s in (0, 2) else -1) if s in sides else 0 for s in range(4)]
+        # the least failing k lies in [lo, hi]; hi is the first empty box
+        lo = 1
+        hi = 1 + min(span // moving for span, moving in
+                     ((box[1] - box[0], inward[0] - inward[1]),
+                      (box[3] - box[2], inward[2] - inward[3])) if moving)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if self.passes(tuple(v + mid * d for v, d in zip(box, inward))):
+                lo = mid + 1
+            else:
+                hi = mid
+
+
 class _Scanner:
     """Shared state for one reconstruction run.
 
@@ -160,16 +204,18 @@ class _Scanner:
         self.bases = {}
         self.last = None
         self.n_update = 0
+        self.n_implied = 0
 
-    def nd_painted(self, zero_cells, inf_cells):
+    def nd_painted(self, zero_cells, inf_cells, update=True):
         """ND map with the cells painted insulating, then conducting
-        (conducting wins where the sets overlap)."""
+        (conducting wins where the sets overlap), updated on a base when
+        ``update`` and `PaintTemplate.solve` allow it."""
         key = (frozenset(zero_cells), frozenset(inf_cells))
         self.last = None
         if key not in self._nd_cache:
             painted = self.template.solve(self.fam.flat(zero_cells),
                                           self.fam.flat(inf_cells), self.rtol,
-                                          list(self.bases.values()))
+                                          list(self.bases.values()) if update else ())
             self._nd_cache[key] = painted.nd
             if painted.system is None:
                 self.n_update += 1
@@ -186,13 +232,13 @@ class _Scanner:
             self.bases[role] = self.last
         self.last = None
 
-    def paint(self, sign, own, other):
+    def paint(self, sign, own, other, update=True):
         """ND map with ``own`` painted with the sign's extreme label
         (insulating for lower, conducting for upper) and ``other`` with the
-        opposite one."""
+        opposite one, updated on a base when ``update`` allows it."""
         if sign == "lower":
-            return self.nd_painted(own, other)
-        return self.nd_painted(other, own)
+            return self.nd_painted(own, other, update)
+        return self.nd_painted(other, own, update)
 
     def below(self, sign, a, b):
         """lambda_min of a - b for the lower sign and of b - a for the upper
@@ -203,8 +249,11 @@ class _Scanner:
         return lam / self.scale
 
     def cover_margin(self, cells, sign):
-        """Normalized lambda_min of the sign-targeted cover test."""
-        return self.below(sign, self.paint(sign, cells, set()), self.nd)
+        """Normalized lambda_min of the sign-targeted cover test.  A cover
+        painting is factored, never updated on a base: the update would
+        leave the base factored through `min_box`."""
+        return self.below(sign, self.paint(sign, cells, set(), update=False),
+                          self.nd)
 
     def min_box(self, sign, tau_abs):
         """Minimal passing bounding box for one sign (None when the empty
@@ -214,33 +263,56 @@ class _Scanner:
         in the order x0, x1, y0, y1, pass after pass.  A side whose trial
         fails is dropped: the box only shrinks, so the side's next trial
         would paint a subset of the failed one, whose margin Loewner
-        monotonicity bounds from above.  Dropping it hides no error either:
-        a one-label sub-rectangle of a painting that solved touches the
+        monotonicity bounds from above.
+
+        The same monotonicity decides most trials without a solve: a box
+        containing a solved passing box passes, and a box inside a solved
+        failing box fails (`_CoverRecord`).  At the start of each pass a
+        binary search over k probes the box with every remaining side moved
+        in by k, for the largest k that passes.  The probes only add solved
+        boxes, so the boxes are the greedy ones.  The final box is the last
+        solved passing box, kept as the sign's base: a trial that passes
+        unsolved contains a solved passing box P, every later trial
+        containing P passes too, so the box ends inside P, that is at P.
+        Neither rule hides an error: every box asked about is a
+        sub-rectangle of the full window, which is solved first, and a
+        one-label sub-rectangle of a painting that solved touches the
         domain boundary only where that painting does, and leaves a larger
         complement to reach gamma.
         """
         if self.cover_margin(set(), sign) >= -tau_abs:
             return None
+
+        def solve(box):
+            ok = self.cover_margin(_box_cells(box), sign) >= -tau_abs
+            if ok:
+                self.retain(sign)
+            return ok
+
         n = self.fam.grid_n
         box = [0, n - 1, 0, n - 1]
-        covered = self.cover_margin(_box_cells(tuple(box)), sign) >= -tau_abs
-        self.retain(sign)
-        if not covered:
+        record = _CoverRecord(solve)
+        if record.passes(tuple(box)):
+            sides = [0, 1, 2, 3]
+        else:
             # Perturbation not coverable inside the window: keep the full
             # window; the pixel phase will still grade the cells.
-            return tuple(box)
-        sides = [0, 1, 2, 3]
+            self.retain(sign)
+            sides = []
         while sides:
+            record.probe(box, sides)
             for side in list(sides):
                 trial = box.copy()
                 trial[side] += 1 if side in (0, 2) else -1
-                if trial[0] > trial[1] or trial[2] > trial[3] or \
-                        self.cover_margin(_box_cells(tuple(trial)), sign) < -tau_abs:
+                if trial[0] > trial[1] or trial[2] > trial[3]:
                     sides.remove(side)
-                    self.last = None
-                else:
+                    continue
+                ok = record.passes(tuple(trial))
+                self.n_implied += tuple(trial) not in record.solved
+                if ok:
                     box = trial
-                    self.retain(sign)
+                else:
+                    sides.remove(side)
         return tuple(box)
 
     def pixel_score(self, cell, sign, neutralizer):
@@ -351,7 +423,8 @@ def reconstruct(nd_gamma, mesh, family, gamma0, basis,
         box_lower=box_lower, box_upper=box_upper, jaccard=jac,
         filled_cells=n_filled, cell_errors=cell_errors,
         n_factor=len(scanner._nd_cache) - scanner.n_update,
-        n_update=scanner.n_update, lu_nnz=scanner.template.lu_nnz,
+        n_update=scanner.n_update, n_implied=scanner.n_implied,
+        lu_nnz=scanner.template.lu_nnz,
         nd_background=nd_bg)
 
 

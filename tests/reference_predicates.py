@@ -282,14 +282,19 @@ def ref_validate_regions(domain, regions):
         if not ref_points_in_polygon(poly, bp, boundary=True).all():
             violations.append(f"{label} polygon extends outside the domain")
 
+    # each unordered label pair is reported once, at its first occurrence
+    seen = set()
     for (la, pa), (lb, pb) in itertools.combinations(all_polys, 2):
-        if la != lb and ref_polygons_edges_cross(pa, pb):
+        if la != lb and frozenset((la, lb)) not in seen and \
+                ref_polygons_edges_cross(pa, pb):
+            seen.add(frozenset((la, lb)))
             violations.append(f"regions {la} and {lb} overlap (edges cross)")
     if not violations:
         for (la, pa), (lb, _) in itertools.permutations(all_polys, 2):
-            if la == lb:
+            if la == lb or frozenset((la, lb)) in seen:
                 continue
             probe = pg._interior_probe(pa)[None, :]
             if regions.membership(probe, la)[0] and regions.membership(probe, lb)[0]:
+                seen.add(frozenset((la, lb)))
                 violations.append(f"regions {la} and {lb} overlap")
     return violations

@@ -211,7 +211,8 @@ class TestCalibrate:
     def test_one_background_factorization_per_point(self, tmp_path, monkeypatch):
         # the oracle column reads the background map the scan factors, so a
         # point of CALIBRATE_CONFIG factors the measured map and the scan's
-        # maps: 1 + 15 (17 when the background map was factored twice)
+        # maps: 1 + 9, the scan's 8 and its background base once more for
+        # the updates (11 when the background map was factored twice)
         from eitmono import fem
         from record_contract import run_calibrate
 
@@ -225,7 +226,7 @@ class TestCalibrate:
 
         monkeypatch.setattr(fem.StiffnessSystem, "factor", counting)
         assert len(run_calibrate(tmp_path)) == 3
-        assert len(made) == 16
+        assert len(made) == 10
 
 
 class TestConfigErrors:
@@ -366,6 +367,24 @@ class TestConfigErrors:
                      "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.splitlines() == [
             f"config error: domain: disk_segments must be an integer >= 3, got {segments}"]
+
+    @pytest.mark.parametrize("entry, value, want", [
+        ("singular_points", [[float("nan"), 0.0]],
+         "expected a finite point (x, y), got [nan, 0.0]"),
+        ("singular_points", [[0.0, 0.1, 0.2]],
+         "expected a finite point (x, y), got [0.0, 0.1, 0.2]"),
+        ("singular_segments", [[[0.0, 0.0], [float("inf"), 0.1]]],
+         "expected a finite (k, 2) polyline with k >= 2, got [[0.0, 0.0], [inf, 0.1]]"),
+        ("singular_segments", [[[0.0, 0.0]]],
+         "expected a finite (k, 2) polyline with k >= 2, got [[0.0, 0.0]]"),
+    ], ids=["nan_point", "three_coordinates", "inf_segment", "one_vertex_segment"])
+    def test_malformed_singular_feature(self, tmp_path, capsys, entry, value, want):
+        # named in one line, not left to the mesher's constraint check
+        cfg = write_config(tmp_path, phantom=None, coefficient={entry: value})
+        assert main(["forward", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: coefficient.{entry}: {want}"]
 
     def test_quad_depth_below_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path, phantom="surface_weighted_blob",

@@ -95,6 +95,20 @@ class TestValidateRegions:
             disk, RegionSet(polys={"D0": [a], "Dinf": [b]}))
         assert any("overlap" in v for v in violations)
 
+    @pytest.mark.parametrize("polys, want", [
+        ({"DFminus": [pg.rectangle(-0.5, -0.5, 0.5, 0.5)],
+          "D0": [pg.rectangle(-0.25, -0.25, 0.25, 0.25)]},
+         "regions D0 and DFminus overlap"),
+        ({"DFminus": [pg.rectangle(-0.5, -0.5, 0.5, 0.5),
+                      pg.rectangle(-0.4, -0.4, -0.2, -0.2)[::-1].copy()],
+          "Ddeg": [pg.rectangle(0.2, 0.2, 0.4, 0.4)]},
+         "regions Ddeg and DFminus overlap"),
+    ], ids=["nested", "beside_a_hole"])
+    def test_overlap_reported_once_per_label_pair(self, disk, polys, want):
+        # one label inside another, seen from both polygons, and a polygon
+        # in a ring seen against the ring and its hole: one clause each
+        assert validate_regions(disk, RegionSet(polys=polys)) == [want]
+
     def test_region_outside_domain(self, square):
         far = pg.rectangle(2.0, 2.0, 2.5, 2.5)
         violations = validate_regions(square, RegionSet(polys={"D0": [far]}))

@@ -309,29 +309,108 @@ def exhaustive_min_box(scanner, sign, tau_abs):
     return tuple(box)
 
 
+@pytest.fixture(scope="module")
+def min_box_runs(disk, family8):
+    """Per phantom and sign: min_box's box, the verdict of every box it
+    asked about (solved or implied), the boxes it solved, the verdict each
+    asked box gets from its own solve, the painted cells of the sign's base
+    and the exhaustive oracle's box with the margins of the boxes it
+    solved; and the scanner's n_implied."""
+    runs = {}
+
+    def run(name):
+        if name in runs:
+            return runs[name]
+        regions, spec = phantoms.build_phantom(name)
+        mesh = triangulate(disk, regions, target_h=0.1,
+                           extra_segments=family8.grid_segments())
+        fld = build_field(mesh, spec)
+        basis = build_basis(mesh, 8)
+        scanner = _Scanner(nd_matrix(fld, basis), mesh, family8, fld.gamma0,
+                           basis, 1e-10)
+        asked, margins = {}, {}
+        real_passes = reconstruction._CoverRecord.passes
+        real = scanner.cover_margin
+
+        def recording(self, box):
+            asked[box] = real_passes(self, box)
+            return asked[box]
+
+        def solving(cells, sign):
+            margins[frozenset(cells)] = real(cells, sign)
+            return margins[frozenset(cells)]
+
+        scanner.cover_margin = solving
+        signs = {}
+        for sign in ("lower", "upper"):
+            asked.clear()
+            margins.clear()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(reconstruction._CoverRecord, "passes", recording)
+                box = scanner.min_box(sign, DEFAULT_TAU_ABS)
+            solved = set(margins)
+            base = scanner.bases.get(sign)
+            own = {t: real(_box_cells(t), sign) >= -DEFAULT_TAU_ABS for t in asked}
+            margins.clear()
+            oracle = exhaustive_min_box(scanner, sign, DEFAULT_TAU_ABS)
+            signs[sign] = dict(box=box, asked=dict(asked), solved=solved, own=own,
+                               base=None if base is None else set(np.flatnonzero(base.cells)),
+                               oracle=oracle, oracle_margins=dict(margins))
+        runs[name] = signs, scanner.n_implied
+        return runs[name]
+
+    return run
+
+
 @pytest.mark.parametrize("name", phantoms.REGRESSION_PHANTOMS)
-def test_min_box_skips_only_failing_trials(disk, family8, name):
-    regions, spec = phantoms.build_phantom(name)
+def test_min_box_skips_only_failing_trials(min_box_runs, name):
+    # a box the exhaustive shrink solves that min_box never asked about,
+    # neither solved nor implied, is the retry of a dropped side: it fails
+    signs, _ = min_box_runs(name)
+    for run in signs.values():
+        asked = {frozenset(_box_cells(t)) for t in run["asked"]}
+        assert all(margin < -DEFAULT_TAU_ABS
+                   for cells, margin in run["oracle_margins"].items()
+                   if cells and cells not in asked)
+
+
+@pytest.mark.parametrize("name", phantoms.REGRESSION_PHANTOMS)
+def test_min_box_verdicts_match_exhaustive(family8, min_box_runs, name):
+    # every box min_box asks about, solved or implied by a solved box, has
+    # the verdict its own solve gives; the final box is a solved one, and
+    # its map is the sign's base
+    signs, n_implied = min_box_runs(name)
+    implied = 0
+    for run in signs.values():
+        box = run["box"]
+        assert run["oracle"] == box
+        assert run["asked"] == run["own"]
+        implied += sum(frozenset(_box_cells(t)) not in run["solved"] for t in run["asked"])
+        if box is not None:
+            assert run["asked"][box] and frozenset(_box_cells(box)) in run["solved"]
+            assert run["base"] == set(family8.flat(_box_cells(box)))
+    assert 0 < n_implied <= implied
+
+
+def test_cover_margin_monotone_in_the_box(disk):
+    # the fact min_box's implied verdicts rest on: a box B containing A
+    # has a cover margin at least A's, for both signs (insulating paint on
+    # more cells gives a larger map, conducting paint a smaller one)
+    family = pixel_family(disk, 4)
+    regions, spec = phantoms.build_phantom("two_blob_mixed")
     mesh = triangulate(disk, regions, target_h=0.1,
-                       extra_segments=family8.grid_segments())
+                       extra_segments=family.grid_segments())
     fld = build_field(mesh, spec)
     basis = build_basis(mesh, 8)
-    scanner = _Scanner(nd_matrix(fld, basis), mesh, family8, fld.gamma0,
+    scanner = _Scanner(nd_matrix(fld, basis), mesh, family, fld.gamma0,
                        basis, 1e-10)
-    margins = {}
-    real = scanner.cover_margin
-
-    def recording(cells, sign):
-        margins[frozenset(cells), sign] = real(cells, sign)
-        return margins[frozenset(cells), sign]
-
-    scanner.cover_margin = recording
+    spans = [(lo, hi) for lo in range(4) for hi in range(lo, 4)]
+    boxes = [x + y for x in spans for y in spans]
+    assert len(boxes) == 100
     for sign in ("lower", "upper"):
-        box = scanner.min_box(sign, DEFAULT_TAU_ABS)
-        pruned = set(margins)
-        assert exhaustive_min_box(scanner, sign, DEFAULT_TAU_ABS) == box
-        skipped = set(margins) - pruned
-        assert all(margins[key] < -DEFAULT_TAU_ABS for key in skipped)
+        margin = np.array([scanner.cover_margin(_box_cells(box), sign) for box in boxes])
+        inside = np.array([[reconstruction._contains(b, a) for b in boxes] for a in boxes])
+        assert np.all(margin[None, :] >= margin[:, None] - 1e-12, where=inside)
 
 
 def default_splu_factor(self):
