@@ -170,8 +170,8 @@ class Problem:
         self.target_h = _value(cfg, "mesh.target_h", _positive, default=0.06)
         self.min_angle = _value(cfg, "mesh.min_angle_deg", _nonnegative, default=0.05)
         self.quad_depth = _value(cfg, "solver.quad_depth", _integer, default=12)
-        if self.quad_depth < 1:
-            raise ConfigError("solver.quad_depth must be >= 1")
+        if not 1 <= self.quad_depth <= 64:
+            raise ConfigError("solver.quad_depth must be in [1, 64]")
         self.rtol = _value(cfg, "solver.rtol", _positive, default=1e-10)
         self.m = _value(cfg, "basis.m", _integer, default=8)
         if self.m < 1:

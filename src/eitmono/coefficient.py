@@ -49,7 +49,8 @@ class WeightSpec:
     surface in (-1, 1).  That does not make a product A2: where singular
     sets meet, the exponents add, and `graded_triangle_integrals` rejects a
     mesh corner whose total leaves (-2, 2) or a mesh edge on a singular
-    surface whose total leaves (-1, 1).  The clip, when set, bounds values
+    surface whose total leaves (-1, 1); inside those ranges it grades every
+    corner and edge where they meet.  The clip, when set, bounds values
     away from the declared singular behaviour (it is applied to the evaluated
     product, so configurations should keep it inactive near features).
     """
@@ -194,16 +195,14 @@ class WeightSpec:
 def graded_triangle_integrals(tris, weight, depth=12):
     """Integrals of ``weight`` over each of an (n, 3, 2) array of triangles:
     the weight evaluated once on the nodes of `quadrature.element_rule`,
-    graded toward the singular features that touch each triangle, and summed
-    per triangle; no value depends on the other triangles.
+    of order ``depth``, graded toward every singular corner and edge of each
+    triangle, and summed per triangle; no value depends on the other
+    triangles.
 
     Raises CoefficientError where w or 1/w is not locally integrable: at a
     corner whose total exponent leaves (-2, 2), or on an edge whose total
-    surface exponent leaves (-1, 1).  Raises it too where the element rule,
-    which grades a triangle toward one feature, would miss a singularity:
-    at a corner where two singular edges meet, at the corner opposite a
-    singular edge when its exponent is not 0, at an end of a singular edge
-    whose exponent is not the edge's, and at a second singular corner.
+    surface exponent leaves (-1, 1).  Inside these ranges the Gauss–Jacobi
+    weights of the rule exist.
     """
     tris = np.asarray(tris, dtype=float).reshape(-1, 3, 2)
     ends = np.stack([tris[:, [1, 2, 0]], tris[:, [2, 0, 1]]], axis=2)
@@ -218,24 +217,6 @@ def graded_triangle_integrals(tris, weight, depth=12):
                 f"weight exponents sum to {totals[t, k]:g} at {what} "
                 f"{np.round(at[t, k], 6).tolist()}, outside (-{bound}, {bound}): "
                 "w or 1/w is not locally integrable")
-    strip = ~np.isnan(edge)
-    on_strip = strip.any(axis=1, keepdims=True)
-    singular = vertex != 0.0
-    edge_s = np.where(strip, edge, 0.0).sum(axis=1, keepdims=True)
-    for bad, where in (
-            (strip[:, [1, 2, 0]] & strip[:, [2, 0, 1]], "where two singular edges meet"),
-            (strip & singular, "opposite a singular edge"),
-            (on_strip & ~strip & (vertex != edge_s),
-             "at an end of a singular edge of exponent {e:g}"),
-            (~on_strip & singular & (np.cumsum(singular, axis=1) > 1),
-             "at a second singular corner")):
-        hit = np.argwhere(bad)
-        if len(hit):
-            t, k = hit[0]
-            raise CoefficientError(
-                f"weight exponent {vertex[t, k]:g} at corner "
-                f"{np.round(tris[t, k], 6).tolist()} {where.format(e=edge_s[t, 0])} "
-                "of a triangle: the element rule grades a triangle toward one feature only")
     pts, w, owner = quad.element_rule(tris, vertex, edge, depth)
     return np.bincount(owner, weight.eval(pts) * w, minlength=len(tris))
 

@@ -3,13 +3,13 @@
 `coefficient.graded_triangle_integrals`) is tested against.
 
 Each triangle is integrated on its own: `integrate` with the plain order-5
-rule on uniform splits, `integrate_vertex_graded` ring by ring with the
-geometric-series tail, `integrate_edge_graded` strip by strip with the
-closed-form tail calibrated at a probe node.  `scalar_dispatch` picks the
-integrator of one triangle of a weighted label as the field does.
+rule on uniform splits, `integrate_graded` node by node over its six
+corner-collapsed pieces.  `scalar_dispatch` picks the integrator of one
+triangle of a weighted label as the field does.
 """
 
 import numpy as np
+from scipy.special import roots_jacobi
 
 from eitmono.coefficient import _FEATURE_TOL
 
@@ -74,102 +74,51 @@ def integrate(f, tris, rule="order5", splits=0):
     return float(np.dot(np.asarray(f(pts), dtype=float), w))
 
 
-def _ring_triangles(tri, vidx, k):
-    """Two triangles tiling the k-th dyadic ring toward vertex `vidx`."""
-    v = tri[vidx]
-    a = tri[(vidx + 1) % 3]
-    b = tri[(vidx + 2) % 3]
-    sa_o, sb_o = v + (a - v) * 2.0 ** (-k), v + (b - v) * 2.0 ** (-k)
-    sa_i, sb_i = v + (a - v) * 2.0 ** (-k - 1), v + (b - v) * 2.0 ** (-k - 1)
-    return np.array([[sa_i, sa_o, sb_o], [sa_i, sb_o, sb_i]])
-
-
-def integrate_vertex_graded(f, tri, vidx, exponent, depth=12, rule="order5",
-                            splits=1):
-    """Integral of f over a triangle when f ~ dist(x, v)^exponent at vertex v.
-
-    Dyadic rings shrink toward the vertex; the innermost similar triangle is
-    summed with the geometric-series tail, exact when f is homogeneous of the
-    given degree around v.  Requires exponent > -2 for integrability.
-    """
-    if exponent <= -2.0:
-        raise ValueError("vertex exponent must exceed -2 for an integrable singularity")
+def integrate_graded(f, tri, vertex, edge, depth=12):
+    """Integral of f over one triangle with f ~ r^vertex[k] at corner k and
+    f ~ dist^edge[k] on the edge opposite corner k (None where that edge is
+    not singular), piece by piece: each of the six triangles (corner,
+    midpoint of an edge through it, centroid) is collapsed at its corner by
+    x = a + u[(mid - a) + v(g - mid)] and integrated with ``depth`` x
+    ``depth`` Gauss–Jacobi nodes for u^(1+s) v^e, the Jacobian taken from
+    the map's derivatives at each node."""
     tri = np.asarray(tri, dtype=float)
+    g = tri.sum(axis=0) / 3.0
     total = 0.0
-    last_ring = 0.0
-    for k in range(depth):
-        last_ring = integrate(f, _ring_triangles(tri, vidx, k), rule=rule, splits=splits)
-        total += last_ring
-    q = 2.0 ** (-(2.0 + exponent))
-    total += last_ring * q / (1.0 - q)
+    for a in range(3):
+        for b in ((a + 1) % 3, (a + 2) % 3):
+            s = vertex[a]
+            e = edge[3 - a - b] or 0.0
+            x, wx = roots_jacobi(depth, 0.0, 1.0 + s)
+            y, wy = roots_jacobi(depth, 0.0, e)
+            mid = (tri[a] + tri[b]) / 2.0
+            for u, wu in zip((1.0 + x) / 2.0, wx / 2.0 ** (2.0 + s)):
+                for v, wv in zip((1.0 + y) / 2.0, wy / 2.0 ** (1.0 + e)):
+                    du, dv = (mid - tri[a]) + v * (g - mid), u * (g - mid)
+                    jac = abs(du[0] * dv[1] - du[1] * dv[0])
+                    point = tri[a] + u * du
+                    total += wu * wv * jac / (u ** (1.0 + s) * v ** e) \
+                        * float(f(point[None, :])[0])
     return total
 
 
-def integrate_edge_graded(f, tri, eidx, exponent, depth=12, rule="order5",
-                          splits=1):
-    """Integral of f over a triangle when f ~ dist(x, E)^exponent at edge E.
-
-    ``eidx`` is the index of the vertex opposite the singular edge.  Strips
-    parallel to the edge shrink dyadically; the innermost strip is integrated
-    with the closed form for c*eta^s times an affine cross-section width,
-    with c calibrated at the deepest computed strip.  Requires exponent > -1.
-    """
-    if exponent <= -1.0:
-        raise ValueError("edge exponent must exceed -1 for an integrable singularity")
-    tri = np.asarray(tri, dtype=float)
-    c = tri[eidx]
-    a = tri[(eidx + 1) % 3]
-    b = tri[(eidx + 2) % 3]
-
-    # eta: fraction of the height above edge (a,b); cross-section endpoints.
-    def section(t):
-        return a + t * (c - a), b + t * (c - b)
-
-    edge = b - a
-    elen = float(np.hypot(*edge))
-    height = 2.0 * triangle_area(tri) / elen
-
-    total = 0.0
-    for k in range(depth):
-        t_hi, t_lo = 2.0 ** (-k), 2.0 ** (-k - 1)
-        a_hi, b_hi = section(t_hi)
-        a_lo, b_lo = section(t_lo)
-        strip = np.array([[a_lo, b_lo, b_hi], [a_lo, b_hi, a_hi]])
-        total += integrate(f, strip, rule=rule, splits=splits)
-
-    # Innermost trapezoid {0 <= eta <= eta_d}: model f = c_w * eta^s with the
-    # affine width w(eta) = elen * (1 - eta/height).
-    t_d = 2.0 ** (-depth)
-    eta_d = t_d * height
-    probe_t = t_d / 2.0
-    pa, pb = section(probe_t)
-    probe = (pa + pb) / 2.0
-    eta_probe = probe_t * height
-    c_w = float(np.asarray(f(probe[None, :]), dtype=float)[0]) / eta_probe ** exponent
-    s = exponent
-    tail = c_w * elen * (eta_d ** (1 + s) / (1 + s)
-                         - eta_d ** (2 + s) / ((2 + s) * height))
-    return total + tail
-
-
 def scalar_dispatch(tri, w, depth=12, splits=2):
-    """The integral of weight ``w`` over one triangle as the per-triangle
-    dispatch gave it: the first edge on a singular polyline, else the first
-    vertex on a singular feature, else `integrate` on the triangle."""
+    """The integral of weight ``w`` over one triangle as the field gives
+    it: `integrate_graded` at the exponents of the features within
+    `_FEATURE_TOL` of its corners and edges, or `integrate` on the triangle
+    split ``splits`` times when none touches it."""
     def near(f, pts):
         return np.all(w._feature_distance(f, np.array(pts)) <= _FEATURE_TOL)
 
-    for e in range(3):
-        a, b = tri[(e + 1) % 3], tri[(e + 2) % 3]
+    vertex = [sum((f.exponent for f in w.factors
+                   if f.kind != "constant" and near(f, [tri[k]])), 0.0)
+              for k in range(3)]
+    edge = []
+    for k in range(3):
+        a, b = tri[(k + 1) % 3], tri[(k + 2) % 3]
         hits = [f.exponent for f in w.factors if f.kind == "surface_power"
                 and f.exponent != 0.0 and near(f, [a, b, (a + b) / 2.0])]
-        if hits:
-            return integrate_edge_graded(w.eval, tri, e, sum(hits, 0.0),
-                                         depth=depth, splits=splits)
-    for v in range(3):
-        s = sum((f.exponent for f in w.factors
-                 if f.kind != "constant" and near(f, [tri[v]])), 0.0)
-        if s != 0.0:
-            return integrate_vertex_graded(w.eval, tri, v, s,
-                                           depth=depth, splits=splits)
+        edge.append(sum(hits, 0.0) if hits else None)
+    if any(s != 0.0 for s in vertex) or any(e is not None for e in edge):
+        return integrate_graded(w.eval, tri, vertex, edge, depth=depth)
     return integrate(w.eval, tri[None], rule="order5", splits=splits)

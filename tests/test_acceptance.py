@@ -259,8 +259,8 @@ def test_criterion_8_weighted_quadrature_convergence():
         v12 = graded_triangle_integrals(tri[None], w, depth=12)[0]
         v16 = graded_triangle_integrals(tri[None], w, depth=16)[0]
         worst = max(worst, abs(v12 - v16) / abs(v16))
-    report("8 weighted-quadrature", worst < 1e-6,
-           f"max relative change depth 12 vs 16: {worst:.2e} < 1e-6")
+    report("8 weighted-quadrature", worst < 1e-10,
+           f"max relative change order 12 vs 16: {worst:.2e} < 1e-10")
 
 
 def test_criterion_9_energy_identities(disk_dom):

@@ -392,7 +392,16 @@ class TestConfigErrors:
         assert main(["forward", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.splitlines() == [
-            "config error: solver.quad_depth must be >= 1"]
+            "config error: solver.quad_depth must be in [1, 64]"]
+
+    def test_quad_depth_above_64(self, tmp_path, capsys):
+        # a graded triangle takes 6 * quad_depth**2 nodes: the order is capped
+        cfg = write_config(tmp_path, phantom="surface_weighted_blob",
+                           solver={"quad_depth": 65})
+        assert main(["forward", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: solver.quad_depth must be in [1, 64]"]
 
     @pytest.mark.parametrize("factors, where", [
         ([{"kind": "radial_power", "center": [0.0, 0.0], "exponent": -1.5},
@@ -417,8 +426,8 @@ class TestConfigErrors:
         assert err[0].endswith("w or 1/w is not locally integrable")
 
     def test_weight_the_element_rule_cannot_grade(self, tmp_path, capsys):
-        # a point singularity at the end of a singular edge: grading toward
-        # the edge alone misses the point's share of the exponent
+        # a point singularity at the end of a singular edge, which a rule
+        # grading toward the edge alone would miss, is graded and solved
         square = lambda r: [[-r, -r], [r, -r], [r, r], [-r, r]]
         factors = [{"kind": "radial_power", "center": [0.0, 0.0], "exponent": -1.0},
                    {"kind": "surface_power", "segment": [[0.0, 0.0], [0.1, 0.0]],
@@ -429,11 +438,9 @@ class TestConfigErrors:
                            coefficient={"background": 1.0, "DFplus": 2.5,
                                         "Dsing": {"kind": "product", "factors": factors}})
         assert main(["forward", "--config", str(cfg),
-                     "--out", str(tmp_path / "o")]) == 2
-        assert capsys.readouterr().err.splitlines() == [
-            "config error: weight exponent -1.5 at corner [0.0, 0.0] at an end of a "
-            "singular edge of exponent -0.5 of a triangle: the element rule grades "
-            "a triangle toward one feature only"]
+                     "--out", str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "o" / "nd_gamma.txt").is_file()
 
     @pytest.mark.parametrize("command", ["forward", "calibrate"])
     def test_section_that_is_not_an_object(self, tmp_path, capsys, command):

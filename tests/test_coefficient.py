@@ -1,4 +1,4 @@
-import re
+import math
 
 import numpy as np
 import pytest
@@ -15,7 +15,7 @@ from eitmono import phantoms
 
 from conftest import build_field
 from record_contract import contract_config
-from reference_quadrature import scalar_dispatch, triangle_area
+from reference_quadrature import integrate, scalar_dispatch, triangle_area
 
 
 class TestWeightSpec:
@@ -220,33 +220,51 @@ class TestElementIntegrals:
                                  r"\(Ddeg\); undeclared singularity\?$"):
             fld.element_integrals()
 
-    @pytest.mark.parametrize("factors, where", [
+    @pytest.mark.parametrize("factors, exact", [
         ([WeightSpec.surface_power([(1, 0), (0, 0), (0, 1)], -0.5)],
-         "-0.5 at corner [0.0, 0.0] where two singular edges meet"),
+         4 * math.sqrt(2) / 3),
         ([WeightSpec.surface_power([(1, 0), (0, 1)], -0.5),
           WeightSpec.radial_power((0, 0), -1.0)],
-         "-1 at corner [0.0, 0.0] opposite a singular edge"),
+         2 ** 1.75 * math.log(1 + math.sqrt(2))),
+        # 2 * integral over t > 0 of dt / sqrt(t (1 + t) (1 + t^2)), the
+        # polar form at the corner, to 16 digits
         ([WeightSpec.radial_power((0, 0), -1.0),
           WeightSpec.surface_power([(0, 0), (1, 0)], -0.5)],
-         "-1.5 at corner [0.0, 0.0] at an end of a singular edge of exponent -0.5"),
+         4.774001885274005),
         ([WeightSpec.radial_power((0, 0), -1.0), WeightSpec.radial_power((1, 0), 0.5)],
-         "0.5 at corner [1.0, 0.0] at a second singular corner"),
+         None),
     ], ids=["two_edges", "apex", "edge_end", "two_corners"])
-    def test_features_the_element_rule_cannot_grade(self, factors, where):
-        # the rule grades a triangle toward one edge or one corner; it would
-        # miss the other feature's share of the exponent
+    def test_features_the_element_rule_cannot_grade(self, factors, exact):
+        # features that a rule grading toward one edge or one corner could
+        # not reach: two singular edges at a corner, a singular corner
+        # opposite a singular edge, a point at the end of a singular segment
+        # and two singular corners; the corner-collapsed rule grades them
+        # all, to its order-40 value where no closed form is at hand
         tri = np.array([[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]])
-        with pytest.raises(CoefficientError, match=re.escape(f"weight exponent {where} ")):
-            graded_triangle_integrals(tri, WeightSpec.product(*factors))
+        w = WeightSpec.product(*factors)
+        got = graded_triangle_integrals(tri, w, depth=12)[0]
+        if exact is None:
+            exact = graded_triangle_integrals(tri, w, depth=40)[0]
+        assert abs(got - exact) < 1e-12
+
+    def test_triangle_at_the_end_of_a_polyline(self):
+        # a `surface_weighted_blob` triangle whose corner is the end of its
+        # singular segment, against the plain rule split 7 times (itself
+        # within 3e-9 of 8 splits)
+        _, spec = phantoms.build_phantom("surface_weighted_blob")
+        tri = np.array([[-0.14, -0.04], [-0.1, -0.05], [-0.105, 0.0]])
+        got = graded_triangle_integrals(tri[None], spec["Ddeg"])[0]
+        fine = integrate(spec["Ddeg"].eval, tri[None], splits=7)
+        assert abs(got - fine) < 1e-6 * fine
 
     def test_weighted_element_convergence(self, disk):
         # element integral over a triangle at the singular vertex converges
-        # in the grading depth (relative change under 1e-6 from 12 to 16)
+        # in the order of the rule (relative change under 1e-10 from 12 to 16)
         w = WeightSpec.radial_power((0.0, 0.0), -1.5)
         tri = np.array([[0.0, 0.0], [0.08, 0.0], [0.0, 0.08]])
         v12 = graded_triangle_integrals(tri[None], w, depth=12)[0]
         v16 = graded_triangle_integrals(tri[None], w, depth=16)[0]
-        assert abs(v12 - v16) / abs(v16) < 1e-6
+        assert abs(v12 - v16) / abs(v16) < 1e-10
 
     def test_field_element_integrals(self, disk):
         regions, spec = phantoms.build_phantom("weighted_annulus")

@@ -48,23 +48,28 @@ def test_splits_preserve_integral():
 @given(tris=st.lists(st.lists(st.tuples(st.floats(-2, 2), st.floats(-2, 2)),
                               min_size=3, max_size=3), min_size=0, max_size=7),
        labels=st.lists(st.tuples(st.sampled_from(["plain", "vertex", "edge"]),
-                                 st.integers(0, 2), st.sampled_from([-1.5, -0.5, 0.5])),
+                                 st.integers(0, 2), st.sampled_from([-1.5, -0.5, 0.5]),
+                                 st.sampled_from([-0.9, -0.5, 0.5])),
                        min_size=7, max_size=7),
        depth=st.integers(1, 6))
 def test_integrate_each_matches_integrate(tris, labels, depth):
     # one batch over all triangles gives each triangle's one-triangle value
-    # bit for bit; the plain ones match the reference rule split twice
+    # bit for bit; the plain ones match the reference rule split twice and
+    # the graded ones the piece-by-piece reference
     f = lambda p: np.cos(3 * p[:, 0]) * np.exp(p[:, 1]) + p[:, 0] * p[:, 1]
     tris = np.array(tris, dtype=float).reshape(-1, 3, 2)
     n = len(tris)
     vertex, edge = np.zeros((n, 3)), np.full((n, 3), np.nan)
-    for i, (kind, k, s) in enumerate(labels[:n]):
-        # a singular feature only on a triangle of positive area
+    for i, (kind, k, s_vertex, s_edge) in enumerate(labels[:n]):
+        # a singular feature only on a triangle of positive area; an edge's
+        # degree adds to its two end corners, as `graded_triangle_integrals`
+        # computes it
         if ref.triangle_area(tris[i]) > 1e-2:
             if kind == "vertex":
-                vertex[i, k] = s
+                vertex[i, k] = s_vertex
             elif kind == "edge":
-                edge[i, k] = s
+                edge[i, k] = s_edge
+                vertex[i, [(k + 1) % 3, (k + 2) % 3]] = s_edge
     pts, w, owner = quad.element_rule(tris, vertex, edge, depth)
     got = np.bincount(owner, f(pts) * w, minlength=n)
     one = []
@@ -72,9 +77,12 @@ def test_integrate_each_matches_integrate(tris, labels, depth):
         pts, w, owner = quad.element_rule(tris[i:i + 1], vertex[i:i + 1], edge[i:i + 1], depth)
         one.append(np.bincount(owner, f(pts) * w, minlength=1)[0])
     assert got.shape == (n,) and got.tobytes() == np.array(one).tobytes()
-    for i in np.flatnonzero((vertex == 0.0).all(axis=1) & np.isnan(edge).all(axis=1)):
-        assert np.isclose(got[i], ref.integrate(f, tris[i:i + 1], splits=2),
-                          rtol=1e-12, atol=1e-13)
+    plain = (vertex == 0.0).all(axis=1) & np.isnan(edge).all(axis=1)
+    for i in range(n):
+        want = (ref.integrate(f, tris[i:i + 1], splits=2) if plain[i] else
+                ref.integrate_graded(f, tris[i], vertex[i],
+                                     [None if np.isnan(e) else e for e in edge[i]], depth))
+        assert np.isclose(got[i], want, rtol=1e-12, atol=1e-13)
 
 
 def polar_vertex_oracle(tri, s, n=400):
@@ -99,16 +107,16 @@ def test_vertex_graded_matches_polar_oracle(s):
     f = lambda p: np.hypot(p[:, 0], p[:, 1]) ** s
     oracle = polar_vertex_oracle(REF, s)
     got = rule_integral(f, REF, vertex=(s, 0.0, 0.0))
-    assert np.isclose(got, oracle, rtol=5e-6)
+    assert np.isclose(got, oracle, rtol=1e-10)
 
 
 @pytest.mark.parametrize("s", [-1.5, -0.5, 0.5, 1.5])
 def test_vertex_graded_depth_stable(s):
-    # depth refinement must be a Cauchy sequence: 12 vs 16 below 1e-6
+    # raising the order must be a Cauchy sequence: 12 vs 16 below 1e-10
     f = lambda p: np.hypot(p[:, 0], p[:, 1]) ** s
     v12 = rule_integral(f, REF, vertex=(s, 0.0, 0.0), depth=12)
     v16 = rule_integral(f, REF, vertex=(s, 0.0, 0.0), depth=16)
-    assert abs(v12 - v16) / abs(v16) < 1e-6
+    assert abs(v12 - v16) / abs(v16) < 1e-10
 
 
 @pytest.mark.parametrize("s", [-0.9, -0.5, 0.5, 0.9])
@@ -117,12 +125,13 @@ def test_edge_graded_matches_closed_form(s):
     # H^(1+s) * (1/(1+s) - 1/(2+s)) for unit base length.
     tri = np.array([[0.3, 0.8], [0.0, 0.0], [1.0, 0.0]])
     h = 0.8
+    # The edge's degree is also the degree at its two end corners.
     exact = h ** (1 + s) * (1.0 / (1 + s) - 1.0 / (2 + s))
-    edge = (s, np.nan, np.nan)
-    got = rule_integral(lambda p: p[:, 1] ** s, tri, edge=edge, depth=12)
-    assert np.isclose(got, exact, rtol=1e-6)
-    g16 = rule_integral(lambda p: p[:, 1] ** s, tri, edge=edge, depth=16)
-    assert abs(got - g16) / abs(g16) < 1e-6
+    vertex, edge = (0.0, s, s), (s, np.nan, np.nan)
+    got = rule_integral(lambda p: p[:, 1] ** s, tri, vertex, edge, depth=12)
+    assert np.isclose(got, exact, rtol=1e-10)
+    g16 = rule_integral(lambda p: p[:, 1] ** s, tri, vertex, edge, depth=16)
+    assert abs(got - g16) / abs(g16) < 1e-10
 
 
 def test_graded_exponent_bounds():
