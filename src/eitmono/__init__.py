@@ -3,7 +3,7 @@ impedance tomography with insulating, perfectly conducting, and power-law
 weighted inclusions."""
 
 from .coefficient import (CoefficientField, SingularNodeError, WeightSpec,
-                          bracket_coefficients, homogeneous_field)
+                          homogeneous_field)
 from .fem import (DofMap, NeumannLoad, PotentialSolution, StiffnessSystem,
                   solve_neumann)
 from .geometry import (Domain, Mesh, PixelFamily, RegionSet, TestInclusion,

@@ -115,27 +115,31 @@ def _numbers(values):
     return values
 
 
+# The keys each weight-spec kind takes; any other key is rejected.
+_WEIGHT_KEYS = {
+    "constant": {"kind", "value"},
+    "radial_power": {"kind", "center", "exponent", "amplitude"},
+    "surface_power": {"kind", "segment", "exponent", "amplitude"},
+    "product": {"kind", "factors"},
+}
+
+
 def _weight_from_spec(spec):
-    if isinstance(spec, dict) and spec.get("kind") == "product":
-        parts = [_weight_from_spec(s) for s in spec["factors"]]
-        return WeightSpec.product(*parts, clip=_clip_of(spec))
     kind = spec.get("kind")
+    if kind not in _WEIGHT_KEYS:
+        raise ConfigError(f"unknown weight kind {kind!r}")
+    unknown = sorted(set(spec) - _WEIGHT_KEYS[kind])
+    if unknown:
+        raise ConfigError(f"a {kind} weight takes no key {', '.join(map(repr, unknown))}")
+    if kind == "product":
+        return WeightSpec.product(*[_weight_from_spec(s) for s in spec["factors"]])
     if kind == "constant":
         return WeightSpec.constant(spec["value"])
     if kind == "radial_power":
         return WeightSpec.radial_power(spec["center"], spec["exponent"],
-                                       amplitude=spec.get("amplitude", 1.0),
-                                       clip=_clip_of(spec))
-    if kind == "surface_power":
-        return WeightSpec.surface_power(spec["segment"], spec["exponent"],
-                                        amplitude=spec.get("amplitude", 1.0),
-                                        clip=_clip_of(spec))
-    raise ConfigError(f"unknown weight kind {kind!r}")
-
-
-def _clip_of(spec):
-    clip = spec.get("clip")
-    return tuple(clip) if clip is not None else None
+                                       amplitude=spec.get("amplitude", 1.0))
+    return WeightSpec.surface_power(spec["segment"], spec["exponent"],
+                                    amplitude=spec.get("amplitude", 1.0))
 
 
 class Problem:

@@ -43,20 +43,17 @@ class WeightFactor:
 
 @dataclass(frozen=True)
 class WeightSpec:
-    """Product of power-law factors with an optional clip window.
+    """Product of power-law factors.
 
     Each factor's exponent lies in its planar A2 range: radial in (-2, 2),
     surface in (-1, 1).  That does not make a product A2: where singular
     sets meet, the exponents add, and `graded_triangle_integrals` rejects a
     mesh corner whose total leaves (-2, 2) or a mesh edge on a singular
     surface whose total leaves (-1, 1); inside those ranges it grades every
-    corner and edge where they meet.  The clip, when set, bounds values
-    away from the declared singular behaviour (it is applied to the evaluated
-    product, so configurations should keep it inactive near features).
+    corner and edge where they meet.
     """
 
     factors: tuple
-    clip: tuple = None
 
     def __post_init__(self):
         for f in self.factors:
@@ -85,25 +82,24 @@ class WeightSpec:
         return WeightSpec(factors=(WeightFactor(kind="constant", value=float(c)),))
 
     @staticmethod
-    def radial_power(center, exponent, amplitude=1.0, clip=None):
+    def radial_power(center, exponent, amplitude=1.0):
         return WeightSpec(factors=(WeightFactor(
             kind="radial_power", value=float(amplitude),
             center=(float(center[0]), float(center[1])),
-            exponent=float(exponent)),), clip=clip)
+            exponent=float(exponent)),))
 
     @staticmethod
-    def surface_power(polyline, exponent, amplitude=1.0, clip=None):
+    def surface_power(polyline, exponent, amplitude=1.0):
         pl = tuple((float(x), float(y)) for x, y in polyline)
         if len(pl) < 2:
             raise CoefficientError("surface_power needs a polyline of >= 2 points")
         return WeightSpec(factors=(WeightFactor(
             kind="surface_power", value=float(amplitude),
-            exponent=float(exponent), polyline=pl),), clip=clip)
+            exponent=float(exponent), polyline=pl),))
 
     @staticmethod
-    def product(*specs, clip=None):
-        factors = tuple(f for s in specs for f in s.factors)
-        return WeightSpec(factors=factors, clip=clip)
+    def product(*specs):
+        return WeightSpec(factors=tuple(f for s in specs for f in s.factors))
 
     # -- evaluation --------------------------------------------------------
 
@@ -121,12 +117,6 @@ class WeightSpec:
                     "weight evaluated exactly on its singular set")
             with np.errstate(divide="ignore"):
                 vals *= f.value * d ** f.exponent
-        if self.clip is not None:
-            lo, hi = self.clip
-            if lo is not None:
-                vals = np.maximum(vals, lo)
-            if hi is not None:
-                vals = np.minimum(vals, hi)
         return vals
 
     @staticmethod
@@ -189,7 +179,7 @@ class WeightSpec:
                 parts.append(f"radial({f.center},{f.exponent:g},{f.value:g})")
             else:
                 parts.append(f"surface({f.polyline},{f.exponent:g},{f.value:g})")
-        return "*".join(parts) + (f"|clip{self.clip}" if self.clip else "")
+        return "*".join(parts)
 
 
 def graded_triangle_integrals(tris, weight, depth=12):
@@ -199,11 +189,15 @@ def graded_triangle_integrals(tris, weight, depth=12):
     triangle, and summed per triangle; no value depends on the other
     triangles.
 
-    Raises CoefficientError where w or 1/w is not locally integrable: at a
-    corner whose total exponent leaves (-2, 2), or on an edge whose total
-    surface exponent leaves (-1, 1).  Inside these ranges the Gauss–Jacobi
-    weights of the rule exist.
+    Raises CoefficientError unless ``depth`` is an integer in [1, 64], and
+    where w or 1/w is not locally integrable: at a corner whose total
+    exponent leaves (-2, 2), or on an edge whose total surface exponent
+    leaves (-1, 1).  Inside these ranges the Gauss–Jacobi weights of the
+    rule exist.
     """
+    if not (isinstance(depth, (int, np.integer)) and 1 <= depth <= 64):
+        raise CoefficientError(
+            f"quadrature depth must be an integer in [1, 64], got {depth!r}")
     tris = np.asarray(tris, dtype=float).reshape(-1, 3, 2)
     ends = np.stack([tris[:, [1, 2, 0]], tris[:, [2, 0, 1]]], axis=2)
     vertex = weight.vertex_exponents(tris.reshape(-1, 2)).reshape(-1, 3)
@@ -336,18 +330,6 @@ class CoefficientField:
         self._element_integrals = out
         return out
 
-    # -- derived fields ---------------------------------------------------------
-
-    def with_mesh_labels(self, mapping):
-        """Field on a mesh with relabeled triangles (weights dropped for
-        labels that were remapped away)."""
-        new_mesh = self.mesh.relabeled(mapping)
-        weights = {k: v for k, v in self.weights.items() if k not in mapping}
-        finite = {k: v for k, v in self.finite_values.items() if k not in mapping}
-        return CoefficientField(mesh=new_mesh, gamma0=self.gamma0,
-                                finite_values=finite, weights=weights,
-                                quad_depth=self.quad_depth)
-
     def provenance(self):
         hasher = hashlib.sha256()
         hasher.update(self.mesh.provenance().encode())
@@ -368,29 +350,3 @@ def homogeneous_field(mesh, gamma0=1.0):
     return CoefficientField(mesh=mesh.relabeled(
         {lab: BACKGROUND for lab in REGION_LABELS}), gamma0=gamma0)
 
-
-def bracket_coefficients(fld):
-    """Lower and upper bracketing fields: the weighted regions become
-    insulating (lower) or perfectly conducting (upper); everything else is
-    unchanged.  With no weighted regions both outputs are the field itself.
-
-    Raises CoefficientError when the merged insulating region disconnects
-    the rest of the domain (checked on the mesh adjacency graph).
-    """
-    region = fld.mesh.triangle_region
-    has_weights = np.any(np.isin(region, WEIGHT_LABELS))
-    if not has_weights:
-        return fld, fld
-
-    low = fld.with_mesh_labels({"Ddeg": "D0", "Dsing": "D0"})
-    up = fld.with_mesh_labels({"Ddeg": "Dinf", "Dsing": "Dinf"})
-
-    # Merged-extreme geometry re-check: complement of the enlarged D0 must
-    # stay connected, else the lower bracket loses solvability.
-    mask = low.mesh.triangle_region != "D0"
-    if not np.any(mask):
-        raise CoefficientError("lower bracket insulates the whole domain")
-    if not low.mesh.triangles_connected(mask):
-        raise CoefficientError(
-            "merged insulating region disconnects the domain complement")
-    return low, up

@@ -396,7 +396,9 @@ def edge_runs(edges):
 
 
 def _connected_through_edges(table, mask):
-    """`Mesh.triangles_connected` on the mesh's `edge_owners` table."""
+    """True when the masked triangles form one set connected through
+    shared edges (False when the mask is empty), read from the mesh's
+    `edge_owners` table."""
     idx = np.flatnonzero(mask)
     if len(idx) == 0:
         return False
@@ -454,11 +456,6 @@ class Mesh:
             cosang = np.sum(u * v, axis=1) / (np.hypot(*u.T) * np.hypot(*v.T))
             angles.append(np.degrees(np.arccos(np.clip(cosang, -1, 1))))
         return float(np.min(angles))
-
-    def triangles_connected(self, mask):
-        """True when the masked triangles form one set connected through
-        shared edges (False when the mask is empty)."""
-        return _connected_through_edges(edge_owners(self.triangles), mask)
 
     def gamma_edges(self):
         return self.boundary_edges[self.boundary_on_gamma]
@@ -718,11 +715,9 @@ def triangulate(domain, regions=None, target_h=0.1, extra_segments=(),
                 f"target_h={target_h} too coarse to resolve region {label}")
 
     # Boundary edges (incident to exactly one triangle) and gamma flags.
-    keys = np.sort(_corner_edge_keys(tris, len(verts)))
-    single = np.ones(len(keys), dtype=bool)
-    single[1:] = keys[1:] != keys[:-1]
-    single[:-1] &= keys[:-1] != keys[1:]
-    bedges = np.column_stack(np.divmod(keys[single], len(verts)))
+    edges, _ = edge_owners(tris)
+    first, counts = edge_runs(edges)
+    bedges = edges[first[counts == 1]]
     mid = (verts[bedges[:, 0]] + verts[bedges[:, 1]]) / 2.0
     on_gamma = domain.param_in_gamma(domain.boundary_param(mid))
 

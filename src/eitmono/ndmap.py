@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import fem
-from .coefficient import WEIGHT_LABELS, bracket_coefficients
+from .coefficient import WEIGHT_LABELS
 from .fem import ConfigurationError
 from .geometry import BACKGROUND, connected_labels
 
@@ -239,7 +239,8 @@ def field_painting(template, weighted=PAINT_BG):
     """`fem.StiffnessSystem`, numbered in vertex order, of the painting of a
     `field_template` with its field's labels and Ddeg and Dsing painted
     ``weighted``: the field itself, or its lower (PAINT_D0) or upper
-    (PAINT_DINF) bracket of `coefficient.bracket_coefficients`."""
+    (PAINT_DINF) bracket, which replaces every weighted region by 0 or by
+    infinity."""
     return template.system(np.array([PAINT_BG, PAINT_D0, PAINT_DINF, weighted])[template.part])
 
 
@@ -249,23 +250,27 @@ def field_system(fld, basis):
 
 
 def bracketed_maps(fld, basis, rtol=1e-10):
-    """`nd_matrix` of a field and, when it has weighted labels, of its
-    brackets (checked by `coefficient.bracket_coefficients` once the
-    field's painting is assembled), and the L+U nonzeros of their
-    factorizations.  All are paintings of one `field_template`, assembled
-    before the first is factored so that the template is released first."""
+    """`nd_matrix` of a field and, when it has weighted labels, of its lower
+    and upper brackets (tagged with the field's provenance plus "+lower"
+    and "+upper"), and the L+U nonzeros of their factorizations.  All are
+    paintings of one `field_template`, assembled before the first is
+    factored so that the template is released first.
+
+    A bracket painting that is not well posed raises as
+    `PaintTemplate.dof_map` does: a lower bracket that seals a part of the
+    domain off the measurement arc raises `CutOffError`."""
     template = field_template(fld, basis)
-    painted = [(fld, field_painting(template))]
-    low, up = bracket_coefficients(fld)
-    if low is not fld:
-        painted += [(low, field_painting(template, PAINT_D0)),
-                    (up, field_painting(template, PAINT_DINF))]
+    field_hash = fld.provenance()
+    painted = [(field_hash, field_painting(template))]
+    if np.any(template.part == 3):
+        painted += [(field_hash + "+lower", field_painting(template, PAINT_D0)),
+                    (field_hash + "+upper", field_painting(template, PAINT_DINF))]
     gd = template.gd
     del template
     maps, lu_nnz = [], 0
     while painted:   # each system and its factorization go once solved
-        f, system = painted.pop(0)
-        maps.append(_solve_and_pair(system, gd, f.provenance(), rtol))
+        tag, system = painted.pop(0)
+        maps.append(_solve_and_pair(system, gd, tag, rtol))
         lu_nnz += system.lu.nnz
     return maps, lu_nnz
 

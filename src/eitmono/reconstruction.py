@@ -33,7 +33,6 @@ import numpy as np
 
 from . import polygons as pg
 from .fem import ConfigurationError
-from .geometry import connected_labels
 from .monotonicity import MonotonicityVerdict, psd_test
 from .ndmap import CutOffError, NDError, PaintTemplate
 
@@ -77,17 +76,11 @@ def fill_enclosed(outside):
     """Outside cells not 4-connected through outside cells to the window
     border are enclosed pockets and flip to inside.  Returns
     (inside_after_fill, n_filled)."""
-    n = outside.shape[0]
-    ids = np.arange(n * n).reshape(n, n)
-    pairs = np.concatenate([np.stack([ids[:-1].ravel(), ids[1:].ravel()], axis=1),
-                            np.stack([ids[:, :-1].ravel(), ids[:, 1:].ravel()], axis=1)])
-    labels = connected_labels(n * n, pairs[outside.ravel()[pairs].all(axis=1)])
-    labels = labels.reshape(n, n)
-    border = np.zeros_like(outside)
-    border[[0, -1], :] = border[:, [0, -1]] = True
-    reach = outside & np.isin(labels, labels[border & outside])
-    pockets = outside & ~reach
-    return ~(outside & reach), int(np.sum(pockets))
+    # Imported on first use: importing scipy.ndimage takes about 26 ms.
+    from scipy.ndimage import binary_fill_holes
+
+    filled = binary_fill_holes(~outside)
+    return filled, int(np.sum(filled & outside))
 
 
 def rasterize_truth(regions, fam):

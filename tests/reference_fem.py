@@ -8,14 +8,15 @@ COO->CSC pass; both raise the errors of the template, in its order.
 `painted_field` paints polygons onto the extreme labels by point-in-polygon,
 so `nd_extreme` is the direct-path map that a template painting of the same
 grid cells is checked against.  `brute_force_nd` is the dense ND oracle on
-`build_dof_map`.
+`build_dof_map`.  `bracket_fields` builds a field's lower and upper
+brackets as relabeled fields, the oracle of `ndmap.bracketed_maps`.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
 from eitmono import polygons as pg
-from eitmono.coefficient import CoefficientField
+from eitmono.coefficient import WEIGHT_LABELS, CoefficientField
 from eitmono.fem import (_GL4_X, ConfigurationError, DofMap, NeumannLoad,
                          SolverError, StiffnessSystem, gamma_quadrature,
                          mesh_terms, solve_neumann)
@@ -66,6 +67,18 @@ def _check_conformity(mesh, parts, tol=1e-9):
         & np.any(strict_out[mesh.triangles], axis=1)
     if np.any(bad):
         raise NDError("mesh does not conform to the test inclusion polygon")
+
+
+def bracket_fields(fld):
+    """Lower and upper bracket of a field as fields on relabeled meshes: Ddeg
+    and Dsing become D0 (lower) or Dinf (upper) and their weights go; the
+    field itself twice when it has no weighted triangles."""
+    if not np.any(np.isin(fld.mesh.triangle_region, WEIGHT_LABELS)):
+        return fld, fld
+    return tuple(CoefficientField(mesh=fld.mesh.relabeled(dict.fromkeys(WEIGHT_LABELS, label)),
+                                  gamma0=fld.gamma0, finite_values=fld.finite_values,
+                                  quad_depth=fld.quad_depth)
+                 for label in ("D0", "Dinf"))
 
 
 def nd_extreme(mesh, parts, kind, gamma0, basis, rtol=1e-10):

@@ -1,7 +1,8 @@
 """Reference implementations: the direct loops and sorts that the
-vectorized mesher predicates replaced.  The fast paths in
-``eitmono.polygons`` and ``eitmono.geometry`` must reproduce them bit for
-bit."""
+vectorized mesher predicates replaced, and the grid-graph hole fill that
+``scipy.ndimage`` replaced.  The fast paths in ``eitmono.polygons``,
+``eitmono.geometry`` and ``eitmono.reconstruction`` must reproduce them bit
+for bit."""
 
 import itertools
 import math
@@ -9,6 +10,7 @@ import math
 import numpy as np
 
 from eitmono import polygons as pg
+from eitmono.geometry import connected_labels
 
 
 def ref_crossing_parity(pts, a, b):
@@ -298,3 +300,21 @@ def ref_validate_regions(domain, regions):
                 seen.add(frozenset((la, lb)))
                 violations.append(f"regions {la} and {lb} overlap")
     return violations
+
+
+def ref_fill_enclosed(outside):
+    """`reconstruction.fill_enclosed` through `connected_labels` on the
+    4-neighbour graph of the outside cells: cells whose component misses
+    the window border flip to inside.  Returns (inside_after_fill,
+    n_filled)."""
+    n = outside.shape[0]
+    ids = np.arange(n * n).reshape(n, n)
+    pairs = np.concatenate([np.stack([ids[:-1].ravel(), ids[1:].ravel()], axis=1),
+                            np.stack([ids[:, :-1].ravel(), ids[:, 1:].ravel()], axis=1)])
+    labels = connected_labels(n * n, pairs[outside.ravel()[pairs].all(axis=1)])
+    labels = labels.reshape(n, n)
+    border = np.zeros_like(outside)
+    border[[0, -1], :] = border[:, [0, -1]] = True
+    reach = outside & np.isin(labels, labels[border & outside])
+    pockets = outside & ~reach
+    return ~(outside & reach), int(np.sum(pockets))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from eitmono import geometry
+from eitmono import polygons as pg
 from eitmono.cli import Problem, main
 from eitmono.ndmap import NDMatrix
 
@@ -269,7 +270,13 @@ class TestConfigErrors:
           "Ddeg": [[[0.1, -0.2], [0.4, -0.2], [0.4, 0.2], [0.1, 0.2]]]},
          {"DFminus": 0.5, "Ddeg": {"kind": "constant", "value": 0.5}},
          "Ddeg not compactly contained"),
-    ], ids=["d0_annulus", "ddeg_touching_union_boundary"])
+        # the lower bracket of a weighted annulus seals off its island
+        ({"Ddeg": [pg.regular_polygon((0, 0), 0.45, 32).tolist(),
+                   pg.regular_polygon((0, 0), 0.25, 32)[::-1].tolist()]},
+         {"Ddeg": {"kind": "radial_power", "center": [0.0, 0.0], "exponent": 0.5,
+                   "amplitude": 1.0 / 0.45 ** 0.5}},
+         "complement of D0+Ddeg+Dsing not connected"),
+    ], ids=["d0_annulus", "ddeg_touching_union_boundary", "ddeg_annulus"])
     def test_mesh_clause_rejected(self, tmp_path, capsys, regions,
                                   coefficient, reason):
         cfg = write_config(tmp_path, phantom=None, regions=regions,
@@ -338,6 +345,27 @@ class TestConfigErrors:
                      "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"config error: {entry}: ")
+
+    @pytest.mark.parametrize("weight, key", [
+        ({"kind": "radial_power", "center": [0.0, 0.0], "exponent": 0.5,
+          "clip": [0.2, 0.8]}, "'clip'"),
+        ({"kind": "constant", "value": 0.5, "exponent": 1.0}, "'exponent'"),
+        ({"kind": "product", "clip": [0.2, 0.8], "factors": [
+            {"kind": "constant", "value": 0.5}]}, "'clip'"),
+        ({"kind": "product", "factors": [
+            {"kind": "surface_power", "segment": [[0.0, 0.0], [0.1, 0.0]],
+             "exponent": 0.5, "center": [0.0, 0.0]}]}, "'center'"),
+    ], ids=["radial_clip", "constant_exponent", "product_clip", "factor_center"])
+    def test_unknown_weight_key(self, tmp_path, capsys, weight, key):
+        # a key the weight's kind does not take is rejected, not ignored
+        cfg = write_config(tmp_path, phantom=None, regions={
+            "Ddeg": [[[-0.2, -0.2], [0.2, -0.2], [0.2, 0.2], [-0.2, 0.2]]]},
+            coefficient={"Ddeg": weight})
+        assert main(["forward", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: coefficient.Ddeg: ")
+        assert f"weight takes no key {key}" in err[0]
 
     @pytest.mark.parametrize("section, key, value", [
         ("mesh", "target_h", 0.0), ("mesh", "target_h", float("nan")),

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from eitmono import polygons as pg
 from eitmono.cli import Problem
 from eitmono.coefficient import (_FEATURE_TOL, CoefficientError, CoefficientField,
-                                 SingularNodeError, WeightSpec,
-                                 bracket_coefficients, graded_triangle_integrals)
+                                 SingularNodeError, WeightSpec, graded_triangle_integrals)
 from eitmono.geometry import RegionSet, triangulate
+from eitmono.ndmap import CutOffError, bracketed_maps, build_basis
 from eitmono import phantoms
 
 from conftest import build_field
@@ -43,9 +43,6 @@ class TestWeightSpec:
         w = WeightSpec.product(WeightSpec.radial_power((0, 0), 1.0),
                                WeightSpec.constant(3.0))
         assert np.isclose(w.eval(np.array([[0.5, 0.0]]))[0], 1.5)
-        wc = WeightSpec.radial_power((0, 0), 1.0, clip=(0.2, 0.8))
-        vals = wc.eval(np.array([[0.05, 0.0], [0.95, 0.0]]))
-        assert np.allclose(vals, [0.2, 0.8])
 
     def test_singular_node_error(self):
         w = WeightSpec.radial_power((0.0, 0.0), -0.5)
@@ -91,39 +88,40 @@ class TestValidation:
 
 
 class TestBracketing:
-    def test_no_weights_identity(self, disk_mesh):
+    def test_no_weights_identity(self, disk_mesh, basis8):
         fld = CoefficientField(mesh=disk_mesh, gamma0=1.0)
-        low, up = bracket_coefficients(fld)
-        assert low is fld and up is fld
+        maps, _ = bracketed_maps(fld, basis8)
+        assert [nd.field_hash for nd in maps] == [fld.provenance()]
 
     def test_weighted_annulus_brackets(self, disk):
         regions, spec = phantoms.build_phantom("weighted_annulus")
         mesh = triangulate(disk, regions, target_h=0.1)
         fld = build_field(mesh, spec)
-        low, up = bracket_coefficients(fld)
-        assert np.sum(low.mesh.triangle_region == "D0") > \
-            np.sum(fld.mesh.triangle_region == "D0")
-        assert np.sum(up.mesh.triangle_region == "Dinf") > 0
-        assert "Ddeg" not in low.weights and "Ddeg" not in up.weights
-        # pointwise order at quadrature nodes inside the weighted ring
+        maps, _ = bracketed_maps(fld, build_basis(mesh, 8))
+        assert [nd.field_hash for nd in maps] == [
+            fld.provenance() + tag for tag in ("", "+lower", "+upper")]
+        # 0 <= w <= gamma0 on the weighted ring, so the ND maps are ordered:
+        # the insulating lower bracket over the data over the upper bracket
         mask = fld.mesh.triangle_region == "Ddeg"
-        cents = fld.mesh.centroids()[mask]
-        w = fld.weights["Ddeg"].eval(cents)
+        w = fld.weights["Ddeg"].eval(fld.mesh.centroids()[mask])
         assert np.all(w > 0) and np.all(w <= 1.0 + 1e-12)
-        # lower maps the ring to 0, upper to infinity: 0 <= w <= inf
-        assert np.all(0.0 <= w)
+        nd, low, up = (m.matrix for m in maps)
+        scale = np.abs(nd).max()
+        assert np.linalg.eigvalsh(low - nd).min() >= -1e-10 * scale
+        assert np.linalg.eigvalsh(nd - up).min() >= -1e-10 * scale
+        assert np.linalg.eigvalsh(low - up).max() > 1e-3 * scale
 
     def test_disconnecting_bracket_rejected(self, disk):
         # an annular weighted region whose insulating bracket seals off an
-        # island; built directly (bypassing validate_regions on purpose)
+        # island; built directly (bypassing the region checks on purpose)
         outer = pg.regular_polygon((0, 0), 0.45, 32)
         inner = pg.regular_polygon((0, 0), 0.25, 32)[::-1].copy()
         regions = RegionSet(polys={"Ddeg": [outer, inner]})
         mesh = triangulate(disk, regions, target_h=0.1)
         w = WeightSpec.radial_power((0.0, 0.0), 0.5, amplitude=1.0 / 0.45 ** 0.5)
         fld = CoefficientField(mesh=mesh, gamma0=1.0, weights={"Ddeg": w})
-        with pytest.raises(CoefficientError):
-            bracket_coefficients(fld)
+        with pytest.raises(CutOffError):
+            bracketed_maps(fld, build_basis(mesh, 8))
 
 
 # Weights with a radial factor at CENTER, a surface factor on POLYLINE or
@@ -265,6 +263,15 @@ class TestElementIntegrals:
         v12 = graded_triangle_integrals(tri[None], w, depth=12)[0]
         v16 = graded_triangle_integrals(tri[None], w, depth=16)[0]
         assert abs(v12 - v16) / abs(v16) < 1e-10
+
+    @pytest.mark.parametrize("depth", [0, 65, 2.5])
+    @pytest.mark.parametrize("shift", [0.0, 5.0], ids=["graded", "plain"])
+    def test_depth_outside_range_rejected(self, depth, shift):
+        # the order is checked whether or not a triangle is graded
+        w = WeightSpec.radial_power((0.0, 0.0), -1.0)
+        tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]) + shift
+        with pytest.raises(CoefficientError, match=r"depth must be an integer in \[1, 64\]"):
+            graded_triangle_integrals(tri[None], w, depth=depth)
 
     def test_field_element_integrals(self, disk):
         regions, spec = phantoms.build_phantom("weighted_annulus")

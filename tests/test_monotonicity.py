@@ -4,11 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eitmono import phantoms
-from eitmono.coefficient import CoefficientField, bracket_coefficients
+from eitmono.coefficient import CoefficientField
 from eitmono.geometry import TestInclusion, triangulate
 from eitmono.monotonicity import (ProvenanceError, bracketing_chain, psd_test,
                                   theorem_test)
-from eitmono.ndmap import NDMatrix, build_basis, nd_matrix, perturb_symmetric
+from eitmono.ndmap import (NDMatrix, bracketed_maps, build_basis, nd_matrix,
+                           perturb_symmetric)
 from eitmono.reconstruction import grid_template
 
 from conftest import build_field
@@ -171,10 +172,7 @@ def chain_setup(disk, family8):
                        extra_segments=family8.grid_segments())
     fld = build_field(mesh, spec)
     basis = build_basis(mesh, 8)
-    nd = nd_matrix(fld, basis)
-    low, up = bracket_coefficients(fld)
-    nd_low = nd_matrix(low, basis)
-    nd_up = nd_matrix(up, basis)
+    (nd, nd_low, nd_up), _ = bracketed_maps(fld, basis)
     nd0, ndinf = window_maps(mesh, family8, basis)
     return nd, nd_low, nd_up, nd0, ndinf
 
@@ -207,9 +205,9 @@ class TestBracketingChain:
                            extra_segments=family8.grid_segments())
         fld = build_field(mesh, spec)
         basis = build_basis(mesh, 8)
-        nd = nd_matrix(fld, basis)
-        low, up = bracket_coefficients(fld)
-        assert low is fld and up is fld
+        maps, _ = bracketed_maps(fld, basis)
+        assert len(maps) == 1
+        nd = maps[0]
         nd0, ndinf = window_maps(mesh, family8, basis)
         report = bracketing_chain(nd, nd, nd, nd0, ndinf, tau=1e-4)
         assert report.lambda_mins[1] == 0.0

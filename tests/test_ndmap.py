@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from eitmono import fem, phantoms
 from eitmono.cli import Problem
-from eitmono.coefficient import (CoefficientField, WeightSpec,
-                                 bracket_coefficients, homogeneous_field)
+from eitmono.coefficient import CoefficientField, WeightSpec, homogeneous_field
 from eitmono.geometry import build_domain, triangulate
 from eitmono.monotonicity import psd_test
 from eitmono.ndmap import (BasisResolutionWarning, CurrentBasis, NDError,
@@ -23,7 +22,7 @@ from eitmono import polygons as pg
 
 from conftest import dirichlet_energy, gram_distance
 import reference_fem
-from reference_fem import cell_parts, nd_extreme, painted_field
+from reference_fem import bracket_fields, cell_parts, nd_extreme, painted_field
 
 
 def basis_mean_free(basis, mesh, tol):
@@ -627,7 +626,7 @@ def test_command_maps_match_reference_path(name):
     gamma0, family = problem.gamma0, problem.family
     window = cell_parts(family, family.whole_window().cells)
     every = range(problem.grid_n ** 2)
-    low, up = bracket_coefficients(fld)
+    low, up = bracket_fields(fld)
     template = grid_template(mesh, family, gamma0, basis)
     maps = [(nd_matrix(f, basis), f) for f in ({id(f): f for f in (fld, low, up)}.values())]
     for label, paint in (("D0", (every, [])), ("Dinf", ([], every))):
@@ -640,18 +639,21 @@ def test_command_maps_match_reference_path(name):
         assert np.abs(nd.matrix - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("name", ["weighted_annulus", "singular_core", "insulating_disk"])
+@pytest.mark.parametrize("name", ["weighted_annulus", "singular_core",
+                                  "surface_weighted_blob", "insulating_disk"])
 def test_bracketed_maps_match_nd_matrix(name, monkeypatch):
     # the data map and its brackets, painted on one field template, are the
-    # nd_matrix of each field bit for bit; the template is released before
-    # the first factorization
+    # nd_matrix of the field and of its relabeled bracket fields bit for
+    # bit, tagged with the field's provenance; the template is released
+    # before the first factorization
     from record_contract import contract_config
 
     problem = Problem(contract_config(name))
     problem.build_mesh()
     fld, basis = problem.build_field(), problem.build_basis()
-    low, up = bracket_coefficients(fld)
+    low, up = bracket_fields(fld)
     refs = [nd_matrix(f, basis) for f in {id(f): f for f in (fld, low, up)}.values()]
+    tags = [fld.provenance() + tag for tag in ("", "+lower", "+upper")][:len(refs)]
     templates, alive = [], []
     real_init, real_factor = PaintTemplate.__init__, fem.StiffnessSystem.factor
 
@@ -668,6 +670,6 @@ def test_bracketed_maps_match_nd_matrix(name, monkeypatch):
     maps, lu_nnz = bracketed_maps(fld, basis)
     assert len(templates) == 1 and alive == [False] * len(refs) and lu_nnz > 0
     assert len(maps) == len(refs) == (3 if low is not fld else 1)
-    for nd, ref in zip(maps, refs):
+    for nd, ref, tag in zip(maps, refs, tags):
         assert nd.matrix.tobytes() == ref.matrix.tobytes()
-        assert (nd.field_hash, nd.asymmetry) == (ref.field_hash, ref.asymmetry)
+        assert (nd.field_hash, nd.asymmetry) == (tag, ref.asymmetry)

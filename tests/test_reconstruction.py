@@ -19,6 +19,7 @@ from eitmono.reconstruction import (DEFAULT_TAU_ABS, ReconstructionResult,
 
 from conftest import build_field, gram_distance
 import reference_fem
+from reference_predicates import ref_fill_enclosed
 
 
 def make_result(inside):
@@ -44,6 +45,15 @@ class TestFill:
         filled, n = fill_enclosed(~inside)
         assert n == 0
         assert not filled[2, 3]
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
+    def test_random_grids_match_reference(self, n):
+        # the filled raster and the fill count agree with the grid-graph fill
+        rng = np.random.default_rng(n)
+        for outside in rng.random((200, n, n)) < rng.random((200, 1, 1)):
+            filled, count = fill_enclosed(outside)
+            ref, ref_count = ref_fill_enclosed(outside)
+            assert np.array_equal(filled, ref) and count == ref_count
 
     def test_truth_raster_fills_annulus(self, disk, family8):
         regions, _ = phantoms.build_phantom("weighted_annulus")
