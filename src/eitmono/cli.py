@@ -28,8 +28,8 @@ from .geometry import (GeometryError, MeshConformityError, RegionSet,
                        build_domain, mesh_region_faults, pixel_family,
                        triangulate, validate_regions)
 from .monotonicity import ProvenanceError, bracketing_chain
-from .ndmap import (NDError, NDMatrix, bracketed_maps, build_basis, nd_matrix,
-                    perturb_symmetric)
+from .ndmap import (NDError, NDMatrix, bracketed_maps, build_basis, gamma_data,
+                    nd_matrix, perturb_symmetric)
 from .oracle import disk_nd_eigenvalue
 from .reconstruction import (grid_template, rasterize, rasterize_truth,
                              reconstruct)
@@ -253,7 +253,20 @@ class Problem:
         return self.field
 
     def build_basis(self):
+        """The current basis on the mesh's measurement arc.  ``m`` may not
+        exceed the rank of the arc's quadrature (4 Gauss nodes per edge,
+        less the mean), and the basis Gram matrix must have a Cholesky
+        factor, as every generalized eigenvalue test needs."""
+        rank = 4 * int(np.sum(self.mesh.boundary_on_gamma)) - 1
+        if self.m > rank:
+            raise ConfigError(f"basis.m = {self.m} exceeds {rank}, the rank of the "
+                              f"measurement arc's quadrature on this mesh")
         self.basis = build_basis(self.mesh, self.m)
+        try:
+            np.linalg.cholesky(gamma_data(self.mesh, self.basis).gram)
+        except np.linalg.LinAlgError as exc:
+            raise ConfigError(f"basis.m = {self.m}: the basis Gram matrix on the "
+                              f"measurement arc is not positive definite") from exc
         return self.basis
 
 
@@ -275,6 +288,38 @@ def _with_noise(nd, args):
         return perturb_symmetric(nd, args.noise_rel, args.seed)
     except ValueError as exc:
         raise ConfigError(f"--noise-rel: {exc}") from exc
+
+
+# Relative bound on the difference between a measurements file's Gram
+# block and the Gram of the config's basis on the scan mesh.
+GRAM_RTOL = 1e-10
+
+
+def _read_measurements(path, problem):
+    """The ND matrix of a measurements file, checked against the problem:
+    finite (m, m) matrix and Gram blocks, the mesh and basis provenance,
+    and a Gram within `GRAM_RTOL` of the basis Gram."""
+    try:
+        nd = NDMatrix.from_text(path.read_text())
+    except (OSError, ValueError, IndexError) as exc:
+        raise ConfigError(f"measurements_file: {exc}") from exc
+    m = problem.m
+    for name, block in (("matrix", nd.matrix), ("Gram", nd.gram)):
+        if block.shape != (m, m) or not np.all(np.isfinite(block)):
+            raise ConfigError(f"measurements_file: the {name} block is not a "
+                              f"finite {m}x{m} matrix")
+    if nd.mesh_hash != problem.mesh.provenance():
+        raise ConfigError("measurements_file provenance does not match "
+                          "the mesh built from this config")
+    if nd.basis_hash != problem.basis.provenance():
+        raise ConfigError("measurements_file provenance does not match "
+                          "the basis built from this config")
+    gram = gamma_data(problem.mesh, problem.basis).gram
+    if np.max(np.abs(nd.gram - gram)) > GRAM_RTOL * np.max(np.abs(gram)):
+        raise ConfigError(f"measurements_file: the Gram block differs from the "
+                          f"basis Gram of this config by more than {GRAM_RTOL:.0e} "
+                          f"relative")
+    return nd
 
 
 def _measured_nd(problem, args):
@@ -334,17 +379,7 @@ def cmd_reconstruct(problem, out_dir, args):
     nd_file = _value(problem.cfg, "measurements_file",
                      lambda f: Path(f) if f else None)
     if nd_file:
-        try:
-            nd = NDMatrix.from_text(nd_file.read_text())
-        except (OSError, ValueError, IndexError) as exc:
-            raise ConfigError(f"measurements_file: {exc}") from exc
-        if nd.mesh_hash != problem.mesh.provenance():
-            raise ConfigError("measurements_file provenance does not match "
-                              "the mesh built from this config")
-        if nd.basis_hash != problem.basis.provenance():
-            raise ConfigError("measurements_file provenance does not match "
-                              "the basis built from this config")
-        nd = _with_noise(nd, args)
+        nd = _with_noise(_read_measurements(nd_file, problem), args)
     else:
         nd = _measured_nd(problem, args)
 
@@ -393,8 +428,8 @@ def cmd_chain(problem, out_dir, args):
     template = grid_template(problem.mesh, problem.family, problem.gamma0,
                              problem.basis)
     window = range(problem.grid_n ** 2)
-    nd0 = template.nd_map(window, [], problem.rtol)
-    ndinf = template.nd_map([], window, problem.rtol)
+    nd0 = template.solve(window, [], problem.rtol).nd
+    ndinf = template.solve([], window, problem.rtol).nd
     report = bracketing_chain(nd, nd_low, nd_up, nd0, ndinf, tau=problem.tau)
 
     (out_dir / "chain.txt").write_text("\n".join(report.log_lines()) + "\n")
@@ -482,6 +517,10 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--noise-rel", type=float, default=0.0)
     args = parser.parse_args(argv)
+    if args.seed < 0:
+        print(f"config error: --seed: expected an integer >= 0, got {args.seed}",
+              file=sys.stderr)
+        return EXIT_CONFIG
 
     try:
         cfg = json.loads(Path(args.config).read_text())

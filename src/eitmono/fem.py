@@ -13,6 +13,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .polygons import triangle_areas
+
 STATUS_FREE = 0
 STATUS_REMOVED = 1
 STATUS_MERGED = 2
@@ -86,11 +88,6 @@ class StiffnessSystem:
     def n(self):
         return self.dofmap.n_dofs
 
-    @property
-    def matrix(self):
-        """The stiffness block of the bordered matrix."""
-        return self.kmat[:self.n, :self.n]
-
     def bordered(self):
         return self.kmat
 
@@ -112,20 +109,6 @@ class StiffnessSystem:
         return self._factor
 
 
-def memo(cache, key, build):
-    """One-entry cache: the value cached under ``key``, built (evicting any
-    other entry) when the key is new.  The value's arrays are made
-    read-only, so every user shares it safely."""
-    if key not in cache:
-        value = build()
-        for arr in vars(value).values():
-            if isinstance(arr, np.ndarray):
-                arr.setflags(write=False)
-        cache.clear()
-        cache[key] = value
-    return cache[key]
-
-
 @dataclass(frozen=True)
 class MeshTerms:
     """Paint-independent arrays of one mesh: the P1 element geometry of
@@ -137,31 +120,23 @@ class MeshTerms:
     gamma_mass: np.ndarray     # integral of each gamma vertex's hat trace
 
 
-_MESH_TERMS = {}
-
-
 def mesh_terms(mesh):
-    """`MeshTerms` of a mesh, computed once per mesh provenance (label
-    changes keep the entry)."""
-    def build():
-        coords = mesh.vertices[mesh.triangles]
-        # Edge vectors opposite each local vertex.
-        e = np.stack([coords[:, 2] - coords[:, 1],
-                      coords[:, 0] - coords[:, 2],
-                      coords[:, 1] - coords[:, 0]], axis=1)
-        area2 = (e[:, 2, 0] * (-e[:, 1, 1]) - e[:, 2, 1] * (-e[:, 1, 0]))
-        area = 0.5 * np.abs(area2)
-        edges = mesh.gamma_edges()
-        d = mesh.vertices[edges[:, 1]] - mesh.vertices[edges[:, 0]]
-        half = 0.5 * np.hypot(d[:, 0], d[:, 1])
-        mass = np.bincount(edges.ravel(), weights=np.repeat(half, 2),
-                           minlength=mesh.num_vertices)
-        verts = np.unique(edges)
-        return MeshTerms(dots=np.einsum("nid,njd->nij", e, e),
-                         four_a2=4.0 * area ** 2, gamma_vertices=verts,
-                         gamma_mass=mass[verts])
-
-    return memo(_MESH_TERMS, mesh.provenance(), build)
+    """`MeshTerms` of a mesh (its labels play no part)."""
+    coords = mesh.triangle_coords()
+    # Edge vectors opposite each local vertex.
+    e = np.stack([coords[:, 2] - coords[:, 1],
+                  coords[:, 0] - coords[:, 2],
+                  coords[:, 1] - coords[:, 0]], axis=1)
+    area = np.abs(triangle_areas(coords))
+    edges = mesh.gamma_edges()
+    d = mesh.vertices[edges[:, 1]] - mesh.vertices[edges[:, 0]]
+    half = 0.5 * np.hypot(d[:, 0], d[:, 1])
+    mass = np.bincount(edges.ravel(), weights=np.repeat(half, 2),
+                       minlength=mesh.num_vertices)
+    verts = np.unique(edges)
+    return MeshTerms(dots=np.einsum("nid,njd->nij", e, e),
+                     four_a2=4.0 * area ** 2, gamma_vertices=verts,
+                     gamma_mass=mass[verts])
 
 
 # 4-point Gauss-Legendre on [0, 1].
@@ -202,16 +177,15 @@ def mean_free_norms(b):
     return np.linalg.norm(b, axis=0)
 
 
-def gamma_loads(mesh, densities):
+def gamma_loads(mesh, terms, densities):
     """Mean-projected loads of each density on the measurement-arc vertices
-    of `mesh_terms`, one column per density.
+    of the mesh's `mesh_terms` ``terms``, one column per density.
 
     Same arithmetic as the per-DOF loads of the tests' reference path,
     accumulated per vertex: gamma vertices are never removed or merged, so
     scattering a column through a DOF map gives that map's load bit for
     bit.
     """
-    terms = mesh_terms(mesh)
     edges = mesh.gamma_edges()
     pts, w = gamma_quadrature(mesh)
     gamma_length = mesh.gamma_length()

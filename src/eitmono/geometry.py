@@ -439,10 +439,7 @@ class Mesh:
         return self.vertices[t]
 
     def triangle_areas(self):
-        c = self.triangle_coords()
-        a, b, d = c[:, 0], c[:, 1], c[:, 2]
-        return 0.5 * ((b[:, 0] - a[:, 0]) * (d[:, 1] - a[:, 1])
-                      - (d[:, 0] - a[:, 0]) * (b[:, 1] - a[:, 1]))
+        return pg.triangle_areas(self.triangle_coords())
 
     def centroids(self):
         return self.triangle_coords().mean(axis=1)
@@ -509,32 +506,6 @@ class Mesh:
         for (i, j), g in zip(self.boundary_edges, self.boundary_on_gamma):
             buf.write(f"{i} {j} {int(g)}\n")
         return buf.getvalue()
-
-    @staticmethod
-    def from_text(text, domain):
-        lines = text.strip().split("\n")
-        nv, nt, ne = (int(v) for v in lines[0].split())
-        verts = np.array([[float(v) for v in lines[1 + i].split()] for i in range(nv)])
-        tris, labels = [], []
-        for i in range(nt):
-            parts = lines[1 + nv + i].split()
-            tris.append([int(parts[0]), int(parts[1]), int(parts[2])])
-            labels.append(parts[3])
-        edges, gamma = [], []
-        for i in range(ne):
-            parts = lines[1 + nv + nt + i].split()
-            edges.append([int(parts[0]), int(parts[1])])
-            gamma.append(bool(int(parts[2])))
-        tri = np.array(tris, dtype=int)
-        mesh = Mesh(verts, tri, np.array(labels, dtype="<U8"),
-                    np.array(edges, dtype=int), np.array(gamma, dtype=bool),
-                    0.0, domain)
-        c = mesh.triangle_coords()
-        hmax = max(np.hypot(*(c[:, 1] - c[:, 0]).T).max(),
-                   np.hypot(*(c[:, 2] - c[:, 1]).T).max(),
-                   np.hypot(*(c[:, 0] - c[:, 2]).T).max())
-        mesh.h = float(hmax)
-        return mesh
 
 
 # ---------------------------------------------------------------------------
@@ -675,8 +646,7 @@ def triangulate(domain, regions=None, target_h=0.1, extra_segments=(),
     # lines; dropping them keeps conformity (their leg edges stay on the
     # neighbors) and perturbs areas at roundoff level only.
     tc = arr[tris]
-    areas2 = np.abs((tc[:, 1, 0] - tc[:, 0, 0]) * (tc[:, 2, 1] - tc[:, 0, 1])
-                    - (tc[:, 2, 0] - tc[:, 0, 0]) * (tc[:, 1, 1] - tc[:, 0, 1]))
+    areas2 = 2.0 * np.abs(pg.triangle_areas(tc))
     elen = np.stack([np.hypot(*(tc[:, 1] - tc[:, 0]).T),
                      np.hypot(*(tc[:, 2] - tc[:, 1]).T),
                      np.hypot(*(tc[:, 0] - tc[:, 2]).T)])
@@ -691,9 +661,7 @@ def triangulate(domain, regions=None, target_h=0.1, extra_segments=(),
     tris = remap[tris]
 
     # Positive orientation.
-    a, b, c = verts[tris[:, 0]], verts[tris[:, 1]], verts[tris[:, 2]]
-    det = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (c[:, 0] - a[:, 0]) * (b[:, 1] - a[:, 1])
-    flip = det < 0
+    flip = pg.triangle_areas(verts[tris]) < 0
     tris[flip] = tris[flip][:, [0, 2, 1]]
 
     # Region labels from centroid parity.

@@ -74,9 +74,9 @@ def theorem_test(nd_gamma, member, template, tau=DEFAULT_TAU, side="both",
     lam_ins = lam_cond = np.nan
     ok_ins = ok_cond = True
     if side in ("both", "lower_only"):
-        lam_ins, ok_ins = psd_test(template.nd_map(cells, [], rtol), nd_gamma, tau=tau)
+        lam_ins, ok_ins = psd_test(template.solve(cells, [], rtol).nd, nd_gamma, tau=tau)
     if side in ("both", "upper_only"):
-        lam_cond, ok_cond = psd_test(nd_gamma, template.nd_map([], cells, rtol), tau=tau)
+        lam_cond, ok_cond = psd_test(nd_gamma, template.solve([], cells, rtol).nd, tau=tau)
     return MonotonicityVerdict(
         test_id=member.id,
         lambda_min_insulating=float(lam_ins),

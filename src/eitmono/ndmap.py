@@ -178,13 +178,12 @@ class NDMatrix:
 @dataclass(frozen=True)
 class GammaData:
     """Paint-independent part of every ND map on one (mesh, basis) pair:
-    the mesh's `fem.MeshTerms`, the basis loads on the measurement-arc
+    the mesh's `fem.MeshTerms`, the basis loads on its measurement-arc
     vertices (`fem.gamma_loads`) with their column norms, checked
     mean-free once here, and the Gram matrix (read-only arrays)."""
 
     terms: fem.MeshTerms
-    vertices: np.ndarray
-    loads: np.ndarray          # (len(vertices), m)
+    loads: np.ndarray          # (len(terms.gamma_vertices), m)
     load_norms: np.ndarray
     gram: np.ndarray
     mesh_hash: str
@@ -196,18 +195,20 @@ _GAMMA_DATA = {}
 
 def gamma_data(mesh, basis):
     """`GammaData` of a mesh and a basis, computed once per
-    (mesh.provenance(), basis.provenance()) and shared by every painting."""
+    (mesh.provenance(), basis.provenance()) and shared by every painting:
+    the one cache of the forward path, holding the last pair only."""
     key = (mesh.provenance(), basis.provenance())
-
-    def build():
-        loads = fem.gamma_loads(mesh, [basis.density(k) for k in range(basis.m)])
+    if key not in _GAMMA_DATA:
         terms = fem.mesh_terms(mesh)
-        return GammaData(terms=terms, vertices=terms.gamma_vertices,
-                         loads=loads, load_norms=fem.mean_free_norms(loads),
-                         gram=basis.gram(mesh),
-                         mesh_hash=key[0], basis_hash=key[1])
-
-    return fem.memo(_GAMMA_DATA, key, build)
+        loads = fem.gamma_loads(mesh, terms, [basis.density(k) for k in range(basis.m)])
+        gd = GammaData(terms=terms, loads=loads, load_norms=fem.mean_free_norms(loads),
+                       gram=basis.gram(mesh), mesh_hash=key[0], basis_hash=key[1])
+        for arr in [*vars(terms).values(), *vars(gd).values()]:
+            if isinstance(arr, np.ndarray):
+                arr.setflags(write=False)
+        _GAMMA_DATA.clear()
+        _GAMMA_DATA[key] = gd
+    return _GAMMA_DATA[key]
 
 
 # Label of each paint code; a painting gives every triangle one code.
@@ -220,8 +221,9 @@ def nd_matrix(fld, basis, rtol=1e-10):
     all basis densities, then the trace pairings B^T U of loads against
     potentials.  Only the painting-dependent work runs per call; the loads
     and the Gram matrix come from `gamma_data`."""
-    return _solve_and_pair(field_system(fld, basis), gamma_data(fld.mesh, basis),
-                           fld.provenance(), rtol)
+    gd = gamma_data(fld.mesh, basis)
+    b, sol = _solve(field_painting(field_template(fld, basis)), gd, rtol)
+    return _pair(b, sol.u, gd, fld.provenance())
 
 
 def field_template(fld, basis):
@@ -241,12 +243,8 @@ def field_painting(template, weighted=PAINT_BG):
     ``weighted``: the field itself, or its lower (PAINT_D0) or upper
     (PAINT_DINF) bracket, which replaces every weighted region by 0 or by
     infinity."""
-    return template.system(np.array([PAINT_BG, PAINT_D0, PAINT_DINF, weighted])[template.part])
-
-
-def field_system(fld, basis):
-    """`fem.StiffnessSystem` of a field: its `field_painting`."""
-    return field_painting(field_template(fld, basis))
+    codes = np.array([PAINT_BG, PAINT_D0, PAINT_DINF, weighted])[template.part]
+    return template.assemble(codes, template.dof_map(codes))
 
 
 def bracketed_maps(fld, basis, rtol=1e-10):
@@ -270,7 +268,8 @@ def bracketed_maps(fld, basis, rtol=1e-10):
     maps, lu_nnz = [], 0
     while painted:   # each system and its factorization go once solved
         tag, system = painted.pop(0)
-        maps.append(_solve_and_pair(system, gd, tag, rtol))
+        b, sol = _solve(system, gd, rtol)
+        maps.append(_pair(b, sol.u, gd, tag))
         lu_nnz += system.lu.nnz
     return maps, lu_nnz
 
@@ -278,7 +277,7 @@ def bracketed_maps(fld, basis, rtol=1e-10):
 def _loads(dofmap, gd):
     """The basis loads of `gd` on the DOFs of a map, one column each."""
     b = np.zeros((dofmap.n_dofs, gd.loads.shape[1]))
-    b[dofmap.dof_of_vertex[gd.vertices]] = gd.loads
+    b[dofmap.dof_of_vertex[gd.terms.gamma_vertices]] = gd.loads
     return b
 
 
@@ -305,14 +304,6 @@ def _pair(b, u, gd, field_hash):
     return NDMatrix(matrix=sym, gram=gd.gram.copy(), asymmetry=asym,
                     field_hash=field_hash, mesh_hash=gd.mesh_hash,
                     basis_hash=gd.basis_hash)
-
-
-def _solve_and_pair(system, gd, field_hash, rtol):
-    """Solve a grounded system for the basis loads of `gd` and pair the
-    potentials with the loads, under the residual, gamma-mean and
-    `MAX_ASYMMETRY` gates."""
-    b, sol = _solve(system, gd, rtol)
-    return _pair(b, sol.u, gd, field_hash)
 
 
 @dataclass
@@ -427,11 +418,6 @@ class PaintTemplate:
         code[list(inf)] = PAINT_DINF
         return code
 
-    def system(self, codes):
-        """`fem.StiffnessSystem` of a painting (a paint code per triangle,
-        one per part): its `dof_map` and the bordered matrix on it."""
-        return self.assemble(codes, self.dof_map(codes))
-
     def dof_map(self, codes):
         """`fem.DofMap` of a painting from the node graph, numbered in the
         template's order, after every check that the grounded system is
@@ -516,14 +502,11 @@ class PaintTemplate:
         return fem.StiffnessSystem(kmat=kmat, constraint=constraint, dofmap=dofmap,
                                    ordered=self.by_rank is not None)
 
-    def nd_map(self, zero, inf, rtol):
-        """ND matrix with the parts ``zero`` painted D0 and ``inf`` painted
-        Dinf, tagged with the mesh hash plus "+scan" in place of a field
-        hash.  The first background map sets the template's order."""
-        return self.solve(zero, inf, rtol).nd
-
     def solve(self, zero, inf, rtol, bases=()):
-        """`PaintedMap` of the painting of `nd_map`.  When the painting is
+        """`PaintedMap` of the painting with the parts ``zero`` painted D0
+        and ``inf`` painted Dinf, its ND matrix tagged with the mesh hash
+        plus "+scan" in place of a field hash.  The first background map
+        sets the template's order.  When the painting is
         one of the factored ``bases`` plus one cell that is background
         there, the map is updated on that base (`update`) under the gates
         of a factored map: the residual at rtol*|b| against the updated

@@ -20,6 +20,14 @@ def signed_area(poly):
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
+def triangle_areas(coords):
+    """Signed areas of an (n, 3, 2) array of triangles; positive for
+    counter-clockwise corners."""
+    a, b, c = coords[:, 0], coords[:, 1], coords[:, 2]
+    return 0.5 * ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
+                  - (c[:, 0] - a[:, 0]) * (b[:, 1] - a[:, 1]))
+
+
 def polygon_area(poly):
     return abs(signed_area(poly))
 

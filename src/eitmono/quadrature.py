@@ -14,6 +14,8 @@ triangle is graded at once.
 import numpy as np
 from scipy.special import roots_jacobi
 
+from .polygons import triangle_areas
+
 _SQRT15 = np.sqrt(15.0)
 
 # Degree-5, 7 points (Strang-Fix): barycentric points and area-normalized
@@ -55,13 +57,7 @@ def quad_nodes(tris):
     area."""
     tris = np.asarray(tris, dtype=float).reshape(-1, 3, 2)
     pts = np.einsum("kj,njd->nkd", _BARY, tris).reshape(-1, 2)
-    return pts, (_areas(tris)[:, None] * _WEIGHTS[None, :]).reshape(-1)
-
-
-def _areas(tris):
-    a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
-    return 0.5 * np.abs((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
-                        - (c[:, 0] - a[:, 0]) * (b[:, 1] - a[:, 1]))
+    return pts, (np.abs(triangle_areas(tris))[:, None] * _WEIGHTS[None, :]).reshape(-1)
 
 
 def _gauss_jacobi(n, beta):
@@ -100,7 +96,7 @@ def element_rule(tris, vertex, edge, depth):
 
     t = tris[graded]
     g = (t[:, 0] + t[:, 1] + t[:, 2]) / 3.0
-    third = _areas(t) / 3.0
+    third = np.abs(triangle_areas(t)) / 3.0
     degree = np.nan_to_num(edge[graded], nan=0.0)
     for a, b, c in _PIECES:
         mid = (t[:, a] + t[:, b]) / 2.0

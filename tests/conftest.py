@@ -50,10 +50,15 @@ def build_field(mesh, spec):
                             finite_values=finite, weights=weights).validate()
 
 
+def stiffness(system):
+    """The stiffness block of a grounded system's bordered matrix."""
+    return system.kmat[:system.n, :system.n]
+
+
 def dirichlet_energy(system, solution):
     """sigma-weighted Dirichlet energy of the solution (A-quadratic form)."""
     u = solution.u
-    return float(u @ (system.matrix @ u))
+    return float(u @ (stiffness(system) @ u))
 
 
 def energy(system, solution_or_vector, load):
@@ -62,7 +67,7 @@ def energy(system, solution_or_vector, load):
         else np.asarray(solution_or_vector, dtype=float)
     if v.shape != (system.n,):
         raise SolverError("energy: coefficient vector has wrong dimension")
-    return float(v @ (system.matrix @ v) - 2.0 * float(load.b @ v))
+    return float(v @ (stiffness(system) @ v) - 2.0 * float(load.b @ v))
 
 
 def expand(dofmap, u_dof, fill=0.0):

@@ -295,7 +295,7 @@ def brute_force_nd(fld, basis, max_vertices=2000):
     through the interior Dirichlet energy instead of boundary traces.  Of
     `src/` it takes the element integrals, the basis densities, the Gram
     matrix and the `DofMap` record, but nothing of the paint-template path
-    (`ndmap.field_system`) that numbers, assembles and solves every ND map.
+    (`ndmap.field_painting`) that numbers, assembles and solves every ND map.
 
     Guarded to small meshes; raises ValueError beyond ``max_vertices``.
     """

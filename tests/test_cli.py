@@ -63,6 +63,35 @@ class TestForward:
         assert main(["forward", "--config", str(cfg), "--out", str(out)]) == 0
         assert (out / "mesh.txt").exists()
 
+    def test_mesh_artifact_format(self, tmp_path):
+        # README's format: header `nv nt ne`, then nv lines `x y`, nt lines
+        # `i j k label` and ne lines `i j on_gamma`
+        cfg = write_config(tmp_path, phantom="two_blob_mixed", scan=None,
+                           domain={"shape": "disk", "gamma_arc": [0.0, 0.5]},
+                           artifacts={"mesh": True})
+        out = tmp_path / "out"
+        assert main(["forward", "--config", str(cfg), "--out", str(out)]) == 0
+        mesh = Problem(json.loads(cfg.read_text())).build_mesh(with_grid=False)
+        lines = (out / "mesh.txt").read_text().split("\n")
+        assert lines.pop() == ""
+        nv, nt, ne = map(int, lines[0].split())
+        assert (nv, nt, ne) == (mesh.num_vertices, mesh.num_triangles,
+                                len(mesh.boundary_edges))
+        assert len(lines) == 1 + nv + nt + ne
+        verts = [ln.split() for ln in lines[1:1 + nv]]
+        tris = [ln.split() for ln in lines[1 + nv:1 + nv + nt]]
+        edges = [ln.split() for ln in lines[1 + nv + nt:]]
+        assert np.array_equal(np.array(verts, dtype=float), mesh.vertices)
+        assert all(len(t) == 4 for t in tris)
+        assert np.array_equal(np.array([t[:3] for t in tris], dtype=int), mesh.triangles)
+        assert [t[3] for t in tris] == mesh.triangle_region.tolist()
+        assert {"D0", "Dinf", "bg"} == {t[3] for t in tris}
+        edge_ints = np.array(edges, dtype=int)
+        assert edge_ints.shape == (ne, 3)
+        assert np.array_equal(edge_ints[:, :2], mesh.boundary_edges)
+        assert np.array_equal(edge_ints[:, 2], mesh.boundary_on_gamma.astype(int))
+        assert 0 < edge_ints[:, 2].sum() < ne
+
 
 class TestReconstruct:
     def test_end_to_end_and_determinism(self, tmp_path):
@@ -517,6 +546,123 @@ def test_bad_measurements_file(tmp_path, capsys, content):
     assert "config error: measurements_file: " in capsys.readouterr().err
 
 
+def altered_measurements(tmp_path, alter):
+    """A config whose `measurements_file` is the forward output of the
+    default config with ``alter`` applied to its lines (row 1 is the first
+    matrix row, row 1 + m the first Gram row)."""
+    fwd = tmp_path / "fwd"
+    assert main(["forward", "--config", str(write_config(tmp_path)),
+                 "--out", str(fwd)]) == 0
+    lines = (fwd / "nd_gamma.txt").read_text().split("\n")
+    nd_file = tmp_path / "altered.txt"
+    nd_file.write_text("\n".join(alter(lines)))
+    return write_config(tmp_path, name="altered.json", measurements_file=str(nd_file))
+
+
+def with_entry(lines, row, value):
+    """``lines`` with the first entry of line ``row`` replaced by ``value(old)``."""
+    entries = lines[row].split()
+    entries[0] = repr(value(float(entries[0])))
+    return lines[:row] + [" ".join(entries)] + lines[row + 1:]
+
+
+def unreadable_config(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text("{")
+    return path
+
+
+# Inputs each library error must turn into one documented line and exit
+# code: (command, config builder, extra flags, exit code, stderr prefix).
+NO_TRACEBACK = {
+    "gram_singular_on_short_arc": (
+        "forward", lambda tmp: write_config(
+            tmp, phantom="homogeneous", scan=None, mesh={"target_h": 0.15},
+            basis={"m": 16}, domain={"shape": "disk", "gamma_arc": [0.0, 0.01]}),
+        [], 2, "config error: basis.m = 16 exceeds 11"),
+    "nan_measurement": (
+        "reconstruct", lambda tmp: altered_measurements(
+            tmp, lambda lines: with_entry(lines, 1, lambda v: float("nan"))),
+        [], 2, "config error: measurements_file: the matrix block"),
+    "altered_measurement_gram": (
+        "reconstruct", lambda tmp: altered_measurements(
+            tmp, lambda lines: with_entry(lines, 7, lambda v: 1.5 * v)),
+        [], 2, "config error: measurements_file: the Gram block differs"),
+    "negative_seed": (
+        "forward", write_config, ["--seed", "-1", "--noise-rel", "1e-3"],
+        2, "config error: --seed: "),
+    "fractional_m": (
+        "forward", lambda tmp: write_config(tmp, basis={"m": 2.5}), [],
+        2, "config error: basis.m: "),
+    "unknown_phantom": (
+        "chain", lambda tmp: write_config(tmp, phantom="wat"), [], 2, "config error: "),
+    "overlapping_regions": (
+        "reconstruct", lambda tmp: write_config(tmp, phantom=None, regions={
+            "D0": [[[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]]],
+            "Dinf": [[[-0.2, -0.2], [0.2, -0.2], [0.2, 0.2], [-0.2, 0.2]]]}),
+        [], 2, "config error: regions invalid: "),
+    "unreadable_json": (
+        "forward", unreadable_config, [], 2, "config error: "),
+    "residual_gate": (
+        "forward", lambda tmp: write_config(tmp, solver={"rtol": 1e-300}), [],
+        3, "solver error: solve failed for the basis loads: "),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NO_TRACEBACK))
+def test_errors_print_one_line_and_no_traceback(tmp_path, capsys, case):
+    command, config, flags, code, prefix = NO_TRACEBACK[case]
+    cfg = config(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out), *flags]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith(prefix), err
+    assert not (out / "nd_gamma.txt").exists()
+
+
+def test_gram_without_cholesky_factor(tmp_path, capsys, monkeypatch):
+    # a basis Gram that is singular on the arc although m is within the
+    # quadrature's rank is rejected before any map is solved
+    from eitmono import ndmap
+
+    real = ndmap.CurrentBasis.gram
+
+    def singular(self, mesh):
+        gram = real(self, mesh)
+        gram[:, -1] = gram[-1] = 0.0
+        return gram
+
+    monkeypatch.setattr(ndmap.CurrentBasis, "gram", singular)
+    monkeypatch.setattr(ndmap, "_GAMMA_DATA", {})
+    out = tmp_path / "out"
+    assert main(["forward", "--config", str(write_config(tmp_path)),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: basis.m = 6: the basis Gram matrix on the measurement "
+        "arc is not positive definite\n")
+    assert not (out / "nd_gamma.txt").exists()
+
+
+@pytest.mark.parametrize("command", ["forward", "reconstruct", "chain"])
+def test_mesh_terms_once_per_command(tmp_path, monkeypatch, command):
+    from eitmono import fem, ndmap
+
+    calls = []
+    real = fem.mesh_terms
+
+    def counting(mesh):
+        calls.append(mesh.provenance())
+        return real(mesh)
+
+    monkeypatch.setattr(fem, "mesh_terms", counting)
+    monkeypatch.setattr(ndmap, "_GAMMA_DATA", {})
+    cfg = write_config(tmp_path, phantom="weighted_annulus")
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
+
+
 def test_cell_errors_in_metrics(tmp_path, monkeypatch):
     from eitmono import reconstruction
     from eitmono.fem import ConfigurationError
@@ -592,7 +738,7 @@ def test_scan_maps_skip_the_direct_path(tmp_path, monkeypatch):
             return real(*args, **kwargs)
         return wrapped
 
-    for owner, name in ((ndmap, "field_system"),
+    for owner, name in ((ndmap, "field_template"),
                         (ndmap.PaintTemplate, "__init__"),
                         (CoefficientField, "provenance"),
                         (geometry.Mesh, "provenance")):

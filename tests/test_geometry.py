@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from eitmono import geometry, phantoms
 from eitmono import polygons as pg
-from eitmono.geometry import (GeometryError, Mesh, MeshConformityError,
+from eitmono.geometry import (GeometryError, MeshConformityError,
                               RegionSet, _arrange_segments, _chop_to_length,
                               _edge_keys,
                               build_domain, connected_labels, edge_owners,
@@ -275,14 +275,6 @@ class TestTriangulate:
             np.hypot(*(mesh.vertices[j] - mesh.vertices[i]))
             for i, j in mesh.boundary_edges)
         assert abs(frac - 0.5) < 0.01
-
-    def test_text_roundtrip(self, disk, disk_mesh):
-        text = disk_mesh.to_text()
-        back = Mesh.from_text(text, disk)
-        assert np.allclose(back.vertices, disk_mesh.vertices)
-        assert np.array_equal(back.triangles, disk_mesh.triangles)
-        assert np.array_equal(back.triangle_region, disk_mesh.triangle_region)
-        assert np.array_equal(back.boundary_on_gamma, disk_mesh.boundary_on_gamma)
 
     def test_provenance_ignores_labels(self, disk_mesh):
         relabeled = disk_mesh.relabeled({"bg": "bg"})

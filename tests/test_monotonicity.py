@@ -147,12 +147,12 @@ class TestTheoremTest:
         small = family8.flat([(3, 3)])
         big = family8.flat([(3, 3), (4, 3), (3, 4)])
         tau = 1e-7
-        nd0s = template.nd_map(small, [], 1e-10)
-        nd0b = template.nd_map(big, [], 1e-10)
+        nd0s = template.solve(small, [], 1e-10).nd
+        nd0b = template.solve(big, [], 1e-10).nd
         lam, ok = psd_test(nd0b, nd0s, tau=tau)
         assert ok
-        ndis = template.nd_map([], small, 1e-10)
-        ndib = template.nd_map([], big, 1e-10)
+        ndis = template.solve([], small, 1e-10).nd
+        ndib = template.solve([], big, 1e-10).nd
         lam2, ok2 = psd_test(ndis, ndib, tau=tau)
         assert ok2
 
@@ -162,7 +162,7 @@ def window_maps(mesh, family, basis):
     template of the mesh, as `chain` paints it."""
     template = grid_template(mesh, family, 1.0, basis)
     every = range(family.grid_n ** 2)
-    return template.nd_map(every, [], 1e-10), template.nd_map([], every, 1e-10)
+    return template.solve(every, [], 1e-10).nd, template.solve([], every, 1e-10).nd
 
 
 @pytest.fixture(scope="module")

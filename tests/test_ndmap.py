@@ -7,14 +7,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from eitmono import fem, phantoms
+from eitmono import fem, ndmap, phantoms
 from eitmono.cli import Problem
 from eitmono.coefficient import CoefficientField, WeightSpec, homogeneous_field
 from eitmono.geometry import build_domain, triangulate
 from eitmono.monotonicity import psd_test
 from eitmono.ndmap import (BasisResolutionWarning, CurrentBasis, NDError,
                            NDMatrix, PaintTemplate, bracketed_maps, build_basis,
-                           field_system, gamma_data, nd_matrix,
+                           field_painting, field_template, gamma_data, nd_matrix,
                            perturb_symmetric)
 from eitmono.oracle import disk_nd_eigenvalue
 from eitmono.reconstruction import grid_template
@@ -320,7 +320,7 @@ def test_gamma_data_once_per_mesh_and_basis(disk, grid_mesh, family8,
     calls_before = len(gram_calls)
     gd16 = gamma_data(mesh, b16)
     assert gram_calls[calls_before:] == [16]
-    assert gd16.loads.shape == (len(gd8.vertices), 16)
+    assert gd16.loads.shape == (len(gd8.terms.gamma_vertices), 16)
     assert np.array_equal(gd16.loads[:, :8], gd8.loads)
     assert np.array_equal(gd16.gram, refs[16])
     for fld in (CoefficientField(mesh=mesh, gamma0=1.0), painted):
@@ -344,12 +344,24 @@ def test_nd_maps_share_no_mutable_state(disk_mesh, disk_field, basis8):
     noisy.gram[0, 0] += 1.0
     assert np.array_equal(second.gram, basis8.gram(disk_mesh))
     gd = gamma_data(disk_mesh, basis8)
-    terms = fem.mesh_terms(disk_mesh)
-    for arr in (gd.vertices, gd.loads, gd.gram, terms.dots,
-                terms.four_a2, terms.gamma_mass):
+    terms = gd.terms
+    for arr in (gd.loads, gd.load_norms, gd.gram, terms.dots, terms.four_a2,
+                terms.gamma_vertices, terms.gamma_mass):
         assert not arr.flags.writeable
     with pytest.raises(ValueError):
         gd.loads[0, 0] = 0.0
+
+
+def test_gamma_data_arrays_are_read_only(disk_mesh, basis8, monkeypatch):
+    # the one cache of the forward path is shared by every painting: none
+    # of its arrays, those of its mesh terms included, can be written
+    monkeypatch.setattr(ndmap, "_GAMMA_DATA", {})
+    gd = gamma_data(disk_mesh, basis8)
+    arrays = [value for record in (gd, gd.terms) for value in vars(record).values()
+              if isinstance(value, np.ndarray)]
+    assert len(arrays) == 7
+    assert not any(arr.flags.writeable for arr in arrays)
+    assert gamma_data(disk_mesh, basis8) is gd
 
 
 @pytest.fixture(scope="module")
@@ -421,7 +433,7 @@ def template(grid_mesh, family8):
 
 def test_scan_map_solves_once(template, factors):
     tpl, _ = template
-    tpl.nd_map([9, 10], [45], 1e-10)
+    tpl.solve([9, 10], [45], 1e-10)
     assert [f.solves for f in factors] == [1]
 
 
@@ -434,7 +446,7 @@ def template_map(tpl, ranks):
     """Template map of a labeling; labelings that leave part of the domain
     cut off from gamma are rejected (both paths raise, tested below)."""
     try:
-        return tpl.nd_map(*painted_cells(ranks), 1e-10)
+        return tpl.solve(*painted_cells(ranks), 1e-10).nd
     except fem.ConfigurationError:
         assume(False)
 
@@ -487,7 +499,7 @@ def test_enclosed_pocket_raises_like_direct_path(template, family8, grid_mesh,
     with pytest.raises(fem.ConfigurationError) as direct:
         reference_fem.build_dof_map(painted_field(grid_mesh, paint, 1.0).mesh)
     with pytest.raises(fem.ConfigurationError, match=re.escape(str(direct.value))):
-        tpl.system(tpl.cell_codes(zero, inf)[tpl.part])
+        tpl.dof_map(tpl.cell_codes(zero, inf)[tpl.part])
 
 
 @settings(max_examples=20, deadline=None)
@@ -506,7 +518,7 @@ def test_one_cell_update_matches_direct_path(template, base_ranks, cell, rank):
     ranks[cell] = rank
     zero, inf = painted_cells(ranks)
     try:
-        ref = tpl.nd_map(zero, inf, 1e-10)
+        ref = tpl.solve(zero, inf, 1e-10).nd
     except fem.ConfigurationError as exc:
         with pytest.raises(fem.ConfigurationError, match=re.escape(str(exc))):
             tpl.solve(zero, inf, 1e-10, [base])
@@ -605,9 +617,9 @@ def test_field_system_matches_reference_path(coarse_disk, seeds, bands, ringed):
         ref = reference_fem.assemble(fld, reference_fem.build_dof_map(labelled))
     except (fem.ConfigurationError, fem.SolverError) as exc:
         with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
-            field_system(fld, basis)
+            field_painting(field_template(fld, basis))
         return
-    got = field_system(fld, basis)
+    got = field_painting(field_template(fld, basis))
     assert np.array_equal(got.dofmap.dof_of_vertex, ref.dofmap.dof_of_vertex)
     assert not got.ordered
     reference_fem.assert_same_system(got, ref)
@@ -631,9 +643,9 @@ def test_command_maps_match_reference_path(name):
     maps = [(nd_matrix(f, basis), f) for f in ({id(f): f for f in (fld, low, up)}.values())]
     for label, paint in (("D0", (every, [])), ("Dinf", ([], every))):
         painted = painted_field(mesh, [(window, label)], gamma0)
-        maps += [(template.nd_map(*paint, 1e-10), painted),
+        maps += [(template.solve(*paint, 1e-10).nd, painted),
                  (nd_matrix(painted, basis), painted)]
-    maps.append((template.nd_map([], [], 1e-10), homogeneous_field(mesh, gamma0)))
+    maps.append((template.solve([], [], 1e-10).nd, homogeneous_field(mesh, gamma0)))
     for nd, f in maps:
         ref = reference_fem.reference_nd(f, basis).matrix
         assert np.abs(nd.matrix - ref).max() <= 1e-12 * np.abs(ref).max()

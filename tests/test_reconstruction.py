@@ -192,7 +192,7 @@ class TestCellPainting:
                            extra_segments=family8.grid_segments())
         template = grid_template(mesh, family8, 1.0, build_basis(mesh, 2))
         # the background map sets the shared order every painting uses
-        template.nd_map([], [], 1e-10)
+        template.solve([], [], 1e-10)
         rng = np.random.default_rng(sum(map(ord, name)))
         cells = [(i, j) for i in range(8) for j in range(8)]
         for _ in range(4):
@@ -210,9 +210,9 @@ class TestCellPainting:
                 dofmap = reference_fem.build_dof_map(fld.mesh)
             except ConfigurationError as exc:
                 with pytest.raises(ConfigurationError, match=re.escape(str(exc))):
-                    template.system(codes)
+                    template.dof_map(codes)
                 continue
-            system = template.system(codes)
+            system = template.assemble(codes, template.dof_map(codes))
             assert system.ordered
             reference_fem.assert_same_system(system,
                                              reference_fem.assemble(fld, dofmap))
@@ -544,8 +544,10 @@ def fill_ratios(maps):
     the border row."""
     got, ref = [], []
     for tpl, zero, inf, p in maps[1:]:
-        system = tpl.system(tpl.cell_codes(zero, inf)[tpl.part]) if p.system is None \
-            else p.system
+        system = p.system
+        if system is None:
+            codes = tpl.cell_codes(zero, inf)[tpl.part]
+            system = tpl.assemble(codes, tpl.dof_map(codes))
         system.factor()
         dofmap = system.dofmap
         free = np.flatnonzero(dofmap.vertex_status == fem.STATUS_FREE)
@@ -581,7 +583,8 @@ def test_shared_order_maps_match_mmd_factorization(regression_scans):
             mmd = fem.StiffnessSystem(kmat=system.kmat,
                                       constraint=system.constraint,
                                       dofmap=system.dofmap)
-            ref = ndmap._solve_and_pair(mmd, gd, nd.field_hash, 1e-10)
+            b, sol = ndmap._solve(mmd, gd, 1e-10)
+            ref = ndmap._pair(b, sol.u, gd, nd.field_hash)
             assert np.abs(nd.matrix - ref.matrix).max() \
                 <= 1e-12 * np.abs(ref.matrix).max()
 
@@ -594,7 +597,7 @@ def test_updated_maps_match_direct_path(regression_scans):
         updated = [(tpl, zero, inf, p) for tpl, zero, inf, p in maps if p.system is None]
         assert len(updated) == res.n_update > 0
         for tpl, zero, inf, p in updated:
-            assert gram_distance(p.nd, tpl.nd_map(zero, inf, 1e-10)) <= 1e-10
+            assert gram_distance(p.nd, tpl.solve(zero, inf, 1e-10).nd) <= 1e-10
 
 
 def test_probes_inside_the_opposite_box(regression_scans):
