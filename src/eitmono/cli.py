@@ -18,6 +18,7 @@ import json
 import math
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -162,7 +163,8 @@ class Problem:
             try:
                 self.regions, self.coeff_spec = phantoms.build_phantom(phantom)
             except KeyError as exc:
-                raise ConfigError(str(exc)) from exc
+                # str() of a KeyError quotes its message; print it as is.
+                raise ConfigError(exc.args[0]) from exc
         else:
             self.regions = self._regions_from_cfg(cfg)
             self.coeff_spec = self._coeff_from_cfg(cfg)
@@ -541,7 +543,9 @@ def main(argv=None):
 
     _snapshot(cfg, out_dir)
     try:
-        return COMMANDS[args.command](problem, out_dir, args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _print_warning
+            return COMMANDS[args.command](problem, out_dir, args)
     except (ConfigError, CoefficientError, GeometryError,
             MeshConformityError, ProvenanceError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -549,6 +553,12 @@ def main(argv=None):
     except (fem.SolverError, fem.ConfigurationError, NDError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+
+
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    """A warning a command raises, such as `ndmap.BasisResolutionWarning`,
+    as one ``warning: <message>`` line on stderr."""
+    print(f"warning: {message}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -252,20 +252,7 @@ def _arrange_segments(segments, extra_points):
     tol = pg.SNAP_TOL
 
     # Candidate pairs i < j with overlapping bounding boxes, in row order.
-    lo = np.minimum(seg_a, seg_b)
-    hi = np.maximum(seg_a, seg_b)
-    first, second = [], []
-    for r0 in range(0, n, 256):
-        rows = np.arange(r0, min(n, r0 + 256))
-        near = ~((lo[None, :, 0] > hi[rows, None, 0] + tol)
-                 | (hi[None, :, 0] < lo[rows, None, 0] - tol)
-                 | (lo[None, :, 1] > hi[rows, None, 1] + tol)
-                 | (hi[None, :, 1] < lo[rows, None, 1] - tol))
-        r, c = np.nonzero(near & (np.arange(n)[None, :] > rows[:, None]))
-        first.append(rows[r])
-        second.append(c)
-    i = np.concatenate(first)
-    j = np.concatenate(second)
+    i, j = pg.box_pairs(np.minimum(seg_a, seg_b), np.maximum(seg_a, seg_b), tol)
     a, b, c, d = seg_a[i], seg_b[i], seg_a[j], seg_b[j]
 
     # Points found on a segment, as (segment, other, rank, point): a proper
@@ -362,7 +349,7 @@ def connected_labels(n, pairs):
     pairs = np.asarray(pairs, dtype=np.int32).reshape(-1, 2)
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(pairs[:, 0], minlength=n), out=indptr[1:])
-    heads = pairs[np.argsort(pairs[:, 0], kind="stable"), 1]
+    heads = pairs[pg.stable_order(pairs[:, 0]), 1]
     graph = sp.csr_matrix((np.ones(len(pairs)), heads, indptr), shape=(n, n))
     return connected_components(graph, directed=False)[1]
 
@@ -381,7 +368,7 @@ def edge_owners(tris):
     in triangle order."""
     n = int(tris.max()) + 1 if len(tris) else 1
     keys = _corner_edge_keys(tris, n)
-    order = np.argsort(keys, kind="stable")
+    order = pg.stable_order(keys)
     edges = np.column_stack(np.divmod(keys[order], n)).astype(tris.dtype, copy=False)
     return edges, order // 3
 
@@ -445,14 +432,15 @@ class Mesh:
         return self.triangle_coords().mean(axis=1)
 
     def min_angle_deg(self):
+        """The smallest corner angle: arccos of the largest corner cosine,
+        as arccos is decreasing."""
         c = self.triangle_coords()
-        angles = []
+        cosines = []
         for k in range(3):
             u = c[:, (k + 1) % 3] - c[:, k]
             v = c[:, (k + 2) % 3] - c[:, k]
-            cosang = np.sum(u * v, axis=1) / (np.hypot(*u.T) * np.hypot(*v.T))
-            angles.append(np.degrees(np.arccos(np.clip(cosang, -1, 1))))
-        return float(np.min(angles))
+            cosines.append(np.sum(u * v, axis=1) / (np.hypot(*u.T) * np.hypot(*v.T)))
+        return float(np.degrees(np.arccos(np.clip(np.max(cosines), -1, 1))))
 
     def gamma_edges(self):
         return self.boundary_edges[self.boundary_on_gamma]
@@ -652,6 +640,8 @@ def triangulate(domain, regions=None, target_h=0.1, extra_segments=(),
                      np.hypot(*(tc[:, 0] - tc[:, 2]).T)])
     sliver = areas2 < 1e-7 * np.max(elen, axis=0) ** 2
     tris = tris[~sliver]
+    # Reindexing and reorienting below keep every edge's length.
+    hmax = elen[:, ~sliver].max()
 
     # Drop unreferenced vertices and reindex.
     used = np.flatnonzero(np.bincount(tris.ravel(), minlength=len(arr)))
@@ -688,11 +678,6 @@ def triangulate(domain, regions=None, target_h=0.1, extra_segments=(),
     bedges = edges[first[counts == 1]]
     mid = (verts[bedges[:, 0]] + verts[bedges[:, 1]]) / 2.0
     on_gamma = domain.param_in_gamma(domain.boundary_param(mid))
-
-    cc = verts[tris]
-    hmax = max(np.hypot(*(cc[:, 1] - cc[:, 0]).T).max(),
-               np.hypot(*(cc[:, 2] - cc[:, 1]).T).max(),
-               np.hypot(*(cc[:, 0] - cc[:, 2]).T).max())
 
     mesh = Mesh(verts, tris, labels, bedges, on_gamma, float(hmax), domain)
     if mesh.min_angle_deg() < min_angle_deg:

@@ -19,6 +19,7 @@ from . import fem
 from .coefficient import WEIGHT_LABELS
 from .fem import ConfigurationError
 from .geometry import BACKGROUND, connected_labels
+from .polygons import stable_order
 
 
 class BasisResolutionWarning(UserWarning):
@@ -322,6 +323,19 @@ class PaintedMap:
     x: np.ndarray = None
 
 
+def _firsts(labels):
+    """The first index of each distinct non-negative integer label, in
+    label order, and the rank of every entry's label among them: what
+    ``np.unique(labels, return_index=True, return_inverse=True)`` gives
+    after its unique values."""
+    order = stable_order(labels)
+    start = np.ones(len(order), dtype=bool)
+    start[1:] = labels[order[1:]] != labels[order[:-1]]
+    rank = np.empty(len(order), dtype=np.intp)
+    rank[order] = np.cumsum(start) - 1
+    return order[start], rank
+
+
 class PaintTemplate:
     """Paint-independent part of every map on one mesh, partition of its
     triangles (the part of each, 0 <= part < n_parts), set of element
@@ -359,26 +373,25 @@ class PaintTemplate:
         self.n_parts = n_parts
 
         # Nodes: triangles are joined when they share a vertex and a part.
-        corner_v = tris.ravel()
-        corner_c = np.repeat(part, 3)
-        order = np.lexsort((corner_c, corner_v))
+        corner = tris.ravel().astype(np.int64) * n_parts + np.repeat(part, 3)
+        order = stable_order(corner)
         tri = order // 3
-        same = (np.diff(corner_v[order]) == 0) & (np.diff(corner_c[order]) == 0)
+        same = np.diff(corner[order]) == 0
         pieces = connected_labels(len(tris), np.stack([tri[:-1][same], tri[1:][same]], axis=1))
-        _, self.node_tri, node = np.unique(pieces, return_index=True, return_inverse=True)
+        # Each piece's first triangle, and the piece of every triangle.
+        self.node_tri, node = _firsts(pieces)
         self.node_part = part[self.node_tri]
         n_nodes = len(self.node_tri)
 
         # Node-vertex incidence in vertex order; every pair of nodes at one
         # vertex is linked.
-        inc = np.unique(corner_v.astype(np.int64) * n_nodes + np.repeat(node, 3))
+        inc = np.unique(tris.ravel().astype(np.int64) * n_nodes + np.repeat(node, 3))
         self.inc_vertex, self.inc_node = np.divmod(inc, n_nodes)
         m = sp.csr_matrix((np.ones(len(inc)), (self.inc_node, self.inc_vertex)),
                           shape=(n_nodes, nv))
         shared = sp.triu(m @ m.T, 1, format="coo")
         self.links = np.stack([shared.row, shared.col], axis=1)
-        _, first = np.unique(self.inc_node, return_index=True)
-        self.lowest = self.inc_vertex[first]
+        self.lowest = self.inc_vertex[_firsts(self.inc_node)[0]]
 
         def touches(vertices):
             flag = np.zeros(nv, dtype=bool)
@@ -397,7 +410,7 @@ class PaintTemplate:
         # slot in that order; rows n_slots + k count the triangles of slot k.
         keys = (np.tile(tris, (1, 3)).astype(np.int64) * nv
                 + np.repeat(tris, 3, axis=1)).ravel()
-        by_slot = np.argsort(keys, kind="stable").astype(np.int32)
+        by_slot = stable_order(keys).astype(np.int32)
         keys = keys[by_slot]
         starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
         self.slot_col, self.slot_row = np.divmod(keys[starts], nv)

@@ -28,6 +28,55 @@ def triangle_areas(coords):
                   - (c[:, 0] - a[:, 0]) * (b[:, 1] - a[:, 1]))
 
 
+def stable_order(keys):
+    """The permutation that stably sorts non-negative integer keys, equal to
+    ``np.argsort(keys, kind="stable")``.
+
+    One unstable sort of the distinct composite keys key * n + position
+    gives it, whichever sort numpy picks; the composite must fit in int64.
+    """
+    keys = np.asarray(keys)
+    n = len(keys)
+    if n == 0:
+        return np.zeros(0, dtype=np.intp)
+    if keys.min() < 0 or int(keys.max()) > (np.iinfo(np.int64).max - (n - 1)) // n:
+        raise ValueError(f"stable_order: keys must lie in [0, (2**63 - {n}) // {n}]")
+    composite = keys.astype(np.int64)
+    composite *= n
+    composite += np.arange(n)
+    composite.sort()
+    composite %= n
+    return composite
+
+
+def box_pairs(lo, hi, tol):
+    """Index pairs (i, j), i < j, of the finite boxes [lo, hi] (arrays of
+    shape (n, 2)) that come within ``tol`` of each other on both axes, in
+    (i, j) order.
+
+    The pairs are those of the all-pairs filter ``not (lo[j] > hi[i] + tol
+    or hi[j] < lo[i] - tol)`` on both axes, which decides every candidate
+    of a sweep over the boxes sorted by x-min: each box meets the boxes
+    after it whose x-min lies within its x-max plus a padded tol, so the
+    work is O(n log n + pairs overlapping in x)."""
+    n = len(lo)
+    order = np.argsort(lo[:, 0])
+    xs = lo[order, 0]
+    # The pad covers the roundoff of lo[i] - tol against hi[j] + tol.
+    pad = 2 * tol + 4 * np.finfo(float).eps * (float(np.abs(lo).max(initial=0.0))
+                                                + float(np.abs(hi).max(initial=0.0)))
+    stop = np.searchsorted(xs, hi[order, 0] + pad, side="right")
+    counts = np.maximum(stop - np.arange(1, n + 1), 0)
+    first = np.repeat(np.arange(n), counts)
+    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(counts) - counts, counts)
+    p, q = order[first], order[second]
+    i, j = np.minimum(p, q), np.maximum(p, q)
+    near = ~((lo[j, 0] > hi[i, 0] + tol) | (hi[j, 0] < lo[i, 0] - tol)
+             | (lo[j, 1] > hi[i, 1] + tol) | (hi[j, 1] < lo[i, 1] - tol))
+    keys = np.sort(i[near].astype(np.int64) * n + j[near])
+    return keys // n, keys % n
+
+
 def polygon_area(poly):
     return abs(signed_area(poly))
 
@@ -243,54 +292,52 @@ def segment_intersection_point(a, b, c, d):
     return a + t[..., None] * r
 
 
-# Vertex and edge pairs are tested in blocks of this many pairs, which
-# bounds the memory of the all-pairs predicates on large polygons.
-_PAIR_BLOCK = 1 << 16
+# Boxes of edges that could cross are widened by this much, so that the
+# roundoff of the orientation tests cannot pass over a crossing.
+_CROSS_BOX_TOL = 1e-12
 
 
 def polygon_is_simple(poly, tol=1e-12):
-    """Check that no two non-adjacent edges intersect and no vertex repeats."""
+    """Check that no two non-adjacent edges intersect and no vertex repeats.
+
+    Only edges whose boxes come within tol can share a point within tol,
+    and edge k's box holds vertex k, so every test runs on the `box_pairs`
+    within 2 tol (the margin keeps a distance that rounds to tol)."""
     p = np.asarray(poly, dtype=float)
     n = len(p)
     if n < 3:
         return False
     q = np.roll(p, -1, axis=0)
-    first, second = np.triu_indices(n, 1)
-    for s in range(0, len(first), _PAIR_BLOCK):
-        i, j = first[s:s + _PAIR_BLOCK], second[s:s + _PAIR_BLOCK]
-        gap = p[i] - p[j]
-        if np.any(np.hypot(gap[:, 0], gap[:, 1]) <= tol):
-            return False
-        # Edge k runs from p[k] to q[k]; edges i < j are adjacent when they
-        # share a vertex (j == i + 1, or the closing pair 0 and n - 1).
-        apart = (j != i + 1) & ~((i == 0) & (j == n - 1))
-        i, j = i[apart], j[apart]
-        a, b, c, d = p[i], q[i], p[j], q[j]
-        if np.any(segments_properly_intersect(a, b, c, d)):
-            return False
-        # Degenerate touch: an endpoint of one edge in the interior of the
-        # other (the four endpoint-edge cases stacked into one call).
-        if np.any(touches_segment_interior(np.concatenate([c, d, a, b]),
-                                           np.concatenate([a, a, c, c]),
-                                           np.concatenate([b, b, d, d]), tol)):
-            return False
-    return True
+    i, j = box_pairs(np.minimum(p, q), np.maximum(p, q), 2 * tol)
+    gap = p[i] - p[j]
+    if np.any(np.hypot(gap[:, 0], gap[:, 1]) <= tol):
+        return False
+    # Edge k runs from p[k] to q[k]; edges i < j are adjacent when they
+    # share a vertex (j == i + 1, or the closing pair 0 and n - 1).
+    apart = (j != i + 1) & ~((i == 0) & (j == n - 1))
+    i, j = i[apart], j[apart]
+    a, b, c, d = p[i], q[i], p[j], q[j]
+    if np.any(segments_properly_intersect(a, b, c, d)):
+        return False
+    # Degenerate touch: an endpoint of one edge in the interior of the
+    # other (the four endpoint-edge cases stacked into one call).
+    return not np.any(touches_segment_interior(np.concatenate([c, d, a, b]),
+                                               np.concatenate([a, a, c, c]),
+                                               np.concatenate([b, b, d, d]), tol))
 
 
 def polygons_edges_cross(poly_a, poly_b, tol=1e-14):
     """True when some edge of poly_a and some edge of poly_b cross at a
-    point interior to both (``segments_properly_intersect`` over all edge
-    pairs)."""
+    point interior to both (``segments_properly_intersect`` over the edge
+    pairs whose boxes meet: edges whose boxes are apart cannot cross)."""
     pa = np.asarray(poly_a, dtype=float)
     pb = np.asarray(poly_b, dtype=float)
-    qa = np.roll(pa, -1, axis=0)
-    qb = np.roll(pb, -1, axis=0)
-    rows = max(1, _PAIR_BLOCK // max(len(pb), 1))
-    for s in range(0, len(pa), rows):
-        if np.any(segments_properly_intersect(pa[s:s + rows, None], qa[s:s + rows, None],
-                                              pb[None], qb[None], tol)):
-            return True
-    return False
+    a = np.concatenate([pa, pb])
+    b = np.concatenate([np.roll(pa, -1, axis=0), np.roll(pb, -1, axis=0)])
+    i, j = box_pairs(np.minimum(a, b), np.maximum(a, b), _CROSS_BOX_TOL)
+    across = (i < len(pa)) & (j >= len(pa))
+    i, j = i[across], j[across]
+    return bool(np.any(segments_properly_intersect(a[i], b[i], a[j], b[j], tol)))
 
 
 def _interior_probe(poly):

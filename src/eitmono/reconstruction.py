@@ -181,11 +181,14 @@ class _Scanner:
     ``bases`` holds the factored maps that pixel-phase maps update by one
     cell: the background map and each sign's final cover box.  A base
     keeps its system and potentials but not its factorization, which its
-    first update rebuilds.  A SuperLU factor keeps its whole work memory
-    (about 8.9 MB for a 1.7k-DOF scan system), so one held through
-    `min_box` or beside another base would raise the peak memory of a
-    scan.  ``last`` is the map the latest request factored, without its
-    factorization, and None when that map was cached or updated."""
+    first update rebuilds.  A held SuperLU factor is resident at about the
+    size of its L+U nonzeros, 12 bytes each: VmRSS rose by 0.66 MB per
+    factor held of the 1.7k-DOF `scan_mixed` background system (55.7k
+    nonzeros), as the work memory SuperLU reserves beyond them is never
+    touched.  One held through `min_box` or beside another base would
+    add that much to the peak memory of a scan.  ``last`` is the map the
+    latest request factored, without its factorization, and None when
+    that map was cached or updated."""
 
     def __init__(self, nd_gamma, mesh, fam, gamma0, basis, rtol):
         self.nd = nd_gamma

@@ -1,5 +1,6 @@
 """Reference implementations: the direct loops and sorts that the
-vectorized mesher predicates replaced, and the grid-graph hole fill that
+vectorized mesher predicates replaced, the all-pairs box and edge scans
+that ``polygons.box_pairs`` replaced, and the grid-graph hole fill that
 ``scipy.ndimage`` replaced.  The fast paths in ``eitmono.polygons``,
 ``eitmono.geometry`` and ``eitmono.reconstruction`` must reproduce them bit
 for bit."""
@@ -318,3 +319,65 @@ def ref_fill_enclosed(outside):
     reach = outside & np.isin(labels, labels[border & outside])
     pockets = outside & ~reach
     return ~(outside & reach), int(np.sum(pockets))
+
+
+# Vertex and edge pairs are tested in blocks of this many pairs, which
+# bounds the memory of the all-pairs predicates on large polygons.
+_PAIR_BLOCK = 1 << 16
+
+
+def ref_box_pairs(lo, hi, tol):
+    """Pairs i < j of boxes that overlap when widened by tol, in row
+    order, from the all-pairs filter in blocks of 256 rows."""
+    n = len(lo)
+    first, second = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for r0 in range(0, n, 256):
+        rows = np.arange(r0, min(n, r0 + 256))
+        near = ~((lo[None, :, 0] > hi[rows, None, 0] + tol)
+                 | (hi[None, :, 0] < lo[rows, None, 0] - tol)
+                 | (lo[None, :, 1] > hi[rows, None, 1] + tol)
+                 | (hi[None, :, 1] < lo[rows, None, 1] - tol))
+        r, c = np.nonzero(near & (np.arange(n)[None, :] > rows[:, None]))
+        first.append(rows[r])
+        second.append(c)
+    return np.concatenate(first), np.concatenate(second)
+
+
+def ref_polygon_is_simple_all_pairs(poly, tol=1e-12):
+    """`polygon_is_simple` over every vertex pair and every edge pair, in
+    blocks of `_PAIR_BLOCK` pairs."""
+    p = np.asarray(poly, dtype=float)
+    n = len(p)
+    if n < 3:
+        return False
+    q = np.roll(p, -1, axis=0)
+    first, second = np.triu_indices(n, 1)
+    for s in range(0, len(first), _PAIR_BLOCK):
+        i, j = first[s:s + _PAIR_BLOCK], second[s:s + _PAIR_BLOCK]
+        gap = p[i] - p[j]
+        if np.any(np.hypot(gap[:, 0], gap[:, 1]) <= tol):
+            return False
+        apart = (j != i + 1) & ~((i == 0) & (j == n - 1))
+        i, j = i[apart], j[apart]
+        a, b, c, d = p[i], q[i], p[j], q[j]
+        if np.any(pg.segments_properly_intersect(a, b, c, d)):
+            return False
+        if np.any(pg.touches_segment_interior(np.concatenate([c, d, a, b]),
+                                              np.concatenate([a, a, c, c]),
+                                              np.concatenate([b, b, d, d]), tol)):
+            return False
+    return True
+
+
+def ref_polygons_edges_cross_all_pairs(poly_a, poly_b, tol=1e-14):
+    """`polygons_edges_cross` over every edge pair, in row blocks."""
+    pa = np.asarray(poly_a, dtype=float)
+    pb = np.asarray(poly_b, dtype=float)
+    qa = np.roll(pa, -1, axis=0)
+    qb = np.roll(pb, -1, axis=0)
+    rows = max(1, _PAIR_BLOCK // max(len(pb), 1))
+    for s in range(0, len(pa), rows):
+        if np.any(pg.segments_properly_intersect(pa[s:s + rows, None], qa[s:s + rows, None],
+                                                 pb[None], qb[None], tol)):
+            return True
+    return False

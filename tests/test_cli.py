@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eitmono import geometry
+from eitmono import geometry, phantoms
 from eitmono import polygons as pg
 from eitmono.cli import Problem, main
 from eitmono.ndmap import NDMatrix
@@ -594,8 +594,10 @@ NO_TRACEBACK = {
     "fractional_m": (
         "forward", lambda tmp: write_config(tmp, basis={"m": 2.5}), [],
         2, "config error: basis.m: "),
+    # a prefix that ends in a newline is the whole line
     "unknown_phantom": (
-        "chain", lambda tmp: write_config(tmp, phantom="wat"), [], 2, "config error: "),
+        "chain", lambda tmp: write_config(tmp, phantom="wat"), [], 2,
+        f"config error: unknown phantom 'wat'; known: {sorted(phantoms.CATALOG)}\n"),
     "overlapping_regions": (
         "reconstruct", lambda tmp: write_config(tmp, phantom=None, regions={
             "D0": [[[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]]],
@@ -620,6 +622,20 @@ def test_errors_print_one_line_and_no_traceback(tmp_path, capsys, case):
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1 and err.startswith(prefix), err
     assert not (out / "nd_gamma.txt").exists()
+
+
+def test_warning_prints_one_line(tmp_path, capsys):
+    # a basis frequency the short arc underresolves warns, and the run goes on
+    cfg = write_config(tmp_path, phantom="homogeneous", scan=None,
+                       mesh={"target_h": 0.15}, basis={"m": 16},
+                       domain={"shape": "disk", "gamma_arc": [0.0, 0.02]})
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["forward", "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == (
+        "warning: basis frequency 8 underresolved: 6 boundary edges on gamma "
+        "(< 8 per period)\n")
+    assert (out / "nd_gamma.txt").exists()
 
 
 def test_gram_without_cholesky_factor(tmp_path, capsys, monkeypatch):

@@ -55,3 +55,23 @@ def test_contract(tmp_path, name):
 
 def test_calibrate_table(tmp_path):
     assert run_calibrate(tmp_path) == CONTRACT["calibrate"]
+
+
+def test_artifact_digests_on_one_phantom(tmp_path):
+    from artifact_digests import collect, differences, file_digest
+
+    digests = collect(tmp_path / "a", names=["insulating_disk"], calibrate=False, seeds=())
+    for path in ("forward/mesh.txt", "forward/nd_gamma.txt", "reconstruct/verdicts.log",
+                 "reconstruct/result.csv", "chain/chain.txt", "chain/metrics.txt"):
+        assert f"insulating_disk/{path}" in digests, path
+    assert digests["insulating_disk/chain/exit"] == "0"
+    again = collect(tmp_path / "b", names=["insulating_disk"], calibrate=False, seeds=())
+    assert differences(digests, again) == []
+    assert differences(digests, {**again, "x": "y"}) == ["x"]
+    # only the wall_time line of metrics.txt is left out
+    metrics = tmp_path / "metrics.txt"
+    digest = []
+    for text in ("n 1\nwall_time 0.5\n", "n 1\nwall_time 0.7\n", "n 2\nwall_time 0.5\n"):
+        metrics.write_text(text)
+        digest.append(file_digest(metrics))
+    assert digest[0] == digest[1] != digest[2]

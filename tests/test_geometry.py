@@ -370,6 +370,25 @@ def test_golden_workload_mesh(name):
     assert full_fingerprint(mesh) == GOLDEN_WORKLOAD_MESHES[name]
 
 
+@pytest.mark.parametrize("name", sorted(phantoms.CATALOG))
+def test_min_angle_and_hmax_match_per_angle_and_per_edge_reference(name):
+    # the catalog meshes as the commands build them at h=0.1 with grid 8
+    from eitmono.cli import Problem
+
+    mesh = Problem({"domain": {"shape": "disk"}, "phantom": name,
+                    "mesh": {"target_h": 0.1}, "scan": {"grid_n": 8}}).build_mesh()
+    c = mesh.triangle_coords()
+    angles, lengths = [], []
+    for k in range(3):
+        u = c[:, (k + 1) % 3] - c[:, k]
+        v = c[:, (k + 2) % 3] - c[:, k]
+        cosang = np.sum(u * v, axis=1) / (np.hypot(*u.T) * np.hypot(*v.T))
+        angles.append(np.degrees(np.arccos(np.clip(cosang, -1, 1))))
+        lengths.append(np.hypot(*u.T))
+    assert mesh.min_angle_deg() == float(np.min(angles))
+    assert mesh.h == float(np.max(lengths))
+
+
 def test_one_edge_key_pass_per_delaunay_build(monkeypatch, disk, family8):
     builds, passes = [], []
 

@@ -1,14 +1,19 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eitmono import polygons as pg
 
-from reference_predicates import (ref_ball_point_distance_kd,
+from eitmono.ndmap import _firsts
+
+from reference_predicates import (ref_ball_point_distance_kd, ref_box_pairs,
                                   ref_crossing_parity, ref_points_in_polygon,
                                   ref_points_segments_distance_kd,
                                   ref_polygon_is_simple,
+                                  ref_polygon_is_simple_all_pairs,
                                   ref_polygons_edges_cross,
+                                  ref_polygons_edges_cross_all_pairs,
                                   ref_segment_point_distance,
                                   ref_segments_properly_intersect)
 
@@ -248,3 +253,105 @@ def test_kd_pairs_match_ball_point_reference_at_the_radii(segs, extra, cutoff):
     assert got.dtype == np.float64
     assert np.array_equal(got, ref_ball_point_distance_kd(pts, a, b, cutoff))
     assert np.array_equal(got, ref_points_segments_distance_kd(pts, a, b, cutoff))
+
+
+# Keys drawn from a few values tie often; the tail of the range tests the
+# int64 bound of the composite keys.
+tied_keys = st.lists(st.integers(0, 5), max_size=60)
+
+
+@fast
+@given(tied_keys, tied_keys)
+def test_stable_order_matches_numpy_sorts(keys, minor):
+    keys = np.array(keys, dtype=np.int64)
+    got = pg.stable_order(keys)
+    assert got.dtype == np.intp
+    assert np.array_equal(got, np.argsort(keys, kind="stable"))
+    # two key columns as one composite key sort like np.lexsort
+    minor = np.resize(np.array(minor + [0], dtype=np.int64), len(keys))
+    assert np.array_equal(pg.stable_order(keys * 6 + minor), np.lexsort((minor, keys)))
+    # first index and inverse of every distinct key, as np.unique gives them
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    got_first, got_inverse = _firsts(keys)
+    assert np.array_equal(got_first, first) and np.array_equal(got_inverse, inverse)
+
+
+def test_stable_order_edges():
+    assert pg.stable_order(np.zeros(0, dtype=np.int64)).tolist() == []
+    assert pg.stable_order(np.array([7])).tolist() == [0]
+    for n in (1, 2, 3, 1000):
+        top = (np.iinfo(np.int64).max - (n - 1)) // n
+        keys = np.full(n, top, dtype=np.int64)
+        keys[::2] = 0
+        assert np.array_equal(pg.stable_order(keys), np.argsort(keys, kind="stable"))
+        if n == 1:
+            continue                    # top is the int64 maximum itself
+        keys[-1] = top + 1
+        with pytest.raises(ValueError, match="stable_order"):
+            pg.stable_order(keys)
+    with pytest.raises(ValueError, match="stable_order"):
+        pg.stable_order(np.array([3, -1]))
+
+
+def segment_boxes(segs):
+    a = np.array([s[0] for s in segs], dtype=float).reshape(-1, 2)
+    b = np.array([s[1] for s in segs], dtype=float).reshape(-1, 2)
+    return np.minimum(a, b), np.maximum(a, b)
+
+
+@fast
+@given(st.lists(st.tuples(point, point), max_size=40),
+       st.sampled_from([0.0, 1e-9, 1e-3, 0.25]))
+def test_box_pairs_match_all_pairs_filter(segs, tol):
+    # lattice coordinates make collinear, touching and zero-length segments
+    lo, hi = segment_boxes(segs)
+    i, j = pg.box_pairs(lo, hi, tol)
+    ri, rj = ref_box_pairs(lo, hi, tol)
+    assert np.array_equal(i, ri) and np.array_equal(j, rj)
+
+
+def test_box_pairs_on_collinear_touching_and_zero_length_segments():
+    # a chain along one line (each box touches the next), a zero-length
+    # segment at every joint, and two boxes 5e-10 apart: near at tol 1e-9,
+    # apart at tol 0
+    xs = np.linspace(-1.0, 1.0, 300)
+    chain = [((x0, 0.5), (x1, 0.5)) for x0, x1 in zip(xs[:-1], xs[1:])]
+    dots = [((x, 0.5), (x, 0.5)) for x in xs]
+    gap = [((2.0, 0.0), (3.0, 1.0)), ((3.0 + 5e-10, 0.0), (4.0, 1.0))]
+    rng = np.random.default_rng(5)
+    scattered = [tuple(map(tuple, s)) for s in rng.uniform(-1, 1, (300, 2, 2))]
+    for segs in (chain + dots + gap, scattered, chain[::-1] + scattered):
+        lo, hi = segment_boxes(segs)
+        for tol in (0.0, 1e-9, 1e-2):
+            got = pg.box_pairs(lo, hi, tol)
+            ref = ref_box_pairs(lo, hi, tol)
+            assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+    lo, hi = segment_boxes(gap)
+    assert len(pg.box_pairs(lo, hi, 0.0)[0]) == 0
+    assert pg.box_pairs(lo, hi, 1e-9)[0].tolist() == [0]
+
+
+@fast
+@given(polygon, polygon, st.sampled_from([1e-12, 1e-3, 0.1]))
+def test_swept_predicates_match_all_pairs_bodies(pa, pb, tol):
+    assert pg.polygon_is_simple(pa, tol) == ref_polygon_is_simple_all_pairs(pa, tol)
+    assert pg.polygons_edges_cross(pa, pb) == ref_polygons_edges_cross_all_pairs(pa, pb)
+
+
+def test_swept_predicates_on_large_polygons():
+    # the 128-gon of the fine forward workload, a copy shifted so that its
+    # edges cross the first, one moved to touch it, and random star polygons
+    disk = pg.regular_polygon((0.0, 0.0), 0.5, 128)
+    rng = np.random.default_rng(3)
+    theta = np.sort(rng.uniform(0, 2 * np.pi, 200))
+    star = np.column_stack([np.cos(theta), np.sin(theta)]) * rng.uniform(0.2, 1, (200, 1))
+    knot = star.copy()
+    knot[[10, 120]] = knot[[120, 10]]
+    for poly in (disk, star, knot, disk[::-1]):
+        assert pg.polygon_is_simple(poly) == ref_polygon_is_simple_all_pairs(poly)
+    assert pg.polygon_is_simple(star) and not pg.polygon_is_simple(knot)
+    for other in (disk + [0.3, 0.0], disk + [1.0, 0.0], star * 0.4, star + [0.8, 0.1]):
+        assert pg.polygons_edges_cross(disk, other) == \
+            ref_polygons_edges_cross_all_pairs(disk, other)
+    assert pg.polygons_edges_cross(disk, disk + [0.3, 0.0])
+    assert not pg.polygons_edges_cross(disk, disk + [1.0, 0.0])
