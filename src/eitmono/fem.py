@@ -62,14 +62,28 @@ class DofMap:
 
 # The bordered matrix is symmetric, so SuperLU factors it in symmetric mode
 # on a minimum-degree ordering of A^T + A: about a third of the L+U fill of
-# the default column ordering (41.9k against 143.8k nonzeros on a 1.6k-DOF
-# scan system).  A system solved once (every `nd_matrix`) gets its own MMD
-# ordering; a scan system comes `ordered` in its paint template's shared order
-# (the background painting's MMD order) and is not reordered.  The diagonal
-# pivot is kept when it is at least this fraction of the column maximum; 0,
-# 0.01 and 0.1 gave the same fill and residuals on the scan, chain and fine
-# forward systems and up to 1e6 contrast.
+# the default column ordering (46.7k against 150.7k nonzeros on the 1.6k-DOF
+# `scan_mixed` data map at seed 0, with the options below).  A system solved
+# once (every `nd_matrix`) gets its own MMD ordering; a scan system comes
+# `ordered` in its paint template's shared order (the background painting's
+# MMD order) and is not reordered.  The diagonal pivot is kept when it is at
+# least this fraction of the column maximum; 0, 0.01 and 0.1 gave the same
+# fill and residuals on the scan, chain and fine forward systems and up to
+# 1e6 contrast.
 DIAG_PIVOT_THRESH = 0.1
+
+# SuperLU's plain column kernel: no relaxed supernodes and one-column
+# panels, where its defaults are relax 10 and panel_size 20.  The supernodes
+# of a 2-D P1 system are narrow, so the relaxed and panel updates cost more
+# than they save.  Over every system the benchmark workloads factor at seed
+# 0 (`tests/factor_sweep.py`, one BLAS thread), `splu` took 26.3 against
+# 35.3 ms on the 27 scan_mixed systems, 8.2 against 10.3 ms on the 5
+# chain_weighted ones and 48.9 against 61.7 ms on the 2 forward_fine ones;
+# the 16-column solves did not move.  One-column panels give most of the
+# saving; without relaxed supernodes forward_fine takes 48.9 against 51.9 ms
+# and has 6.6 % fewer L+U nonzeros.
+RELAX = 1
+PANEL_SIZE = 1
 
 
 @dataclass
@@ -104,8 +118,8 @@ class StiffnessSystem:
         if self._factor is None:
             self._factor = spla.splu(
                 self.kmat, permc_spec="NATURAL" if self.ordered else "MMD_AT_PLUS_A",
-                diag_pivot_thresh=DIAG_PIVOT_THRESH,
-                options=dict(SymmetricMode=True))
+                diag_pivot_thresh=DIAG_PIVOT_THRESH, relax=RELAX,
+                panel_size=PANEL_SIZE, options=dict(SymmetricMode=True))
         return self._factor
 
 

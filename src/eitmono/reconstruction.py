@@ -103,15 +103,28 @@ def jaccard_index(a, b):
     return float(inter) / float(union) if union else 1.0
 
 
+def _grid_distance(points, fam):
+    """Distance from each point to the nearest grid segment
+    (`PixelFamily.grid_segments`).  The vertical segments share the window's
+    y-extent and the horizontal ones its x-extent, so each family's distance
+    is the hypot of the nearest line offset and the offset outside that
+    extent."""
+    lo, hi = np.array(fam.roi[:2]), np.array(fam.roi[2:])
+    outside = np.maximum(np.maximum(lo - points, points - hi), 0.0)
+    best = np.inf
+    for axis, lines in enumerate(fam.grid_lines()):
+        offset = np.abs(points[:, axis, None] - lines).min(axis=1)
+        best = np.minimum(best, np.hypot(offset, outside[:, 1 - axis]))
+    return best
+
+
 def grid_cells(mesh, fam):
     """Cell of the pixel family's grid (`PixelFamily.cell_of`) holding each
     triangle's centroid.  A vertex off the grid lines must lie in the cell
     of each of its triangles, so no union of cells is straddled; NDError
     otherwise."""
     cell = fam.cell_of(mesh.centroids())
-    seg_a, seg_b = (np.array(s) for s in zip(*fam.grid_segments()))
-    off_grid = pg.points_segments_distance(mesh.vertices, seg_a, seg_b,
-                                           cutoff=1e-8) > 1e-9
+    off_grid = _grid_distance(mesh.vertices, fam) > 1e-9
     tris = mesh.triangles
     if np.any(off_grid[tris] & (fam.cell_of(mesh.vertices)[tris] != cell[:, None])):
         raise NDError("mesh does not conform to the scan grid")
@@ -181,9 +194,9 @@ class _Scanner:
     ``bases`` holds the factored maps that pixel-phase maps update by one
     cell: the background map and each sign's final cover box.  A base
     keeps its system and potentials but not its factorization, which its
-    first update rebuilds.  A held SuperLU factor is resident at about the
-    size of its L+U nonzeros, 12 bytes each: VmRSS rose by 0.66 MB per
-    factor held of the 1.7k-DOF `scan_mixed` background system (55.7k
+    first update rebuilds.  A held SuperLU factor is resident at about 10
+    bytes per L+U nonzero: VmRSS rose by 0.53 MB per factor over 40
+    factors held of the 1.7k-DOF `scan_mixed` background system (55.6k
     nonzeros), as the work memory SuperLU reserves beyond them is never
     touched.  One held through `min_box` or beside another base would
     add that much to the peak memory of a scan.  ``last`` is the map the

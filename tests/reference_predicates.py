@@ -1,7 +1,8 @@
 """Reference implementations: the direct loops and sorts that the
 vectorized mesher predicates replaced, the all-pairs box and edge scans
-that ``polygons.box_pairs`` replaced, and the grid-graph hole fill that
-``scipy.ndimage`` replaced.  The fast paths in ``eitmono.polygons``,
+that ``polygons.box_pairs`` replaced, the grid-graph hole fill that
+``scipy.ndimage`` replaced and the all-segments grid distance that
+``reconstruction.grid_cells`` replaced.  The fast paths in ``eitmono.polygons``,
 ``eitmono.geometry`` and ``eitmono.reconstruction`` must reproduce them bit
 for bit."""
 
@@ -12,6 +13,7 @@ import numpy as np
 
 from eitmono import polygons as pg
 from eitmono.geometry import connected_labels
+from eitmono.ndmap import NDError
 
 
 def ref_crossing_parity(pts, a, b):
@@ -319,6 +321,23 @@ def ref_fill_enclosed(outside):
     reach = outside & np.isin(labels, labels[border & outside])
     pockets = outside & ~reach
     return ~(outside & reach), int(np.sum(pockets))
+
+
+def ref_grid_off_grid(points, fam):
+    """Points farther than 1e-9 from every grid segment, each point
+    measured against each segment of ``fam.grid_segments()``."""
+    seg_a, seg_b = (np.array(s) for s in zip(*fam.grid_segments()))
+    return pg.points_segments_distance(points, seg_a, seg_b, cutoff=1e-8) > 1e-9
+
+
+def ref_grid_cells(mesh, fam):
+    """`reconstruction.grid_cells` on `ref_grid_off_grid`."""
+    cell = fam.cell_of(mesh.centroids())
+    off_grid = ref_grid_off_grid(mesh.vertices, fam)
+    tris = mesh.triangles
+    if np.any(off_grid[tris] & (fam.cell_of(mesh.vertices)[tris] != cell[:, None])):
+        raise NDError("mesh does not conform to the scan grid")
+    return cell
 
 
 # Vertex and edge pairs are tested in blocks of this many pairs, which

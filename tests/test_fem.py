@@ -1,5 +1,10 @@
+import inspect
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from eitmono import fem, phantoms
 from eitmono.coefficient import CoefficientField
@@ -319,3 +324,71 @@ def test_block_solve_gates_every_column(disk_mesh, homogeneous_system):
     bad = fem.NeumannLoad(b=np.column_stack([good, np.ones(system.n)]))
     with pytest.raises(fem.SolverError):
         fem.solve_neumann(system, bad)
+
+
+def default_options_factor(system):
+    """SuperLU at its default ``relax`` and ``panel_size``, with the column
+    ordering, pivot threshold and symmetric mode of
+    `fem.StiffnessSystem.factor`: the oracle of the tuned factor."""
+    return spla.splu(system.kmat,
+                     permc_spec="NATURAL" if system.ordered else "MMD_AT_PLUS_A",
+                     diag_pivot_thresh=fem.DIAG_PIVOT_THRESH,
+                     options=dict(SymmetricMode=True))
+
+
+@pytest.mark.parametrize("name", phantoms.REGRESSION_PHANTOMS)
+def test_tuned_factor_matches_default_options(name, tmp_path, monkeypatch):
+    # every system that forward, reconstruct and chain factor at h=0.1,
+    # m=8: its solves match the default-option factor's within 1e-12
+    # relative, a self-ordered system gets the same column order, and the
+    # residual gate needs no refinement where the default factor needed none
+    from artifact_digests import collect
+
+    real_factor, real_solve = fem.StiffnessSystem.factor, fem.solve_neumann
+    rng = np.random.default_rng(0)
+    ordered, gates = [], []
+
+    def close(x, ref):
+        return np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def factor(self):
+        new = self.lu is None
+        lu = real_factor(self)
+        if new:
+            ref = default_options_factor(self)
+            assert self.ordered or np.array_equal(lu.perm_c, ref.perm_c)
+            rhs = rng.standard_normal((self.n + 1, 4))
+            assert close(lu.solve(rhs), ref.solve(rhs))
+            ordered.append(self.ordered)
+        return lu
+
+    def solve(system, load, rtol=1e-10):
+        b = load.b.reshape(system.n, -1)
+        bnorm = fem.mean_free_norms(b) if load.norm is None else load.norm
+        rhs = np.vstack([b, np.zeros((1, b.shape[1]))])
+        xs = [lu.solve(rhs) for lu in (system.factor(), default_options_factor(system))]
+        assert close(*xs)
+        misses = [len(fem.residual_misses(np.linalg.norm(rhs - system.kmat @ x, axis=0),
+                                          bnorm, rtol)) for x in xs]
+        assert misses[0] == 0 or misses[1] > 0
+        gates.append(misses)
+        return real_solve(system, load, rtol)
+
+    monkeypatch.setattr(fem.StiffnessSystem, "factor", factor)
+    monkeypatch.setattr(fem, "solve_neumann", solve)
+    digests = collect(tmp_path, names=[name], calibrate=False, seeds=())
+    assert [digests[f"{name}/{c}/exit"] for c in ("forward", "reconstruct", "chain")] \
+        == ["0"] * 3
+    assert ordered.count(False) >= 3 and ordered.count(True) > 0
+    assert len(gates) >= ordered.count(False)
+
+
+def test_stiffness_factor_is_the_only_splu_call():
+    # every factorization in src/ takes RELAX and PANEL_SIZE
+    call = re.compile(r"\b(?:splu|spilu|factorized)\(")
+    found = {path.name: len(call.findall(path.read_text()))
+             for path in Path(fem.__file__).parent.glob("*.py")}
+    assert {name: n for name, n in found.items() if n} == {"fem.py": 1}
+    source = inspect.getsource(fem.StiffnessSystem.factor)
+    assert len(call.findall(source)) == 1
+    assert "relax=RELAX" in source and "panel_size=PANEL_SIZE" in source

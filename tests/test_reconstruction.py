@@ -1,12 +1,14 @@
 import gc
+import json
 import re
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from eitmono import fem, ndmap, phantoms, reconstruction
+from eitmono import cli, fem, ndmap, phantoms, reconstruction
 from eitmono.coefficient import CoefficientField, homogeneous_field
 from eitmono.fem import ConfigurationError
 from eitmono.geometry import pixel_family, triangulate
@@ -14,12 +16,12 @@ from eitmono.ndmap import (PAINT_LABELS, NDError, PaintTemplate, build_basis,
                            nd_matrix)
 from eitmono.reconstruction import (DEFAULT_TAU_ABS, ReconstructionResult,
                                     _box_cells, _Scanner, fill_enclosed,
-                                    grid_template, jaccard_index, rasterize,
-                                    rasterize_truth, reconstruct)
+                                    grid_cells, grid_template, jaccard_index,
+                                    rasterize, rasterize_truth, reconstruct)
 
 from conftest import build_field, gram_distance
 import reference_fem
-from reference_predicates import ref_fill_enclosed
+from reference_predicates import ref_fill_enclosed, ref_grid_cells, ref_grid_off_grid
 
 
 def make_result(inside):
@@ -235,6 +237,47 @@ class TestCellPainting:
         nd = nd_matrix(CoefficientField(mesh=mesh, gamma0=1.0), basis)
         with pytest.raises(NDError):
             reconstruct(nd, mesh, family8, 1.0, basis)
+
+
+def assert_grid_cells_match(mesh, fam):
+    """`grid_cells` and its grid distance against the all-segment oracle:
+    the same off-grid vertices, and the same cells or the same NDError."""
+    off_grid = reconstruction._grid_distance(mesh.vertices, fam) > 1e-9
+    assert np.array_equal(off_grid, ref_grid_off_grid(mesh.vertices, fam))
+    try:
+        ref = ref_grid_cells(mesh, fam)
+    except NDError as exc:
+        with pytest.raises(NDError, match=re.escape(str(exc))):
+            grid_cells(mesh, fam)
+        return False
+    assert np.array_equal(grid_cells(mesh, fam), ref)
+    return True
+
+
+@pytest.mark.parametrize("h", [0.1, 0.08])
+def test_grid_cells_match_oracle_on_catalog(disk, family8, h):
+    for name in phantoms.CATALOG:
+        regions, _ = phantoms.build_phantom(name)
+        mesh = triangulate(disk, regions, target_h=h,
+                           extra_segments=family8.grid_segments())
+        assert assert_grid_cells_match(mesh, family8)
+
+
+def test_grid_cells_match_oracle_on_workload_meshes(tmp_path, monkeypatch):
+    # scan_mixed and chain_weighted mesh on the scan grid; forward_fine's
+    # two meshes do not, and both paths reject them
+    monkeypatch.syspath_prepend(Path(__file__).resolve().parent.parent / "perfbench")
+    from workloads import WORKLOADS
+
+    conforming = []
+    for name, workload in WORKLOADS.items():
+        for argv in workload.calls(0, tmp_path):
+            cfg = json.loads(Path(argv[argv.index("--config") + 1]).read_text())
+            problem = cli.Problem(cfg)
+            mesh = problem.build_mesh(with_grid="scan" in cfg)
+            conforming.append((name, assert_grid_cells_match(mesh, problem.family)))
+    assert conforming == [("scan_mixed", True), ("forward_fine", False),
+                          ("forward_fine", False), ("chain_weighted", True)]
 
 
 def test_cell_errors_counted(family8, coarse_recon_setup, monkeypatch):
@@ -559,12 +602,13 @@ def fill_ratios(maps):
 
 
 def test_shared_order_fill_near_mmd(disk, family8, regression_scans):
-    # the background's MMD order serves every painting: its fill stays
-    # within 1.10x MMD's summed over a scan and 1.30x on any one map
-    # (measured: at most 1.074x and 1.216x).  Summed over the maps the scan
-    # factored, without the updated pixel maps that sit near the
-    # background, it stays within 1.15x (measured: at most 1.109x, on
-    # weighted_annulus)
+    # the background's MMD order serves every painting: its fill, with the
+    # options of `fem.StiffnessSystem.factor`, stays within 1.10x that of
+    # MMD at SuperLU's defaults summed over a scan and 1.30x on any one map
+    # (measured: at most 1.020x, two_blob_mixed at h=0.1, and 1.168x,
+    # plain_annulus).  Summed over the maps the scan factored, without the
+    # updated pixel maps that sit near the background, it stays within
+    # 1.15x (measured: at most 1.067x, on insulating_pair)
     scans = [maps for _, maps in regression_scans.values()]
     scans.append(scan_maps(disk, family8, "two_blob_mixed", 0.08, 16)[1])
     for maps in scans:
