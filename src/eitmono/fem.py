@@ -115,11 +115,16 @@ class StiffnessSystem:
         return replace(self, _factor=None)
 
     def factor(self):
+        """The SuperLU factorization, computed on the first call; raises
+        SolverError when SuperLU fails, on a singular matrix say."""
         if self._factor is None:
-            self._factor = spla.splu(
-                self.kmat, permc_spec="NATURAL" if self.ordered else "MMD_AT_PLUS_A",
-                diag_pivot_thresh=DIAG_PIVOT_THRESH, relax=RELAX,
-                panel_size=PANEL_SIZE, options=dict(SymmetricMode=True))
+            try:
+                self._factor = spla.splu(
+                    self.kmat, permc_spec="NATURAL" if self.ordered else "MMD_AT_PLUS_A",
+                    diag_pivot_thresh=DIAG_PIVOT_THRESH, relax=RELAX,
+                    panel_size=PANEL_SIZE, options=dict(SymmetricMode=True))
+            except RuntimeError as exc:
+                raise SolverError(f"factorization failed: {exc}") from exc
         return self._factor
 
 
@@ -223,8 +228,9 @@ class PotentialSolution:
 
 
 def residual_misses(rnorm, bnorm, rtol):
-    """Columns whose residual norm misses the gate rtol*|b|."""
-    return np.flatnonzero((bnorm > 0) & (rnorm > rtol * bnorm))
+    """Columns whose residual norm misses the gate rtol*|b|; a nan
+    residual misses it."""
+    return np.flatnonzero((bnorm > 0) & ~(rnorm <= rtol * bnorm))
 
 
 def check_gamma_mean(constraint, u):

@@ -415,7 +415,10 @@ class PaintTemplate:
         starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
         self.slot_col, self.slot_row = np.divmod(keys[starts], nv)
         self.finite = np.isfinite(integrals)
-        ke = self.ke = integrals[:, None, None] * terms.dots / terms.four_a2[:, None, None]
+        # An element matrix that overflows stays inf: its system fails the
+        # factorization or the residual gate with a SolverError.
+        with np.errstate(over="ignore"):
+            ke = self.ke = integrals[:, None, None] * terms.dots / terms.four_a2[:, None, None]
         owner = by_slot // 9
         self.triplets = sp.csr_matrix(
             (np.concatenate([ke.ravel()[by_slot], np.ones(len(keys))]),

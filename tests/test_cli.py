@@ -608,6 +608,25 @@ NO_TRACEBACK = {
     "residual_gate": (
         "forward", lambda tmp: write_config(tmp, solver={"rtol": 1e-300}), [],
         3, "solver error: solve failed for the basis loads: "),
+    # rejected before the constraint chop allocates anything
+    "lattice_beyond_int32_indices": (
+        "forward", lambda tmp: write_config(tmp, mesh={"target_h": 1e-9}), [],
+        2, "config error: target_h=1e-09 too fine: its background lattice of "),
+    # element matrices that overflow make SuperLU's factor exactly singular
+    "singular_factorization": (
+        "forward", lambda tmp: write_config(
+            tmp, phantom=None, scan=None, mesh={"target_h": 0.2},
+            coefficient={"background": 1e308}),
+        [], 3, "solver error: solve failed for the basis loads: factorization "
+               "failed: Factor is exactly singular\n"),
+    # overflowing element matrices that SuperLU factors: a nan residual
+    # misses the residual gate
+    "nan_residual": (
+        "forward", lambda tmp: write_config(
+            tmp, phantom=None, scan=None, mesh={"target_h": 0.2},
+            coefficient={"background": 5e307}),
+        [], 3, "solver error: solve failed for the basis loads: solver "
+               "residual nan exceeds "),
 }
 
 

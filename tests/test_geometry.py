@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import Delaunay
 
 from eitmono import geometry, phantoms
 from eitmono import polygons as pg
@@ -393,9 +394,9 @@ def test_one_edge_key_pass_per_delaunay_build(monkeypatch, disk, family8):
     builds, passes = [], []
 
     def counted(log, real):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             log.append(1)
-            return real(*args)
+            return real(*args, **kwargs)
         return wrapper
 
     monkeypatch.setattr(geometry, "Delaunay", counted(builds, geometry.Delaunay))
@@ -406,6 +407,34 @@ def test_one_edge_key_pass_per_delaunay_build(monkeypatch, disk, family8):
     assert mesh_fingerprint(mesh) == GOLDEN_MESHES["two_blob_mixed"]
     assert len(builds) >= 4
     assert len(passes) == len(builds)
+
+
+def test_qhull_options_keep_the_default_simplices(monkeypatch):
+    # every Delaunay input of the catalog meshes at h=0.1 and 0.08 with
+    # grid 8 and of the workload meshes, triangulated again with scipy's
+    # default options as the direct path
+    from eitmono.cli import Problem
+
+    inputs = []
+
+    def recording(points, **kwargs):
+        inputs.append(np.array(points))
+        return Delaunay(points, **kwargs)
+
+    monkeypatch.setattr(geometry, "Delaunay", recording)
+    for name in sorted(phantoms.CATALOG):
+        for h in (0.1, 0.08):
+            Problem({"domain": {"shape": "disk"}, "phantom": name,
+                     "mesh": {"target_h": h}, "scan": {"grid_n": 8}}).build_mesh()
+    for name in GOLDEN_WORKLOAD_MESHES:
+        cfg = workload_config(name)
+        Problem(cfg).build_mesh(with_grid="scan" in cfg)
+    assert len(inputs) >= 4 * (2 * len(phantoms.CATALOG) + len(GOLDEN_WORKLOAD_MESHES))
+    for arr in inputs:
+        fast = Delaunay(arr, qhull_options=geometry.QHULL_OPTIONS).simplices
+        direct = Delaunay(arr).simplices
+        assert fast.dtype == direct.dtype and fast.shape == direct.shape
+        assert np.array_equal(fast, direct)
 
 
 # Few vertices, so that triangles share edges and repeat them; a repeated
