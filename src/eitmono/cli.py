@@ -32,8 +32,8 @@ from .monotonicity import ProvenanceError, bracketing_chain
 from .ndmap import (NDError, NDMatrix, bracketed_maps, build_basis, gamma_data,
                     nd_matrix, perturb_symmetric)
 from .oracle import disk_nd_eigenvalue
-from .reconstruction import (grid_template, rasterize, rasterize_truth,
-                             reconstruct)
+from .reconstruction import (DEFAULT_TAU_ABS, DEFAULT_TAU_REL, grid_template,
+                             rasterize, rasterize_truth, reconstruct)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -187,8 +187,9 @@ class Problem:
             raise ConfigError("scan.grid_n must be >= 2")
         self.family = _value(cfg, "scan.roi", lambda roi: pixel_family(
             self.domain, self.grid_n, roi=roi))
-        self.tau = _value(cfg, "scan.tau", _nonnegative, default=1e-5)
-        self.tau_rel = _value(cfg, "scan.tau_rel", _nonnegative, default=0.5)
+        self.tau = _value(cfg, "scan.tau", _nonnegative, default=DEFAULT_TAU_ABS)
+        self.tau_rel = _value(cfg, "scan.tau_rel", _nonnegative,
+                              default=DEFAULT_TAU_REL)
         self.side = _get(cfg, "scan.side", default="both")
         if self.side not in ("both", "lower_only", "upper_only"):
             raise ConfigError("scan.side must be both|lower_only|upper_only")

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import quadrature as quad
-from .geometry import BACKGROUND, REGION_LABELS
 
 EXTREME_LABELS = ("D0", "Dinf")
 WEIGHT_LABELS = ("Ddeg", "Dsing")
@@ -240,9 +239,6 @@ class CoefficientField:
 
     # -- basic queries ------------------------------------------------------
 
-    def gamma0_per_triangle(self):
-        return np.full(self.mesh.num_triangles, float(self.gamma0))
-
     def weight_for(self, label):
         if label not in self.weights:
             raise CoefficientError(f"no weight assigned to {label}")
@@ -334,19 +330,22 @@ class CoefficientField:
         hasher = hashlib.sha256()
         hasher.update(self.mesh.provenance().encode())
         hasher.update("".join(self.mesh.triangle_region.tolist()).encode())
-        g = self.gamma0_per_triangle()
-        hasher.update(np.round(g, 12).tobytes())
+        g = np.full(self.mesh.num_triangles, float(self.gamma0))
+        hasher.update(_rounded(g).tobytes())
         for label in sorted(self.finite_values):
             hasher.update(label.encode())
-            hasher.update(np.round([float(self.finite_values[label])], 12).tobytes())
+            hasher.update(_rounded([float(self.finite_values[label])]).tobytes())
         for label in sorted(self.weights):
             hasher.update(label.encode())
             hasher.update(self.weights[label].describe().encode())
         return hasher.hexdigest()[:16]
 
 
-def homogeneous_field(mesh, gamma0=1.0):
-    """Background-only field (all labels ignored if present)."""
-    return CoefficientField(mesh=mesh.relabeled(
-        {lab: BACKGROUND for lab in REGION_LABELS}), gamma0=gamma0)
-
+def _rounded(values):
+    """The values rounded to 12 decimals where that is finite, raw
+    elsewhere: `np.round` scales by 1e12, which overflows above about
+    1.8e296."""
+    values = np.asarray(values, dtype=float)
+    with np.errstate(over="ignore"):
+        rounded = np.round(values, 12)
+    return np.where(np.isfinite(rounded), rounded, values)

@@ -85,10 +85,6 @@ class Domain:
         return np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
     @property
-    def area(self):
-        return pg.polygon_area(self.boundary_polygon)
-
-    @property
     def gamma_fraction(self):
         t0, t1 = self.gamma_span
         return t1 - t0
@@ -198,11 +194,6 @@ def _polygon_array(label, i, poly):
                         f"with k >= 3, got {got}")
 
 
-# Diagonal offsets that move a point within 1e-12 of a grid line or corner
-# into each cell beside it.
-_NUDGES = 1e-12 * np.array([[-1, -1], [-1, 1], [1, -1], [1, 1]])
-
-
 @dataclass
 class TestInclusion:
     """A test set from the scanning family: the closed union of the grid
@@ -217,14 +208,6 @@ class TestInclusion:
     direction: str = None
     admissible: bool = True
     reason: str = ""
-
-    def contains(self, points):
-        """Points in the closed union of the cells: a point on a grid line,
-        or within 1e-12 of one, counts for every cell beside it."""
-        pts = np.atleast_2d(points)
-        member = np.zeros(self.family.grid_n ** 2 + 1, dtype=bool)
-        member[self.family.flat(self.cells)] = True
-        return np.any([member[self.family.cell_of(pts + d)] for d in _NUDGES], axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -479,29 +462,6 @@ class Mesh:
         hasher.update(self.triangles.astype(np.int64).tobytes())
         hasher.update(self.boundary_on_gamma.tobytes())
         return hasher.hexdigest()[:16]
-
-    def relabeled(self, mapping):
-        """Copy of the mesh with triangle labels moved per mapping."""
-        region = self.triangle_region.copy()
-        for src, tgt in mapping.items():
-            region[self.triangle_region == src] = tgt
-        return Mesh(self.vertices, self.triangles, region,
-                    self.boundary_edges, self.boundary_on_gamma, self.h, self.domain)
-
-    def validate(self, min_angle_floor=1.0):
-        problems = []
-        areas = self.triangle_areas()
-        if np.any(areas <= 0):
-            problems.append("non-positively-oriented or degenerate triangles present")
-        if self.min_angle_deg() < min_angle_floor:
-            problems.append(f"min angle {self.min_angle_deg():.3f} deg below floor {min_angle_floor}")
-        _, counts = edge_runs(edge_owners(self.triangles)[0])
-        bad = int(np.sum(counts > 2))
-        if bad:
-            problems.append(f"{bad} edges shared by more than two triangles")
-        if np.sum(counts == 1) != len(self.boundary_edges):
-            problems.append("boundary edge bookkeeping inconsistent")
-        return problems
 
     # -- plain-text export: header `nv nt ne`, vertices, triangles, edges --
 

@@ -7,10 +7,7 @@ current basis spanning the measurement space.
 
 from dataclasses import dataclass
 
-import numpy as np
 from scipy.linalg import eigh
-
-DEFAULT_TAU = 1e-4
 
 
 class ProvenanceError(ValueError):
@@ -24,16 +21,12 @@ def _require_same_provenance(a, b):
             f"(mesh {a.mesh_hash}/{b.mesh_hash}, basis {a.basis_hash}/{b.basis_hash})")
 
 
-def psd_test(nd_a, nd_b, tau=DEFAULT_TAU):
-    """Smallest generalized eigenvalue of (A - B, G) and the pass flag
-    lambda_min >= -tau * |B|_G; with ``tau=None`` the flag is None and
-    |B|_G is not computed."""
+def psd_test(nd_a, nd_b):
+    """Smallest generalized eigenvalue of (A - B, G): A is at least B in the
+    Loewner order exactly when it is >= 0."""
     _require_same_provenance(nd_a, nd_b)
     diff = nd_a.matrix - nd_b.matrix
-    lam_min = float(eigh(diff, nd_a.gram, eigvals_only=True)[0])
-    if tau is None:
-        return lam_min, None
-    return lam_min, lam_min >= -tau * nd_b.gnorm()
+    return float(eigh(diff, nd_a.gram, eigvals_only=True)[0])
 
 
 @dataclass
@@ -46,42 +39,10 @@ class MonotonicityVerdict:
     pass_insulating: bool
     pass_conducting: bool
 
-    @property
-    def pass_both(self):
-        return self.pass_insulating and self.pass_conducting
-
     def log_line(self):
         return (f"{self.test_id} {self.lambda_min_insulating:.6e} "
                 f"{self.lambda_min_conducting:.6e} "
                 f"{int(self.pass_insulating)} {int(self.pass_conducting)}")
-
-
-def theorem_test(nd_gamma, member, template, tau=DEFAULT_TAU, side="both",
-                 rtol=1e-10):
-    """Run the inclusion test for one family member on a
-    `reconstruction.grid_template` of its family: the member's cells painted
-    insulating, then conducting.
-
-    side selects which operator inequalities are checked: ``lower_only``
-    checks only the insulating map against the data (the right test when no
-    part of the perturbation exceeds the background), ``upper_only`` only
-    the conducting one, ``both`` checks the two-sided sandwich.
-    """
-    if side not in ("both", "lower_only", "upper_only"):
-        raise ValueError(f"unknown side {side!r}")
-
-    cells = member.family.flat(member.cells)
-    lam_ins = lam_cond = np.nan
-    ok_ins = ok_cond = True
-    if side in ("both", "lower_only"):
-        lam_ins, ok_ins = psd_test(template.solve(cells, [], rtol).nd, nd_gamma, tau=tau)
-    if side in ("both", "upper_only"):
-        lam_cond, ok_cond = psd_test(nd_gamma, template.solve([], cells, rtol).nd, tau=tau)
-    return MonotonicityVerdict(
-        test_id=member.id,
-        lambda_min_insulating=float(lam_ins),
-        lambda_min_conducting=float(lam_cond),
-        pass_insulating=bool(ok_ins), pass_conducting=bool(ok_cond))
 
 
 @dataclass
@@ -106,13 +67,12 @@ class ChainReport:
                 for n, lam, p in zip(names, self.lambda_mins, self.passes)]
 
 
-def bracketing_chain(nd_gamma, nd_gamma_low, nd_gamma_up, nd0_c, ndinf_c,
-                     tau=DEFAULT_TAU):
+def bracketing_chain(nd_gamma, nd_gamma_low, nd_gamma_up, nd0_c, ndinf_c, tau):
     """Evaluate the four-link chain with a shared tolerance scaled by the
     data map's Gram-geometry norm.  Each link checks provenance, so the five
     maps must share one mesh and basis."""
     scale = nd_gamma.gnorm()
-    lams = tuple(psd_test(a, b, tau=None)[0]
+    lams = tuple(psd_test(a, b)
                  for a, b in ((nd0_c, nd_gamma_low), (nd_gamma_low, nd_gamma),
                               (nd_gamma, nd_gamma_up), (nd_gamma_up, ndinf_c)))
     return ChainReport(lambda_mins=lams,

@@ -172,9 +172,3 @@ def build_phantom(name):
         raise KeyError(f"unknown phantom {name!r}; known: {sorted(CATALOG)}")
     return CATALOG[name]()
 
-
-def negative_only(name):
-    """True when the phantom has no part exceeding the background (the
-    one-sided lower test suffices)."""
-    regions, _ = build_phantom(name)
-    return not any(regions.label_polys(lab) for lab in ("Dinf", "Dsing", "DFplus"))

@@ -77,10 +77,6 @@ def box_pairs(lo, hi, tol):
     return keys // n, keys % n
 
 
-def polygon_area(poly):
-    return abs(signed_area(poly))
-
-
 def ensure_ccw(poly):
     """Return the polygon with counter-clockwise orientation."""
     p = np.asarray(poly, dtype=float)

@@ -254,8 +254,7 @@ class _Scanner:
         one, normalized by the data map's Gram norm."""
         if sign != "lower":
             a, b = b, a
-        lam, _ = psd_test(a, b, tau=None)
-        return lam / self.scale
+        return psd_test(a, b) / self.scale
 
     def cover_margin(self, cells, sign):
         """Normalized lambda_min of the sign-targeted cover test.  A cover

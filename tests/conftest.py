@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from eitmono import (CoefficientField, build_basis, build_domain,
-                     homogeneous_field, nd_matrix, triangulate)
+from eitmono import (CoefficientField, build_basis, build_domain, nd_matrix,
+                     triangulate)
 from eitmono.fem import PotentialSolution, SolverError
 from eitmono.geometry import pixel_family
+
+from reference_fem import homogeneous_field
 
 
 @pytest.fixture(scope="session")

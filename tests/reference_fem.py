@@ -10,6 +10,8 @@ so `nd_extreme` is the direct-path map that a template painting of the same
 grid cells is checked against.  `brute_force_nd` is the dense ND oracle on
 `build_dof_map`.  `bracket_fields` builds a field's lower and upper
 brackets as relabeled fields, the oracle of `ndmap.bracketed_maps`.
+`relabeled`, `homogeneous_field` and `mesh_problems` are the mesh and field
+helpers of the tests.
 """
 
 import numpy as np
@@ -20,8 +22,41 @@ from eitmono.coefficient import WEIGHT_LABELS, CoefficientField
 from eitmono.fem import (_GL4_X, ConfigurationError, DofMap, NeumannLoad,
                          SolverError, StiffnessSystem, gamma_quadrature,
                          mesh_terms, solve_neumann)
-from eitmono.geometry import BACKGROUND, REGION_LABELS, connected_labels
+from eitmono.geometry import (BACKGROUND, REGION_LABELS, Mesh, connected_labels,
+                              edge_owners, edge_runs)
 from eitmono.ndmap import NDError, NDMatrix, nd_matrix
+
+
+def relabeled(mesh, mapping):
+    """Copy of the mesh with triangle labels moved per mapping."""
+    region = mesh.triangle_region.copy()
+    for src, tgt in mapping.items():
+        region[mesh.triangle_region == src] = tgt
+    return Mesh(mesh.vertices, mesh.triangles, region,
+                mesh.boundary_edges, mesh.boundary_on_gamma, mesh.h, mesh.domain)
+
+
+def homogeneous_field(mesh, gamma0=1.0):
+    """Background-only field (all labels ignored if present)."""
+    return CoefficientField(mesh=relabeled(mesh, {lab: BACKGROUND for lab in REGION_LABELS}),
+                            gamma0=gamma0)
+
+
+def mesh_problems(mesh, min_angle_floor=1.0):
+    """What is wrong with the mesh's triangles and boundary bookkeeping, as
+    a list of messages (empty for a sound mesh)."""
+    problems = []
+    if np.any(mesh.triangle_areas() <= 0):
+        problems.append("non-positively-oriented or degenerate triangles present")
+    if mesh.min_angle_deg() < min_angle_floor:
+        problems.append(f"min angle {mesh.min_angle_deg():.3f} deg below floor {min_angle_floor}")
+    _, counts = edge_runs(edge_owners(mesh.triangles)[0])
+    bad = int(np.sum(counts > 2))
+    if bad:
+        problems.append(f"{bad} edges shared by more than two triangles")
+    if np.sum(counts == 1) != len(mesh.boundary_edges):
+        problems.append("boundary edge bookkeeping inconsistent")
+    return problems
 
 
 def cell_parts(family, cells):
@@ -40,7 +75,7 @@ def painted_field(mesh, paint, gamma0):
     ones where they overlap.
     """
     cents = mesh.centroids()
-    base = mesh.relabeled({lab: BACKGROUND for lab in REGION_LABELS})
+    base = relabeled(mesh, {lab: BACKGROUND for lab in REGION_LABELS})
     for parts, label in paint:
         if not parts:
             continue
@@ -75,7 +110,7 @@ def bracket_fields(fld):
     field itself twice when it has no weighted triangles."""
     if not np.any(np.isin(fld.mesh.triangle_region, WEIGHT_LABELS)):
         return fld, fld
-    return tuple(CoefficientField(mesh=fld.mesh.relabeled(dict.fromkeys(WEIGHT_LABELS, label)),
+    return tuple(CoefficientField(mesh=relabeled(fld.mesh, dict.fromkeys(WEIGHT_LABELS, label)),
                                   gamma0=fld.gamma0, finite_values=fld.finite_values,
                                   quad_depth=fld.quad_depth)
                  for label in ("D0", "Dinf"))

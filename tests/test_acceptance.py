@@ -15,13 +15,14 @@ import pytest
 from eitmono import fem, phantoms
 from eitmono.coefficient import CoefficientField, WeightSpec, graded_triangle_integrals
 from eitmono.geometry import build_domain, pixel_family, triangulate
-from eitmono.monotonicity import bracketing_chain, psd_test, theorem_test
+from eitmono.monotonicity import bracketing_chain, psd_test
 from eitmono.ndmap import bracketed_maps, build_basis, nd_matrix
 from eitmono.oracle import disk_nd_eigenvalue
-from eitmono.reconstruction import grid_template, reconstruct
+from eitmono.reconstruction import _Scanner, reconstruct
 
 from conftest import build_field, dirichlet_energy, energy
 import reference_fem
+from reference_family import contains, cover_verdict, negative_only
 from test_monotonicity import window_maps
 from test_ndmap import ordered_field_pair
 
@@ -119,13 +120,13 @@ def criterion_4_setup(disk_dom, fam8, name):
     complements whose excluded strip avoids the phantom."""
     regions, mesh, fld = phantom_field(disk_dom, name, 0.09, fam8.grid_segments())
     basis = build_basis(mesh, 10)
-    side = "lower_only" if phantoms.negative_only(name) else "both"
+    side = "lower_only" if negative_only(name) else "both"
     samples = np.vstack([np.asarray(p) for _, p in regions.all_polys()])
     members = [fam8.whole_window()]
     for m in fam8.members:
         if m.excluded_cell is None or not m.admissible:
             continue
-        if not m.contains(samples).all():
+        if not contains(m, samples).all():
             continue
         members.append(m)
         if len(members) >= 5:
@@ -137,11 +138,10 @@ def test_criterion_4_containment_direction(disk_dom, fam8):
     failures = []
     for name in phantoms.REGRESSION_PHANTOMS:
         nd, mesh, basis, side, members = criterion_4_setup(disk_dom, fam8, name)
-        template = grid_template(mesh, fam8, 1.0, basis)
+        scanner = _Scanner(nd, mesh, fam8, 1.0, basis, 1e-10)
         for member in members:
-            verdict = theorem_test(nd, member, template, tau=1e-4, side=side)
-            ok = verdict.pass_insulating if side == "lower_only" \
-                else verdict.pass_both
+            verdict = cover_verdict(scanner, member, tau=1e-4, side=side)
+            ok = verdict.pass_insulating and verdict.pass_conducting
             if not ok:
                 failures.append((name, member.id, verdict.log_line()))
     report("4 containment-direction", not failures,
@@ -151,19 +151,19 @@ def test_criterion_4_containment_direction(disk_dom, fam8):
 
 @pytest.mark.parametrize("name", ["insulating_disk", "conducting_disk", "two_blob_mixed"])
 def test_criterion_4_template_matches_direct_path(disk_dom, fam8, name):
-    # theorem_test's template paintings of criterion 4's members give the
+    # the scanner's cover paintings of criterion 4's members give the
     # lambdas of the point-in-polygon paintings of the same cells within
     # 1e-12*|L|_G, and the same pass flags
     nd, mesh, basis, side, members = criterion_4_setup(disk_dom, fam8, name)
-    template = grid_template(mesh, fam8, 1.0, basis)
+    scanner = _Scanner(nd, mesh, fam8, 1.0, basis, 1e-10)
     tol = 1e-12 * nd.gnorm()
     for member in members:
-        got = theorem_test(nd, member, template, tau=1e-4, side="both")
+        got = cover_verdict(scanner, member, tau=1e-4)
         parts = reference_fem.cell_parts(fam8, member.cells)
-        lam_ins, ok_ins = psd_test(reference_fem.nd_extreme(
-            mesh, parts, "insulating", 1.0, basis), nd, tau=1e-4)
-        lam_cond, ok_cond = psd_test(nd, reference_fem.nd_extreme(
-            mesh, parts, "conducting", 1.0, basis), tau=1e-4)
+        nd0 = reference_fem.nd_extreme(mesh, parts, "insulating", 1.0, basis)
+        ndinf = reference_fem.nd_extreme(mesh, parts, "conducting", 1.0, basis)
+        lam_ins, lam_cond = psd_test(nd0, nd), psd_test(nd, ndinf)
+        ok_ins, ok_cond = lam_ins >= -1e-4 * nd.gnorm(), lam_cond >= -1e-4 * ndinf.gnorm()
         assert abs(got.lambda_min_insulating - lam_ins) <= tol, member.id
         assert abs(got.lambda_min_conducting - lam_cond) <= tol, member.id
         assert (got.pass_insulating, got.pass_conducting) == (ok_ins, ok_cond)
@@ -239,7 +239,8 @@ def test_criterion_7_discrete_monotonicity(disk_dom):
         f1, f2 = ordered_field_pair(mesh, rng)
         nd1 = nd_matrix(f1, basis)
         nd2 = nd_matrix(f2, basis)
-        lam, ok = psd_test(nd1, nd2, tau=1e-7)
+        lam = psd_test(nd1, nd2)
+        ok = lam >= -1e-7 * nd2.gnorm()
         worst = min(worst, lam / nd2.gnorm())
         if not ok:
             break
@@ -290,7 +291,7 @@ def test_criterion_9_energy_identities(disk_dom):
 def test_criterion_10_one_sided_variant(disk_dom, fam8):
     regions, mesh, fld = phantom_field(disk_dom, "insulating_pair", 0.09,
                                        fam8.grid_segments())
-    assert phantoms.negative_only("insulating_pair")
+    assert negative_only("insulating_pair")
     basis = build_basis(mesh, 12)
     nd = nd_matrix(fld, basis)
     res_both = reconstruct(nd, mesh, fam8, 1.0, basis, tau=1e-5,

@@ -657,6 +657,16 @@ def test_warning_prints_one_line(tmp_path, capsys):
     assert (out / "nd_gamma.txt").exists()
 
 
+def test_huge_background_forwards_without_warning(tmp_path, capsys):
+    # the field's provenance hash rounded the background, which overflowed
+    # above about 1.8e296 and printed a warning
+    cfg = write_config(tmp_path, phantom=None, scan=None, mesh={"target_h": 0.2},
+                       coefficient={"background": 1e300})
+    capsys.readouterr()
+    assert main(["forward", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert "warning:" not in capsys.readouterr().err
+
+
 def test_gram_without_cholesky_factor(tmp_path, capsys, monkeypatch):
     # a basis Gram that is singular on the arc although m is within the
     # quadrature's rank is rejected before any map is solved

@@ -87,6 +87,24 @@ class TestValidation:
                              finite_values={"DFplus": 0.5}).validate()
 
 
+@pytest.mark.parametrize("label", ["background", "DFplus"])
+def test_provenance_tells_huge_values_apart(disk, label):
+    # np.round(v, 12) overflows to inf above about 1.8e296, so such values
+    # are hashed unrounded; one just below keeps its rounded hash
+    regions, _ = phantoms.build_phantom("df_plus_disk")
+    mesh = triangulate(disk, regions, target_h=0.2)
+
+    def provenance(value):
+        if label == "background":
+            return CoefficientField(mesh=mesh, gamma0=value,
+                                    finite_values={"DFplus": 2.0}).provenance()
+        return CoefficientField(mesh=mesh, gamma0=1.0,
+                                finite_values={"DFplus": value}).provenance()
+
+    hashes = [provenance(v) for v in (1.7e296, 1e300, 1e305, 1e308)]
+    assert len(set(hashes)) == 4
+
+
 class TestBracketing:
     def test_no_weights_identity(self, disk_mesh, basis8):
         fld = CoefficientField(mesh=disk_mesh, gamma0=1.0)

@@ -6,13 +6,13 @@ from hypothesis import strategies as st
 from eitmono import phantoms
 from eitmono.coefficient import CoefficientField
 from eitmono.geometry import TestInclusion, triangulate
-from eitmono.monotonicity import (ProvenanceError, bracketing_chain, psd_test,
-                                  theorem_test)
+from eitmono.monotonicity import ProvenanceError, bracketing_chain, psd_test
 from eitmono.ndmap import (NDMatrix, bracketed_maps, build_basis, nd_matrix,
                            perturb_symmetric)
-from eitmono.reconstruction import grid_template
+from eitmono.reconstruction import _Scanner, grid_template
 
 from conftest import build_field
+from reference_family import cover_verdict
 
 
 def shifted(nd, amount):
@@ -23,23 +23,21 @@ def shifted(nd, amount):
 
 class TestPsd:
     def test_identity(self, nd_homogeneous):
-        lam, ok = psd_test(nd_homogeneous, nd_homogeneous)
-        assert lam == 0.0 and ok
+        assert psd_test(nd_homogeneous, nd_homogeneous) == 0.0
 
     def test_gram_shift(self, nd_homogeneous):
-        lam, ok = psd_test(shifted(nd_homogeneous, 1.0), nd_homogeneous)
-        assert np.isclose(lam, 1.0) and ok
-        lam2, ok2 = psd_test(nd_homogeneous, shifted(nd_homogeneous, 1.0))
-        assert np.isclose(lam2, -1.0) and not ok2
+        up = shifted(nd_homogeneous, 1.0)
+        lam = psd_test(up, nd_homogeneous)
+        assert np.isclose(lam, 1.0) and lam >= -1e-4 * nd_homogeneous.gnorm()
+        lam2 = psd_test(nd_homogeneous, up)
+        assert np.isclose(lam2, -1.0) and lam2 < -1e-4 * up.gnorm()
 
-    def test_no_tau_skips_the_flag(self, nd_homogeneous, monkeypatch):
+    def test_returns_lambda_only(self, nd_homogeneous, monkeypatch):
         calls = []
         monkeypatch.setattr(NDMatrix, "gnorm",
                             lambda self: calls.append(1) or 1.0)
-        lam, ok = psd_test(nd_homogeneous, shifted(nd_homogeneous, 1.0),
-                           tau=None)
-        assert np.isclose(lam, -1.0) and ok is None and not calls
-        assert psd_test(nd_homogeneous, nd_homogeneous)[1] and calls
+        lam = psd_test(nd_homogeneous, shifted(nd_homogeneous, 1.0))
+        assert type(lam) is float and np.isclose(lam, -1.0) and not calls
 
     @settings(max_examples=40, deadline=None)
     @given(entries=st.lists(st.floats(-1.0, 1.0), min_size=64, max_size=64),
@@ -60,7 +58,7 @@ class TestPsd:
 
         tol = 1e-12 * nd_homogeneous.gnorm()   # measured: at most 6.1e-16
         for x, y in ((other, nd_homogeneous), (nd_homogeneous, other)):
-            lam, moved_lam = (psd_test(p, q, tau=None)[0] for p, q in
+            lam, moved_lam = (psd_test(p, q) for p, q in
                               ((x, y), (moved(x), moved(y))))
             assert abs(moved_lam - lam) <= tol
             assert abs(moved(y).gnorm() - y.gnorm()) <= tol
@@ -69,10 +67,9 @@ class TestPsd:
         tau = 1e-7
         nds = [nd_matrix(CoefficientField(mesh=disk_mesh, gamma0=g),
                          basis8) for g in (0.5, 1.0, 2.0)]
-        _, ab = psd_test(nds[0], nds[1], tau=tau)
-        _, bc = psd_test(nds[1], nds[2], tau=tau)
-        _, ac = psd_test(nds[0], nds[2], tau=2 * tau)
-        assert ab and bc and ac
+        assert psd_test(nds[0], nds[1]) >= -tau * nds[1].gnorm()
+        assert psd_test(nds[1], nds[2]) >= -tau * nds[2].gnorm()
+        assert psd_test(nds[0], nds[2]) >= -2 * tau * nds[2].gnorm()
 
     def test_provenance_mismatch(self, disk, disk_mesh, disk_field, basis8,
                                  nd_homogeneous):
@@ -90,16 +87,16 @@ def disk_phantom_setup(disk, family8):
                        extra_segments=family8.grid_segments())
     fld = build_field(mesh, spec)
     basis = build_basis(mesh, 8)
-    nd = nd_matrix(fld, basis)
-    return grid_template(mesh, family8, 1.0, basis), nd
+    return _Scanner(nd_matrix(fld, basis), mesh, family8, 1.0, basis, 1e-10)
 
 
 class TestTheoremTest:
+    """The paper's pair of Loewner tests on one test set, with the cover
+    maps of `_Scanner.cover_margin` (`reference_family.cover_verdict`)."""
+
     def test_pass_for_containing_window(self, disk_phantom_setup, family8):
-        template, nd = disk_phantom_setup
-        verdict = theorem_test(nd, family8.whole_window(), template,
-                               tau=1e-4, side="both")
-        assert verdict.pass_both
+        verdict = cover_verdict(disk_phantom_setup, family8.whole_window(), tau=1e-4)
+        assert verdict.pass_insulating and verdict.pass_conducting
         assert verdict.lambda_min_insulating > -1e-4
         assert verdict.lambda_min_conducting > -1e-4
 
@@ -108,32 +105,22 @@ class TestTheoremTest:
                            extra_segments=family8.grid_segments())
         basis = build_basis(mesh, 6)
         nd = nd_matrix(CoefficientField(mesh=mesh, gamma0=1.0), basis)
-        template = grid_template(mesh, family8, 1.0, basis)
+        scanner = _Scanner(nd, mesh, family8, 1.0, basis, 1e-10)
         for member in family8.cell_members(0, 0):
-            v = theorem_test(nd, member, template, tau=1e-6)
-            assert v.pass_both
+            v = cover_verdict(scanner, member, tau=1e-6)
+            assert v.pass_insulating and v.pass_conducting
 
     def test_insulating_side_fails_when_test_set_misses_d(
             self, disk_phantom_setup, family8):
         # a small test set far from covering the inclusion cannot dominate
         # the data on the insulating side
-        template, nd = disk_phantom_setup
         cell = TestInclusion(id="far", cells=frozenset({(0, 0)}), family=family8)
-        verdict = theorem_test(nd, cell, template, tau=1e-4)
+        verdict = cover_verdict(disk_phantom_setup, cell, tau=1e-4)
         assert not verdict.pass_insulating
         assert verdict.pass_conducting   # data stays above the conducting map
 
-    def test_side_variants(self, disk_phantom_setup, family8):
-        template, nd = disk_phantom_setup
-        v = theorem_test(nd, family8.whole_window(), template, side="lower_only")
-        assert np.isnan(v.lambda_min_conducting)
-        assert v.pass_conducting and v.pass_both == v.pass_insulating
-        with pytest.raises(ValueError):
-            theorem_test(nd, family8.whole_window(), template, side="sideways")
-
     def test_log_line_format(self, disk_phantom_setup, family8):
-        template, nd = disk_phantom_setup
-        v = theorem_test(nd, family8.whole_window(), template)
+        v = cover_verdict(disk_phantom_setup, family8.whole_window(), tau=1e-4)
         parts = v.log_line().split()
         assert parts[0] == "all"
         float(parts[1]), float(parts[2])
@@ -149,12 +136,10 @@ class TestTheoremTest:
         tau = 1e-7
         nd0s = template.solve(small, [], 1e-10).nd
         nd0b = template.solve(big, [], 1e-10).nd
-        lam, ok = psd_test(nd0b, nd0s, tau=tau)
-        assert ok
+        assert psd_test(nd0b, nd0s) >= -tau * nd0s.gnorm()
         ndis = template.solve([], small, 1e-10).nd
         ndib = template.solve([], big, 1e-10).nd
-        lam2, ok2 = psd_test(ndis, ndib, tau=tau)
-        assert ok2
+        assert psd_test(ndis, ndib) >= -tau * ndib.gnorm()
 
 
 def window_maps(mesh, family, basis):

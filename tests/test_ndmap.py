@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from eitmono import fem, ndmap, phantoms
 from eitmono.cli import Problem
-from eitmono.coefficient import CoefficientField, WeightSpec, homogeneous_field
+from eitmono.coefficient import CoefficientField, WeightSpec
 from eitmono.geometry import build_domain, triangulate
 from eitmono.monotonicity import psd_test
 from eitmono.ndmap import (BasisResolutionWarning, CurrentBasis, NDError,
@@ -22,7 +22,8 @@ from eitmono import polygons as pg
 
 from conftest import dirichlet_energy, gram_distance
 import reference_fem
-from reference_fem import bracket_fields, cell_parts, nd_extreme, painted_field
+from reference_fem import (bracket_fields, cell_parts, homogeneous_field, nd_extreme,
+                           painted_field, relabeled)
 
 
 def basis_mean_free(basis, mesh, tol):
@@ -171,9 +172,8 @@ class TestExtremeMaps:
             parts = cell_parts(family8, member)
             nd0 = nd_extreme(mesh, parts, "insulating", 1.0, basis)
             ndi = nd_extreme(mesh, parts, "conducting", 1.0, basis)
-            lam1, ok1 = psd_test(nd0, nd_bg, tau=1e-7)
-            lam2, ok2 = psd_test(nd_bg, ndi, tau=1e-7)
-            assert ok1 and ok2
+            assert psd_test(nd0, nd_bg) >= -1e-7 * nd_bg.gnorm()
+            assert psd_test(nd_bg, ndi) >= -1e-7 * ndi.gnorm()
 
 
 def ordered_field_pair(mesh, rng):
@@ -208,8 +208,8 @@ class TestCoefficientMonotonicity:
             f1, f2 = ordered_field_pair(mesh, rng)
             nd_small = nd_matrix(f1, basis)
             nd_big = nd_matrix(f2, basis)
-            lam, ok = psd_test(nd_small, nd_big, tau=1e-7)
-            assert ok, lam
+            lam = psd_test(nd_small, nd_big)
+            assert lam >= -1e-7 * nd_big.gnorm(), lam
 
     def test_extreme_label_ordering(self, disk):
         # sigma_1 has an insulating blob where sigma_2 is finite, and
@@ -220,14 +220,14 @@ class TestCoefficientMonotonicity:
         regions = RegionSet(polys={"D0": [p1], "Dinf": [p2]})
         mesh = triangulate(disk, regions, target_h=0.12)
         basis = build_basis(mesh, 6)
-        f_small = CoefficientField(mesh=mesh.relabeled({"Dinf": "DFplus"}),
+        f_small = CoefficientField(mesh=relabeled(mesh, {"Dinf": "DFplus"}),
                                    gamma0=1.0, finite_values={"DFplus": 2.0})
-        f_big = CoefficientField(mesh=mesh.relabeled({"D0": "DFminus"}),
+        f_big = CoefficientField(mesh=relabeled(mesh, {"D0": "DFminus"}),
                                  gamma0=1.0, finite_values={"DFminus": 0.5})
         nd_small = nd_matrix(f_small.validate(), basis)
         nd_big = nd_matrix(f_big.validate(), basis)
-        lam, ok = psd_test(nd_small, nd_big, tau=1e-7)
-        assert ok, lam
+        lam = psd_test(nd_small, nd_big)
+        assert lam >= -1e-7 * nd_big.gnorm(), lam
 
 
 def test_provenance_gate(disk_mesh, disk_field, basis8, nd_homogeneous):
@@ -460,8 +460,7 @@ def test_ordered_labelings_give_loewner_ordered_maps(template, lower, raise_by):
     upper = {c: max(lower.get(c, 1), raise_by.get(c, 1))
              for c in set(lower) | set(raise_by)}
     nd_low, nd_up = template_map(tpl, lower), template_map(tpl, upper)
-    lam, _ = psd_test(nd_low, nd_up, tau=None)
-    assert lam >= -1e-12 * nd_low.gnorm()
+    assert psd_test(nd_low, nd_up) >= -1e-12 * nd_low.gnorm()
     # each map is exactly symmetric and positive definite in the Gram geometry
     for nd in (nd_low, nd_up):
         assert np.array_equal(nd.matrix, nd.matrix.T)
@@ -550,8 +549,7 @@ def test_map_carries_the_mesh_hash_of_its_field(disk, family8):
     mesh = triangulate(disk, phantoms.build_phantom("insulating_disk")[0],
                        target_h=0.12, extra_segments=family8.grid_segments())
     basis = build_basis(mesh, 6)
-    relabeled = mesh.relabeled({"D0": "bg"})
-    nd = nd_matrix(CoefficientField(mesh=relabeled, gamma0=1.0), basis)
+    nd = nd_matrix(CoefficientField(mesh=relabeled(mesh, {"D0": "bg"}), gamma0=1.0), basis)
     assert nd.mesh_hash == mesh.provenance()
     painted = painted_field(mesh, [(cell_parts(family8, [(3, 3)]), "D0")], 1.0)
     assert nd_matrix(painted, basis).mesh_hash == mesh.provenance()
@@ -628,7 +626,7 @@ def test_field_system_matches_reference_path(coarse_disk, seeds, bands, ringed):
 @pytest.mark.parametrize("name", phantoms.REGRESSION_PHANTOMS)
 def test_command_maps_match_reference_path(name):
     # the maps of forward (and calibrate's measured map), chain (brackets
-    # and window maps, which are also theorem_test's), calibrate's
+    # and window maps, which are also the window's cover maps), calibrate's
     # background and the nd_matrix of the painted window are within
     # 1e-12*max|L| of the reference path's maps of the same fields
     from record_contract import contract_config

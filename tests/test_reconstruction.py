@@ -9,7 +9,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from eitmono import cli, fem, ndmap, phantoms, reconstruction
-from eitmono.coefficient import CoefficientField, homogeneous_field
+from eitmono.coefficient import CoefficientField
 from eitmono.fem import ConfigurationError
 from eitmono.geometry import pixel_family, triangulate
 from eitmono.ndmap import (PAINT_LABELS, NDError, PaintTemplate, build_basis,
@@ -179,8 +179,9 @@ class TestReconstruct:
 
     def test_bad_side_rejected(self, family8, coarse_recon_setup):
         regions, mesh, basis, nd = coarse_recon_setup
-        with pytest.raises(ValueError):
-            reconstruct(nd, mesh, family8, 1.0, basis, side="diagonal")
+        for side in ("diagonal", "sideways"):
+            with pytest.raises(ValueError, match=f"unknown side '{side}'"):
+                reconstruct(nd, mesh, family8, 1.0, basis, side=side)
 
 
 class TestCellPainting:
@@ -228,7 +229,8 @@ class TestCellPainting:
         basis = build_basis(mesh, 2)
         template = grid_template(mesh, family8, 2.5, basis)
         ref = PaintTemplate(mesh, template.part, template.n_parts,
-                            homogeneous_field(mesh, 2.5).element_integrals(), basis)
+                            reference_fem.homogeneous_field(mesh, 2.5).element_integrals(),
+                            basis)
         assert template.ke.tobytes() == ref.ke.tobytes()
 
     def test_nonconforming_mesh_raises_in_scanner(self, disk, family8):
