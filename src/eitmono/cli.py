@@ -172,6 +172,7 @@ class Problem:
         violations = validate_regions(self.domain, self.regions)
         if violations:
             raise ConfigError("regions invalid: " + "; ".join(violations))
+        self.declare_weight_features()
 
         self.target_h = _value(cfg, "mesh.target_h", _positive, default=0.06)
         self.min_angle = _value(cfg, "mesh.min_angle_deg", _nonnegative, default=0.05)
@@ -222,6 +223,8 @@ class Problem:
         return spec
 
     def declare_weight_features(self):
+        """Declare each weight's singular points and segments to the mesher,
+        skipping those already declared."""
         for lab in ("Ddeg", "Dsing"):
             w = self.coeff_spec.get(lab)
             if w is None:
@@ -229,11 +232,11 @@ class Problem:
             for p in w.singular_points():
                 if not any(np.allclose(p, q) for q in self.regions.singular_points):
                     self.regions.singular_points.append(tuple(p))
-            for s in w.singular_segments():
-                self.regions.singular_segments.append(np.asarray(s))
+            for s in map(np.asarray, w.singular_segments()):
+                if not any(np.array_equal(s, q) for q in self.regions.singular_segments):
+                    self.regions.singular_segments.append(s)
 
     def build_mesh(self, with_grid=True):
-        self.declare_weight_features()
         extra = self.family.grid_segments() if with_grid else []
         self.mesh = triangulate(self.domain, self.regions,
                                 target_h=self.target_h,

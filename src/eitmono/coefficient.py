@@ -235,7 +235,6 @@ class CoefficientField:
         for label in self.weights:
             if label not in WEIGHT_LABELS:
                 raise CoefficientError(f"weights not allowed on {label}")
-        self._element_integrals = None
 
     # -- basic queries ------------------------------------------------------
 
@@ -297,8 +296,6 @@ class CoefficientField:
     def element_integrals(self):
         """Per-triangle integral of the coefficient over non-extreme
         triangles (nan on D0/Dinf, which never enter the stiffness form)."""
-        if self._element_integrals is not None:
-            return self._element_integrals
         mesh = self.mesh
         areas = mesh.triangle_areas()
         out = float(self.gamma0) * areas  # background default
@@ -323,7 +320,6 @@ class CoefficientField:
                 raise CoefficientError(
                     f"nonfinite element integral on triangle {bad[0]} ({label}); "
                     "undeclared singularity?")
-        self._element_integrals = out
         return out
 
     def provenance(self):

@@ -90,24 +90,14 @@ class Domain:
         return t1 - t0
 
     def boundary_point(self, t):
-        """Point on the boundary at normalized parameter t (vectorized)."""
+        """Point on the boundary polygon at normalized parameter t
+        (vectorized): its n vertices sit at t = k/n, joined by chords."""
         t = np.mod(np.asarray(t, dtype=float), 1.0)
-        if self.shape == "disk":
-            # Points of the polygonalized circle: interpolate along chords.
-            n = self.disk_segments
-            k = np.floor(t * n).astype(int) % n
-            frac = t * n - np.floor(t * n)
-            th0 = 2 * np.pi * k / n
-            th1 = 2 * np.pi * (k + 1) / n
-            p0 = np.stack([np.cos(th0), np.sin(th0)], axis=-1)
-            p1 = np.stack([np.cos(th1), np.sin(th1)], axis=-1)
-            return p0 + frac[..., None] * (p1 - p0)
-        side = np.floor(t * 4).astype(int) % 4
-        frac = t * 4 - np.floor(t * 4)
-        corners = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-        p0 = corners[side]
-        p1 = corners[(side + 1) % 4]
-        return p0 + frac[..., None] * (p1 - p0)
+        poly = self.boundary_polygon
+        n = len(poly)
+        k = np.floor(t * n).astype(int) % n
+        frac = t * n - np.floor(t * n)
+        return poly[k] + frac[..., None] * (poly[(k + 1) % n] - poly[k])
 
     def boundary_param(self, points):
         """Normalized boundary parameter of points on (or near) the boundary."""
@@ -734,8 +724,11 @@ def mesh_region_faults(mesh, regions):
 
     The complements of D0 and of D0+Ddeg+Dsing must be connected, and the
     weighted regions compactly contained in the interior of the labeled
-    union: sampled points of their boundaries must stay clear of the edges
-    between labeled and unlabeled area.  The mesh's edge table is built
+    union: no triangle of theirs may have a vertex on the union's boundary,
+    the domain-boundary edges of labeled triangles and the edges between
+    labeled and background ones.  The edges of a conforming mesh meet only
+    at vertices, so a weighted region touches that boundary exactly when
+    one of its triangles has such a vertex.  The mesh's edge table is built
     once per call, and only when a clause reads it.
     """
     violations = []
@@ -755,41 +748,19 @@ def mesh_region_faults(mesh, regions):
     if not _connected_through_edges(table, ~merged):
         violations.append("complement of D0+Ddeg+Dsing not connected")
 
-    d_boundary = _union_boundary_segments(mesh, table)
-    if d_boundary is not None:
-        for label in weighted:
-            for poly in regions.label_polys(label):
-                samples = _densify_polygon(poly, 16)
-                # Only a distance under the cutoff decides, and the KD
-                # path measures every segment within it.
-                dist = pg.points_segments_distance(samples, d_boundary[0], d_boundary[1],
-                                                   cutoff=1e-9)
-                if dist.min() < 1e-9:
-                    violations.append(
-                        f"{label} not compactly contained in the labeled union interior")
-                    break
-    return violations
-
-
-def _union_boundary_segments(mesh, table):
-    """Edges separating labeled triangles from background/outside, from the
-    mesh's `edge_owners` table."""
     edges, owner = table
     first, counts = edge_runs(edges)
     is_d = mesh.triangle_region != BACKGROUND
     d_first = is_d[owner[first]]
     d_second = is_d[owner[np.minimum(first + 1, len(owner) - 1)]]
-    keep = ((counts == 1) & d_first) | ((counts == 2) & (d_first != d_second))
-    if not np.any(keep):
-        return None
-    e = edges[first[keep]]
-    return mesh.vertices[e[:, 0]], mesh.vertices[e[:, 1]]
-
-
-def _densify_polygon(poly, per_edge):
-    p = np.asarray(poly, dtype=float)
-    t = np.linspace(0.0, 1.0, per_edge, endpoint=False)[None, :, None]
-    return (p[:, None] + t * (np.roll(p, -1, axis=0) - p)[:, None]).reshape(-1, 2)
+    cut = ((counts == 1) & d_first) | ((counts == 2) & (d_first != d_second))
+    on_boundary = np.zeros(mesh.num_vertices, dtype=bool)
+    on_boundary[edges[first[cut]]] = True
+    for label in weighted:
+        if np.any(on_boundary[mesh.triangles[mesh.triangle_region == label]]):
+            violations.append(
+                f"{label} not compactly contained in the labeled union interior")
+    return violations
 
 
 # ---------------------------------------------------------------------------

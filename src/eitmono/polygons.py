@@ -142,13 +142,7 @@ def _points_near_edges(pts, a, b, tol):
     pad = 2 * tol + 4 * np.finfo(float).eps * (np.abs(ay) + np.abs(by))
     edge, pt = _slab_pairs(pts, np.minimum(ay, by) - pad, np.maximum(ay, by) + pad,
                            closed=True)
-    ab = b - a
-    ab2 = np.sum(ab * ab, axis=1)
-    ab2 = np.where(ab2 == 0, 1.0, ab2)
-    ap = pts[pt] - a[edge]
-    t = np.clip(np.sum(ap * ab[edge], axis=1) / ab2[edge], 0.0, 1.0)
-    closest = a[edge] + t[:, None] * ab[edge]
-    d2 = np.sum((pts[pt] - closest) ** 2, axis=1)
+    d2 = np.sum(_gaps(pts[pt], a[edge], b[edge]) ** 2, axis=1)
     near = np.zeros(len(pts), dtype=bool)
     near[pt[d2 <= tol * tol]] = True
     return near
@@ -206,30 +200,34 @@ def touches_segment_interior(q, a, b, tol):
             & (np.hypot(qb[..., 0], qb[..., 1]) > tol))
 
 
+def _gaps(p, a, b):
+    """p minus its closest point on segment ab, over broadcast (..., 2)
+    arrays; a zero-length segment's closest point is a."""
+    ab = b - a
+    ab2 = np.sum(ab * ab, axis=-1)
+    ab2 = np.where(ab2 == 0, 1.0, ab2)
+    t = np.clip(np.sum((p - a) * ab, axis=-1) / ab2, 0.0, 1.0)
+    return p - (a + t[..., None] * ab)
+
+
 def points_segments_distance(pts, seg_a, seg_b, cutoff=None):
-    """Min distance from each point to a family of segments (vectorized).
+    """Min distance from each point to a family of segments (vectorized),
+    each measured to the segment's closest point (`_gaps`).
 
     With ``cutoff`` given, distances above it are reported as cutoff (allows
-    a KD-tree prefilter; use when only nearby segments matter).
+    a KD-tree prefilter; use when only nearby segments matter).  Without
+    it, the points meet the segments in chunks of at most about 2e6 pairs.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     a = np.atleast_2d(np.asarray(seg_a, dtype=float))
     b = np.atleast_2d(np.asarray(seg_b, dtype=float))
     if cutoff is not None and len(a) > 64 and len(pts) > 256:
         return _points_segments_distance_kd(pts, a, b, cutoff)
-    ab = b - a
-    ab2 = np.sum(ab * ab, axis=1)
-    ab2 = np.where(ab2 == 0, 1.0, ab2)
     best = np.full(len(pts), np.inf)
     # Chunk over segments to bound memory.
     step = max(1, int(2e6 / max(len(pts), 1)))
     for i in range(0, len(a), step):
-        aa, bb = a[i:i + step], b[i:i + step]
-        abab = ab[i:i + step]
-        t = np.sum((pts[:, None, :] - aa[None, :, :]) * abab[None, :, :], axis=2)
-        t = np.clip(t / ab2[i:i + step][None, :], 0.0, 1.0)
-        closest = aa[None, :, :] + t[:, :, None] * abab[None, :, :]
-        d2 = np.sum((pts[:, None, :] - closest) ** 2, axis=2)
+        d2 = np.sum(_gaps(pts[:, None], a[i:i + step], b[i:i + step]) ** 2, axis=2)
         best = np.minimum(best, np.sqrt(np.min(d2, axis=1)))
     return best
 
@@ -247,13 +245,7 @@ def _points_segments_distance_kd(pts, a, b, cutoff):
     pairs = cKDTree(pts).sparse_distance_matrix(cKDTree(mid), radius,
                                                 output_type="ndarray")
     owner, segs = pairs["i"], pairs["j"]
-    ab = b - a
-    ab2 = np.sum(ab * ab, axis=1)
-    ab2 = np.where(ab2 == 0, 1.0, ab2)
-    ap = pts[owner] - a[segs]
-    t = np.clip(np.sum(ap * ab[segs], axis=1) / ab2[segs], 0.0, 1.0)
-    closest = a[segs] + t[:, None] * ab[segs]
-    d = np.hypot(*(pts[owner] - closest).T)
+    d = np.hypot(*_gaps(pts[owner], a[segs], b[segs]).T)
     best = np.full(len(pts), cutoff, dtype=float)
     np.minimum.at(best, owner, d)
     return best

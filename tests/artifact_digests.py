@@ -8,6 +8,8 @@ Run from the root of a checkout:
 
 It runs ``forward`` (with the ``mesh.txt`` export), ``reconstruct`` and
 ``chain`` on every phantom of ``phantoms.CATALOG`` at h=0.1, m=8, grid 8,
+``forward`` and ``reconstruct`` on the ``ARC_PHANTOMS`` among them with each
+half arc of ``ARCS`` (whose end points the mesher pins to vertices),
 then the ``calibrate`` sweep of ``record_contract.py``, then the operations
 of the benchmark workloads (``perfbench/workloads.py``) at seeds 0-3.  It
 writes a JSON object from each artifact's path below the run directory to
@@ -32,6 +34,8 @@ from record_contract import CALIBRATE_CONFIG, contract_config
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (0, 1, 2, 3)
+ARC_PHANTOMS = ("two_blob_mixed", "weighted_annulus")
+ARCS = ((0.0, 0.5), (0.25, 0.999))
 
 
 def file_digest(path):
@@ -58,8 +62,9 @@ def run(argv, run_dir, digests, base):
 
 
 def collect(work, names=tuple(phantoms.CATALOG), calibrate=True, seeds=SEEDS):
-    """Digests of the phantom runs of ``names``, the calibrate sweep when
-    ``calibrate`` and the workload operations at ``seeds``, run in ``work``."""
+    """Digests of the phantom runs of ``names`` (with their half-arc runs),
+    the calibrate sweep when ``calibrate`` and the workload operations at
+    ``seeds``, run in ``work``."""
     work = Path(work)
     work.mkdir(parents=True, exist_ok=True)
     digests = {}
@@ -70,6 +75,16 @@ def collect(work, names=tuple(phantoms.CATALOG), calibrate=True, seeds=SEEDS):
         for command in ("forward", "reconstruct", "chain"):
             run([command, "--config", str(cfg_path)], work / name / command,
                 digests, work)
+    for name in (n for n in ARC_PHANTOMS if n in names):
+        for t0, t1 in ARCS:
+            cfg = dict(contract_config(name), artifacts={"mesh": True})
+            cfg["domain"]["gamma_arc"] = [t0, t1]
+            key = f"{name}-arc{t0}-{t1}"
+            cfg_path = work / f"{key}.json"
+            cfg_path.write_text(json.dumps(cfg))
+            for command in ("forward", "reconstruct"):
+                run([command, "--config", str(cfg_path)], work / key / command,
+                    digests, work)
     if calibrate:
         cfg_path = work / "calibrate.json"
         cfg_path.write_text(json.dumps(CALIBRATE_CONFIG))

@@ -108,6 +108,25 @@ def ref_polygon_is_simple(poly, tol=1e-12):
     return True
 
 
+def ref_points_segments_distance_dense(pts, a, b):
+    """The chunked all-pairs distance loop with its closest-point arithmetic
+    written out: `polygons.points_segments_distance` without a cutoff."""
+    ab = b - a
+    ab2 = np.sum(ab * ab, axis=1)
+    ab2 = np.where(ab2 == 0, 1.0, ab2)
+    best = np.full(len(pts), np.inf)
+    step = max(1, int(2e6 / max(len(pts), 1)))
+    for i in range(0, len(a), step):
+        aa, bb = a[i:i + step], b[i:i + step]
+        abab = ab[i:i + step]
+        t = np.sum((pts[:, None, :] - aa[None, :, :]) * abab[None, :, :], axis=2)
+        t = np.clip(t / ab2[i:i + step][None, :], 0.0, 1.0)
+        closest = aa[None, :, :] + t[:, :, None] * abab[None, :, :]
+        d2 = np.sum((pts[:, None, :] - closest) ** 2, axis=2)
+        best = np.minimum(best, np.sqrt(np.min(d2, axis=1)))
+    return best
+
+
 def ref_points_segments_distance_kd(pts, a, b, cutoff):
     from scipy.spatial import cKDTree
 

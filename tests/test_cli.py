@@ -29,6 +29,18 @@ def write_config(tmp_path, name="config.json", **overrides):
     return path
 
 
+# DFminus wraps a Ddeg square except for a notch of background that meets
+# the square's bottom edge at the single point (0.10625, 0).
+PINCHED_DDEG = {
+    "regions": {"DFminus": [[[-0.3, -0.3], [0.05625, -0.3], [0.10625, 0.0],
+                             [0.15625, -0.3], [0.5, -0.3], [0.5, 0.5], [-0.3, 0.5]],
+                            [[0, 0], [0, 0.2], [0.2, 0.2], [0.2, 0]]],
+                "Ddeg": [[[0, 0], [0.2, 0], [0.2, 0.2], [0, 0.2]]]},
+    "coefficient": {"background": 1.0, "DFminus": 0.5,
+                    "Ddeg": {"kind": "constant", "value": 0.5}},
+}
+
+
 def read_metrics(out_dir):
     metrics = {}
     for line in (out_dir / "metrics.txt").read_text().strip().split("\n"):
@@ -305,7 +317,10 @@ class TestConfigErrors:
          {"Ddeg": {"kind": "radial_power", "center": [0.0, 0.0], "exponent": 0.5,
                    "amplitude": 1.0 / 0.45 ** 0.5}},
          "complement of D0+Ddeg+Dsing not connected"),
-    ], ids=["d0_annulus", "ddeg_touching_union_boundary", "ddeg_annulus"])
+        (PINCHED_DDEG["regions"], PINCHED_DDEG["coefficient"],
+         "Ddeg not compactly contained"),
+    ], ids=["d0_annulus", "ddeg_touching_union_boundary", "ddeg_annulus",
+            "ddeg_pinched_by_background"])
     def test_mesh_clause_rejected(self, tmp_path, capsys, regions,
                                   coefficient, reason):
         cfg = write_config(tmp_path, phantom=None, regions=regions,
@@ -314,6 +329,15 @@ class TestConfigErrors:
                      "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "config error: regions invalid: " in err and reason in err
+
+    @pytest.mark.parametrize("command", ["forward", "chain"])
+    def test_pinched_weighted_region_rejected(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, phantom=None, scan=None, mesh={"target_h": 0.1},
+                           basis={"m": 8}, **PINCHED_DDEG)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: regions invalid: Ddeg not compactly contained in the "
+            "labeled union interior"]
 
     @pytest.mark.parametrize("polygon, got", [
         ([[0, 0, 0], [0.1, 0, 0], [0, 0.1, 0]], "shape (3, 3)"),
@@ -522,6 +546,18 @@ class TestConfigErrors:
         assert (problem.m, problem.grid_n, problem.quad_depth) == (8, 7, 12)
         assert all(type(v) is int for v in (problem.m, problem.grid_n,
                                             problem.quad_depth))
+
+
+def test_weight_features_declared_once():
+    # the surface weight's segment, which the phantom already declares,
+    # reaches the mesher once however many meshes are built
+    problem = Problem({"domain": {"shape": "disk"}, "phantom": "surface_weighted_blob",
+                       "mesh": {"target_h": 0.15}})
+    declared = [np.asarray(s).tolist() for s in problem.regions.singular_segments]
+    assert len(declared) == 1
+    problem.build_mesh()
+    problem.build_mesh()
+    assert [np.asarray(s).tolist() for s in problem.regions.singular_segments] == declared
 
 
 def test_measurements_file_basis_mismatch(tmp_path):

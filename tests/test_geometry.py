@@ -88,6 +88,26 @@ class TestValidateRegions:
         assert mesh_region_faults(mesh, regions) == [
             "Ddeg not compactly contained in the labeled union interior"]
 
+    # a notch of background meets the square's bottom edge at one point,
+    # halfway between two of 16 evenly spaced points per edge
+    PINCH = [[-0.3, -0.3], [0.05625, -0.3], [0.10625, 0.0], [0.15625, -0.3],
+             [0.5, -0.3], [0.5, 0.5], [-0.3, 0.5]]
+    # a wedge of background meets the square at its corner (0, 0)
+    CORNER = [[-0.3, -0.3], [-0.05, -0.3], [0.0, 0.0], [0.05, -0.3],
+              [0.5, -0.3], [0.5, 0.5], [-0.3, 0.5]]
+
+    @pytest.mark.parametrize("df, h", [(PINCH, 0.1), (PINCH, 0.08), (PINCH, 0.05),
+                                       (CORNER, 0.1)],
+                             ids=["pinch-0.1", "pinch-0.08", "pinch-0.05", "corner"])
+    def test_weighted_square_touching_background_at_a_point(self, disk, df, h):
+        ddeg = pg.rectangle(0.0, 0.0, 0.2, 0.2)
+        regions = RegionSet(polys={"DFminus": [np.array(df), ddeg[::-1].copy()],
+                                   "Ddeg": [ddeg]})
+        assert validate_regions(disk, regions) == []
+        mesh = triangulate(disk, regions, target_h=h)
+        assert mesh_region_faults(mesh, regions) == [
+            "Ddeg not compactly contained in the labeled union interior"]
+
     def test_self_intersecting_raises(self, disk):
         bowtie = np.array([[0, 0], [0.3, 0.3], [0.3, 0], [0, 0.3]])
         with pytest.raises(GeometryError):
@@ -189,39 +209,6 @@ def test_one_interior_probe_per_polygon(monkeypatch, disk):
     regions, _ = phantoms.build_phantom("weighted_annulus")
     assert validate_regions(disk, regions) == []
     assert len(regions.all_polys()) == 5 and len(probed) == 5
-
-
-@pytest.mark.parametrize("gap", [0.0, 5e-10, 2e-9])
-def test_fault_check_cutoff_matches_dense_distance(monkeypatch, disk, gap):
-    # a Ddeg boundary sample `gap` inside the labeled-union boundary of the
-    # weighted annulus mesh: the KD path with the 1e-9 cutoff and the dense
-    # distance give the same faults
-    regions, _ = phantoms.build_phantom("weighted_annulus")
-    mesh = triangulate(disk, regions, target_h=0.07)
-    a, b = geometry._union_boundary_segments(mesh, edge_owners(mesh.triangles))
-    mid = (a[0] + b[0]) / 2.0
-    inward = -mid / np.hypot(*mid)
-    poly = pg.regular_polygon((0.0, 0.0), 0.2, 48)
-    poly[0] = mid + gap * inward
-    probe = RegionSet(polys={"Ddeg": [poly]})
-
-    kd_calls = []
-    real_kd = pg._points_segments_distance_kd
-
-    def counted_kd(*args):
-        kd_calls.append(1)
-        return real_kd(*args)
-
-    monkeypatch.setattr(pg, "_points_segments_distance_kd", counted_kd)
-    got = mesh_region_faults(mesh, probe)
-    assert len(kd_calls) == 1
-    real = pg.points_segments_distance
-    monkeypatch.setattr(pg, "points_segments_distance",
-                        lambda pts, seg_a, seg_b, cutoff=None: real(pts, seg_a, seg_b))
-    dense = mesh_region_faults(mesh, probe)
-    assert len(kd_calls) == 1
-    fault = ["Ddeg not compactly contained in the labeled union interior"]
-    assert got == dense == (fault if gap < 1e-9 else [])
 
 
 class TestTriangulate:

@@ -9,6 +9,7 @@ from eitmono.ndmap import _firsts
 
 from reference_predicates import (ref_ball_point_distance_kd, ref_box_pairs,
                                   ref_crossing_parity, ref_points_in_polygon,
+                                  ref_points_segments_distance_dense,
                                   ref_points_segments_distance_kd,
                                   ref_polygon_is_simple,
                                   ref_polygon_is_simple_all_pairs,
@@ -214,6 +215,21 @@ def test_kd_distance_matches_per_point_reference(pts, segs, cutoff):
     b = np.array([s[1] for s in segs], dtype=float)
     got = pg._points_segments_distance_kd(pts, a, b, cutoff)
     assert np.array_equal(got, ref_points_segments_distance_kd(pts, a, b, cutoff))
+
+
+@fast
+@given(st.lists(point, min_size=1, max_size=40),
+       st.lists(st.tuples(point, point), max_size=20),
+       st.lists(point, max_size=4))
+def test_dense_distance_matches_reference(pts, segs, stubs):
+    # the public call without a cutoff, with zero-length segments among
+    # the inputs, bit for bit against the loop with its arithmetic inline
+    segs = segs + [(p, p) for p in stubs] or [((0.0, 0.0), (0.0, 0.0))]
+    pts = np.array(pts, dtype=float)
+    a = np.array([s[0] for s in segs], dtype=float)
+    b = np.array([s[1] for s in segs], dtype=float)
+    got = pg.points_segments_distance(pts, a, b)
+    assert np.array_equal(got, ref_points_segments_distance_dense(pts, a, b))
 
 
 def test_kd_path_matches_reference_through_public_call():
