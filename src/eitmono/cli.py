@@ -223,18 +223,14 @@ class Problem:
         return spec
 
     def declare_weight_features(self):
-        """Declare each weight's singular points and segments to the mesher,
-        skipping those already declared."""
+        """Declare each weight's singular points and segments to the mesher
+        as they are; the mesher's arrangement merges the copies that snap
+        to one point."""
         for lab in ("Ddeg", "Dsing"):
             w = self.coeff_spec.get(lab)
-            if w is None:
-                continue
-            for p in w.singular_points():
-                if not any(np.allclose(p, q) for q in self.regions.singular_points):
-                    self.regions.singular_points.append(tuple(p))
-            for s in map(np.asarray, w.singular_segments()):
-                if not any(np.array_equal(s, q) for q in self.regions.singular_segments):
-                    self.regions.singular_segments.append(s)
+            if w is not None:
+                self.regions.singular_points.extend(w.singular_points())
+                self.regions.singular_segments.extend(w.singular_segments())
 
     def build_mesh(self, with_grid=True):
         extra = self.family.grid_segments() if with_grid else []

@@ -15,11 +15,6 @@ import scipy.sparse.linalg as spla
 
 from .polygons import triangle_areas
 
-STATUS_FREE = 0
-STATUS_REMOVED = 1
-STATUS_MERGED = 2
-
-
 class SolverError(RuntimeError):
     pass
 
@@ -32,32 +27,27 @@ class ConfigurationError(ValueError):
 class DofMap:
     """Vertex-to-DOF assignment for a labeled mesh.
 
-    ``dof_of_vertex`` is -1 for removed vertices; vertices of the k-th
-    conducting component share the DOF ``n_plain + k``.
+    ``dof_of_vertex`` is -1 for removed vertices; the free vertices hold
+    the DOFs below ``n_free``, and the vertices of the k-th conducting
+    component share the DOF ``n_free + k``.
     """
 
-    vertex_status: np.ndarray
     dof_of_vertex: np.ndarray
-    conductor_of_vertex: np.ndarray
     n_dofs: int
-    n_conductors: int
+    n_free: int
 
     @classmethod
     def numbered(cls, removed, conductor_of_vertex, n_conductors):
         """DOF map of the removed vertices and conductors: free vertices
         numbered in vertex order, then one DOF per conductor."""
         merged = conductor_of_vertex >= 0
-        status = np.full(len(removed), STATUS_FREE, dtype=np.int8)
-        status[removed] = STATUS_REMOVED
-        status[merged] = STATUS_MERGED
-        plain = status == STATUS_FREE
-        n_plain = int(plain.sum())
+        free = ~(removed | merged)
+        n_free = int(free.sum())
         dof_of_vertex = -np.ones(len(removed), dtype=int)
-        dof_of_vertex[plain] = np.arange(n_plain)
-        dof_of_vertex[merged] = n_plain + conductor_of_vertex[merged]
-        return cls(vertex_status=status, dof_of_vertex=dof_of_vertex,
-                   conductor_of_vertex=conductor_of_vertex,
-                   n_dofs=n_plain + n_conductors, n_conductors=n_conductors)
+        dof_of_vertex[free] = np.arange(n_free)
+        dof_of_vertex[merged] = n_free + conductor_of_vertex[merged]
+        return cls(dof_of_vertex=dof_of_vertex, n_dofs=n_free + n_conductors,
+                   n_free=n_free)
 
 
 # The bordered matrix is symmetric, so SuperLU factors it in symmetric mode

@@ -127,8 +127,9 @@ def build_domain(shape, gamma_arc=(0.0, 1.0), disk_segments=256):
 class RegionSet:
     """Labeled inclusion geometry.
 
-    ``polys`` maps a label to a list of oriented simple polygons; CCW
-    polygons are solid, CW polygons cut holes (membership by parity).
+    ``polys`` maps a label to a list of simple polygons; a point is in the
+    label's region when an odd number of them hold it, so a polygon nested
+    in another of its label cuts a hole (written clockwise by convention).
     ``singular_points``/``singular_segments`` declare weight singularities so
     the mesher can pin them to vertices/edges.
     """
@@ -157,13 +158,6 @@ class RegionSet:
 
     def is_empty(self):
         return all(len(v) == 0 for v in self.polys.values())
-
-    def membership(self, points, label):
-        plist = self.label_polys(label)
-        pts = np.atleast_2d(points)
-        if not plist:
-            return np.zeros(len(pts), dtype=bool)
-        return pg.points_in_region(pts, plist, tol=0.0)
 
 
 def _polygon_array(label, i, poly):
@@ -477,7 +471,12 @@ def triangulate(domain, regions=None, target_h=0.1, extra_segments=(),
 
     Region boundaries, declared singular features, and any extra constraint
     segments become unions of mesh edges; singular points become vertices.
-    Raises MeshConformityError when target_h is so fine that the background
+    Each triangle takes the label whose region holds its centroid.  The
+    mesh resolves every region edge, so a positive-area overlap of two
+    labels is made of whole triangles, and a centroid in two labels'
+    regions raises GeometryError naming them, in `REGION_LABELS` order:
+    this is the exact overlap check of a region set.  Raises
+    MeshConformityError when target_h is so fine that the background
     lattice exceeds `MAX_LATTICE_POINTS`, when constraint recovery fails or
     when a labeled region ends up without triangles (target_h cannot
     resolve it).
@@ -525,7 +524,7 @@ def triangulate(domain, regions=None, target_h=0.1, extra_segments=(),
     gx = np.arange(xmin, xmax + spacing, spacing)
     gy = np.arange(ymin, ymax + spacing, spacing)
     gpts = np.array(np.meshgrid(gx, gy)).reshape(2, -1).T
-    inside = pg.points_in_polygon(gpts, bp, boundary=False, tol=0.0)
+    inside = pg.points_in_polygon(gpts, bp, tol=0.0)
     gpts = gpts[inside]
     if len(gpts):
         d = pg.points_segments_distance(gpts, seg_a, seg_b, cutoff=0.5 * spacing)
@@ -583,7 +582,7 @@ def triangulate(domain, regions=None, target_h=0.1, extra_segments=(),
                                         for c in (0, 1)])
         valid = free_mask & (neighbor_cnt > 0)
         proposed = neighbor_sum[valid] / neighbor_cnt[valid][:, None]
-        keep = pg.points_in_polygon(proposed, bp, boundary=False, tol=0.0)
+        keep = pg.points_in_polygon(proposed, bp, tol=0.0)
         dseg = pg.points_segments_distance(proposed, seg_a, seg_b, cutoff=0.35 * spacing)
         keep &= dseg > 0.3 * spacing
         idxs = np.flatnonzero(valid)
@@ -597,7 +596,7 @@ def triangulate(domain, regions=None, target_h=0.1, extra_segments=(),
         lengths = np.hypot(*(arr[j] - arr[i]).T)
         long = lengths > target_h
         mids = (arr[i[long]] + arr[j[long]]) / 2.0
-        mids = mids[pg.points_in_polygon(mids, bp, boundary=False, tol=0.0)]
+        mids = mids[pg.points_in_polygon(mids, bp, tol=0.0)]
         if len(mids):
             dmid = pg.points_segments_distance(mids, seg_a, seg_b, cutoff=0.25 * spacing)
             mids = mids[dmid > 0.2 * spacing]
@@ -609,7 +608,7 @@ def triangulate(domain, regions=None, target_h=0.1, extra_segments=(),
     # Keep triangles whose centroid is inside the domain polygon.
     simplices = dt.simplices
     cent = arr[simplices].mean(axis=1)
-    keep = pg.points_in_polygon(cent, bp, boundary=False, tol=0.0)
+    keep = pg.points_in_polygon(cent, bp, tol=0.0)
     tris = simplices[keep]
 
     # Snapped collinear chains can leave hairline slivers hugging constraint
@@ -643,10 +642,11 @@ def triangulate(domain, regions=None, target_h=0.1, extra_segments=(),
         plist = regions.label_polys(label)
         if not plist:
             continue
-        member = pg.points_in_region(cent, plist, tol=0.0)
+        member = pg.points_in_region(cent, plist)
         clash = member & (labels != BACKGROUND)
         if np.any(clash):
-            raise GeometryError(f"regions overlap near {cent[np.argmax(clash)]}")
+            k = np.argmax(clash)
+            raise GeometryError(f"regions {labels[k]} and {label} overlap near {cent[k]}")
         labels[member] = label
 
     for label in REGION_LABELS:
@@ -673,10 +673,12 @@ def triangulate(domain, regions=None, target_h=0.1, extra_segments=(),
 # ---------------------------------------------------------------------------
 
 def validate_regions(domain, regions):
-    """Check the region-set invariants decidable on the polygons alone:
-    simple polygons inside the domain that do not overlap across labels;
-    returns violation strings.  The clauses that need a conforming mesh are
-    `mesh_region_faults`.
+    """Check the region-set invariants that the polygons decide exactly:
+    simple polygons inside the domain, and no proper crossing between edges
+    of two labels; returns violation strings.  Overlap without a crossing
+    (one label nested in another, or sharing an edge) is decided exactly by
+    `triangulate`'s centroid labels, and the other clauses that need a
+    conforming mesh are `mesh_region_faults`.
 
     Raises GeometryError on self-intersecting input polygons.
     """
@@ -689,32 +691,31 @@ def validate_regions(domain, regions):
             raise GeometryError(f"self-intersecting polygon in {label}")
 
     labels, polys = zip(*all_polys)
-    inside = pg.points_in_polygon(np.concatenate(polys), domain.boundary_polygon,
-                                  boundary=True)
-    offsets = np.cumsum([0] + [len(p) for p in polys[:-1]])
+    a = np.concatenate(polys)
+    inside = pg.points_in_polygon(a, domain.boundary_polygon)
+    sizes = [len(p) for p in polys]
+    offsets = np.cumsum([0] + sizes[:-1])
     for label, contained in zip(labels, np.logical_and.reduceat(inside, offsets)):
         if not contained:
             violations.append(f"{label} polygon extends outside the domain")
 
-    def report(pairs, clause):
-        # each unordered label pair once, at its first occurrence
-        seen = set()
-        for la, lb in pairs:
-            if frozenset((la, lb)) not in seen:
-                seen.add(frozenset((la, lb)))
-                violations.append(f"regions {la} and {lb} overlap{clause}")
-
-    # Pairwise interior disjointness between different labels (parity-aware;
-    # same-label nesting encodes holes).
-    report(((la, lb) for (la, pa), (lb, pb) in itertools.combinations(all_polys, 2)
-            if la != lb and pg.polygons_edges_cross(pa, pb)), " (edges cross)")
-    if not violations:
-        # Polygon a overlaps label lb when its interior probe lies in both
-        # its own label's region and lb's.
-        probes = np.array([pg._interior_probe(p) for p in polys])
-        member = {label: regions.membership(probes, label) for label in set(labels)}
-        report(((la, lb) for a, la in enumerate(labels) for lb in dict.fromkeys(labels)
-                if la != lb and member[la][a] and member[lb][a]), "")
+    # Edges of two labels that cross at a point interior to both, from one
+    # sweep over every region edge: edges whose boxes are apart cannot
+    # cross, and the boxes are widened by 1e-12 so that the roundoff of the
+    # orientation tests cannot pass over a crossing.  Each label pair is
+    # reported once, at its first polygon pair in `itertools.combinations`
+    # order (same-label nesting encodes holes).
+    b = np.concatenate([np.roll(p, -1, axis=0) for p in polys])
+    owner = np.repeat(np.arange(len(polys)), sizes)
+    i, j = pg.box_pairs(np.minimum(a, b), np.maximum(a, b), 1e-12)
+    label_of = np.array(labels)[owner]
+    across = label_of[i] != label_of[j]
+    i, j = i[across], j[across]
+    cross = pg.segments_properly_intersect(a[i], b[i], a[j], b[j])
+    n = len(polys)
+    pairs = np.unique(owner[i[cross]] * n + owner[j[cross]])
+    for la, lb in dict.fromkeys((labels[k // n], labels[k % n]) for k in pairs):
+        violations.append(f"regions {la} and {lb} overlap (edges cross)")
     return violations
 
 
@@ -833,7 +834,7 @@ class PixelFamily:
         bp = self.domain.boundary_polygon
         nodes = np.stack(np.meshgrid(*self.grid_lines(), indexing="ij"), axis=-1)
         nodes = nodes.reshape(-1, 2)
-        inside = pg.points_in_polygon(nodes, bp, boundary=True)
+        inside = pg.points_in_polygon(nodes, bp)
         near = pg.points_segments_distance(nodes, bp, np.roll(bp, -1, axis=0)) < 1e-9
         faults = {}
         for i, j in itertools.product(range(self.grid_n), repeat=2):

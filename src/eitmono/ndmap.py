@@ -475,7 +475,8 @@ class PaintTemplate:
         conductor_of_vertex[self.inc_vertex[merged]] = conductor[self.inc_node[merged]]
         dofmap = fem.DofMap.numbered(removed, conductor_of_vertex, n_conductors)
         if self.by_rank is not None:
-            free = self.by_rank[dofmap.vertex_status[self.by_rank] == fem.STATUS_FREE]
+            dof = dofmap.dof_of_vertex[self.by_rank]
+            free = self.by_rank[(0 <= dof) & (dof < dofmap.n_free)]
             dofmap.dof_of_vertex[free] = np.arange(len(free))
 
         # Every node that keeps DOFs must reach a node on gamma.
@@ -536,7 +537,7 @@ class PaintTemplate:
             changed = np.flatnonzero(cells != base.cells)
             if len(changed) == 1 and base.cells[changed[0]] == PAINT_BG:
                 x, residual = self.update(base, changed[0], cells[changed[0]])
-                if not len(fem.residual_misses(residual(x), self.gd.load_norms, rtol)):
+                if not len(fem.residual_misses(residual, self.gd.load_norms, rtol)):
                     u = x[:base.system.n]
                     try:
                         fem.check_gamma_mean(base.system.constraint, u)
@@ -575,9 +576,8 @@ class PaintTemplate:
 
     def update(self, base, cell, code):
         """Potentials and multipliers of ``base`` with the background cell
-        ``cell`` painted ``code``, on the base's factorization, and the
-        function giving the residual norms of such a block against the
-        painting's system.
+        ``cell`` painted ``code``, on the base's factorization, and their
+        residual norms against the painting's system.
 
         Let K be the cell's element matrix on its closure.  The closure
         vertices I whose active triangles in the base are all the cell's
@@ -616,30 +616,24 @@ class PaintTemplate:
             w = lu.solve(e)
             x = x0 - w @ np.linalg.solve(np.eye(k) - s @ w[rim], -s @ x0[rim])
             x[inner] = 0.0
-
-            def residual(x):
-                r = -(kmat @ x)
-                r[:n] += base.b
-                r[rim] += k_rr @ x[rim]
-                r[inner] = 0.0
-                return np.linalg.norm(r, axis=0)
+            r = -(kmat @ x)
+            r[:n] += base.b
+            r[rim] += k_rr @ x[rim]
+            r[inner] = 0.0
         else:
             c = np.zeros((n + 1, k - 1))
             c[rim[0]] = 1.0
             c[rim[1:], np.arange(k - 1)] = -1.0
             w = lu.solve(c) if k > 1 else c
             x = x0 - w @ np.linalg.solve(c[rim].T @ w[rim], c[rim].T @ x0[rim])
+            # the residual of the merged DOF sums the rows it merges
             merged = np.concatenate([rim, inner])
-
-            def residual(x):
-                # the residual of the merged DOF sums the rows it merges
-                r = -(kmat @ x)
-                r[:n] += base.b
-                total = r[merged].sum(axis=0)
-                r[merged] = 0.0
-                r[rim[0]] = total
-                return np.linalg.norm(r, axis=0)
-        return x, residual
+            r = -(kmat @ x)
+            r[:n] += base.b
+            total = r[merged].sum(axis=0)
+            r[merged] = 0.0
+            r[rim[0]] = total
+        return x, np.linalg.norm(r, axis=0)
 
 
 def perturb_symmetric(nd, rel_magnitude, seed):

@@ -1,9 +1,9 @@
 """Planar polygon and segment predicates used by the geometry layer.
 
 All polygons are numpy arrays of shape (n, 2) listing vertices of a simple
-closed polygon (last vertex implicitly connects to the first).  Orientation
-matters where documented: counter-clockwise (positive signed area) polygons
-are solid, clockwise polygons act as holes.
+closed polygon (last vertex implicitly connects to the first).  No
+predicate reads the orientation: region membership is by crossing parity,
+so a polygon nested in another of its region cuts a hole either way round.
 """
 
 import numpy as np
@@ -11,13 +11,6 @@ import numpy as np
 # Coordinates closer than this are treated as the same point when snapping
 # arrangement vertices.  Features in this package live at scale O(1).
 SNAP_TOL = 1e-9
-
-
-def signed_area(poly):
-    """Signed area of a polygon; positive for counter-clockwise vertex order."""
-    p = np.asarray(poly, dtype=float)
-    x, y = p[:, 0], p[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
 def triangle_areas(coords):
@@ -77,17 +70,12 @@ def box_pairs(lo, hi, tol):
     return keys // n, keys % n
 
 
-def ensure_ccw(poly):
-    """Return the polygon with counter-clockwise orientation."""
-    p = np.asarray(poly, dtype=float)
-    return p if signed_area(p) >= 0 else p[::-1].copy()
-
-
-def points_in_polygon(points, poly, boundary=True, tol=1e-12):
+def points_in_polygon(points, poly, tol=1e-12):
     """Crossing-number membership test for an array of points.
 
-    Points within ``tol`` of an edge count as inside iff ``boundary`` is
-    True.  Vectorized over ``points``; the polygon may be CW or CCW.
+    With ``tol`` > 0, points within ``tol`` of an edge count as inside;
+    ``tol`` = 0 keeps the bare crossing parity.  Vectorized over
+    ``points``; the polygon may be CW or CCW.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     p = np.asarray(poly, dtype=float)
@@ -96,7 +84,7 @@ def points_in_polygon(points, poly, boundary=True, tol=1e-12):
     inside = _crossing_parity(pts, a, b)
     if tol > 0:
         on_edge = _points_near_edges(pts, a, b, tol)
-        inside = np.where(on_edge, boundary, inside)
+        inside |= on_edge
     return inside
 
 
@@ -148,21 +136,17 @@ def _points_near_edges(pts, a, b, tol):
     return near
 
 
-def point_in_polygon(point, poly, boundary=True, tol=1e-12):
-    return bool(points_in_polygon(np.asarray(point, dtype=float)[None, :], poly,
-                                  boundary=boundary, tol=tol)[0])
-
-
-def points_in_region(points, polys, tol=1e-12):
+def points_in_region(points, polys):
     """Membership in a region given as oriented polygons (CW acts as hole).
 
     Implemented with the winding-parity convention: a point belongs to the
-    region when it lies inside an odd number of the listed polygons.
+    region when it lies inside an odd number of the listed polygons, each
+    by its bare crossing parity.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     count = np.zeros(len(pts), dtype=int)
     for poly in polys:
-        count += points_in_polygon(pts, poly, boundary=True, tol=tol).astype(int)
+        count += points_in_polygon(pts, poly, tol=0.0).astype(int)
     return count % 2 == 1
 
 
@@ -280,11 +264,6 @@ def segment_intersection_point(a, b, c, d):
     return a + t[..., None] * r
 
 
-# Boxes of edges that could cross are widened by this much, so that the
-# roundoff of the orientation tests cannot pass over a crossing.
-_CROSS_BOX_TOL = 1e-12
-
-
 def polygon_is_simple(poly, tol=1e-12):
     """Check that no two non-adjacent edges intersect and no vertex repeats.
 
@@ -312,36 +291,6 @@ def polygon_is_simple(poly, tol=1e-12):
     return not np.any(touches_segment_interior(np.concatenate([c, d, a, b]),
                                                np.concatenate([a, a, c, c]),
                                                np.concatenate([b, b, d, d]), tol))
-
-
-def polygons_edges_cross(poly_a, poly_b, tol=1e-14):
-    """True when some edge of poly_a and some edge of poly_b cross at a
-    point interior to both (``segments_properly_intersect`` over the edge
-    pairs whose boxes meet: edges whose boxes are apart cannot cross)."""
-    pa = np.asarray(poly_a, dtype=float)
-    pb = np.asarray(poly_b, dtype=float)
-    a = np.concatenate([pa, pb])
-    b = np.concatenate([np.roll(pa, -1, axis=0), np.roll(pb, -1, axis=0)])
-    i, j = box_pairs(np.minimum(a, b), np.maximum(a, b), _CROSS_BOX_TOL)
-    across = (i < len(pa)) & (j >= len(pa))
-    i, j = i[across], j[across]
-    return bool(np.any(segments_properly_intersect(a[i], b[i], a[j], b[j], tol)))
-
-
-def _interior_probe(poly):
-    """A point strictly inside a simple polygon (ear-based probe)."""
-    p = ensure_ccw(poly)
-    n = len(p)
-    for i in range(n):
-        a, b, c = p[i - 1], p[i], p[(i + 1) % n]
-        if _orient(a, b, c) <= 0:
-            continue
-        probe = (a + b + c) / 3.0
-        if point_in_polygon(probe, p, boundary=False, tol=0.0):
-            others = np.array([p[j] for j in range(n) if j not in (i - 1 if i > 0 else n - 1, i, (i + 1) % n)])
-            if len(others) == 0 or not points_in_polygon(others, np.array([a, b, c]), boundary=False, tol=0.0).any():
-                return probe
-    return p.mean(axis=0)
 
 
 def regular_polygon(center, radius, n, phase=0.0):

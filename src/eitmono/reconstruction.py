@@ -91,7 +91,7 @@ def rasterize_truth(regions, fam):
     centers = np.array([[cx[i], cy[j]] for i in range(n) for j in range(n)])
     inside = np.zeros(len(centers), dtype=bool)
     for _, poly in regions.all_polys():
-        inside |= pg.points_in_polygon(centers, poly, boundary=True)
+        inside |= pg.points_in_polygon(centers, poly)
     grid = inside.reshape(n, n)
     filled, _ = fill_enclosed(~grid)
     return filled

@@ -10,7 +10,8 @@ It runs ``forward`` (with the ``mesh.txt`` export), ``reconstruct`` and
 ``chain`` on every phantom of ``phantoms.CATALOG`` at h=0.1, m=8, grid 8,
 ``forward`` and ``reconstruct`` on the ``ARC_PHANTOMS`` among them with each
 half arc of ``ARCS`` (whose end points the mesher pins to vertices),
-then the ``calibrate`` sweep of ``record_contract.py``, then the operations
+``forward`` on each config of ``REJECTED``, which exits 2 with a config
+error, then the ``calibrate`` sweep of ``record_contract.py``, then the operations
 of the benchmark workloads (``perfbench/workloads.py``) at seeds 0-3.  It
 writes a JSON object from each artifact's path below the run directory to
 the SHA-256 of its bytes, with the ``wall_time`` line of ``metrics.txt``
@@ -31,11 +32,21 @@ from pathlib import Path
 
 from eitmono import cli, phantoms
 from record_contract import CALIBRATE_CONFIG, contract_config
+from test_cli import NEAR_SINGULAR_POINTS, OVERLAPS, PINCHED_DDEG
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (0, 1, 2, 3)
 ARC_PHANTOMS = ("two_blob_mixed", "weighted_annulus")
 ARCS = ((0.0, 0.5), (0.25, 0.999))
+# One region set per config-error clause, in place of the phantom: the
+# overlap and crossing sets of the CLI tests, a weighted square pinched by
+# the background, a polygon outside the domain and a weight's singular
+# point beside a declared one.
+REJECTED = {**{name: overrides for name, (overrides, _) in OVERLAPS.items()},
+            "pinched_ddeg": PINCHED_DDEG,
+            "outside_domain": {"regions": {"D0": [[[0.8, 0.8], [1.2, 0.8],
+                                                   [1.2, 1.2], [0.8, 1.2]]]}},
+            "near_singular_points": NEAR_SINGULAR_POINTS}
 
 
 def file_digest(path):
@@ -61,10 +72,12 @@ def run(argv, run_dir, digests, base):
             digests[path.relative_to(base).as_posix()] = file_digest(path)
 
 
-def collect(work, names=tuple(phantoms.CATALOG), calibrate=True, seeds=SEEDS):
+def collect(work, names=tuple(phantoms.CATALOG), rejected=True, calibrate=True,
+            seeds=SEEDS):
     """Digests of the phantom runs of ``names`` (with their half-arc runs),
-    the calibrate sweep when ``calibrate`` and the workload operations at
-    ``seeds``, run in ``work``."""
+    the ``REJECTED`` runs when ``rejected``, the calibrate sweep when
+    ``calibrate`` and the workload operations at ``seeds``, run in
+    ``work``."""
     work = Path(work)
     work.mkdir(parents=True, exist_ok=True)
     digests = {}
@@ -85,6 +98,12 @@ def collect(work, names=tuple(phantoms.CATALOG), calibrate=True, seeds=SEEDS):
             for command in ("forward", "reconstruct"):
                 run([command, "--config", str(cfg_path)], work / key / command,
                     digests, work)
+    for name, overrides in REJECTED.items() if rejected else ():
+        cfg = {k: v for k, v in contract_config(name).items() if k != "phantom"}
+        cfg_path = work / f"rejected-{name}.json"
+        cfg_path.write_text(json.dumps({**cfg, **overrides}))
+        run(["forward", "--config", str(cfg_path)], work / "rejected" / name,
+            digests, work)
     if calibrate:
         cfg_path = work / "calibrate.json"
         cfg_path.write_text(json.dumps(CALIBRATE_CONFIG))

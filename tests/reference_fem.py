@@ -85,7 +85,7 @@ def painted_field(mesh, paint, gamma0):
 
 
 def _contains(parts, points):
-    return np.any([pg.points_in_polygon(points, p, boundary=True) for p in parts], axis=0)
+    return np.any([pg.points_in_polygon(points, p) for p in parts], axis=0)
 
 
 def _check_conformity(mesh, parts, tol=1e-9):
@@ -169,6 +169,19 @@ def build_dof_map(mesh):
     dofmap = DofMap.numbered(removed, conductor_of_vertex, n_conductors)
     _check_dof_connectivity(mesh, dofmap)
     return dofmap
+
+
+def vertex_status(dofmap):
+    """Each vertex's status in a `fem.DofMap`: "free", "removed", or
+    "merged" into a conductor's DOF."""
+    dv = dofmap.dof_of_vertex
+    return np.where(dv < 0, "removed", np.where(dv < dofmap.n_free, "free", "merged"))
+
+
+def conductor_of_vertex(dofmap):
+    """Each vertex's conductor in a `fem.DofMap`, -1 off the conductors."""
+    dv = dofmap.dof_of_vertex
+    return np.where(dv >= dofmap.n_free, dv - dofmap.n_free, -1)
 
 
 def _check_dof_connectivity(mesh, dofmap):
@@ -285,10 +298,9 @@ def assert_same_system(got, ref):
     hundred element triplets in another order on each path; on the
     regression phantoms each path is up to 2.2e-15*max|K| from the exactly
     rounded sum (math.fsum), so the bound there is 4e-15*max|K|."""
-    for name in ("vertex_status", "conductor_of_vertex"):
-        assert np.array_equal(getattr(got.dofmap, name),
-                              getattr(ref.dofmap, name)), name
-    assert got.dofmap.n_conductors == ref.dofmap.n_conductors
+    for status in (vertex_status, conductor_of_vertex):
+        assert np.array_equal(status(got.dofmap), status(ref.dofmap)), status.__name__
+    assert got.dofmap.n_free == ref.dofmap.n_free
     assert got.n == ref.n
     has = ref.dofmap.dof_of_vertex >= 0
     assert np.array_equal(got.dofmap.dof_of_vertex >= 0, has)
@@ -297,7 +309,7 @@ def assert_same_system(got, ref):
     assert np.array_equal(to_ref[got.dofmap.dof_of_vertex[has]],
                           ref.dofmap.dof_of_vertex[has])
     assert np.array_equal(np.sort(to_ref), np.arange(ref.n + 1))
-    n_free = ref.n - ref.dofmap.n_conductors
+    n_free = ref.dofmap.n_free
     assert np.array_equal(to_ref[n_free:], np.arange(n_free, ref.n + 1))
     assert np.array_equal(got.constraint, ref.constraint[to_ref[:-1]])
     coo = got.kmat.tocoo()

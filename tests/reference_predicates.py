@@ -4,7 +4,8 @@ that ``polygons.box_pairs`` replaced, the grid-graph hole fill that
 ``scipy.ndimage`` replaced and the all-segments grid distance that
 ``reconstruction.grid_cells`` replaced.  The fast paths in ``eitmono.polygons``,
 ``eitmono.geometry`` and ``eitmono.reconstruction`` must reproduce them bit
-for bit."""
+for bit.  ``ref_probe_overlaps`` keeps the sampled overlap clause that the
+mesher's centroid labels replaced, as the bar those labels must clear."""
 
 import itertools
 import math
@@ -43,14 +44,14 @@ def ref_points_near_edges(pts, a, b, tol):
     return np.any(d2 <= tol * tol, axis=1)
 
 
-def ref_points_in_polygon(pts, poly, boundary=True, tol=1e-12):
+def ref_points_in_polygon(pts, poly, tol=1e-12):
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     a = np.asarray(poly, dtype=float)
     b = np.roll(a, -1, axis=0)
     inside = ref_crossing_parity(pts, a, b)
     if tol > 0:
         on_edge = ref_points_near_edges(pts, a, b, tol)
-        inside = np.where(on_edge, boundary, inside)
+        inside = np.where(on_edge, True, inside)
     return inside
 
 
@@ -291,8 +292,7 @@ def ref_polygons_edges_cross(pa, pb):
 
 
 def ref_validate_regions(domain, regions):
-    """`validate_regions` polygon by polygon and pair by pair: one interior
-    probe per ordered pair of polygons with different labels."""
+    """`validate_regions` polygon by polygon and pair by pair."""
     from eitmono.geometry import GeometryError
 
     violations = []
@@ -303,7 +303,7 @@ def ref_validate_regions(domain, regions):
 
     bp = domain.boundary_polygon
     for label, poly in all_polys:
-        if not ref_points_in_polygon(poly, bp, boundary=True).all():
+        if not ref_points_in_polygon(poly, bp).all():
             violations.append(f"{label} polygon extends outside the domain")
 
     # each unordered label pair is reported once, at its first occurrence
@@ -313,14 +313,53 @@ def ref_validate_regions(domain, regions):
                 ref_polygons_edges_cross(pa, pb):
             seen.add(frozenset((la, lb)))
             violations.append(f"regions {la} and {lb} overlap (edges cross)")
-    if not violations:
-        for (la, pa), (lb, _) in itertools.permutations(all_polys, 2):
-            if la == lb or frozenset((la, lb)) in seen:
-                continue
-            probe = pg._interior_probe(pa)[None, :]
-            if regions.membership(probe, la)[0] and regions.membership(probe, lb)[0]:
-                seen.add(frozenset((la, lb)))
-                violations.append(f"regions {la} and {lb} overlap")
+    return violations
+
+
+def signed_area(poly):
+    """Signed area of a polygon; positive for counter-clockwise vertex order."""
+    p = np.asarray(poly, dtype=float)
+    x, y = p[:, 0], p[:, 1]
+    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+
+
+def ensure_ccw(poly):
+    """Return the polygon with counter-clockwise orientation."""
+    p = np.asarray(poly, dtype=float)
+    return p if signed_area(p) >= 0 else p[::-1].copy()
+
+
+def _interior_probe(poly):
+    """A point strictly inside a simple polygon (ear-based probe)."""
+    p = ensure_ccw(poly)
+    n = len(p)
+    for i in range(n):
+        a, b, c = p[i - 1], p[i], p[(i + 1) % n]
+        if pg._orient(a, b, c) <= 0:
+            continue
+        probe = (a + b + c) / 3.0
+        if pg.points_in_polygon(probe[None, :], p, tol=0.0)[0]:
+            others = np.array([p[j] for j in range(n) if j not in (i - 1 if i > 0 else n - 1, i, (i + 1) % n)])
+            if len(others) == 0 or not pg.points_in_polygon(others, np.array([a, b, c]), tol=0.0).any():
+                return probe
+    return p.mean(axis=0)
+
+
+def ref_probe_overlaps(regions):
+    """The interior-probe overlap clause: polygon a overlaps label lb when
+    its interior probe lies in both its own label's region and lb's.  It
+    samples one point per polygon, so it misses overlaps away from the
+    probes; each unordered label pair is reported once."""
+    seen = set()
+    violations = []
+    for (la, pa), (lb, _) in itertools.permutations(regions.all_polys(), 2):
+        if la == lb or frozenset((la, lb)) in seen:
+            continue
+        probe = _interior_probe(pa)[None, :]
+        if pg.points_in_region(probe, regions.label_polys(la))[0] and \
+                pg.points_in_region(probe, regions.label_polys(lb))[0]:
+            seen.add(frozenset((la, lb)))
+            violations.append(f"regions {la} and {lb} overlap")
     return violations
 
 
@@ -408,7 +447,8 @@ def ref_polygon_is_simple_all_pairs(poly, tol=1e-12):
 
 
 def ref_polygons_edges_cross_all_pairs(poly_a, poly_b, tol=1e-14):
-    """`polygons_edges_cross` over every edge pair, in row blocks."""
+    """The crossing clause of `validate_regions` for two polygons over
+    every edge pair, in row blocks."""
     pa = np.asarray(poly_a, dtype=float)
     pb = np.asarray(poly_b, dtype=float)
     qa = np.roll(pa, -1, axis=0)

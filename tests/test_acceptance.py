@@ -197,12 +197,12 @@ def test_criterion_5_reconstruction(disk_dom, fam8):
         nd = nd_matrix(fld, basis)
         res = reconstruct(nd, mesh, fam_half, 1.0, basis, tau=1e-5,
                           side="both", truth_regions=regions)
-        from eitmono.polygons import point_in_polygon
+        from eitmono.polygons import points_in_polygon
         cx, cy = fam_half.cell_centers()
         for label, plist in regions.polys.items():
             for poly in plist:
                 hit = any(res.inside[i, j]
-                          and point_in_polygon((cx[i], cy[j]), poly)
+                          and points_in_polygon((cx[i], cy[j]), poly)[0]
                           for i in range(8) for j in range(8))
                 ok &= hit
                 details.append(f"half:{name}:{label} hit={hit}")

@@ -29,6 +29,41 @@ def write_config(tmp_path, name="config.json", **overrides):
     return path
 
 
+SQUARE = lambda r: [[-r, -r], [r, -r], [r, r], [-r, r]]
+
+# Region sets rejected for overlap, with their one stderr line (a prefix
+# when it ends in "["): nested squares, a ring in a square and two polygons
+# sharing an edge overlap without crossing, so the mesh's centroid labels
+# find them; edges that cross are found on the polygons.
+OVERLAPS = {
+    "nested": ({"regions": {"D0": [SQUARE(0.5)], "Dinf": [SQUARE(0.2)]}},
+               "config error: regions D0 and Dinf overlap near ["),
+    "ring_in_square": (
+        {"regions": {"DFminus": [SQUARE(0.5), SQUARE(0.45)[::-1]], "D0": [SQUARE(0.6)]},
+         "coefficient": {"background": 1.0, "DFminus": 0.5}},
+        "config error: regions D0 and DFminus overlap near ["),
+    "shared_edge": (
+        {"regions": {"Ddeg": [[[0, 0.5], [0.5, 0.5], [0.5, 0.375], [0, 0.375]]],
+                     "D0": [[[-0.125, 0.5], [0.125, 0.5], [0.125, 0.375], [-0.125, 0.375]]]},
+         "coefficient": {"background": 1.0, "Ddeg": {"kind": "constant", "value": 0.5}}},
+        "config error: regions D0 and Ddeg overlap near ["),
+    "crossing": (
+        {"regions": {"D0": [[[-0.3, -0.3], [0.1, -0.3], [0.1, 0.1], [-0.3, 0.1]]],
+                     "Dinf": [[[-0.1, -0.1], [0.3, -0.1], [0.3, 0.3], [-0.1, 0.3]]]}},
+        "config error: regions invalid: regions D0 and Dinf overlap (edges cross)"),
+}
+
+# A Dsing 1/r weight centred 2e-6 from a declared singular point: both are
+# pinned, and the sliver between them fails the mesh-quality floor.
+NEAR_SINGULAR_POINTS = {
+    "regions": {"DFplus": [[[-0.2, -0.2], [0.5, -0.2], [0.5, 0.2], [-0.2, 0.2]],
+                           [[0.2, 0.1], [0.4, 0.1], [0.4, -0.1], [0.2, -0.1]]],
+                "Dsing": [[[0.2, -0.1], [0.4, -0.1], [0.4, 0.1], [0.2, 0.1]]]},
+    "coefficient": {"background": 1.0, "DFplus": 2.0, "singular_points": [[0.3, 0.0]],
+                    "Dsing": {"kind": "radial_power", "center": [0.300002, 0.0],
+                              "exponent": -1.0, "amplitude": 0.3}},
+}
+
 # DFminus wraps a Ddeg square except for a notch of background that meets
 # the square's bottom edge at the single point (0.10625, 0).
 PINCHED_DDEG = {
@@ -549,15 +584,42 @@ class TestConfigErrors:
 
 
 def test_weight_features_declared_once():
-    # the surface weight's segment, which the phantom already declares,
-    # reaches the mesher once however many meshes are built
+    # the surface weight's segment is declared as it is beside the
+    # phantom's copy, when the config is loaded and never again, however
+    # many meshes are built; the mesher merges the two copies
     problem = Problem({"domain": {"shape": "disk"}, "phantom": "surface_weighted_blob",
                        "mesh": {"target_h": 0.15}})
     declared = [np.asarray(s).tolist() for s in problem.regions.singular_segments]
-    assert len(declared) == 1
+    assert len(declared) == 2 and declared[0] == declared[1]
     problem.build_mesh()
     problem.build_mesh()
     assert [np.asarray(s).tolist() for s in problem.regions.singular_segments] == declared
+
+
+def test_weight_singular_point_near_a_declared_one(tmp_path, capsys):
+    # no tolerance test drops the weight's centre beside the declared point
+    cfg = {"domain": {"shape": "disk"}, "mesh": {"target_h": 0.1}, "basis": {"m": 8},
+           **NEAR_SINGULAR_POINTS}
+    problem = Problem(cfg)
+    assert [np.asarray(p).tolist() for p in problem.regions.singular_points] == \
+        [[0.3, 0.0], [0.300002, 0.0]]
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["forward", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: mesh quality below floor")
+
+
+@pytest.mark.parametrize("command", ["forward", "reconstruct", "chain"])
+@pytest.mark.parametrize("case", sorted(OVERLAPS))
+def test_overlap_rejected_with_one_line(tmp_path, capsys, case, command):
+    overrides, line = OVERLAPS[case]
+    cfg = write_config(tmp_path, phantom=None, mesh={"target_h": 0.1},
+                       basis={"m": 8}, scan={"grid_n": 8}, **overrides)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(line) if line.endswith("[") else err[0] == line
 
 
 def test_measurements_file_basis_mismatch(tmp_path):
@@ -638,7 +700,7 @@ NO_TRACEBACK = {
         "reconstruct", lambda tmp: write_config(tmp, phantom=None, regions={
             "D0": [[[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]]],
             "Dinf": [[[-0.2, -0.2], [0.2, -0.2], [0.2, 0.2], [-0.2, 0.2]]]}),
-        [], 2, "config error: regions invalid: "),
+        [], 2, "config error: regions D0 and Dinf overlap near ["),
     "unreadable_json": (
         "forward", unreadable_config, [], 2, "config error: "),
     "residual_gate": (

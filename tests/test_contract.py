@@ -58,13 +58,16 @@ def test_calibrate_table(tmp_path):
 
 
 def test_artifact_digests_on_one_phantom(tmp_path):
-    from artifact_digests import collect, differences, file_digest
+    from artifact_digests import REJECTED, collect, differences, file_digest
 
     digests = collect(tmp_path / "a", names=["insulating_disk"], calibrate=False, seeds=())
     for path in ("forward/mesh.txt", "forward/nd_gamma.txt", "reconstruct/verdicts.log",
                  "reconstruct/result.csv", "chain/chain.txt", "chain/metrics.txt"):
         assert f"insulating_disk/{path}" in digests, path
     assert digests["insulating_disk/chain/exit"] == "0"
+    # every rejected config exits 2 with its stderr digested
+    assert {digests[f"rejected/{name}/exit"] for name in REJECTED} == {"2"}
+    assert all(f"rejected/{name}/stderr" in digests for name in REJECTED)
     again = collect(tmp_path / "b", names=["insulating_disk"], calibrate=False, seeds=())
     assert differences(digests, again) == []
     assert differences(digests, {**again, "x": "y"}) == ["x"]

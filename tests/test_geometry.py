@@ -20,7 +20,8 @@ import reference_predicates
 from reference_family import contains
 from reference_predicates import (RefPointRegistry, ref_arrange_segments,
                                   ref_chop_to_length, ref_edge_keys,
-                                  ref_edge_owners, ref_validate_regions)
+                                  ref_edge_owners, ref_probe_overlaps,
+                                  ref_validate_regions, signed_area)
 
 
 def region_area(mesh, label):
@@ -32,7 +33,7 @@ class TestDomain:
     def test_full_circle(self):
         dom = build_domain("disk", (0.0, 1.0))
         assert dom.gamma_fraction == 1.0
-        assert np.isclose(abs(pg.signed_area(dom.boundary_polygon)),
+        assert np.isclose(abs(signed_area(dom.boundary_polygon)),
                           0.5 * 256 * np.sin(2 * np.pi / 256))
 
     def test_half_circle(self):
@@ -123,16 +124,35 @@ class TestValidateRegions:
     @pytest.mark.parametrize("polys, want", [
         ({"DFminus": [pg.rectangle(-0.5, -0.5, 0.5, 0.5)],
           "D0": [pg.rectangle(-0.25, -0.25, 0.25, 0.25)]},
-         "regions D0 and DFminus overlap"),
+         "regions D0 and DFminus overlap near ["),
         ({"DFminus": [pg.rectangle(-0.5, -0.5, 0.5, 0.5),
                       pg.rectangle(-0.4, -0.4, -0.2, -0.2)[::-1].copy()],
           "Ddeg": [pg.rectangle(0.2, 0.2, 0.4, 0.4)]},
-         "regions Ddeg and DFminus overlap"),
-    ], ids=["nested", "beside_a_hole"])
+         "regions Ddeg and DFminus overlap near ["),
+        # the overlap configs of the CLI tests: nested squares, a ring in a
+        # square (the ring's interior probe misses the square's inside, and
+        # the square's lies in the ring's hole) and two polygons that share
+        # an edge and overlap beside it
+        ({"D0": [pg.rectangle(-0.5, -0.5, 0.5, 0.5)],
+          "Dinf": [pg.rectangle(-0.2, -0.2, 0.2, 0.2)]},
+         "regions D0 and Dinf overlap near ["),
+        ({"DFminus": [pg.rectangle(-0.5, -0.5, 0.5, 0.5),
+                      pg.rectangle(-0.45, -0.45, 0.45, 0.45)[::-1].copy()],
+          "D0": [pg.rectangle(-0.6, -0.6, 0.6, 0.6)]},
+         "regions D0 and DFminus overlap near ["),
+        ({"Ddeg": [np.array([[0, 0.5], [0.5, 0.5], [0.5, 0.375], [0, 0.375]])],
+          "D0": [np.array([[-0.125, 0.5], [0.125, 0.5], [0.125, 0.375], [-0.125, 0.375]])]},
+         "regions D0 and Ddeg overlap near ["),
+    ], ids=["nested", "beside_a_hole", "nested_squares", "ring_in_square", "shared_edge"])
     def test_overlap_reported_once_per_label_pair(self, disk, polys, want):
-        # one label inside another, seen from both polygons, and a polygon
-        # in a ring seen against the ring and its hole: one clause each
-        assert validate_regions(disk, RegionSet(polys=polys)) == [want]
+        # no edges cross, so the polygons pass, and the mesh's centroid
+        # labels name the pair once, in REGION_LABELS order
+        regions = RegionSet(polys=polys)
+        assert validate_regions(disk, regions) == []
+        with pytest.raises(GeometryError) as err:
+            triangulate(disk, regions, target_h=0.1)
+        assert str(err.value).startswith(want)
+        assert type(err.value) is GeometryError
 
     def test_region_outside_domain(self, square):
         far = pg.rectangle(2.0, 2.0, 2.5, 2.5)
@@ -197,24 +217,69 @@ def test_validate_regions_matches_pairwise_reference(drawn):
         assert validate_regions(domain, regions) == want
 
 
-def test_one_interior_probe_per_polygon(monkeypatch, disk):
-    probed = []
+# Rectangles with corners on the 1/8 lattice, inside both domains: every
+# 1/8 cell lies wholly inside or outside each, so two labels overlap with
+# positive area exactly when a cell centre lies in both their regions.
+lattice_rects = st.lists(
+    st.tuples(st.sampled_from(["D0", "Dinf", "Ddeg", "DFminus"]),
+              st.integers(-4, 1), st.integers(-4, 1), st.integers(1, 3), st.integers(1, 3),
+              st.booleans()), min_size=1, max_size=4)
 
-    def counted(poly):
-        probed.append(1)
-        return real(poly)
 
-    real = pg._interior_probe
-    monkeypatch.setattr(pg, "_interior_probe", counted)
-    regions, _ = phantoms.build_phantom("weighted_annulus")
-    assert validate_regions(disk, regions) == []
-    assert len(regions.all_polys()) == 5 and len(probed) == 5
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([("disk", 0.0), ("square", 0.5)]), lattice_rects)
+@example(("disk", 0.0), [("D0", -4, -4, 3, 3, True), ("Dinf", -3, -3, 1, 1, True)])
+@example(("disk", 0.0), [("D0", -2, 0, 2, 1, True), ("Ddeg", 0, 0, 2, 1, False)])
+def test_mesh_overlap_check_is_exact_on_lattice_rectangles(domain, rects):
+    """A set that passes `validate_regions` meshes without a clash exactly
+    when no 1/8-cell centre lies in two labels' regions."""
+    shape, offset = domain
+    polys = {}
+    for label, i, j, w, h, ccw in rects:
+        rect = pg.rectangle(offset + i / 8, offset + j / 8,
+                            offset + (i + w) / 8, offset + (j + h) / 8)
+        polys.setdefault(label, []).append(rect if ccw else rect[::-1].copy())
+    domain, regions = build_domain(shape), RegionSet(polys=polys)
+    if validate_regions(domain, regions):
+        return
+    k = np.arange(-4, 4) + 0.5
+    centres = offset + np.stack(np.meshgrid(k, k), axis=-1).reshape(-1, 2) / 8
+    count = sum(pg.points_in_region(centres, plist).astype(int) for plist in polys.values())
+    try:
+        triangulate(domain, regions, target_h=0.1)
+    except GeometryError as exc:
+        clash = " overlap near [" in str(exc)
+    else:
+        clash = False
+    assert clash == bool(np.any(count > 1))
+
+
+@settings(max_examples=400, deadline=None)
+@given(domains_and_polys)
+@example(("disk", [("DFminus", ring), ("D0", core)]))
+@example(("square", [("Ddeg", 0.5 + core), ("Dinf", 0.5 + ring[::-1].copy())]))
+def test_mesh_overlap_check_never_less_strict_than_probes(drawn):
+    """Whenever the interior-probe clause (`ref_probe_overlaps`) finds an
+    overlap in a set that `validate_regions` passes, the mesher rejects the
+    set."""
+    shape, labeled = drawn
+    polys = {}
+    for label, poly in labeled:
+        polys.setdefault(label, []).append(poly)
+    domain, regions = build_domain(shape), RegionSet(polys=polys)
+    try:
+        if validate_regions(domain, regions) or not ref_probe_overlaps(regions):
+            return
+    except GeometryError:
+        return
+    with pytest.raises(GeometryError):
+        triangulate(domain, regions, target_h=0.1)
 
 
 class TestTriangulate:
     def test_disk_areas(self, disk, disk_mesh):
         total = disk_mesh.triangle_areas().sum()
-        area = abs(pg.signed_area(disk.boundary_polygon))
+        area = abs(signed_area(disk.boundary_polygon))
         assert abs(total - area) / area < 1e-10
         # reported polygonalization gap to the smooth disk stays small
         assert abs(area - np.pi) < 1e-3
@@ -228,7 +293,7 @@ class TestTriangulate:
     def test_disk_region_matches_polygon_area(self, disk):
         poly = pg.regular_polygon((0.1, -0.2), 0.25, 48)
         mesh = triangulate(disk, RegionSet(polys={"Dinf": [poly]}), target_h=0.08)
-        assert np.isclose(region_area(mesh, "Dinf"), abs(pg.signed_area(poly)),
+        assert np.isclose(region_area(mesh, "Dinf"), abs(signed_area(poly)),
                           rtol=1e-10)
 
     def test_target_h_enforced(self, disk_mesh):

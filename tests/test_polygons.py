@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eitmono import polygons as pg
-
+from eitmono.geometry import (GeometryError, RegionSet, build_domain, triangulate,
+                              validate_regions)
 from eitmono.ndmap import _firsts
 
 from reference_predicates import (ref_ball_point_distance_kd, ref_box_pairs,
@@ -16,13 +17,13 @@ from reference_predicates import (ref_ball_point_distance_kd, ref_box_pairs,
                                   ref_polygons_edges_cross,
                                   ref_polygons_edges_cross_all_pairs,
                                   ref_segment_point_distance,
-                                  ref_segments_properly_intersect)
+                                  ref_segments_properly_intersect, signed_area)
 
 
 def test_signed_area_orientation():
     sq = pg.rectangle(0, 0, 2, 1)
-    assert np.isclose(pg.signed_area(sq), 2.0)
-    assert np.isclose(pg.signed_area(sq[::-1]), -2.0)
+    assert np.isclose(signed_area(sq), 2.0)
+    assert np.isclose(signed_area(sq[::-1]), -2.0)
 
 
 def test_regular_polygon_area():
@@ -30,15 +31,16 @@ def test_regular_polygon_area():
     for n in (8, 64, 256):
         poly = pg.regular_polygon((0.3, -0.2), 1.5, n)
         exact = 0.5 * n * 1.5 ** 2 * np.sin(2 * np.pi / n)
-        assert np.isclose(abs(pg.signed_area(poly)), exact, rtol=1e-12)
+        assert np.isclose(abs(signed_area(poly)), exact, rtol=1e-12)
 
 
 def test_point_in_polygon_basic():
+    # within tol of an edge counts as inside; at tol 0 the bare crossing
+    # parity holds the left edge and not the right one
     sq = pg.rectangle(0, 0, 1, 1)
-    assert pg.point_in_polygon((0.5, 0.5), sq)
-    assert not pg.point_in_polygon((1.5, 0.5), sq)
-    assert pg.point_in_polygon((0.0, 0.5), sq, boundary=True)
-    assert not pg.point_in_polygon((0.0, 0.5), sq, boundary=False)
+    pts = [(0.5, 0.5), (1.5, 0.5), (0.0, 0.5), (1.0, 0.5)]
+    assert pg.points_in_polygon(pts, sq).tolist() == [True, False, True, True]
+    assert pg.points_in_polygon(pts, sq, tol=0.0).tolist() == [True, False, True, False]
 
 
 def test_points_in_region_parity_hole():
@@ -57,19 +59,27 @@ def test_polygon_is_simple():
     assert not pg.polygon_is_simple(repeated)
 
 
-def polygons_interiors_disjoint(poly_a, poly_b, tol=1e-12):
-    """True when the open interiors of two simple polygons do not overlap.
+def crossing(poly_a, poly_b):
+    """Whether `validate_regions` finds edges of D0 poly_a and Dinf poly_b
+    that cross (on the unit square, whatever lies outside it)."""
+    regions = RegionSet(polys={"D0": [poly_a], "Dinf": [poly_b]})
+    return "regions D0 and Dinf overlap (edges cross)" in \
+        validate_regions(build_domain("square"), regions)
+
+
+def polygons_interiors_disjoint(poly_a, poly_b):
+    """True when D0 poly_a and Dinf poly_b, scaled into the unit square,
+    pass `validate_regions` and mesh without a clash at h=0.1.
 
     Touching along edges or at vertices is allowed.
     """
-    pa = np.asarray(poly_a, dtype=float)
-    pb = np.asarray(poly_b, dtype=float)
-    if pg.polygons_edges_cross(pa, pb):
+    regions = RegionSet(polys={"D0": [0.1 + 0.25 * poly_a], "Dinf": [0.1 + 0.25 * poly_b]})
+    square = build_domain("square")
+    if validate_regions(square, regions):
         return False
-    # No proper edge crossings: containment decides overlap.
-    if pg.point_in_polygon(pg._interior_probe(pa), pb, boundary=False, tol=tol):
-        return False
-    if pg.point_in_polygon(pg._interior_probe(pb), pa, boundary=False, tol=tol):
+    try:
+        triangulate(square, regions, target_h=0.1)
+    except GeometryError:
         return False
     return True
 
@@ -117,9 +127,9 @@ def test_distances():
 
 def test_polygons_edges_cross():
     a = pg.rectangle(0, 0, 1, 1)
-    assert pg.polygons_edges_cross(a, pg.rectangle(0.5, 0.5, 2.5, 1.5))
-    assert not pg.polygons_edges_cross(a, pg.rectangle(1, 0, 2, 1))
-    assert not pg.polygons_edges_cross(a, pg.rectangle(0.25, 0.25, 0.75, 0.75))
+    assert crossing(a, pg.rectangle(0.5, 0.5, 2.5, 1.5))
+    assert not crossing(a, pg.rectangle(1, 0, 2, 1))
+    assert not crossing(a, pg.rectangle(0.25, 0.25, 0.75, 0.75))
 
 
 # Coordinates on a coarse lattice make repeated vertices, horizontal edges,
@@ -132,6 +142,19 @@ polygon = st.builds(
     lambda verts, ccw: np.array(verts if ccw else verts[::-1], dtype=float),
     st.lists(point, min_size=3, max_size=10), st.booleans())
 fast = settings(max_examples=150, deadline=None)
+
+
+def star_order(verts, ccw):
+    """The vertices in angular order about their mean (reversed when not
+    ``ccw``), which makes most of them simple polygons."""
+    p = np.array(verts, dtype=float)
+    d = p - p.mean(axis=0)
+    p = p[np.argsort(np.arctan2(d[:, 1], d[:, 0]), kind="stable")]
+    return p if ccw else p[::-1].copy()
+
+
+simple_polygon = st.builds(star_order, st.lists(point, min_size=3, max_size=10),
+                           st.booleans()).filter(pg.polygon_is_simple)
 
 
 def probes(poly, extra):
@@ -147,16 +170,15 @@ def probes(poly, extra):
 
 
 @fast
-@given(polygon, st.lists(point, max_size=20), st.booleans(),
-       st.sampled_from([0.0, 1e-12, 1e-3]))
-def test_points_in_polygon_matches_dense_reference(poly, extra, boundary, tol):
+@given(polygon, st.lists(point, max_size=20), st.sampled_from([0.0, 1e-12, 1e-3]))
+def test_points_in_polygon_matches_dense_reference(poly, extra, tol):
     pts = probes(poly, extra)
-    got = pg.points_in_polygon(pts, poly, boundary=boundary, tol=tol)
-    assert np.array_equal(got, ref_points_in_polygon(pts, poly, boundary, tol))
+    got = pg.points_in_polygon(pts, poly, tol=tol)
+    assert np.array_equal(got, ref_points_in_polygon(pts, poly, tol))
     assert np.array_equal(pg._crossing_parity(pts, poly, np.roll(poly, -1, axis=0)),
                           ref_crossing_parity(pts, poly, np.roll(poly, -1, axis=0)))
-    single = pg.point_in_polygon(tuple(pts[0]), poly, boundary=boundary, tol=tol)
-    assert single is bool(ref_points_in_polygon(pts[:1], poly, boundary, tol)[0])
+    single = pg.points_in_polygon(tuple(pts[0]), poly, tol=tol)
+    assert single.tolist() == ref_points_in_polygon(pts[:1], poly, tol).tolist()
 
 
 @fast
@@ -200,9 +222,10 @@ def test_segment_point_distance_matches_scalar_reference(rows):
 
 
 @fast
-@given(polygon, polygon)
+@given(simple_polygon, simple_polygon)
 def test_polygons_edges_cross_matches_loop_reference(pa, pb):
-    assert pg.polygons_edges_cross(pa, pb) == ref_polygons_edges_cross(pa, pb)
+    # validate_regions takes simple polygons only
+    assert crossing(pa, pb) == ref_polygons_edges_cross(pa, pb)
 
 
 @fast
@@ -350,7 +373,8 @@ def test_box_pairs_on_collinear_touching_and_zero_length_segments():
 @given(polygon, polygon, st.sampled_from([1e-12, 1e-3, 0.1]))
 def test_swept_predicates_match_all_pairs_bodies(pa, pb, tol):
     assert pg.polygon_is_simple(pa, tol) == ref_polygon_is_simple_all_pairs(pa, tol)
-    assert pg.polygons_edges_cross(pa, pb) == ref_polygons_edges_cross_all_pairs(pa, pb)
+    if pg.polygon_is_simple(pa) and pg.polygon_is_simple(pb):
+        assert crossing(pa, pb) == ref_polygons_edges_cross_all_pairs(pa, pb)
 
 
 def test_swept_predicates_on_large_polygons():
@@ -366,7 +390,6 @@ def test_swept_predicates_on_large_polygons():
         assert pg.polygon_is_simple(poly) == ref_polygon_is_simple_all_pairs(poly)
     assert pg.polygon_is_simple(star) and not pg.polygon_is_simple(knot)
     for other in (disk + [0.3, 0.0], disk + [1.0, 0.0], star * 0.4, star + [0.8, 0.1]):
-        assert pg.polygons_edges_cross(disk, other) == \
-            ref_polygons_edges_cross_all_pairs(disk, other)
-    assert pg.polygons_edges_cross(disk, disk + [0.3, 0.0])
-    assert not pg.polygons_edges_cross(disk, disk + [1.0, 0.0])
+        assert crossing(disk, other) == ref_polygons_edges_cross_all_pairs(disk, other)
+    assert crossing(disk, disk + [0.3, 0.0])
+    assert not crossing(disk, disk + [1.0, 0.0])
