@@ -8,8 +8,7 @@ from .fem import (DofMap, NeumannLoad, PotentialSolution, StiffnessSystem,
 from .geometry import (Domain, Mesh, PixelFamily, RegionSet, TestInclusion,
                        build_domain, pixel_family, triangulate,
                        validate_regions)
-from .monotonicity import (ChainReport, MonotonicityVerdict, bracketing_chain,
-                           psd_test)
+from .monotonicity import ChainReport, bracketing_chain, psd_test
 from .ndmap import CurrentBasis, NDMatrix, build_basis, nd_matrix
 from .oracle import disk_nd_eigenvalue
 from .reconstruction import ReconstructionResult, rasterize, reconstruct

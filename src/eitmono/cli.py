@@ -403,9 +403,10 @@ def cmd_reconstruct(problem, out_dir, args):
         "h": problem.mesh.h,
         "side": problem.side,
         "inside_cells": result.inside_count(),
-        "indeterminate_cells": len(result.indeterminate),
-        "filled_cells": result.filled_cells,
-        "n_cell_errors": len(result.cell_errors),
+        "indeterminate_cells": result.count("family_fault"),
+        "filled_cells": result.count("filled"),
+        "n_cell_errors": result.count("error"),
+        "n_below_floor": result.count("below_floor"),
         "n_factor": result.n_factor,
         "n_update": result.n_update,
         "n_implied": result.n_implied,
@@ -472,23 +473,19 @@ def cmd_calibrate(problem, out_dir, args):
         sub.build_basis()
         nd_g = nd_matrix(sub.field, sub.basis, rtol=sub.rtol)
 
-        # Lower side only: the neutralizer is empty, so each verdict's
-        # insulating lambda is the plain pixel score inside the minimal box.
+        # Lower side only: the neutralizer is empty, so each judged row's
+        # score is the plain pixel score inside the minimal box.
         result = reconstruct(nd_g, sub.mesh, sub.family, sub.gamma0, sub.basis,
                              tau=min(tau_list), side="lower_only", rtol=sub.rtol)
-        if result.cell_errors:
-            raise fem.ConfigurationError(result.cell_errors[0][2])
+        errors = [row.reason for row in result.cells if row.reason.startswith("error: ")]
+        if errors:
+            raise fem.ConfigurationError(errors[0].removeprefix("error: "))
         oracle_err = _oracle_error(
             sub, np.sort(result.nd_background.generalized_eigenvalues())[::-1])
         truth = rasterize_truth(sub.regions, sub.family)
-        worst_in, best_out = 0.0, -np.inf
-        for verdict in result.verdicts:
-            i, j = map(int, verdict.test_id.removeprefix("cell").split("_"))
-            score = verdict.lambda_min_insulating
-            if truth[i, j]:
-                worst_in = min(worst_in, score)
-            else:
-                best_out = max(best_out, score)
+        scores = [(truth[row.cell], row.score) for row in result.cells if row.sign == "lower"]
+        worst_in = min([0.0] + [score for in_truth, score in scores if in_truth])
+        best_out = max([-np.inf] + [score for in_truth, score in scores if not in_truth])
         for tau in tau_list:
             ok = worst_in >= -tau >= best_out if np.isfinite(best_out) \
                 else worst_in >= -tau

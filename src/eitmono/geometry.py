@@ -419,16 +419,19 @@ class Mesh:
     def centroids(self):
         return self.triangle_coords().mean(axis=1)
 
-    def min_angle_deg(self):
-        """The smallest corner angle: arccos of the largest corner cosine,
-        as arccos is decreasing."""
+    def worst_triangle(self):
+        """Index of the triangle with the smallest corner angle, and that
+        angle in degrees: arccos of the largest corner cosine, as arccos is
+        decreasing."""
         c = self.triangle_coords()
         cosines = []
         for k in range(3):
             u = c[:, (k + 1) % 3] - c[:, k]
             v = c[:, (k + 2) % 3] - c[:, k]
             cosines.append(np.sum(u * v, axis=1) / (np.hypot(*u.T) * np.hypot(*v.T)))
-        return float(np.degrees(np.arccos(np.clip(np.max(cosines), -1, 1))))
+        largest = np.max(cosines, axis=0)
+        worst = int(np.argmax(largest))
+        return worst, float(np.degrees(np.arccos(np.clip(largest[worst], -1, 1))))
 
     def gamma_edges(self):
         return self.boundary_edges[self.boundary_on_gamma]
@@ -662,9 +665,11 @@ def triangulate(domain, regions=None, target_h=0.1, extra_segments=(),
     on_gamma = domain.param_in_gamma(domain.boundary_param(mid))
 
     mesh = Mesh(verts, tris, labels, bedges, on_gamma, float(hmax), domain)
-    if mesh.min_angle_deg() < min_angle_deg:
+    worst, angle = mesh.worst_triangle()
+    if angle < min_angle_deg:
+        corners = ", ".join(f"({x:.9g}, {y:.9g})" for x, y in verts[tris[worst]])
         raise MeshConformityError(
-            f"mesh quality below floor: min angle {mesh.min_angle_deg():.3f} deg")
+            f"mesh quality below floor: min angle {angle:.3f} deg at triangle {corners}")
     return mesh
 
 

@@ -30,22 +30,6 @@ def psd_test(nd_a, nd_b):
 
 
 @dataclass
-class MonotonicityVerdict:
-    """Outcome of the two-sided inclusion test for one test set."""
-
-    test_id: str
-    lambda_min_insulating: float
-    lambda_min_conducting: float
-    pass_insulating: bool
-    pass_conducting: bool
-
-    def log_line(self):
-        return (f"{self.test_id} {self.lambda_min_insulating:.6e} "
-                f"{self.lambda_min_conducting:.6e} "
-                f"{int(self.pass_insulating)} {int(self.pass_conducting)}")
-
-
-@dataclass
 class ChainReport:
     """The four operator-inequality links reducing the weighted problem to
     the extreme-inclusion one: insulating test map over the lower bracket,

@@ -22,18 +22,20 @@ solver precision on a shared mesh:
    visibility, measured against the background map), so one relative
    threshold approximates the same covered-area rule at every depth.
 
-Cells outside every admissible scan position stay inside (indeterminate,
-reported); enclosed pockets of outside cells are filled afterwards so the
-result keeps outer-shape semantics.
+Cells outside every admissible scan position stay inside; enclosed
+pockets of outside cells are filled afterwards so the result keeps
+outer-shape semantics.  `ReconstructionResult.cells` gives the reason of
+every such cell.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from . import polygons as pg
 from .fem import ConfigurationError
-from .monotonicity import MonotonicityVerdict, psd_test
+from .monotonicity import psd_test
 from .ndmap import CutOffError, NDError, PaintTemplate
 
 DEFAULT_TAU_ABS = 1e-5
@@ -41,46 +43,74 @@ DEFAULT_TAU_REL = 0.5
 VISIBILITY_FLOOR = 1e-9
 
 
+class CellRow(NamedTuple):
+    """A row of `ReconstructionResult.cells`: a judged (cell, sign), or a
+    cell with no sign that the scan marks inside unjudged.  ``margin`` is
+    ``score + tau_rel * vis``; ``verdict`` True is inside.  ``reason`` is
+    empty, ``below_floor``, ``error: <message>`` (score nan),
+    ``family_fault`` or ``filled``."""
+
+    cell: tuple
+    sign: str = None
+    score: float = np.nan
+    vis: float = np.nan
+    margin: float = np.nan
+    verdict: bool = True
+    reason: str = ""
+
+
+_UNJUDGED = CellRow(None, verdict=False)
+
+
 @dataclass
 class ReconstructionResult:
     grid_n: int
     inside: np.ndarray            # (grid_n, grid_n) bool, indexed [ix, iy]
-    indeterminate: list
-    verdicts: list
+    cells: list                   # `CellRow`s: family faults, judged in scan order, filled
     box_lower: tuple = None
     box_upper: tuple = None
     jaccard: float = None
-    filled_cells: int = 0
-    cell_errors: list = field(default_factory=list)   # (cell, sign, message)
     n_factor: int = 0             # ND maps the scan factored
     n_update: int = 0             # ND maps updated on a retained base factorization
     n_implied: int = 0            # cover trials decided from a solved box, unsolved
     lu_nnz: int = 0               # L+U nonzeros summed over the factorizations
     nd_background: object = None  # the background map the scan solved
 
+    @property
+    def verdicts(self):
+        """The judged cells, in cell order (`perfbench/spans.py` counts them)."""
+        return sorted({row.cell for row in self.cells if row.sign})
+
+    def count(self, reason):
+        """Rows of `cells` whose reason is ``reason`` or ``reason: ...``."""
+        return sum(row.reason.split(":")[0] == reason for row in self.cells)
+
     def inside_count(self):
         return int(np.sum(self.inside))
 
     def csv_text(self):
-        lines = []
-        for iy in range(self.grid_n):
-            lines.append(",".join(str(int(self.inside[ix, iy]))
-                                  for ix in range(self.grid_n)))
-        return "\n".join(lines) + "\n"
+        return "".join(",".join(map(str, row)) + "\n" for row in self.inside.T.astype(int))
 
     def verdict_log(self):
-        return "\n".join(v.log_line() for v in self.verdicts) + "\n"
+        """One ``cell<i>_<j> score_lower score_upper verdict_lower
+        verdict_upper`` line per judged cell; a sign not judged reads nan, 0."""
+        rows = {(row.cell, row.sign): row for row in self.cells}
+        lines = []
+        for i, j in self.verdicts:
+            lo, hi = (rows.get(((i, j), sign), _UNJUDGED) for sign in ("lower", "upper"))
+            lines.append(f"cell{i}_{j} {lo.score:.6e} {hi.score:.6e} "
+                         f"{int(lo.verdict)} {int(hi.verdict)}")
+        return "\n".join(lines) + "\n"
 
 
 def fill_enclosed(outside):
     """Outside cells not 4-connected through outside cells to the window
-    border are enclosed pockets and flip to inside.  Returns
-    (inside_after_fill, n_filled)."""
+    border are enclosed pockets and flip to inside.  Returns the inside
+    raster after the fill."""
     # Imported on first use: importing scipy.ndimage takes about 26 ms.
     from scipy.ndimage import binary_fill_holes
 
-    filled = binary_fill_holes(~outside)
-    return filled, int(np.sum(filled & outside))
+    return binary_fill_holes(~outside)
 
 
 def rasterize_truth(regions, fam):
@@ -92,9 +122,7 @@ def rasterize_truth(regions, fam):
     inside = np.zeros(len(centers), dtype=bool)
     for _, poly in regions.all_polys():
         inside |= pg.points_in_polygon(centers, poly)
-    grid = inside.reshape(n, n)
-    filled, _ = fill_enclosed(~grid)
-    return filled
+    return fill_enclosed(~inside.reshape(n, n))
 
 
 def jaccard_index(a, b):
@@ -356,33 +384,28 @@ def reconstruct(nd_gamma, mesh, family, gamma0, basis,
     """
     if side not in ("both", "lower_only", "upper_only"):
         raise ValueError(f"unknown side {side!r}")
-    grid_n = family.grid_n
     scanner = _Scanner(nd_gamma, mesh, family, gamma0, basis, rtol)
     nd_bg = scanner.nd_painted(set(), set())
     scanner.retain("background")
 
-    # Indeterminate cells: no admissible pixel position (e.g. the cell is
-    # not compactly inside the domain).  Conservatively inside.
-    indeterminate = list(family.cell_faults)
+    # Cells with no admissible pixel position (e.g. not compactly inside
+    # the domain): the scan abstains, and they stay inside.
+    cells = [CellRow(cell, reason="family_fault") for cell in family.cell_faults]
 
     box_lower = box_upper = None
     if side in ("both", "lower_only"):
         box_lower = scanner.min_box("lower", tau)
     if side in ("both", "upper_only"):
         box_upper = scanner.min_box("upper", tau)
-    lower_cells = _box_cells(box_lower) - set(indeterminate)
-    upper_cells = _box_cells(box_upper) - set(indeterminate)
-
-    inside = np.zeros((grid_n, grid_n), dtype=bool)
-    for (i, j) in indeterminate:
-        inside[i, j] = True
+    lower_cells = _box_cells(box_lower) - set(family.cell_faults)
+    upper_cells = _box_cells(box_upper) - set(family.cell_faults)
 
     def attempt(measure, cell, sign, *args):
         try:
             return measure(cell, sign, *args), None
         except ConfigurationError as exc:
             # Unsolvable probe: conservatively inside, but recorded.
-            return np.nan, str(exc)
+            return np.nan, f"error: {exc}"
 
     # The scores sign by sign, each on the other sign's box, then the
     # visibilities on the background map: the maps that update one base
@@ -393,43 +416,32 @@ def reconstruct(nd_gamma, mesh, family, gamma0, basis,
         scored += [(cell, sign, *attempt(scanner.pixel_score, cell, sign, neutralizer))
                    for cell in sorted(own)]
         scanner.bases.pop(other, None)
-    per_cell = {}
-    cell_errors = []
     for cell, sign, score, error in scored:
         if error is None:
             vis, error = attempt(scanner.visibility, cell, sign, nd_bg)
         if error is not None:
-            cell_errors.append((cell, sign, error))
-            score, verdict = np.nan, True
-        else:
-            # below the visibility floor the depth is unresolvable: inside
-            verdict = vis < VISIBILITY_FLOOR or score >= -tau_rel * vis
-        per_cell.setdefault(cell, {})[sign] = (score, verdict)
-        inside[cell] |= verdict
+            cells.append(CellRow(cell, sign, reason=error))
+            continue
+        # below the visibility floor the depth is unresolvable: inside
+        margin, floor = score + tau_rel * vis, vis < VISIBILITY_FLOOR
+        cells.append(CellRow(cell, sign, score, vis, margin, bool(floor or margin >= 0),
+                             "below_floor" if floor else ""))
 
-    verdicts = []
-    for (i, j), rec in sorted(per_cell.items()):
-        lo = rec.get("lower", (np.nan, False))
-        hi = rec.get("upper", (np.nan, False))
-        verdicts.append(MonotonicityVerdict(
-            test_id=f"cell{i}_{j}",
-            lambda_min_insulating=float(lo[0]),
-            lambda_min_conducting=float(hi[0]),
-            pass_insulating=bool(lo[1]),
-            pass_conducting=bool(hi[1])))
-
-    inside, n_filled = fill_enclosed(~inside)
+    inside = np.zeros((family.grid_n,) * 2, dtype=bool)
+    for row in cells:
+        inside[row.cell] |= row.verdict
+    filled = fill_enclosed(~inside)
+    cells += [CellRow((int(i), int(j)), reason="filled")
+              for i, j in np.argwhere(filled & ~inside)]
+    inside = filled
 
     jac = None
     if truth_regions is not None:
-        truth = rasterize_truth(truth_regions, family)
-        jac = jaccard_index(inside, truth)
+        jac = jaccard_index(inside, rasterize_truth(truth_regions, family))
 
     return ReconstructionResult(
-        grid_n=grid_n, inside=inside,
-        indeterminate=indeterminate, verdicts=verdicts,
+        grid_n=family.grid_n, inside=inside, cells=cells,
         box_lower=box_lower, box_upper=box_upper, jaccard=jac,
-        filled_cells=n_filled, cell_errors=cell_errors,
         n_factor=len(scanner._nd_cache) - scanner.n_update,
         n_update=scanner.n_update, n_implied=scanner.n_implied,
         lu_nnz=scanner.template.lu_nnz,

@@ -3,13 +3,16 @@
 `contains` is the closed point set of a `geometry.TestInclusion`;
 `negative_only` tells which phantoms need only the insulating side;
 `cover_verdict` runs the paper's pair of Loewner tests on one test set with
-the cover maps that `reconstruction._Scanner.cover_margin` paints.
+the cover maps that `reconstruction._Scanner.cover_margin` paints, and
+returns them as a `MonotonicityVerdict`.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from eitmono import phantoms
-from eitmono.monotonicity import MonotonicityVerdict, psd_test
+from eitmono.monotonicity import psd_test
 
 # Diagonal offsets that move a point within 1e-12 of a grid line or corner
 # into each cell beside it.
@@ -31,6 +34,22 @@ def negative_only(name):
     one-sided lower test suffices)."""
     regions, _ = phantoms.build_phantom(name)
     return not any(regions.label_polys(lab) for lab in ("Dinf", "Dsing", "DFplus"))
+
+
+@dataclass
+class MonotonicityVerdict:
+    """Outcome of the two-sided inclusion test for one test set."""
+
+    test_id: str
+    lambda_min_insulating: float
+    lambda_min_conducting: float
+    pass_insulating: bool
+    pass_conducting: bool
+
+    def log_line(self):
+        return (f"{self.test_id} {self.lambda_min_insulating:.6e} "
+                f"{self.lambda_min_conducting:.6e} "
+                f"{int(self.pass_insulating)} {int(self.pass_conducting)}")
 
 
 def cover_verdict(scanner, member, tau, side="both"):

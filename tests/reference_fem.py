@@ -48,8 +48,9 @@ def mesh_problems(mesh, min_angle_floor=1.0):
     problems = []
     if np.any(mesh.triangle_areas() <= 0):
         problems.append("non-positively-oriented or degenerate triangles present")
-    if mesh.min_angle_deg() < min_angle_floor:
-        problems.append(f"min angle {mesh.min_angle_deg():.3f} deg below floor {min_angle_floor}")
+    _, min_angle = mesh.worst_triangle()
+    if min_angle < min_angle_floor:
+        problems.append(f"min angle {min_angle:.3f} deg below floor {min_angle_floor}")
     _, counts = edge_runs(edge_owners(mesh.triangles)[0])
     bad = int(np.sum(counts > 2))
     if bad:

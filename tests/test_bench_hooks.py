@@ -48,6 +48,10 @@ def test_traced_commands(tmp_path):
         metrics = spans.op_metrics(tracer, command)
         assert metrics["fem.factorizations"] > 0, command
         assert metrics["geometry.family_members"] == 4 * 4 ** 2 + 1, command
+    # one judged cell per verdicts.log line
+    lines = (tmp_path / "reconstruct" / "verdicts.log").read_text().splitlines()
+    assert spans.op_metrics(tracer, "reconstruct")["reconstruction.cells_judged"] == \
+        len(lines) > 0
     forward = spans.op_metrics(tracer, "forward")
     assert forward["ndmap.nd_matrix_calls"] == 1
     assert forward["fem.factorizations"] == 1

@@ -608,6 +608,8 @@ def test_weight_singular_point_near_a_declared_one(tmp_path, capsys):
     assert main(["forward", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: mesh quality below floor")
+    # the line names the worst triangle's corners, the two points among them
+    assert "(0.3, 0)" in err[0] and "(0.300002, 0)" in err[0]
 
 
 @pytest.mark.parametrize("command", ["forward", "reconstruct", "chain"])
@@ -821,7 +823,11 @@ def test_cell_errors_in_metrics(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert main(["reconstruct", "--config", str(write_config(tmp_path)),
                  "--out", str(out)]) == 0
-    assert read_metrics(out)["n_cell_errors"] == "1"
+    metrics = read_metrics(out)
+    assert metrics["n_cell_errors"] == "1"
+    keys = list(metrics)
+    assert keys[keys.index("n_cell_errors") + 1] == "n_below_floor"
+    assert metrics["n_below_floor"] == "0"
 
 
 def test_n_factor_in_metrics(tmp_path, monkeypatch):

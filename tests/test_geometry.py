@@ -306,7 +306,7 @@ class TestTriangulate:
 
     def test_mesh_valid(self, disk_mesh):
         assert reference_fem.mesh_problems(disk_mesh, min_angle_floor=0.4) == []
-        assert disk_mesh.min_angle_deg() > 5.0
+        assert disk_mesh.worst_triangle()[1] > 5.0
 
     def test_unresolvable_region_diagnostic(self, disk):
         # region entirely outside the meshed domain: no triangle can get
@@ -442,7 +442,8 @@ def test_min_angle_and_hmax_match_per_angle_and_per_edge_reference(name):
         cosang = np.sum(u * v, axis=1) / (np.hypot(*u.T) * np.hypot(*v.T))
         angles.append(np.degrees(np.arccos(np.clip(cosang, -1, 1))))
         lengths.append(np.hypot(*u.T))
-    assert mesh.min_angle_deg() == float(np.min(angles))
+    worst, min_angle = mesh.worst_triangle()
+    assert min_angle == float(np.min(angles)) == np.min(angles, axis=0)[worst]
     assert mesh.h == float(np.max(lengths))
 
 

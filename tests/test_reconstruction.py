@@ -15,10 +15,11 @@ from eitmono.fem import ConfigurationError
 from eitmono.geometry import pixel_family, triangulate
 from eitmono.ndmap import (PAINT_LABELS, NDError, PaintTemplate, build_basis,
                            nd_matrix)
-from eitmono.reconstruction import (DEFAULT_TAU_ABS, ReconstructionResult,
-                                    _box_cells, _Scanner, fill_enclosed,
-                                    grid_cells, grid_template, jaccard_index,
-                                    rasterize, rasterize_truth, reconstruct)
+from eitmono.reconstruction import (DEFAULT_TAU_ABS, DEFAULT_TAU_REL,
+                                    ReconstructionResult, _box_cells, _Scanner,
+                                    fill_enclosed, grid_cells, grid_template,
+                                    jaccard_index, rasterize, rasterize_truth,
+                                    reconstruct)
 
 from conftest import build_field, gram_distance
 import reference_fem
@@ -27,8 +28,7 @@ from reference_predicates import ref_fill_enclosed, ref_grid_cells, ref_grid_off
 
 def make_result(inside):
     inside = np.asarray(inside, dtype=bool)
-    return ReconstructionResult(grid_n=inside.shape[0], inside=inside,
-                                indeterminate=[], verdicts=[])
+    return ReconstructionResult(grid_n=inside.shape[0], inside=inside, cells=[])
 
 
 class TestFill:
@@ -36,8 +36,8 @@ class TestFill:
         inside = np.zeros((5, 5), dtype=bool)
         inside[1:4, 1:4] = True
         inside[2, 2] = False          # enclosed outside pocket
-        filled, n = fill_enclosed(~inside)
-        assert n == 1
+        filled = fill_enclosed(~inside)
+        assert np.sum(filled & ~inside) == 1
         assert filled[2, 2]
 
     def test_open_bay_not_filled(self):
@@ -45,8 +45,8 @@ class TestFill:
         inside[1:4, 1:4] = True
         inside[2, 3] = False
         inside[2, 4] = False          # channel to the border
-        filled, n = fill_enclosed(~inside)
-        assert n == 0
+        filled = fill_enclosed(~inside)
+        assert np.array_equal(filled, inside)
         assert not filled[2, 3]
 
     @pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
@@ -54,9 +54,9 @@ class TestFill:
         # the filled raster and the fill count agree with the grid-graph fill
         rng = np.random.default_rng(n)
         for outside in rng.random((200, n, n)) < rng.random((200, 1, 1)):
-            filled, count = fill_enclosed(outside)
+            filled = fill_enclosed(outside)
             ref, ref_count = ref_fill_enclosed(outside)
-            assert np.array_equal(filled, ref) and count == ref_count
+            assert np.array_equal(filled, ref) and np.sum(filled & outside) == ref_count
 
     def test_truth_raster_fills_annulus(self, disk, family8):
         regions, _ = phantoms.build_phantom("weighted_annulus")
@@ -174,7 +174,10 @@ class TestReconstruct:
         res = reconstruct(nd, mesh, fam, 1.0, basis)
         boundary_ring = [(i, j) for i in range(4) for j in range(4)
                          if i in (0, 3) or j in (0, 3)]
-        assert res.indeterminate == list(fam.cell_faults) == boundary_ring
+        faults = [row for row in res.cells if row.reason == "family_fault"]
+        assert [row.cell for row in faults] == list(fam.cell_faults) == boundary_ring
+        assert all(row.sign is None and row.verdict for row in faults)
+        assert res.count("family_fault") == len(boundary_ring)
         for cell in boundary_ring:
             assert res.inside[cell]
 
@@ -294,8 +297,28 @@ def test_cell_errors_counted(family8, coarse_recon_setup, monkeypatch):
 
     monkeypatch.setattr(reconstruction._Scanner, "pixel_score", failing)
     res = reconstruct(nd, mesh, family8, 1.0, basis)
-    assert res.cell_errors == [((3, 3), "lower", "forced")]
+    errors = [row for row in res.cells if row.reason.startswith("error")]
+    assert [(row.cell, row.sign, row.reason) for row in errors] == \
+        [((3, 3), "lower", "error: forced")]
+    assert np.isnan(errors[0].score) and errors[0].verdict
+    assert res.count("error") == 1
     assert res.inside[3, 3]
+
+
+def test_cells_below_the_visibility_floor_counted(family8, coarse_recon_setup,
+                                                  monkeypatch):
+    # a floor above every visibility of the scan: every judged row is
+    # below it, counted, and its cell inside
+    regions, mesh, basis, nd = coarse_recon_setup
+    ref = reconstruct(nd, mesh, family8, 1.0, basis)
+    judged = [row for row in ref.cells if row.sign]
+    assert judged and ref.count("below_floor") == 0
+    monkeypatch.setattr(reconstruction, "VISIBILITY_FLOOR",
+                        2 * max(row.vis for row in judged))
+    res = reconstruct(nd, mesh, family8, 1.0, basis)
+    below = [row for row in res.cells if row.reason == "below_floor"]
+    assert res.count("below_floor") == len(below) == len(judged)
+    assert all(row.verdict and res.inside[row.cell] for row in below)
 
 
 def test_n_factor_counts_factorizations(family8, coarse_recon_setup, monkeypatch):
@@ -659,11 +682,57 @@ def test_probes_inside_the_opposite_box(regression_scans):
               if len(zero) == 1 and zero[0] in upper and set(inf) == upper - set(zero)]
     assert len(probes) == len(upper)
     assert all(p.system is not None for p in probes)
-    assert len(res.cell_errors) == 8
-    for (i, j), sign, message in res.cell_errors:
-        assert (sign, i * 8 + j in upper) == ("upper", True)
-        assert message.startswith(f"enclosed_by_neutralizer: cell ({i}, {j}) ")
+    errors = [row for row in res.cells if row.reason.startswith("error")]
+    assert len(errors) == res.count("error") == 8
+    for row in errors:
+        i, j = row.cell
+        assert (row.sign, i * 8 + j in upper) == ("upper", True)
+        assert row.reason.startswith(f"error: enclosed_by_neutralizer: cell ({i}, {j}) ")
         assert res.inside[i, j]
+
+
+def test_filled_pocket_has_a_row(family8, coarse_recon_setup, monkeypatch):
+    # a lower box whose cells all score inside but its centre: the centre
+    # is an enclosed pocket, filled and given a row of its own
+    regions, mesh, basis, nd = coarse_recon_setup
+    monkeypatch.setattr(_Scanner, "min_box",
+                        lambda self, sign, tau: (2, 4, 2, 4) if sign == "lower" else None)
+    monkeypatch.setattr(_Scanner, "pixel_score",
+                        lambda self, cell, sign, neutralizer: -1.0 if cell == (3, 3) else 0.0)
+    res = reconstruct(nd, mesh, family8, 1.0, basis)
+    centre = [row for row in res.cells if row.cell == (3, 3)]
+    assert [(row.sign, row.verdict, row.reason) for row in centre] == \
+        [("lower", False, ""), (None, True, "filled")]
+    assert res.count("filled") == 1 and res.inside[3, 3]
+    assert res.inside_count() == 9
+
+
+REASONS = ("", "below_floor", "family_fault", "filled")
+
+
+def test_every_inside_cell_has_a_row(regression_scans):
+    # the raster's inside cells are exactly the cells with a passing row
+    # or a reason, and the judged rows rebuild verdicts.log line by line
+    for res, _ in regression_scans.values():
+        judged = {}
+        for row in res.cells:
+            assert row.reason in REASONS or row.reason.startswith("error: "), row
+            assert (row.sign is None) == (row.reason in ("family_fault", "filled"))
+            assert row.verdict or not row.reason
+            if row.sign:
+                judged.setdefault(row.cell, {})[row.sign] = row
+            if row.sign and not row.reason:
+                assert row.margin == row.score + DEFAULT_TAU_REL * row.vis
+                assert row.verdict == (row.margin >= 0)
+        marked = {row.cell for row in res.cells if row.verdict}
+        assert marked == {(i, j) for i, j in np.argwhere(res.inside)}
+        lines = res.verdict_log().splitlines()
+        assert len(lines) == len(judged) == len(res.verdicts)
+        for line, ((i, j), rows) in zip(lines, sorted(judged.items())):
+            lo_hi = [rows.get(sign) for sign in ("lower", "upper")]
+            lams = ["nan" if row is None else f"{row.score:.6e}" for row in lo_hi]
+            oks = ["0" if row is None else str(int(row.verdict)) for row in lo_hi]
+            assert line.split() == [f"cell{i}_{j}", *lams, *oks]
 
 
 @pytest.fixture(scope="module")
@@ -712,11 +781,10 @@ def test_update_missing_the_residual_gate_is_factored(family8, mixed_setup,
     assert ref.n_update > 0 and res.n_update == 0
     assert res.n_factor == ref.n_factor + ref.n_update
     assert res.csv_text() == ref.csv_text()
-    for got, want in zip(res.verdicts, ref.verdicts):
-        assert (got.test_id, got.pass_insulating, got.pass_conducting) == \
-            (want.test_id, want.pass_insulating, want.pass_conducting)
-        for lam, lam_ref in ((got.lambda_min_insulating, want.lambda_min_insulating),
-                             (got.lambda_min_conducting, want.lambda_min_conducting)):
+    assert [(row.cell, row.sign, row.verdict, row.reason) for row in res.cells] == \
+        [(row.cell, row.sign, row.verdict, row.reason) for row in ref.cells]
+    for got, want in zip(res.cells, ref.cells):
+        for lam, lam_ref in ((got.score, want.score), (got.vis, want.vis)):
             assert np.isnan(lam) == np.isnan(lam_ref)
             assert np.isnan(lam) or abs(lam - lam_ref) <= 1e-9 * abs(lam_ref)
 
