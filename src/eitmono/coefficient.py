@@ -323,6 +323,14 @@ class CoefficientField:
         return out
 
     def provenance(self):
+        """Hash of the field, computed once: the mesh's labels are made
+        read-only with its hashed arrays, so it cannot go stale."""
+        if "_provenance" not in vars(self):
+            self.mesh.triangle_region.setflags(write=False)
+            self._provenance = self._hash()
+        return self._provenance
+
+    def _hash(self):
         hasher = hashlib.sha256()
         hasher.update(self.mesh.provenance().encode())
         hasher.update("".join(self.mesh.triangle_region.tolist()).encode())

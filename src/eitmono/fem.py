@@ -36,19 +36,6 @@ class DofMap:
     n_dofs: int
     n_free: int
 
-    @classmethod
-    def numbered(cls, removed, conductor_of_vertex, n_conductors):
-        """DOF map of the removed vertices and conductors: free vertices
-        numbered in vertex order, then one DOF per conductor."""
-        merged = conductor_of_vertex >= 0
-        free = ~(removed | merged)
-        n_free = int(free.sum())
-        dof_of_vertex = -np.ones(len(removed), dtype=int)
-        dof_of_vertex[free] = np.arange(n_free)
-        dof_of_vertex[merged] = n_free + conductor_of_vertex[merged]
-        return cls(dof_of_vertex=dof_of_vertex, n_dofs=n_free + n_conductors,
-                   n_free=n_free)
-
 
 # The bordered matrix is symmetric, so SuperLU factors it in symmetric mode
 # on a minimum-degree ordering of A^T + A: about a third of the L+U fill of
@@ -170,8 +157,11 @@ def gamma_quadrature(mesh):
 @dataclass
 class NeumannLoad:
     """Discrete current load: b_i = <f, phi_i> on gamma, projected to the
-    gamma-mean-free space.  ``b`` may hold one load per column; ``norm``
-    holds their column norms once `mean_free_norms` has checked them."""
+    gamma-mean-free space.  ``b`` may hold one load per column, and below
+    the DOFs' rows the constraint row of the grounded system, zero: the
+    bordered right-hand side, which `solve_neumann` then uses as it is.
+    ``norm`` holds their column norms once `mean_free_norms` has checked
+    them."""
 
     b: np.ndarray
     norm: np.ndarray = None
@@ -217,6 +207,11 @@ class PotentialSolution:
     residual: float
 
 
+def column_norms(a):
+    """The Euclidean norm of each column of a 2-D array."""
+    return np.sqrt(np.einsum("ij,ij->j", a, a))
+
+
 def residual_misses(rnorm, bnorm, rtol):
     """Columns whose residual norm misses the gate rtol*|b|; a nan
     residual misses it."""
@@ -226,12 +221,22 @@ def residual_misses(rnorm, bnorm, rtol):
 def check_gamma_mean(constraint, u):
     """Every column of the potentials ``u`` must have a zero gamma mean."""
     gmean = constraint @ u
+    # the scale is at least 1, so only a mean above 1e-10 can miss the gate
+    if not np.any(np.abs(gmean) > 1e-10):
+        return
     gscale = np.maximum(1.0, np.abs(u).max(axis=0) * float(np.sum(constraint)))
     bad = np.flatnonzero(np.abs(gmean) > 1e-10 * gscale)
     if len(bad):
         k = bad[0]
         raise SolverError(f"gamma mean {gmean[k]:.3e} not zeroed by the "
                           f"multiplier in column {k}")
+
+
+def _residual(kmat, x, rhs):
+    """K x - rhs, formed in the product's array."""
+    res = kmat @ x
+    res -= rhs
+    return res
 
 
 def solve_neumann(system, load, rtol=1e-10):
@@ -251,19 +256,21 @@ def solve_neumann(system, load, rtol=1e-10):
     """
     bnorm = mean_free_norms(load.b) if load.norm is None else load.norm
     n = system.n
-    b = load.b.reshape(n, -1)
-    rhs = np.vstack([b, np.zeros((1, b.shape[1]))])
+    rhs = load.b.reshape(len(load.b), -1)
+    if len(rhs) == n:
+        rhs = np.vstack([rhs, np.zeros((1, rhs.shape[1]))])
+    elif rhs[n].any():
+        raise SolverError("the constraint row of a bordered load must be zero")
     lu = system.factor()
     kmat = system.bordered()
     x = lu.solve(rhs)
-    res = rhs - kmat @ x
-    rnorm = np.linalg.norm(res, axis=0)
+    rnorm = column_norms(_residual(kmat, x, rhs))
     bad = residual_misses(rnorm, bnorm, rtol)
     if len(bad):
         wide = np.longdouble
         x = x + lu.solve((rhs.astype(wide) - kmat.astype(wide) @ x.astype(wide))
                          .astype(float))
-        rnorm = np.linalg.norm(rhs - kmat @ x, axis=0)
+        rnorm = column_norms(_residual(kmat, x, rhs))
         bad = residual_misses(rnorm, bnorm, rtol)
     if len(bad):
         k = bad[0]

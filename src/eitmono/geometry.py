@@ -48,6 +48,10 @@ class MeshConformityError(GeometryError):
 # dropping ``Qbb``, or ``Qc`` with ``Qz``, change the simplices.
 QHULL_OPTIONS = "Qbb Qc Qz Q12 Q5"
 
+# A mesh-quality error names the declared singular points and constraint
+# vertices within this distance of the worst triangle's corners.
+NEAR_CORNER = 1e-5
+
 # Most background-lattice points a mesh may have.  The paint template
 # (`ndmap`) numbers its element triplets with int32 indices, 18 per
 # triangle, and the lattice makes about 2 triangles per point.
@@ -424,12 +428,16 @@ class Mesh:
         angle in degrees: arccos of the largest corner cosine, as arccos is
         decreasing."""
         c = self.triangle_coords()
-        cosines = []
-        for k in range(3):
-            u = c[:, (k + 1) % 3] - c[:, k]
-            v = c[:, (k + 2) % 3] - c[:, k]
-            cosines.append(np.sum(u * v, axis=1) / (np.hypot(*u.T) * np.hypot(*v.T)))
-        largest = np.max(cosines, axis=0)
+        # Edge k runs from corner k to corner k+1 (rows of ex, ey); corner
+        # k's two sides are edge k and edge k+2 reversed, so its cosine is
+        # -e_k.e_{k+2} over their lengths, bit for bit the cosine of the two
+        # side vectors.
+        x, y = c[..., 0].T.copy(), c[..., 1].T.copy()
+        ex, ey = x[[1, 2, 0]] - x, y[[1, 2, 0]] - y
+        length = np.hypot(ex, ey)
+        before = [2, 0, 1]
+        dot = ex * ex[before] + ey * ey[before]
+        largest = (-dot / (length * length[before])).max(axis=0)
         worst = int(np.argmax(largest))
         return worst, float(np.degrees(np.arccos(np.clip(largest[worst], -1, 1))))
 
@@ -443,12 +451,17 @@ class Mesh:
 
     def provenance(self):
         """Hash of the geometric mesh identity (labels excluded, so coefficient
-        relabelings on a shared mesh keep comparable provenance)."""
-        hasher = hashlib.sha256()
-        hasher.update(np.round(self.vertices, 12).tobytes())
-        hasher.update(self.triangles.astype(np.int64).tobytes())
-        hasher.update(self.boundary_on_gamma.tobytes())
-        return hasher.hexdigest()[:16]
+        relabelings on a shared mesh keep comparable provenance), computed
+        once: the hashed arrays are made read-only, so it cannot go stale."""
+        if "_provenance" not in vars(self):
+            for arr in (self.vertices, self.triangles, self.boundary_on_gamma):
+                arr.setflags(write=False)
+            hasher = hashlib.sha256()
+            hasher.update(np.round(self.vertices, 12).tobytes())
+            hasher.update(self.triangles.astype(np.int64).tobytes())
+            hasher.update(self.boundary_on_gamma.tobytes())
+            self._provenance = hasher.hexdigest()[:16]
+        return self._provenance
 
     # -- plain-text export: header `nv nt ne`, vertices, triangles, edges --
 
@@ -667,9 +680,21 @@ def triangulate(domain, regions=None, target_h=0.1, extra_segments=(),
     mesh = Mesh(verts, tris, labels, bedges, on_gamma, float(hmax), domain)
     worst, angle = mesh.worst_triangle()
     if angle < min_angle_deg:
-        corners = ", ".join(f"({x:.9g}, {y:.9g})" for x, y in verts[tris[worst]])
+        corners = verts[tris[worst]]
+        # the declared points that may have forced the sliver
+        declared = [("singular point", p) for p in pins[:len(regions.singular_points)]]
+        declared += [("constraint vertex", p) for seg in segments[len(bp):] for p in seg]
+        near, named = [], set()
+        for kind, p in declared:
+            key = (float(p[0]), float(p[1]))
+            if key not in named and np.hypot(*(corners - p).T).min() <= NEAR_CORNER:
+                named.add(key)
+                near.append(f"{kind} ({key[0]:.9g}, {key[1]:.9g})")
+        text = ", ".join(f"({x:.9g}, {y:.9g})" for x, y in corners)
+        if near:
+            text += f"; within {NEAR_CORNER:g} of its corners: " + ", ".join(near)
         raise MeshConformityError(
-            f"mesh quality below floor: min angle {angle:.3f} deg at triangle {corners}")
+            f"mesh quality below floor: min angle {angle:.3f} deg at triangle {text}")
     return mesh
 
 

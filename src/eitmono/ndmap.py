@@ -223,8 +223,8 @@ def nd_matrix(fld, basis, rtol=1e-10):
     potentials.  Only the painting-dependent work runs per call; the loads
     and the Gram matrix come from `gamma_data`."""
     gd = gamma_data(fld.mesh, basis)
-    b, sol = _solve(field_painting(field_template(fld, basis)), gd, rtol)
-    return _pair(b, sol.u, gd, fld.provenance())
+    dofs, sol = _solve(field_painting(field_template(fld, basis)), gd, rtol)
+    return _pair(dofs, sol.u, gd, fld.provenance())
 
 
 def field_template(fld, basis):
@@ -269,34 +269,31 @@ def bracketed_maps(fld, basis, rtol=1e-10):
     maps, lu_nnz = [], 0
     while painted:   # each system and its factorization go once solved
         tag, system = painted.pop(0)
-        b, sol = _solve(system, gd, rtol)
-        maps.append(_pair(b, sol.u, gd, tag))
+        dofs, sol = _solve(system, gd, rtol)
+        maps.append(_pair(dofs, sol.u, gd, tag))
         lu_nnz += system.lu.nnz
     return maps, lu_nnz
 
 
-def _loads(dofmap, gd):
-    """The basis loads of `gd` on the DOFs of a map, one column each."""
-    b = np.zeros((dofmap.n_dofs, gd.loads.shape[1]))
-    b[dofmap.dof_of_vertex[gd.terms.gamma_vertices]] = gd.loads
-    return b
-
-
 def _solve(system, gd, rtol):
-    """Loads and `fem.PotentialSolution` of a grounded system for the basis
-    loads of `gd`, under the residual and gamma-mean gates."""
-    b = _loads(system.dofmap, gd)
+    """DOFs of the measurement-arc vertices of `gd` in a grounded system,
+    and its `fem.PotentialSolution` for the basis loads, under the residual
+    and gamma-mean gates.  The loads go to the solve with the border row."""
+    dofs = system.dofmap.dof_of_vertex[gd.terms.gamma_vertices]
+    rhs = np.zeros((system.n + 1, gd.loads.shape[1]), order="F")
+    rhs[dofs] = gd.loads
     try:
-        sol = fem.solve_neumann(system, fem.NeumannLoad(b=b, norm=gd.load_norms),
+        sol = fem.solve_neumann(system, fem.NeumannLoad(b=rhs, norm=gd.load_norms),
                                 rtol=rtol)
     except fem.SolverError as exc:
         raise NDError(f"solve failed for the basis loads: {exc}") from exc
-    return b, sol
+    return dofs, sol
 
 
-def _pair(b, u, gd, field_hash):
-    """ND matrix of the trace pairings b^T u under the `MAX_ASYMMETRY` gate."""
-    raw = b.T @ u
+def _pair(dofs, u, gd, field_hash):
+    """ND matrix of the trace pairings B^T u, B the basis loads of `gd` at
+    the measurement-arc DOFs ``dofs``, under the `MAX_ASYMMETRY` gate."""
+    raw = gd.loads.T @ u[dofs]
     scale = float(np.max(np.abs(raw))) or 1.0
     asym = float(np.max(np.abs(raw - raw.T))) / scale
     if asym > MAX_ASYMMETRY:
@@ -311,15 +308,15 @@ def _pair(b, u, gd, field_hash):
 class PaintedMap:
     """A scan map: the ND matrix of a painting with the paint code of each
     part (for a scan, the last cell stands for the triangles outside the
-    window).  A factored map also keeps its system, loads ``b`` and
-    potentials with multipliers ``x`` (n + 1, m): a base that
-    `PaintTemplate.solve` can update by one cell.  An updated map keeps
-    none of them."""
+    window).  A factored map also keeps its system, the DOFs of the
+    measurement-arc vertices and the potentials with multipliers ``x``
+    (n + 1, m): a base that `PaintTemplate.solve` can update by one cell.
+    An updated map keeps none of them."""
 
     nd: NDMatrix
     cells: np.ndarray
     system: fem.StiffnessSystem = None
-    b: np.ndarray = None
+    gamma_dofs: np.ndarray = None
     x: np.ndarray = None
 
 
@@ -336,6 +333,24 @@ def _firsts(labels):
     return order[start], rank
 
 
+def _bits(mask):
+    """The True entries of a boolean array as the set bits of an int."""
+    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
+
+
+def _mask(bits, n):
+    """The boolean array of length n that is True at the set bits."""
+    packed = np.frombuffer(bits.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(packed, count=n, bitorder="little").astype(bool)
+
+
+def _summed(mat, rows, cols, shape):
+    """``out[rows[i], cols[j]] += mat[i, j]`` over every (i, j), as a
+    dense array of ``shape``."""
+    flat = (rows[:, None] * shape[1] + cols[None, :]).ravel()
+    return np.bincount(flat, weights=mat.ravel(), minlength=shape[0] * shape[1]).reshape(shape)
+
+
 class PaintTemplate:
     """Paint-independent part of every map on one mesh, partition of its
     triangles (the part of each, 0 <= part < n_parts), set of element
@@ -346,19 +361,30 @@ class PaintTemplate:
     Graph nodes are the vertex-connected pieces of each part's triangles;
     two nodes are linked when they share a mesh vertex.  All triangles of a
     node carry one label, so a painting's removed vertices, conductors and
-    connectivity to gamma follow from the node graph.  The stiffness
-    entries of all triangles, each triangle's element integral times its
-    P1 gradient products, are grouped by slot, one (row vertex, column
-    vertex) pair, so that one product with the active triangles sums every
-    slot.  The DOF order is `dof_map`'s alone: vertex order, until the
+    connectivity to gamma follow from the node graph: each node's links
+    are kept as the bits of an int (``adjacent``), and a painting's
+    conductors and its reach to gamma are spread over those bits, with no
+    graph library call.  The stiffness entries of all triangles, each
+    triangle's element integral times its P1 gradient products, are
+    grouped by slot, one (row vertex, column vertex) pair of the bordered
+    matrix, the border row and column among them, so that one product
+    with the active triangles sums and counts every slot.  The DOF order
+    is `dof_map`'s alone: free vertices in vertex order, until the
     background map's MMD order ranks the vertices of every later painting,
     whose free DOFs, then conductors, then border row are factored in that
-    order.  ``lu_nnz`` sums the L+U nonzeros solved.
+    order.  The slots are kept sorted by the ranks of their column, then
+    row, vertex, so a painting's entries that meet no conductor come out
+    of the product in CSC order; only those at a conductor are summed per
+    entry and merged in (`assemble`).  ``lu_nnz`` sums the L+U nonzeros
+    solved.
 
     A painting that is a factored base plus one background part is solved
     as an exact rank-k update of the base's factorization (`update`), k at
-    most the DOFs of the part's closure; `solve` factors every other
-    painting.
+    most the DOFs of the part's closure, after `check` and without a
+    `fem.DofMap`; `solve` factors every other painting.  A template that
+    paints once or three times (`field_template`) pays for none of this:
+    the re-sort by rank (`_rank`) and the per-part lists of `closure` are
+    built by the first background map and the first update of a scan.
     """
 
     def __init__(self, mesh, part, n_parts, integrals, basis):
@@ -383,14 +409,22 @@ class PaintTemplate:
         self.node_part = part[self.node_tri]
         n_nodes = len(self.node_tri)
 
-        # Node-vertex incidence in vertex order; every pair of nodes at one
-        # vertex is linked.
-        inc = np.unique(tris.ravel().astype(np.int64) * n_nodes + np.repeat(node, 3))
-        self.inc_vertex, self.inc_node = np.divmod(inc, n_nodes)
-        m = sp.csr_matrix((np.ones(len(inc)), (self.inc_node, self.inc_vertex)),
-                          shape=(n_nodes, nv))
-        shared = sp.triu(m @ m.T, 1, format="coo")
-        self.links = np.stack([shared.row, shared.col], axis=1)
+        # Node-vertex incidence in vertex order: one entry per distinct
+        # (vertex, part) corner, all of whose triangles are one node's.
+        first = np.r_[True, ~same]
+        self.inc_vertex = corner[order[first]] // n_parts
+        self.inc_node = node[tri[first]]
+        # Every pair of nodes at one vertex is linked.
+        links, d = [np.zeros(0, dtype=np.int64)], 1
+        while len(at := np.flatnonzero(self.inc_vertex[d:] == self.inc_vertex[:-d])):
+            a, b = self.inc_node[at], self.inc_node[at + d]
+            links.append(np.minimum(a, b) * n_nodes + np.maximum(a, b))
+            d += 1
+        self.adjacent = [0] * n_nodes
+        for link in np.unique(np.concatenate(links)).tolist():
+            a, b = divmod(link, n_nodes)
+            self.adjacent[a] |= 1 << b
+            self.adjacent[b] |= 1 << a
         self.lowest = self.inc_vertex[_firsts(self.inc_node)[0]]
 
         def touches(vertices):
@@ -399,32 +433,49 @@ class PaintTemplate:
             return np.bincount(self.inc_node, weights=flag[self.inc_vertex],
                                minlength=n_nodes) > 0
 
-        self.on_boundary = touches(mesh.boundary_edges)
-        self.on_gamma = touches(terms.gamma_vertices)
+        self.on_boundary = _bits(touches(mesh.boundary_edges))
+        self.on_gamma = _bits(touches(terms.gamma_vertices))
+        # The nodes at each gamma vertex, as bits; each distinct set once.
+        at_gamma = np.zeros(nv, dtype=bool)
+        at_gamma[terms.gamma_vertices] = True
+        at_gamma = at_gamma[self.inc_vertex]
+        nodes_at = {}
+        for v, k in zip(self.inc_vertex[at_gamma].tolist(), self.inc_node[at_gamma].tolist()):
+            nodes_at[v] = nodes_at.get(v, 0) | 1 << k
+        self.gamma_nodes = set(nodes_at.values())
 
-        # Element triplets by slot (rows) and triangle (columns).  A slot is
-        # one (column vertex b, row vertex a) entry of the vertex-space
-        # matrix; triplet 9t + 3i + j puts row vertex tris[t, i] and column
-        # vertex tris[t, j] in one.  The triplets of a slot stay in triangle
-        # order, so a product with the active-triangle indicator sums each
-        # slot in that order; rows n_slots + k count the triangles of slot k.
-        keys = (np.tile(tris, (1, 3)).astype(np.int64) * nv
-                + np.repeat(tris, 3, axis=1)).ravel()
+        # Triplets by slot (rows) and triangle (columns).  A slot is one
+        # (column vertex b, row vertex a) entry of the bordered matrix, in
+        # which vertex nv stands for the border row and column.  Triplet
+        # 9t + 3i + j puts row vertex tris[t, i] and column vertex tris[t, j]
+        # in one; the two border slots of each gamma vertex hold its gamma
+        # mass as a triplet of the extra column nt.  The triplets of a slot
+        # stay in triangle order, so a product with the active-triangle
+        # indicator (1 at nt) sums each slot in that order; rows n_slots + k
+        # count the triplets of slot k.  The slots are in CSC order: by
+        # column vertex, then row vertex.
+        nt = len(tris)
+        gamma = terms.gamma_vertices.astype(np.int64)
+        keys = np.concatenate([
+            (np.tile(tris, (1, 3)).astype(np.int64) * (nv + 1)
+             + np.repeat(tris, 3, axis=1)).ravel(),
+            gamma * (nv + 1) + nv, nv * (nv + 1) + gamma])
         by_slot = stable_order(keys).astype(np.int32)
         keys = keys[by_slot]
         starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-        self.slot_col, self.slot_row = np.divmod(keys[starts], nv)
-        self.finite = np.isfinite(integrals)
+        self.slot_col, self.slot_row = np.divmod(keys[starts], nv + 1)
+        self.nonfinite = np.flatnonzero(~np.isfinite(integrals))
+        self._active = np.ones(nt + 1)   # a painting's active triangles, 1 at nt
         # An element matrix that overflows stays inf: its system fails the
         # factorization or the residual gate with a SolverError.
         with np.errstate(over="ignore"):
             ke = self.ke = integrals[:, None, None] * terms.dots / terms.four_a2[:, None, None]
-        owner = by_slot // 9
+        owner = np.minimum(by_slot // 9, nt)
+        values = np.concatenate([ke.ravel(), terms.gamma_mass, terms.gamma_mass])[by_slot]
         self.triplets = sp.csr_matrix(
-            (np.concatenate([ke.ravel()[by_slot], np.ones(len(keys))]),
-             np.concatenate([owner, owner]),
+            (np.concatenate([values, np.ones(len(keys))]), np.concatenate([owner, owner]),
              np.concatenate([starts, len(keys) + starts, [2 * len(keys)]]).astype(np.int32)),
-            shape=(2 * len(starts), len(tris)))
+            shape=(2 * len(starts), nt + 1))
 
     def cell_codes(self, zero, inf):
         """Paint code of every part, with the parts ``zero`` painted D0,
@@ -434,90 +485,143 @@ class PaintTemplate:
         code[list(inf)] = PAINT_DINF
         return code
 
-    def dof_map(self, codes):
-        """`fem.DofMap` of a painting from the node graph, numbered in the
-        template's order, after every check that the grounded system is
-        well posed.  Vertices that only D0 triangles touch are removed, and
-        each vertex-connected set of Dinf triangles collapses to one DOF; a
+    def _spread(self, seeds, within):
+        """The nodes linked to the nodes ``seeds`` through nodes of
+        ``within`` (seeds among them), all three as bits of an int."""
+        reached = frontier = seeds
+        while frontier:
+            grown = 0
+            while frontier:
+                low = frontier & -frontier
+                grown |= self.adjacent[low.bit_length() - 1]
+                frontier ^= low
+            frontier = grown & within & ~reached
+            reached |= frontier
+        return reached
+
+    def check(self, codes):
+        """Raise the first error of `dof_map` on a painting, if any: a
         conductor on the domain boundary, a painting without DOFs or
         without DOFs on gamma, a part cut off from gamma, a nonfinite
-        active integral and an insulated gamma vertex raise, in this order.
-        Contact between a conductor and an insulating region is tolerated:
-        the discrete system stays well posed, and the upper bracketing field
-        produces exactly this contact."""
-        terms = self.gd.terms
+        active integral and an insulated gamma vertex, in this order.
+        Returns the painting's live (not D0) nodes as a mask and its Dinf
+        nodes as bits."""
         label = codes[self.node_tri]
         live = label != PAINT_D0
-        removed = np.bincount(self.inc_vertex[live[self.inc_node]],
-                              minlength=self.nv) == 0
-        # Components of the live nodes' links (as nodes 0..N-1) and of the
-        # Dinf nodes' links (as nodes N..2N-1), labelled in one call.
-        nn = len(label)
-        comp = connected_labels(2 * nn, np.concatenate([
-            self.links[np.all(live[self.links], axis=1)],
-            nn + self.links[np.all(label[self.links] == PAINT_DINF, axis=1)]]))
-
-        # Conductors: linked Dinf nodes, numbered by their lowest vertex.
-        dinf = np.flatnonzero(label == PAINT_DINF)
-        conductor = -np.ones(nn, dtype=int)
-        n_conductors = 0
-        if len(dinf):
-            if np.any(self.on_boundary[dinf]):
-                raise ConfigurationError(
-                    "a perfectly conducting component touches the domain boundary")
-            part = comp[nn + dinf]
-            low = np.full(2 * nn, self.nv)
-            np.minimum.at(low, part, self.lowest[dinf])
-            lows, conductor[dinf] = np.unique(low[part], return_inverse=True)
-            n_conductors = len(lows)
-        conductor_of_vertex = -np.ones(self.nv, dtype=int)
-        merged = conductor[self.inc_node] >= 0
-        conductor_of_vertex[self.inc_vertex[merged]] = conductor[self.inc_node[merged]]
-        dofmap = fem.DofMap.numbered(removed, conductor_of_vertex, n_conductors)
-        if self.by_rank is not None:
-            dof = dofmap.dof_of_vertex[self.by_rank]
-            free = self.by_rank[(0 <= dof) & (dof < dofmap.n_free)]
-            dofmap.dof_of_vertex[free] = np.arange(len(free))
-
-        # Every node that keeps DOFs must reach a node on gamma.
-        if dofmap.n_dofs == 0:
+        dinf, within = _bits(label == PAINT_DINF), _bits(live)
+        if dinf & self.on_boundary:
+            raise ConfigurationError(
+                "a perfectly conducting component touches the domain boundary")
+        # Every vertex of a live node keeps a DOF, free or merged.
+        if not within:
             raise ConfigurationError("no degrees of freedom remain")
-        if not np.any(live & self.on_gamma):
+        seeds = within & self.on_gamma
+        if not seeds:
             raise ConfigurationError("measurement arc carries no degrees of freedom")
-        reach = np.zeros(2 * nn, dtype=bool)
-        reach[comp[:nn][live & self.on_gamma]] = True
-        cut_off = live & ~reach[comp[:nn]]
-        if np.any(cut_off):
+        # Every node that keeps DOFs must reach a node on gamma.
+        cut_off = within & ~self._spread(seeds, within)
+        if cut_off:
             raise CutOffError(
                 "free degrees of freedom are disconnected from the measurement arc",
-                np.unique(self.node_part[cut_off]))
-        if not np.all(self.finite[codes == PAINT_BG]):
+                np.unique(self.node_part[_mask(cut_off, len(live))]))
+        if len(self.nonfinite) and np.any(codes[self.nonfinite] == PAINT_BG):
             raise fem.SolverError("nonfinite element integral in assembly")
-        if np.any(removed[terms.gamma_vertices]):
+        if any(not nodes & within for nodes in self.gamma_nodes):
             raise ConfigurationError("measurement arc touches an insulated vertex")
-        return dofmap
+        return live, dinf
+
+    def dof_map(self, codes):
+        """`fem.DofMap` of a painting from the node graph, numbered in the
+        template's order, after `check` has found the grounded system well
+        posed.  Vertices that only D0 triangles touch are removed, and each
+        vertex-connected set of Dinf triangles collapses to one DOF; the
+        conductors are numbered by their lowest vertex.  Contact between a
+        conductor and an insulating region is tolerated: the discrete
+        system stays well posed, and the upper bracketing field produces
+        exactly this contact."""
+        live, rest = self.check(codes)
+        free = np.bincount(self.inc_vertex[live[self.inc_node]], minlength=self.nv) > 0
+        conductors = []
+        while rest:
+            nodes = self._spread(rest & -rest, rest)
+            rest &= ~nodes
+            nodes = np.flatnonzero(_mask(nodes, len(live)))
+            conductors.append((self.lowest[nodes].min(), nodes))
+        if conductors:
+            conductor = np.full(len(live), -1)
+            for k, (_, nodes) in enumerate(sorted(conductors, key=lambda c: c[0])):
+                conductor[nodes] = k
+            at = conductor[self.inc_node]
+            merged = at >= 0
+            free[self.inc_vertex[merged]] = False
+        ranked = np.flatnonzero(free) if self.by_rank is None else self.by_rank[free[self.by_rank]]
+        dof_of_vertex = np.full(self.nv, -1, dtype=np.int32)
+        dof_of_vertex[ranked] = np.arange(len(ranked))
+        if conductors:
+            dof_of_vertex[self.inc_vertex[merged]] = len(ranked) + at[merged]
+        return fem.DofMap(dof_of_vertex=dof_of_vertex, n_dofs=len(ranked) + len(conductors),
+                          n_free=len(ranked))
 
     def assemble(self, codes, dofmap):
-        """Bordered `fem.StiffnessSystem` of a painting on its `dof_map`:
-        the present slot sums at their DOFs and the gamma masses in the
-        border row and column, converted to CSC in one step, which sums the
-        slots that meet at a conductor DOF."""
+        """Bordered `fem.StiffnessSystem` of a painting on its `dof_map`,
+        written directly as CSC arrays.  Free DOFs and the border follow
+        the slots' order, so the present slots that meet no conductor come
+        in CSC order.  Those at a conductor DOF are summed per entry and
+        merged into that order in one pass."""
+        n_slots = len(self.slot_row)
+        np.equal(codes, PAINT_BG, out=self._active[:-1])
+        sums = self.triplets @ self._active
+        present = np.flatnonzero(sums[n_slots:] > 0)
+        n, n_free = dofmap.n_dofs, dofmap.n_free
+        dv = np.append(dofmap.dof_of_vertex, np.int32(n))
+        slot_row, slot_col = self.slot_row[present], self.slot_col[present]
+        rows, cols, values = dv[slot_row], dv[slot_col], sums[present]
+        conductors = n > n_free
+        if conductors:
+            # entries at a conductor DOF: summed per entry, taken out here
+            # and put back below, after the free rows of their column
+            at_conductor = (n_free <= dv) & (dv < n)
+            merged = at_conductor[slot_row] | at_conductor[slot_col]
+            keys, entry = np.unique(cols[merged].astype(np.int64) * (n + 1) + rows[merged],
+                                    return_inverse=True)
+            summed = np.bincount(entry, weights=values[merged])
+            rows, cols, values = rows[~merged], cols[~merged], values[~merged]
+        count = np.bincount(cols, minlength=n + 1)
+        if conductors:
+            # before the border row, last in each gamma DOF's column
+            col, row = np.divmod(keys, n + 1)
+            gamma = np.zeros(n + 1, dtype=np.int64)
+            gamma[dv[self.gd.terms.gamma_vertices]] = 1
+            at = np.cumsum(count)[col] - gamma[col]
+            rows, values = np.insert(rows, at, row), np.insert(values, at, summed)
+            count += np.bincount(col, minlength=n + 1)
+        indptr = np.zeros(n + 2, dtype=np.int32)
+        np.cumsum(count, out=indptr[1:])
+        kmat = sp.csc_matrix((values, rows, indptr), shape=(n + 1, n + 1))
         terms = self.gd.terms
-        sums = self.triplets @ (codes == PAINT_BG).astype(float)
-        present = np.flatnonzero(sums[len(self.slot_row):])
-        dv = dofmap.dof_of_vertex
-        n = dofmap.n_dofs
-        gamma_dofs = dv[terms.gamma_vertices]
-        border = np.full(len(gamma_dofs), n)
-        kmat = sp.csc_matrix(
-            (np.concatenate([sums[present], terms.gamma_mass, terms.gamma_mass]),
-             (np.concatenate([dv[self.slot_row[present]], gamma_dofs, border]),
-              np.concatenate([dv[self.slot_col[present]], border, gamma_dofs]))),
-            shape=(n + 1, n + 1))
         constraint = np.zeros(n)
-        constraint[gamma_dofs] = terms.gamma_mass
+        constraint[dofmap.dof_of_vertex[terms.gamma_vertices]] = terms.gamma_mass
         return fem.StiffnessSystem(kmat=kmat, constraint=constraint, dofmap=dofmap,
                                    ordered=self.by_rank is not None)
+
+    def _rank(self, by_rank):
+        """Number every later painting in the order ``by_rank`` (the vertex
+        of each rank): the slots are sorted by the ranks of their column,
+        then row, vertex, the border last."""
+        self.by_rank = by_rank
+        rank = np.empty(self.nv + 1, dtype=np.int64)
+        rank[by_rank] = np.arange(self.nv)
+        rank[self.nv] = self.nv
+        perm = np.argsort(rank[self.slot_col] * (self.nv + 1) + rank[self.slot_row])
+        self.slot_row, self.slot_col = self.slot_row[perm], self.slot_col[perm]
+        # the rows of the triplets in that order, each row's triplets kept
+        old = self.triplets
+        rows = np.concatenate([perm, len(perm) + perm])
+        length = np.diff(old.indptr)[rows]
+        indptr = np.zeros(len(rows) + 1, dtype=np.int32)
+        np.cumsum(length, out=indptr[1:])
+        src = np.repeat(old.indptr[rows] - indptr[:-1], length) + np.arange(indptr[-1])
+        self.triplets = sp.csr_matrix((old.data[src], old.indices[src], indptr), shape=old.shape)
 
     def solve(self, zero, inf, rtol, bases=()):
         """`PaintedMap` of the painting with the parts ``zero`` painted D0
@@ -525,17 +629,18 @@ class PaintTemplate:
         plus "+scan" in place of a field hash.  The first background map
         sets the template's order.  When the painting is
         one of the factored ``bases`` plus one cell that is background
-        there, the map is updated on that base (`update`) under the gates
-        of a factored map: the residual at rtol*|b| against the updated
-        system, the gamma mean and `MAX_ASYMMETRY`.  An update that misses
-        the residual gate, and every other painting, is factored."""
+        there, the painting is checked (`check`, no DOF map) and the map
+        updated on that base (`update`) under the gates of a factored map:
+        the residual at rtol*|b| against the updated system, the gamma mean
+        and `MAX_ASYMMETRY`.  An update that misses the residual gate, and
+        every other painting, is factored."""
         cells = self.cell_codes(zero, inf)
         codes = cells[self.part]
-        dofmap = self.dof_map(codes)
         field_hash = self.gd.mesh_hash + "+scan"
         for base in bases:
             changed = np.flatnonzero(cells != base.cells)
             if len(changed) == 1 and base.cells[changed[0]] == PAINT_BG:
+                self.check(codes)
                 x, residual = self.update(base, changed[0], cells[changed[0]])
                 if not len(fem.residual_misses(residual, self.gd.load_norms, rtol)):
                     u = x[:base.system.n]
@@ -543,35 +648,54 @@ class PaintTemplate:
                         fem.check_gamma_mean(base.system.constraint, u)
                     except fem.SolverError as exc:
                         raise NDError(f"solve failed for the basis loads: {exc}") from exc
-                    return PaintedMap(nd=_pair(base.b, u, self.gd, field_hash), cells=cells)
+                    return PaintedMap(nd=_pair(base.gamma_dofs, u, self.gd, field_hash),
+                                     cells=cells)
                 break
+        dofmap = self.dof_map(codes)
         system = self.assemble(codes, dofmap)
-        b, sol = _solve(system, self.gd, rtol)
-        nd = _pair(b, sol.u, self.gd, field_hash)
+        dofs, sol = _solve(system, self.gd, rtol)
+        nd = _pair(dofs, sol.u, self.gd, field_hash)
         self.lu_nnz += system.lu.nnz
         x = np.vstack([sol.u, sol.multiplier])
         if self.by_rank is None and not codes.any():
-            rank = system.lu.perm_c[:self.nv]   # position of each vertex's column
-            self.by_rank = np.argsort(rank)
+            # position of each vertex's column
+            self._rank(np.argsort(system.lu.perm_c[:self.nv]))
             # The background map is kept in the order it sets, so that a
             # base refactored for an update reuses that order: the scan
             # runs MMD once.
             shared = self.dof_map(codes)
             moved = np.arange(system.n + 1)
             moved[shared.dof_of_vertex] = dofmap.dof_of_vertex
-            system, b, x = self.assemble(codes, shared), b[moved[:-1]], x[moved]
-        return PaintedMap(nd=nd, cells=cells, system=system, b=b, x=x)
+            system, x = self.assemble(codes, shared), x[moved]
+            dofs = shared.dof_of_vertex[self.gd.terms.gamma_vertices]
+        return PaintedMap(nd=nd, cells=cells, system=system, gamma_dofs=dofs, x=x)
 
     def closure(self, cell):
-        """Vertices of a cell's triangles and the sum of their element
-        matrices on those vertices."""
+        """Vertices of a cell's triangles, the sum of their element
+        matrices on those vertices, and each incidence of those vertices
+        with a node of another part, as (position in the vertices, part)."""
+        if not self._closures:
+            # the triangles and the incidences of every part, in part order
+            inc_part = self.node_part[self.inc_node]
+            self._by_part = [(order, np.searchsorted(key[order], np.arange(self.n_parts + 1)))
+                             for key in (self.part, inc_part)
+                             for order in [stable_order(key)]]
+            # each incidence's run of incidences at its vertex
+            self._runs = np.searchsorted(self.inc_vertex, [self.inc_vertex, self.inc_vertex + 1])
         if cell not in self._closures:
-            mine = self.part == cell
-            verts, local = np.unique(self.tris[mine], return_inverse=True)
-            local = local.reshape(-1, 3)
-            kc = np.zeros((len(verts), len(verts)))
-            np.add.at(kc, (local[:, :, None], local[:, None, :]), self.ke[mine])
-            self._closures[cell] = verts, kc
+            (tri_order, tri_at), (inc_order, inc_at) = self._by_part
+            mine = tri_order[tri_at[cell]:tri_at[cell + 1]]
+            own = inc_order[inc_at[cell]:inc_at[cell + 1]]
+            verts = self.inc_vertex[own]
+            local = np.searchsorted(verts, self.tris[mine])
+            n = len(verts)
+            kc = np.bincount((local[:, :, None] * n + local[:, None, :]).ravel(),
+                             weights=self.ke[mine].ravel(), minlength=n * n)
+            near = np.array([i for k, a, b in zip(own.tolist(), *self._runs[:, own].tolist())
+                             for i in range(a, b) if i != k], dtype=np.intp)
+            self._closures[cell] = (verts, kc.reshape(n, n),
+                                    np.searchsorted(verts, self.inc_vertex[near]),
+                                    self.node_part[self.inc_node[near]])
         return self._closures[cell]
 
     def update(self, base, cell, code):
@@ -583,7 +707,8 @@ class PaintTemplate:
         vertices I whose active triangles in the base are all the cell's
         have rows of K alone, so the change condenses onto the base DOFs R
         of the other closure vertices (a base conductor among them): a
-        k-column solve W = A0^-1 E_R, k = |R|, gives it exactly.
+        k-column solve W = A0^-1 E_R, k = |R|, gives it exactly.  K sums
+        onto R through the index of each closure vertex's DOF in R.
 
         Insulating: the cell's triangles and I leave the system.  A0^-1
         away from I inverts A0's Schur complement S0 there, and the new
@@ -593,10 +718,9 @@ class PaintTemplate:
         Conducting: equality constraints C^T x = 0 tie R together, the
         cell's energy vanishes on them and the constant extends to I, so
         x = x0 - A0^-1 C (C^T A0^-1 C)^-1 C^T x0."""
-        verts, kc = self.closure(cell)
-        elsewhere = (base.cells[self.node_part] != PAINT_D0) & (self.node_part != cell)
-        alone = np.bincount(self.inc_vertex, weights=elsewhere[self.inc_node],
-                            minlength=self.nv)[verts] == 0
+        verts, kc, near, near_part = self.closure(cell)
+        alone = np.bincount(near[base.cells[near_part] != PAINT_D0],
+                            minlength=len(verts)) == 0
         dv = base.system.dofmap.dof_of_vertex
         inner = dv[verts[alone]]
         rim, local = np.unique(dv[verts[~alone]], return_inverse=True)
@@ -605,35 +729,37 @@ class PaintTemplate:
         if base.system.lu is None:    # a base kept without its factorization
             self.lu_nnz += base.system.factor().nnz
         lu = base.system.lu
-        onto = np.zeros((len(local), k))
-        onto[np.arange(len(local)), local] = 1.0
-        k_rr = onto.T @ kc[np.ix_(~alone, ~alone)] @ onto
+        k_rr = _summed(kc[np.ix_(~alone, ~alone)], local, local, (k, k))
         if code == PAINT_D0:
-            k_ri = onto.T @ kc[np.ix_(~alone, alone)]
+            k_ri = _summed(kc[np.ix_(~alone, alone)], local, np.arange(len(inner)),
+                           (k, len(inner)))
             s = k_rr - k_ri @ np.linalg.solve(kc[np.ix_(alone, alone)], k_ri.T)
-            e = np.zeros((n + 1, k))
+            e = np.zeros((n + 1, k), order="F")
             e[rim, np.arange(k)] = 1.0
             w = lu.solve(e)
-            x = x0 - w @ np.linalg.solve(np.eye(k) - s @ w[rim], -s @ x0[rim])
+            x = w @ np.linalg.solve(np.eye(k) - s @ w[rim], -s @ x0[rim])
+            np.subtract(x0, x, out=x)
             x[inner] = 0.0
-            r = -(kmat @ x)
-            r[:n] += base.b
-            r[rim] += k_rr @ x[rim]
+            # r = K0 x - b - K_RR x_R, the residual's negative
+            r = kmat @ x
+            r[base.gamma_dofs] -= self.gd.loads
+            r[rim] -= k_rr @ x[rim]
             r[inner] = 0.0
         else:
-            c = np.zeros((n + 1, k - 1))
+            c = np.zeros((n + 1, k - 1), order="F")
             c[rim[0]] = 1.0
             c[rim[1:], np.arange(k - 1)] = -1.0
             w = lu.solve(c) if k > 1 else c
-            x = x0 - w @ np.linalg.solve(c[rim].T @ w[rim], c[rim].T @ x0[rim])
-            # the residual of the merged DOF sums the rows it merges
+            x = w @ np.linalg.solve(c[rim].T @ w[rim], c[rim].T @ x0[rim])
+            np.subtract(x0, x, out=x)
+            # the residual (negated) of the merged DOF sums the rows it merges
             merged = np.concatenate([rim, inner])
-            r = -(kmat @ x)
-            r[:n] += base.b
+            r = kmat @ x
+            r[base.gamma_dofs] -= self.gd.loads
             total = r[merged].sum(axis=0)
             r[merged] = 0.0
             r[rim[0]] = total
-        return x, np.linalg.norm(r, axis=0)
+        return x, fem.column_norms(r)
 
 
 def perturb_symmetric(nd, rel_magnitude, seed):

@@ -221,12 +221,13 @@ class _Scanner:
 
     ``bases`` holds the factored maps that pixel-phase maps update by one
     cell: the background map and each sign's final cover box.  A base
-    keeps its system and potentials but not its factorization, which its
-    first update rebuilds.  A held SuperLU factor is resident at about 10
-    bytes per L+U nonzero: VmRSS rose by 0.53 MB per factor over 40
-    factors held of the 1.7k-DOF `scan_mixed` background system (55.6k
-    nonzeros), as the work memory SuperLU reserves beyond them is never
-    touched.  One held through `min_box` or beside another base would
+    keeps its system, measurement-arc DOFs and potentials but not its
+    factorization, which its first update rebuilds; a map updated on it
+    is checked as every painting is, but numbers no DOFs of its own.  A
+    held SuperLU factor is resident at about 10 bytes per L+U nonzero:
+    VmRSS rose by 0.53 MB per factor over 40 factors held of the 1.7k-DOF
+    `scan_mixed` background system (55.6k nonzeros), as the work memory
+    SuperLU reserves beyond them is never touched.  One held through `min_box` or beside another base would
     add that much to the peak memory of a scan.  ``last`` is the map the
     latest request factored, without its factorization, and None when
     that map was cached or updated."""

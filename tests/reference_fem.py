@@ -167,7 +167,14 @@ def build_dof_map(mesh):
         raise ConfigurationError(
             "a perfectly conducting component touches the domain boundary")
 
-    dofmap = DofMap.numbered(removed, conductor_of_vertex, n_conductors)
+    # free vertices numbered in vertex order, then one DOF per conductor
+    merged = conductor_of_vertex >= 0
+    free = ~(removed | merged)
+    n_free = int(free.sum())
+    dof_of_vertex = -np.ones(nv, dtype=int)
+    dof_of_vertex[free] = np.arange(n_free)
+    dof_of_vertex[merged] = n_free + conductor_of_vertex[merged]
+    dofmap = DofMap(dof_of_vertex=dof_of_vertex, n_dofs=n_free + n_conductors, n_free=n_free)
     _check_dof_connectivity(mesh, dofmap)
     return dofmap
 

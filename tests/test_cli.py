@@ -606,10 +606,12 @@ def test_weight_singular_point_near_a_declared_one(tmp_path, capsys):
     path = tmp_path / "c.json"
     path.write_text(json.dumps(cfg))
     assert main(["forward", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("config error: mesh quality below floor")
-    # the line names the worst triangle's corners, the two points among them
-    assert "(0.3, 0)" in err[0] and "(0.300002, 0)" in err[0]
+    # the line names the worst triangle's corners, then the declared points
+    # within 1e-5 of them: both singular points
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: mesh quality below floor: min angle 0.002 deg at triangle "
+        "(0.300002, 0), (0.323299653, 0.0441326531), (0.3, 0); within 1e-05 of its "
+        "corners: singular point (0.3, 0), singular point (0.300002, 0)"]
 
 
 @pytest.mark.parametrize("command", ["forward", "reconstruct", "chain"])

@@ -363,9 +363,9 @@ def test_tuned_factor_matches_default_options(name, tmp_path, monkeypatch):
         return lu
 
     def solve(system, load, rtol=1e-10):
-        b = load.b.reshape(system.n, -1)
+        b = load.b.reshape(len(load.b), -1)
         bnorm = fem.mean_free_norms(b) if load.norm is None else load.norm
-        rhs = np.vstack([b, np.zeros((1, b.shape[1]))])
+        rhs = np.vstack([b, np.zeros((system.n + 1 - len(b), b.shape[1]))])
         xs = [lu.solve(rhs) for lu in (system.factor(), default_options_factor(system))]
         assert close(*xs)
         misses = [len(fem.residual_misses(np.linalg.norm(rhs - system.kmat @ x, axis=0),

@@ -735,3 +735,29 @@ def test_connected_labels_on_fill_enclosed_grids(monkeypatch, seed):
     for n in (2, 5, 8, 16):
         reference_predicates.ref_fill_enclosed(rng.random((n, n)) < 0.6)
     assert calls == [4, 25, 64, 256]
+
+
+def test_mesh_and_field_hashed_once(disk, monkeypatch):
+    # each object hashes once; the hashed arrays turn read-only, so the
+    # cached hash cannot go stale
+    import hashlib
+
+    from eitmono.coefficient import CoefficientField
+
+    mesh = triangulate(disk, target_h=0.25)
+    fld = CoefficientField(mesh=mesh, gamma0=1.0)
+    hashers = []
+    real = hashlib.sha256
+
+    def counting(*args):
+        hashers.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(hashlib, "sha256", counting)
+    assert fld.provenance() == fld.provenance()
+    assert mesh.provenance() == mesh.provenance()
+    assert len(hashers) == 2
+    for arr in (mesh.vertices, mesh.triangles, mesh.boundary_on_gamma, mesh.triangle_region):
+        assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        mesh.vertices[0, 0] = 0.0

@@ -83,7 +83,7 @@ class TestNDMatrix:
         def skewed(system, load, rtol=1e-10):
             sol = real(system, load, rtol=rtol)
             u = sol.u.copy()
-            u[:, 1] += 1e-6 * np.abs(u[:, 0]).max() * np.sign(load.b[:, 0])
+            u[:, 1] += 1e-6 * np.abs(u[:, 0]).max() * np.sign(load.b[:len(u), 0])
             return dataclasses.replace(sol, u=u)
 
         monkeypatch.setattr(fem, "solve_neumann", skewed)
@@ -291,7 +291,9 @@ def test_shared_loads_match_per_call_loads(grid_mesh, family8, monkeypatch):
         assert ("merged" in status) == merges
         ref = [reference_fem.neumann_load(fld.mesh, dm, basis.density(k))
                for k in range(basis.m)]
-        assert np.array_equal(block.b, np.column_stack([ld.b for ld in ref]))
+        # the block comes bordered: the loads on the DOFs, then a zero row
+        assert np.array_equal(block.b[:system.n], np.column_stack([ld.b for ld in ref]))
+        assert not np.any(block.b[system.n:])
         assert np.array_equal(system.constraint,
                               reference_fem.gamma_mass_vector(fld.mesh, dm))
 
@@ -525,6 +527,139 @@ def test_one_cell_update_matches_direct_path(template, base_ranks, cell, rank):
     got = tpl.solve(zero, inf, 1e-10, [base])
     assert (got.system is None) == (cell not in base_ranks)
     assert gram_distance(got.nd, ref) <= 1e-10
+
+
+# Paintings of one kind: D0 cells only, Dinf cells only, or both.
+KINDS = {"D0": [0], "Dinf": [2], "both": [0, 2]}
+paintings = st.sampled_from(sorted(KINDS)).flatmap(
+    lambda kind: st.dictionaries(st.integers(0, 63), st.sampled_from(KINDS[kind]),
+                                 max_size=20))
+
+
+def direct_field(family8, grid_mesh, ranks):
+    """The painted field of a labeling on the direct (polygon) path."""
+    zero, inf = painted_cells(ranks)
+    paint = [(cell_parts(family8, [divmod(c, 8) for c in ids]), lab)
+             for ids, lab in ((zero, "D0"), (inf, "Dinf")) if ids]
+    return painted_field(grid_mesh, paint, 1.0)
+
+
+def cut_off_cells(mesh, part):
+    """The parts of the live (not D0) triangles whose vertices the live
+    triangles do not join to a live vertex on gamma."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    live = np.flatnonzero(mesh.triangle_region != "D0")
+    tris = mesh.triangles[live]
+    pairs = tris[:, [0, 1, 1, 2]].reshape(-1, 2).T
+    graph = coo_matrix((np.ones(pairs.shape[1]), pairs), shape=(mesh.num_vertices,) * 2)
+    comp = connected_components(graph, directed=False)[1]
+    seeds = np.intersect1d(mesh.gamma_edges(), tris)
+    return set(part[live[~np.isin(comp[tris[:, 0]], comp[seeds])]].tolist())
+
+
+def assert_painting_like_direct_path(tpl, codes, fld, check_only=False):
+    """The template's DOF map and CSC system of a painting against the
+    direct COO path (`reference_fem`), or the same first error; a
+    `CutOffError` names the cut-off cells.  ``check_only`` runs only the
+    checks of an updated map (`PaintTemplate.check`)."""
+    assert np.array_equal(ndmap.PAINT_LABELS[codes], fld.mesh.triangle_region)
+    run = tpl.check if check_only else tpl.dof_map
+    try:
+        dofmap = reference_fem.build_dof_map(fld.mesh)
+    except fem.ConfigurationError as exc:
+        with pytest.raises(fem.ConfigurationError, match=f"^{re.escape(str(exc))}$") as got:
+            run(codes)
+        if isinstance(got.value, ndmap.CutOffError):
+            assert set(got.value.cells.tolist()) == cut_off_cells(fld.mesh, tpl.part)
+        return
+    if check_only:
+        tpl.check(codes)
+        return
+    reference_fem.assert_same_system(tpl.assemble(codes, tpl.dof_map(codes)),
+                                     reference_fem.assemble(fld, dofmap))
+
+
+@pytest.fixture(scope="module")
+def vertex_order_template(grid_mesh, family8):
+    """A grid template whose background map has not set the order."""
+    return grid_template(grid_mesh, family8, 1.0, build_basis(grid_mesh, 8))
+
+
+# A ring of D0 cells around cell (3, 3), which it cuts off from gamma.
+RING = {i * 8 + j: 0 for i in (2, 3, 4) for j in (2, 3, 4) if (i, j) != (3, 3)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(ranks=paintings, ranked=st.booleans())
+@example(ranks=RING, ranked=True)
+@example(ranks={**RING, 27: 2}, ranked=False)
+def test_template_dof_map_and_assembly_match_direct_path(template, vertex_order_template,
+                                                         family8, grid_mesh, ranks, ranked):
+    # labels, vertex statuses, conductors, the CSC pattern after relabelling
+    # and the entries (1.2e-15*max|K|, 4e-15 at a conductor) of random grid
+    # paintings, in vertex order and in the background's order, or the
+    # direct path's first error with the cells that are cut off
+    tpl = template[0] if ranked else vertex_order_template
+    if ranked:
+        tpl.solve([], [], 1e-10)
+    assert (tpl.by_rank is not None) == ranked
+    codes = tpl.cell_codes(*painted_cells(ranks))[tpl.part]
+    assert_painting_like_direct_path(tpl, codes, direct_field(family8, grid_mesh, ranks))
+
+
+@settings(max_examples=25, deadline=None)
+@given(base_ranks=paintings, cell=st.integers(0, 63), rank=st.sampled_from([0, 2]))
+@example(base_ranks={c: r for c, r in RING.items() if c != 36}, cell=36, rank=0)
+def test_updated_painting_checks_match_direct_path(template, family8, grid_mesh,
+                                                   base_ranks, cell, rank):
+    # a base plus one background cell: the checks an updated map runs in
+    # place of a DOF map raise the direct path's first error, cut-off
+    # cells included, and solving it on the base builds no DofMap
+    tpl, _ = template
+    assume(cell not in base_ranks)
+    try:
+        base = tpl.solve(*painted_cells(base_ranks), 1e-10)
+    except fem.ConfigurationError:
+        assume(False)
+    ranks = {**base_ranks, cell: rank}
+    codes = tpl.cell_codes(*painted_cells(ranks))[tpl.part]
+    fld = direct_field(family8, grid_mesh, ranks)
+    assert_painting_like_direct_path(tpl, codes, fld, check_only=True)
+    with pytest.MonkeyPatch.context() as mp:
+        made = count_dof_maps(mp)
+        try:
+            got = tpl.solve(*painted_cells(ranks), 1e-10, [base])
+        except fem.ConfigurationError:
+            assert made == []
+            return
+    assert (got.system is None) == (made == [])
+
+
+def count_dof_maps(mp):
+    """Every `fem.DofMap` built while ``mp`` is active."""
+    made = []
+    real = fem.DofMap.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(self)
+        real(self, *args, **kwargs)
+
+    mp.setattr(fem.DofMap, "__init__", counting)
+    return made
+
+
+def test_updated_map_builds_no_dof_map(template, monkeypatch):
+    tpl, _ = template
+    base = tpl.solve([], [27], 1e-10)
+    made = count_dof_maps(monkeypatch)
+    assert tpl.solve([9], [27], 1e-10, [base]).system is None
+    assert tpl.solve([], [27, 45], 1e-10, [base]).system is None
+    assert made == []
+    # a factored painting numbers its DOFs once
+    assert tpl.solve([9, 10], [27], 1e-10, [base]).system is not None
+    assert len(made) == 1
 
 
 def test_only_one_background_cell_off_a_base_is_updated(template):
