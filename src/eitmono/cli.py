@@ -13,6 +13,7 @@ named instead of spelling out regions.
 
 import argparse
 import copy
+import difflib
 import itertools
 import json
 import math
@@ -44,30 +45,24 @@ class ConfigError(ValueError):
     pass
 
 
-def _get(cfg, path, default=None, required=False):
-    """Config entry ``path`` (dotted keys), ``default`` when absent; a
-    section on the path that is present but not an object raises."""
-    node = cfg
-    keys = path.split(".")
-    for depth, key in enumerate(keys):
-        if depth and not isinstance(node, dict):
-            raise ConfigError(f"{'.'.join(keys[:depth])}: expected an object")
-        if not isinstance(node, dict) or key not in node:
-            if required:
-                raise ConfigError(f"missing config entry '{path}'")
-            return default
-        node = node[key]
-    return node
+def _text(value):
+    """A JSON string."""
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
 
 
-def _value(cfg, path, convert, default=None):
-    """Config entry ``path`` (``default`` when absent) through ``convert``;
-    a malformed value raises ConfigError naming the entry."""
-    value = _get(cfg, path, default)
-    try:
-        return convert(value)
-    except (ValueError, TypeError, KeyError, IndexError, AttributeError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+def _flag(value):
+    """A JSON boolean."""
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _arc(value):
+    """An interval (t0, t1) of the normalized boundary parameter."""
+    t0, t1 = value
+    return float(t0), float(t1)
 
 
 def _integer(value):
@@ -85,20 +80,22 @@ def _positive(value):
     return float(value)
 
 
-def _finite_point(value):
-    """A point (x, y) of finite numbers, as a tuple."""
-    p = np.asarray(value, dtype=float)
-    if p.shape != (2,) or not np.all(np.isfinite(p)):
-        raise ValueError(f"expected a finite point (x, y), got {value!r}")
-    return tuple(p.tolist())
+def _finite_points(values):
+    """Points (x, y) of finite numbers, as tuples."""
+    points = [np.asarray(value, dtype=float) for value in values]
+    for value, p in zip(values, points):
+        if p.shape != (2,) or not np.all(np.isfinite(p)):
+            raise ValueError(f"expected a finite point (x, y), got {value!r}")
+    return [tuple(p.tolist()) for p in points]
 
 
-def _finite_polyline(value):
-    """A finite (k, 2) array of polyline vertices, k >= 2."""
-    p = np.asarray(value, dtype=float)
-    if p.ndim != 2 or p.shape[1] != 2 or len(p) < 2 or not np.all(np.isfinite(p)):
-        raise ValueError(f"expected a finite (k, 2) polyline with k >= 2, got {value!r}")
-    return p
+def _finite_polylines(values):
+    """Finite (k, 2) arrays of polyline vertices, k >= 2."""
+    lines = [np.asarray(value, dtype=float) for value in values]
+    for value, p in zip(values, lines):
+        if p.ndim != 2 or p.shape[1] != 2 or len(p) < 2 or not np.all(np.isfinite(p)):
+            raise ValueError(f"expected a finite (k, 2) polyline with k >= 2, got {value!r}")
+    return lines
 
 
 def _nonnegative(value):
@@ -134,13 +131,74 @@ def _weight_from_spec(spec):
         raise ConfigError(f"a {kind} weight takes no key {', '.join(map(repr, unknown))}")
     if kind == "product":
         return WeightSpec.product(*[_weight_from_spec(s) for s in spec["factors"]])
-    if kind == "constant":
-        return WeightSpec.constant(spec["value"])
-    if kind == "radial_power":
-        return WeightSpec.radial_power(spec["center"], spec["exponent"],
-                                       amplitude=spec.get("amplitude", 1.0))
-    return WeightSpec.surface_power(spec["segment"], spec["exponent"],
-                                    amplitude=spec.get("amplitude", 1.0))
+    # each kind names the WeightSpec constructor whose arguments its keys are
+    return getattr(WeightSpec, kind)(**{k: v for k, v in spec.items() if k != "kind"})
+
+
+# The config contract: each settable key path, its converter and its default
+# (None: none, and then null means absent).  `read_config` rejects other keys.
+SCHEMA = {
+    "domain.shape": (_text, None),
+    "domain.gamma_arc": (_arc, [0.0, 1.0]),
+    "domain.disk_segments": (_integer, 256),
+    "phantom": (_text, None),
+    "regions": (RegionSet, {}),
+    "coefficient.background": (_positive, 1.0),
+    "coefficient.DFminus": (float, None),
+    "coefficient.DFplus": (float, None),
+    "coefficient.Ddeg": (_weight_from_spec, None),
+    "coefficient.Dsing": (_weight_from_spec, None),
+    "coefficient.singular_points": (_finite_points, []),
+    "coefficient.singular_segments": (_finite_polylines, []),
+    "mesh.target_h": (_positive, 0.06),
+    "mesh.min_angle_deg": (_nonnegative, 0.05),
+    "solver.quad_depth": (_integer, 12),
+    "solver.rtol": (_positive, 1e-10),
+    "basis.m": (_integer, 8),
+    "scan.grid_n": (_integer, 8),
+    "scan.roi": (_numbers, None),
+    "scan.tau": (_nonnegative, DEFAULT_TAU_ABS),
+    "scan.tau_rel": (_nonnegative, DEFAULT_TAU_REL),
+    "scan.side": (_text, "both"),
+    "artifacts.mesh": (_flag, False),
+    "measurements_file": (Path, None),
+    "calibrate.h": (_numbers, [0.1, 0.08]),
+    "calibrate.m": (_numbers, [8, 16]),
+    "calibrate.tau": (_numbers, [1e-4, 1e-5, 1e-6]),
+}
+_SECTIONS = {path.split(".")[0] for path in SCHEMA if "." in path}
+
+
+def read_config(cfg):
+    """Each `SCHEMA` path mapped to its converted value in ``cfg`` or its
+    default.  An unknown key, a section that is not an object, a malformed
+    value and a phantom beside regions or a coefficient raise ConfigError."""
+    given, nodes = {}, [("", cfg)]
+    for section, node in nodes:      # the sections found are appended
+        if not isinstance(node, dict):
+            raise ConfigError(f"{section or 'config'}: expected an object")
+        for key, value in node.items():
+            path = f"{section}.{key}" if section else key
+            if path in SCHEMA and "." not in key:
+                given[path] = value
+            elif path in _SECTIONS:
+                nodes.append((path, value))
+            else:
+                near = difflib.get_close_matches(path, [
+                    known for known in (*SCHEMA, *_SECTIONS)
+                    if known.rpartition(".")[0] == section], n=1, cutoff=0)
+                raise ConfigError(f"unknown key {path} (did you mean {near[0]}?)")
+    values = {}
+    for path, (convert, default) in SCHEMA.items():
+        value = given.get(path, default)
+        try:
+            values[path] = None if value is None and default is None else convert(value)
+        except (ValueError, TypeError, KeyError, IndexError, AttributeError) as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+    clash = [key for key in ("regions", "coefficient") if key in cfg]
+    if values["phantom"] is not None and clash:
+        raise ConfigError(f"phantom: given with {' and '.join(clash)}, which it sets itself")
+    return values
 
 
 class Problem:
@@ -149,78 +207,52 @@ class Problem:
 
     def __init__(self, cfg):
         self.cfg = cfg
-        shape = _get(cfg, "domain.shape", required=True)
-        arc = _value(cfg, "domain.gamma_arc", lambda a: (float(a[0]), float(a[1])),
-                     default=[0.0, 1.0])
-        segments = _value(cfg, "domain.disk_segments", _integer, default=256)
+        self.config = config = read_config(cfg)
         try:
-            self.domain = build_domain(shape, arc, disk_segments=segments)
+            self.domain = build_domain(config["domain.shape"], config["domain.gamma_arc"],
+                                       disk_segments=config["domain.disk_segments"])
         except GeometryError as exc:
             raise ConfigError(f"domain: {exc}") from exc
 
-        phantom = _get(cfg, "phantom")
-        if phantom is not None:
+        if config["phantom"] is not None:
             try:
-                self.regions, self.coeff_spec = phantoms.build_phantom(phantom)
+                self.regions, self.coeff_spec = phantoms.build_phantom(config["phantom"])
             except KeyError as exc:
                 # str() of a KeyError quotes its message; print it as is.
                 raise ConfigError(exc.args[0]) from exc
         else:
-            self.regions = self._regions_from_cfg(cfg)
-            self.coeff_spec = self._coeff_from_cfg(cfg)
+            self.regions = config["regions"]
+            self.regions.singular_points = config["coefficient.singular_points"]
+            self.regions.singular_segments = config["coefficient.singular_segments"]
+            self.coeff_spec = {lab: config[f"coefficient.{lab}"] for lab in (
+                "background", "DFminus", "DFplus", "Ddeg", "Dsing")
+                if config[f"coefficient.{lab}"] is not None}
 
         violations = validate_regions(self.domain, self.regions)
         if violations:
             raise ConfigError("regions invalid: " + "; ".join(violations))
         self.declare_weight_features()
 
-        self.target_h = _value(cfg, "mesh.target_h", _positive, default=0.06)
-        self.min_angle = _value(cfg, "mesh.min_angle_deg", _nonnegative, default=0.05)
-        self.quad_depth = _value(cfg, "solver.quad_depth", _integer, default=12)
+        self.quad_depth = config["solver.quad_depth"]
         if not 1 <= self.quad_depth <= 64:
             raise ConfigError("solver.quad_depth must be in [1, 64]")
-        self.rtol = _value(cfg, "solver.rtol", _positive, default=1e-10)
-        self.m = _value(cfg, "basis.m", _integer, default=8)
+        self.rtol = config["solver.rtol"]
+        self.m = config["basis.m"]
         if self.m < 1:
             raise ConfigError("basis.m must be >= 1")
-        self.grid_n = _value(cfg, "scan.grid_n", _integer, default=8)
+        self.grid_n = config["scan.grid_n"]
         if self.grid_n < 2:
             raise ConfigError("scan.grid_n must be >= 2")
-        self.family = _value(cfg, "scan.roi", lambda roi: pixel_family(
-            self.domain, self.grid_n, roi=roi))
-        self.tau = _value(cfg, "scan.tau", _nonnegative, default=DEFAULT_TAU_ABS)
-        self.tau_rel = _value(cfg, "scan.tau_rel", _nonnegative,
-                              default=DEFAULT_TAU_REL)
-        self.side = _get(cfg, "scan.side", default="both")
+        try:
+            self.family = pixel_family(self.domain, self.grid_n, roi=config["scan.roi"])
+        except ValueError as exc:
+            raise ConfigError(f"scan.roi: {exc}") from exc
+        self.tau = config["scan.tau"]
+        self.tau_rel = config["scan.tau_rel"]
+        self.side = config["scan.side"]
         if self.side not in ("both", "lower_only", "upper_only"):
             raise ConfigError("scan.side must be both|lower_only|upper_only")
-        self.gamma0 = float(self.coeff_spec.get("background", 1.0))
-        if self.gamma0 <= 0:
-            raise ConfigError("coefficient.background must be positive")
-
-    def _regions_from_cfg(self, cfg):
-        polys = _value(cfg, "regions", lambda raw: {
-            lab: list(plist) for lab, plist in raw.items()}, default={})
-        spts = _value(cfg, "coefficient.singular_points",
-                      lambda pts: [_finite_point(p) for p in pts], default=[])
-        ssegs = _value(cfg, "coefficient.singular_segments",
-                       lambda segs: [_finite_polyline(s) for s in segs], default=[])
-        try:
-            regions = RegionSet(polys=polys, singular_points=spts,
-                                singular_segments=ssegs)
-        except GeometryError as exc:
-            raise ConfigError(f"regions: {exc}") from exc
-        return regions
-
-    def _coeff_from_cfg(self, cfg):
-        spec = {"background": _value(cfg, "coefficient.background", float,
-                                     default=1.0)}
-        for lab, convert in (("DFminus", float), ("DFplus", float),
-                             ("Ddeg", _weight_from_spec),
-                             ("Dsing", _weight_from_spec)):
-            if _get(cfg, f"coefficient.{lab}") is not None:
-                spec[lab] = _value(cfg, f"coefficient.{lab}", convert)
-        return spec
+        self.gamma0 = self.coeff_spec["background"]
 
     def declare_weight_features(self):
         """Declare each weight's singular points and segments to the mesher
@@ -235,9 +267,9 @@ class Problem:
     def build_mesh(self, with_grid=True):
         extra = self.family.grid_segments() if with_grid else []
         self.mesh = triangulate(self.domain, self.regions,
-                                target_h=self.target_h,
+                                target_h=self.config["mesh.target_h"],
                                 extra_segments=extra,
-                                min_angle_deg=self.min_angle)
+                                min_angle_deg=self.config["mesh.min_angle_deg"])
         violations = mesh_region_faults(self.mesh, self.regions)
         if violations:
             raise ConfigError("regions invalid: " + "; ".join(violations))
@@ -348,12 +380,12 @@ def cmd_forward(problem, out_dir, args):
     t0 = time.perf_counter()
     # Mesh with the scan grid when one is configured, so measurement files
     # keep provenance compatible with a later reconstruction run.
-    problem.build_mesh(with_grid=_get(problem.cfg, "scan") is not None)
+    problem.build_mesh(with_grid="scan" in problem.cfg)
     problem.build_field()
     problem.build_basis()
     nd = _measured_nd(problem, args)
     (out_dir / "nd_gamma.txt").write_text(nd.to_text())
-    if _get(problem.cfg, "artifacts.mesh", default=False):
+    if problem.config["artifacts.mesh"]:
         (out_dir / "mesh.txt").write_text(problem.mesh.to_text())
     eigs = np.sort(nd.generalized_eigenvalues())[::-1]
     metrics = {
@@ -378,8 +410,7 @@ def cmd_reconstruct(problem, out_dir, args):
     problem.build_field()
     problem.build_basis()
 
-    nd_file = _value(problem.cfg, "measurements_file",
-                     lambda f: Path(f) if f else None)
+    nd_file = problem.config["measurements_file"]
     if nd_file:
         nd = _with_noise(_read_measurements(nd_file, problem), args)
     else:
@@ -457,10 +488,7 @@ def cmd_calibrate(problem, out_dir, args):
     margins of the cells inside and outside the true regions; the table
     shows which tau separate them."""
     t0 = time.perf_counter()
-    h_list = _value(problem.cfg, "calibrate.h", _numbers, default=[0.1, 0.08])
-    m_list = _value(problem.cfg, "calibrate.m", _numbers, default=[8, 16])
-    tau_list = _value(problem.cfg, "calibrate.tau", _numbers,
-                      default=[1e-4, 1e-5, 1e-6])
+    h_list, m_list, tau_list = (problem.config[f"calibrate.{k}"] for k in ("h", "m", "tau"))
 
     rows = ["h m tau oracle_err worst_in best_out tau_ok"]
     for h, m in itertools.product(h_list, m_list):

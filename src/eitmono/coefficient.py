@@ -77,8 +77,8 @@ class WeightSpec:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def constant(c):
-        return WeightSpec(factors=(WeightFactor(kind="constant", value=float(c)),))
+    def constant(value):
+        return WeightSpec(factors=(WeightFactor(kind="constant", value=float(value)),))
 
     @staticmethod
     def radial_power(center, exponent, amplitude=1.0):
@@ -88,8 +88,8 @@ class WeightSpec:
             exponent=float(exponent)),))
 
     @staticmethod
-    def surface_power(polyline, exponent, amplitude=1.0):
-        pl = tuple((float(x), float(y)) for x, y in polyline)
+    def surface_power(segment, exponent, amplitude=1.0):
+        pl = tuple((float(x), float(y)) for x, y in segment)
         if len(pl) < 2:
             raise CoefficientError("surface_power needs a polyline of >= 2 points")
         return WeightSpec(factors=(WeightFactor(

@@ -5,9 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eitmono import geometry, phantoms
+from eitmono import cli, geometry, phantoms
 from eitmono import polygons as pg
-from eitmono.cli import Problem, main
+from eitmono.cli import Problem, main, read_config
 from eitmono.ndmap import NDMatrix
 
 
@@ -73,6 +73,44 @@ PINCHED_DDEG = {
                 "Ddeg": [[[0, 0], [0.2, 0], [0.2, 0.2], [0, 0.2]]]},
     "coefficient": {"background": 1.0, "DFminus": 0.5,
                     "Ddeg": {"kind": "constant", "value": 0.5}},
+}
+
+
+# Configs rejected when they are read, before anything is built, with
+# their one stderr line; each starts from `write_config` without a phantom.
+LOAD_ERRORS = {
+    "unknown_section": ({"sovler": {"rtol": 1e-10}},
+                        "config error: unknown key sovler (did you mean solver?)"),
+    "unknown_scan_key": ({"scan": {"grid_n": 8, "tua": 1e-5}},
+                         "config error: unknown key scan.tua (did you mean scan.tau?)"),
+    "gamma_ark": ({"domain": {"shape": "disk", "gamma_ark": [0.0, 0.25]}},
+                  "config error: unknown key domain.gamma_ark (did you mean "
+                  "domain.gamma_arc?)"),
+    # a dotted key is not read as the path it spells
+    "dotted_key": ({"scan.tau": 1e-5},
+                   "config error: unknown key scan.tau (did you mean scan?)"),
+    "misspelled_key_and_section": (
+        {"scan": {"grid_n": 8, "tua": 1e-5}, "sovler": {"rtol": 1e-10}},
+        "config error: unknown key sovler (did you mean solver?)"),
+    "phantom_with_regions": (
+        {"phantom": "homogeneous", "regions": {"D0": [SQUARE(0.2)]}},
+        "config error: phantom: given with regions, which it sets itself"),
+    "phantom_with_coefficient": (
+        {"phantom": "homogeneous", "coefficient": {"background": 5.0}},
+        "config error: phantom: given with coefficient, which it sets itself"),
+    "phantom_with_both": (
+        {"phantom": "homogeneous", "regions": {"D0": [SQUARE(0.2)]},
+         "coefficient": {"background": 5.0}},
+        "config error: phantom: given with regions and coefficient, which it sets itself"),
+    "mesh_flag_string": ({"phantom": "homogeneous", "artifacts": {"mesh": "no"}},
+                         "config error: artifacts.mesh: expected true or false, got 'no'"),
+    "mesh_flag_number": ({"phantom": "homogeneous", "artifacts": {"mesh": 1}},
+                         "config error: artifacts.mesh: expected true or false, got 1"),
+    "phantom_list": ({"phantom": ["homogeneous"]},
+                     "config error: phantom: expected a string, got ['homogeneous']"),
+    "infinite_background": ({"coefficient": {"background": float("inf")}},
+                            "config error: coefficient.background: expected a finite "
+                            "number > 0, got inf"),
 }
 
 
@@ -404,6 +442,8 @@ class TestConfigErrors:
         ("reconstruct", {"basis": {"m": "x"}}, "basis.m"),
         ("reconstruct", {"domain": {"shape": "disk", "gamma_arc": [0.5]}},
          "domain.gamma_arc"),
+        ("reconstruct", {"domain": {"shape": "disk", "gamma_arc": [0.0, 0.5, 0.7]}},
+         "domain.gamma_arc"),
         ("reconstruct",
          {"phantom": None,
           "regions": {"Ddeg": [[[-0.2, -0.2], [0.2, -0.2], [0.2, 0.2],
@@ -422,9 +462,9 @@ class TestConfigErrors:
          "coefficient.Ddeg"),
         ("forward", {"phantom": None, "coefficient": {
             "Ddeg": {"kind": "product", "factors": [5]}}}, "coefficient.Ddeg"),
-    ], ids=["non_integer_m", "short_gamma_arc", "weight_without_exponent",
-            "short_roi", "scalar_calibrate_h", "string_calibrate_m",
-            "string_calibrate_tau", "numeric_measurements_file",
+    ], ids=["non_integer_m", "short_gamma_arc", "long_gamma_arc",
+            "weight_without_exponent", "short_roi", "scalar_calibrate_h",
+            "string_calibrate_m", "string_calibrate_tau", "numeric_measurements_file",
             "fractional_m", "fractional_grid_n", "scalar_regions",
             "scalar_weight", "scalar_product_factor"])
     def test_malformed_value(self, tmp_path, capsys, command, overrides, entry):
@@ -581,6 +621,40 @@ class TestConfigErrors:
         assert (problem.m, problem.grid_n, problem.quad_depth) == (8, 7, 12)
         assert all(type(v) is int for v in (problem.m, problem.grid_n,
                                             problem.quad_depth))
+
+
+@pytest.mark.parametrize("command", ["forward", "reconstruct"])
+@pytest.mark.parametrize("case", sorted(LOAD_ERRORS))
+def test_rejected_when_read(tmp_path, capsys, case, command):
+    # a misspelled key is not left to its default, nor a phantom's regions
+    # and coefficient to the phantom; no artifact is written
+    overrides, line = LOAD_ERRORS[case]
+    cfg = write_config(tmp_path, **{"phantom": None, **overrides})
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [line]
+    assert list(out.iterdir()) == []
+
+
+def test_every_schema_path_is_read():
+    # each path maps to its default when absent, and a given value to its
+    # converted value; nothing else is in the result
+    values = read_config({"domain": {"shape": "square"}, "basis": {"m": 4.0}})
+    assert sorted(values) == sorted(cli.SCHEMA)
+    assert (values["domain.shape"], values["basis.m"]) == ("square", 4)
+    assert values["phantom"] is None and values["scan.side"] == "both"
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_workload_configs_read(tmp_path, monkeypatch, seed):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from workloads import WORKLOADS
+
+    argvs = [argv for workload in WORKLOADS.values()
+             for argv in workload.calls(seed, tmp_path)]
+    assert len(argvs) == 4
+    for argv in argvs:
+        read_config(json.loads(Path(argv[argv.index("--config") + 1]).read_text()))
 
 
 def test_weight_features_declared_once():
