@@ -14,12 +14,12 @@ named instead of spelling out regions.
 import argparse
 import copy
 import difflib
-import itertools
 import json
 import math
 import sys
 import time
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -113,6 +113,19 @@ def _numbers(values):
     return values
 
 
+def _basis_size(value):
+    """An integer >= 1."""
+    m = _integer(value)
+    if m < 1:
+        raise ValueError(f"expected an integer >= 1, got {value!r}")
+    return m
+
+
+def _sweep(convert, values):
+    """A non-empty list of JSON numbers, each converted by ``convert``."""
+    return [convert(v) for v in _numbers(values)]
+
+
 # The keys each weight-spec kind takes; any other key is rejected.
 _WEIGHT_KEYS = {
     "constant": {"kind", "value"},
@@ -162,9 +175,11 @@ SCHEMA = {
     "scan.side": (_text, "both"),
     "artifacts.mesh": (_flag, False),
     "measurements_file": (Path, None),
-    "calibrate.h": (_numbers, [0.1, 0.08]),
-    "calibrate.m": (_numbers, [8, 16]),
-    "calibrate.tau": (_numbers, [1e-4, 1e-5, 1e-6]),
+    # each sweep value as the entry it stands for: mesh.target_h, basis.m
+    # (>= 1, as `Problem` requires) and scan.tau
+    "calibrate.h": (partial(_sweep, _positive), [0.1, 0.08]),
+    "calibrate.m": (partial(_sweep, _basis_size), [8, 16]),
+    "calibrate.tau": (partial(_sweep, _nonnegative), [1e-4, 1e-5, 1e-6]),
 }
 _SECTIONS = {path.split(".")[0] for path in SCHEMA if "." in path}
 
@@ -491,34 +506,35 @@ def cmd_calibrate(problem, out_dir, args):
     h_list, m_list, tau_list = (problem.config[f"calibrate.{k}"] for k in ("h", "m", "tau"))
 
     rows = ["h m tau oracle_err worst_in best_out tau_ok"]
-    for h, m in itertools.product(h_list, m_list):
+    for h in h_list:   # the mesh and the field depend on h alone
         cfg = copy.deepcopy(problem.cfg)
         cfg.setdefault("mesh", {})["target_h"] = h
-        cfg.setdefault("basis", {})["m"] = m
         sub = Problem(cfg)
         sub.build_mesh(with_grid=True)
         sub.build_field()
-        sub.build_basis()
-        nd_g = nd_matrix(sub.field, sub.basis, rtol=sub.rtol)
+        for m in m_list:
+            sub.m = m
+            sub.build_basis()
+            nd_g = nd_matrix(sub.field, sub.basis, rtol=sub.rtol)
 
-        # Lower side only: the neutralizer is empty, so each judged row's
-        # score is the plain pixel score inside the minimal box.
-        result = reconstruct(nd_g, sub.mesh, sub.family, sub.gamma0, sub.basis,
-                             tau=min(tau_list), side="lower_only", rtol=sub.rtol)
-        errors = [row.reason for row in result.cells if row.reason.startswith("error: ")]
-        if errors:
-            raise fem.ConfigurationError(errors[0].removeprefix("error: "))
-        oracle_err = _oracle_error(
-            sub, np.sort(result.nd_background.generalized_eigenvalues())[::-1])
-        truth = rasterize_truth(sub.regions, sub.family)
-        scores = [(truth[row.cell], row.score) for row in result.cells if row.sign == "lower"]
-        worst_in = min([0.0] + [score for in_truth, score in scores if in_truth])
-        best_out = max([-np.inf] + [score for in_truth, score in scores if not in_truth])
-        for tau in tau_list:
-            ok = worst_in >= -tau >= best_out if np.isfinite(best_out) \
-                else worst_in >= -tau
-            rows.append(f"{h} {m} {tau} {oracle_err:.3e} {worst_in:.3e} "
-                        f"{best_out:.3e} {int(ok)}")
+            # Lower side only: the neutralizer is empty, so each judged row's
+            # score is the plain pixel score inside the minimal box.
+            result = reconstruct(nd_g, sub.mesh, sub.family, sub.gamma0, sub.basis,
+                                 tau=min(tau_list), side="lower_only", rtol=sub.rtol)
+            errors = [row.reason for row in result.cells if row.reason.startswith("error: ")]
+            if errors:
+                raise fem.ConfigurationError(errors[0].removeprefix("error: "))
+            oracle_err = _oracle_error(
+                sub, np.sort(result.nd_background.generalized_eigenvalues())[::-1])
+            truth = rasterize_truth(sub.regions, sub.family)
+            scores = [(truth[row.cell], row.score) for row in result.cells if row.sign == "lower"]
+            worst_in = min([0.0] + [score for in_truth, score in scores if in_truth])
+            best_out = max([-np.inf] + [score for in_truth, score in scores if not in_truth])
+            for tau in tau_list:
+                ok = worst_in >= -tau >= best_out if np.isfinite(best_out) \
+                    else worst_in >= -tau
+                rows.append(f"{h} {m} {tau} {oracle_err:.3e} {worst_in:.3e} "
+                            f"{best_out:.3e} {int(ok)}")
     (out_dir / "calibration.txt").write_text("\n".join(rows) + "\n")
     _write_metrics(out_dir, {"rows": len(rows) - 1,
                              "wall_time": time.perf_counter() - t0})

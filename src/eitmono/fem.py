@@ -7,6 +7,7 @@ degree of freedom each, and the pure-Neumann kernel is grounded with a
 Lagrange multiplier enforcing a zero mean on the measurement arc.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -157,14 +158,24 @@ def gamma_quadrature(mesh):
 @dataclass
 class NeumannLoad:
     """Discrete current load: b_i = <f, phi_i> on gamma, projected to the
-    gamma-mean-free space.  ``b`` may hold one load per column, and below
-    the DOFs' rows the constraint row of the grounded system, zero: the
-    bordered right-hand side, which `solve_neumann` then uses as it is.
-    ``norm`` holds their column norms once `mean_free_norms` has checked
-    them."""
+    gamma-mean-free space.  ``b`` may hold one load per column, on every
+    DOF, or with ``rows`` on those DOFs only, zero on the others.  ``norm``
+    holds their column norms once `mean_free_norms` has checked them."""
 
     b: np.ndarray
     norm: np.ndarray = None
+    rows: np.ndarray = None
+
+    def bordered(self, n):
+        """The right-hand side, one column per load, on a grounded system
+        of n DOFs: the load, then the constraint row, zero (Fortran order,
+        as SuperLU takes it)."""
+        b = self.b.reshape(len(self.b), -1)
+        if self.rows is None and len(b) != n:
+            raise SolverError(f"a load on {len(b)} DOFs for a system of {n}")
+        rhs = np.zeros((n + 1, b.shape[1]), order="F")
+        rhs[slice(n) if self.rows is None else self.rows] = b
+        return rhs
 
 
 def mean_free_norms(b):
@@ -205,6 +216,7 @@ class PotentialSolution:
     u: np.ndarray          # DOF coefficients, gamma-mean-free representative
     multiplier: float
     residual: float
+    x: np.ndarray = None   # a block's potentials over its multipliers, (n + 1, k)
 
 
 def column_norms(a):
@@ -219,10 +231,12 @@ def residual_misses(rnorm, bnorm, rtol):
 
 
 def check_gamma_mean(constraint, u):
-    """Every column of the potentials ``u`` must have a zero gamma mean."""
-    gmean = constraint @ u
+    """Every column of the potentials ``u`` must have a zero gamma mean,
+    summed over the measurement-arc rows, the constraint's nonzeros."""
+    arc = np.flatnonzero(constraint)
+    gmean = constraint[arc] @ u[arc]
     # the scale is at least 1, so only a mean above 1e-10 can miss the gate
-    if not np.any(np.abs(gmean) > 1e-10):
+    if not (np.abs(gmean) > 1e-10).any():
         return
     gscale = np.maximum(1.0, np.abs(u).max(axis=0) * float(np.sum(constraint)))
     bad = np.flatnonzero(np.abs(gmean) > 1e-10 * gscale)
@@ -232,10 +246,12 @@ def check_gamma_mean(constraint, u):
                           f"multiplier in column {k}")
 
 
-def _residual(kmat, x, rhs):
-    """K x - rhs, formed in the product's array."""
+def _residual(kmat, x, load):
+    """K x minus the load's right-hand side, formed in the product's array;
+    the load is subtracted on its rows only."""
     res = kmat @ x
-    res -= rhs
+    res[slice(len(load.b)) if load.rows is None else load.rows] -= \
+        load.b.reshape(len(load.b), -1)
     return res
 
 
@@ -256,21 +272,18 @@ def solve_neumann(system, load, rtol=1e-10):
     """
     bnorm = mean_free_norms(load.b) if load.norm is None else load.norm
     n = system.n
-    rhs = load.b.reshape(len(load.b), -1)
-    if len(rhs) == n:
-        rhs = np.vstack([rhs, np.zeros((1, rhs.shape[1]))])
-    elif rhs[n].any():
-        raise SolverError("the constraint row of a bordered load must be zero")
+    rhs = load.bordered(n)
     lu = system.factor()
     kmat = system.bordered()
-    x = lu.solve(rhs)
-    rnorm = column_norms(_residual(kmat, x, rhs))
+    # SuperLU returns Fortran order; the products below want rows
+    x = np.ascontiguousarray(lu.solve(rhs))
+    rnorm = column_norms(_residual(kmat, x, load))
     bad = residual_misses(rnorm, bnorm, rtol)
     if len(bad):
         wide = np.longdouble
         x = x + lu.solve((rhs.astype(wide) - kmat.astype(wide) @ x.astype(wide))
                          .astype(float))
-        rnorm = column_norms(_residual(kmat, x, rhs))
+        rnorm = column_norms(_residual(kmat, x, load))
         bad = residual_misses(rnorm, bnorm, rtol)
     if len(bad):
         k = bad[0]
@@ -279,7 +292,6 @@ def solve_neumann(system, load, rtol=1e-10):
     u, lam = x[:n], x[n]
     check_gamma_mean(system.constraint, u)
     if load.b.ndim == 1:
-        u, lam = u[:, 0], float(lam[0])
-    return PotentialSolution(u=u, multiplier=lam,
-                             residual=float(np.linalg.norm(rnorm)))
+        u, lam, x = u[:, 0], float(lam[0]), None
+    return PotentialSolution(u=u, multiplier=lam, residual=math.sqrt(rnorm @ rnorm), x=x)
 

@@ -53,8 +53,9 @@ QHULL_OPTIONS = "Qbb Qc Qz Q12 Q5"
 NEAR_CORNER = 1e-5
 
 # Most background-lattice points a mesh may have.  The paint template
-# (`ndmap`) numbers its element triplets with int32 indices, 18 per
-# triangle, and the lattice makes about 2 triangles per point.
+# (`ndmap`) numbers its element triplets with int32 indices, 9 per triangle
+# in each of its two slot matrices, and the lattice makes about 2 triangles
+# per point; the limit leaves a factor of two.
 MAX_LATTICE_POINTS = (2 ** 31 - 1) // 36
 
 

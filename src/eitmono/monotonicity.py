@@ -7,11 +7,26 @@ current basis spanning the measurement space.
 
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.linalg import eigh
+from scipy.linalg.lapack import dsygvd
 
 
 class ProvenanceError(ValueError):
     pass
+
+
+def pencil_eigenvalues(a, g):
+    """Eigenvalues, ascending, of the symmetric pencil (a, g), g positive
+    definite: ``scipy.linalg.eigh(a, g, eigvals_only=True)``, bit for bit,
+    through the LAPACK driver eigh picks for it (dsygvd) without eigh's
+    argument handling.  A pencil that eigh rejects (a nan or inf entry, a g
+    that is not positive definite) goes to eigh, which raises."""
+    if np.isfinite(a).all() and np.isfinite(g).all():
+        w, _, info = dsygvd(a, g, jobz="N")
+        if not info:
+            return w
+    return eigh(a, g, eigvals_only=True)
 
 
 def _require_same_provenance(a, b):
@@ -25,8 +40,7 @@ def psd_test(nd_a, nd_b):
     """Smallest generalized eigenvalue of (A - B, G): A is at least B in the
     Loewner order exactly when it is >= 0."""
     _require_same_provenance(nd_a, nd_b)
-    diff = nd_a.matrix - nd_b.matrix
-    return float(eigh(diff, nd_a.gram, eigvals_only=True)[0])
+    return float(pencil_eigenvalues(nd_a.matrix - nd_b.matrix, nd_a.gram)[0])
 
 
 @dataclass

@@ -141,8 +141,8 @@ class NDMatrix:
         return float(np.max(np.abs(self.generalized_eigenvalues())))
 
     def generalized_eigenvalues(self):
-        from scipy.linalg import eigh
-        return eigh(self.matrix, self.gram, eigvals_only=True)
+        from .monotonicity import pencil_eigenvalues
+        return pencil_eigenvalues(self.matrix, self.gram)
 
     def same_provenance(self, other):
         return self.mesh_hash == other.mesh_hash and self.basis_hash == other.basis_hash
@@ -278,13 +278,11 @@ def bracketed_maps(fld, basis, rtol=1e-10):
 def _solve(system, gd, rtol):
     """DOFs of the measurement-arc vertices of `gd` in a grounded system,
     and its `fem.PotentialSolution` for the basis loads, under the residual
-    and gamma-mean gates.  The loads go to the solve with the border row."""
+    and gamma-mean gates.  The loads go to the solve on those DOFs alone."""
     dofs = system.dofmap.dof_of_vertex[gd.terms.gamma_vertices]
-    rhs = np.zeros((system.n + 1, gd.loads.shape[1]), order="F")
-    rhs[dofs] = gd.loads
     try:
-        sol = fem.solve_neumann(system, fem.NeumannLoad(b=rhs, norm=gd.load_norms),
-                                rtol=rtol)
+        sol = fem.solve_neumann(
+            system, fem.NeumannLoad(b=gd.loads, norm=gd.load_norms, rows=dofs), rtol=rtol)
     except fem.SolverError as exc:
         raise NDError(f"solve failed for the basis loads: {exc}") from exc
     return dofs, sol
@@ -294,8 +292,8 @@ def _pair(dofs, u, gd, field_hash):
     """ND matrix of the trace pairings B^T u, B the basis loads of `gd` at
     the measurement-arc DOFs ``dofs``, under the `MAX_ASYMMETRY` gate."""
     raw = gd.loads.T @ u[dofs]
-    scale = float(np.max(np.abs(raw))) or 1.0
-    asym = float(np.max(np.abs(raw - raw.T))) / scale
+    scale = float(abs(raw).max()) or 1.0
+    asym = float(abs(raw - raw.T).max()) / scale
     if asym > MAX_ASYMMETRY:
         raise NDError(f"ND matrix asymmetry {asym:.3e} exceeds {MAX_ASYMMETRY:.0e}")
     sym = 0.5 * (raw + raw.T)
@@ -368,14 +366,15 @@ class PaintTemplate:
     triangle's element integral times its P1 gradient products, are
     grouped by slot, one (row vertex, column vertex) pair of the bordered
     matrix, the border row and column among them, so that one product
-    with the active triangles sums and counts every slot.  The DOF order
+    with the active triangles sums every slot and one counts its active
+    triplets.  The DOF order
     is `dof_map`'s alone: free vertices in vertex order, until the
     background map's MMD order ranks the vertices of every later painting,
     whose free DOFs, then conductors, then border row are factored in that
     order.  The slots are kept sorted by the ranks of their column, then
     row, vertex, so a painting's entries that meet no conductor come out
-    of the product in CSC order; only those at a conductor are summed per
-    entry and merged in (`assemble`).  ``lu_nnz`` sums the L+U nonzeros
+    of the product in CSC order; only those at a conductor are summed and
+    merged in (`assemble`).  ``lu_nnz`` sums the L+U nonzeros
     solved.
 
     A painting that is a factored base plus one background part is solved
@@ -435,6 +434,9 @@ class PaintTemplate:
 
         self.on_boundary = _bits(touches(mesh.boundary_edges))
         self.on_gamma = _bits(touches(terms.gamma_vertices))
+        # the nodes that reach gamma when every node is live: all of them
+        # on a connected mesh
+        self.reach_all = self._spread(self.on_gamma, (1 << n_nodes) - 1)
         # The nodes at each gamma vertex, as bits; each distinct set once.
         at_gamma = np.zeros(nv, dtype=bool)
         at_gamma[terms.gamma_vertices] = True
@@ -451,9 +453,9 @@ class PaintTemplate:
         # in one; the two border slots of each gamma vertex hold its gamma
         # mass as a triplet of the extra column nt.  The triplets of a slot
         # stay in triangle order, so a product with the active-triangle
-        # indicator (1 at nt) sums each slot in that order; rows n_slots + k
-        # count the triplets of slot k.  The slots are in CSC order: by
-        # column vertex, then row vertex.
+        # indicator (1 at nt) sums each slot in that order; the same product
+        # on int8 ones (`counts`, sharing the indices) counts them.  The
+        # slots are in CSC order: by column vertex, then row vertex.
         nt = len(tris)
         gamma = terms.gamma_vertices.astype(np.int64)
         keys = np.concatenate([
@@ -465,17 +467,23 @@ class PaintTemplate:
         starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
         self.slot_col, self.slot_row = np.divmod(keys[starts], nv + 1)
         self.nonfinite = np.flatnonzero(~np.isfinite(integrals))
-        self._active = np.ones(nt + 1)   # a painting's active triangles, 1 at nt
+        # a painting's active triangles, 1 at nt, as floats and as int8
+        self._active, self._active8 = np.ones(nt + 1), np.ones(nt + 1, dtype=np.int8)
         # An element matrix that overflows stays inf: its system fails the
         # factorization or the residual gate with a SolverError.
         with np.errstate(over="ignore"):
             ke = self.ke = integrals[:, None, None] * terms.dots / terms.four_a2[:, None, None]
-        owner = np.minimum(by_slot // 9, nt)
         values = np.concatenate([ke.ravel(), terms.gamma_mass, terms.gamma_mass])[by_slot]
-        self.triplets = sp.csr_matrix(
-            (np.concatenate([values, np.ones(len(keys))]), np.concatenate([owner, owner]),
-             np.concatenate([starts, len(keys) + starts, [2 * len(keys)]]).astype(np.int32)),
-            shape=(2 * len(starts), nt + 1))
+        self._triplets(values, np.minimum(by_slot // 9, nt), np.r_[starts, len(keys)])
+
+    def _triplets(self, values, owner, indptr):
+        """`triplets` and `counts`, one row per slot, from the triplets'
+        values and owning triangles in slot order."""
+        shape = (len(indptr) - 1, len(self._active))
+        indptr = indptr.astype(np.int32)
+        self.triplets = sp.csr_matrix((values, owner, indptr), shape=shape)
+        self.counts = sp.csr_matrix((np.ones(len(owner), dtype=np.int8),
+                                     self.triplets.indices, indptr), shape=shape)
 
     def cell_codes(self, zero, inf):
         """Paint code of every part, with the parts ``zero`` painted D0,
@@ -518,8 +526,12 @@ class PaintTemplate:
         seeds = within & self.on_gamma
         if not seeds:
             raise ConfigurationError("measurement arc carries no degrees of freedom")
-        # Every node that keeps DOFs must reach a node on gamma.
-        cut_off = within & ~self._spread(seeds, within)
+        # Every node that keeps DOFs must reach a node on gamma.  Live nodes
+        # that are exactly those reaching it with every node live do.
+        if within == self.reach_all:
+            cut_off = 0
+        else:
+            cut_off = within & ~self._spread(seeds, within)
         if cut_off:
             raise CutOffError(
                 "free degrees of freedom are disconnected from the measurement arc",
@@ -540,7 +552,8 @@ class PaintTemplate:
         system stays well posed, and the upper bracketing field produces
         exactly this contact."""
         live, rest = self.check(codes)
-        free = np.bincount(self.inc_vertex[live[self.inc_node]], minlength=self.nv) > 0
+        free = np.zeros(self.nv, dtype=bool)
+        free[self.inc_vertex[live[self.inc_node]]] = True
         conductors = []
         while rest:
             nodes = self._spread(rest & -rest, rest)
@@ -566,38 +579,57 @@ class PaintTemplate:
         """Bordered `fem.StiffnessSystem` of a painting on its `dof_map`,
         written directly as CSC arrays.  Free DOFs and the border follow
         the slots' order, so the present slots that meet no conductor come
-        in CSC order.  Those at a conductor DOF are summed per entry and
-        merged into that order in one pass."""
-        n_slots = len(self.slot_row)
+        in CSC order.  A conductor's column sums the slots of its vertices'
+        columns per row, in slot order; its row in a free column is that
+        entry transposed, bit for bit (the slots (a, b) and (b, a) sum the
+        same values in the same order), and goes before the column's border
+        row.  `check` keeps conductors off the boundary, so no border entry
+        meets one."""
         np.equal(codes, PAINT_BG, out=self._active[:-1])
+        np.equal(codes, PAINT_BG, out=self._active8[:-1])
+        present = np.flatnonzero(self.counts @ self._active8 > 0)
         sums = self.triplets @ self._active
-        present = np.flatnonzero(sums[n_slots:] > 0)
         n, n_free = dofmap.n_dofs, dofmap.n_free
-        dv = np.append(dofmap.dof_of_vertex, np.int32(n))
-        slot_row, slot_col = self.slot_row[present], self.slot_col[present]
-        rows, cols, values = dv[slot_row], dv[slot_col], sums[present]
-        conductors = n > n_free
-        if conductors:
-            # entries at a conductor DOF: summed per entry, taken out here
-            # and put back below, after the free rows of their column
-            at_conductor = (n_free <= dv) & (dv < n)
-            merged = at_conductor[slot_row] | at_conductor[slot_col]
-            keys, entry = np.unique(cols[merged].astype(np.int64) * (n + 1) + rows[merged],
-                                    return_inverse=True)
-            summed = np.bincount(entry, weights=values[merged])
-            rows, cols, values = rows[~merged], cols[~merged], values[~merged]
+        dv = np.empty(self.nv + 1, dtype=np.int32)
+        dv[:-1] = dofmap.dof_of_vertex
+        dv[-1] = n
+        rows, cols, values = dv[self.slot_row[present]], dv[self.slot_col[present]], sums[present]
+        n_c = n - n_free
+        if n_c:
+            conductor = np.zeros(n + 1, dtype=bool)
+            conductor[n_free:n] = True
+            in_col = conductor[cols]
+            keep = ~(in_col | conductor[rows])
+            entry = (cols[in_col] - n_free) * (n + 1) + rows[in_col]
+            block = np.bincount(entry, weights=values[in_col], minlength=n_c * (n + 1))
+            hit = np.bincount(entry, minlength=n_c * (n + 1)).reshape(n_c, n + 1) > 0
+            rows, cols, values = rows[keep], cols[keep], values[keep]
         count = np.bincount(cols, minlength=n + 1)
-        if conductors:
-            # before the border row, last in each gamma DOF's column
-            col, row = np.divmod(keys, n + 1)
-            gamma = np.zeros(n + 1, dtype=np.int64)
-            gamma[dv[self.gd.terms.gamma_vertices]] = 1
-            at = np.cumsum(count)[col] - gamma[col]
-            rows, values = np.insert(rows, at, row), np.insert(values, at, summed)
-            count += np.bincount(col, minlength=n + 1)
+        if n_c:
+            # the conductor rows of each free column, then the conductor
+            # columns, as insertions into the entries that meet none
+            col, k = np.nonzero(hit[:, :n_free].T)
+            flat = np.flatnonzero(hit)
+            ends = np.cumsum(count)
+            border = np.zeros(n_free, dtype=np.int64)
+            border[dofmap.dof_of_vertex[self.gd.terms.gamma_vertices]] = 1
+            at = np.concatenate([ends[col] - border[col], np.full(len(flat), ends[n_free - 1])])
+            at += np.arange(len(at))
+            old = np.ones(len(rows) + len(at), dtype=bool)
+            old[at] = False
+            rows_in = np.empty(len(old), dtype=np.int32)
+            rows_in[at] = np.concatenate([n_free + k, flat % (n + 1)])
+            rows_in[old] = rows
+            values_in = np.empty(len(old))
+            values_in[at] = np.concatenate([block[k * (n + 1) + col], block[flat]])
+            values_in[old] = values
+            rows, values = rows_in, values_in
+            count[:n_free] += np.bincount(col, minlength=n_free)
+            count[n_free:n] = hit.sum(axis=1)
         indptr = np.zeros(n + 2, dtype=np.int32)
         np.cumsum(count, out=indptr[1:])
         kmat = sp.csc_matrix((values, rows, indptr), shape=(n + 1, n + 1))
+        kmat.has_canonical_format = True   # sorted rows, none twice: splu need not check
         terms = self.gd.terms
         constraint = np.zeros(n)
         constraint[dofmap.dof_of_vertex[terms.gamma_vertices]] = terms.gamma_mass
@@ -612,16 +644,15 @@ class PaintTemplate:
         rank = np.empty(self.nv + 1, dtype=np.int64)
         rank[by_rank] = np.arange(self.nv)
         rank[self.nv] = self.nv
-        perm = np.argsort(rank[self.slot_col] * (self.nv + 1) + rank[self.slot_row])
+        perm = stable_order(rank[self.slot_col] * (self.nv + 1) + rank[self.slot_row])
         self.slot_row, self.slot_col = self.slot_row[perm], self.slot_col[perm]
         # the rows of the triplets in that order, each row's triplets kept
         old = self.triplets
-        rows = np.concatenate([perm, len(perm) + perm])
-        length = np.diff(old.indptr)[rows]
-        indptr = np.zeros(len(rows) + 1, dtype=np.int32)
+        length = np.diff(old.indptr)[perm]
+        indptr = np.zeros(len(perm) + 1, dtype=np.int32)
         np.cumsum(length, out=indptr[1:])
-        src = np.repeat(old.indptr[rows] - indptr[:-1], length) + np.arange(indptr[-1])
-        self.triplets = sp.csr_matrix((old.data[src], old.indices[src], indptr), shape=old.shape)
+        src = np.repeat(old.indptr[perm] - indptr[:-1], length) + np.arange(indptr[-1])
+        self._triplets(old.data[src], old.indices[src], indptr)
 
     def solve(self, zero, inf, rtol, bases=()):
         """`PaintedMap` of the painting with the parts ``zero`` painted D0
@@ -656,7 +687,7 @@ class PaintTemplate:
         dofs, sol = _solve(system, self.gd, rtol)
         nd = _pair(dofs, sol.u, self.gd, field_hash)
         self.lu_nnz += system.lu.nnz
-        x = np.vstack([sol.u, sol.multiplier])
+        x = sol.x
         if self.by_rank is None and not codes.any():
             # position of each vertex's column
             self._rank(np.argsort(system.lu.perm_c[:self.nv]))
@@ -723,7 +754,9 @@ class PaintTemplate:
                             minlength=len(verts)) == 0
         dv = base.system.dofmap.dof_of_vertex
         inner = dv[verts[alone]]
-        rim, local = np.unique(dv[verts[~alone]], return_inverse=True)
+        at_rim = dv[verts[~alone]]
+        rim = np.unique(at_rim)
+        local = np.searchsorted(rim, at_rim)
         n, k = base.system.n, len(rim)
         kmat, x0 = base.system.kmat, base.x
         if base.system.lu is None:    # a base kept without its factorization

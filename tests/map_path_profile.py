@@ -21,7 +21,9 @@ milliseconds and calls per operation of:
 * ``solve``: the rest of ``PaintTemplate.solve``;
 * ``map``: the sum of the five above, the non-SuperLU work of the maps;
 * ``template``: building ``PaintTemplate``s;
-* ``rest``: the rest of the operation (meshing, eigen tests, I/O).
+* ``eigen``: the generalized eigenvalue tests, ``monotonicity.psd_test``
+  and ``NDMatrix.generalized_eigenvalues`` (``gnorm`` among its callers);
+* ``rest``: the rest of the operation (meshing, I/O).
 
 Every figure is exclusive: a wrapped call's time leaves out the wrapped
 calls it makes.  The wrappers add about a microsecond per call.  A name
@@ -40,7 +42,7 @@ from pathlib import Path
 
 import scipy.sparse.linalg as spla
 
-from eitmono import cli, fem, ndmap
+from eitmono import cli, fem, monotonicity, ndmap, reconstruction
 
 ROOT = Path(__file__).resolve().parent.parent
 # category -> (owner, attribute) of each wrapped callable
@@ -53,9 +55,12 @@ CATEGORIES = {
               (fem, "residual_misses"), (fem, "mean_free_norms")],
     "solve": [(ndmap.PaintTemplate, "solve"), (ndmap.PaintTemplate, "cell_codes")],
     "template": [(ndmap.PaintTemplate, "__init__")],
+    # reconstruction holds its own name for psd_test
+    "eigen": [(monotonicity, "psd_test"), (reconstruction, "psd_test"),
+              (ndmap.NDMatrix, "generalized_eigenvalues")],
 }
 MAP = ("dof_map", "assemble", "update", "gates", "solve")
-COLUMNS = ("gstrf", "gstrs", *MAP, "map", "template", "rest", "op")
+COLUMNS = ("gstrf", "gstrs", *MAP, "map", "template", "eigen", "rest", "op")
 
 
 class Clock:
@@ -138,7 +143,7 @@ def profile(name, workload, seed, ops):
     ms["map"] = sum(ms.get(k, 0.0) for k in MAP)
     ms["op"] = 1e3 * total / ops
     ms["rest"] = ms["op"] - sum(ms.get(k, 0.0) for k in
-                                ("gstrf", "gstrs", "map", "template"))
+                                ("gstrf", "gstrs", "map", "template", "eigen"))
     return ms, calls
 
 

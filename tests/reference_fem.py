@@ -300,12 +300,16 @@ def assert_same_system(got, ref):
     """A system of the one path against the direct one.  A template may
     number its free DOFs in its own order, so its DOFs are relabelled
     through the two DOF maps onto the direct numbering (conductors and the
-    border row keep theirs).  Then: the same vertex statuses, conductors and
-    constraint, the same CSC pattern, and entries within 1.2e-15*max|K|
+    border row keep theirs).  Then: CSC arrays in canonical form (rows
+    sorted in each column, none twice), as the template declares them to
+    splu; the same vertex statuses, conductors and constraint, the same CSC
+    pattern, and entries within 1.2e-15*max|K|
     where no conductor DOF is involved.  A conductor entry sums up to a few
     hundred element triplets in another order on each path; on the
     regression phantoms each path is up to 2.2e-15*max|K| from the exactly
     rounded sum (math.fsum), so the bound there is 4e-15*max|K|."""
+    k = got.kmat
+    assert sp.csc_matrix((k.data, k.indices, k.indptr), shape=k.shape).has_canonical_format
     for status in (vertex_status, conductor_of_vertex):
         assert np.array_equal(status(got.dofmap), status(ref.dofmap)), status.__name__
     assert got.dofmap.n_free == ref.dofmap.n_free

@@ -111,6 +111,17 @@ LOAD_ERRORS = {
     "infinite_background": ({"coefficient": {"background": float("inf")}},
                             "config error: coefficient.background: expected a finite "
                             "number > 0, got inf"),
+    # each calibrate sweep value is checked as the entry it stands for
+    "fractional_calibrate_m": ({"calibrate": {"m": [8, 4.5]}},
+                               "config error: calibrate.m: expected an integer, got 4.5"),
+    "zero_calibrate_m": ({"calibrate": {"m": [0]}},
+                         "config error: calibrate.m: expected an integer >= 1, got 0"),
+    "negative_calibrate_h": ({"calibrate": {"h": [0.1, -1]}},
+                             "config error: calibrate.h: expected a finite number > 0, "
+                             "got -1"),
+    "negative_calibrate_tau": ({"calibrate": {"tau": [-1e-5]}},
+                               "config error: calibrate.tau: expected a finite number "
+                               ">= 0, got -1e-05"),
 }
 
 
@@ -322,6 +333,32 @@ class TestCalibrate:
         assert rows["insulating_disk"].startswith("0.12 6 1e-05 ")
         assert rows["df_minus_square"].startswith("0.12 6 1e-05 ")
         assert rows["insulating_disk"] != rows["df_minus_square"]
+
+    def test_one_mesh_per_h(self, tmp_path, monkeypatch):
+        # a 2 x 2 sweep meshes once per h, and its table is the rows of the
+        # four one-point sweeps, each of which meshes its own point
+        from eitmono import cli
+
+        calls = []
+        real = cli.triangulate
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["target_h"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "triangulate", counting)
+
+        def table(h, m, name):
+            cfg = write_config(tmp_path, name=f"{name}.json",
+                               calibrate={"h": h, "m": m, "tau": [1e-4, 1e-6]})
+            out = tmp_path / name
+            assert main(["calibrate", "--config", str(cfg), "--out", str(out)]) == 0
+            return (out / "calibration.txt").read_text().splitlines()
+
+        sweep = table([0.2, 0.15], [4, 6], "sweep")
+        assert calls == [0.2, 0.15]
+        points = [table([h], [m], f"point_{h}_{m}")[1:] for h in (0.2, 0.15) for m in (4, 6)]
+        assert sweep == sweep[:1] + sum(points, [])
 
     def test_one_background_factorization_per_point(self, tmp_path, monkeypatch):
         # the oracle column reads the background map the scan factors, so a

@@ -326,6 +326,20 @@ def test_block_solve_gates_every_column(disk_mesh, homogeneous_system):
         fem.solve_neumann(system, bad)
 
 
+def test_gamma_mean_gate(homogeneous_system):
+    # the gate sums the constraint's nonzero (measurement-arc) rows: potentials
+    # made mean-free by the full constraint product pass, and a unit shift of
+    # one column misses the gate in that column
+    _, system = homogeneous_system
+    c = system.constraint
+    u = np.random.default_rng(0).standard_normal((system.n, 3))
+    u -= (c @ u) / c.sum()
+    fem.check_gamma_mean(c, u)
+    u[:, 1] += 1.0
+    with pytest.raises(fem.SolverError, match="in column 1$"):
+        fem.check_gamma_mean(c, u)
+
+
 def default_options_factor(system):
     """SuperLU at its default ``relax`` and ``panel_size``, with the column
     ordering, pivot threshold and symmetric mode of
@@ -365,7 +379,7 @@ def test_tuned_factor_matches_default_options(name, tmp_path, monkeypatch):
     def solve(system, load, rtol=1e-10):
         b = load.b.reshape(len(load.b), -1)
         bnorm = fem.mean_free_norms(b) if load.norm is None else load.norm
-        rhs = np.vstack([b, np.zeros((system.n + 1 - len(b), b.shape[1]))])
+        rhs = load.bordered(system.n)
         xs = [lu.solve(rhs) for lu in (system.factor(), default_options_factor(system))]
         assert close(*xs)
         misses = [len(fem.residual_misses(np.linalg.norm(rhs - system.kmat @ x, axis=0),

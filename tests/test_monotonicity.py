@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.linalg import LinAlgError
+from scipy.linalg import eigh
 
 from eitmono import phantoms
 from eitmono.coefficient import CoefficientField
@@ -21,7 +23,48 @@ def shifted(nd, amount):
                     basis_hash=nd.basis_hash)
 
 
+def pencil_nd(a, g):
+    return NDMatrix(matrix=a, gram=g, asymmetry=0.0, field_hash="x", mesh_hash="m",
+                    basis_hash="b")
+
+
+pencils = st.integers(1, 16).flatmap(lambda m: st.tuples(
+    st.lists(st.floats(-1e3, 1e3), min_size=m * m, max_size=m * m),
+    st.lists(st.floats(-1.0, 1.0), min_size=m * m, max_size=m * m),
+    st.sampled_from(["definite", "not definite", "nan"]), st.integers(0, m * m - 1)))
+
+
 class TestPsd:
+    @settings(max_examples=80, deadline=None)
+    @given(pencils)
+    def test_eigentests_are_eigh(self, pencil):
+        # psd_test and generalized_eigenvalues give eigh's eigenvalues of a
+        # symmetric pencil (A, G) bit for bit, and raise what eigh raises on
+        # a G that is not positive definite or a nan entry
+        entries, factor, kind, at = pencil
+        m = int(round(len(entries) ** 0.5))
+        a = np.tril(np.reshape(entries, (m, m)))
+        a = a + np.tril(a, -1).T
+        b = np.reshape(factor, (m, m))
+        g = b @ b.T + np.eye(m)
+        if kind == "not definite":
+            g = -g
+        elif kind == "nan":
+            a.flat[at] = np.nan
+        nd, zero = pencil_nd(a, g), pencil_nd(np.zeros((m, m)), g)
+        try:
+            ref = eigh(a, g, eigvals_only=True)
+        except (LinAlgError, ValueError) as exc:
+            assert kind != "definite"
+            for call in (nd.generalized_eigenvalues, lambda: psd_test(nd, zero)):
+                with pytest.raises(type(exc)) as got:
+                    call()
+                assert str(got.value) == str(exc)
+            return
+        assert kind == "definite"
+        assert np.array_equal(nd.generalized_eigenvalues(), ref)
+        assert psd_test(nd, zero) == ref[0]
+
     def test_identity(self, nd_homogeneous):
         assert psd_test(nd_homogeneous, nd_homogeneous) == 0.0
 

@@ -83,7 +83,7 @@ class TestNDMatrix:
         def skewed(system, load, rtol=1e-10):
             sol = real(system, load, rtol=rtol)
             u = sol.u.copy()
-            u[:, 1] += 1e-6 * np.abs(u[:, 0]).max() * np.sign(load.b[:len(u), 0])
+            u[:, 1] += 1e-6 * np.abs(u[:, 0]).max() * np.sign(load.bordered(len(u))[:len(u), 0])
             return dataclasses.replace(sol, u=u)
 
         monkeypatch.setattr(fem, "solve_neumann", skewed)
@@ -291,9 +291,11 @@ def test_shared_loads_match_per_call_loads(grid_mesh, family8, monkeypatch):
         assert ("merged" in status) == merges
         ref = [reference_fem.neumann_load(fld.mesh, dm, basis.density(k))
                for k in range(basis.m)]
-        # the block comes bordered: the loads on the DOFs, then a zero row
-        assert np.array_equal(block.b[:system.n], np.column_stack([ld.b for ld in ref]))
-        assert not np.any(block.b[system.n:])
+        # the block holds the loads on the measurement-arc DOFs, the system's
+        # right-hand side those loads on the DOFs, then a zero row
+        rhs = block.bordered(system.n)
+        assert np.array_equal(rhs[:system.n], np.column_stack([ld.b for ld in ref]))
+        assert not np.any(rhs[system.n:])
         assert np.array_equal(system.constraint,
                               reference_fem.gamma_mass_vector(fld.mesh, dm))
 
