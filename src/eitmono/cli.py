@@ -7,18 +7,19 @@ four-link bracketing report on a test window containing the phantom), and
 used to pin defaults).
 
 Configs are JSON with nested sections (domain / regions / coefficient /
-mesh / solver / basis / scan); phantoms from the built-in catalog can be
-named instead of spelling out regions.
+mesh / solver / basis / scan / artifacts / calibrate) and the top-level
+``phantom`` and ``measurements_file``; phantoms from the built-in catalog can
+be named instead of spelling out regions.
 """
 
 import argparse
-import copy
 import difflib
 import json
 import math
 import sys
 import time
 import warnings
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -65,12 +66,23 @@ def _arc(value):
     return float(t0), float(t1)
 
 
-def _integer(value):
-    """An integral config value as int; a fractional number raises instead
-    of being truncated."""
+def _integer(value, low=-math.inf, high=math.inf):
+    """An integral config value in [low, high] as int; a fractional number
+    raises instead of being truncated."""
     if isinstance(value, float) and not value.is_integer():
         raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
+    n = int(value)
+    if not low <= n <= high:
+        span = f"in [{low}, {high}]" if high < math.inf else f">= {low}"
+        raise ValueError(f"expected an integer {span}, got {value!r}")
+    return n
+
+
+def _choice(options, value):
+    """One of the strings ``options``."""
+    if value not in options:
+        raise ValueError(f"expected one of {', '.join(options)}, got {value!r}")
+    return value
 
 
 def _positive(value):
@@ -111,14 +123,6 @@ def _numbers(values):
             isinstance(v, (int, float)) and not isinstance(v, bool) for v in values)):
         raise TypeError(f"expected a non-empty list of numbers, got {values!r}")
     return values
-
-
-def _basis_size(value):
-    """An integer >= 1."""
-    m = _integer(value)
-    if m < 1:
-        raise ValueError(f"expected an integer >= 1, got {value!r}")
-    return m
 
 
 def _sweep(convert, values):
@@ -165,20 +169,21 @@ SCHEMA = {
     "coefficient.singular_segments": (_finite_polylines, []),
     "mesh.target_h": (_positive, 0.06),
     "mesh.min_angle_deg": (_nonnegative, 0.05),
-    "solver.quad_depth": (_integer, 12),
+    # a graded triangle takes 6 * quad_depth**2 nodes: the order is capped
+    "solver.quad_depth": (partial(_integer, low=1, high=64), 12),
     "solver.rtol": (_positive, 1e-10),
-    "basis.m": (_integer, 8),
-    "scan.grid_n": (_integer, 8),
+    "basis.m": (partial(_integer, low=1), 8),
+    "scan.grid_n": (partial(_integer, low=2), 8),
     "scan.roi": (_numbers, None),
     "scan.tau": (_nonnegative, DEFAULT_TAU_ABS),
     "scan.tau_rel": (_nonnegative, DEFAULT_TAU_REL),
-    "scan.side": (_text, "both"),
+    "scan.side": (partial(_choice, ("both", "lower_only", "upper_only")), "both"),
     "artifacts.mesh": (_flag, False),
     "measurements_file": (Path, None),
     # each sweep value as the entry it stands for: mesh.target_h, basis.m
-    # (>= 1, as `Problem` requires) and scan.tau
+    # and scan.tau
     "calibrate.h": (partial(_sweep, _positive), [0.1, 0.08]),
-    "calibrate.m": (partial(_sweep, _basis_size), [8, 16]),
+    "calibrate.m": (partial(_sweep, partial(_integer, low=1)), [8, 16]),
     "calibrate.tau": (partial(_sweep, _nonnegative), [1e-4, 1e-5, 1e-6]),
 }
 _SECTIONS = {path.split(".")[0] for path in SCHEMA if "." in path}
@@ -218,11 +223,12 @@ def read_config(cfg):
 
 class Problem:
     """Everything a command needs, built and validated from one config: the
-    region clauses on polygons here, the others on the mesh `build_mesh` makes."""
+    region clauses on polygons here, the others on the mesh `build_mesh` makes.
+    ``config`` is ``read_config(cfg)`` unless given; no method changes it."""
 
-    def __init__(self, cfg):
+    def __init__(self, cfg, config=None):
         self.cfg = cfg
-        self.config = config = read_config(cfg)
+        self.config = config = read_config(cfg) if config is None else config
         try:
             self.domain = build_domain(config["domain.shape"], config["domain.gamma_arc"],
                                        disk_segments=config["domain.disk_segments"])
@@ -236,9 +242,9 @@ class Problem:
                 # str() of a KeyError quotes its message; print it as is.
                 raise ConfigError(exc.args[0]) from exc
         else:
-            self.regions = config["regions"]
-            self.regions.singular_points = config["coefficient.singular_points"]
-            self.regions.singular_segments = config["coefficient.singular_segments"]
+            self.regions = replace(
+                config["regions"], singular_points=[*config["coefficient.singular_points"]],
+                singular_segments=[*config["coefficient.singular_segments"]])
             self.coeff_spec = {lab: config[f"coefficient.{lab}"] for lab in (
                 "background", "DFminus", "DFplus", "Ddeg", "Dsing")
                 if config[f"coefficient.{lab}"] is not None}
@@ -247,26 +253,11 @@ class Problem:
         if violations:
             raise ConfigError("regions invalid: " + "; ".join(violations))
         self.declare_weight_features()
-
-        self.quad_depth = config["solver.quad_depth"]
-        if not 1 <= self.quad_depth <= 64:
-            raise ConfigError("solver.quad_depth must be in [1, 64]")
-        self.rtol = config["solver.rtol"]
-        self.m = config["basis.m"]
-        if self.m < 1:
-            raise ConfigError("basis.m must be >= 1")
-        self.grid_n = config["scan.grid_n"]
-        if self.grid_n < 2:
-            raise ConfigError("scan.grid_n must be >= 2")
         try:
-            self.family = pixel_family(self.domain, self.grid_n, roi=config["scan.roi"])
+            self.family = pixel_family(self.domain, config["scan.grid_n"],
+                                       roi=config["scan.roi"])
         except ValueError as exc:
             raise ConfigError(f"scan.roi: {exc}") from exc
-        self.tau = config["scan.tau"]
-        self.tau_rel = config["scan.tau_rel"]
-        self.side = config["scan.side"]
-        if self.side not in ("both", "lower_only", "upper_only"):
-            raise ConfigError("scan.side must be both|lower_only|upper_only")
         self.gamma0 = self.coeff_spec["background"]
 
     def declare_weight_features(self):
@@ -297,7 +288,7 @@ class Problem:
                    if k in ("Ddeg", "Dsing")}
         self.field = CoefficientField(mesh=self.mesh, gamma0=self.gamma0,
                                       finite_values=finite, weights=weights,
-                                      quad_depth=self.quad_depth)
+                                      quad_depth=self.config["solver.quad_depth"])
         self.field.validate()
         return self.field
 
@@ -306,28 +297,33 @@ class Problem:
         exceed the rank of the arc's quadrature (4 Gauss nodes per edge,
         less the mean), and the basis Gram matrix must have a Cholesky
         factor, as every generalized eigenvalue test needs."""
+        m = self.config["basis.m"]
         rank = 4 * int(np.sum(self.mesh.boundary_on_gamma)) - 1
-        if self.m > rank:
-            raise ConfigError(f"basis.m = {self.m} exceeds {rank}, the rank of the "
+        if m > rank:
+            raise ConfigError(f"basis.m = {m} exceeds {rank}, the rank of the "
                               f"measurement arc's quadrature on this mesh")
-        self.basis = build_basis(self.mesh, self.m)
+        self.basis = build_basis(self.mesh, m)
         try:
             np.linalg.cholesky(gamma_data(self.mesh, self.basis).gram)
         except np.linalg.LinAlgError as exc:
-            raise ConfigError(f"basis.m = {self.m}: the basis Gram matrix on the "
+            raise ConfigError(f"basis.m = {m}: the basis Gram matrix on the "
                               f"measurement arc is not positive definite") from exc
         return self.basis
 
 
-def _write_metrics(out_dir, metrics):
-    with open(out_dir / "metrics.txt", "w") as fh:
-        for key, val in metrics.items():
-            fh.write(f"{key} {val}\n")
+def _as_json(value):
+    """A read config value that JSON has no type for: regions as {label:
+    polygons}, a weight spec as its description, a path as text."""
+    if isinstance(value, RegionSet):
+        return {label: [p.tolist() for p in polys] for label, polys in value.polys.items()}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return value.describe() if isinstance(value, WeightSpec) else str(value)
 
 
-def _snapshot(cfg, out_dir):
-    with open(out_dir / "config_snapshot.json", "w") as fh:
-        json.dump(cfg, fh, indent=2, sort_keys=True)
+def _write_json(path, value):
+    with open(path, "w") as fh:
+        json.dump(value, fh, indent=2, sort_keys=True, default=_as_json)
         fh.write("\n")
 
 
@@ -352,7 +348,7 @@ def _read_measurements(path, problem):
         nd = NDMatrix.from_text(path.read_text())
     except (OSError, ValueError, IndexError) as exc:
         raise ConfigError(f"measurements_file: {exc}") from exc
-    m = problem.m
+    m = problem.config["basis.m"]
     for name, block in (("matrix", nd.matrix), ("Gram", nd.gram)):
         if block.shape != (m, m) or not np.all(np.isfinite(block)):
             raise ConfigError(f"measurements_file: the {name} block is not a "
@@ -373,7 +369,8 @@ def _read_measurements(path, problem):
 
 def _measured_nd(problem, args):
     """L(gamma) on the problem mesh, optionally noise-perturbed."""
-    return _with_noise(nd_matrix(problem.field, problem.basis, rtol=problem.rtol), args)
+    return _with_noise(nd_matrix(problem.field, problem.basis,
+                                 rtol=problem.config["solver.rtol"]), args)
 
 
 def _oracle_error(problem, eigs):
@@ -384,7 +381,7 @@ def _oracle_error(problem, eigs):
     if dom.shape != "disk" or dom.gamma_fraction != 1.0:
         return float("nan")
     errs = []
-    for n in range(1, problem.m // 2 + 1):
+    for n in range(1, len(eigs) // 2 + 1):
         lam = disk_nd_eigenvalue(n, 0.0, problem.gamma0, problem.gamma0)
         pair = eigs[2 * n - 2:2 * n]
         errs.append(float(np.max(np.abs(pair - lam) / lam)))
@@ -392,7 +389,6 @@ def _oracle_error(problem, eigs):
 
 
 def cmd_forward(problem, out_dir, args):
-    t0 = time.perf_counter()
     # Mesh with the scan grid when one is configured, so measurement files
     # keep provenance compatible with a later reconstruction run.
     problem.build_mesh(with_grid="scan" in problem.cfg)
@@ -405,49 +401,47 @@ def cmd_forward(problem, out_dir, args):
     eigs = np.sort(nd.generalized_eigenvalues())[::-1]
     metrics = {
         "h": problem.mesh.h,
-        "m": problem.m,
+        "m": problem.config["basis.m"],
         "n_vertices": problem.mesh.num_vertices,
         "asymmetry": nd.asymmetry,
         "eig_max": eigs[0],
         "eig_min": eigs[-1],
-        "wall_time": time.perf_counter() - t0,
     }
     oracle_err = _oracle_error(problem, eigs)
     if problem.regions.is_empty() and not np.isnan(oracle_err):
         metrics["oracle_max_rel_err"] = oracle_err
-    _write_metrics(out_dir, metrics)
-    return EXIT_OK
+    return metrics
 
 
 def cmd_reconstruct(problem, out_dir, args):
-    t0 = time.perf_counter()
+    config = problem.config
     problem.build_mesh(with_grid=True)
     problem.build_field()
     problem.build_basis()
 
-    nd_file = problem.config["measurements_file"]
+    nd_file = config["measurements_file"]
     if nd_file:
         nd = _with_noise(_read_measurements(nd_file, problem), args)
     else:
         nd = _measured_nd(problem, args)
 
     result = reconstruct(nd, problem.mesh, problem.family, problem.gamma0,
-                         problem.basis, tau=problem.tau, side=problem.side,
-                         truth_regions=problem.regions, rtol=problem.rtol,
-                         tau_rel=problem.tau_rel)
+                         problem.basis, tau=config["scan.tau"], side=config["scan.side"],
+                         truth_regions=problem.regions, rtol=config["solver.rtol"],
+                         tau_rel=config["scan.tau_rel"])
     (out_dir / "nd_gamma.txt").write_text(nd.to_text())
     (out_dir / "verdicts.log").write_text(result.verdict_log())
     rasterize(result, str(out_dir / "result"))
-    metrics = {
+    return {
         "jaccard": result.jaccard if result.jaccard is not None else "nan",
-        "tau": problem.tau,
-        "tau_rel": problem.tau_rel,
+        "tau": config["scan.tau"],
+        "tau_rel": config["scan.tau_rel"],
         "box_lower": result.box_lower,
         "box_upper": result.box_upper,
-        "grid_n": problem.grid_n,
-        "m": problem.m,
+        "grid_n": config["scan.grid_n"],
+        "m": config["basis.m"],
         "h": problem.mesh.h,
-        "side": problem.side,
+        "side": config["scan.side"],
         "inside_cells": result.inside_count(),
         "indeterminate_cells": result.count("family_fault"),
         "filled_cells": result.count("filled"),
@@ -457,70 +451,62 @@ def cmd_reconstruct(problem, out_dir, args):
         "n_update": result.n_update,
         "n_implied": result.n_implied,
         "lu_nnz": result.lu_nnz,
-        "wall_time": time.perf_counter() - t0,
     }
-    _write_metrics(out_dir, metrics)
-    return EXIT_OK
 
 
 def cmd_chain(problem, out_dir, args):
-    t0 = time.perf_counter()
+    rtol, tau = problem.config["solver.rtol"], problem.config["scan.tau"]
     problem.build_mesh(with_grid=True)
     problem.build_field()
     problem.build_basis()
     # The brackets are noise-free maps, the field's own when none differs.
-    maps, lu_nnz = bracketed_maps(problem.field, problem.basis, rtol=problem.rtol)
+    maps, lu_nnz = bracketed_maps(problem.field, problem.basis, rtol=rtol)
     nd = _with_noise(maps[0], args)
     nd_low, nd_up = maps[1:] or maps * 2
 
     # The whole window painted insulating, then conducting: every grid cell.
     template = grid_template(problem.mesh, problem.family, problem.gamma0,
                              problem.basis)
-    window = range(problem.grid_n ** 2)
-    nd0 = template.solve(window, [], problem.rtol).nd
-    ndinf = template.solve([], window, problem.rtol).nd
-    report = bracketing_chain(nd, nd_low, nd_up, nd0, ndinf, tau=problem.tau)
+    window = range(problem.config["scan.grid_n"] ** 2)
+    nd0 = template.solve(window, [], rtol).nd
+    ndinf = template.solve([], window, rtol).nd
+    report = bracketing_chain(nd, nd_low, nd_up, nd0, ndinf, tau=tau)
 
     (out_dir / "chain.txt").write_text("\n".join(report.log_lines()) + "\n")
-    metrics = {
+    return {
         "all_pass": int(report.all_pass),
-        "tau": problem.tau,
+        "tau": tau,
         "scale": report.scale,
         "n_factor": len(maps) + 2,   # the window maps are factored too
         "lu_nnz": lu_nnz + template.lu_nnz,
-        "wall_time": time.perf_counter() - t0,
+        **dict(zip(("link1", "link2", "link3", "link4"), report.lambda_mins)),
     }
-    for name, lam in zip(("link1", "link2", "link3", "link4"),
-                         report.lambda_mins):
-        metrics[name] = lam
-    _write_metrics(out_dir, metrics)
-    return EXIT_OK
 
 
 def cmd_calibrate(problem, out_dir, args):
     """Sweep (h, m, tau) over the configured problem: record the background
     map's eigenvalue error against the disk reference and the pixel-score
     margins of the cells inside and outside the true regions; the table
-    shows which tau separate them."""
-    t0 = time.perf_counter()
-    h_list, m_list, tau_list = (problem.config[f"calibrate.{k}"] for k in ("h", "m", "tau"))
+    shows which tau separate them.  Each point is the read config with
+    ``mesh.target_h`` and ``basis.m`` replaced."""
+    config = problem.config
+    h_list, m_list, tau_list = (config[f"calibrate.{k}"] for k in ("h", "m", "tau"))
+    rtol = config["solver.rtol"]
 
     rows = ["h m tau oracle_err worst_in best_out tau_ok"]
     for h in h_list:   # the mesh and the field depend on h alone
-        cfg = copy.deepcopy(problem.cfg)
-        cfg.setdefault("mesh", {})["target_h"] = h
-        sub = Problem(cfg)
+        sub = Problem(problem.cfg, {**config, "mesh.target_h": h})
         sub.build_mesh(with_grid=True)
         sub.build_field()
         for m in m_list:
-            sub.m = m
+            sub.config = {**sub.config, "basis.m": m}
             sub.build_basis()
-            nd_g = nd_matrix(sub.field, sub.basis, rtol=sub.rtol)
+            nd_g = nd_matrix(sub.field, sub.basis, rtol=rtol)
 
             # Lower side only: the neutralizer is empty, so each judged row's
             # score is the plain pixel score inside the minimal box.
             result = reconstruct(nd_g, sub.mesh, sub.family, sub.gamma0, sub.basis,
-                                 tau=min(tau_list), side="lower_only", rtol=sub.rtol)
+                                 tau=min(tau_list), side="lower_only", rtol=rtol)
             errors = [row.reason for row in result.cells if row.reason.startswith("error: ")]
             if errors:
                 raise fem.ConfigurationError(errors[0].removeprefix("error: "))
@@ -536,9 +522,7 @@ def cmd_calibrate(problem, out_dir, args):
                 rows.append(f"{h} {m} {tau} {oracle_err:.3e} {worst_in:.3e} "
                             f"{best_out:.3e} {int(ok)}")
     (out_dir / "calibration.txt").write_text("\n".join(rows) + "\n")
-    _write_metrics(out_dir, {"rows": len(rows) - 1,
-                             "wall_time": time.perf_counter() - t0})
-    return EXIT_OK
+    return {"rows": len(rows) - 1}
 
 
 COMMANDS = {
@@ -582,11 +566,16 @@ def main(argv=None):
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    _snapshot(cfg, out_dir)
+    _write_json(out_dir / "config_snapshot.json", cfg)
+    _write_json(out_dir / "config_resolved.json", problem.config)
     try:
         with warnings.catch_warnings():
             warnings.showwarning = _print_warning
-            return COMMANDS[args.command](problem, out_dir, args)
+            t0 = time.perf_counter()
+            metrics = COMMANDS[args.command](problem, out_dir, args)
+        metrics["wall_time"] = time.perf_counter() - t0
+        (out_dir / "metrics.txt").write_text("".join(f"{k} {v}\n" for k, v in metrics.items()))
+        return EXIT_OK
     except (ConfigError, CoefficientError, GeometryError,
             MeshConformityError, ProvenanceError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -122,6 +122,28 @@ LOAD_ERRORS = {
     "negative_calibrate_tau": ({"calibrate": {"tau": [-1e-5]}},
                                "config error: calibrate.tau: expected a finite number "
                                ">= 0, got -1e-05"),
+    # each range is checked by the entry's converter alone
+    "quad_depth_0": ({"solver": {"quad_depth": 0}},
+                     "config error: solver.quad_depth: expected an integer in [1, 64], got 0"),
+    "quad_depth_65": ({"solver": {"quad_depth": 65}},
+                      "config error: solver.quad_depth: expected an integer in [1, 64], "
+                      "got 65"),
+    "zero_m": ({"basis": {"m": 0}}, "config error: basis.m: expected an integer >= 1, got 0"),
+    "grid_n_1": ({"scan": {"grid_n": 1}},
+                 "config error: scan.grid_n: expected an integer >= 2, got 1"),
+    "side_left": ({"scan": {"grid_n": 8, "side": "left"}},
+                  "config error: scan.side: expected one of both, lower_only, upper_only, "
+                  "got 'left'"),
+}
+
+# Explicit regions with a Ddeg weight whose centre is also a configured
+# singular point: the mesher is given both copies, the config keeps one.
+WEIGHTED_DDEG = {
+    "domain": {"shape": "disk"}, "mesh": {"target_h": 0.15}, "basis": {"m": 4},
+    "regions": {"Ddeg": [SQUARE(0.2)], "DFplus": [SQUARE(0.4), SQUARE(0.2)[::-1]]},
+    "coefficient": {"background": 1.0, "DFplus": 2.0, "singular_points": [[0, 0]],
+                    "Ddeg": {"kind": "radial_power", "center": [0.0, 0.0],
+                             "exponent": 0.5}},
 }
 
 
@@ -313,13 +335,17 @@ class TestChain:
 
 class TestCalibrate:
     def test_table_written(self, tmp_path):
-        cfg = write_config(tmp_path, calibrate={"h": [0.12], "m": [6],
+        cfg = write_config(tmp_path, calibrate={"h": [0.15], "m": [4],
                                                 "tau": [1e-4, 1e-6]})
         out = tmp_path / "cal"
         assert main(["calibrate", "--config", str(cfg), "--out", str(out)]) == 0
         lines = (out / "calibration.txt").read_text().strip().split("\n")
         assert lines[0].startswith("h m tau")
         assert len(lines) == 3
+        # the resolved config is the one read, not a sweep point
+        resolved = json.loads((out / "config_resolved.json").read_text())
+        assert (resolved["mesh.target_h"], resolved["basis.m"]) == (0.12, 6)
+        assert (resolved["calibrate.h"], resolved["calibrate.m"]) == ([0.15], [4])
 
     def test_table_follows_the_configured_regions(self, tmp_path):
         sweep = {"h": [0.12], "m": [6], "tau": [1e-5]}
@@ -579,23 +605,6 @@ class TestConfigErrors:
         assert capsys.readouterr().err.splitlines() == [
             f"config error: coefficient.{entry}: {want}"]
 
-    def test_quad_depth_below_one(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, phantom="surface_weighted_blob",
-                           solver={"quad_depth": 0})
-        assert main(["forward", "--config", str(cfg),
-                     "--out", str(tmp_path / "o")]) == 2
-        assert capsys.readouterr().err.splitlines() == [
-            "config error: solver.quad_depth must be in [1, 64]"]
-
-    def test_quad_depth_above_64(self, tmp_path, capsys):
-        # a graded triangle takes 6 * quad_depth**2 nodes: the order is capped
-        cfg = write_config(tmp_path, phantom="surface_weighted_blob",
-                           solver={"quad_depth": 65})
-        assert main(["forward", "--config", str(cfg),
-                     "--out", str(tmp_path / "o")]) == 2
-        assert capsys.readouterr().err.splitlines() == [
-            "config error: solver.quad_depth must be in [1, 64]"]
-
     @pytest.mark.parametrize("factors, where", [
         ([{"kind": "radial_power", "center": [0.0, 0.0], "exponent": -1.5},
           {"kind": "surface_power", "segment": [[-0.1, 0.0], [0.1, 0.0]], "exponent": -0.9}],
@@ -652,12 +661,11 @@ class TestConfigErrors:
         assert "config error: --noise-rel: " in capsys.readouterr().err
 
     def test_integral_values_keep_their_meaning(self):
-        problem = Problem({"domain": {"shape": "disk", "disk_segments": 64.0},
-                           "phantom": "homogeneous", "basis": {"m": "8"},
-                           "scan": {"grid_n": 7.0}, "solver": {"quad_depth": 12}})
-        assert (problem.m, problem.grid_n, problem.quad_depth) == (8, 7, 12)
-        assert all(type(v) is int for v in (problem.m, problem.grid_n,
-                                            problem.quad_depth))
+        config = Problem({"domain": {"shape": "disk", "disk_segments": 64.0},
+                          "phantom": "homogeneous", "basis": {"m": "8"},
+                          "scan": {"grid_n": 7.0}, "solver": {"quad_depth": 12}}).config
+        values = [config[k] for k in ("basis.m", "scan.grid_n", "solver.quad_depth")]
+        assert values == [8, 7, 12] and all(type(v) is int for v in values)
 
 
 @pytest.mark.parametrize("command", ["forward", "reconstruct"])
@@ -671,6 +679,32 @@ def test_rejected_when_read(tmp_path, capsys, case, command):
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err.splitlines() == [line]
     assert list(out.iterdir()) == []
+
+
+def test_problem_keeps_the_read_config():
+    # the weight's centre is declared to the mesher beside the configured
+    # point without being added to the config; arrays compare as JSON
+    problem = Problem(WEIGHTED_DDEG)
+    assert len(problem.regions.singular_points) == 2
+    assert problem.config["coefficient.singular_points"] == [(0.0, 0.0)]
+    as_json = lambda config: json.dumps(config, sort_keys=True, default=cli._as_json)
+    assert as_json(problem.config) == as_json(read_config(WEIGHTED_DDEG))
+
+
+def test_config_resolved_holds_each_read_value(tmp_path):
+    # every schema path once, flat, with the value the run used
+    cfg = {**WEIGHTED_DDEG, "measurements_file": "nd_gamma.txt"}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["forward", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    resolved = json.loads((tmp_path / "o" / "config_resolved.json").read_text())
+    assert sorted(resolved) == sorted(cli.SCHEMA)
+    assert resolved["regions"] == WEIGHTED_DDEG["regions"]
+    assert resolved["coefficient.singular_points"] == [[0.0, 0.0]]
+    assert resolved["coefficient.Ddeg"] == read_config(cfg)["coefficient.Ddeg"].describe()
+    assert resolved["measurements_file"] == "nd_gamma.txt"
+    assert (resolved["basis.m"], resolved["domain.gamma_arc"], resolved["scan.tau"]) == \
+        (4, [0.0, 1.0], cli.DEFAULT_TAU_ABS)
 
 
 def test_every_schema_path_is_read():

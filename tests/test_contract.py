@@ -6,14 +6,19 @@ Rasters, pass flags, the scan's counts of factored and updated maps and
 the chain's count of factored maps must match exactly; lambdas within the benchmark's tolerance, 1e-5
 relative plus 1e-8.  The ``calibrate`` table of the insulating_disk sweep
 must match line for line, as exact strings.
+
+The scan of each unweighted regression phantom turned by 1, 2 and 3
+quarter turns, its raster turned back, is compared with the recorded
+raster; the runs that differ are strict expected failures.
 """
 
 import json
 
+import numpy as np
 import pytest
 
-from eitmono import phantoms
-from record_contract import REFS, run_calibrate, run_phantom
+from eitmono import cli, phantoms
+from record_contract import REFS, contract_config, run_calibrate, run_phantom
 
 REL_TOL = 1e-5
 ABS_TOL = 1e-8
@@ -78,3 +83,40 @@ def test_artifact_digests_on_one_phantom(tmp_path):
         metrics.write_text(text)
         digest.append(file_digest(metrics))
     assert digest[0] == digest[1] != digest[2]
+
+
+# Quarter-turned scans whose raster differs from the turned raster, with
+# the cells that differ.  An exact quarter turn of the unturned mesh gives
+# the same differences, so they come from the order in which `min_box`
+# tries the box's sides, not from the mesher.
+TURN_DIFFERS = {("df_minus_square", 1): 8, ("df_minus_square", 3): 8,
+                ("insulating_pair", 1): 16, ("insulating_pair", 3): 16,
+                ("off_center_mixed", 1): 11, ("off_center_mixed", 3): 11,
+                ("quarter_blobs", 1): 9, ("quarter_blobs", 3): 9}
+UNWEIGHTED = [name for name in phantoms.REGRESSION_PHANTOMS
+              if not {"Ddeg", "Dsing"} & set(phantoms.build_phantom(name)[1])]
+
+
+def raster(rows):
+    return np.array([[c == "1" for c in row.split(",")] for row in rows])
+
+
+@pytest.mark.parametrize("name, turns", [
+    pytest.param(name, turns, marks=[pytest.mark.xfail(
+        reason=f"{TURN_DIFFERS[name, turns]} cells differ by min_box's side order")]
+        if (name, turns) in TURN_DIFFERS else [])
+    for name in UNWEIGHTED for turns in (1, 2, 3)])
+def test_quarter_turn(tmp_path, name, turns):
+    # (x, y) -> (-y, x) per turn maps the disk, the scan window and its
+    # grid onto themselves; the csv's row iy, column ix turns by np.rot90
+    regions, coefficient = phantoms.build_phantom(name)
+    turn = np.linalg.matrix_power([[0.0, 1.0], [-1.0, 0.0]], turns)
+    cfg = dict(contract_config(name), coefficient=coefficient,
+               regions={label: [(p @ turn).tolist() for p in polys]
+                        for label, polys in regions.polys.items()})
+    del cfg["phantom"]
+    path = tmp_path / "turned.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["reconstruct", "--config", str(path), "--out", str(tmp_path)]) == 0
+    got = raster((tmp_path / "result.csv").read_text().split())
+    assert np.array_equal(np.rot90(got, turns), raster(CONTRACT[name]["raster"]))

@@ -772,7 +772,7 @@ def test_command_maps_match_reference_path(name):
     mesh, fld, basis = problem.build_mesh(), problem.build_field(), problem.build_basis()
     gamma0, family = problem.gamma0, problem.family
     window = cell_parts(family, family.whole_window().cells)
-    every = range(problem.grid_n ** 2)
+    every = range(family.grid_n ** 2)
     low, up = bracket_fields(fld)
     template = grid_template(mesh, family, gamma0, basis)
     maps = [(nd_matrix(f, basis), f) for f in ({id(f): f for f in (fld, low, up)}.values())]
