@@ -8,8 +8,8 @@ used to pin defaults).
 
 Configs are JSON with nested sections (domain / regions / coefficient /
 mesh / solver / basis / scan / artifacts / calibrate) and the top-level
-``phantom`` and ``measurements_file``; phantoms from the built-in catalog can
-be named instead of spelling out regions.
+``phantom`` and ``measurements_file``; a catalog phantom can be named
+instead of spelling out regions and coefficient, which it is read into.
 """
 
 import argparse
@@ -26,7 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from . import fem, phantoms
-from .coefficient import CoefficientField, CoefficientError, WeightSpec
+from .coefficient import (FINITE_LABELS, WEIGHT_LABELS, CoefficientField,
+                          CoefficientError, WeightSpec)
 from .geometry import (GeometryError, MeshConformityError, RegionSet,
                        build_domain, mesh_region_faults, pixel_family,
                        triangulate, validate_regions)
@@ -125,6 +126,16 @@ def _numbers(values):
     return values
 
 
+def _no_boolean(value):
+    """Raise at a JSON boolean in ``value``, at any depth: true and false
+    are not the numbers 1 and 0, and only `_flag` takes them."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    for item in value.values() if isinstance(value, dict) else \
+            value if isinstance(value, list) else ():
+        _no_boolean(item)
+
+
 def _sweep(convert, values):
     """A non-empty list of JSON numbers, each converted by ``convert``."""
     return [convert(v) for v in _numbers(values)]
@@ -190,9 +201,10 @@ _SECTIONS = {path.split(".")[0] for path in SCHEMA if "." in path}
 
 
 def read_config(cfg):
-    """Each `SCHEMA` path mapped to its converted value in ``cfg`` or its
-    default.  An unknown key, a section that is not an object, a malformed
-    value and a phantom beside regions or a coefficient raise ConfigError."""
+    """Each `SCHEMA` path mapped to its converted value in ``cfg``, the named
+    phantom's or its default.  An unknown key or phantom, a section that is
+    not an object, a malformed value and a phantom beside regions or a
+    coefficient raise ConfigError."""
     given, nodes = {}, [("", cfg)]
     for section, node in nodes:      # the sections found are appended
         if not isinstance(node, dict):
@@ -213,11 +225,26 @@ def read_config(cfg):
         value = given.get(path, default)
         try:
             values[path] = None if value is None and default is None else convert(value)
+            if convert is not _flag:   # a converter may take a boolean as 1 or 0
+                _no_boolean(value)
         except (ValueError, TypeError, KeyError, IndexError, AttributeError) as exc:
             raise ConfigError(f"{path}: {exc}") from exc
+    if values["phantom"] is None:
+        return values
     clash = [key for key in ("regions", "coefficient") if key in cfg]
-    if values["phantom"] is not None and clash:
+    if clash:
         raise ConfigError(f"phantom: given with {' and '.join(clash)}, which it sets itself")
+    try:
+        regions, spec = phantoms.build_phantom(values["phantom"])
+    except KeyError as exc:
+        raise ConfigError(exc.args[0]) from exc   # str() would quote it
+    # its polygons, singular features and coefficient values, each through
+    # its path's converter but a weight spec, which is one already
+    for path, value in {"regions": regions.polys,
+                        "coefficient.singular_points": regions.singular_points,
+                        "coefficient.singular_segments": regions.singular_segments,
+                        **{f"coefficient.{k}": v for k, v in spec.items()}}.items():
+        values[path] = value if isinstance(value, WeightSpec) else SCHEMA[path][0](value)
     return values
 
 
@@ -235,20 +262,9 @@ class Problem:
         except GeometryError as exc:
             raise ConfigError(f"domain: {exc}") from exc
 
-        if config["phantom"] is not None:
-            try:
-                self.regions, self.coeff_spec = phantoms.build_phantom(config["phantom"])
-            except KeyError as exc:
-                # str() of a KeyError quotes its message; print it as is.
-                raise ConfigError(exc.args[0]) from exc
-        else:
-            self.regions = replace(
-                config["regions"], singular_points=[*config["coefficient.singular_points"]],
-                singular_segments=[*config["coefficient.singular_segments"]])
-            self.coeff_spec = {lab: config[f"coefficient.{lab}"] for lab in (
-                "background", "DFminus", "DFplus", "Ddeg", "Dsing")
-                if config[f"coefficient.{lab}"] is not None}
-
+        self.regions = replace(
+            config["regions"], singular_points=[*config["coefficient.singular_points"]],
+            singular_segments=[*config["coefficient.singular_segments"]])
         violations = validate_regions(self.domain, self.regions)
         if violations:
             raise ConfigError("regions invalid: " + "; ".join(violations))
@@ -258,17 +274,20 @@ class Problem:
                                        roi=config["scan.roi"])
         except ValueError as exc:
             raise ConfigError(f"scan.roi: {exc}") from exc
-        self.gamma0 = self.coeff_spec["background"]
+        self.gamma0 = config["coefficient.background"]
+
+    def coefficient(self, labels):
+        """The configured coefficient value of each of ``labels`` given one."""
+        return {lab: self.config[f"coefficient.{lab}"] for lab in labels
+                if self.config[f"coefficient.{lab}"] is not None}
 
     def declare_weight_features(self):
         """Declare each weight's singular points and segments to the mesher
         as they are; the mesher's arrangement merges the copies that snap
         to one point."""
-        for lab in ("Ddeg", "Dsing"):
-            w = self.coeff_spec.get(lab)
-            if w is not None:
-                self.regions.singular_points.extend(w.singular_points())
-                self.regions.singular_segments.extend(w.singular_segments())
+        for w in self.coefficient(WEIGHT_LABELS).values():
+            self.regions.singular_points.extend(w.singular_points())
+            self.regions.singular_segments.extend(w.singular_segments())
 
     def build_mesh(self, with_grid=True):
         extra = self.family.grid_segments() if with_grid else []
@@ -282,12 +301,9 @@ class Problem:
         return self.mesh
 
     def build_field(self):
-        finite = {k: v for k, v in self.coeff_spec.items()
-                  if k in ("DFminus", "DFplus")}
-        weights = {k: v for k, v in self.coeff_spec.items()
-                   if k in ("Ddeg", "Dsing")}
         self.field = CoefficientField(mesh=self.mesh, gamma0=self.gamma0,
-                                      finite_values=finite, weights=weights,
+                                      finite_values=self.coefficient(FINITE_LABELS),
+                                      weights=self.coefficient(WEIGHT_LABELS),
                                       quad_depth=self.config["solver.quad_depth"])
         self.field.validate()
         return self.field
@@ -322,9 +338,7 @@ def _as_json(value):
 
 
 def _write_json(path, value):
-    with open(path, "w") as fh:
-        json.dump(value, fh, indent=2, sort_keys=True, default=_as_json)
-        fh.write("\n")
+    path.write_text(json.dumps(value, indent=2, sort_keys=True, default=_as_json) + "\n")
 
 
 def _with_noise(nd, args):
@@ -353,24 +367,17 @@ def _read_measurements(path, problem):
         if block.shape != (m, m) or not np.all(np.isfinite(block)):
             raise ConfigError(f"measurements_file: the {name} block is not a "
                               f"finite {m}x{m} matrix")
-    if nd.mesh_hash != problem.mesh.provenance():
-        raise ConfigError("measurements_file provenance does not match "
-                          "the mesh built from this config")
-    if nd.basis_hash != problem.basis.provenance():
-        raise ConfigError("measurements_file provenance does not match "
-                          "the basis built from this config")
+    for what, given, built in (("mesh", nd.mesh_hash, problem.mesh),
+                               ("basis", nd.basis_hash, problem.basis)):
+        if given != built.provenance():
+            raise ConfigError(f"measurements_file provenance does not match "
+                              f"the {what} built from this config")
     gram = gamma_data(problem.mesh, problem.basis).gram
     if np.max(np.abs(nd.gram - gram)) > GRAM_RTOL * np.max(np.abs(gram)):
         raise ConfigError(f"measurements_file: the Gram block differs from the "
                           f"basis Gram of this config by more than {GRAM_RTOL:.0e} "
                           f"relative")
     return nd
-
-
-def _measured_nd(problem, args):
-    """L(gamma) on the problem mesh, optionally noise-perturbed."""
-    return _with_noise(nd_matrix(problem.field, problem.basis,
-                                 rtol=problem.config["solver.rtol"]), args)
 
 
 def _oracle_error(problem, eigs):
@@ -380,12 +387,10 @@ def _oracle_error(problem, eigs):
     dom = problem.domain
     if dom.shape != "disk" or dom.gamma_fraction != 1.0:
         return float("nan")
-    errs = []
-    for n in range(1, len(eigs) // 2 + 1):
-        lam = disk_nd_eigenvalue(n, 0.0, problem.gamma0, problem.gamma0)
-        pair = eigs[2 * n - 2:2 * n]
-        errs.append(float(np.max(np.abs(pair - lam) / lam)))
-    return max(errs, default=float("nan"))
+    lams = [disk_nd_eigenvalue(n, 0.0, problem.gamma0, problem.gamma0)
+            for n in range(1, len(eigs) // 2 + 1)]
+    return max((float(np.max(np.abs(eigs[2 * n:2 * n + 2] - lam) / lam))
+                for n, lam in enumerate(lams)), default=float("nan"))
 
 
 def cmd_forward(problem, out_dir, args):
@@ -394,7 +399,8 @@ def cmd_forward(problem, out_dir, args):
     problem.build_mesh(with_grid="scan" in problem.cfg)
     problem.build_field()
     problem.build_basis()
-    nd = _measured_nd(problem, args)
+    nd = _with_noise(nd_matrix(problem.field, problem.basis,
+                               rtol=problem.config["solver.rtol"]), args)
     (out_dir / "nd_gamma.txt").write_text(nd.to_text())
     if problem.config["artifacts.mesh"]:
         (out_dir / "mesh.txt").write_text(problem.mesh.to_text())
@@ -420,10 +426,8 @@ def cmd_reconstruct(problem, out_dir, args):
     problem.build_basis()
 
     nd_file = config["measurements_file"]
-    if nd_file:
-        nd = _with_noise(_read_measurements(nd_file, problem), args)
-    else:
-        nd = _measured_nd(problem, args)
+    nd = _with_noise(_read_measurements(nd_file, problem) if nd_file else
+                     nd_matrix(problem.field, problem.basis, rtol=config["solver.rtol"]), args)
 
     result = reconstruct(nd, problem.mesh, problem.family, problem.gamma0,
                          problem.basis, tau=config["scan.tau"], side=config["scan.side"],
@@ -551,18 +555,12 @@ def main(argv=None):
 
     try:
         cfg = json.loads(Path(args.config).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    try:
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
         problem = Problem(cfg)
-    except (ValueError, TypeError, KeyError, IndexError) as exc:
-        # ConfigError, CoefficientError and GeometryError are ValueErrors;
-        # the others come from malformed values in the config.
+    except (OSError, ValueError, TypeError, KeyError, IndexError) as exc:
+        # JSONDecodeError, ConfigError, CoefficientError and GeometryError
+        # are ValueErrors; the others come from malformed values in the config.
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -12,6 +12,10 @@ the voltage-to-current ratio
 
 with mu = 1 for an insulating inclusion (kappa = 0) and mu = -1 for a
 perfectly conducting one (kappa = infinite).
+
+The power-core eigenvalues extend this to an A2 weight inside the inclusion:
+the mode's admittance gamma u_r / u is closed-form in the core and is
+carried outward through each constant layer by the same matching.
 """
 
 import math
@@ -37,3 +41,23 @@ def disk_nd_eigenvalue(n, rho, kappa, gamma0_const=1.0):
         mu = (gamma0_const - kappa) / (gamma0_const + kappa)
     x = mu * rho ** (2 * n)
     return (1.0 + x) / (gamma0_const * n * (1.0 - x))
+
+
+def power_core_nd_eigenvalue(n, s, a, rho1, kappa, rho2, gamma0_const=1.0):
+    """Generalized ND eigenvalue of frequency n for the core
+    gamma = a * (r / rho1)^s on r < rho1, a ring of conductivity ``kappa``
+    on rho1 < r < rho2 and the background on rho2 < r < 1.
+
+    In the core the mode is r^alpha with alpha * (alpha + s) = n^2, so its
+    admittance at rho1 is a * alpha / rho1.  In a layer of conductivity k
+    the mode is r^n + R r^(-n), with R fixed by the admittance at the inner
+    radius; lambda_n is the inverse admittance at r = 1.
+    """
+    if not (0.0 < rho1 <= rho2 < 1.0 and n >= 1 and min(a, kappa, gamma0_const) > 0):
+        raise ValueError("need 0 < rho1 <= rho2 < 1, n >= 1 and positive conductivities")
+    y = a * (math.sqrt(s * s + 4 * n * n) - s) / (2 * rho1)
+    for k, r0, r1 in ((kappa, rho1, rho2), (gamma0_const, rho2, 1.0)):
+        q = y * r0 / (k * n)
+        x = (1 - q) / (1 + q) * (r0 / r1) ** (2 * n)
+        y = k * n * (1 - x) / (r1 * (1 + x))
+    return 1.0 / y

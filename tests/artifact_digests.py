@@ -32,7 +32,7 @@ from pathlib import Path
 
 from eitmono import cli, phantoms
 from record_contract import CALIBRATE_CONFIG, contract_config
-from test_cli import LOAD_ERRORS, NEAR_SINGULAR_POINTS, OVERLAPS, PINCHED_DDEG
+from test_cli import BOOLEANS, LOAD_ERRORS, NEAR_SINGULAR_POINTS, OVERLAPS, PINCHED_DDEG
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (0, 1, 2, 3)
@@ -43,9 +43,11 @@ ARCS = ((0.0, 0.5), (0.25, 0.999))
 # the background, a polygon outside the domain and a weight's singular
 # point beside a declared one; then the configs the CLI tests reject when
 # they are read (unknown keys, a phantom beside regions or a coefficient,
-# malformed values), whose overrides may set a phantom again.
+# malformed values, a JSON boolean for a number), whose overrides may set a
+# phantom again.
 REJECTED = {**{name: overrides for name, (overrides, _) in OVERLAPS.items()},
             **{name: overrides for name, (overrides, _) in LOAD_ERRORS.items()},
+            **{name: overrides for name, (overrides, _) in BOOLEANS.items()},
             "pinched_ddeg": PINCHED_DDEG,
             "outside_domain": {"regions": {"D0": [[[0.8, 0.8], [1.2, 0.8],
                                                    [1.2, 1.2], [0.8, 1.2]]]}},

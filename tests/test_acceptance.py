@@ -7,17 +7,19 @@ and are frozen here: insulating disk 0.75, conducting disk 0.75, mixed
 two-blob 1.00 (all above the 0.7 design target).
 """
 
+import json
 import time
 
 import numpy as np
 import pytest
 
-from eitmono import fem, phantoms
+from eitmono import cli, fem, phantoms
+from eitmono import polygons as pg
 from eitmono.coefficient import CoefficientField, WeightSpec, graded_triangle_integrals
 from eitmono.geometry import build_domain, pixel_family, triangulate
 from eitmono.monotonicity import bracketing_chain, psd_test
-from eitmono.ndmap import bracketed_maps, build_basis, nd_matrix
-from eitmono.oracle import disk_nd_eigenvalue
+from eitmono.ndmap import NDMatrix, bracketed_maps, build_basis, nd_matrix
+from eitmono.oracle import disk_nd_eigenvalue, power_core_nd_eigenvalue
 from eitmono.reconstruction import _Scanner, reconstruct
 
 from conftest import build_field, dirichlet_energy, energy
@@ -303,3 +305,34 @@ def test_criterion_10_one_sided_variant(disk_dom, fam8):
            equal and res_both.box_upper is None,
            f"cell-for-cell equality {equal}; upper box {res_both.box_upper}; "
            f"jaccard {res_both.jaccard:.3f}")
+
+
+def test_criterion_11_power_core_oracle(tmp_path):
+    # `forward` on a radial power core gamma = a (r/rho1)^s inside a ring of
+    # conductivity a: degenerate (Ddeg in DFminus) for s > 0, singular (Dsing
+    # in DFplus) for s < 0.  The core's own effect is how far its mode-1
+    # eigenvalue lies from the ring's conductivity filling the core.
+    rho1, rho2 = 0.25, 0.4
+    core = pg.regular_polygon((0.0, 0.0), rho1, 128).tolist()
+    ring = [pg.regular_polygon((0.0, 0.0), rho2, 128).tolist(), core[::-1]]
+    ok, details = True, []
+    for s in (0.5, -0.5, 1.0, -1.0, 1.9, -1.9):
+        a, weighted, finite = (0.5, "Ddeg", "DFminus") if s > 0 else (2.0, "Dsing", "DFplus")
+        cfg = {"domain": {"shape": "disk"}, "mesh": {"target_h": 0.04}, "basis": {"m": 16},
+               "regions": {weighted: [core], finite: ring},
+               "coefficient": {finite: a, weighted: {
+                   "kind": "radial_power", "center": [0.0, 0.0], "exponent": s,
+                   "amplitude": a / rho1 ** s}}}
+        path = tmp_path / "power_core.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["forward", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+        nd = NDMatrix.from_text((tmp_path / "o" / "nd_gamma.txt").read_text())
+        eigs = np.sort(nd.generalized_eigenvalues())[::-1]
+        lams = [power_core_nd_eigenvalue(n, s, a, rho1, a, rho2) for n in range(1, 5)]
+        errs = [float(np.max(np.abs(eigs[2 * n:2 * n + 2] - lam)) / lam)
+                for n, lam in enumerate(lams)]
+        effect = abs(lams[0] - disk_nd_eigenvalue(1, rho2, a)) / lams[0]
+        ok &= max(errs) < 3e-3 and errs[0] < effect / 10
+        details.append(f"s={s:+g}: max rel err {max(errs):.1e} < 3e-3 (n<=4), "
+                       f"mode 1 {errs[0]:.1e} < {effect:.1e}/10")
+    report("11 power-core oracle", ok, "; ".join(details))

@@ -8,6 +8,7 @@ import pytest
 from eitmono import cli, geometry, phantoms
 from eitmono import polygons as pg
 from eitmono.cli import Problem, main, read_config
+from eitmono.coefficient import CoefficientField
 from eitmono.ndmap import NDMatrix
 
 
@@ -134,6 +135,34 @@ LOAD_ERRORS = {
     "side_left": ({"scan": {"grid_n": 8, "side": "left"}},
                   "config error: scan.side: expected one of both, lower_only, upper_only, "
                   "got 'left'"),
+}
+
+# A JSON boolean for each kind of numeric value, with the entry its one
+# stderr line names: true and false are not the numbers 1 and 0.
+BOOLEANS = {
+    "rtol_true": ({"solver": {"rtol": True}}, "solver.rtol"),
+    "target_h_true": ({"mesh": {"target_h": True}}, "mesh.target_h"),
+    "min_angle_false": ({"mesh": {"min_angle_deg": False}}, "mesh.min_angle_deg"),
+    "m_true": ({"basis": {"m": True}}, "basis.m"),
+    "quad_depth_true": ({"solver": {"quad_depth": True}}, "solver.quad_depth"),
+    "disk_segments_true": ({"domain": {"shape": "disk", "disk_segments": True}},
+                           "domain.disk_segments"),
+    "gamma_arc_true": ({"domain": {"shape": "disk", "gamma_arc": [0.0, True]}},
+                       "domain.gamma_arc"),
+    "tau_false": ({"scan": {"tau": False}}, "scan.tau"),
+    "background_true": ({"phantom": None, "coefficient": {"background": True}},
+                        "coefficient.background"),
+    "dfminus_true": ({"phantom": None, "coefficient": {"DFminus": True}},
+                     "coefficient.DFminus"),
+    "dfplus_false": ({"phantom": None, "coefficient": {"DFplus": False}},
+                     "coefficient.DFplus"),
+    "singular_point_true": ({"phantom": None, "coefficient": {
+        "singular_points": [[True, 0.0]]}}, "coefficient.singular_points"),
+    "weight_exponent_true": ({"phantom": None, "coefficient": {"Ddeg": {
+        "kind": "radial_power", "center": [0.0, 0.0], "exponent": True}}}, "coefficient.Ddeg"),
+    "region_vertex_true": ({"phantom": None, "regions": {"D0": [
+        [[0.0, 0.0], [0.1, 0.0], [True, 0.1]]]}}, "regions"),
+    "calibrate_h_true": ({"calibrate": {"h": [True]}}, "calibrate.h"),
 }
 
 # Explicit regions with a Ddeg weight whose centre is also a configured
@@ -425,10 +454,14 @@ class TestConfigErrors:
         assert main(["forward", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 2
 
-    def test_unknown_phantom(self, tmp_path):
+    def test_unknown_phantom(self, tmp_path, capsys):
+        # rejected when the config is read, before anything is written
         cfg = write_config(tmp_path, phantom="wat")
         assert main(["forward", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: unknown phantom 'wat'; known: {sorted(phantoms.CATALOG)}"]
+        assert list((tmp_path / "o").iterdir()) == []
 
     def test_invalid_regions(self, tmp_path):
         cfg = write_config(tmp_path, phantom=None, regions={
@@ -525,11 +558,12 @@ class TestConfigErrors:
          "coefficient.Ddeg"),
         ("forward", {"phantom": None, "coefficient": {
             "Ddeg": {"kind": "product", "factors": [5]}}}, "coefficient.Ddeg"),
+        *[("forward", overrides, entry) for overrides, entry in BOOLEANS.values()],
     ], ids=["non_integer_m", "short_gamma_arc", "long_gamma_arc",
             "weight_without_exponent", "short_roi", "scalar_calibrate_h",
             "string_calibrate_m", "string_calibrate_tau", "numeric_measurements_file",
             "fractional_m", "fractional_grid_n", "scalar_regions",
-            "scalar_weight", "scalar_product_factor"])
+            "scalar_weight", "scalar_product_factor", *BOOLEANS])
     def test_malformed_value(self, tmp_path, capsys, command, overrides, entry):
         cfg = write_config(tmp_path, **overrides)
         assert main([command, "--config", str(cfg),
@@ -705,6 +739,74 @@ def test_config_resolved_holds_each_read_value(tmp_path):
     assert resolved["measurements_file"] == "nd_gamma.txt"
     assert (resolved["basis.m"], resolved["domain.gamma_arc"], resolved["scan.tau"]) == \
         (4, [0.0, 1.0], cli.DEFAULT_TAU_ABS)
+
+
+def spelled_out(name):
+    """The config of catalog phantom ``name`` with its regions and
+    coefficient spelled out in JSON, as `write_config` overrides."""
+    regions, spec = phantoms.build_phantom(name)
+
+    def weight(w):
+        (f,) = w.factors
+        where = {"center": f.center} if f.kind == "radial_power" else {"segment": f.polyline}
+        return {"kind": f.kind, **where, "exponent": f.exponent, "amplitude": f.value}
+
+    coefficient = {k: weight(v) if k in ("Ddeg", "Dsing") else v for k, v in spec.items()}
+    return json.loads(json.dumps({
+        "phantom": None, "regions": {k: [p.tolist() for p in v] for k, v in regions.polys.items()},
+        "coefficient": {**coefficient, "singular_points": regions.singular_points,
+                        "singular_segments": regions.singular_segments}}))
+
+
+@pytest.mark.parametrize("name", sorted(phantoms.CATALOG))
+def test_phantom_is_read_into_the_schema(tmp_path, name):
+    # the read config holds the phantom's polygons, singular features and
+    # coefficient; its Problem builds the mesh and field that the phantom's
+    # own regions and spec build, and so does the phantom spelled out
+    regions, spec = phantoms.build_phantom(name)
+    cfg = json.loads(write_config(tmp_path, phantom=name, basis={"m": 4},
+                                  scan={"grid_n": 4}).read_text())
+    config = read_config(cfg)
+    assert {k: [p.tolist() for p in v] for k, v in config["regions"].polys.items()} == \
+        {k: [p.tolist() for p in v] for k, v in regions.polys.items()}
+    assert config["coefficient.singular_points"] == \
+        [tuple(map(float, p)) for p in regions.singular_points]
+    assert [p.tolist() for p in config["coefficient.singular_segments"]] == \
+        [np.asarray(p, dtype=float).tolist() for p in regions.singular_segments]
+    for label in ("background", "DFminus", "DFplus", "Ddeg", "Dsing"):
+        assert config[f"coefficient.{label}"] == spec.get(label, cli.SCHEMA[
+            f"coefficient.{label}"][1]), label
+
+    weights = {k: v for k, v in spec.items() if k in ("Ddeg", "Dsing")}
+    for w in weights.values():
+        regions.singular_points.extend(w.singular_points())
+        regions.singular_segments.extend(w.singular_segments())
+    problem = Problem(cfg)
+    mesh = geometry.triangulate(problem.domain, regions, target_h=0.12,
+                                extra_segments=problem.family.grid_segments())
+    field = CoefficientField(mesh=mesh, gamma0=spec["background"], weights=weights,
+                             finite_values={k: v for k, v in spec.items()
+                                            if k in ("DFminus", "DFplus")})
+    spelled = Problem(json.loads(write_config(
+        tmp_path, name="spelled.json", basis={"m": 4}, scan={"grid_n": 4},
+        **spelled_out(name)).read_text()))
+    for built in (problem, spelled):
+        assert built.build_mesh().provenance() == mesh.provenance()
+        assert built.build_field().provenance() == field.provenance()
+    as_json = lambda config: json.dumps({**config, "phantom": None}, default=cli._as_json)
+    assert as_json(spelled.config) == as_json(config)
+
+
+def test_config_resolved_shows_the_phantom(tmp_path):
+    # a phantom run records the coefficient it solved with, not the defaults
+    cfg = write_config(tmp_path, phantom="df_minus_square", scan=None,
+                       mesh={"target_h": 0.15}, basis={"m": 4})
+    assert main(["forward", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    resolved = json.loads((tmp_path / "o" / "config_resolved.json").read_text())
+    regions, spec = phantoms.build_phantom("df_minus_square")
+    assert resolved["phantom"] == "df_minus_square"
+    assert resolved["regions"] == {"DFminus": [regions.polys["DFminus"][0].tolist()]}
+    assert (resolved["coefficient.DFminus"], resolved["coefficient.background"]) == (0.35, 1.0)
 
 
 def test_every_schema_path_is_read():
