@@ -274,7 +274,6 @@ class Problem:
                                        roi=config["scan.roi"])
         except ValueError as exc:
             raise ConfigError(f"scan.roi: {exc}") from exc
-        self.gamma0 = config["coefficient.background"]
 
     def coefficient(self, labels):
         """The configured coefficient value of each of ``labels`` given one."""
@@ -301,7 +300,8 @@ class Problem:
         return self.mesh
 
     def build_field(self):
-        self.field = CoefficientField(mesh=self.mesh, gamma0=self.gamma0,
+        self.field = CoefficientField(mesh=self.mesh,
+                                      gamma0=self.config["coefficient.background"],
                                       finite_values=self.coefficient(FINITE_LABELS),
                                       weights=self.coefficient(WEIGHT_LABELS),
                                       quad_depth=self.config["solver.quad_depth"])
@@ -387,7 +387,8 @@ def _oracle_error(problem, eigs):
     dom = problem.domain
     if dom.shape != "disk" or dom.gamma_fraction != 1.0:
         return float("nan")
-    lams = [disk_nd_eigenvalue(n, 0.0, problem.gamma0, problem.gamma0)
+    gamma0 = problem.config["coefficient.background"]
+    lams = [disk_nd_eigenvalue(n, 0.0, gamma0, gamma0)
             for n in range(1, len(eigs) // 2 + 1)]
     return max((float(np.max(np.abs(eigs[2 * n:2 * n + 2] - lam) / lam))
                 for n, lam in enumerate(lams)), default=float("nan"))
@@ -429,7 +430,7 @@ def cmd_reconstruct(problem, out_dir, args):
     nd = _with_noise(_read_measurements(nd_file, problem) if nd_file else
                      nd_matrix(problem.field, problem.basis, rtol=config["solver.rtol"]), args)
 
-    result = reconstruct(nd, problem.mesh, problem.family, problem.gamma0,
+    result = reconstruct(nd, problem.mesh, problem.family, config["coefficient.background"],
                          problem.basis, tau=config["scan.tau"], side=config["scan.side"],
                          truth_regions=problem.regions, rtol=config["solver.rtol"],
                          tau_rel=config["scan.tau_rel"])
@@ -469,8 +470,8 @@ def cmd_chain(problem, out_dir, args):
     nd_low, nd_up = maps[1:] or maps * 2
 
     # The whole window painted insulating, then conducting: every grid cell.
-    template = grid_template(problem.mesh, problem.family, problem.gamma0,
-                             problem.basis)
+    template = grid_template(problem.mesh, problem.family,
+                             problem.config["coefficient.background"], problem.basis)
     window = range(problem.config["scan.grid_n"] ** 2)
     nd0 = template.solve(window, [], rtol).nd
     ndinf = template.solve([], window, rtol).nd
@@ -509,8 +510,8 @@ def cmd_calibrate(problem, out_dir, args):
 
             # Lower side only: the neutralizer is empty, so each judged row's
             # score is the plain pixel score inside the minimal box.
-            result = reconstruct(nd_g, sub.mesh, sub.family, sub.gamma0, sub.basis,
-                                 tau=min(tau_list), side="lower_only", rtol=rtol)
+            result = reconstruct(nd_g, sub.mesh, sub.family, config["coefficient.background"],
+                                 sub.basis, tau=min(tau_list), side="lower_only", rtol=rtol)
             errors = [row.reason for row in result.cells if row.reason.startswith("error: ")]
             if errors:
                 raise fem.ConfigurationError(errors[0].removeprefix("error: "))

@@ -67,11 +67,11 @@ PANEL_SIZE = 1
 @dataclass
 class StiffnessSystem:
     """Grounded stiffness system: the symmetric PSD stiffness matrix over
-    the free DOFs bordered by the mean-on-gamma constraint row and column.
+    the free DOFs bordered by the mean-on-gamma constraint row and column,
+    the last column holding the gamma mass of each measurement-arc DOF.
     ``ordered`` marks DOFs already numbered in a fill-reducing order."""
 
     kmat: sp.csc_matrix
-    constraint: np.ndarray
     dofmap: DofMap
     ordered: bool = False
     _factor: object = None
@@ -157,30 +157,26 @@ def gamma_quadrature(mesh):
 
 @dataclass
 class NeumannLoad:
-    """Discrete current load: b_i = <f, phi_i> on gamma, projected to the
-    gamma-mean-free space.  ``b`` may hold one load per column, on every
-    DOF, or with ``rows`` on those DOFs only, zero on the others.  ``norm``
-    holds their column norms once `mean_free_norms` has checked them."""
+    """Discrete current loads: b_i = <f, phi_i> on gamma, projected to the
+    gamma-mean-free space, one load per column of ``b`` on the DOFs
+    ``rows`` (zero on the others), with the column norms ``norm`` that
+    `mean_free_norms` gave when it checked them."""
 
     b: np.ndarray
-    norm: np.ndarray = None
-    rows: np.ndarray = None
+    norm: np.ndarray
+    rows: np.ndarray
 
     def bordered(self, n):
         """The right-hand side, one column per load, on a grounded system
-        of n DOFs: the load, then the constraint row, zero (Fortran order,
+        of n DOFs: the loads, then the constraint row, zero (Fortran order,
         as SuperLU takes it)."""
-        b = self.b.reshape(len(self.b), -1)
-        if self.rows is None and len(b) != n:
-            raise SolverError(f"a load on {len(b)} DOFs for a system of {n}")
-        rhs = np.zeros((n + 1, b.shape[1]), order="F")
-        rhs[slice(n) if self.rows is None else self.rows] = b
+        rhs = np.zeros((n + 1, self.b.shape[1]), order="F")
+        rhs[self.rows] = self.b
         return rhs
 
 
 def mean_free_norms(b):
     """Column norms of a load block, which must be gamma-mean-free."""
-    b = b.reshape(len(b), -1)
     scale = np.maximum(1.0, np.abs(b).sum(axis=0))
     if not np.all(np.abs(np.sum(b, axis=0)) <= 1e-12 * scale):
         raise SolverError("load is not gamma-mean-free")
@@ -213,10 +209,9 @@ def gamma_loads(mesh, terms, densities):
 
 @dataclass
 class PotentialSolution:
-    u: np.ndarray          # DOF coefficients, gamma-mean-free representative
-    multiplier: float
+    u: np.ndarray          # DOF coefficients, gamma-mean-free representatives, (n, k)
     residual: float
-    x: np.ndarray = None   # a block's potentials over its multipliers, (n + 1, k)
+    x: np.ndarray          # the potentials over their multipliers, (n + 1, k)
 
 
 def column_norms(a):
@@ -230,15 +225,18 @@ def residual_misses(rnorm, bnorm, rtol):
     return np.flatnonzero((bnorm > 0) & ~(rnorm <= rtol * bnorm))
 
 
-def check_gamma_mean(constraint, u):
+def check_gamma_mean(kmat, u):
     """Every column of the potentials ``u`` must have a zero gamma mean,
-    summed over the measurement-arc rows, the constraint's nonzeros."""
-    arc = np.flatnonzero(constraint)
-    gmean = constraint[arc] @ u[arc]
+    summed over the measurement-arc rows: the rows of the bordered
+    matrix's last column, which holds their gamma masses."""
+    n = kmat.shape[1] - 1
+    span = slice(kmat.indptr[n], kmat.indptr[n + 1])
+    arc, mass = kmat.indices[span], kmat.data[span]
+    gmean = mass @ u[arc]
     # the scale is at least 1, so only a mean above 1e-10 can miss the gate
     if not (np.abs(gmean) > 1e-10).any():
         return
-    gscale = np.maximum(1.0, np.abs(u).max(axis=0) * float(np.sum(constraint)))
+    gscale = np.maximum(1.0, np.abs(u).max(axis=0) * float(np.sum(mass)))
     bad = np.flatnonzero(np.abs(gmean) > 1e-10 * gscale)
     if len(bad):
         k = bad[0]
@@ -250,16 +248,15 @@ def _residual(kmat, x, load):
     """K x minus the load's right-hand side, formed in the product's array;
     the load is subtracted on its rows only."""
     res = kmat @ x
-    res[slice(len(load.b)) if load.rows is None else load.rows] -= \
-        load.b.reshape(len(load.b), -1)
+    res[load.rows] -= load.b
     return res
 
 
 def solve_neumann(system, load, rtol=1e-10):
-    """Solve the grounded variational problem for one current load, or for
-    a block of loads (one per column of ``load.b``) with one factorization.
+    """Solve the grounded variational problem for a block of current loads
+    (one per column of ``load.b``) with one factorization.
 
-    The returned representative satisfies the gamma-mean-zero constraint.
+    The returned representatives satisfy the gamma-mean-zero constraint.
     The residual of every column is gated at rtol*|b|.  When a column
     misses the gate after the direct solve, one refinement pass runs on the
     whole block, and a column that still misses it raises SolverError.  The
@@ -267,10 +264,8 @@ def solve_neumann(system, load, rtol=1e-10):
     double, the residual of a high-contrast system is mostly the roundoff
     of K x, and a correction by it degrades the solve (the ND asymmetry of
     a 1e4 contrast rose from 3e-16 before the pass to 1e-13..2e-12 after).
-    ``residual`` is the (Frobenius) norm over all columns.  A load without
-    ``norm`` is checked here.
+    ``residual`` is the (Frobenius) norm over all columns.
     """
-    bnorm = mean_free_norms(load.b) if load.norm is None else load.norm
     n = system.n
     rhs = load.bordered(n)
     lu = system.factor()
@@ -278,20 +273,17 @@ def solve_neumann(system, load, rtol=1e-10):
     # SuperLU returns Fortran order; the products below want rows
     x = np.ascontiguousarray(lu.solve(rhs))
     rnorm = column_norms(_residual(kmat, x, load))
-    bad = residual_misses(rnorm, bnorm, rtol)
+    bad = residual_misses(rnorm, load.norm, rtol)
     if len(bad):
         wide = np.longdouble
         x = x + lu.solve((rhs.astype(wide) - kmat.astype(wide) @ x.astype(wide))
                          .astype(float))
         rnorm = column_norms(_residual(kmat, x, load))
-        bad = residual_misses(rnorm, bnorm, rtol)
+        bad = residual_misses(rnorm, load.norm, rtol)
     if len(bad):
         k = bad[0]
         raise SolverError(f"solver residual {rnorm[k]:.3e} exceeds "
                           f"{rtol:.1e}*|b| in column {k}")
-    u, lam = x[:n], x[n]
-    check_gamma_mean(system.constraint, u)
-    if load.b.ndim == 1:
-        u, lam, x = u[:, 0], float(lam[0]), None
-    return PotentialSolution(u=u, multiplier=lam, residual=math.sqrt(rnorm @ rnorm), x=x)
+    check_gamma_mean(kmat, x[:n])
+    return PotentialSolution(u=x[:n], residual=math.sqrt(rnorm @ rnorm), x=x)
 

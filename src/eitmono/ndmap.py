@@ -306,15 +306,13 @@ def _pair(dofs, u, gd, field_hash):
 class PaintedMap:
     """A scan map: the ND matrix of a painting with the paint code of each
     part (for a scan, the last cell stands for the triangles outside the
-    window).  A factored map also keeps its system, the DOFs of the
-    measurement-arc vertices and the potentials with multipliers ``x``
-    (n + 1, m): a base that `PaintTemplate.solve` can update by one cell.
-    An updated map keeps none of them."""
+    window).  A factored map also keeps its system and the potentials with
+    multipliers ``x`` (n + 1, m): a base that `PaintTemplate.solve` can
+    update by one cell.  An updated map keeps neither."""
 
     nd: NDMatrix
     cells: np.ndarray
     system: fem.StiffnessSystem = None
-    gamma_dofs: np.ndarray = None
     x: np.ndarray = None
 
 
@@ -630,11 +628,7 @@ class PaintTemplate:
         np.cumsum(count, out=indptr[1:])
         kmat = sp.csc_matrix((values, rows, indptr), shape=(n + 1, n + 1))
         kmat.has_canonical_format = True   # sorted rows, none twice: splu need not check
-        terms = self.gd.terms
-        constraint = np.zeros(n)
-        constraint[dofmap.dof_of_vertex[terms.gamma_vertices]] = terms.gamma_mass
-        return fem.StiffnessSystem(kmat=kmat, constraint=constraint, dofmap=dofmap,
-                                   ordered=self.by_rank is not None)
+        return fem.StiffnessSystem(kmat=kmat, dofmap=dofmap, ordered=self.by_rank is not None)
 
     def _rank(self, by_rank):
         """Number every later painting in the order ``by_rank`` (the vertex
@@ -676,11 +670,11 @@ class PaintTemplate:
                 if not len(fem.residual_misses(residual, self.gd.load_norms, rtol)):
                     u = x[:base.system.n]
                     try:
-                        fem.check_gamma_mean(base.system.constraint, u)
+                        fem.check_gamma_mean(base.system.kmat, u)
                     except fem.SolverError as exc:
                         raise NDError(f"solve failed for the basis loads: {exc}") from exc
-                    return PaintedMap(nd=_pair(base.gamma_dofs, u, self.gd, field_hash),
-                                     cells=cells)
+                    dofs = base.system.dofmap.dof_of_vertex[self.gd.terms.gamma_vertices]
+                    return PaintedMap(nd=_pair(dofs, u, self.gd, field_hash), cells=cells)
                 break
         dofmap = self.dof_map(codes)
         system = self.assemble(codes, dofmap)
@@ -698,8 +692,7 @@ class PaintTemplate:
             moved = np.arange(system.n + 1)
             moved[shared.dof_of_vertex] = dofmap.dof_of_vertex
             system, x = self.assemble(codes, shared), x[moved]
-            dofs = shared.dof_of_vertex[self.gd.terms.gamma_vertices]
-        return PaintedMap(nd=nd, cells=cells, system=system, gamma_dofs=dofs, x=x)
+        return PaintedMap(nd=nd, cells=cells, system=system, x=x)
 
     def closure(self, cell):
         """Vertices of a cell's triangles, the sum of their element
@@ -753,6 +746,7 @@ class PaintTemplate:
         alone = np.bincount(near[base.cells[near_part] != PAINT_D0],
                             minlength=len(verts)) == 0
         dv = base.system.dofmap.dof_of_vertex
+        arc = dv[self.gd.terms.gamma_vertices]
         inner = dv[verts[alone]]
         at_rim = dv[verts[~alone]]
         rim = np.unique(at_rim)
@@ -775,7 +769,7 @@ class PaintTemplate:
             x[inner] = 0.0
             # r = K0 x - b - K_RR x_R, the residual's negative
             r = kmat @ x
-            r[base.gamma_dofs] -= self.gd.loads
+            r[arc] -= self.gd.loads
             r[rim] -= k_rr @ x[rim]
             r[inner] = 0.0
         else:
@@ -788,7 +782,7 @@ class PaintTemplate:
             # the residual (negated) of the merged DOF sums the rows it merges
             merged = np.concatenate([rim, inner])
             r = kmat @ x
-            r[base.gamma_dofs] -= self.gd.loads
+            r[arc] -= self.gd.loads
             total = r[merged].sum(axis=0)
             r[merged] = 0.0
             r[rim[0]] = total

@@ -3,7 +3,7 @@ import pytest
 
 from eitmono import (CoefficientField, build_basis, build_domain, nd_matrix,
                      triangulate)
-from eitmono.fem import PotentialSolution, SolverError
+from eitmono.fem import SolverError
 from eitmono.geometry import pixel_family
 
 from reference_fem import homogeneous_field
@@ -57,19 +57,24 @@ def stiffness(system):
     return system.kmat[:system.n, :system.n]
 
 
-def dirichlet_energy(system, solution):
-    """sigma-weighted Dirichlet energy of the solution (A-quadratic form)."""
-    u = solution.u
+def border(system):
+    """The border column of a grounded system's bordered matrix on its
+    DOFs: the gamma mass of each measurement-arc DOF, zero elsewhere."""
+    return system.kmat[:system.n, [system.n]].toarray()[:, 0]
+
+
+def dirichlet_energy(system, u):
+    """sigma-weighted Dirichlet energy of a potential (A-quadratic form)."""
     return float(u @ (stiffness(system) @ u))
 
 
-def energy(system, solution_or_vector, load):
-    """Quadratic energy J(v) = v^T A v - 2 b^T v for a DOF vector."""
-    v = solution_or_vector.u if isinstance(solution_or_vector, PotentialSolution) \
-        else np.asarray(solution_or_vector, dtype=float)
+def energy(system, v, b):
+    """Quadratic energy J(v) = v^T A v - 2 b^T v of a DOF vector v under
+    the load vector b."""
+    v = np.asarray(v, dtype=float)
     if v.shape != (system.n,):
         raise SolverError("energy: coefficient vector has wrong dimension")
-    return float(v @ (stiffness(system) @ v) - 2.0 * float(load.b @ v))
+    return float(v @ (stiffness(system) @ v) - 2.0 * float(b @ v))
 
 
 def expand(dofmap, u_dof, fill=0.0):

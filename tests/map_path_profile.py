@@ -16,7 +16,7 @@ milliseconds and calls per operation of:
   an updated map (``PaintTemplate.check``);
 * ``assemble``: ``PaintTemplate.assemble``;
 * ``update``: ``PaintTemplate.update`` and ``closure``, SuperLU excluded;
-* ``gates``: the load scatter, ``fem.solve_neumann`` and its residual,
+* ``gates``: ``ndmap._solve``, ``fem.solve_neumann`` and its residual,
   load-norm and gamma-mean gates, and ``_pair``, SuperLU excluded;
 * ``solve``: the rest of ``PaintTemplate.solve``;
 * ``map``: the sum of the five above, the non-SuperLU work of the maps;
@@ -28,8 +28,8 @@ milliseconds and calls per operation of:
 Every figure is exclusive: a wrapped call's time leaves out the wrapped
 calls it makes.  The wrappers add about a microsecond per call.  A name
 missing from the checkout under test is skipped, so the script runs on a
-parent commit too.  About half a minute on one core at the default
-``--ops``.
+parent commit too, and named in the header line, so a stale entry shows.
+About half a minute on one core at the default ``--ops``.
 """
 
 import argparse
@@ -50,7 +50,7 @@ CATEGORIES = {
     "dof_map": [(ndmap.PaintTemplate, "dof_map"), (ndmap.PaintTemplate, "check")],
     "assemble": [(ndmap.PaintTemplate, "assemble")],
     "update": [(ndmap.PaintTemplate, "update"), (ndmap.PaintTemplate, "closure")],
-    "gates": [(ndmap, "_loads"), (ndmap, "_solve"), (ndmap, "_pair"),
+    "gates": [(ndmap, "_solve"), (ndmap, "_pair"),
               (fem, "solve_neumann"), (fem, "check_gamma_mean"),
               (fem, "residual_misses"), (fem, "mean_free_norms")],
     "solve": [(ndmap.PaintTemplate, "solve"), (ndmap.PaintTemplate, "cell_codes")],
@@ -98,6 +98,18 @@ class TimedFactor:
         return getattr(self._lu, name)
 
 
+def target(owner, name):
+    """The callable ``name`` of a module, or of a class as its own
+    attribute; None when it has none."""
+    return owner.__dict__.get(name) if isinstance(owner, type) else getattr(owner, name, None)
+
+
+def skipped():
+    """The wrapped names that this checkout lacks, as owner.name."""
+    return [f"{owner.__name__}.{name}" for targets in CATEGORIES.values()
+            for owner, name in targets if target(owner, name) is None]
+
+
 @contextlib.contextmanager
 def wrapped(clock):
     """Every category's callables and ``splu`` wrapped for the block."""
@@ -108,7 +120,7 @@ def wrapped(clock):
     spla.splu = lambda *args, **kwargs: TimedFactor(factor(*args, **kwargs), clock)
     for category, targets in CATEGORIES.items():
         for owner, name in targets:
-            fn = owner.__dict__.get(name) if isinstance(owner, type) else getattr(owner, name, None)
+            fn = target(owner, name)
             if fn is None:
                 continue
             saved.append((owner, name, fn))
@@ -159,7 +171,7 @@ def main(argv=None):
 
     names = args.workload or list(WORKLOADS)
     print(f"seed {args.seed}; mean ms per operation over {args.ops} warm operations "
-          "(calls per operation below)")
+          f"(calls per operation below); skipped: {', '.join(skipped()) or 'none'}")
     print(f"{'workload':<15}" + "".join(f"{c:>9}" for c in COLUMNS))
     for name in names:
         ms, calls = profile(name, WORKLOADS[name], args.seed, args.ops)

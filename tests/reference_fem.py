@@ -21,7 +21,7 @@ from eitmono import polygons as pg
 from eitmono.coefficient import WEIGHT_LABELS, CoefficientField
 from eitmono.fem import (_GL4_X, ConfigurationError, DofMap, NeumannLoad,
                          SolverError, StiffnessSystem, gamma_quadrature,
-                         mesh_terms, solve_neumann)
+                         mean_free_norms, mesh_terms, solve_neumann)
 from eitmono.geometry import (BACKGROUND, REGION_LABELS, Mesh, connected_labels,
                               edge_owners, edge_runs)
 from eitmono.ndmap import NDError, NDMatrix, nd_matrix
@@ -248,10 +248,7 @@ def assemble(fld, dofmap):
                            border, gamma_dofs])
     vals = np.concatenate([ke.reshape(-1), terms.gamma_mass, terms.gamma_mass])
     kmat = sp.coo_matrix((vals, (rows, cols)), shape=(n + 1, n + 1)).tocsc()
-
-    constraint = np.zeros(n)
-    constraint[gamma_dofs] = terms.gamma_mass
-    return StiffnessSystem(kmat=kmat, constraint=constraint, dofmap=dofmap)
+    return StiffnessSystem(kmat=kmat, dofmap=dofmap)
 
 
 def gamma_mass_vector(mesh, dofmap):
@@ -267,10 +264,10 @@ def gamma_mass_vector(mesh, dofmap):
 
 
 def neumann_load(mesh, dofmap, density):
-    """Build the load vector for a current density given as a callable on
-    physical boundary points; the density is mean-projected on gamma.
-    ND maps take their loads from `fem.gamma_loads`; this per-call path is
-    the reference the tests hold them to."""
+    """The load vector, on every DOF, of a current density given as a
+    callable on physical boundary points; the density is mean-projected on
+    gamma.  ND maps take their loads from `fem.gamma_loads`; this per-call
+    path is the reference the tests hold them to."""
     c = gamma_mass_vector(mesh, dofmap)
     pts, w = gamma_quadrature(mesh)
     wf = (w * np.asarray(density(pts), dtype=float)).reshape(-1, 4)
@@ -280,7 +277,18 @@ def neumann_load(mesh, dofmap, density):
                     weights=ends.ravel(), minlength=dofmap.n_dofs)
     mean = float(np.sum(wf)) / mesh.gamma_length()
     b -= mean * c
-    return NeumannLoad(b=b)
+    return b
+
+
+def full_load(b):
+    """`fem.NeumannLoad` of the loads ``b`` on every DOF of a system, one
+    per column, checked gamma-mean-free."""
+    return NeumannLoad(b, mean_free_norms(b), np.arange(len(b)))
+
+
+def solve_load(system, b, rtol=1e-10):
+    """The potential of one load vector ``b`` on every DOF of a system."""
+    return solve_neumann(system, full_load(b[:, None]), rtol=rtol).u[:, 0]
 
 
 def reference_nd(fld, basis, rtol=1e-10):
@@ -288,9 +296,9 @@ def reference_nd(fld, basis, rtol=1e-10):
     `neumann_load` per basis density: the symmetrized pairing B^T U."""
     dofmap = build_dof_map(fld.mesh)
     system = assemble(fld, dofmap)
-    b = np.column_stack([neumann_load(fld.mesh, dofmap, basis.density(k)).b
+    b = np.column_stack([neumann_load(fld.mesh, dofmap, basis.density(k))
                          for k in range(basis.m)])
-    raw = b.T @ solve_neumann(system, NeumannLoad(b=b), rtol=rtol).u
+    raw = b.T @ solve_neumann(system, full_load(b), rtol=rtol).u
     return NDMatrix(matrix=0.5 * (raw + raw.T), gram=basis.gram(fld.mesh),
                     asymmetry=0.0, field_hash="", mesh_hash=fld.mesh.provenance(),
                     basis_hash=basis.provenance())
@@ -302,12 +310,13 @@ def assert_same_system(got, ref):
     through the two DOF maps onto the direct numbering (conductors and the
     border row keep theirs).  Then: CSC arrays in canonical form (rows
     sorted in each column, none twice), as the template declares them to
-    splu; the same vertex statuses, conductors and constraint, the same CSC
-    pattern, and entries within 1.2e-15*max|K|
-    where no conductor DOF is involved.  A conductor entry sums up to a few
-    hundred element triplets in another order on each path; on the
-    regression phantoms each path is up to 2.2e-15*max|K| from the exactly
-    rounded sum (math.fsum), so the bound there is 4e-15*max|K|."""
+    splu; the same vertex statuses and conductors, the same CSC pattern,
+    the border column (the constraint) bit for bit, and entries within
+    1.2e-15*max|K| where no conductor DOF is involved.  A conductor entry
+    sums up to a few hundred element triplets in another order on each
+    path; on the regression phantoms each path is up to 2.2e-15*max|K|
+    from the exactly rounded sum (math.fsum), so the bound there is
+    4e-15*max|K|."""
     k = got.kmat
     assert sp.csc_matrix((k.data, k.indices, k.indptr), shape=k.shape).has_canonical_format
     for status in (vertex_status, conductor_of_vertex):
@@ -323,7 +332,6 @@ def assert_same_system(got, ref):
     assert np.array_equal(np.sort(to_ref), np.arange(ref.n + 1))
     n_free = ref.dofmap.n_free
     assert np.array_equal(to_ref[n_free:], np.arange(n_free, ref.n + 1))
-    assert np.array_equal(got.constraint, ref.constraint[to_ref[:-1]])
     coo = got.kmat.tocoo()
     a = sp.csc_matrix((coo.data, (to_ref[coo.row], to_ref[coo.col])),
                       shape=got.kmat.shape)
@@ -333,6 +341,7 @@ def assert_same_system(got, ref):
     assert a.shape == b.shape
     assert np.array_equal(a.indptr, b.indptr)
     assert np.array_equal(a.indices, b.indices)
+    assert np.array_equal(a.data[a.indptr[-2]:], b.data[b.indptr[-2]:])
     cols = np.repeat(np.arange(b.shape[1]), np.diff(b.indptr))
     conductor = (np.maximum(b.indices, cols) >= n_free) \
         & (np.maximum(b.indices, cols) < ref.n)

@@ -11,7 +11,7 @@ from eitmono.coefficient import CoefficientField
 from eitmono.geometry import build_domain, triangulate
 from eitmono import polygons as pg
 
-from conftest import build_field, dirichlet_energy, energy, expand, stiffness
+from conftest import border, build_field, dirichlet_energy, energy, expand, stiffness
 import reference_fem
 
 
@@ -36,10 +36,10 @@ def embed_dof_vector(u_src, dofmap_src, dofmap_dst):
     return out / counts
 
 
-def export_potential(mesh, dofmap, solution):
-    """Companion text format for potentials: `nv` then one value per vertex
-    (nan marks removed vertices)."""
-    vals = expand(dofmap, solution.u, fill=np.nan)
+def export_potential(mesh, dofmap, u):
+    """Companion text format for a potential: `nv` then one value per
+    vertex (nan marks removed vertices)."""
+    vals = expand(dofmap, u, fill=np.nan)
     lines = [f"{len(vals)}"]
     lines += [f"{v:.17g}" for v in vals]
     return "\n".join(lines) + "\n"
@@ -138,53 +138,50 @@ class TestAssembly:
 class TestSolve:
     def test_zero_load(self, disk_mesh, homogeneous_system):
         dm, system = homogeneous_system
-        load = reference_fem.neumann_load(disk_mesh, dm, lambda p: np.zeros(len(p)))
-        sol = fem.solve_neumann(system, load)
-        assert np.abs(sol.u).max() == 0.0
+        b = reference_fem.neumann_load(disk_mesh, dm, lambda p: np.zeros(len(p)))
+        assert np.abs(reference_fem.solve_load(system, b)).max() == 0.0
 
     def test_disk_oracle(self, disk_mesh, homogeneous_system):
         dm, system = homogeneous_system
-        load = reference_fem.neumann_load(disk_mesh, dm, cos_theta)
-        sol = fem.solve_neumann(system, load)
-        uv = expand(dm, sol.u, fill=np.nan)
+        b = reference_fem.neumann_load(disk_mesh, dm, cos_theta)
+        uv = expand(dm, reference_fem.solve_load(system, b), fill=np.nan)
         r = np.hypot(*disk_mesh.vertices.T)
         th = np.arctan2(disk_mesh.vertices[:, 1], disk_mesh.vertices[:, 0])
         assert np.abs(uv - r * np.cos(th)).max() < 2e-4
 
     def test_energy_identity(self, disk_mesh, homogeneous_system):
         dm, system = homogeneous_system
-        load = reference_fem.neumann_load(disk_mesh, dm, cos_theta)
-        sol = fem.solve_neumann(system, load)
-        dirichlet = dirichlet_energy(system, sol)
-        pairing = float(load.b @ sol.u)
+        b = reference_fem.neumann_load(disk_mesh, dm, cos_theta)
+        u = reference_fem.solve_load(system, b)
+        dirichlet = dirichlet_energy(system, u)
+        pairing = float(b @ u)
         assert abs(dirichlet - pairing) < 1e-12 * abs(pairing)
-        assert np.isclose(energy(system, sol, load), -pairing, rtol=1e-12)
+        assert np.isclose(energy(system, u, b), -pairing, rtol=1e-12)
 
     def test_minimiser_property(self, disk_mesh, homogeneous_system):
         dm, system = homogeneous_system
-        load = reference_fem.neumann_load(disk_mesh, dm, cos_theta)
-        sol = fem.solve_neumann(system, load)
-        j0 = energy(system, sol, load)
+        b = reference_fem.neumann_load(disk_mesh, dm, cos_theta)
+        u = reference_fem.solve_load(system, b)
+        j0 = energy(system, u, b)
         rng = np.random.default_rng(3)
         for _ in range(100):
             w = rng.standard_normal(system.n)
             t = rng.choice([0.1, -0.1, 1.0, -1.0])
-            assert energy(system, sol.u + t * w, load) >= j0 - 1e-9 * abs(j0)
+            assert energy(system, u + t * w, b) >= j0 - 1e-9 * abs(j0)
 
     def test_mean_free_enforced(self, disk_mesh, homogeneous_system):
         dm, system = homogeneous_system
-        load = reference_fem.neumann_load(disk_mesh, dm, cos_theta)
-        sol = fem.solve_neumann(system, load)
-        assert abs(float(system.constraint @ sol.u)) < 1e-10
-        bad = fem.NeumannLoad(b=np.ones(system.n))
-        with pytest.raises(fem.SolverError):
-            fem.solve_neumann(system, bad)
+        b = reference_fem.neumann_load(disk_mesh, dm, cos_theta)
+        u = reference_fem.solve_load(system, b)
+        assert abs(float(border(system) @ u)) < 1e-10
+        with pytest.raises(fem.SolverError, match="not gamma-mean-free"):
+            fem.mean_free_norms(np.ones((system.n, 1)))
 
     def test_energy_dimension_guard(self, homogeneous_system, disk_mesh):
         dm, system = homogeneous_system
-        load = reference_fem.neumann_load(disk_mesh, dm, cos_theta)
+        b = reference_fem.neumann_load(disk_mesh, dm, cos_theta)
         with pytest.raises(fem.SolverError):
-            energy(system, np.zeros(3), load)
+            energy(system, np.zeros(3), b)
 
 
 class TestSubspaceNesting:
@@ -231,9 +228,8 @@ def test_trace_convergence_rate():
         fld = CoefficientField(mesh=mesh, gamma0=1.0)
         dm = reference_fem.build_dof_map(mesh)
         system = reference_fem.assemble(fld, dm)
-        load = reference_fem.neumann_load(mesh, dm, cos_theta)
-        sol = fem.solve_neumann(system, load)
-        uv = expand(dm, sol.u, fill=np.nan)
+        b = reference_fem.neumann_load(mesh, dm, cos_theta)
+        uv = expand(dm, reference_fem.solve_load(system, b), fill=np.nan)
         e2 = 0.0
         for i, j in mesh.gamma_edges():
             pi, pj = mesh.vertices[i], mesh.vertices[j]
@@ -250,9 +246,8 @@ def test_trace_convergence_rate():
 
 def test_export_potential(disk_mesh, homogeneous_system):
     dm, system = homogeneous_system
-    load = reference_fem.neumann_load(disk_mesh, dm, cos_theta)
-    sol = fem.solve_neumann(system, load)
-    text = export_potential(disk_mesh, dm, sol)
+    b = reference_fem.neumann_load(disk_mesh, dm, cos_theta)
+    text = export_potential(disk_mesh, dm, reference_fem.solve_load(system, b))
     lines = text.strip().split("\n")
     assert int(lines[0]) == disk_mesh.num_vertices
     assert len(lines) == disk_mesh.num_vertices + 1
@@ -307,37 +302,36 @@ def test_vectorized_loads_match_edge_loop(phantom, arc):
     assert np.abs(c - ref_c).max() <= 1e-13 * np.abs(ref_c).max()
     basis = build_basis(mesh, 8)
     for f in [basis.density(k) for k in range(8)] + [cos_theta]:
-        b = reference_fem.neumann_load(mesh, dm, f).b
+        b = reference_fem.neumann_load(mesh, dm, f)
         ref = reference_load(mesh, dm, f)
         assert np.abs(b - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_block_solve_gates_every_column(disk_mesh, homogeneous_system):
     dm, system = homogeneous_system
-    good = reference_fem.neumann_load(disk_mesh, dm, cos_theta).b
-    block = fem.solve_neumann(system, fem.NeumannLoad(
-        b=np.column_stack([good, 2 * good])))
-    single = fem.solve_neumann(system, fem.NeumannLoad(b=good))
-    assert np.allclose(block.u[:, 0], single.u, rtol=0, atol=1e-14)
-    assert np.allclose(block.u[:, 1], 2 * single.u, rtol=0, atol=1e-14)
+    good = reference_fem.neumann_load(disk_mesh, dm, cos_theta)
+    block = fem.solve_neumann(system, reference_fem.full_load(
+        np.column_stack([good, 2 * good])))
+    single = reference_fem.solve_load(system, good)
+    assert np.allclose(block.u[:, 0], single, rtol=0, atol=1e-14)
+    assert np.allclose(block.u[:, 1], 2 * single, rtol=0, atol=1e-14)
     assert system.bordered() is system.bordered()
-    bad = fem.NeumannLoad(b=np.column_stack([good, np.ones(system.n)]))
-    with pytest.raises(fem.SolverError):
-        fem.solve_neumann(system, bad)
+    with pytest.raises(fem.SolverError, match="not gamma-mean-free"):
+        fem.mean_free_norms(np.column_stack([good, np.ones(system.n)]))
 
 
 def test_gamma_mean_gate(homogeneous_system):
-    # the gate sums the constraint's nonzero (measurement-arc) rows: potentials
-    # made mean-free by the full constraint product pass, and a unit shift of
-    # one column misses the gate in that column
+    # the gate sums the rows of the border column (the measurement arc):
+    # potentials made mean-free by the full border product pass, and a unit
+    # shift of one column misses the gate in that column
     _, system = homogeneous_system
-    c = system.constraint
+    c = border(system)
     u = np.random.default_rng(0).standard_normal((system.n, 3))
     u -= (c @ u) / c.sum()
-    fem.check_gamma_mean(c, u)
+    fem.check_gamma_mean(system.kmat, u)
     u[:, 1] += 1.0
     with pytest.raises(fem.SolverError, match="in column 1$"):
-        fem.check_gamma_mean(c, u)
+        fem.check_gamma_mean(system.kmat, u)
 
 
 def default_options_factor(system):
@@ -377,13 +371,11 @@ def test_tuned_factor_matches_default_options(name, tmp_path, monkeypatch):
         return lu
 
     def solve(system, load, rtol=1e-10):
-        b = load.b.reshape(len(load.b), -1)
-        bnorm = fem.mean_free_norms(b) if load.norm is None else load.norm
         rhs = load.bordered(system.n)
         xs = [lu.solve(rhs) for lu in (system.factor(), default_options_factor(system))]
         assert close(*xs)
         misses = [len(fem.residual_misses(np.linalg.norm(rhs - system.kmat @ x, axis=0),
-                                          bnorm, rtol)) for x in xs]
+                                          load.norm, rtol)) for x in xs]
         assert misses[0] == 0 or misses[1] > 0
         gates.append(misses)
         return real_solve(system, load, rtol)

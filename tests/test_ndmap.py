@@ -20,7 +20,7 @@ from eitmono.oracle import disk_nd_eigenvalue
 from eitmono.reconstruction import grid_template
 from eitmono import polygons as pg
 
-from conftest import dirichlet_energy, gram_distance
+from conftest import border, dirichlet_energy, gram_distance
 import reference_fem
 from reference_fem import (bracket_fields, cell_parts, homogeneous_field, nd_extreme,
                            painted_field, relabeled)
@@ -104,14 +104,12 @@ class TestNDMatrix:
     def test_quadratic_form_identity(self, disk_mesh, disk_field, basis8):
         # diagonal entries equal the interior Dirichlet energy of the
         # corresponding solve
-        from eitmono import fem
         dm = reference_fem.build_dof_map(disk_mesh)
         system = reference_fem.assemble(disk_field, dm)
         nd = nd_matrix(disk_field, basis8)
         for k in (0, 3):
-            load = reference_fem.neumann_load(disk_mesh, dm, basis8.density(k))
-            sol = fem.solve_neumann(system, load)
-            energy = dirichlet_energy(system, sol)
+            b = reference_fem.neumann_load(disk_mesh, dm, basis8.density(k))
+            energy = dirichlet_energy(system, reference_fem.solve_load(system, b))
             assert abs(nd.matrix[k, k] - energy) < 1e-8 * abs(energy)
 
     def test_text_roundtrip(self, nd_homogeneous):
@@ -239,8 +237,6 @@ def test_provenance_gate(disk_mesh, disk_field, basis8, nd_homogeneous):
 
 
 def test_block_solve_matches_per_load_solves(disk, family8):
-    from eitmono import fem
-
     mesh = triangulate(disk, target_h=0.1,
                        extra_segments=family8.grid_segments())
     basis = build_basis(mesh, 8)
@@ -253,8 +249,8 @@ def test_block_solve_matches_per_load_solves(disk, family8):
         system = reference_fem.assemble(fld, dm)
         loads = [reference_fem.neumann_load(fld.mesh, dm, basis.density(k))
                  for k in range(basis.m)]
-        sols = [fem.solve_neumann(system, ld) for ld in loads]
-        raw = np.array([[lj.b @ sk.u for sk in sols] for lj in loads])
+        sols = [reference_fem.solve_load(system, b) for b in loads]
+        raw = np.array([[bj @ uk for uk in sols] for bj in loads])
         ref = 0.5 * (raw + raw.T)
         assert np.abs(nd.matrix - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -294,10 +290,9 @@ def test_shared_loads_match_per_call_loads(grid_mesh, family8, monkeypatch):
         # the block holds the loads on the measurement-arc DOFs, the system's
         # right-hand side those loads on the DOFs, then a zero row
         rhs = block.bordered(system.n)
-        assert np.array_equal(rhs[:system.n], np.column_stack([ld.b for ld in ref]))
+        assert np.array_equal(rhs[:system.n], np.column_stack(ref))
         assert not np.any(rhs[system.n:])
-        assert np.array_equal(system.constraint,
-                              reference_fem.gamma_mass_vector(fld.mesh, dm))
+        assert np.array_equal(border(system), reference_fem.gamma_mass_vector(fld.mesh, dm))
 
 
 def test_gamma_data_once_per_mesh_and_basis(disk, grid_mesh, family8,
@@ -739,8 +734,8 @@ MIXED = [(0.0, 0.0, "Ddeg"), (0.3, 0.3, "DFminus"), (-0.3, 0.0, "D0"),
 @example(seeds=[], bands=[(0.3, "Ddeg"), (0.6, "D0")], ringed=True)
 @example(seeds=[(0.0, 0.0, "bg"), (0.99, 0.0, "D0")], bands=[], ringed=False)
 def test_field_system_matches_reference_path(coarse_disk, seeds, bands, ringed):
-    # the system every nd_matrix solves has the DOF map, constraint and CSC
-    # pattern of the reference path, entries within 1.2e-15*max|K| (4e-15
+    # the system every nd_matrix solves has the DOF map, border column and
+    # CSC pattern of the reference path, entries within 1.2e-15*max|K| (4e-15
     # where a conductor sums), or raises the reference path's first error
     mesh, basis = coarse_disk
     labelled = dataclasses.replace(
@@ -770,7 +765,7 @@ def test_command_maps_match_reference_path(name):
 
     problem = Problem(contract_config(name))
     mesh, fld, basis = problem.build_mesh(), problem.build_field(), problem.build_basis()
-    gamma0, family = problem.gamma0, problem.family
+    gamma0, family = problem.config["coefficient.background"], problem.family
     window = cell_parts(family, family.whole_window().cells)
     every = range(family.grid_n ** 2)
     low, up = bracket_fields(fld)

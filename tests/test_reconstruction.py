@@ -519,9 +519,8 @@ def test_symmetric_factorization_matches_default_splu(disk, family8, name,
 
     def checked(system, load, rtol=1e-10):
         sol = real_solve(system, load, rtol=rtol)
-        x = np.vstack([sol.u, sol.multiplier[None, :]])
         rhs = load.bordered(system.n)
-        res = np.linalg.norm(rhs - system.bordered() @ x, axis=0)
+        res = np.linalg.norm(rhs - system.bordered() @ sol.x, axis=0)
         assert np.all(res <= rtol * np.linalg.norm(load.b, axis=0))
         return sol
 
@@ -650,13 +649,37 @@ def test_shared_order_maps_match_mmd_factorization(regression_scans):
     # factored on its own MMD order
     for _, maps in regression_scans.values():
         for system, gd, nd in factored_maps(maps)[1:]:
-            mmd = fem.StiffnessSystem(kmat=system.kmat,
-                                      constraint=system.constraint,
-                                      dofmap=system.dofmap)
+            mmd = fem.StiffnessSystem(kmat=system.kmat, dofmap=system.dofmap)
             b, sol = ndmap._solve(mmd, gd, 1e-10)
             ref = ndmap._pair(b, sol.u, gd, nd.field_hash)
             assert np.abs(nd.matrix - ref.matrix).max() \
                 <= 1e-12 * np.abs(ref.matrix).max()
+
+
+def test_border_column_is_the_arc_mass(disk, family8, monkeypatch):
+    # the gamma-mean gate reads the measurement arc from the border column:
+    # on every system a scan assembles, conductor paintings among them, the
+    # column's rows are the sorted arc DOFs, its values their gamma masses
+    # bit for bit, and no conductor DOF is among them
+    systems = []
+    real_assemble = PaintTemplate.assemble
+
+    def recording(self, codes, dofmap):
+        system = real_assemble(self, codes, dofmap)
+        systems.append((self.gd, system))
+        return system
+
+    monkeypatch.setattr(PaintTemplate, "assemble", recording)
+    scan_maps(disk, family8, "two_blob_mixed", 0.1, 8)
+    assert any(system.n > system.dofmap.n_free for _, system in systems)
+    for gd, system in systems:
+        k, n = system.kmat, system.n
+        column = slice(k.indptr[n], k.indptr[n + 1])
+        dofs = system.dofmap.dof_of_vertex[gd.terms.gamma_vertices]
+        order = np.argsort(dofs)
+        assert np.array_equal(k.indices[column], dofs[order])
+        assert np.array_equal(k.data[column], gd.terms.gamma_mass[order])
+        assert np.all(k.indices[column] < system.dofmap.n_free)
 
 
 def test_updated_maps_match_direct_path(regression_scans):
